@@ -48,6 +48,22 @@ def read_config(path, allowed: set[str]) -> dict[str, str]:
     return values
 
 
+def _settings(args, allowed: set[str]):
+    """Setting lookup for a pretrain/finetune command: an explicit flag wins,
+    then the --config file's value, then the default."""
+    file_values = read_config(args.config, allowed) if args.config else {}
+
+    def setting(name, cast, default):
+        flag = getattr(args, name)
+        if flag is not None:
+            return flag
+        if name in file_values:
+            return cast(file_values[name])
+        return default
+
+    return setting
+
+
 def _read_lines(path) -> list[str]:
     with open(path, encoding="utf-8") as handle:
         return [line.rstrip("\n") for line in handle]
@@ -174,16 +190,7 @@ _PRETRAIN_KEYS = {
 
 
 def _cmd_pretrain(args) -> int:
-    file_values = read_config(args.config, _PRETRAIN_KEYS) if args.config else {}
-
-    def setting(name, cast, default):
-        flag = getattr(args, name)
-        if flag is not None:
-            return flag
-        if name in file_values:
-            return cast(file_values[name])
-        return default
-
+    setting = _settings(args, _PRETRAIN_KEYS)
     vocab = wordpiece.read_vocab(args.vocab)
     plan = _parse_plan(args.plan)
     config = EncoderConfig(
@@ -222,46 +229,48 @@ def _cmd_pretrain(args) -> int:
 _FINETUNE_KEYS = {"epochs", "batch_size", "lr", "max_steps", "max_positions"}
 
 
-def _load_task_data(task, path, vocab, tag_to_id, max_positions):
+def _load_task_data(task, path, vocab, max_positions):
+    labels = task.bio_tags() if task.kind == "ner" else task.labels
+    index = {label: i for i, label in enumerate(labels)}
+
+    def label_id(label, line_no):
+        if not isinstance(label, str) or label not in index:
+            raise ValueError(f"{path}:{line_no}: unknown label {label!r} for task {task.name}")
+        return index[label]
+
     if task.kind == "ner":
-        sentences = finetune.read_ner_file(path)
-        return [finetune.encode_ner_example(w, t, vocab, tag_to_id, max_positions)
-                for w, t in sentences]
-    label_index = {label: i for i, label in enumerate(task.labels)}
+        rows = []
+        for line_no, words, tags in finetune.numbered_ner_sentences(path):
+            for offset, tag in enumerate(tags):
+                label_id(tag, line_no + offset)
+            rows.append(finetune.encode_ner_example(words, tags, vocab, index, max_positions))
+        return rows
     if task.kind == "pair" and task.concept_types:
         rows = []
-        for rec in finetune.read_record_file(
+        for line_no, rec in finetune.numbered_records(
                 path, ["words", "span_a", "type_a", "span_b", "type_b", "label"]):
             marked = finetune.mark_concepts(
                 rec["words"], tuple(rec["span_a"]), rec["type_a"],
                 tuple(rec["span_b"]), rec["type_b"])
             rows.append((finetune.prepare_marked_sentence(marked, vocab, max_positions),
-                         label_index[rec["label"]]))
+                         label_id(rec["label"], line_no)))
         return rows
     if task.kind == "pair":
         return [
             (finetune.prepare_pair(rec["premise"], rec["hypothesis"], vocab, max_positions),
-             label_index[rec["label"]])
-            for rec in finetune.read_record_file(path, ["premise", "hypothesis", "label"])
+             label_id(rec["label"], line_no))
+            for line_no, rec in finetune.numbered_records(
+                path, ["premise", "hypothesis", "label"])
         ]
     return [
         (finetune.prepare_document(rec["text"], vocab, max_positions),
-         {label_index[l] for l in rec["labels"]})
-        for rec in finetune.read_record_file(path, ["text", "labels"])
+         {label_id(label, line_no) for label in rec["labels"]})
+        for line_no, rec in finetune.numbered_records(path, ["text", "labels"])
     ]
 
 
 def _cmd_finetune(args) -> int:
-    file_values = read_config(args.config, _FINETUNE_KEYS) if args.config else {}
-
-    def setting(name, cast, default):
-        flag = getattr(args, name)
-        if flag is not None:
-            return flag
-        if name in file_values:
-            return cast(file_values[name])
-        return default
-
+    setting = _settings(args, _FINETUNE_KEYS)
     task = finetune.builtin_task(args.task)
     config, params = load_checkpoint(args.checkpoint)
     vocab = wordpiece.read_vocab(args.vocab)
@@ -269,17 +278,13 @@ def _cmd_finetune(args) -> int:
         vocab, params, config = finetune.extend_for_markers(
             vocab, params, config, task.concept_types, seed=0)
     max_positions = setting("max_positions", int, config.max_positions)
-    tag_to_id = None
-    if task.kind == "ner":
-        tag_to_id = {t: i for i, t in enumerate(task.bio_tags())}
-    train_rows = _load_task_data(task, args.train, vocab, tag_to_id, max_positions)
-    dev_rows = _load_task_data(task, args.dev, vocab, tag_to_id, max_positions)
+    train_rows = _load_task_data(task, args.train, vocab, max_positions)
+    dev_rows = _load_task_data(task, args.dev, vocab, max_positions)
     hyper = finetune.FinetuneConfig(
         epochs=setting("epochs", int, 3),
         batch_size=setting("batch_size", int, 8),
         lr=setting("lr", float, 1e-3),
         max_steps=setting("max_steps", int, None),
-        max_positions=max_positions,
     )
     runs = finetune.finetune_task(config, params, task, train_rows, dev_rows,
                                   _parse_seeds(args.seeds), hyper)

@@ -7,8 +7,13 @@ feed-forward sublayers. Every loss function returns analytic gradients for
 all parameters, derived by hand and checked against central finite
 differences in the test suite.
 
+Every input row is framed by frame and batched by stack_rows. Every
+objective, masked-LM and task heads alike, is a linear head read at some
+(row, position) pairs, trained through one routine, _head_loss.
+
 Parameters live in a flat dict keyed by name, which keeps optimizers,
-accumulation, checkpointing, and gradient checking trivial.
+accumulation, checkpointing, and gradient checking trivial. A head named h
+owns the parameters h_w and h_b.
 """
 
 from __future__ import annotations
@@ -19,6 +24,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.special import erf
+
+from .wordpiece import CLS_ID, PAD_ID, SEP_ID
 
 CHECKPOINT_FORMAT = "clinlm-checkpoint"
 CHECKPOINT_VERSION = 1
@@ -105,6 +112,47 @@ class Batch:
     @property
     def shape(self) -> tuple[int, int]:
         return self.token_ids.shape
+
+    def __iter__(self):
+        # unpacks as the (token ids, attention mask, segment ids) triple that
+        # stack_rows takes
+        return iter((self.token_ids, self.attention_mask, self.segment_ids))
+
+
+def frame(ids_a, ids_b, length: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One row of `length` positions: [CLS] a [SEP] for a single text (ids_b
+    None) or [CLS] a [SEP] b [SEP] for a pair, then [PAD] to the end.
+
+    Returns (token ids, attention mask, segment ids). The mask is 1 exactly
+    on the framed tokens; side b and its [SEP] carry segment 1, everything
+    else segment 0. A single text that does not fit keeps its prefix; a pair
+    drops trailing pieces from its longer side first (side a on a tie).
+    """
+    pair = ids_b is not None
+    if length < (5 if pair else 3):  # room for one piece per side
+        raise ValueError(f"length {length} leaves no room for content")
+    a, b = list(ids_a), list(ids_b) if pair else []
+    while len(a) + len(b) > length - (3 if pair else 2):
+        (a if len(a) >= len(b) else b).pop()
+    row = [CLS_ID] + a + [SEP_ID]
+    start_b = len(row)
+    if pair:
+        row += b + [SEP_ID]
+    ids = np.full(length, PAD_ID, dtype=np.int64)
+    ids[:len(row)] = row
+    mask = np.zeros(length, dtype=np.int64)
+    mask[:len(row)] = 1
+    segments = np.zeros(length, dtype=np.int64)
+    segments[start_b:len(row)] = 1
+    return ids, mask, segments
+
+
+def stack_rows(rows) -> Batch:
+    """Stack framed rows into one Batch. Each row is a (token ids, attention
+    mask, segment ids) triple of arrays holding one row (1-D, as frame
+    returns) or several (2-D, as a Batch unpacks)."""
+    ids, mask, segments = (np.vstack(column) for column in zip(*rows))
+    return Batch(token_ids=ids, attention_mask=mask, segment_ids=segments)
 
 
 def layer_param_names(layer: int) -> list[str]:
@@ -365,17 +413,52 @@ def _backward(params, config, cache, d_hidden):
     return grads
 
 
-def _softmax_rows(logits):
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=-1, keepdims=True)
+def _sigmoid(z):
+    return 1.0 / (1.0 + np.exp(-z))
 
 
-def _cross_entropy(logits, target_ids):
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    logz = np.log(np.exp(shifted).sum(axis=-1))
-    picked = shifted[np.arange(len(target_ids)), target_ids]
-    return logz - picked
+def _head_logits(params, head, hidden, n_out=None):
+    """Scores of the linear head `head` on hidden vectors [..., hidden_dim].
+    When n_out is given, the head must have been built for that many."""
+    w = params[head + "_w"]
+    if n_out is not None and w.shape[1] != n_out:
+        raise ValueError(f"head was built for {w.shape[1]} labels, asked for {n_out}")
+    return hidden @ w + params[head + "_b"]
+
+
+def _head_loss(params, config, batch, rows, cols, head, targets, train_mode, rng,
+               binary=False):
+    """Loss of the linear head `head` read at positions (rows[i], cols[i]),
+    and exact gradients for every parameter.
+
+    With binary False the loss is the mean cross-entropy of each position's
+    scores against the class id in targets[i]; with binary True it is the
+    mean binary cross-entropy over every cell of the 0/1 matrix targets.
+    """
+    if not binary and (targets.min() < 0 or targets.max() >= params[head + "_w"].shape[1]):
+        raise ValueError(f"label id outside the range of head {head}")
+    hidden, cache = _forward(params, config, batch, train_mode, rng)
+    h_t = hidden[rows, cols]
+    logits = _head_logits(params, head, h_t)
+    if binary:
+        # log(1 + e^z) - y*z, computed stably
+        loss = float((np.logaddexp(0.0, logits) - targets * logits).mean())
+        d_logits = (_sigmoid(logits) - targets) / targets.size
+    else:
+        n = len(targets)
+        shifted = logits - logits.max(axis=-1, keepdims=True)
+        exp = np.exp(shifted)
+        total = exp.sum(axis=-1, keepdims=True)
+        loss = float((np.log(total[:, 0]) - shifted[np.arange(n), targets]).mean())
+        d_logits = exp / total  # softmax
+        d_logits[np.arange(n), targets] -= 1.0
+        d_logits /= n
+    d_hidden = np.zeros_like(hidden)
+    np.add.at(d_hidden, (rows, cols), d_logits @ params[head + "_w"].T)
+    grads = _backward(params, config, cache, d_hidden)
+    grads[head + "_w"] += h_t.T @ d_logits
+    grads[head + "_b"] += d_logits.sum(axis=0)
+    return loss, grads
 
 
 def mlm_forward_loss(params, config, batch, target_positions, target_ids,
@@ -397,81 +480,50 @@ def mlm_forward_loss(params, config, batch, target_positions, target_ids,
     rows, cols = target_positions[:, 0], target_positions[:, 1]
     if rows.min() < 0 or rows.max() >= b or cols.min() < 0 or cols.max() >= t:
         raise ValueError("target position outside the batch")
+    return _head_loss(params, config, batch, rows, cols, "mlm", target_ids, train_mode, rng)
 
-    hidden, cache = _forward(params, config, batch, train_mode, rng)
-    h_t = hidden[rows, cols]
-    logits = h_t @ params["mlm_w"] + params["mlm_b"]
-    loss = float(_cross_entropy(logits, target_ids).mean())
 
-    d_logits = _softmax_rows(logits)
-    d_logits[np.arange(n), target_ids] -= 1.0
-    d_logits /= n
-    d_hidden = np.zeros_like(hidden)
-    np.add.at(d_hidden, (rows, cols), d_logits @ params["mlm_w"].T)
-    grads = _backward(params, config, cache, d_hidden)
-    grads["mlm_w"] += h_t.T @ d_logits
-    grads["mlm_b"] += d_logits.sum(axis=0)
-    return loss, grads
+def init_head(params, config, head, n_out, seed):
+    """Copy of params with a fresh linear head `head` from hidden vectors to
+    n_out scores: weights drawn from N(0, 0.02^2), biases zero."""
+    if n_out < 1:
+        raise ValueError(f"n_labels must be >= 1, got {n_out}")
+    rng = np.random.default_rng(seed)
+    out = dict(params)
+    out[head + "_w"] = rng.normal(0.0, 0.02, size=(config.hidden_dim, n_out))
+    out[head + "_b"] = np.zeros(n_out)
+    return out
 
 
 def init_token_head(params, config, n_labels, seed):
     """Copy of params with a per-position classification head added."""
-    if n_labels < 1:
-        raise ValueError(f"n_labels must be >= 1, got {n_labels}")
-    rng = np.random.default_rng(seed)
-    out = dict(params)
-    out["head_token_w"] = rng.normal(0.0, 0.02, size=(config.hidden_dim, n_labels))
-    out["head_token_b"] = np.zeros(n_labels)
-    return out
+    return init_head(params, config, "head_token", n_labels, seed)
 
 
 def init_pair_head(params, config, n_classes, seed):
     """Copy of params with a first-position (summary vector) classifier added."""
-    if n_classes < 1:
-        raise ValueError(f"n_classes must be >= 1, got {n_classes}")
-    rng = np.random.default_rng(seed)
-    out = dict(params)
-    out["head_pair_w"] = rng.normal(0.0, 0.02, size=(config.hidden_dim, n_classes))
-    out["head_pair_b"] = np.zeros(n_classes)
-    return out
+    return init_head(params, config, "head_pair", n_classes, seed)
 
 
 def init_multilabel_head(params, config, n_labels, seed):
     """Copy of params with an independent per-label sigmoid head added."""
-    if n_labels < 1:
-        raise ValueError(f"n_labels must be >= 1, got {n_labels}")
-    rng = np.random.default_rng(seed)
-    out = dict(params)
-    out["head_multi_w"] = rng.normal(0.0, 0.02, size=(config.hidden_dim, n_labels))
-    out["head_multi_b"] = np.zeros(n_labels)
-    return out
+    return init_head(params, config, "head_multi", n_labels, seed)
 
 
 def head_token_classify(params, hidden, n_labels):
     """Per-position label logits [batch, positions, n_labels]."""
-    if n_labels < 1:
-        raise ValueError(f"n_labels must be >= 1, got {n_labels}")
-    w = params["head_token_w"]
-    if w.shape[1] != n_labels:
-        raise ValueError(f"head was built for {w.shape[1]} labels, asked for {n_labels}")
-    return hidden @ w + params["head_token_b"]
+    return _head_logits(params, "head_token", hidden, n_labels)
 
 
 def head_pair_classify(params, hidden):
     """Sequence-level class logits [batch, n_classes] from the first position."""
-    return hidden[:, 0, :] @ params["head_pair_w"] + params["head_pair_b"]
+    return _head_logits(params, "head_pair", hidden[:, 0, :])
 
 
 def head_multilabel(params, hidden, n_labels):
     """Independent per-label probabilities [batch, n_labels] via the logistic
     function on first-position scores."""
-    if n_labels < 1:
-        raise ValueError(f"n_labels must be >= 1, got {n_labels}")
-    w = params["head_multi_w"]
-    if w.shape[1] != n_labels:
-        raise ValueError(f"head was built for {w.shape[1]} labels, asked for {n_labels}")
-    z = hidden[:, 0, :] @ w + params["head_multi_b"]
-    return 1.0 / (1.0 + np.exp(-z))
+    return _sigmoid(_head_logits(params, "head_multi", hidden[:, 0, :], n_labels))
 
 
 def token_classify_loss(params, config, batch, label_ids, loss_mask,
@@ -486,26 +538,8 @@ def token_classify_loss(params, config, batch, label_ids, loss_mask,
     rows, cols = np.nonzero(loss_mask)
     if len(rows) == 0:
         raise ValueError("loss_mask selects no positions")
-    n_labels = params["head_token_w"].shape[1]
-    targets = label_ids[rows, cols]
-    if targets.min() < 0 or targets.max() >= n_labels:
-        raise ValueError("label id outside the head's label range")
-
-    hidden, cache = _forward(params, config, batch, train_mode, rng)
-    h_t = hidden[rows, cols]
-    logits = h_t @ params["head_token_w"] + params["head_token_b"]
-    loss = float(_cross_entropy(logits, targets).mean())
-
-    n = len(rows)
-    d_logits = _softmax_rows(logits)
-    d_logits[np.arange(n), targets] -= 1.0
-    d_logits /= n
-    d_hidden = np.zeros_like(hidden)
-    np.add.at(d_hidden, (rows, cols), d_logits @ params["head_token_w"].T)
-    grads = _backward(params, config, cache, d_hidden)
-    grads["head_token_w"] = h_t.T @ d_logits
-    grads["head_token_b"] = d_logits.sum(axis=0)
-    return loss, grads
+    return _head_loss(params, config, batch, rows, cols, "head_token",
+                      label_ids[rows, cols], train_mode, rng)
 
 
 def pair_classify_loss(params, config, batch, class_ids, train_mode=False, rng=None):
@@ -514,24 +548,8 @@ def pair_classify_loss(params, config, batch, class_ids, train_mode=False, rng=N
     b, _ = batch.shape
     if class_ids.shape != (b,):
         raise ValueError(f"class_ids must have shape ({b},), got {class_ids.shape}")
-    n_classes = params["head_pair_w"].shape[1]
-    if class_ids.min() < 0 or class_ids.max() >= n_classes:
-        raise ValueError("class id outside the head's class range")
-
-    hidden, cache = _forward(params, config, batch, train_mode, rng)
-    h0 = hidden[:, 0, :]
-    logits = h0 @ params["head_pair_w"] + params["head_pair_b"]
-    loss = float(_cross_entropy(logits, class_ids).mean())
-
-    d_logits = _softmax_rows(logits)
-    d_logits[np.arange(b), class_ids] -= 1.0
-    d_logits /= b
-    d_hidden = np.zeros_like(hidden)
-    d_hidden[:, 0, :] = d_logits @ params["head_pair_w"].T
-    grads = _backward(params, config, cache, d_hidden)
-    grads["head_pair_w"] = h0.T @ d_logits
-    grads["head_pair_b"] = d_logits.sum(axis=0)
-    return loss, grads
+    return _head_loss(params, config, batch, np.arange(b), np.zeros(b, dtype=np.int64),
+                      "head_pair", class_ids, train_mode, rng)
 
 
 def multilabel_loss(params, config, batch, label_matrix, train_mode=False, rng=None):
@@ -543,20 +561,8 @@ def multilabel_loss(params, config, batch, label_matrix, train_mode=False, rng=N
         raise ValueError(f"label_matrix must have shape ({b}, {n_labels}), got {y.shape}")
     if not np.isin(y, (0.0, 1.0)).all():
         raise ValueError("label_matrix entries must be 0 or 1")
-
-    hidden, cache = _forward(params, config, batch, train_mode, rng)
-    h0 = hidden[:, 0, :]
-    z = h0 @ params["head_multi_w"] + params["head_multi_b"]
-    # log(1 + e^z) - y*z, computed stably
-    loss = float((np.logaddexp(0.0, z) - y * z).mean())
-
-    d_z = (1.0 / (1.0 + np.exp(-z)) - y) / y.size
-    d_hidden = np.zeros_like(hidden)
-    d_hidden[:, 0, :] = d_z @ params["head_multi_w"].T
-    grads = _backward(params, config, cache, d_hidden)
-    grads["head_multi_w"] = h0.T @ d_z
-    grads["head_multi_b"] = d_z.sum(axis=0)
-    return loss, grads
+    return _head_loss(params, config, batch, np.arange(b), np.zeros(b, dtype=np.int64),
+                      "head_multi", y, train_mode, rng, binary=True)
 
 
 def save_checkpoint(path, config: EncoderConfig, params) -> None:

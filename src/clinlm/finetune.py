@@ -8,6 +8,10 @@ Supported task shapes:
   multilabel independent per-label probabilities over a fixed inventory,
              thresholded at 0.5
 
+Rows are framed by encoder.frame and batched by encoder.stack_rows; each
+task kind trains an encoder.init_head head through encoder._head_loss, the
+loss routine masked-LM pretraining also uses.
+
 Every run is specified by (checkpoint, task, data, seed); repeating a seed
 reproduces the run exactly.
 """
@@ -15,20 +19,19 @@ reproduces the run exactly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from importlib import resources
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import metrics
+from . import corpus, metrics, wordpiece
 from .encoder import (
-    Batch, EncoderConfig, forward, head_multilabel, head_pair_classify,
-    head_token_classify, init_multilabel_head, init_pair_head, init_token_head,
-    multilabel_loss, pair_classify_loss, token_classify_loss,
+    Batch, EncoderConfig, forward, frame, head_multilabel, head_pair_classify,
+    head_token_classify, init_head, multilabel_loss, pair_classify_loss, stack_rows,
+    token_classify_loss,
 )
 from .pretrain import AdamConfig, adam_step, init_optimizer
-from .wordpiece import CLS_ID, PAD_ID, SEP_ID, Vocabulary, encode_word, normalize
+from .wordpiece import Vocabulary, normalize
 
 IGNORE_LABEL = "[IGNORE]"
 
@@ -70,11 +73,6 @@ class TaskSpec:
         return tags
 
 
-def _fixture_labels(filename: str) -> tuple[str, ...]:
-    text = resources.files("clinlm").joinpath("data", filename).read_text(encoding="utf-8")
-    return tuple(line for line in text.splitlines() if line.strip())
-
-
 def builtin_task(name: str) -> TaskSpec:
     """Task presets for the benchmark suite."""
     if name == "ner-2010":
@@ -87,10 +85,9 @@ def builtin_task(name: str) -> TaskSpec:
     if name == "mednli":
         return TaskSpec(name, "pair", NLI_LABELS, "accuracy")
     if name == "icd9-top50":
-        return TaskSpec(name, "multilabel", _fixture_labels("icd9_top50.txt"), "micro_f1")
+        return TaskSpec(name, "multilabel", corpus.icd9_top50_codes(), "micro_f1")
     if name == "therapeutic-class":
-        return TaskSpec(name, "multilabel", _fixture_labels("therapeutic_classes.txt"),
-                        "micro_f1")
+        return TaskSpec(name, "multilabel", corpus.therapeutic_class_names(), "micro_f1")
     raise ValueError(f"unknown task {name!r}")
 
 
@@ -182,51 +179,15 @@ def prepare_document(text: str, vocab: Vocabulary, max_positions: int) -> Batch:
 
     Truncation keeps the document prefix, so the same text prepared at two
     lengths shares its retained pieces."""
-    if max_positions < 3:
-        raise ValueError(f"max_positions {max_positions} leaves no room for content")
-    pieces = []
-    for word in normalize(text).split():
-        pieces.extend(encode_word(vocab, word))
-    content = [vocab.id_of(p) for p in pieces[:max_positions - 2]]
-    ids = np.full(max_positions, PAD_ID, dtype=np.int64)
-    ids[0] = CLS_ID
-    ids[1:1 + len(content)] = content
-    ids[1 + len(content)] = SEP_ID
-    mask = np.zeros(max_positions, dtype=np.int64)
-    mask[:2 + len(content)] = 1
-    segments = np.zeros(max_positions, dtype=np.int64)
-    return Batch(token_ids=ids[None, :], attention_mask=mask[None, :],
-                 segment_ids=segments[None, :])
+    return stack_rows([frame(wordpiece.encode(vocab, normalize(text)).ids, None,
+                             max_positions)])
 
 
 def prepare_pair(text_a: str, text_b: str, vocab: Vocabulary, max_positions: int) -> Batch:
     """One padded row: [CLS] a [SEP] b [SEP] with segment ids 0 and 1.
     When the pair is too long, the longer side loses pieces first."""
-    if max_positions < 5:
-        raise ValueError(f"max_positions {max_positions} cannot hold a framed pair")
-    sides = []
-    for text in (text_a, text_b):
-        pieces = []
-        for word in normalize(text).split():
-            pieces.extend(encode_word(vocab, word))
-        sides.append([vocab.id_of(p) for p in pieces])
-    a, b = sides
-    budget = max_positions - 3
-    while len(a) + len(b) > budget:
-        (a if len(a) >= len(b) else b).pop()
-    ids = np.full(max_positions, PAD_ID, dtype=np.int64)
-    segments = np.zeros(max_positions, dtype=np.int64)
-    ids[0] = CLS_ID
-    ids[1:1 + len(a)] = a
-    ids[1 + len(a)] = SEP_ID
-    start_b = 2 + len(a)
-    ids[start_b:start_b + len(b)] = b
-    ids[start_b + len(b)] = SEP_ID
-    segments[start_b:start_b + len(b) + 1] = 1
-    mask = np.zeros(max_positions, dtype=np.int64)
-    mask[:start_b + len(b) + 1] = 1
-    return Batch(token_ids=ids[None, :], attention_mask=mask[None, :],
-                 segment_ids=segments[None, :])
+    ids_a, ids_b = (wordpiece.encode(vocab, normalize(text)).ids for text in (text_a, text_b))
+    return stack_rows([frame(ids_a, ids_b, max_positions)])
 
 
 def prepare_marked_sentence(words: Sequence[str], vocab: Vocabulary,
@@ -234,23 +195,13 @@ def prepare_marked_sentence(words: Sequence[str], vocab: Vocabulary,
     """Row for a concept-marked word sequence. A word that is itself a
     vocabulary token (the reserved markers in particular) maps straight to
     its id; everything else goes through normal wordpiece segmentation."""
-    if max_positions < 3:
-        raise ValueError(f"max_positions {max_positions} leaves no room for content")
     content: list[int] = []
     for word in words:
         if word in vocab.token_to_id:
             content.append(vocab.id_of(word))
         else:
             content.extend(vocab.id_of(p) for p in word_pieces(vocab, word))
-    content = content[:max_positions - 2]
-    ids = np.full(max_positions, PAD_ID, dtype=np.int64)
-    ids[0] = CLS_ID
-    ids[1:1 + len(content)] = content
-    ids[1 + len(content)] = SEP_ID
-    mask = np.zeros(max_positions, dtype=np.int64)
-    mask[:2 + len(content)] = 1
-    return Batch(token_ids=ids[None, :], attention_mask=mask[None, :],
-                 segment_ids=np.zeros((1, max_positions), dtype=np.int64))
+    return stack_rows([frame(content, None, max_positions)])
 
 
 @dataclass
@@ -270,60 +221,40 @@ def word_pieces(vocab: Vocabulary, word: str) -> list[str]:
     """Pieces for one pre-tokenized word. Normalization may split off
     attached punctuation; the resulting sub-words are encoded in order and
     concatenated, so the word still maps to one flat piece list."""
-    parts = normalize(word).split()
-    if not parts:
+    pieces = list(wordpiece.encode(vocab, normalize(word)).tokens)
+    if not pieces:
         raise ValueError(f"word {word!r} normalizes to nothing")
-    pieces: list[str] = []
-    for part in parts:
-        pieces.extend(encode_word(vocab, part))
     return pieces
 
 
 def encode_ner_example(words: Sequence[str], tags: Sequence[str],
                        vocab: Vocabulary, tag_to_id: dict[str, int],
                        max_positions: int) -> NerRow:
+    """Frame a tagged sentence as one row. Each word's first piece carries
+    its tag and a loss-mask 1; words past the max_positions - 2 piece budget
+    are dropped (a word cut inside keeps its first piece)."""
     if len(words) != len(tags):
         raise ValueError(f"{len(words)} words but {len(tags)} tags")
     for tag in tags:
         if tag not in tag_to_id:
             raise ValueError(f"tag {tag!r} not in the task tag set")
-    ids = [CLS_ID]
-    label_ids = [0]
-    loss_mask = [0]
+    content: list[int] = []
     first_positions: list[int] = []
     kept_tags: list[str] = []
-    full = False
     for word, tag in zip(words, tags):
         pieces = word_pieces(vocab, word)
-        for j, piece in enumerate(pieces):
-            if len(ids) >= max_positions - 1:
-                full = True
-                break
-            ids.append(vocab.id_of(piece))
-            if j == 0:
-                first_positions.append(len(ids) - 1)
-                kept_tags.append(tag)
-                label_ids.append(tag_to_id[tag])
-                loss_mask.append(1)
-            else:
-                label_ids.append(0)
-                loss_mask.append(0)
-        if full:
+        if len(content) >= max_positions - 2:
             break
-    ids.append(SEP_ID)
-    label_ids.append(0)
-    loss_mask.append(0)
-    pad = max_positions - len(ids)
-    row_ids = np.array(ids + [PAD_ID] * pad, dtype=np.int64)
-    mask = np.array([1] * len(ids) + [0] * pad, dtype=np.int64)
-    return NerRow(
-        ids=row_ids,
-        mask=mask,
-        label_ids=np.array(label_ids + [0] * pad, dtype=np.int64),
-        loss_mask=np.array(loss_mask + [0] * pad, dtype=np.int64),
-        first_piece_positions=first_positions,
-        word_tags=kept_tags,
-    )
+        first_positions.append(1 + len(content))
+        kept_tags.append(tag)
+        content.extend(vocab.id_of(p) for p in pieces)
+    ids, mask, _ = frame(content, None, max_positions)
+    label_ids = np.zeros(max_positions, dtype=np.int64)
+    label_ids[first_positions] = [tag_to_id[tag] for tag in kept_tags]
+    loss_mask = np.zeros(max_positions, dtype=np.int64)
+    loss_mask[first_positions] = 1
+    return NerRow(ids=ids, mask=mask, label_ids=label_ids, loss_mask=loss_mask,
+                  first_piece_positions=first_positions, word_tags=kept_tags)
 
 
 @dataclass(frozen=True)
@@ -332,7 +263,6 @@ class FinetuneConfig:
     batch_size: int = 8
     lr: float = 1e-3
     max_steps: int | None = None
-    max_positions: int | None = None  # default: the encoder's limit
 
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
@@ -351,40 +281,13 @@ class SeedRun:
     best_epoch: int
 
 
-@dataclass
-class FinetuneResult:
-    task: TaskSpec
-    runs: list[SeedRun]
-    vocab: Vocabulary
-    config: EncoderConfig
-
-    def dev_metrics(self) -> list[float]:
-        return [r.dev_metric for r in self.runs]
-
-
-def _stack_batch(rows: Sequence[NerRow]) -> Batch:
-    return Batch(
-        token_ids=np.stack([r.ids for r in rows]),
-        attention_mask=np.stack([r.mask for r in rows]),
-        segment_ids=np.zeros((len(rows), len(rows[0].ids)), dtype=np.int64),
-    )
-
-
-def _merge_rows(batches: Sequence[Batch]) -> Batch:
-    return Batch(
-        token_ids=np.concatenate([b.token_ids for b in batches]),
-        attention_mask=np.concatenate([b.attention_mask for b in batches]),
-        segment_ids=np.concatenate([b.segment_ids for b in batches]),
-    )
-
-
 def predict_ner_tags(params, config, rows: Sequence[NerRow], tags: Sequence[str],
                      batch_size: int = 32) -> list[list[str]]:
     out: list[list[str]] = []
     for start in range(0, len(rows), batch_size):
         chunk = rows[start:start + batch_size]
-        hidden = forward(params, config, _stack_batch(chunk))
-        logits = head_token_classify(params, hidden, len(tags))
+        batch = stack_rows((r.ids, r.mask, np.zeros_like(r.ids)) for r in chunk)
+        logits = head_token_classify(params, forward(params, config, batch), len(tags))
         best = logits.argmax(axis=-1)
         for i, row in enumerate(chunk):
             out.append([tags[best[i, p]] for p in row.first_piece_positions])
@@ -395,7 +298,7 @@ def predict_pair_labels(params, config, batches: Sequence[Batch], labels: Sequen
                         batch_size: int = 32) -> list[str]:
     out: list[str] = []
     for start in range(0, len(batches), batch_size):
-        merged = _merge_rows(batches[start:start + batch_size])
+        merged = stack_rows(batches[start:start + batch_size])
         logits = head_pair_classify(params, forward(params, config, merged))
         out.extend(labels[i] for i in logits.argmax(axis=-1))
     return out
@@ -405,7 +308,7 @@ def predict_label_sets(params, config, batches: Sequence[Batch], labels: Sequenc
                        threshold: float = 0.5, batch_size: int = 32) -> list[set[str]]:
     out: list[set[str]] = []
     for start in range(0, len(batches), batch_size):
-        merged = _merge_rows(batches[start:start + batch_size])
+        merged = stack_rows(batches[start:start + batch_size])
         probs = head_multilabel(params, forward(params, config, merged), len(labels))
         for row in probs:
             out.append({labels[i] for i in np.nonzero(row > threshold)[0]})
@@ -434,6 +337,10 @@ def _dev_metric(task, params, config, dev, tags_or_labels):
     return f1
 
 
+# the encoder head each task kind trains
+_TASK_HEADS = {"ner": "head_token", "pair": "head_pair", "multilabel": "head_multi"}
+
+
 def finetune_task(
     config: EncoderConfig,
     params: dict[str, np.ndarray],
@@ -446,9 +353,13 @@ def finetune_task(
     """Fine-tune the full encoder plus a fresh task head once per seed.
 
     train_rows and dev_rows must already be encoded for the task (see
-    encode_ner_example, prepare_pair, prepare_document). After every epoch
-    the dev selection metric is computed and the best-scoring snapshot is
-    kept. Each seed controls its head initialization and batch order, so a
+    encode_ner_example, prepare_pair, prepare_document; each frames its rows
+    with encoder.frame). A step stacks its rows with encoder.stack_rows,
+    takes the task's loss (token_classify_loss, pair_classify_loss or
+    multilabel_loss, each a wrapper of the encoder's head-loss routine that
+    pretraining's mlm_forward_loss shares) and applies one Adam update.
+    After every epoch the dev selection metric is computed and the
+    best-scoring snapshot is kept. Each seed controls its head initialization and batch order, so a
     repeated seed reproduces its run exactly.
     """
     if not seeds:
@@ -458,12 +369,7 @@ def finetune_task(
     tags_or_labels = task.bio_tags() if task.kind == "ner" else list(task.labels)
     runs: list[SeedRun] = []
     for seed in seeds:
-        if task.kind == "ner":
-            p = init_token_head(params, config, len(tags_or_labels), seed)
-        elif task.kind == "pair":
-            p = init_pair_head(params, config, len(task.labels), seed)
-        else:
-            p = init_multilabel_head(params, config, len(task.labels), seed)
+        p = init_head(params, config, _TASK_HEADS[task.kind], len(tags_or_labels), seed)
         state = init_optimizer(p, AdamConfig(lr=hyper.lr))
         rng = np.random.default_rng(seed)
         step = 0
@@ -474,16 +380,16 @@ def finetune_task(
             for start in range(0, len(order), hyper.batch_size):
                 chosen = [train_rows[i] for i in order[start:start + hyper.batch_size]]
                 if task.kind == "ner":
-                    batch = _stack_batch(chosen)
+                    batch = stack_rows((r.ids, r.mask, np.zeros_like(r.ids)) for r in chosen)
                     labels = np.stack([r.label_ids for r in chosen])
                     loss_mask = np.stack([r.loss_mask for r in chosen])
                     _, grads = token_classify_loss(p, config, batch, labels, loss_mask)
                 elif task.kind == "pair":
-                    batch = _merge_rows([r[0] for r in chosen])
+                    batch = stack_rows(r[0] for r in chosen)
                     class_ids = np.array([r[1] for r in chosen], dtype=np.int64)
                     _, grads = pair_classify_loss(p, config, batch, class_ids)
                 else:
-                    batch = _merge_rows([r[0] for r in chosen])
+                    batch = stack_rows(r[0] for r in chosen)
                     matrix = np.zeros((len(chosen), len(task.labels)))
                     for i, r in enumerate(chosen):
                         matrix[i, sorted(r[1])] = 1.0
@@ -507,30 +413,42 @@ def finetune_task(
 
 def read_ner_file(path) -> list[tuple[list[str], list[str]]]:
     """word<TAB>tag lines, blank line between sentences."""
-    sentences: list[tuple[list[str], list[str]]] = []
+    return [(words, tags) for _, words, tags in numbered_ner_sentences(path)]
+
+
+def numbered_ner_sentences(path):
+    """Yield (line number of the first word, words, tags) for each sentence
+    of a word<TAB>tag file; a sentence's words sit on consecutive lines."""
     words: list[str] = []
     tags: list[str] = []
+    start = 0
     with open(path, encoding="utf-8") as handle:
         for line_no, line in enumerate(handle, start=1):
             line = line.rstrip("\n")
             if not line:
                 if words:
-                    sentences.append((words, tags))
+                    yield start, words, tags
                     words, tags = [], []
                 continue
             parts = line.split("\t")
             if len(parts) != 2 or not parts[0]:
                 raise ValueError(f"{path}:{line_no}: expected word<TAB>tag, got {line!r}")
+            if not words:
+                start = line_no
             words.append(parts[0])
             tags.append(parts[1])
     if words:
-        sentences.append((words, tags))
-    return sentences
+        yield start, words, tags
 
 
 def read_record_file(path, required: Sequence[str]) -> list[dict]:
     """Line-delimited JSON records, each with at least the required keys."""
-    rows = []
+    return [row for _, row in numbered_records(path, required)]
+
+
+def numbered_records(path, required: Sequence[str]):
+    """Yield (line number, record) for each line-delimited JSON record; every
+    record must have at least the required keys."""
     with open(path, encoding="utf-8") as handle:
         for line_no, line in enumerate(handle, start=1):
             line = line.strip()
@@ -543,5 +461,4 @@ def read_record_file(path, required: Sequence[str]) -> list[dict]:
             missing = [k for k in required if k not in row]
             if missing:
                 raise ValueError(f"{path}:{line_no}: record lacks keys {missing}")
-            rows.append(row)
-    return rows
+            yield line_no, row

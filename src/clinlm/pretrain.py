@@ -17,8 +17,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import wordpiece
-from .encoder import Batch, EncoderConfig, mlm_forward_loss
-from .wordpiece import CLS_ID, MASK_ID, PAD_ID, SEP_ID, Vocabulary
+from .encoder import EncoderConfig, frame, mlm_forward_loss, stack_rows
+from .wordpiece import CLS_ID, MASK_ID, SEP_ID, Vocabulary
 
 N_RESERVED_IDS = 5  # random replacement never draws a special token
 
@@ -287,38 +287,26 @@ def pack_sequences(id_seqs: Sequence[Sequence[int]], max_seq_len: int) -> list[l
     return chunks
 
 
-def _frame_chunk(chunk: list[int], max_seq_len: int) -> tuple[np.ndarray, np.ndarray]:
-    ids = np.full(max_seq_len, PAD_ID, dtype=np.int64)
-    ids[0] = CLS_ID
-    ids[1:1 + len(chunk)] = chunk
-    ids[1 + len(chunk)] = SEP_ID
-    mask = np.zeros(max_seq_len, dtype=np.int64)
-    mask[:2 + len(chunk)] = 1
-    return ids, mask
-
-
-def _build_micro_batch(rows, policy, vocab_size, rng, max_seq_len):
-    ids = np.stack([r[0] for r in rows])
-    mask = np.stack([r[1] for r in rows])
-    segments = np.zeros_like(ids)
+def _build_micro_batch(rows, policy, vocab_size, rng):
+    batch = stack_rows(rows)
+    ids, mask = batch.token_ids, batch.attention_mask
     corrupted = ids.copy()
     positions = []
     targets = []
+    maskable = (mask == 1) & (ids != CLS_ID) & (ids != SEP_ID)
     for b in range(len(rows)):
-        maskable = (mask[b] == 1) & (ids[b] != CLS_ID) & (ids[b] != SEP_ID)
-        row, pos, tgt = apply_masking(policy, ids[b], maskable, vocab_size, rng)
+        row, pos, tgt = apply_masking(policy, ids[b], maskable[b], vocab_size, rng)
         corrupted[b] = row
         positions.extend((b, p) for p in pos)
         targets.extend(tgt)
     if not positions:
         # vanishingly rare at 15%; force one target so the step is defined
         b = 0
-        maskable = np.nonzero((mask[b] == 1) & (ids[b] != CLS_ID) & (ids[b] != SEP_ID))[0]
-        p = int(maskable[0])
+        p = int(np.nonzero(maskable[b])[0][0])
         positions.append((b, p))
         targets.append(int(ids[b, p]))
         corrupted[b, p] = MASK_ID
-    batch = Batch(token_ids=corrupted, attention_mask=mask, segment_ids=segments)
+    batch.token_ids = corrupted
     return batch, np.array(positions, dtype=np.int64), np.array(targets, dtype=np.int64)
 
 
@@ -385,7 +373,7 @@ def run_pretraining(
                 f"corpus packs into {len(chunks)} examples at length {max_seq_len}, "
                 f"fewer than one micro-batch of {accum.micro_batch_size}"
             )
-        framed = [_frame_chunk(c, max_seq_len) for c in chunks]
+        framed = [frame(c, None, max_seq_len) for c in chunks]
         order: list[int] = []
         for _ in range(n_steps):
             micro_batches = []
@@ -397,7 +385,7 @@ def run_pretraining(
                 take, order = order[:accum.micro_batch_size], order[accum.micro_batch_size:]
                 rows = [framed[i] for i in take]
                 micro_batches.append(
-                    _build_micro_batch(rows, policy, config.vocab_size, rng, max_seq_len)
+                    _build_micro_batch(rows, policy, config.vocab_size, rng)
                 )
             state = replace(state, config=replace(adam, lr=lr_of(global_step)))
             params, state, loss = accumulate_and_step(

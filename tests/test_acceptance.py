@@ -387,8 +387,7 @@ def test_criterion_07_toy_finetuning(desk):
     runs = finetune_task(
         desk.config, desk.two_phase.params, task, rows[:160], rows[160:],
         seeds=[0, 1, 2, 3, 4],
-        hyper=FinetuneConfig(epochs=10, batch_size=8, lr=1e-3,
-                             max_steps=200, max_positions=32))
+        hyper=FinetuneConfig(epochs=10, batch_size=8, lr=1e-3, max_steps=200))
     assert len(runs) == 5
     for run in runs:
         assert run.dev_metric >= 0.95, f"seed {run.seed}: F1 {run.dev_metric:.3f}"
@@ -626,8 +625,7 @@ def test_criterion_11_length_variant_harness(desk):
         runs = finetune_task(
             desk.config, desk.two_phase.params, task, rows[:160], rows[160:],
             seeds=[0, 1, 2],
-            hyper=FinetuneConfig(epochs=5, batch_size=8, lr=1e-3,
-                                 max_positions=max_positions))
+            hyper=FinetuneConfig(epochs=5, batch_size=8, lr=1e-3))
         reports.append(aggregate_seeds([r.dev_metric for r in runs], "micro_f1"))
 
     short_report, long_report = reports

@@ -313,6 +313,62 @@ class TestFinetuneCommand:
         assert (tmp_path / "tuned.seed1.ckpt").exists()
 
 
+@pytest.fixture(scope="module")
+def tiny_model(tmp_path_factory):
+    """A vocabulary and a one-step checkpoint, shared by the task-file cases."""
+    root = tmp_path_factory.mktemp("tiny_model")
+    corpus, vocab, ckpt = root / "corpus.txt", root / "vocab.txt", root / "model.ckpt"
+    corpus.write_text("\n".join(CORPUS_LINES) + "\n", encoding="utf-8")
+    assert dispatch(["train-vocab", "--corpus", str(corpus), "--size", "80",
+                     "--min-frequency", "1", "--output", str(vocab)]) == 0
+    assert dispatch(["pretrain", "--corpus", str(corpus), "--vocab", str(vocab),
+                     "--plan", "8:1", "--micro-batch", "2", "--accum", "1",
+                     "--seed", "0", "--hidden-dim", "8", "--n-layers", "1",
+                     "--n-heads", "2", "--ff-dim", "16", "--max-positions", "16",
+                     "--out", str(ckpt)]) == 0
+    return vocab, ckpt
+
+
+def _jsonl(*rows):
+    return "".join(json.dumps(row) + "\n" for row in rows)
+
+
+class TestTaskFileErrors:
+    # (task, file name, file text, offending label, line it sits on)
+    CASES = [
+        ("ner-2010", "tags.tsv",
+         "no\tO\npain\tB-problem\n\nsevere\tO\nfever\tB-drug\n", "B-drug", 5),
+        ("mednli", "nli.jsonl",
+         _jsonl({"premise": "no pain", "hypothesis": "pain", "label": "contradiction"},
+                {"premise": "fever", "hypothesis": "no fever", "label": "maybe"}),
+         "maybe", 2),
+        ("re-2010", "rel.jsonl",
+         "\n" + _jsonl({"words": ["pain", "and", "fever"], "span_a": [0, 1],
+                        "type_a": "problem", "span_b": [2, 3], "type_b": "problem",
+                        "label": "problem-causes-fever"}),
+         "problem-causes-fever", 2),
+        ("icd9-top50", "codes.jsonl",
+         _jsonl({"text": "severe pain", "labels": ["401.9", "not-a-code"]}),
+         "not-a-code", 1),
+    ]
+
+    @pytest.mark.parametrize("task,name,text,label,line", CASES,
+                             ids=[case[0] for case in CASES])
+    def test_unknown_label_names_file_line_and_label(self, tmp_path, tiny_model, capsys,
+                                                     task, name, text, label, line):
+        vocab, ckpt = tiny_model
+        data = tmp_path / name
+        data.write_text(text, encoding="utf-8")
+        code, _, err = run_cli(
+            ["finetune", "--task", task, "--checkpoint", str(ckpt), "--vocab", str(vocab),
+             "--train", str(data), "--dev", str(data), "--seeds", "1"], capsys)
+        assert code == 1
+        errors = [l for l in err.splitlines() if l.startswith("error:")]
+        assert len(errors) == 1 and len(err.splitlines()) == 1, err
+        assert f"{data}:{line}:" in errors[0]
+        assert repr(label) in errors[0]
+
+
 class TestEvaluateCommand:
     def test_accuracy_mode(self, tmp_path, capsys):
         gold = tmp_path / "gold.txt"
