@@ -6,15 +6,17 @@ writes UTF-8, takes all randomness from an explicit --seed, and produces
 byte-identical output when rerun with the same inputs and flags. Failures
 exit nonzero with a one-line diagnostic on stderr.
 
-Numeric defaults for pretrain/finetune can come from a flat key-value
-config file (one "key = value" per line, # comments); explicit flags win
-over file values.
+Each pretrain/finetune setting is declared once, as a flag with its type
+and default. A flat key-value config file (one "key = value" per line,
+# comments, keys spelled like the flags with underscores) replaces those
+defaults, so explicit flags still win over file values.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from collections import Counter
 
 from . import corpus, finetune, metrics, pretrain, probe, wordpiece
 from .encoder import EncoderConfig, load_checkpoint, save_checkpoint
@@ -32,48 +34,23 @@ def _fail(message: str) -> int:
 
 def read_config(path, allowed: set[str]) -> dict[str, str]:
     """Flat key-value config: "key = value" lines, # comments. Keys outside
-    the command's vocabulary are rejected so typos cannot silently vanish."""
+    the command's settings are rejected so typos cannot silently vanish."""
     values: dict[str, str] = {}
-    with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{line_no}: expected key = value, got {line!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key not in allowed:
-                raise ValueError(f"{path}:{line_no}: unknown config key {key!r}")
-            values[key] = value
+    for line_no, line in corpus.numbered_lines(path):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}:{line_no}: expected key = value, got {line!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in allowed:
+            raise ValueError(f"{path}:{line_no}: unknown config key {key!r}")
+        values[key] = value
     return values
 
 
-def _settings(args, allowed: set[str]):
-    """Setting lookup for a pretrain/finetune command: an explicit flag wins,
-    then the --config file's value, then the default."""
-    file_values = read_config(args.config, allowed) if args.config else {}
-
-    def setting(name, cast, default):
-        flag = getattr(args, name)
-        if flag is not None:
-            return flag
-        if name in file_values:
-            return cast(file_values[name])
-        return default
-
-    return setting
-
-
 def _read_lines(path) -> list[str]:
-    with open(path, encoding="utf-8") as handle:
-        return [line.rstrip("\n") for line in handle]
-
-
-def _write_lines(path, lines) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        for line in lines:
-            handle.write(line)
-            handle.write("\n")
+    return [line for _, line in corpus.numbered_lines(path)]
 
 
 def _parse_plan(text: str) -> pretrain.PhasePlan:
@@ -111,7 +88,7 @@ def _parse_named_paths(pairs) -> dict[str, str]:
 
 
 def _cmd_normalize(args) -> int:
-    _write_lines(args.output, (wordpiece.normalize(l) for l in _read_lines(args.input)))
+    corpus.write_lines(args.output, (wordpiece.normalize(l) for l in _read_lines(args.input)))
     return 0
 
 
@@ -128,7 +105,7 @@ def _cmd_encode(args) -> int:
     for line in _read_lines(args.input):
         enc = wordpiece.encode(vocab, wordpiece.normalize(line))
         out.append(" ".join(str(i) for i in enc.ids) if args.ids else " ".join(enc.tokens))
-    _write_lines(args.output, out)
+    corpus.write_lines(args.output, out)
     return 0
 
 
@@ -140,7 +117,7 @@ def _cmd_compress_report(args) -> int:
     report = wordpiece.compression_report(datasets, vocabularies, args.baseline)
     text = report.format()
     if args.output:
-        _write_lines(args.output, text.splitlines())
+        corpus.write_lines(args.output, text.splitlines())
     else:
         print(text)
     return 0
@@ -179,45 +156,37 @@ def _cmd_top_labels(args) -> int:
             occurrences.extend(sorted(set(labels.split("|"))))
         else:
             occurrences.append(line.strip())
-    _write_lines(args.output, corpus.select_top_k_labels(occurrences, args.k))
+    corpus.write_lines(args.output, corpus.select_top_k_labels(occurrences, args.k))
     return 0
 
 
-_PRETRAIN_KEYS = {
-    "hidden_dim", "n_layers", "n_heads", "ff_dim", "max_positions", "dropout",
-    "lr", "schedule", "warmup_fraction", "mask_prob",
-}
-
-
 def _cmd_pretrain(args) -> int:
-    setting = _settings(args, _PRETRAIN_KEYS)
     vocab = wordpiece.read_vocab(args.vocab)
     plan = _parse_plan(args.plan)
     config = EncoderConfig(
         vocab_size=len(vocab),
-        hidden_dim=setting("hidden_dim", int, 64),
-        n_layers=setting("n_layers", int, 2),
-        n_heads=setting("n_heads", int, 2),
-        ff_dim=setting("ff_dim", int, 128),
-        max_positions=max(setting("max_positions", int, plan.max_length()),
-                          plan.max_length()),
-        dropout=setting("dropout", float, 0.0),
+        hidden_dim=args.hidden_dim,
+        n_layers=args.n_layers,
+        n_heads=args.n_heads,
+        ff_dim=args.ff_dim,
+        max_positions=plan.max_length() if args.max_positions is None else args.max_positions,
+        dropout=args.dropout,
     )
     result = pretrain.run_pretraining(
         corpus=_read_lines(args.corpus),
         vocab=vocab,
         config=config,
         plan=plan,
-        policy=pretrain.MaskingPolicy(mask_prob=setting("mask_prob", float, 0.15)),
+        policy=pretrain.MaskingPolicy(mask_prob=args.mask_prob),
         accum=pretrain.AccumulationConfig(
             micro_batch_size=args.micro_batch,
             accumulation_steps=args.accum,
             effective_batch=args.micro_batch * args.accum,
         ),
-        adam=pretrain.AdamConfig(lr=setting("lr", float, 1e-3)),
+        adam=pretrain.AdamConfig(lr=args.lr),
         seed=args.seed,
-        schedule=setting("schedule", str, "constant"),
-        warmup_fraction=setting("warmup_fraction", float, 0.01),
+        schedule=args.schedule,
+        warmup_fraction=args.warmup_fraction,
     )
     save_checkpoint(args.out, config, result.params)
     if args.loss_log:
@@ -226,66 +195,61 @@ def _cmd_pretrain(args) -> int:
     return 0
 
 
-_FINETUNE_KEYS = {"epochs", "batch_size", "lr", "max_steps", "max_positions"}
-
-
 def _load_task_data(task, path, vocab, max_positions):
+    """Encoded rows of a task file. A malformed line, a field of the wrong
+    type, or an unknown label or concept type fails as PATH:LINE: message."""
     labels = task.bio_tags() if task.kind == "ner" else task.labels
     index = {label: i for i, label in enumerate(labels)}
 
-    def label_id(label, line_no):
-        if not isinstance(label, str) or label not in index:
-            raise ValueError(f"{path}:{line_no}: unknown label {label!r} for task {task.name}")
+    def label_id(label):
+        if label not in index:
+            raise ValueError(f"unknown label {label!r} for task {task.name}")
         return index[label]
 
     if task.kind == "ner":
-        rows = []
-        for line_no, words, tags in finetune.numbered_ner_sentences(path):
-            for offset, tag in enumerate(tags):
-                label_id(tag, line_no + offset)
-            rows.append(finetune.encode_ner_example(words, tags, vocab, index, max_positions))
-        return rows
-    if task.kind == "pair" and task.concept_types:
-        rows = []
-        for line_no, rec in finetune.numbered_records(
-                path, ["words", "span_a", "type_a", "span_b", "type_b", "label"]):
-            marked = finetune.mark_concepts(
-                rec["words"], tuple(rec["span_a"]), rec["type_a"],
-                tuple(rec["span_b"]), rec["type_b"])
-            rows.append((finetune.prepare_marked_sentence(marked, vocab, max_positions),
-                         label_id(rec["label"], line_no)))
-        return rows
-    if task.kind == "pair":
-        return [
-            (finetune.prepare_pair(rec["premise"], rec["hypothesis"], vocab, max_positions),
-             label_id(rec["label"], line_no))
-            for line_no, rec in finetune.numbered_records(
-                path, ["premise", "hypothesis", "label"])
-        ]
-    return [
-        (finetune.prepare_document(rec["text"], vocab, max_positions),
-         {label_id(label, line_no) for label in rec["labels"]})
-        for line_no, rec in finetune.numbered_records(path, ["text", "labels"])
-    ]
+        sentences = list(finetune.numbered_ner_sentences(path))
+        corpus.parse_numbered(path, ((start + offset, tag) for start, _, tags in sentences
+                                     for offset, tag in enumerate(tags)), label_id)
+        return [finetune.encode_ner_example(words, tags, vocab, index, max_positions)
+                for _, words, tags in sentences]
+    if task.kind == "multilabel":
+        fields = {"text": str, "labels": list[str]}
+    elif task.concept_types:
+        fields = {"words": list[str], "span_a": list[int], "type_a": str,
+                  "span_b": list[int], "type_b": str, "label": str}
+    else:
+        fields = {"premise": str, "hypothesis": str, "label": str}
+
+    def row(rec):
+        if task.kind == "multilabel":
+            return (finetune.prepare_document(rec["text"], vocab, max_positions),
+                    {label_id(label) for label in rec["labels"]})
+        if task.concept_types:
+            for concept in (rec["type_a"], rec["type_b"]):
+                if concept not in task.concept_types:
+                    raise ValueError(f"unknown concept type {concept!r} for task {task.name}")
+            marked = finetune.mark_concepts(rec["words"], tuple(rec["span_a"]), rec["type_a"],
+                                            tuple(rec["span_b"]), rec["type_b"])
+            batch = finetune.prepare_marked_sentence(marked, vocab, max_positions)
+        else:
+            batch = finetune.prepare_pair(rec["premise"], rec["hypothesis"], vocab, max_positions)
+        return batch, label_id(rec["label"])
+
+    return corpus.parse_numbered(path, corpus.read_jsonl(path, fields), row)
 
 
 def _cmd_finetune(args) -> int:
-    setting = _settings(args, _FINETUNE_KEYS)
     task = finetune.builtin_task(args.task)
     config, params = load_checkpoint(args.checkpoint)
     vocab = wordpiece.read_vocab(args.vocab)
     if task.concept_types:
         vocab, params, config = finetune.extend_for_markers(
             vocab, params, config, task.concept_types, seed=0)
-    max_positions = setting("max_positions", int, config.max_positions)
+    max_positions = config.max_positions if args.max_positions is None else args.max_positions
     train_rows = _load_task_data(task, args.train, vocab, max_positions)
     dev_rows = _load_task_data(task, args.dev, vocab, max_positions)
-    hyper = finetune.FinetuneConfig(
-        epochs=setting("epochs", int, 3),
-        batch_size=setting("batch_size", int, 8),
-        lr=setting("lr", float, 1e-3),
-        max_steps=setting("max_steps", int, None),
-    )
+    hyper = finetune.FinetuneConfig(epochs=args.epochs, batch_size=args.batch_size,
+                                    lr=args.lr, max_steps=args.max_steps)
     runs = finetune.finetune_task(config, params, task, train_rows, dev_rows,
                                   _parse_seeds(args.seeds), hyper)
     report = metrics.aggregate_seeds([r.dev_metric for r in runs], task.selection_metric)
@@ -311,30 +275,24 @@ def _cmd_evaluate(args) -> int:
         return 0
     if not args.gold or not args.pred:
         raise ValueError("evaluate needs --gold and --pred (or --aggregate)")
-    if args.metric in ("entity-f1", "token-f1"):
-        gold = [tags for _, tags in finetune.read_ner_file(args.gold)]
-        pred = [tags for _, tags in finetune.read_ner_file(args.pred)]
-        p, r, f1 = metrics.corpus_entity_f1(gold, pred,
-                                            token_level=args.metric == "token-f1")
-        print(f"precision {p:.4f}\trecall {r:.4f}\tf1 {f1:.4f}")
+    if args.metric == "accuracy":
+        print(f"accuracy {metrics.accuracy(_read_lines(args.gold), _read_lines(args.pred)):.4f}")
         return 0
     if args.metric == "micro-f1":
         p, r, f1 = metrics.micro_f1(_read_label_sets(args.gold), _read_label_sets(args.pred))
-        print(f"precision {p:.4f}\trecall {r:.4f}\tf1 {f1:.4f}")
-        return 0
-    acc = metrics.accuracy(_read_lines(args.gold), _read_lines(args.pred))
-    print(f"accuracy {acc:.4f}")
+    else:
+        gold = [tags for _, tags in finetune.read_ner_file(args.gold)]
+        pred = [tags for _, tags in finetune.read_ner_file(args.pred)]
+        p, r, f1 = metrics.corpus_entity_f1(gold, pred, token_level=args.metric == "token-f1")
+    print(f"precision {p:.4f}\trecall {r:.4f}\tf1 {f1:.4f}")
     return 0
 
 
 def _cmd_probe(args) -> int:
     suite = probe.load_probe_suite(args.suite)
     if not args.predictions:
-        counts = {c: 0 for c in probe.CATEGORIES}
-        covered = 0
-        for inst in suite:
-            counts[inst.category] += 1
-            covered += inst.oracle_covered
+        counts = Counter(inst.category for inst in suite)
+        covered = sum(inst.oracle_covered for inst in suite)
         print(f"suite verified: {len(suite)} instances, {covered} oracle-covered")
         for category in probe.CATEGORIES:
             print(f"{category}\t{counts[category]}")
@@ -414,13 +372,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--loss-log")
-    p.add_argument("--config", help="flat key-value defaults file")
-    for flag, cast in (("hidden-dim", int), ("n-layers", int), ("n-heads", int),
-                       ("ff-dim", int), ("max-positions", int), ("dropout", float),
-                       ("lr", float), ("warmup-fraction", float), ("mask-prob", float)):
-        p.add_argument(f"--{flag}", type=cast)
-    p.add_argument("--schedule", choices=("constant", "linear"))
-    p.set_defaults(run=_cmd_pretrain)
+    settings = [p.add_argument(flag, type=cast, default=default) for flag, cast, default in (
+        ("--hidden-dim", int, 64), ("--n-layers", int, 2), ("--n-heads", int, 2),
+        ("--ff-dim", int, 128), ("--max-positions", int, None), ("--dropout", float, 0.0),
+        ("--lr", float, 1e-3), ("--warmup-fraction", float, 0.01), ("--mask-prob", float, 0.15))]
+    settings.append(p.add_argument("--schedule", choices=("constant", "linear"),
+                                   default="constant"))
+    p.add_argument("--config", help="flat key-value file of setting defaults")
+    p.set_defaults(run=_cmd_pretrain, command_parser=p, config_keys={a.dest for a in settings})
 
     p = sub.add_parser("finetune", help="fine-tune a checkpoint on a task")
     p.add_argument("--task", required=True,
@@ -432,12 +391,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dev", required=True)
     p.add_argument("--seeds", required=True,
                    help="a count (5 means seeds 0..4) or a comma list")
-    p.add_argument("--config", help="flat key-value defaults file")
     p.add_argument("--out-prefix", help="write per-seed checkpoints with this prefix")
-    for flag, cast in (("epochs", int), ("batch-size", int), ("lr", float),
-                       ("max-steps", int), ("max-positions", int)):
-        p.add_argument(f"--{flag}", type=cast)
-    p.set_defaults(run=_cmd_finetune)
+    settings = [p.add_argument(flag, type=cast, default=default) for flag, cast, default in (
+        ("--epochs", int, 3), ("--batch-size", int, 8), ("--lr", float, 1e-3),
+        ("--max-steps", int, None), ("--max-positions", int, None))]
+    p.add_argument("--config", help="flat key-value file of setting defaults")
+    p.set_defaults(run=_cmd_finetune, command_parser=p, config_keys={a.dest for a in settings})
 
     p = sub.add_parser("evaluate", help="score predictions against gold")
     p.add_argument("--metric", required=True,
@@ -459,11 +418,16 @@ def dispatch(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "config", None):
+            # the file's values become the command's defaults (the settings
+            # declared with config_keys): argparse applies each flag's type
+            # to them, and explicit flags still win
+            args.command_parser.set_defaults(**read_config(args.config, args.config_keys))
+            args = parser.parse_args(argv)
+        return args.run(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        return args.run(args)
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError) as exc:
         return _fail(str(exc))
 
 

@@ -3,9 +3,11 @@
 Covers the bookkeeping that happens before any modeling: selecting usable
 discharge summaries, splitting patients into train/dev/test without leakage,
 picking the most frequent label codes, and summarizing dataset lengths.
+It also holds the input path every clinlm reader is built on: numbered_lines
+opens text files and packaged data, read_jsonl parses JSON lines, and a
+malformed line fails as PATH:LINE: message.
 
-All functions are pure and deterministic; anything random takes an explicit
-seed.
+All functions are deterministic; anything random takes an explicit seed.
 """
 
 from __future__ import annotations
@@ -17,15 +19,99 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
-from typing import Iterable, Sequence
+from pathlib import Path
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, get_args, get_origin
 
 SUBSET_NAMES = ("train", "dev", "test")
+_NOTE_FIELDS = ("note_id", "patient_id", "encounter_id", "note_type", "provider_type", "text")
+
+
+def numbered_lines(path, packaged: str | None = None) -> Iterator[tuple[int, str]]:
+    """Yield (line number, line without its ending) for each line of the
+    UTF-8 text file at path, or of the packaged data file named packaged
+    when path is None. Lines split where iterating a text file splits them.
+    This is the one place clinlm opens a text input."""
+    source = Path(path) if path is not None else resources.files("clinlm") / "data" / packaged
+    with source.open(encoding="utf-8") as handle:
+        try:
+            for line_no, line in enumerate(handle, start=1):
+                yield line_no, line.rstrip("\n")
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{source}: not UTF-8 text ({exc.reason})") from exc
+
+
+def write_lines(path, lines: Iterable[str]) -> None:
+    """Write each item as one UTF-8 line ending in \\n."""
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        handle.writelines(f"{line}\n" for line in lines)
+
+
+def parse_numbered(path, numbered: Iterable[tuple[int, object]], parse: Callable) -> list:
+    """[parse(item) for each (line number, item) of numbered], where a
+    ValueError from parse is re-raised as PATH:LINE: message."""
+    out = []
+    for line_no, item in numbered:
+        try:
+            out.append(parse(item))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{line_no}: {exc}") from exc
+    return out
+
+
+def _has_type(value, kind) -> bool:
+    if get_origin(kind) is None:
+        return isinstance(value, kind)
+    return isinstance(value, get_origin(kind)) and all(isinstance(v, get_args(kind)) for v in value)
+
+
+def read_jsonl(path, fields: Mapping[str, type]) -> Iterator[tuple[int, dict]]:
+    """Yield (line number, record) for each non-blank line of a JSON-lines
+    file. Each record must be an object holding every key of fields with a
+    value of that type: list[str] means a list of strings, and object takes
+    anything. A line that is not such a record fails as PATH:LINE: message.
+    This is the one place clinlm parses JSON lines."""
+    for line_no, line in numbered_lines(path):
+        if not line.strip():
+            continue
+        where = f"{path}:{line_no}"
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{where}: bad JSON: {exc}") from exc
+        if not isinstance(record, dict):
+            raise ValueError(f"{where}: expected a JSON object, got {line.strip()!r}")
+        for name, kind in fields.items():
+            if name not in record:
+                raise ValueError(f"{where}: record lacks key {name!r}")
+            if not _has_type(record[name], kind):
+                kind_name = kind.__name__ if get_origin(kind) is None else kind
+                raise ValueError(f"{where}: {name!r} must be {kind_name}, got {record[name]!r}")
+        yield line_no, record
+
+
+def read_table(path, packaged: str, header: str, parse: Callable) -> list:
+    """parse(*fields) for each non-blank row of a tab-separated table (the
+    packaged data file when path is None) whose first line is header and
+    whose rows have as many fields as header. Any failure, of the layout
+    or a ValueError from parse, is PATH:LINE: message."""
+    where = path if path is not None else f"clinlm/data/{packaged}"
+    lines = numbered_lines(path, packaged)
+    if next(lines, (1, None))[1] != header:
+        raise ValueError(f"{where}:1: table lacks its header line {header!r}")
+    width = header.count("\t") + 1
+
+    def row(line):
+        fields = line.split("\t")
+        if len(fields) != width:
+            raise ValueError(f"expected {width} fields, got {len(fields)}")
+        return parse(*fields)
+
+    return parse_numbered(where, ((n, line) for n, line in lines if line.strip()), row)
 
 
 @lru_cache(maxsize=None)
 def _packaged_lines(filename: str) -> tuple[str, ...]:
-    text = resources.files("clinlm").joinpath("data", filename).read_text(encoding="utf-8")
-    return tuple(line for line in text.splitlines() if line.strip())
+    return tuple(line for _, line in numbered_lines(None, filename) if line.strip())
 
 
 def icd9_top50_codes() -> tuple[str, ...]:
@@ -197,58 +283,30 @@ def format_stats_row(name: str, stats: DatasetStats) -> str:
 
 
 def read_notes(path) -> list[NoteRecord]:
-    """Read line-delimited JSON note records."""
-    notes = []
-    with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = json.loads(line)
-                notes.append(NoteRecord(
-                    note_id=row["note_id"],
-                    patient_id=row["patient_id"],
-                    encounter_id=row["encounter_id"],
-                    note_type=row["note_type"],
-                    provider_type=row["provider_type"],
-                    text=row["text"],
-                ))
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise ValueError(f"{path}:{line_no}: bad note record: {exc}") from exc
-    return notes
+    """Read JSON-lines note records whose six fields are all strings; a bad
+    line, an empty id included, fails as PATH:LINE: message."""
+    return parse_numbered(path, read_jsonl(path, dict.fromkeys(_NOTE_FIELDS, str)),
+                          lambda row: NoteRecord(**{k: row[k] for k in _NOTE_FIELDS}))
 
 
 def write_notes(path, notes: Sequence[NoteRecord]) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for n in notes:
-            handle.write(json.dumps({
-                "note_id": n.note_id,
-                "patient_id": n.patient_id,
-                "encounter_id": n.encounter_id,
-                "note_type": n.note_type,
-                "provider_type": n.provider_type,
-                "text": n.text,
-            }, ensure_ascii=False, sort_keys=True))
-            handle.write("\n")
+    write_lines(path, (json.dumps({k: getattr(n, k) for k in _NOTE_FIELDS},
+                                  ensure_ascii=False, sort_keys=True) for n in notes))
 
 
 def write_split_manifest(path, assignment: dict[str, str]) -> None:
     """Write patient-to-subset lines, sorted by patient id for stable bytes."""
-    with open(path, "w", encoding="utf-8") as handle:
-        for pid in sorted(assignment):
-            handle.write(f"{pid}\t{assignment[pid]}\n")
+    write_lines(path, (f"{pid}\t{assignment[pid]}" for pid in sorted(assignment)))
 
 
 def read_split_manifest(path) -> dict[str, str]:
+    """patient<TAB>subset lines; a bad line fails as PATH:LINE: message."""
     assignment = {}
-    with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2 or parts[1] not in SUBSET_NAMES:
-                raise ValueError(f"{path}:{line_no}: bad manifest line {line!r}")
-            assignment[parts[0]] = parts[1]
+    for line_no, line in numbered_lines(path):
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2 or parts[1] not in SUBSET_NAMES:
+            raise ValueError(f"{path}:{line_no}: bad manifest line {line!r}")
+        assignment[parts[0]] = parts[1]
     return assignment

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 from scipy.special import erf
@@ -584,17 +584,32 @@ def save_checkpoint(path, config: EncoderConfig, params) -> None:
 
 
 def load_checkpoint(path) -> tuple[EncoderConfig, dict[str, np.ndarray]]:
+    """Read a save_checkpoint file; a fault in its header or tensor bytes
+    fails as PATH: message."""
     with open(path, "rb") as handle:
         header_line = handle.readline()
         try:
             header = json.loads(header_line)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: not a checkpoint (bad header)") from exc
-        if header.get("format") != CHECKPOINT_FORMAT:
+        if not isinstance(header, dict) or header.get("format") != CHECKPOINT_FORMAT:
             raise ValueError(f"{path}: unrecognized checkpoint format")
-        config = EncoderConfig(**header["config"])
+        names = {f.name for f in fields(EncoderConfig)}
+        if not isinstance(header.get("config"), dict) or set(header["config"]) != names:
+            raise ValueError(f"{path}: checkpoint config keys must be exactly {sorted(names)}")
+        tensors = header.get("tensors")
+        if not isinstance(tensors, list) or not all(
+                isinstance(e, dict) and isinstance(e.get("name"), str)
+                and isinstance(e.get("shape"), list)
+                and all(isinstance(d, int) and d >= 0 for d in e["shape"]) for e in tensors):
+            raise ValueError(f"{path}: every checkpoint tensor needs a string name "
+                             f"and a list of non-negative int dims")
+        try:
+            config = EncoderConfig(**header["config"])
+        except TypeError as exc:
+            raise ValueError(f"{path}: bad checkpoint config: {exc}") from exc
         params = {}
-        for entry in header["tensors"]:
+        for entry in tensors:
             shape = tuple(entry["shape"])
             count = int(np.prod(shape)) if shape else 1
             raw = handle.read(count * 8)

@@ -18,8 +18,9 @@ reproduces the run exactly.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
+from itertools import groupby
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -48,6 +49,9 @@ RELATION_2010_LABELS = (
     "treatment-not-administered-for-problem",
 )
 NLI_LABELS = ("entailment", "contradiction", "neutral")
+# the dev metrics each task kind's evaluation computes
+_SELECTION_METRICS = {"ner": ("entity_f1",), "pair": ("accuracy", "micro_f1"),
+                     "multilabel": ("micro_f1",)}
 
 
 @dataclass(frozen=True)
@@ -59,8 +63,10 @@ class TaskSpec:
     concept_types: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if self.kind not in ("ner", "pair", "multilabel"):
+        if self.kind not in _SELECTION_METRICS:
             raise ValueError(f"unknown task kind {self.kind!r}")
+        if self.selection_metric not in _SELECTION_METRICS[self.kind]:
+            raise ValueError(f"a {self.kind} task cannot select on {self.selection_metric!r}")
         if not self.labels:
             raise ValueError("task needs at least one label")
 
@@ -167,11 +173,7 @@ def extend_for_markers(vocab: Vocabulary, params, config: EncoderConfig,
             [params["mlm_w"], rng.normal(0.0, 0.02, size=(config.hidden_dim, extra))]
         )
         new_params["mlm_b"] = np.concatenate([params["mlm_b"], np.zeros(extra)])
-    new_config = EncoderConfig(**{
-        **{f: getattr(config, f) for f in config.__dataclass_fields__},
-        "vocab_size": config.vocab_size + extra,
-    })
-    return new_vocab, new_params, new_config
+    return new_vocab, new_params, replace(config, vocab_size=config.vocab_size + extra)
 
 
 def prepare_document(text: str, vocab: Vocabulary, max_positions: int) -> Batch:
@@ -267,8 +269,8 @@ class FinetuneConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
-        if self.lr <= 0:
-            raise ValueError("lr must be positive")
+        if not 0 < self.lr < math.inf:
+            raise ValueError(f"lr must be finite and positive, got {self.lr}")
         if self.max_steps is not None and self.max_steps < 1:
             raise ValueError("max_steps must be >= 1 when given")
 
@@ -418,47 +420,20 @@ def read_ner_file(path) -> list[tuple[list[str], list[str]]]:
 
 def numbered_ner_sentences(path):
     """Yield (line number of the first word, words, tags) for each sentence
-    of a word<TAB>tag file; a sentence's words sit on consecutive lines."""
-    words: list[str] = []
-    tags: list[str] = []
-    start = 0
-    with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                if words:
-                    yield start, words, tags
-                    words, tags = [], []
-                continue
-            parts = line.split("\t")
+    of a word<TAB>tag file; a sentence's words sit on consecutive lines and
+    blank lines part sentences. A malformed line fails as PATH:LINE: message."""
+    for blank, group in groupby(corpus.numbered_lines(path), key=lambda item: not item[1]):
+        if blank:
+            continue
+        group = list(group)
+        pairs = [line.split("\t") for _, line in group]
+        for (line_no, line), parts in zip(group, pairs):
             if len(parts) != 2 or not parts[0]:
                 raise ValueError(f"{path}:{line_no}: expected word<TAB>tag, got {line!r}")
-            if not words:
-                start = line_no
-            words.append(parts[0])
-            tags.append(parts[1])
-    if words:
-        yield start, words, tags
+        yield group[0][0], [word for word, _ in pairs], [tag for _, tag in pairs]
 
 
 def read_record_file(path, required: Sequence[str]) -> list[dict]:
-    """Line-delimited JSON records, each with at least the required keys."""
-    return [row for _, row in numbered_records(path, required)]
-
-
-def numbered_records(path, required: Sequence[str]):
-    """Yield (line number, record) for each line-delimited JSON record; every
-    record must have at least the required keys."""
-    with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{line_no}: bad record: {exc}") from exc
-            missing = [k for k in required if k not in row]
-            if missing:
-                raise ValueError(f"{path}:{line_no}: record lacks keys {missing}")
-            yield line_no, row
+    """JSON-lines records, each an object with at least the required keys;
+    a bad line fails as PATH:LINE: message (see corpus.read_jsonl)."""
+    return [row for _, row in corpus.read_jsonl(path, dict.fromkeys(required, object))]

@@ -90,17 +90,23 @@ def entity_f1(gold: set, pred: set) -> tuple[float, float, float]:
     return _prf(len(gold & pred), len(pred), len(gold))
 
 
+def _pooled_prf(pairs) -> tuple[float, float, float]:
+    """Precision, recall, F1 with TP/FP/FN summed over (gold set, predicted
+    set) pairs before any division."""
+    tp = n_pred = n_gold = 0
+    for g, p in pairs:
+        tp += len(g & p)
+        n_pred += len(p)
+        n_gold += len(g)
+    return _prf(tp, n_pred, n_gold)
+
+
 def micro_f1(gold_sets: Sequence[set], pred_sets: Sequence[set]) -> tuple[float, float, float]:
     """Pooled precision, recall, F1: TP/FP/FN are summed over instances
     before any division."""
     if len(gold_sets) != len(pred_sets):
         raise ValueError(f"{len(gold_sets)} gold sets but {len(pred_sets)} predictions")
-    tp = n_pred = n_gold = 0
-    for g, p in zip(gold_sets, pred_sets):
-        tp += len(g & p)
-        n_pred += len(p)
-        n_gold += len(g)
-    return _prf(tp, n_pred, n_gold)
+    return _pooled_prf(zip(gold_sets, pred_sets))
 
 
 def corpus_entity_f1(gold_tag_seqs: Sequence[Sequence[str]],
@@ -116,25 +122,18 @@ def corpus_entity_f1(gold_tag_seqs: Sequence[Sequence[str]],
         raise ValueError(
             f"{len(gold_tag_seqs)} gold sequences but {len(pred_tag_seqs)} predicted"
         )
-    tp = n_pred = n_gold = 0
+
+    def items(tags) -> set:
+        if token_level:
+            return {(i, tag) for i, tag in enumerate(tags) if tag != "O"}
+        return set(bio_decode(tags))
+
+    pairs = []
     for gold_tags, pred_tags in zip(gold_tag_seqs, pred_tag_seqs):
         if len(gold_tags) != len(pred_tags):
             raise ValueError("gold and predicted sequences differ in length")
-        if token_level:
-            for g, p in zip(gold_tags, pred_tags):
-                if g != "O":
-                    n_gold += 1
-                if p != "O":
-                    n_pred += 1
-                if g == p != "O":
-                    tp += 1
-        else:
-            g = set(bio_decode(gold_tags))
-            p = set(bio_decode(pred_tags))
-            tp += len(g & p)
-            n_pred += len(p)
-            n_gold += len(g)
-    return _prf(tp, n_pred, n_gold)
+        pairs.append((items(gold_tags), items(pred_tags)))
+    return _pooled_prf(pairs)
 
 
 def accuracy(gold: Sequence, pred: Sequence) -> float:

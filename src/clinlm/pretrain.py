@@ -17,6 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import wordpiece
+from .corpus import write_lines
 from .encoder import EncoderConfig, frame, mlm_forward_loss, stack_rows
 from .wordpiece import CLS_ID, MASK_ID, SEP_ID, Vocabulary
 
@@ -90,14 +91,14 @@ class AdamConfig:
     epsilon: float = 1e-8
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise ValueError(f"lr must be positive, got {self.lr}")
+        if not 0 < self.lr < math.inf:
+            raise ValueError(f"lr must be finite and positive, got {self.lr}")
         for name in ("beta1", "beta2"):
             value = getattr(self, name)
             if not 0.0 <= value < 1.0:
                 raise ValueError(f"{name} must be in [0, 1), got {value}")
-        if self.epsilon <= 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be finite and positive, got {self.epsilon}")
 
 
 @dataclass
@@ -245,7 +246,10 @@ class PretrainResult:
 
 def lr_schedule(schedule: str, peak_lr: float, total_steps: int, warmup_fraction: float = 0.01):
     """Step -> learning rate. "constant" ignores warmup; "linear" warms up
-    linearly to peak_lr, then decays linearly toward zero at total_steps."""
+    linearly to peak_lr, then decays linearly toward zero at total_steps.
+    warmup_fraction must lie in [0, 1] either way."""
+    if not 0.0 <= warmup_fraction <= 1.0:
+        raise ValueError(f"warmup_fraction must be in [0, 1], got {warmup_fraction}")
     if schedule == "constant":
         return lambda step: peak_lr
     if schedule == "linear":
@@ -401,7 +405,5 @@ def run_pretraining(
 
 
 def write_loss_log(path, loss_log: Sequence[LossLogEntry]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("step,phase,max_seq_len,loss\n")
-        for entry in loss_log:
-            handle.write(f"{entry.step},{entry.phase},{entry.max_seq_len},{entry.loss:.6f}\n")
+    write_lines(path, ["step,phase,max_seq_len,loss"] + [
+        f"{e.step},{e.phase},{e.max_seq_len},{e.loss:.6f}" for e in loss_log])

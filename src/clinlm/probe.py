@@ -15,8 +15,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from importlib import resources
+from importlib import resources  # noqa: F401 - stays importable as probe.resources
 from typing import Callable, Sequence
+
+from . import corpus
 
 ENTAILMENT = "Entailment"
 CONTRADICTION = "Contradiction"
@@ -216,47 +218,31 @@ def load_probe_suite(path=None) -> list[ProbeInstance]:
     Every numeric instance's value must re-parse from its premise, and for
     every instance covered by a reference range the printed gold label must
     equal the oracle's label. Any disagreement is a loading error naming
-    the offending row.
+    the file and line of the offending row.
     """
-    if path is None:
-        text = resources.files("clinlm").joinpath("data", "probe_suite.tsv") \
-            .read_text(encoding="utf-8")
-    else:
-        with open(path, encoding="utf-8") as handle:
-            text = handle.read()
-    instances: list[ProbeInstance] = []
-    lines = text.splitlines()
-    if not lines or lines[0].split("\t")[0] != "premise":
-        raise ValueError("probe fixture lacks its header line")
-    for line_no, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        if len(parts) != 6:
-            raise ValueError(f"row {line_no}: expected 6 fields, got {len(parts)}")
-        premise, hypothesis, gold, category, analyte, value_text = parts
-        if gold not in LABELS:
-            raise ValueError(f"row {line_no}: unknown label {gold!r}")
-        if category not in CATEGORIES:
-            raise ValueError(f"row {line_no}: unknown category {category!r}")
-        value = float(value_text) if value_text else None
-        inst = ProbeInstance(premise, hypothesis, gold, category,
-                             analyte or None, value)
-        if inst.analyte is not None and inst.value is not None:
-            reparsed = parse_value(premise, inst.analyte)
-            if reparsed != inst.value:
-                raise ValueError(
-                    f"row {line_no}: premise parses to {reparsed}, fixture says {inst.value}"
-                )
-        if inst.oracle_covered:
-            expected = numeric_probe_oracle(inst.analyte, inst.value, hypothesis)
-            if expected != gold:
-                raise ValueError(
-                    f"row {line_no}: oracle gives {expected} but fixture prints {gold} "
-                    f"for premise {premise!r} / hypothesis {hypothesis!r}"
-                )
-        instances.append(inst)
-    return instances
+    return corpus.read_table(path, "probe_suite.tsv",
+                             "premise\thypothesis\tgold\tcategory\tanalyte\tvalue", _probe_row)
+
+
+def _probe_row(premise, hypothesis, gold, category, analyte, value_text) -> ProbeInstance:
+    if gold not in LABELS:
+        raise ValueError(f"unknown label {gold!r}")
+    if category not in CATEGORIES:
+        raise ValueError(f"unknown category {category!r}")
+    value = float(value_text) if value_text else None
+    inst = ProbeInstance(premise, hypothesis, gold, category, analyte or None, value)
+    if inst.analyte is not None and inst.value is not None:
+        reparsed = parse_value(premise, inst.analyte)
+        if reparsed != inst.value:
+            raise ValueError(f"premise parses to {reparsed}, fixture says {inst.value}")
+    if inst.oracle_covered:
+        expected = numeric_probe_oracle(inst.analyte, inst.value, hypothesis)
+        if expected != gold:
+            raise ValueError(
+                f"oracle gives {expected} but fixture prints {gold} "
+                f"for premise {premise!r} / hypothesis {hypothesis!r}"
+            )
+    return inst
 
 
 @dataclass(frozen=True)

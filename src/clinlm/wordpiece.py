@@ -17,8 +17,9 @@ import string
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass, field
-from importlib import resources
 from typing import Iterable, Mapping, Sequence
+
+from .corpus import numbered_lines, read_table, write_lines
 
 PAD, UNK, CLS, SEP, MASK = "[PAD]", "[UNK]", "[CLS]", "[SEP]", "[MASK]"
 SPECIALS = (PAD, UNK, CLS, SEP, MASK)
@@ -53,6 +54,22 @@ def normalize(text: str) -> str:
     return "".join(out)
 
 
+def _first_bad_token(tokens: Sequence[str]) -> tuple[int, str] | None:
+    """(id, problem) of the first token that breaks the vocabulary rules, or
+    None: the five specials lead, and no token is a repeat, empty, or a bare
+    continuation marker."""
+    if tuple(tokens[:len(SPECIALS)]) != SPECIALS:
+        return 0, f"vocabulary must start with {SPECIALS}, got {tokens[:len(SPECIALS)]}"
+    seen: set[str] = set()
+    for token_id, tok in enumerate(tokens):
+        if tok in seen:
+            return token_id, f"duplicate token {tok!r} in vocabulary"
+        if not tok or tok == CONTINUATION:
+            return token_id, f"token {tok!r} is empty or has no body"
+        seen.add(tok)
+    return None
+
+
 @dataclass
 class Vocabulary:
     """Ordered token inventory. Index in `tokens` is the token id."""
@@ -66,21 +83,11 @@ class Vocabulary:
     def __post_init__(self):
         if self.declared_size == 0:
             self.declared_size = len(self.tokens)
-        self.validate()
+        bad = _first_bad_token(self.tokens)
+        if bad:
+            raise ValueError(bad[1])
         self.token_to_id = {tok: i for i, tok in enumerate(self.tokens)}
         self._max_token_len = max(len(t) for t in self.tokens)
-
-    def validate(self) -> None:
-        if len(set(self.tokens)) != len(self.tokens):
-            dupes = [t for t, c in Counter(self.tokens).items() if c > 1]
-            raise ValueError(f"duplicate tokens in vocabulary: {dupes[:5]}")
-        if tuple(self.tokens[:5]) != SPECIALS:
-            raise ValueError(f"vocabulary must start with {SPECIALS}, got {self.tokens[:5]}")
-        for tok in self.tokens[5:]:
-            if tok.startswith(CONTINUATION) and len(tok) == len(CONTINUATION):
-                raise ValueError(f"continuation token {tok!r} has no body")
-            if not tok:
-                raise ValueError("empty token in vocabulary")
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -362,37 +369,26 @@ class LengthReferenceRow:
 
 def load_length_reference(path=None) -> list[LengthReferenceRow]:
     """Load the packaged table of encoded-length measurements across four
-    vocabularies (the wikipedia-books rows are each dataset's baseline)."""
-    if path is None:
-        text = resources.files("clinlm").joinpath(
-            "data", "encoding_length_reference.tsv").read_text(encoding="utf-8")
-    else:
-        with open(path, encoding="utf-8") as handle:
-            text = handle.read()
-    lines = text.splitlines()
-    header = "dataset\tvocabulary\tmean\tmedian\tpct_mean\tpct_median"
-    if not lines or lines[0] != header:
-        raise ValueError("length reference lacks its header line")
-    rows = []
-    for line_no, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        if len(parts) != 6:
-            raise ValueError(f"row {line_no}: expected 6 fields, got {len(parts)}")
-        dataset, vocabulary, mean, median, pct_mean, pct_median = parts
-        base = pct_mean == "base"
-        if base != (pct_median == "base"):
-            raise ValueError(f"row {line_no}: half-baseline row")
-        rows.append(LengthReferenceRow(
-            dataset=dataset,
-            vocabulary=vocabulary,
-            mean_length=float(mean),
-            median_length=float(median),
-            pct_mean=None if base else int(pct_mean),
-            pct_median=None if base else int(pct_median),
-        ))
-    return rows
+    vocabularies (the wikipedia-books rows are each dataset's baseline). A
+    bad row fails as PATH:LINE: message."""
+    return read_table(path, "encoding_length_reference.tsv",
+                      "dataset\tvocabulary\tmean\tmedian\tpct_mean\tpct_median",
+                      _length_reference_row)
+
+
+def _length_reference_row(dataset, vocabulary, mean, median, pct_mean,
+                          pct_median) -> LengthReferenceRow:
+    base = pct_mean == "base"
+    if base != (pct_median == "base"):
+        raise ValueError("half-baseline row")
+    return LengthReferenceRow(
+        dataset=dataset,
+        vocabulary=vocabulary,
+        mean_length=float(mean),
+        median_length=float(median),
+        pct_mean=None if base else int(pct_mean),
+        pct_median=None if base else int(pct_median),
+    )
 
 
 def verify_length_reference(rows: Sequence[LengthReferenceRow]) -> list[str]:
@@ -429,15 +425,17 @@ def verify_length_reference(rows: Sequence[LengthReferenceRow]) -> list[str]:
 
 def write_vocab(path, vocab: Vocabulary) -> None:
     """One token per line; the line number (from zero) is the token id."""
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        for token in vocab.tokens:
-            handle.write(token)
-            handle.write("\n")
+    write_lines(path, vocab.tokens)
 
 
 def read_vocab(path) -> Vocabulary:
-    with open(path, encoding="utf-8") as handle:
-        tokens = [line.rstrip("\n") for line in handle]
+    """One token per line, its id the line number counted from zero;
+    trailing blank lines are ignored. A token that breaks the vocabulary
+    rules fails as PATH:LINE: message."""
+    tokens = [line for _, line in numbered_lines(path)]
     while tokens and tokens[-1] == "":
         tokens.pop()
+    bad = _first_bad_token(tokens)
+    if bad:
+        raise ValueError(f"{path}:{bad[0] + 1}: {bad[1]}")
     return Vocabulary(tokens)

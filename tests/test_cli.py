@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from clinlm.cli import dispatch, read_config
+from clinlm.cli import build_parser, dispatch, read_config
 from clinlm.corpus import read_split_manifest
 from clinlm.encoder import load_checkpoint
 from clinlm.wordpiece import read_vocab
@@ -367,6 +367,145 @@ class TestTaskFileErrors:
         assert len(errors) == 1 and len(err.splitlines()) == 1, err
         assert f"{data}:{line}:" in errors[0]
         assert repr(label) in errors[0]
+
+
+_NLI_ROW = {"premise": "no pain", "hypothesis": "pain", "label": "contradiction"}
+_RELATION_ROW = {"words": ["pain", "and", "fever"], "span_a": [0, 1], "type_a": "problem",
+                 "span_b": [2, 3], "type_b": "problem", "label": "test-reveals-problem"}
+_NOTE_ROW = {"note_id": "n1", "patient_id": "p1", "encounter_id": "e1",
+             "note_type": "Discharge Summary", "provider_type": "Physician", "text": "x"}
+_SUITE_HEADER = "premise\thypothesis\tgold\tcategory\tanalyte\tvalue\n"
+
+
+def _checkpoint_header(change):
+    """A checkpoint body of the tiny model's bytes under a changed header."""
+    def build(ckpt_bytes):
+        header_line, body = ckpt_bytes.split(b"\n", 1)
+        return json.dumps(change(json.loads(header_line))).encode() + b"\n" + body
+    return build
+
+
+def _with_extra_config_key(header):
+    header["config"]["extra"] = 1
+    return header
+
+
+def _finetune(task, *extra, checkpoint="{ckpt}", data="{file}"):
+    return ["finetune", "--task", task, "--checkpoint", checkpoint, "--vocab", "{vocab}",
+            "--train", data, "--dev", data, "--seeds", "1", *extra]
+
+
+class TestMalformedInputs:
+    """Each malformed input makes its command exit 1 with exactly one
+    stderr line, an error: line that names where the problem is."""
+
+    # (case, input file name, its text or a function of the tiny model's
+    #  checkpoint bytes, command with {file}/{vocab}/{ckpt}/{out} slots,
+    #  text the error line must contain, with {file} for the input's path)
+    CASES = [
+        ("record-not-an-object", "nli.jsonl", "5\n", _finetune("mednli"), "{file}:1:"),
+        ("premise-not-a-string", "nli.jsonl", _jsonl(_NLI_ROW, {**_NLI_ROW, "premise": 5}),
+         _finetune("mednli"), "{file}:2:"),
+        ("span-not-a-list", "rel.jsonl", _jsonl({**_RELATION_ROW, "span_a": 0}),
+         _finetune("re-2010"), "{file}:1:"),
+        ("unknown-concept-type", "rel.jsonl", _jsonl({**_RELATION_ROW, "type_a": "drug"}),
+         _finetune("re-2010"), "{file}:1: unknown concept type 'drug'"),
+        ("word-not-a-string", "rel.jsonl",
+         "\n" + _jsonl({**_RELATION_ROW, "words": ["pain", 7, "fever"]}),
+         _finetune("re-2010"), "{file}:2:"),
+        ("empty-note-id", "notes.jsonl", _jsonl(_NOTE_ROW, {**_NOTE_ROW, "note_id": ""}),
+         ["split", "--notes", "{file}", "--seed", "0", "--output", "{out}"], "{file}:2:"),
+        ("duplicate-vocab-token", "vocab.txt",
+         "[PAD]\n[UNK]\n[CLS]\n[SEP]\n[MASK]\npain\nfever\npain\n",
+         ["encode", "--vocab", "{file}", "--input", "{file}", "--output", "{out}"],
+         "{file}:8:"),
+        ("bad-probe-row", "suite.tsv",
+         _SUITE_HEADER + "Blood glucose is 600\thas hyperglycemia\tMaybe\tnumeric\tglucose\t600\n",
+         ["probe", "--suite", "{file}"], "{file}:2:"),
+        ("list-checkpoint-header", "model.ckpt", lambda ckpt_bytes: b"[1, 2]\n",
+         _finetune("mednli", checkpoint="{file}", data="{vocab}"), "{file}:"),
+        ("extra-checkpoint-config-key", "model.ckpt", _checkpoint_header(_with_extra_config_key),
+         _finetune("mednli", checkpoint="{file}", data="{vocab}"), "{file}:"),
+        ("nan-learning-rate", "nli.jsonl", _jsonl(_NLI_ROW), _finetune("mednli", "--lr", "nan"),
+         "lr must be finite"),
+    ]
+
+    @pytest.mark.parametrize("name,contents,argv,where", [case[1:] for case in CASES],
+                             ids=[case[0] for case in CASES])
+    def test_one_error_line_names_the_place(self, tmp_path, tiny_model, capsys,
+                                            name, contents, argv, where):
+        vocab, ckpt = tiny_model
+        data = tmp_path / name
+        if callable(contents):
+            data.write_bytes(contents(ckpt.read_bytes()))
+        else:
+            data.write_text(contents, encoding="utf-8")
+        slots = {"file": data, "vocab": vocab, "ckpt": ckpt, "out": tmp_path / "out.txt"}
+        code, _, err = run_cli([arg.format(**slots) for arg in argv], capsys)
+        assert code == 1
+        assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+        assert where.format(**slots) in err
+
+
+class TestSettings:
+    PRETRAIN = ["pretrain", "--corpus", "c", "--vocab", "v", "--plan", "8:1",
+                "--micro-batch", "1", "--accum", "1", "--seed", "0", "--out", "o"]
+    FINETUNE = ["finetune", "--task", "mednli", "--checkpoint", "m", "--vocab", "v",
+                "--train", "t", "--dev", "d", "--seeds", "1"]
+
+    @pytest.mark.parametrize("argv,defaults", [
+        (PRETRAIN, {"hidden_dim": 64, "n_layers": 2, "n_heads": 2, "ff_dim": 128,
+                    "max_positions": None, "dropout": 0.0, "lr": 1e-3,
+                    "schedule": "constant", "warmup_fraction": 0.01, "mask_prob": 0.15}),
+        (FINETUNE, {"epochs": 3, "batch_size": 8, "lr": 1e-3, "max_steps": None,
+                    "max_positions": None}),
+    ], ids=["pretrain", "finetune"])
+    def test_config_keys_are_the_declared_settings(self, argv, defaults):
+        args = build_parser().parse_args(argv)
+        assert args.config_keys == set(defaults)
+        assert {key: getattr(args, key) for key in defaults} == defaults
+
+    def test_non_setting_flag_is_not_a_config_key(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("seed = 3\n", encoding="utf-8")
+        code, _, err = run_cli(self.PRETRAIN + ["--config", str(cfg)], capsys)
+        assert code == 1
+        assert f"{cfg}:1: unknown config key 'seed'" in err
+
+    def test_config_values_take_the_flag_types(self, tmp_path, tiny_model, capsys):
+        vocab, ckpt = tiny_model
+        data = tmp_path / "nli.jsonl"
+        data.write_text(_jsonl(_NLI_ROW), encoding="utf-8")
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("epochs = 1\nlr = nan\n", encoding="utf-8")
+        argv = [arg.format(file=data, vocab=vocab, ckpt=ckpt)
+                for arg in _finetune("mednli", "--config", str(cfg))]
+        code, _, err = run_cli(argv, capsys)
+        assert code == 1 and "lr must be finite" in err
+        code, out, err = run_cli(argv + ["--lr", "0.01"], capsys)
+        assert code == 0, err
+        assert "best epoch 0" in out
+
+    def test_bad_config_value_is_one_error_line(self, tmp_path, corpus_file, vocab_file,
+                                                capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("hidden_dim = wide\n", encoding="utf-8")
+        code, _, err = run_cli(
+            ["pretrain", "--corpus", str(corpus_file), "--vocab", str(vocab_file),
+             "--plan", "8:1", "--micro-batch", "2", "--accum", "1", "--seed", "0",
+             "--config", str(cfg), "--out", str(tmp_path / "x.ckpt")], capsys)
+        assert code == 1
+        assert len(err.splitlines()) == 1 and "--hidden-dim" in err and "wide" in err
+
+    def test_max_positions_below_plan_length_rejected(self, tmp_path, corpus_file,
+                                                       vocab_file, capsys):
+        code, _, err = run_cli(
+            ["pretrain", "--corpus", str(corpus_file), "--vocab", str(vocab_file),
+             "--plan", "16:1", "--micro-batch", "2", "--accum", "1", "--seed", "0",
+             "--hidden-dim", "8", "--n-heads", "2", "--max-positions", "8",
+             "--out", str(tmp_path / "x.ckpt")], capsys)
+        assert code == 1
+        assert "plan length 16 exceeds max_positions 8" in err
 
 
 class TestEvaluateCommand:

@@ -1,5 +1,7 @@
 """Note filtering, patient splits, label selection, and length stats."""
 
+import re
+
 import pytest
 
 from clinlm import corpus
@@ -233,6 +235,71 @@ class TestNoteIO:
         path.write_text('{"note_id": "n1"}\n', encoding="utf-8")
         with pytest.raises(ValueError, match="1"):
             read_notes(path)
+
+    def test_empty_id_located(self, tmp_path):
+        notes = [note(note_id="a", length=10), note(note_id="b", length=10)]
+        path = tmp_path / "notes.jsonl"
+        write_notes(path, notes)
+        path.write_text(path.read_text().replace('"note_id": "b"', '"note_id": ""'))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: note_id must be non-empty"):
+            read_notes(path)
+
+
+class TestReaders:
+    def test_numbered_lines_split_like_a_file_handle(self, tmp_path):
+        path = tmp_path / "x.txt"
+        path.write_bytes(b"a\r\nb\rc\n\nd")
+        assert list(corpus.numbered_lines(path)) == [(1, "a"), (2, "b"), (3, "c"),
+                                                     (4, ""), (5, "d")]
+
+    def test_numbered_lines_reads_packaged_data(self):
+        first = next(corpus.numbered_lines(None, "probe_suite.tsv"))
+        assert first[0] == 1 and first[1].startswith("premise\t")
+
+    def test_non_utf8_input_names_the_file(self, tmp_path):
+        path = tmp_path / "x.txt"
+        path.write_bytes(b"ok\n\xff\xfe\n")
+        with pytest.raises(ValueError, match="x.txt: not UTF-8"):
+            list(corpus.numbered_lines(path))
+
+    FIELDS = {"text": str, "labels": list[str], "extra": object}
+
+    def test_read_jsonl_yields_numbered_records(self, tmp_path):
+        path = tmp_path / "r.jsonl"
+        path.write_text('\n{"text": "a", "labels": [], "extra": null}\n', encoding="utf-8")
+        assert list(corpus.read_jsonl(path, self.FIELDS)) == [
+            (2, {"text": "a", "labels": [], "extra": None})]
+
+    @pytest.mark.parametrize("line,message", [
+        ("{", "bad JSON"),
+        ("5", "expected a JSON object"),
+        ('["text"]', "expected a JSON object"),
+        ('{"labels": [], "extra": 1}', "record lacks key 'text'"),
+        ('{"text": 5, "labels": [], "extra": 1}', "'text' must be str"),
+        ('{"text": "a", "labels": "x", "extra": 1}', r"'labels' must be list\[str\]"),
+        ('{"text": "a", "labels": ["x", 2], "extra": 1}', r"'labels' must be list\[str\]"),
+    ])
+    def test_read_jsonl_rejects_with_path_and_line(self, tmp_path, line, message):
+        path = tmp_path / "r.jsonl"
+        path.write_text('{"text": "a", "labels": [], "extra": 1}\n' + line + "\n",
+                        encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: {message}"):
+            list(corpus.read_jsonl(path, self.FIELDS))
+
+    def test_read_table_locates_short_rows_and_parse_errors(self, tmp_path):
+        path = tmp_path / "t.tsv"
+        path.write_text("a\tb\n1\t2\n\n3\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:4: expected 2 fields, got 1"):
+            corpus.read_table(path, "unused", "a\tb", lambda a, b: (a, b))
+        path.write_text("a\tb\n1\tx\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: invalid literal"):
+            corpus.read_table(path, "unused", "a\tb", lambda a, b: int(b))
+
+    def test_write_lines_round_trips(self, tmp_path):
+        path = tmp_path / "out.txt"
+        corpus.write_lines(path, ["x", "", "y z"])
+        assert path.read_bytes() == b"x\n\ny z\n"
+        assert [line for _, line in corpus.numbered_lines(path)] == ["x", "", "y z"]
 
 
 class TestSplitManifestIO:

@@ -1,6 +1,8 @@
 """Transformer encoder: forward oracle, gradients, heads, checkpoints."""
 
+import json
 import math
+import re
 import time
 
 import numpy as np
@@ -545,4 +547,34 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         path.write_text('{"format": "something-else"}\n')
         with pytest.raises(ValueError, match="format"):
+            load_checkpoint(path)
+
+    @staticmethod
+    def _rewrite_header(path, change):
+        header_line, body = path.read_bytes().split(b"\n", 1)
+        header = change(json.loads(header_line))
+        path.write_bytes(json.dumps(header).encode() + b"\n" + body)
+
+    @pytest.mark.parametrize("change", [
+        lambda h: [h],
+        lambda h: {**h, "config": {**h["config"], "extra": 1}},
+        lambda h: {**h, "config": {k: v for k, v in h["config"].items() if k != "dropout"}},
+        lambda h: {**h, "config": [1]},
+        lambda h: {**h, "config": {**h["config"], "hidden_dim": "8"}},
+        lambda h: {**h, "tensors": {}},
+        lambda h: {**h, "tensors": [{"shape": [2]}] + h["tensors"][1:]},
+        lambda h: {**h, "tensors": [{"name": 3, "shape": [2]}] + h["tensors"][1:]},
+        lambda h: {**h, "tensors": [{"name": "x", "shape": [-2]}] + h["tensors"][1:]},
+        lambda h: {**h, "tensors": [{"name": "x", "shape": "2"}] + h["tensors"][1:]},
+        lambda h: {**h, "tensors": [{"name": "x", "shape": [2.5]}] + h["tensors"][1:]},
+        lambda h: {**h, "tensors": [7] + h["tensors"][1:]},
+    ], ids=["list-header", "extra-config-key", "missing-config-key", "config-not-object",
+            "config-value-type", "tensors-not-list", "tensor-without-name",
+            "non-string-name", "negative-dim", "shape-not-list", "float-dim",
+            "entry-not-object"])
+    def test_malformed_header_is_a_value_error_naming_the_file(self, tmp_path, change):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, tiny_config(), init_params(tiny_config(), 11))
+        self._rewrite_header(path, change)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
             load_checkpoint(path)

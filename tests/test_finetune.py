@@ -73,6 +73,21 @@ class TestBuiltinTasks:
         with pytest.raises(ValueError, match="kind"):
             TaskSpec("x", "regression", ("a",), "accuracy")
 
+    @pytest.mark.parametrize("kind,metric", [
+        ("ner", "accuracy"), ("ner", "micro_f1"), ("multilabel", "accuracy"),
+        ("pair", "entity_f1"), ("multilabel", "f1"),
+    ])
+    def test_metric_the_dev_path_never_computes_rejected(self, kind, metric):
+        with pytest.raises(ValueError, match=metric):
+            TaskSpec("x", kind, ("a",), metric)
+
+    @pytest.mark.parametrize("kind,metric", [
+        ("ner", "entity_f1"), ("pair", "accuracy"), ("pair", "micro_f1"),
+        ("multilabel", "micro_f1"),
+    ])
+    def test_computed_metrics_accepted(self, kind, metric):
+        assert TaskSpec("x", kind, ("a",), metric).selection_metric == metric
+
 
 class TestAlignLabels:
     def test_single_piece_identity(self):
@@ -302,6 +317,11 @@ class TestFinetuneConfig:
             FinetuneConfig(lr=0.0)
         with pytest.raises(ValueError):
             FinetuneConfig(max_steps=0)
+
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf")])
+    def test_non_finite_lr_rejected(self, lr):
+        with pytest.raises(ValueError, match="lr"):
+            FinetuneConfig(lr=lr)
 
 
 def toy_pair_setup(small_vocab):

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from clinlm import metrics
 from clinlm.metrics import (
     MetricReport,
     Span,
@@ -200,6 +201,15 @@ class TestCorpusEntityF1:
     def test_sequence_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="length"):
             corpus_entity_f1([["O", "O"]], [["O"]])
+
+    def test_does_not_call_micro_f1(self, monkeypatch):
+        # a timing wrapper on each public metric must not see one score twice
+        def fail(*args):
+            raise AssertionError("corpus_entity_f1 called micro_f1")
+
+        monkeypatch.setattr(metrics, "micro_f1", fail)
+        assert corpus_entity_f1([["B-a", "O"]], [["B-a", "O"]], token_level=True)[2] == 1.0
+        assert corpus_entity_f1([["B-a", "O"]], [["B-a", "O"]])[2] == 1.0
 
     def test_brute_force_agreement_on_random_corpora(self):
         rng = random.Random(31)

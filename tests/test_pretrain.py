@@ -112,6 +112,12 @@ class TestAdam:
         with pytest.raises(ValueError):
             AdamConfig(epsilon=0.0)
 
+    @pytest.mark.parametrize("field", ["lr", "epsilon"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_values_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            AdamConfig(**{field: value})
+
     def test_zero_gradient_is_a_no_op_on_params(self):
         params = {"w": np.array([1.0, -2.0])}
         state = init_optimizer(params, AdamConfig(lr=0.1))
@@ -300,6 +306,12 @@ class TestLrSchedule:
     def test_unknown_schedule_rejected(self):
         with pytest.raises(ValueError, match="schedule"):
             lr_schedule("cosine", 1.0, 100)
+
+    @pytest.mark.parametrize("schedule", ["constant", "linear"])
+    @pytest.mark.parametrize("fraction", [-0.1, 1.5, math.nan])
+    def test_warmup_fraction_outside_unit_interval_rejected(self, schedule, fraction):
+        with pytest.raises(ValueError, match="warmup_fraction"):
+            lr_schedule(schedule, 1.0, 100, warmup_fraction=fraction)
 
 
 class TestPackSequences:

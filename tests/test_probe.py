@@ -183,7 +183,7 @@ class TestLoadProbeSuite:
         covered = "Blood glucose is 600\thas hyperglycemia\tContradiction\tnumeric\tglucose\t600"
         path = tmp_path / "suite.tsv"
         path.write_text(HEADER + "\n" + covered + "\n", encoding="utf-8")
-        with pytest.raises(ValueError, match="row 2"):
+        with pytest.raises(ValueError, match=r"suite\.tsv:2:"):
             load_probe_suite(path)
 
     def test_tampered_value_rejected(self, tmp_path):

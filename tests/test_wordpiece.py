@@ -335,6 +335,18 @@ class TestVocabIO:
         assert p1.read_bytes() == p2.read_bytes()
         assert read_vocab(p1).tokens == vocab.tokens
 
+    @pytest.mark.parametrize("tokens,line,message", [
+        (["a", "[PAD]"], 1, "must start with"),
+        (list(SPECIALS) + ["a", "##"], 7, "'##' is empty or has no body"),
+        (list(SPECIALS) + ["a", "", "b"], 7, "'' is empty"),
+        (list(SPECIALS) + ["a", "b", "a"], 8, "duplicate token 'a'"),
+    ])
+    def test_bad_token_names_file_and_line(self, tmp_path, tokens, line, message):
+        path = tmp_path / "v.txt"
+        path.write_text("\n".join(tokens) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"v.txt:{line}: .*{message}"):
+            read_vocab(path)
+
     def test_line_number_is_id(self, tmp_path):
         vocab = make_vocab("a", "b")
         path = tmp_path / "v.txt"
