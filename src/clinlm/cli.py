@@ -19,7 +19,7 @@ import sys
 from collections import Counter
 
 from . import corpus, finetune, metrics, pretrain, probe, wordpiece
-from .encoder import EncoderConfig, load_checkpoint, save_checkpoint
+from .encoder import EncoderConfig, save_checkpoint
 
 
 class _Parser(argparse.ArgumentParser):
@@ -195,59 +195,12 @@ def _cmd_pretrain(args) -> int:
     return 0
 
 
-def _load_task_data(task, path, vocab, max_positions):
-    """Encoded rows of a task file. A malformed line, a field of the wrong
-    type, or an unknown label or concept type fails as PATH:LINE: message."""
-    labels = task.bio_tags() if task.kind == "ner" else task.labels
-    index = {label: i for i, label in enumerate(labels)}
-
-    def label_id(label):
-        if label not in index:
-            raise ValueError(f"unknown label {label!r} for task {task.name}")
-        return index[label]
-
-    if task.kind == "ner":
-        sentences = list(finetune.numbered_ner_sentences(path))
-        corpus.parse_numbered(path, ((start + offset, tag) for start, _, tags in sentences
-                                     for offset, tag in enumerate(tags)), label_id)
-        return [finetune.encode_ner_example(words, tags, vocab, index, max_positions)
-                for _, words, tags in sentences]
-    if task.kind == "multilabel":
-        fields = {"text": str, "labels": list[str]}
-    elif task.concept_types:
-        fields = {"words": list[str], "span_a": list[int], "type_a": str,
-                  "span_b": list[int], "type_b": str, "label": str}
-    else:
-        fields = {"premise": str, "hypothesis": str, "label": str}
-
-    def row(rec):
-        if task.kind == "multilabel":
-            return (finetune.prepare_document(rec["text"], vocab, max_positions),
-                    {label_id(label) for label in rec["labels"]})
-        if task.concept_types:
-            for concept in (rec["type_a"], rec["type_b"]):
-                if concept not in task.concept_types:
-                    raise ValueError(f"unknown concept type {concept!r} for task {task.name}")
-            marked = finetune.mark_concepts(rec["words"], tuple(rec["span_a"]), rec["type_a"],
-                                            tuple(rec["span_b"]), rec["type_b"])
-            batch = finetune.prepare_marked_sentence(marked, vocab, max_positions)
-        else:
-            batch = finetune.prepare_pair(rec["premise"], rec["hypothesis"], vocab, max_positions)
-        return batch, label_id(rec["label"])
-
-    return corpus.parse_numbered(path, corpus.read_jsonl(path, fields), row)
-
-
 def _cmd_finetune(args) -> int:
     task = finetune.builtin_task(args.task)
-    config, params = load_checkpoint(args.checkpoint)
-    vocab = wordpiece.read_vocab(args.vocab)
-    if task.concept_types:
-        vocab, params, config = finetune.extend_for_markers(
-            vocab, params, config, task.concept_types, seed=0)
+    config, params, vocab = finetune.load_task_model(task, args.checkpoint, args.vocab)
     max_positions = config.max_positions if args.max_positions is None else args.max_positions
-    train_rows = _load_task_data(task, args.train, vocab, max_positions)
-    dev_rows = _load_task_data(task, args.dev, vocab, max_positions)
+    train_rows = finetune.load_task_rows(task, args.train, vocab, max_positions)
+    dev_rows = finetune.load_task_rows(task, args.dev, vocab, max_positions)
     hyper = finetune.FinetuneConfig(epochs=args.epochs, batch_size=args.batch_size,
                                     lr=args.lr, max_steps=args.max_steps)
     runs = finetune.finetune_task(config, params, task, train_rows, dev_rows,
@@ -297,7 +250,8 @@ def _cmd_probe(args) -> int:
         for category in probe.CATEGORIES:
             print(f"{category}\t{counts[category]}")
         return 0
-    predictions = _read_lines(args.predictions)
+    predictions = corpus.parse_numbered(args.predictions, corpus.numbered_lines(args.predictions),
+                                        probe.check_label)
     if len(predictions) != len(suite):
         raise ValueError(
             f"{len(predictions)} predictions for {len(suite)} instances"
@@ -382,9 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_cmd_pretrain, command_parser=p, config_keys={a.dest for a in settings})
 
     p = sub.add_parser("finetune", help="fine-tune a checkpoint on a task")
-    p.add_argument("--task", required=True,
-                   choices=("ner-2010", "ner-2012", "re-2010", "mednli",
-                            "icd9-top50", "therapeutic-class"))
+    p.add_argument("--task", required=True, choices=finetune.TASK_NAMES)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--vocab", required=True)
     p.add_argument("--train", required=True)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -29,6 +30,7 @@ from .wordpiece import CLS_ID, PAD_ID, SEP_ID
 
 CHECKPOINT_FORMAT = "clinlm-checkpoint"
 CHECKPOINT_VERSION = 1
+TASK_HEADS = ("head_token", "head_pair", "head_multi")  # the init_head names a checkpoint holds
 _NEG_INF = -1e9
 
 
@@ -45,18 +47,14 @@ class EncoderConfig:
     ln_epsilon: float = 1e-12
 
     def __post_init__(self):
-        sizes = {
-            "vocab_size": self.vocab_size,
-            "hidden_dim": self.hidden_dim,
-            "n_layers": self.n_layers,
-            "n_heads": self.n_heads,
-            "ff_dim": self.ff_dim,
-            "max_positions": self.max_positions,
-            "n_segments": self.n_segments,
-        }
-        for name, value in sizes.items():
-            if value < 1:
-                raise ValueError(f"{name} must be >= 1, got {value}")
+        for f in fields(self):  # the size fields are ints >= 1, the others numbers
+            value, integral = getattr(self, f.name), f.type == "int"
+            if isinstance(value, bool) or not isinstance(
+                    value, numbers.Integral if integral else numbers.Real):
+                raise ValueError(f"{f.name} must be {'an int' if integral else 'a number'}, "
+                                 f"got {value!r}")
+            if integral and value < 1:
+                raise ValueError(f"{f.name} must be >= 1, got {value}")
         if self.vocab_size < 5:
             raise ValueError(
                 f"vocab_size must cover the 5 special tokens, got {self.vocab_size}"
@@ -67,6 +65,8 @@ class EncoderConfig:
             )
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
+        if not 0 < self.ln_epsilon < math.inf:
+            raise ValueError(f"ln_epsilon must be finite and positive, got {self.ln_epsilon}")
 
     @property
     def head_dim(self) -> int:
@@ -155,53 +155,34 @@ def stack_rows(rows) -> Batch:
     return Batch(token_ids=ids, attention_mask=mask, segment_ids=segments)
 
 
-def layer_param_names(layer: int) -> list[str]:
-    p = f"layer{layer}."
-    return [
-        p + "attn_q_w", p + "attn_q_b", p + "attn_k_w", p + "attn_k_b",
-        p + "attn_v_w", p + "attn_v_b", p + "attn_out_w", p + "attn_out_b",
-        p + "attn_ln_g", p + "attn_ln_b",
-        p + "ff_in_w", p + "ff_in_b", p + "ff_out_w", p + "ff_out_b",
-        p + "ff_ln_g", p + "ff_ln_b",
-    ]
+def param_shapes(config: EncoderConfig) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every encoder parameter, in the order init_params
+    draws them. Task heads (init_head) are not included."""
+    h, f, v = config.hidden_dim, config.ff_dim, config.vocab_size
+    shapes = {"tok_emb": (v, h), "pos_emb": (config.max_positions, h),
+              "seg_emb": (config.n_segments, h), "emb_ln_g": (h,), "emb_ln_b": (h,),
+              "mlm_w": (h, v), "mlm_b": (v,)}
+    layer = {"attn_q_w": (h, h), "attn_q_b": (h,), "attn_k_w": (h, h), "attn_k_b": (h,),
+             "attn_v_w": (h, h), "attn_v_b": (h,), "attn_out_w": (h, h), "attn_out_b": (h,),
+             "attn_ln_g": (h,), "attn_ln_b": (h,), "ff_in_w": (h, f), "ff_in_b": (f,),
+             "ff_out_w": (f, h), "ff_out_b": (h,), "ff_ln_g": (h,), "ff_ln_b": (h,)}
+    for i in range(config.n_layers):
+        shapes.update({f"layer{i}.{name}": shape for name, shape in layer.items()})
+    return shapes
 
 
 def init_params(config: EncoderConfig, seed: int) -> dict[str, np.ndarray]:
-    """Weights drawn from N(0, 0.02^2), biases zero, layer-norm scales one."""
+    """Weights drawn from N(0, 0.02^2) in param_shapes order, biases zero,
+    layer-norm scales one."""
     rng = np.random.default_rng(seed)
-    std = 0.02
-    h, f, v = config.hidden_dim, config.ff_dim, config.vocab_size
-
-    def w(*shape):
-        return rng.normal(0.0, std, size=shape)
-
-    params = {
-        "tok_emb": w(v, h),
-        "pos_emb": w(config.max_positions, h),
-        "seg_emb": w(config.n_segments, h),
-        "emb_ln_g": np.ones(h),
-        "emb_ln_b": np.zeros(h),
-        "mlm_w": w(h, v),
-        "mlm_b": np.zeros(v),
-    }
-    for i in range(config.n_layers):
-        p = f"layer{i}."
-        params[p + "attn_q_w"] = w(h, h)
-        params[p + "attn_q_b"] = np.zeros(h)
-        params[p + "attn_k_w"] = w(h, h)
-        params[p + "attn_k_b"] = np.zeros(h)
-        params[p + "attn_v_w"] = w(h, h)
-        params[p + "attn_v_b"] = np.zeros(h)
-        params[p + "attn_out_w"] = w(h, h)
-        params[p + "attn_out_b"] = np.zeros(h)
-        params[p + "attn_ln_g"] = np.ones(h)
-        params[p + "attn_ln_b"] = np.zeros(h)
-        params[p + "ff_in_w"] = w(h, f)
-        params[p + "ff_in_b"] = np.zeros(f)
-        params[p + "ff_out_w"] = w(f, h)
-        params[p + "ff_out_b"] = np.zeros(h)
-        params[p + "ff_ln_g"] = np.ones(h)
-        params[p + "ff_ln_b"] = np.zeros(h)
+    params = {}
+    for name, shape in param_shapes(config).items():
+        if name.endswith("_g"):
+            params[name] = np.ones(shape)
+        elif name.endswith("_b"):
+            params[name] = np.zeros(shape)
+        else:
+            params[name] = rng.normal(0.0, 0.02, size=shape)
     return params
 
 
@@ -606,8 +587,20 @@ def load_checkpoint(path) -> tuple[EncoderConfig, dict[str, np.ndarray]]:
                              f"and a list of non-negative int dims")
         try:
             config = EncoderConfig(**header["config"])
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             raise ValueError(f"{path}: bad checkpoint config: {exc}") from exc
+        layout = {e["name"]: tuple(e["shape"]) for e in tensors}
+        if len(layout) != len(tensors):
+            raise ValueError(f"{path}: a checkpoint tensor name repeats")
+        expected = param_shapes(config)
+        for head in TASK_HEADS:  # optional, each as a well-formed pair
+            w = layout.get(head + "_w")
+            if w is not None and len(w) == 2 and w[1] >= 1:
+                expected.update({head + "_w": (config.hidden_dim, w[1]), head + "_b": (w[1],)})
+        for name in sorted(expected.keys() | layout.keys()):
+            if layout.get(name) != expected.get(name):
+                raise ValueError(f"{path}: tensor {name} has shape {layout.get(name, 'none')}, "
+                                 f"the config needs {expected.get(name, 'none')}")
         params = {}
         for entry in tensors:
             shape = tuple(entry["shape"])

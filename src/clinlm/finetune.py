@@ -8,9 +8,11 @@ Supported task shapes:
   multilabel independent per-label probabilities over a fixed inventory,
              thresholded at 0.5
 
-Rows are framed by encoder.frame and batched by encoder.stack_rows; each
-task kind trains an encoder.init_head head through encoder._head_loss, the
-loss routine masked-LM pretraining also uses.
+This is the one module that knows what a task kind means: TaskSpec,
+load_task_rows, the training step and the dev metric branch on it. Rows are
+framed by encoder.frame and batched by encoder.stack_rows; each kind trains
+an encoder.init_head head through encoder._head_loss, the loss routine
+masked-LM pretraining also uses.
 
 Every run is specified by (checkpoint, task, data, seed); repeating a seed
 reproduces the run exactly.
@@ -28,8 +30,8 @@ import numpy as np
 from . import corpus, metrics, wordpiece
 from .encoder import (
     Batch, EncoderConfig, forward, frame, head_multilabel, head_pair_classify,
-    head_token_classify, init_head, multilabel_loss, pair_classify_loss, stack_rows,
-    token_classify_loss,
+    head_token_classify, init_head, load_checkpoint, multilabel_loss, pair_classify_loss,
+    stack_rows, token_classify_loss,
 )
 from .pretrain import AdamConfig, adam_step, init_optimizer
 from .wordpiece import Vocabulary, normalize
@@ -49,9 +51,10 @@ RELATION_2010_LABELS = (
     "treatment-not-administered-for-problem",
 )
 NLI_LABELS = ("entailment", "contradiction", "neutral")
-# the dev metrics each task kind's evaluation computes
-_SELECTION_METRICS = {"ner": ("entity_f1",), "pair": ("accuracy", "micro_f1"),
-                     "multilabel": ("micro_f1",)}
+# task kind -> (the encoder head it trains, the dev metrics it computes)
+_KINDS = {"ner": ("head_token", ("entity_f1",)),
+          "pair": ("head_pair", ("accuracy", "micro_f1")),
+          "multilabel": ("head_multi", ("micro_f1",))}
 
 
 @dataclass(frozen=True)
@@ -63,12 +66,17 @@ class TaskSpec:
     concept_types: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if self.kind not in _SELECTION_METRICS:
+        if self.kind not in _KINDS:
             raise ValueError(f"unknown task kind {self.kind!r}")
-        if self.selection_metric not in _SELECTION_METRICS[self.kind]:
+        if self.selection_metric not in _KINDS[self.kind][1]:
             raise ValueError(f"a {self.kind} task cannot select on {self.selection_metric!r}")
         if not self.labels:
             raise ValueError("task needs at least one label")
+
+    @property
+    def outputs(self) -> list[str]:
+        """Names of the head's outputs: BIO tags for ner, else the labels."""
+        return self.bio_tags() if self.kind == "ner" else list(self.labels)
 
     def bio_tags(self) -> list[str]:
         if self.kind != "ner":
@@ -77,6 +85,9 @@ class TaskSpec:
         for t in self.labels:
             tags.extend([f"B-{t}", f"I-{t}"])
         return tags
+
+
+TASK_NAMES = ("ner-2010", "ner-2012", "re-2010", "mednli", "icd9-top50", "therapeutic-class")
 
 
 def builtin_task(name: str) -> TaskSpec:
@@ -157,7 +168,8 @@ def unmark_concepts(words: Sequence[str], concept_types: Iterable[str]) -> list[
 def extend_for_markers(vocab: Vocabulary, params, config: EncoderConfig,
                        concept_types: Iterable[str], seed: int):
     """Add reserved marker tokens to the vocabulary and grow the embedding
-    (and masked-LM output) tables to match. Existing rows are untouched."""
+    and masked-LM output tables to match. Existing rows are untouched; with
+    no new markers the inputs come back unchanged."""
     markers = [m for m in marker_tokens(concept_types) if m not in vocab]
     if not markers:
         return vocab, params, config
@@ -168,12 +180,24 @@ def extend_for_markers(vocab: Vocabulary, params, config: EncoderConfig,
     new_params["tok_emb"] = np.vstack(
         [params["tok_emb"], rng.normal(0.0, 0.02, size=(extra, config.hidden_dim))]
     )
-    if "mlm_w" in params:
-        new_params["mlm_w"] = np.hstack(
-            [params["mlm_w"], rng.normal(0.0, 0.02, size=(config.hidden_dim, extra))]
-        )
-        new_params["mlm_b"] = np.concatenate([params["mlm_b"], np.zeros(extra)])
+    new_params["mlm_w"] = np.hstack(
+        [params["mlm_w"], rng.normal(0.0, 0.02, size=(config.hidden_dim, extra))]
+    )
+    new_params["mlm_b"] = np.concatenate([params["mlm_b"], np.zeros(extra)])
     return new_vocab, new_params, replace(config, vocab_size=config.vocab_size + extra)
+
+
+def load_task_model(task: TaskSpec, checkpoint, vocab_path):
+    """(config, params, vocabulary) of a checkpoint file and the vocabulary
+    file it was trained on, grown by the task's concept markers (see
+    extend_for_markers). A vocabulary of another size is refused."""
+    config, params = load_checkpoint(checkpoint)
+    vocab = wordpiece.read_vocab(vocab_path)
+    if len(vocab) != config.vocab_size:
+        raise ValueError(f"{vocab_path} has {len(vocab)} tokens but {checkpoint} "
+                         f"was trained on {config.vocab_size}")
+    vocab, params, config = extend_for_markers(vocab, params, config, task.concept_types, 0)
+    return config, params, vocab
 
 
 def prepare_document(text: str, vocab: Vocabulary, max_positions: int) -> Batch:
@@ -209,14 +233,19 @@ def prepare_marked_sentence(words: Sequence[str], vocab: Vocabulary,
 @dataclass
 class NerRow:
     """One encoded tagging example plus the bookkeeping needed to read
-    word-level predictions back out of piece-level logits."""
+    word-level predictions back out of piece-level logits. It unpacks as the
+    framed row that stack_rows takes, like a Batch."""
 
     ids: np.ndarray
     mask: np.ndarray
+    segment_ids: np.ndarray
     label_ids: np.ndarray
     loss_mask: np.ndarray
     first_piece_positions: list[int]
     word_tags: list[str]  # gold tags for the words that survived truncation
+
+    def __iter__(self):
+        return iter((self.ids, self.mask, self.segment_ids))
 
 
 def word_pieces(vocab: Vocabulary, word: str) -> list[str]:
@@ -250,13 +279,13 @@ def encode_ner_example(words: Sequence[str], tags: Sequence[str],
         first_positions.append(1 + len(content))
         kept_tags.append(tag)
         content.extend(vocab.id_of(p) for p in pieces)
-    ids, mask, _ = frame(content, None, max_positions)
     label_ids = np.zeros(max_positions, dtype=np.int64)
     label_ids[first_positions] = [tag_to_id[tag] for tag in kept_tags]
     loss_mask = np.zeros(max_positions, dtype=np.int64)
     loss_mask[first_positions] = 1
-    return NerRow(ids=ids, mask=mask, label_ids=label_ids, loss_mask=loss_mask,
-                  first_piece_positions=first_positions, word_tags=kept_tags)
+    return NerRow(*frame(content, None, max_positions), label_ids=label_ids,
+                  loss_mask=loss_mask, first_piece_positions=first_positions,
+                  word_tags=kept_tags)
 
 
 @dataclass(frozen=True)
@@ -283,64 +312,66 @@ class SeedRun:
     best_epoch: int
 
 
+def _forward_chunks(params, config, rows: Sequence, batch_size: int):
+    """Yield (chunk, hidden states) for each batch_size rows, in order."""
+    for start in range(0, len(rows), batch_size):
+        chunk = rows[start:start + batch_size]
+        yield chunk, forward(params, config, stack_rows(chunk))
+
+
 def predict_ner_tags(params, config, rows: Sequence[NerRow], tags: Sequence[str],
                      batch_size: int = 32) -> list[list[str]]:
     out: list[list[str]] = []
-    for start in range(0, len(rows), batch_size):
-        chunk = rows[start:start + batch_size]
-        batch = stack_rows((r.ids, r.mask, np.zeros_like(r.ids)) for r in chunk)
-        logits = head_token_classify(params, forward(params, config, batch), len(tags))
-        best = logits.argmax(axis=-1)
-        for i, row in enumerate(chunk):
-            out.append([tags[best[i, p]] for p in row.first_piece_positions])
+    for chunk, hidden in _forward_chunks(params, config, rows, batch_size):
+        best = head_token_classify(params, hidden, len(tags)).argmax(axis=-1)
+        out.extend([tags[b[p]] for p in row.first_piece_positions]
+                   for b, row in zip(best, chunk))
     return out
 
 
 def predict_pair_labels(params, config, batches: Sequence[Batch], labels: Sequence[str],
                         batch_size: int = 32) -> list[str]:
-    out: list[str] = []
-    for start in range(0, len(batches), batch_size):
-        merged = stack_rows(batches[start:start + batch_size])
-        logits = head_pair_classify(params, forward(params, config, merged))
-        out.extend(labels[i] for i in logits.argmax(axis=-1))
-    return out
+    return [labels[i] for _, hidden in _forward_chunks(params, config, batches, batch_size)
+            for i in head_pair_classify(params, hidden).argmax(axis=-1)]
 
 
 def predict_label_sets(params, config, batches: Sequence[Batch], labels: Sequence[str],
                        threshold: float = 0.5, batch_size: int = 32) -> list[set[str]]:
-    out: list[set[str]] = []
-    for start in range(0, len(batches), batch_size):
-        merged = stack_rows(batches[start:start + batch_size])
-        probs = head_multilabel(params, forward(params, config, merged), len(labels))
-        for row in probs:
-            out.append({labels[i] for i in np.nonzero(row > threshold)[0]})
-    return out
+    return [{labels[i] for i in np.nonzero(row > threshold)[0]}
+            for _, hidden in _forward_chunks(params, config, batches, batch_size)
+            for row in head_multilabel(params, hidden, len(labels))]
 
 
-def _dev_metric(task, params, config, dev, tags_or_labels):
+def _dev_metric(task, params, config, dev):
     if task.kind == "ner":
-        pred = predict_ner_tags(params, config, dev, tags_or_labels)
-        gold = [row.word_tags for row in dev]
-        _, _, f1 = metrics.corpus_entity_f1(gold, pred)
-        return f1
-    if task.kind == "pair":
-        batches = [row[0] for row in dev]
-        gold = [row[1] for row in dev]
-        pred_ids = predict_pair_labels(params, config, batches, list(range(len(task.labels))))
-        if task.selection_metric == "micro_f1":
-            _, _, f1 = metrics.micro_f1([{g} for g in gold], [{p} for p in pred_ids])
-            return f1
-        return metrics.accuracy(gold, pred_ids)
-    batches = [row[0] for row in dev]
-    gold_sets = [row[1] for row in dev]
-    pred_sets = predict_label_sets(params, config, batches, list(task.labels))
-    gold_named = [{task.labels[i] for i in g} for g in gold_sets]
-    _, _, f1 = metrics.micro_f1(gold_named, pred_sets)
-    return f1
+        pred = predict_ner_tags(params, config, dev, task.outputs)
+        return metrics.corpus_entity_f1([row.word_tags for row in dev], pred)[2]
+    # pair and multilabel rows hold label ids, so predict ids too
+    batches, ids = [row[0] for row in dev], range(len(task.labels))
+    if task.kind == "multilabel":
+        pred_sets = predict_label_sets(params, config, batches, ids)
+        return metrics.micro_f1([set(row[1]) for row in dev], pred_sets)[2]
+    gold, pred = [row[1] for row in dev], predict_pair_labels(params, config, batches, ids)
+    if task.selection_metric == "accuracy":
+        return metrics.accuracy(gold, pred)
+    return metrics.micro_f1([{g} for g in gold], [{p} for p in pred])[2]
 
 
-# the encoder head each task kind trains
-_TASK_HEADS = {"ner": "head_token", "pair": "head_pair", "multilabel": "head_multi"}
+def _train_step(task, params, config, rows: Sequence, state):
+    """One Adam update of params on rows through the task kind's loss."""
+    if task.kind == "ner":
+        _, grads = token_classify_loss(params, config, stack_rows(rows),
+                                       np.stack([r.label_ids for r in rows]),
+                                       np.stack([r.loss_mask for r in rows]))
+    elif task.kind == "pair":
+        class_ids = np.array([r[1] for r in rows], dtype=np.int64)
+        _, grads = pair_classify_loss(params, config, stack_rows(r[0] for r in rows), class_ids)
+    else:
+        matrix = np.zeros((len(rows), len(task.labels)))
+        for i, r in enumerate(rows):
+            matrix[i, sorted(r[1])] = 1.0
+        _, grads = multilabel_loss(params, config, stack_rows(r[0] for r in rows), matrix)
+    return adam_step(params, grads, state)
 
 
 def finetune_task(
@@ -355,62 +386,88 @@ def finetune_task(
     """Fine-tune the full encoder plus a fresh task head once per seed.
 
     train_rows and dev_rows must already be encoded for the task (see
-    encode_ner_example, prepare_pair, prepare_document; each frames its rows
-    with encoder.frame). A step stacks its rows with encoder.stack_rows,
-    takes the task's loss (token_classify_loss, pair_classify_loss or
-    multilabel_loss, each a wrapper of the encoder's head-loss routine that
-    pretraining's mlm_forward_loss shares) and applies one Adam update.
-    After every epoch the dev selection metric is computed and the
-    best-scoring snapshot is kept. Each seed controls its head initialization and batch order, so a
+    load_task_rows; each row is framed with encoder.frame). A step stacks
+    its rows with encoder.stack_rows, takes the task's loss
+    (token_classify_loss, pair_classify_loss or multilabel_loss, each a
+    wrapper of the encoder's head-loss routine that pretraining's
+    mlm_forward_loss shares) and applies one Adam update. After every epoch
+    the dev selection metric is computed and the best-scoring snapshot is
+    kept. Each seed controls its head initialization and batch order, so a
     repeated seed reproduces its run exactly.
     """
     if not seeds:
         raise ValueError("need at least one seed")
     if not train_rows or not dev_rows:
         raise ValueError("train and dev sets must be non-empty")
-    tags_or_labels = task.bio_tags() if task.kind == "ner" else list(task.labels)
     runs: list[SeedRun] = []
     for seed in seeds:
-        p = init_head(params, config, _TASK_HEADS[task.kind], len(tags_or_labels), seed)
+        p = init_head(params, config, _KINDS[task.kind][0], len(task.outputs), seed)
         state = init_optimizer(p, AdamConfig(lr=hyper.lr))
         rng = np.random.default_rng(seed)
         step = 0
         best_metric, best_params, best_epoch = -1.0, None, -1
-        done = False
         for epoch in range(hyper.epochs):
             order = rng.permutation(len(train_rows))
             for start in range(0, len(order), hyper.batch_size):
                 chosen = [train_rows[i] for i in order[start:start + hyper.batch_size]]
-                if task.kind == "ner":
-                    batch = stack_rows((r.ids, r.mask, np.zeros_like(r.ids)) for r in chosen)
-                    labels = np.stack([r.label_ids for r in chosen])
-                    loss_mask = np.stack([r.loss_mask for r in chosen])
-                    _, grads = token_classify_loss(p, config, batch, labels, loss_mask)
-                elif task.kind == "pair":
-                    batch = stack_rows(r[0] for r in chosen)
-                    class_ids = np.array([r[1] for r in chosen], dtype=np.int64)
-                    _, grads = pair_classify_loss(p, config, batch, class_ids)
-                else:
-                    batch = stack_rows(r[0] for r in chosen)
-                    matrix = np.zeros((len(chosen), len(task.labels)))
-                    for i, r in enumerate(chosen):
-                        matrix[i, sorted(r[1])] = 1.0
-                    _, grads = multilabel_loss(p, config, batch, matrix)
-                p, state = adam_step(p, grads, state)
+                p, state = _train_step(task, p, config, chosen, state)
                 step += 1
-                if hyper.max_steps is not None and step >= hyper.max_steps:
-                    done = True
+                if step == hyper.max_steps:
                     break
-            metric = _dev_metric(task, p, config, dev_rows, tags_or_labels)
+            metric = _dev_metric(task, p, config, dev_rows)
             if metric > best_metric:
                 best_metric = metric
                 best_params = {k: arr.copy() for k, arr in p.items()}
                 best_epoch = epoch
-            if done:
+            if step == hyper.max_steps:
                 break
         runs.append(SeedRun(seed=seed, params=best_params,
                             dev_metric=best_metric, best_epoch=best_epoch))
     return runs
+
+
+def load_task_rows(task: TaskSpec, path, vocab: Vocabulary, max_positions: int) -> list:
+    """finetune_task's rows of a task file: a NerRow per sentence of a
+    word<TAB>tag file, or a (Batch, label id or id set) per JSON-lines
+    record. A malformed line, a field of the wrong type, or an unknown label
+    or concept type fails as PATH:LINE: message."""
+    index = {name: i for i, name in enumerate(task.outputs)}
+
+    def label_id(label):
+        if label not in index:
+            raise ValueError(f"unknown label {label!r} for task {task.name}")
+        return index[label]
+
+    if task.kind == "ner":
+        sentences = list(numbered_ner_sentences(path))
+        for start, _, tags in sentences:
+            corpus.parse_numbered(path, enumerate(tags, start), label_id)
+        return [encode_ner_example(words, tags, vocab, index, max_positions)
+                for _, words, tags in sentences]
+    if task.kind == "multilabel":
+        fields = {"text": str, "labels": list[str]}
+
+        def row(rec):
+            return (prepare_document(rec["text"], vocab, max_positions),
+                    {label_id(label) for label in rec["labels"]})
+    elif task.concept_types:
+        fields = {"words": list[str], "span_a": list[int], "type_a": str,
+                  "span_b": list[int], "type_b": str, "label": str}
+
+        def row(rec):
+            for concept in (rec["type_a"], rec["type_b"]):
+                if concept not in task.concept_types:
+                    raise ValueError(f"unknown concept type {concept!r} for task {task.name}")
+            marked = mark_concepts(rec["words"], tuple(rec["span_a"]), rec["type_a"],
+                                   tuple(rec["span_b"]), rec["type_b"])
+            return prepare_marked_sentence(marked, vocab, max_positions), label_id(rec["label"])
+    else:
+        fields = {"premise": str, "hypothesis": str, "label": str}
+
+        def row(rec):
+            return (prepare_pair(rec["premise"], rec["hypothesis"], vocab, max_positions),
+                    label_id(rec["label"]))
+    return corpus.parse_numbered(path, corpus.read_jsonl(path, fields), row)
 
 
 def read_ner_file(path) -> list[tuple[list[str], list[str]]]:
@@ -431,9 +488,3 @@ def numbered_ner_sentences(path):
             if len(parts) != 2 or not parts[0]:
                 raise ValueError(f"{path}:{line_no}: expected word<TAB>tag, got {line!r}")
         yield group[0][0], [word for word, _ in pairs], [tag for _, tag in pairs]
-
-
-def read_record_file(path, required: Sequence[str]) -> list[dict]:
-    """JSON-lines records, each an object with at least the required keys;
-    a bad line fails as PATH:LINE: message (see corpus.read_jsonl)."""
-    return [row for _, row in corpus.read_jsonl(path, dict.fromkeys(required, object))]

@@ -74,12 +74,11 @@ def apply_masking(
     targets = token_ids[positions].copy()
     action = rng.random(len(positions))
     random_ids = rng.integers(N_RESERVED_IDS, vocab_size, size=len(positions))
-    for idx, pos in enumerate(positions):
-        if action[idx] < policy.replace_with_mask:
-            corrupted[pos] = MASK_ID
-        elif action[idx] < policy.replace_with_mask + policy.replace_with_random:
-            corrupted[pos] = random_ids[idx]
-        # else: keep the original id, still predicted
+    # the remaining selections keep their original id, still predicted
+    corrupted[positions] = np.where(
+        action < policy.replace_with_mask, MASK_ID,
+        np.where(action < policy.replace_with_mask + policy.replace_with_random,
+                 random_ids, targets))
     return corrupted, positions, targets
 
 

@@ -224,9 +224,15 @@ def load_probe_suite(path=None) -> list[ProbeInstance]:
                              "premise\thypothesis\tgold\tcategory\tanalyte\tvalue", _probe_row)
 
 
+def check_label(label: str) -> str:
+    """label, when it is one of the three entailment labels."""
+    if label not in LABELS:
+        raise ValueError(f"unknown label {label!r}, expected one of {', '.join(LABELS)}")
+    return label
+
+
 def _probe_row(premise, hypothesis, gold, category, analyte, value_text) -> ProbeInstance:
-    if gold not in LABELS:
-        raise ValueError(f"unknown label {gold!r}")
+    check_label(gold)
     if category not in CATEGORIES:
         raise ValueError(f"unknown category {category!r}")
     value = float(value_text) if value_text else None
@@ -272,9 +278,7 @@ def run_probes(predict: Callable[[str, str], str],
     correct = {c: 0 for c in CATEGORIES}
     totals = {c: 0 for c in CATEGORIES}
     for inst in instances:
-        label = predict(inst.premise, inst.hypothesis)
-        if label not in LABELS:
-            raise ValueError(f"model produced invalid label {label!r}")
+        label = check_label(predict(inst.premise, inst.hypothesis))
         predictions.append(label)
         totals[inst.category] += 1
         if label == inst.gold:

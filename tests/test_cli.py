@@ -390,8 +390,15 @@ def _with_extra_config_key(header):
     return header
 
 
-def _finetune(task, *extra, checkpoint="{ckpt}", data="{file}"):
-    return ["finetune", "--task", task, "--checkpoint", checkpoint, "--vocab", "{vocab}",
+def _with_transposed_token_table(header):
+    for entry in header["tensors"]:
+        if entry["name"] == "tok_emb":
+            entry["shape"].reverse()
+    return header
+
+
+def _finetune(task, *extra, checkpoint="{ckpt}", data="{file}", vocab="{vocab}"):
+    return ["finetune", "--task", task, "--checkpoint", checkpoint, "--vocab", vocab,
             "--train", data, "--dev", data, "--seeds", "1", *extra]
 
 
@@ -428,6 +435,13 @@ class TestMalformedInputs:
          _finetune("mednli", checkpoint="{file}", data="{vocab}"), "{file}:"),
         ("nan-learning-rate", "nli.jsonl", _jsonl(_NLI_ROW), _finetune("mednli", "--lr", "nan"),
          "lr must be finite"),
+        ("transposed-checkpoint-tensor", "model.ckpt",
+         _checkpoint_header(_with_transposed_token_table),
+         _finetune("mednli", checkpoint="{file}", data="{vocab}"), "{file}: tensor tok_emb"),
+        ("vocabulary-of-another-size", "vocab.txt", "[PAD]\n[UNK]\n[CLS]\n[SEP]\n[MASK]\npain\n",
+         _finetune("re-2010", vocab="{file}", data="{vocab}"), "{file} has 6 tokens but {ckpt}"),
+        ("invalid-probe-prediction", "preds.txt", "Neutral\n" * 128 + "Maybe\n",
+         ["probe", "--predictions", "{file}"], "{file}:129: unknown label 'Maybe'"),
     ]
 
     @pytest.mark.parametrize("name,contents,argv,where", [case[1:] for case in CASES],

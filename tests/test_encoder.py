@@ -22,10 +22,10 @@ from clinlm.encoder import (
     init_pair_head,
     init_params,
     init_token_head,
-    layer_param_names,
     load_checkpoint,
     mlm_forward_loss,
     multilabel_loss,
+    param_shapes,
     pair_classify_loss,
     save_checkpoint,
     token_classify_loss,
@@ -102,9 +102,9 @@ class TestInitParams:
         assert params["pos_emb"].shape == (4, 4)
         assert params["seg_emb"].shape == (2, 4)
         assert params["mlm_w"].shape == (4, 8)
-        for layer in range(2):
-            for name in layer_param_names(layer):
-                assert name in params
+        assert {name: arr.shape for name, arr in params.items()} == param_shapes(config)
+        assert list(params) == list(param_shapes(config))
+        assert "layer1.ff_in_w" in params and params["layer1.ff_in_w"].shape == (4, 6)
         assert np.all(params["emb_ln_g"] == 1.0)
         assert np.all(params["layer0.attn_q_b"] == 0.0)
         assert np.all(params["mlm_b"] == 0.0)
@@ -498,6 +498,18 @@ class TestHeadLosses:
         assert err < 1e-4
 
 
+def _reshape(header, name, shape):
+    """header with the manifest entry of tensor name given another shape."""
+    return {**header, "tensors": [{**e, "shape": shape} if e["name"] == name else e
+                                  for e in header["tensors"]]}
+
+
+def _rename(header, **names):
+    """header with manifest entries renamed old=new; byte counts unchanged."""
+    return {**header, "tensors": [{**e, "name": names.get(e["name"], e["name"])}
+                                  for e in header["tensors"]]}
+
+
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         config = tiny_config(n_layers=2)
@@ -508,6 +520,15 @@ class TestCheckpoint:
         assert loaded_config == config
         assert set(loaded) == set(params)
         assert all(np.array_equal(loaded[k], params[k]) for k in params)
+
+    def test_task_heads_round_trip(self, tmp_path):
+        config = tiny_config()
+        params = init_multilabel_head(init_pair_head(init_params(config, 11), config, 3, 1),
+                                      config, 2, 2)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, config, params)
+        loaded = load_checkpoint(path)[1]
+        assert loaded["head_pair_w"].shape == (4, 3) and loaded["head_multi_b"].shape == (2,)
 
     def test_byte_stable(self, tmp_path):
         config = tiny_config()
@@ -568,13 +589,31 @@ class TestCheckpoint:
         lambda h: {**h, "tensors": [{"name": "x", "shape": "2"}] + h["tensors"][1:]},
         lambda h: {**h, "tensors": [{"name": "x", "shape": [2.5]}] + h["tensors"][1:]},
         lambda h: {**h, "tensors": [7] + h["tensors"][1:]},
+        lambda h: _reshape(h, "tok_emb", [4, 8]),
+        lambda h: _rename(h, mlm_b="mlm_bias"),
+        lambda h: _rename(h, pos_emb="layer0.attn_q_w"),
+        lambda h: _reshape(h, "head_pair_w", [3, 4]),
+        lambda h: _rename(h, head_pair_b="head_token_b"),
+        lambda h: _reshape(_reshape(h, "head_pair_b", [2]), "head_multi_b", [3]),
+        lambda h: _rename(h, head_pair_w="head_x_w", head_pair_b="head_x_b"),
+        lambda h: {**h, "config": {**h["config"], "ln_epsilon": "tiny"}},
+        lambda h: {**h, "config": {**h["config"], "ln_epsilon": float("nan")}},
+        lambda h: {**h, "config": {**h["config"], "ln_epsilon": -1.0}},
+        lambda h: {**h, "config": {**h["config"], "hidden_dim": 4.0}},
+        lambda h: {**h, "config": {**h["config"], "n_layers": True}},
     ], ids=["list-header", "extra-config-key", "missing-config-key", "config-not-object",
             "config-value-type", "tensors-not-list", "tensor-without-name",
             "non-string-name", "negative-dim", "shape-not-list", "float-dim",
-            "entry-not-object"])
+            "entry-not-object", "transposed-tensor", "renamed-tensor", "repeated-tensor",
+            "transposed-head", "head-without-bias", "head-bias-mismatch", "unknown-head",
+            "string-ln-epsilon", "nan-ln-epsilon",
+            "negative-ln-epsilon", "float-hidden-dim", "bool-n-layers"])
     def test_malformed_header_is_a_value_error_naming_the_file(self, tmp_path, change):
         path = tmp_path / "model.ckpt"
-        save_checkpoint(path, tiny_config(), init_params(tiny_config(), 11))
+        config = tiny_config()
+        params = init_multilabel_head(init_pair_head(init_params(config, 11), config, 3, 1),
+                                      config, 2, 2)
+        save_checkpoint(path, config, params)
         self._rewrite_header(path, change)
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
             load_checkpoint(path)

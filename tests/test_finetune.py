@@ -5,6 +5,7 @@ import pytest
 
 from clinlm.encoder import (
     EncoderConfig,
+    stack_rows,
     head_multilabel,
     forward,
     init_multilabel_head,
@@ -14,12 +15,15 @@ from clinlm.encoder import (
 from clinlm.finetune import (
     FinetuneConfig,
     IGNORE_LABEL,
+    NLI_LABELS,
+    TASK_NAMES,
     TaskSpec,
     align_labels_to_pieces,
     builtin_task,
     encode_ner_example,
     extend_for_markers,
     finetune_task,
+    load_task_rows,
     mark_concepts,
     marker_tokens,
     predict_label_sets,
@@ -27,7 +31,6 @@ from clinlm.finetune import (
     prepare_marked_sentence,
     prepare_pair,
     read_ner_file,
-    read_record_file,
     unmark_concepts,
     word_pieces,
 )
@@ -61,6 +64,13 @@ class TestBuiltinTasks:
     def test_unknown_task_rejected(self):
         with pytest.raises(ValueError, match="nope"):
             builtin_task("nope")
+
+    def test_task_names_are_the_presets(self):
+        assert [builtin_task(name).name for name in TASK_NAMES] == list(TASK_NAMES)
+
+    def test_outputs_name_the_head_outputs(self):
+        assert builtin_task("ner-2010").outputs == builtin_task("ner-2010").bio_tags()
+        assert builtin_task("mednli").outputs == list(NLI_LABELS)
 
     def test_bio_tags(self):
         tags = builtin_task("ner-2010").bio_tags()
@@ -167,6 +177,13 @@ class TestExtendForMarkers:
                               params["tok_emb"])
         assert new_vocab.id_of("the") == small_vocab.id_of("the")
         assert "[problem-start]" in new_vocab
+
+    def test_no_concept_types_returns_inputs(self, small_vocab):
+        config = EncoderConfig(vocab_size=len(small_vocab), hidden_dim=8,
+                               n_layers=1, n_heads=2, ff_dim=16, max_positions=8)
+        params = init_params(config, 0)
+        v, p, c = extend_for_markers(small_vocab, params, config, (), 5)
+        assert v is small_vocab and p is params and c is config
 
     def test_idempotent_once_extended(self, small_vocab):
         config = EncoderConfig(vocab_size=len(small_vocab), hidden_dim=8,
@@ -309,6 +326,76 @@ class TestEncodeNerExample:
         assert loss_a == loss_b
 
 
+def _rows_equal(a, b):
+    """Rows of load_task_rows and of the direct encoders hold equal arrays."""
+    assert len(a) == len(b)
+    for x, y in zip(a, b):
+        if isinstance(x, tuple):
+            assert all(np.array_equal(u, v) for u, v in zip(x[0], y[0])) and x[1] == y[1]
+        else:
+            assert all(np.array_equal(u, v) for u, v in zip(x, y))
+            assert (x.label_ids.tolist(), x.loss_mask.tolist(), x.first_piece_positions,
+                    x.word_tags) == (y.label_ids.tolist(), y.loss_mask.tolist(),
+                                     y.first_piece_positions, y.word_tags)
+
+
+class TestLoadTaskRows:
+    """load_task_rows gives each kind exactly the rows its encoder builds."""
+
+    def test_ner(self, small_vocab, tmp_path):
+        path = tmp_path / "tags.tsv"
+        path.write_text("severe\tB-problem\npain\tI-problem\n\nno\tO\n", encoding="utf-8")
+        task = builtin_task("ner-2010")
+        index = {tag: i for i, tag in enumerate(task.bio_tags())}
+        direct = [encode_ner_example(["severe", "pain"], ["B-problem", "I-problem"],
+                                     small_vocab, index, 8),
+                  encode_ner_example(["no"], ["O"], small_vocab, index, 8)]
+        _rows_equal(load_task_rows(task, path, small_vocab, 8), direct)
+
+    def test_pair(self, small_vocab, tmp_path):
+        path = tmp_path / "nli.jsonl"
+        path.write_text('{"premise": "no pain", "hypothesis": "pain", "label": "neutral"}\n',
+                        encoding="utf-8")
+        direct = [(prepare_pair("no pain", "pain", small_vocab, 12), NLI_LABELS.index("neutral"))]
+        _rows_equal(load_task_rows(builtin_task("mednli"), path, small_vocab, 12), direct)
+
+    def test_relation(self, small_vocab, tmp_path):
+        config = EncoderConfig(vocab_size=len(small_vocab), hidden_dim=8,
+                               n_layers=1, n_heads=2, ff_dim=16, max_positions=16)
+        task = builtin_task("re-2010")
+        vocab, _, _ = extend_for_markers(small_vocab, init_params(config, 0), config,
+                                         task.concept_types, 0)
+        path = tmp_path / "rel.jsonl"
+        path.write_text('{"words": ["pain", "and", "fever"], "span_a": [0, 1], '
+                        '"type_a": "problem", "span_b": [2, 3], "type_b": "test", '
+                        '"label": "test-reveals-problem"}\n', encoding="utf-8")
+        marked = mark_concepts(["pain", "and", "fever"], (0, 1), "problem", (2, 3), "test")
+        direct = [(prepare_marked_sentence(marked, vocab, 16), 1)]
+        _rows_equal(load_task_rows(task, path, vocab, 16), direct)
+
+    def test_multilabel(self, small_vocab, tmp_path):
+        task = TaskSpec("toy-multi", "multilabel", ("x", "y", "z"), "micro_f1")
+        path = tmp_path / "docs.jsonl"
+        path.write_text('{"text": "alpha beta", "labels": ["z", "x"]}\n\n'
+                        '{"text": "delta", "labels": []}\n', encoding="utf-8")
+        direct = [(prepare_document("alpha beta", small_vocab, 12), {0, 2}),
+                  (prepare_document("delta", small_vocab, 12), set())]
+        _rows_equal(load_task_rows(task, path, small_vocab, 12), direct)
+
+
+class TestNerRowFraming:
+    def test_stack_rows_takes_ner_rows(self, small_vocab):
+        tag_to_id = {"O": 0, "B-problem": 1, "I-problem": 2}
+        rows = [encode_ner_example(["severe", "pain"], ["B-problem", "I-problem"],
+                                   small_vocab, tag_to_id, 8),
+                encode_ner_example(["no"], ["O"], small_vocab, tag_to_id, 8)]
+        batch = stack_rows(rows)
+        assert batch.shape == (2, 8)
+        assert np.array_equal(batch.token_ids, np.stack([r.ids for r in rows]))
+        assert np.array_equal(batch.attention_mask, np.stack([r.mask for r in rows]))
+        assert not batch.segment_ids.any()
+
+
 class TestFinetuneConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -432,22 +519,3 @@ class TestReaders:
         path = tmp_path / "data.tsv"
         path.write_text("", encoding="utf-8")
         assert read_ner_file(path) == []
-
-    def test_record_file_round_trip(self, tmp_path):
-        path = tmp_path / "rows.jsonl"
-        path.write_text('{"text": "a", "labels": []}\n\n'
-                        '{"text": "b", "labels": ["x"]}\n', encoding="utf-8")
-        rows = read_record_file(path, required=["text", "labels"])
-        assert len(rows) == 2 and rows[1]["labels"] == ["x"]
-
-    def test_record_missing_key_located(self, tmp_path):
-        path = tmp_path / "rows.jsonl"
-        path.write_text('{"text": "a"}\n', encoding="utf-8")
-        with pytest.raises(ValueError, match="labels"):
-            read_record_file(path, required=["text", "labels"])
-
-    def test_record_bad_json_located(self, tmp_path):
-        path = tmp_path / "rows.jsonl"
-        path.write_text('{"text": }\n', encoding="utf-8")
-        with pytest.raises(ValueError, match="1"):
-            read_record_file(path, required=["text"])

@@ -9,6 +9,7 @@ from clinlm.encoder import EncoderConfig, init_params, mlm_forward_loss
 from clinlm.pretrain import (
     AccumulationConfig,
     AdamConfig,
+    N_RESERVED_IDS,
     MaskingPolicy,
     PhasePlan,
     accumulate_and_step,
@@ -91,6 +92,28 @@ class TestApplyMasking:
                                         np.random.default_rng(123))
         fraction = len(positions) / 10000
         assert 0.14 <= fraction <= 0.16
+
+    def test_matches_the_per_position_loop(self):
+        """The corruption equals a per-position loop over the same draws."""
+        policy = MaskingPolicy(mask_prob=0.5)
+        ids = np.arange(5, 405, dtype=np.int64)
+        maskable = np.arange(400) % 7 != 0
+        for seed in range(10):
+            corrupted, positions, targets = apply_masking(
+                policy, ids, maskable, 500, np.random.default_rng(seed))
+            rng = np.random.default_rng(seed)
+            expected_positions = np.nonzero(maskable & (rng.random(400) < 0.5))[0]
+            action = rng.random(len(expected_positions))
+            random_ids = rng.integers(N_RESERVED_IDS, 500, size=len(expected_positions))
+            expected = ids.copy()
+            for idx, pos in enumerate(expected_positions):
+                if action[idx] < policy.replace_with_mask:
+                    expected[pos] = MASK_ID
+                elif action[idx] < policy.replace_with_mask + policy.replace_with_random:
+                    expected[pos] = random_ids[idx]
+            assert np.array_equal(positions, expected_positions)
+            assert np.array_equal(targets, ids[expected_positions])
+            assert np.array_equal(corrupted, expected)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
