@@ -32,10 +32,12 @@ def _fail(message: str) -> int:
     return 1
 
 
-def read_config(path, allowed: set[str]) -> dict[str, str]:
-    """Flat key-value config: "key = value" lines, # comments. Keys outside
-    the command's settings are rejected so typos cannot silently vanish."""
-    values: dict[str, str] = {}
+def read_config(path, settings: dict[str, argparse.Action]) -> dict[str, object]:
+    """Flat key-value config: "key = value" lines, # comments. settings maps
+    each allowed key to its flag; a value takes the flag's type and must be
+    one of its choices. Keys outside the command's settings are rejected so
+    typos cannot silently vanish."""
+    values: dict[str, object] = {}
     for line_no, line in corpus.numbered_lines(path):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -43,9 +45,17 @@ def read_config(path, allowed: set[str]) -> dict[str, str]:
         if "=" not in line:
             raise ValueError(f"{path}:{line_no}: expected key = value, got {line!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in allowed:
+        if key not in settings:
             raise ValueError(f"{path}:{line_no}: unknown config key {key!r}")
-        values[key] = value
+        flag = settings[key]
+        try:
+            values[key] = flag.type(value) if flag.type else value
+        except ValueError:
+            raise ValueError(f"{path}:{line_no}: {key}: invalid {flag.type.__name__} "
+                             f"value {value!r}") from None
+        if flag.choices is not None and values[key] not in flag.choices:
+            raise ValueError(f"{path}:{line_no}: {key}: invalid choice {value!r}, "
+                             f"expected one of {', '.join(flag.choices)}")
     return values
 
 
@@ -328,12 +338,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--loss-log")
     settings = [p.add_argument(flag, type=cast, default=default) for flag, cast, default in (
         ("--hidden-dim", int, 64), ("--n-layers", int, 2), ("--n-heads", int, 2),
-        ("--ff-dim", int, 128), ("--max-positions", int, None), ("--dropout", float, 0.0),
+        ("--ff-dim", int, 128), ("--max-positions", int, None),
         ("--lr", float, 1e-3), ("--warmup-fraction", float, 0.01), ("--mask-prob", float, 0.15))]
+    settings.append(p.add_argument(
+        "--dropout", type=float, default=0.0,
+        help="dropout rate of every pretraining step; the checkpoint keeps it, so "
+             "fine-tuning steps use it too (prediction and dev scoring never drop)"))
     settings.append(p.add_argument("--schedule", choices=("constant", "linear"),
                                    default="constant"))
     p.add_argument("--config", help="flat key-value file of setting defaults")
-    p.set_defaults(run=_cmd_pretrain, command_parser=p, config_keys={a.dest for a in settings})
+    p.set_defaults(run=_cmd_pretrain, command_parser=p, config_keys={a.dest: a for a in settings})
 
     p = sub.add_parser("finetune", help="fine-tune a checkpoint on a task")
     p.add_argument("--task", required=True, choices=finetune.TASK_NAMES)
@@ -348,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("--epochs", int, 3), ("--batch-size", int, 8), ("--lr", float, 1e-3),
         ("--max-steps", int, None), ("--max-positions", int, None))]
     p.add_argument("--config", help="flat key-value file of setting defaults")
-    p.set_defaults(run=_cmd_finetune, command_parser=p, config_keys={a.dest for a in settings})
+    p.set_defaults(run=_cmd_finetune, command_parser=p, config_keys={a.dest: a for a in settings})
 
     p = sub.add_parser("evaluate", help="score predictions against gold")
     p.add_argument("--metric", required=True,
@@ -371,9 +385,9 @@ def dispatch(argv) -> int:
     try:
         args = parser.parse_args(argv)
         if getattr(args, "config", None):
-            # the file's values become the command's defaults (the settings
-            # declared with config_keys): argparse applies each flag's type
-            # to them, and explicit flags still win
+            # the file's values, already typed and checked, become the
+            # command's defaults (the settings in config_keys), so explicit
+            # flags still win
             args.command_parser.set_defaults(**read_config(args.config, args.config_keys))
             args = parser.parse_args(argv)
         return args.run(args)

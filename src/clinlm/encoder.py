@@ -11,6 +11,11 @@ Every input row is framed by frame and batched by stack_rows. Every
 objective, masked-LM and task heads alike, is a linear head read at some
 (row, position) pairs, trained through one routine, _head_loss.
 
+Train mode means an rng was passed: forward and the losses then drop out
+(config.dropout) the embeddings, then in each layer the attention weights,
+attention projection and feed-forward output, drawing masks from the rng in
+that order. Without an rng they run in eval mode, with no dropout.
+
 Parameters live in a flat dict keyed by name, which keeps optimizers,
 accumulation, checkpointing, and gradient checking trivial. A head named h
 owns the parameters h_w and h_b.
@@ -194,30 +199,51 @@ def _gelu_grad(x):
     return 0.5 * (1.0 + erf(x / math.sqrt(2.0))) + x * np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
 
 
-def _layer_norm(x, g, b, eps):
+def _layer_norm(params, name, x, eps):
     mu = x.mean(axis=-1, keepdims=True)
     xc = x - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
-    return g * xhat + b, (xhat, inv)
+    return params[name + "_g"] * xhat + params[name + "_b"], (xhat, inv)
 
 
-def _layer_norm_backward(dy, g, cache):
+def _layer_norm_backward(params, grads, name, dy, cache):
+    """Add the gradients of name_g and name_b; return the gradient of x."""
     xhat, inv = cache
-    dg = (dy * xhat).reshape(-1, xhat.shape[-1]).sum(axis=0)
-    db = dy.reshape(-1, xhat.shape[-1]).sum(axis=0)
-    dxhat = dy * g
+    grads[name + "_g"] += (dy * xhat).reshape(-1, xhat.shape[-1]).sum(axis=0)
+    grads[name + "_b"] += dy.reshape(-1, xhat.shape[-1]).sum(axis=0)
+    dxhat = dy * params[name + "_g"]
     mean_dxhat = dxhat.mean(axis=-1, keepdims=True)
     mean_dxhat_xhat = (dxhat * xhat).mean(axis=-1, keepdims=True)
-    dx = inv * (dxhat - mean_dxhat - xhat * mean_dxhat_xhat)
-    return dx, dg, db
+    return inv * (dxhat - mean_dxhat - xhat * mean_dxhat_xhat)
 
 
-def _dropout_mask(rng, shape, rate):
-    # inverted dropout: scale at train time so eval needs no correction
+def _linear(params, name, x):
+    """x @ name_w + name_b over the last axis of x."""
+    y = x.reshape(-1, x.shape[-1]) @ params[name + "_w"] + params[name + "_b"]
+    return y.reshape(*x.shape[:-1], y.shape[-1])
+
+
+def _linear_backward(params, grads, name, x, dy):
+    """Add the gradients of name_w and name_b for _linear(params, name, x)
+    given its output gradient dy; return the gradient of x."""
+    x2, dy2 = x.reshape(-1, x.shape[-1]), dy.reshape(-1, dy.shape[-1])
+    grads[name + "_w"] += x2.T @ dy2
+    grads[name + "_b"] += dy2.sum(axis=0)
+    return (dy2 @ params[name + "_w"].T).reshape(x.shape)
+
+
+def _drop(x, rate, rng, cache, key):
+    """Inverted dropout: zero each entry of x with probability rate and scale
+    the rest by 1 / (1 - rate), so eval needs no correction; the scaled mask
+    is kept as cache[key] for the backward pass. Without an rng (eval mode)
+    or at rate 0 it returns x and draws nothing."""
+    if rng is None or rate == 0.0:
+        return x
     keep = 1.0 - rate
-    return (rng.random(shape) < keep).astype(np.float64) / keep
+    cache[key] = (rng.random(x.shape) < keep).astype(np.float64) / keep
+    return x * cache[key]
 
 
 def _split_heads(x, n_heads):
@@ -230,7 +256,7 @@ def _join_heads(x):
     return x.transpose(0, 2, 1, 3).reshape(b, t, nh * dh)
 
 
-def _forward(params, config, batch, train_mode, rng):
+def _forward(params, config, batch, rng):
     b, t = batch.shape
     if t > config.max_positions:
         raise ValueError(f"sequence length {t} exceeds max_positions {config.max_positions}")
@@ -238,22 +264,16 @@ def _forward(params, config, batch, train_mode, rng):
         raise ValueError("token id outside vocabulary range")
     if batch.segment_ids.min() < 0 or batch.segment_ids.max() >= config.n_segments:
         raise ValueError("segment id outside segment range")
-    use_dropout = train_mode and config.dropout > 0.0
-    if use_dropout and rng is None:
-        raise ValueError("train_mode with dropout requires an rng")
 
-    cache = {"batch": batch, "use_dropout": use_dropout, "layers": []}
+    rate, eps = config.dropout, config.ln_epsilon
+    cache = {"batch": batch, "layers": []}
     summed = (
         params["tok_emb"][batch.token_ids]
         + params["pos_emb"][np.arange(t)][None, :, :]
         + params["seg_emb"][batch.segment_ids]
     )
-    x, emb_ln = _layer_norm(summed, params["emb_ln_g"], params["emb_ln_b"], config.ln_epsilon)
-    if use_dropout:
-        m = _dropout_mask(rng, x.shape, config.dropout)
-        x = x * m
-        cache["emb_drop"] = m
-    cache["emb_ln"] = emb_ln
+    x, cache["emb_ln"] = _layer_norm(params, "emb_ln", summed, eps)
+    x = _drop(x, rate, rng, cache, "emb_drop")
 
     # additive bias: masked keys get a large negative score, real keys zero
     attn_bias = np.where(batch.attention_mask[:, None, None, :] == 1, 0.0, _NEG_INF)
@@ -262,71 +282,42 @@ def _forward(params, config, batch, train_mode, rng):
     for i in range(config.n_layers):
         p = f"layer{i}."
         lc = {"x_in": x}
-        h2 = x.reshape(-1, config.hidden_dim)
-        q = (h2 @ params[p + "attn_q_w"] + params[p + "attn_q_b"]).reshape(x.shape)
-        k = (h2 @ params[p + "attn_k_w"] + params[p + "attn_k_b"]).reshape(x.shape)
-        v = (h2 @ params[p + "attn_v_w"] + params[p + "attn_v_b"]).reshape(x.shape)
-        qh, kh, vh = (_split_heads(a, config.n_heads) for a in (q, k, v))
+        qh, kh, vh = (_split_heads(_linear(params, p + name, x), config.n_heads)
+                      for name in ("attn_q", "attn_k", "attn_v"))
         scores = np.einsum("bhqd,bhkd->bhqk", qh, kh) * scale + attn_bias
         scores -= scores.max(axis=-1, keepdims=True)
         exp = np.exp(scores)
         attn = exp / exp.sum(axis=-1, keepdims=True)
-        lc.update(qh=qh, kh=kh, vh=vh)
-        if use_dropout:
-            m = _dropout_mask(rng, attn.shape, config.dropout)
-            attn_used = attn * m
-            lc["attn_drop"] = m
-        else:
-            attn_used = attn
-        lc["attn"] = attn
-        lc["attn_used"] = attn_used
+        attn_used = _drop(attn, rate, rng, lc, "attn_drop")
         ctx = _join_heads(np.einsum("bhqk,bhkd->bhqd", attn_used, vh))
-        lc["ctx"] = ctx
-        proj = (ctx.reshape(-1, config.hidden_dim) @ params[p + "attn_out_w"]
-                + params[p + "attn_out_b"]).reshape(x.shape)
-        if use_dropout:
-            m = _dropout_mask(rng, proj.shape, config.dropout)
-            proj = proj * m
-            lc["proj_drop"] = m
-        res1 = x + proj
-        h1, ln1 = _layer_norm(res1, params[p + "attn_ln_g"], params[p + "attn_ln_b"], config.ln_epsilon)
-        lc["ln1"] = ln1
-        lc["h1"] = h1
-
-        a = (h1.reshape(-1, config.hidden_dim) @ params[p + "ff_in_w"]
-             + params[p + "ff_in_b"]).reshape(b, t, config.ff_dim)
+        proj = _drop(_linear(params, p + "attn_out", ctx), rate, rng, lc, "proj_drop")
+        h1, ln1 = _layer_norm(params, p + "attn_ln", x + proj, eps)
+        a = _linear(params, p + "ff_in", h1)
         g = _gelu(a)
-        f = (g.reshape(-1, config.ff_dim) @ params[p + "ff_out_w"]
-             + params[p + "ff_out_b"]).reshape(b, t, config.hidden_dim)
-        if use_dropout:
-            m = _dropout_mask(rng, f.shape, config.dropout)
-            f = f * m
-            lc["ff_drop"] = m
-        lc["a"] = a
-        lc["g"] = g
-        res2 = h1 + f
-        x, ln2 = _layer_norm(res2, params[p + "ff_ln_g"], params[p + "ff_ln_b"], config.ln_epsilon)
-        lc["ln2"] = ln2
+        f = _drop(_linear(params, p + "ff_out", g), rate, rng, lc, "ff_drop")
+        x, ln2 = _layer_norm(params, p + "ff_ln", h1 + f, eps)
+        lc.update(qh=qh, kh=kh, vh=vh, attn=attn, attn_used=attn_used, ctx=ctx,
+                  ln1=ln1, h1=h1, a=a, g=g, ln2=ln2)
         cache["layers"].append(lc)
     return x, cache
 
 
-def forward(params, config: EncoderConfig, batch: Batch, train_mode: bool = False, rng=None) -> np.ndarray:
-    """Hidden states [batch, positions, hidden_dim]."""
-    hidden, _ = _forward(params, config, batch, train_mode, rng)
+def forward(params, config: EncoderConfig, batch: Batch, rng=None) -> np.ndarray:
+    """Hidden states [batch, positions, hidden_dim]. Dropout applies only
+    with an rng (train mode)."""
+    hidden, _ = _forward(params, config, batch, rng)
     return hidden
 
 
 def attention_weights(params, config: EncoderConfig, batch: Batch) -> list[np.ndarray]:
     """Per-layer softmax attention maps [batch, heads, query, key] (eval mode)."""
-    _, cache = _forward(params, config, batch, False, None)
+    _, cache = _forward(params, config, batch, None)
     return [lc["attn"] for lc in cache["layers"]]
 
 
 def _backward(params, config, cache, d_hidden):
     batch = cache["batch"]
-    b, t = batch.shape
-    h = config.hidden_dim
+    t = batch.shape[1]
     grads = {name: np.zeros_like(arr) for name, arr in params.items()}
     scale = 1.0 / math.sqrt(config.head_dim)
     dx = d_hidden
@@ -335,59 +326,32 @@ def _backward(params, config, cache, d_hidden):
         p = f"layer{i}."
         lc = cache["layers"][i]
 
-        d_res2, dg_ln, db_ln = _layer_norm_backward(dx, params[p + "ff_ln_g"], lc["ln2"])
-        grads[p + "ff_ln_g"] += dg_ln
-        grads[p + "ff_ln_b"] += db_ln
-        d_h1 = d_res2.copy()
-        d_f = d_res2
-        if "ff_drop" in lc:
-            d_f = d_f * lc["ff_drop"]
-        d_f2 = d_f.reshape(-1, h)
-        grads[p + "ff_out_w"] += lc["g"].reshape(-1, config.ff_dim).T @ d_f2
-        grads[p + "ff_out_b"] += d_f2.sum(axis=0)
-        d_g = (d_f2 @ params[p + "ff_out_w"].T).reshape(b, t, config.ff_dim)
-        d_a = d_g * _gelu_grad(lc["a"])
-        d_a2 = d_a.reshape(-1, config.ff_dim)
-        grads[p + "ff_in_w"] += lc["h1"].reshape(-1, h).T @ d_a2
-        grads[p + "ff_in_b"] += d_a2.sum(axis=0)
-        d_h1 += (d_a2 @ params[p + "ff_in_w"].T).reshape(b, t, h)
+        d_res2 = _layer_norm_backward(params, grads, p + "ff_ln", dx, lc["ln2"])
+        d_f = d_res2 * lc["ff_drop"] if "ff_drop" in lc else d_res2
+        d_a = _linear_backward(params, grads, p + "ff_out", lc["g"], d_f) * _gelu_grad(lc["a"])
+        d_h1 = d_res2 + _linear_backward(params, grads, p + "ff_in", lc["h1"], d_a)
 
-        d_res1, dg_ln, db_ln = _layer_norm_backward(d_h1, params[p + "attn_ln_g"], lc["ln1"])
-        grads[p + "attn_ln_g"] += dg_ln
-        grads[p + "attn_ln_b"] += db_ln
-        dx = d_res1.copy()
-        d_proj = d_res1
-        if "proj_drop" in lc:
-            d_proj = d_proj * lc["proj_drop"]
-        d_proj2 = d_proj.reshape(-1, h)
-        grads[p + "attn_out_w"] += lc["ctx"].reshape(-1, h).T @ d_proj2
-        grads[p + "attn_out_b"] += d_proj2.sum(axis=0)
-        d_ctx = _split_heads((d_proj2 @ params[p + "attn_out_w"].T).reshape(b, t, h), config.n_heads)
+        d_res1 = _layer_norm_backward(params, grads, p + "attn_ln", d_h1, lc["ln1"])
+        d_proj = d_res1 * lc["proj_drop"] if "proj_drop" in lc else d_res1
+        d_ctx = _split_heads(_linear_backward(params, grads, p + "attn_out", lc["ctx"], d_proj),
+                             config.n_heads)
 
         d_attn_used = np.einsum("bhqd,bhkd->bhqk", d_ctx, lc["vh"])
         d_vh = np.einsum("bhqk,bhqd->bhkd", lc["attn_used"], d_ctx)
-        if "attn_drop" in lc:
-            d_attn = d_attn_used * lc["attn_drop"]
-        else:
-            d_attn = d_attn_used
+        d_attn = d_attn_used * lc["attn_drop"] if "attn_drop" in lc else d_attn_used
         attn = lc["attn"]
         d_scores = attn * (d_attn - (d_attn * attn).sum(axis=-1, keepdims=True))
         d_qh = np.einsum("bhqk,bhkd->bhqd", d_scores, lc["kh"]) * scale
         d_kh = np.einsum("bhqk,bhqd->bhkd", d_scores, lc["qh"]) * scale
 
-        x_in2 = lc["x_in"].reshape(-1, h)
+        dx = d_res1.copy()
         for name, d_head in (("attn_q", d_qh), ("attn_k", d_kh), ("attn_v", d_vh)):
-            d_flat = _join_heads(d_head).reshape(-1, h)
-            grads[p + name + "_w"] += x_in2.T @ d_flat
-            grads[p + name + "_b"] += d_flat.sum(axis=0)
-            dx += (d_flat @ params[p + name + "_w"].T).reshape(b, t, h)
+            dx += _linear_backward(params, grads, p + name, lc["x_in"], _join_heads(d_head))
 
     if "emb_drop" in cache:
         dx = dx * cache["emb_drop"]
-    d_sum, dg_ln, db_ln = _layer_norm_backward(dx, params["emb_ln_g"], cache["emb_ln"])
-    grads["emb_ln_g"] += dg_ln
-    grads["emb_ln_b"] += db_ln
-    flat = d_sum.reshape(-1, h)
+    d_sum = _layer_norm_backward(params, grads, "emb_ln", dx, cache["emb_ln"])
+    flat = d_sum.reshape(-1, config.hidden_dim)
     np.add.at(grads["tok_emb"], batch.token_ids.ravel(), flat)
     grads["pos_emb"][:t] += d_sum.sum(axis=0)
     np.add.at(grads["seg_emb"], batch.segment_ids.ravel(), flat)
@@ -407,8 +371,7 @@ def _head_logits(params, head, hidden, n_out=None):
     return hidden @ w + params[head + "_b"]
 
 
-def _head_loss(params, config, batch, rows, cols, head, targets, train_mode, rng,
-               binary=False):
+def _head_loss(params, config, batch, rows, cols, head, targets, rng, binary=False):
     """Loss of the linear head `head` read at positions (rows[i], cols[i]),
     and exact gradients for every parameter.
 
@@ -418,7 +381,7 @@ def _head_loss(params, config, batch, rows, cols, head, targets, train_mode, rng
     """
     if not binary and (targets.min() < 0 or targets.max() >= params[head + "_w"].shape[1]):
         raise ValueError(f"label id outside the range of head {head}")
-    hidden, cache = _forward(params, config, batch, train_mode, rng)
+    hidden, cache = _forward(params, config, batch, rng)
     h_t = hidden[rows, cols]
     logits = _head_logits(params, head, h_t)
     if binary:
@@ -442,8 +405,7 @@ def _head_loss(params, config, batch, rows, cols, head, targets, train_mode, rng
     return loss, grads
 
 
-def mlm_forward_loss(params, config, batch, target_positions, target_ids,
-                     train_mode=False, rng=None):
+def mlm_forward_loss(params, config, batch, target_positions, target_ids, rng=None):
     """Masked-token prediction loss and exact gradients.
 
     target_positions is an [n, 2] array of (row, position) pairs pointing at
@@ -461,7 +423,7 @@ def mlm_forward_loss(params, config, batch, target_positions, target_ids,
     rows, cols = target_positions[:, 0], target_positions[:, 1]
     if rows.min() < 0 or rows.max() >= b or cols.min() < 0 or cols.max() >= t:
         raise ValueError("target position outside the batch")
-    return _head_loss(params, config, batch, rows, cols, "mlm", target_ids, train_mode, rng)
+    return _head_loss(params, config, batch, rows, cols, "mlm", target_ids, rng)
 
 
 def init_head(params, config, head, n_out, seed):
@@ -507,8 +469,7 @@ def head_multilabel(params, hidden, n_labels):
     return _sigmoid(_head_logits(params, "head_multi", hidden[:, 0, :], n_labels))
 
 
-def token_classify_loss(params, config, batch, label_ids, loss_mask,
-                        train_mode=False, rng=None):
+def token_classify_loss(params, config, batch, label_ids, loss_mask, rng=None):
     """Mean cross-entropy over positions with loss_mask 1; everything else
     (padding, specials, continuation pieces) contributes nothing, so their
     label values are irrelevant."""
@@ -520,20 +481,20 @@ def token_classify_loss(params, config, batch, label_ids, loss_mask,
     if len(rows) == 0:
         raise ValueError("loss_mask selects no positions")
     return _head_loss(params, config, batch, rows, cols, "head_token",
-                      label_ids[rows, cols], train_mode, rng)
+                      label_ids[rows, cols], rng)
 
 
-def pair_classify_loss(params, config, batch, class_ids, train_mode=False, rng=None):
+def pair_classify_loss(params, config, batch, class_ids, rng=None):
     """Mean cross-entropy of first-position class logits over the batch."""
     class_ids = np.asarray(class_ids, dtype=np.int64)
     b, _ = batch.shape
     if class_ids.shape != (b,):
         raise ValueError(f"class_ids must have shape ({b},), got {class_ids.shape}")
     return _head_loss(params, config, batch, np.arange(b), np.zeros(b, dtype=np.int64),
-                      "head_pair", class_ids, train_mode, rng)
+                      "head_pair", class_ids, rng)
 
 
-def multilabel_loss(params, config, batch, label_matrix, train_mode=False, rng=None):
+def multilabel_loss(params, config, batch, label_matrix, rng=None):
     """Mean binary cross-entropy over every (example, label) cell."""
     y = np.asarray(label_matrix, dtype=np.float64)
     b, _ = batch.shape
@@ -543,7 +504,7 @@ def multilabel_loss(params, config, batch, label_matrix, train_mode=False, rng=N
     if not np.isin(y, (0.0, 1.0)).all():
         raise ValueError("label_matrix entries must be 0 or 1")
     return _head_loss(params, config, batch, np.arange(b), np.zeros(b, dtype=np.int64),
-                      "head_multi", y, train_mode, rng, binary=True)
+                      "head_multi", y, rng, binary=True)
 
 
 def save_checkpoint(path, config: EncoderConfig, params) -> None:

@@ -36,8 +36,6 @@ from .encoder import (
 from .pretrain import AdamConfig, adam_step, init_optimizer
 from .wordpiece import Vocabulary, normalize
 
-IGNORE_LABEL = "[IGNORE]"
-
 NER_2010_TYPES = ("problem", "treatment", "test")
 NER_2012_TYPES = ("clinical", "department", "evidential", "occurrence", "temporal")
 RELATION_2010_LABELS = (
@@ -108,23 +106,6 @@ def builtin_task(name: str) -> TaskSpec:
     raise ValueError(f"unknown task {name!r}")
 
 
-def align_labels_to_pieces(word_labels: Sequence[str],
-                           word_pieces: Sequence[Sequence[str]]) -> list[str]:
-    """Spread word labels over wordpiece positions: the first piece of each
-    word carries the word's label, every later piece carries IGNORE_LABEL."""
-    if len(word_labels) != len(word_pieces):
-        raise ValueError(
-            f"{len(word_labels)} labels for {len(word_pieces)} segmented words"
-        )
-    out: list[str] = []
-    for label, pieces in zip(word_labels, word_pieces):
-        if not pieces:
-            raise ValueError("word segmented into zero pieces")
-        out.append(label)
-        out.extend([IGNORE_LABEL] * (len(pieces) - 1))
-    return out
-
-
 def marker_token(concept_type: str, closing: bool) -> str:
     return f"[{concept_type}-{'end' if closing else 'start'}]"
 
@@ -158,11 +139,6 @@ def mark_concepts(words: Sequence[str],
     out.insert(first[1], marker_token(t1, True))
     out.insert(first[0], marker_token(t1, False))
     return out
-
-
-def unmark_concepts(words: Sequence[str], concept_types: Iterable[str]) -> list[str]:
-    markers = set(marker_tokens(concept_types))
-    return [w for w in words if w not in markers]
 
 
 def extend_for_markers(vocab: Vocabulary, params, config: EncoderConfig,
@@ -357,20 +333,23 @@ def _dev_metric(task, params, config, dev):
     return metrics.micro_f1([{g} for g in gold], [{p} for p in pred])[2]
 
 
-def _train_step(task, params, config, rows: Sequence, state):
-    """One Adam update of params on rows through the task kind's loss."""
+def _train_step(task, params, config, rows: Sequence, state, rng):
+    """One Adam update of params on rows through the task kind's loss, in
+    train mode: dropout masks come from rng."""
     if task.kind == "ner":
         _, grads = token_classify_loss(params, config, stack_rows(rows),
                                        np.stack([r.label_ids for r in rows]),
-                                       np.stack([r.loss_mask for r in rows]))
+                                       np.stack([r.loss_mask for r in rows]), rng=rng)
     elif task.kind == "pair":
         class_ids = np.array([r[1] for r in rows], dtype=np.int64)
-        _, grads = pair_classify_loss(params, config, stack_rows(r[0] for r in rows), class_ids)
+        _, grads = pair_classify_loss(params, config, stack_rows(r[0] for r in rows),
+                                      class_ids, rng=rng)
     else:
         matrix = np.zeros((len(rows), len(task.labels)))
         for i, r in enumerate(rows):
             matrix[i, sorted(r[1])] = 1.0
-        _, grads = multilabel_loss(params, config, stack_rows(r[0] for r in rows), matrix)
+        _, grads = multilabel_loss(params, config, stack_rows(r[0] for r in rows), matrix,
+                                   rng=rng)
     return adam_step(params, grads, state)
 
 
@@ -392,7 +371,8 @@ def finetune_task(
     wrapper of the encoder's head-loss routine that pretraining's
     mlm_forward_loss shares) and applies one Adam update. After every epoch
     the dev selection metric is computed and the best-scoring snapshot is
-    kept. Each seed controls its head initialization and batch order, so a
+    kept. Each seed controls its head initialization, batch order and
+    dropout masks (steps run in train mode, dev scoring in eval mode), so a
     repeated seed reproduces its run exactly.
     """
     if not seeds:
@@ -410,7 +390,7 @@ def finetune_task(
             order = rng.permutation(len(train_rows))
             for start in range(0, len(order), hyper.batch_size):
                 chosen = [train_rows[i] for i in order[start:start + hyper.batch_size]]
-                p, state = _train_step(task, p, config, chosen, state)
+                p, state = _train_step(task, p, config, chosen, state, rng)
                 step += 1
                 if step == hyper.max_steps:
                     break

@@ -335,7 +335,8 @@ def run_pretraining(
     accumulated mean. Phase transitions re-pack the data and nothing else:
     parameters and optimizer state carry over untouched. phase_callback, if
     given, is called as phase_callback(phase_index, step, params) at the
-    start of each phase.
+    start of each phase. Steps run in train mode: dropout masks come from
+    the same seeded generator as the batch order and the masking.
 
     The same corpus, vocabulary, configuration, and seed always produce the
     same result, bit for bit.
@@ -360,7 +361,7 @@ def run_pretraining(
 
     def loss_grad_fn(p, mb):
         batch, positions, targets = mb
-        loss, grads = mlm_forward_loss(p, config, batch, positions, targets)
+        loss, grads = mlm_forward_loss(p, config, batch, positions, targets, rng=rng)
         return loss, grads, len(targets)
 
     loss_log: list[LossLogEntry] = []

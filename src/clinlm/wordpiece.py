@@ -75,14 +75,11 @@ class Vocabulary:
     """Ordered token inventory. Index in `tokens` is the token id."""
 
     tokens: list[str]
-    declared_size: int = 0
 
     token_to_id: dict[str, int] = field(init=False, repr=False)
     _max_token_len: int = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.declared_size == 0:
-            self.declared_size = len(self.tokens)
         bad = _first_bad_token(self.tokens)
         if bad:
             raise ValueError(bad[1])
@@ -211,7 +208,7 @@ def train_wordpiece(
                     i += 1
             words[word] = out
 
-    return Vocabulary(tokens, declared_size=declared_size)
+    return Vocabulary(tokens)
 
 
 def encode_word(vocab: Vocabulary, word: str) -> list[str]:

@@ -196,24 +196,29 @@ class TestCorpusCommands:
 
 
 class TestConfigFile:
+    @staticmethod
+    def settings():
+        """The pretrain command's settings, keyed by config key."""
+        return build_parser().parse_args(TestSettings.PRETRAIN).config_keys
+
     def test_round_trip(self, tmp_path):
         path = tmp_path / "cfg.txt"
         path.write_text("lr = 0.01  # step size\n\nhidden_dim = 8\n",
                         encoding="utf-8")
-        values = read_config(path, {"lr", "hidden_dim"})
-        assert values == {"lr": "0.01", "hidden_dim": "8"}
+        values = read_config(path, self.settings())
+        assert values == {"lr": 0.01, "hidden_dim": 8}
 
     def test_unknown_key_located(self, tmp_path):
         path = tmp_path / "cfg.txt"
         path.write_text("hiden_dim = 8\n", encoding="utf-8")
         with pytest.raises(ValueError, match="cfg.txt:1"):
-            read_config(path, {"hidden_dim"})
+            read_config(path, self.settings())
 
     def test_missing_equals_rejected(self, tmp_path):
         path = tmp_path / "cfg.txt"
         path.write_text("just words\n", encoding="utf-8")
         with pytest.raises(ValueError, match="key = value"):
-            read_config(path, {"x"})
+            read_config(path, self.settings())
 
 
 class TestPretrainCommand:
@@ -476,7 +481,7 @@ class TestSettings:
     ], ids=["pretrain", "finetune"])
     def test_config_keys_are_the_declared_settings(self, argv, defaults):
         args = build_parser().parse_args(argv)
-        assert args.config_keys == set(defaults)
+        assert args.config_keys.keys() == set(defaults)
         assert {key: getattr(args, key) for key in defaults} == defaults
 
     def test_non_setting_flag_is_not_a_config_key(self, tmp_path, capsys):
@@ -503,13 +508,25 @@ class TestSettings:
     def test_bad_config_value_is_one_error_line(self, tmp_path, corpus_file, vocab_file,
                                                 capsys):
         cfg = tmp_path / "cfg.txt"
-        cfg.write_text("hidden_dim = wide\n", encoding="utf-8")
+        cfg.write_text("lr = 0.01\nhidden_dim = wide\n", encoding="utf-8")
         code, _, err = run_cli(
             ["pretrain", "--corpus", str(corpus_file), "--vocab", str(vocab_file),
              "--plan", "8:1", "--micro-batch", "2", "--accum", "1", "--seed", "0",
              "--config", str(cfg), "--out", str(tmp_path / "x.ckpt")], capsys)
         assert code == 1
-        assert len(err.splitlines()) == 1 and "--hidden-dim" in err and "wide" in err
+        assert err == f"error: {cfg}:2: hidden_dim: invalid int value 'wide'\n"
+
+    def test_config_value_outside_the_flag_choices_is_located(
+            self, tmp_path, corpus_file, vocab_file, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("# schedules\nschedule = cosine\n", encoding="utf-8")
+        code, _, err = run_cli(
+            ["pretrain", "--corpus", str(corpus_file), "--vocab", str(vocab_file),
+             "--plan", "8:1", "--micro-batch", "2", "--accum", "1", "--seed", "0",
+             "--config", str(cfg), "--out", str(tmp_path / "x.ckpt")], capsys)
+        assert code == 1
+        assert err == (f"error: {cfg}:2: schedule: invalid choice 'cosine', "
+                       f"expected one of constant, linear\n")
 
     def test_max_positions_below_plan_length_rejected(self, tmp_path, corpus_file,
                                                        vocab_file, capsys):

@@ -287,12 +287,10 @@ class TestForwardProperties:
         config = tiny_config(dropout=0.5)
         params = init_params(config, 0)
         batch = full_batch([[5, 6, 7, 2]])
-        with pytest.raises(ValueError, match="rng"):
-            forward(params, config, batch, train_mode=True)
-        a = forward(params, config, batch, train_mode=True,
-                    rng=np.random.default_rng(0))
+        a = forward(params, config, batch, rng=np.random.default_rng(0))
         b = forward(params, config, batch)  # eval mode ignores dropout
         assert not np.allclose(a, b)
+        assert np.array_equal(b, forward(params, tiny_config(), batch))
 
     def test_runtime_no_worse_than_quadratic(self):
         config = tiny_config(max_positions=128)
@@ -496,6 +494,41 @@ class TestHeadLosses:
             lambda p: multilabel_loss(p, config, batch, matrix)[0],
             multi_params, grads)
         assert err < 1e-4
+
+
+# (head initializer, loss call) of each loss the train-mode gradient audit
+# checks on its two-row batch
+_TRAIN_MODE_LOSSES = [
+    pytest.param(None, lambda p, c, batch, **kw: mlm_forward_loss(
+        p, c, batch, [[0, 1], [0, 3], [1, 0]], [6, 2, 3], **kw), id="mlm"),
+    pytest.param(init_token_head, lambda p, c, batch, **kw: token_classify_loss(
+        p, c, batch, [[0, 2, 1, 0], [1, 0, 2, 0]], [[0, 1, 1, 0], [1, 1, 0, 0]], **kw),
+        id="token"),
+    pytest.param(init_pair_head, lambda p, c, batch, **kw: pair_classify_loss(
+        p, c, batch, [2, 0], **kw), id="pair"),
+    pytest.param(init_multilabel_head, lambda p, c, batch, **kw: multilabel_loss(
+        p, c, batch, [[1.0, 0.0, 1.0], [0.0, 0.0, 1.0]], **kw), id="multilabel"),
+]
+
+
+class TestTrainModeGradients:
+    @pytest.mark.parametrize("init,loss", _TRAIN_MODE_LOSSES)
+    def test_gradients_match_finite_differences_under_dropout(self, init, loss):
+        # a fresh generator per call draws the same masks every time, so the
+        # loss is a fixed function of the parameters
+        config = tiny_config(n_layers=2, dropout=0.3)
+        params = init_params(config, 6)
+        if init is not None:
+            params = init(params, config, 3, seed=7)
+        batch = full_batch([[5, 6, 7, 2], [3, 4, 1, 0]],
+                           mask_rows=[[1, 1, 1, 1], [1, 1, 1, 0]])
+
+        def loss_fn(p):
+            return loss(p, config, batch, rng=np.random.default_rng(1))[0]
+
+        _, grads = loss(params, config, batch, rng=np.random.default_rng(1))
+        assert loss_fn(params) != loss(params, config, batch)[0]  # the masks apply
+        assert max_rel_error(loss_fn, params, grads) < 1e-4
 
 
 def _reshape(header, name, shape):

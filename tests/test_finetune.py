@@ -1,24 +1,26 @@
 """Task encodings, concept markers, and the per-seed fine-tuning loop."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from clinlm import finetune
 from clinlm.encoder import (
     EncoderConfig,
     stack_rows,
     head_multilabel,
     forward,
+    init_head,
     init_multilabel_head,
     init_params,
     token_classify_loss,
 )
 from clinlm.finetune import (
     FinetuneConfig,
-    IGNORE_LABEL,
     NLI_LABELS,
     TASK_NAMES,
     TaskSpec,
-    align_labels_to_pieces,
     builtin_task,
     encode_ner_example,
     extend_for_markers,
@@ -27,11 +29,12 @@ from clinlm.finetune import (
     mark_concepts,
     marker_tokens,
     predict_label_sets,
+    predict_ner_tags,
+    predict_pair_labels,
     prepare_document,
     prepare_marked_sentence,
     prepare_pair,
     read_ner_file,
-    unmark_concepts,
     word_pieces,
 )
 from clinlm.wordpiece import CLS_ID, PAD_ID, SEP_ID, train_wordpiece
@@ -99,35 +102,6 @@ class TestBuiltinTasks:
         assert TaskSpec("x", kind, ("a",), metric).selection_metric == metric
 
 
-class TestAlignLabels:
-    def test_single_piece_identity(self):
-        assert align_labels_to_pieces(["B-problem"], [["pain"]]) == ["B-problem"]
-
-    def test_multi_piece_word(self):
-        out = align_labels_to_pieces(["B-problem"], [["head", "##ache", "##s"]])
-        assert out == ["B-problem", IGNORE_LABEL, IGNORE_LABEL]
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            align_labels_to_pieces(["O", "O"], [["a"]])
-
-    def test_empty_segmentation_rejected(self):
-        with pytest.raises(ValueError):
-            align_labels_to_pieces(["O"], [[]])
-
-    def test_collapse_round_trip(self):
-        rng = np.random.default_rng(4)
-        labels_pool = ["O", "B-a", "I-a", "B-b"]
-        for _ in range(50):
-            n = int(rng.integers(1, 8))
-            word_labels = [labels_pool[i] for i in rng.integers(0, 4, size=n)]
-            segmentation = [["p"] * int(rng.integers(1, 4)) for _ in range(n)]
-            flat = align_labels_to_pieces(word_labels, segmentation)
-            assert len(flat) == sum(len(s) for s in segmentation)
-            recovered = [lab for lab in flat if lab != IGNORE_LABEL]
-            assert recovered == word_labels
-
-
 class TestMarkConcepts:
     WORDS = ["the", "rash", "was", "treated", "with", "cream"]
 
@@ -142,10 +116,6 @@ class TestMarkConcepts:
         a = mark_concepts(self.WORDS, (1, 2), "problem", (5, 6), "treatment")
         b = mark_concepts(self.WORDS, (5, 6), "treatment", (1, 2), "problem")
         assert a == b
-
-    def test_unmark_is_inverse(self):
-        marked = mark_concepts(self.WORDS, (0, 2), "test", (3, 5), "problem")
-        assert unmark_concepts(marked, ("test", "problem")) == self.WORDS
 
     def test_overlap_rejected(self):
         with pytest.raises(ValueError, match="overlap"):
@@ -484,6 +454,70 @@ class TestFinetuneTask:
         runs = finetune_task(config, params, task, rows, rows, [0],
                              FinetuneConfig(epochs=1, batch_size=2, lr=1e-3))
         assert len(runs) == 1 and 0.0 <= runs[0].dev_metric <= 1.0
+
+
+def toy_task(kind, small_vocab, dropout=0.0):
+    """(config, params with the kind's head, task, rows) for a toy task."""
+    config = EncoderConfig(vocab_size=len(small_vocab), hidden_dim=8, n_layers=1,
+                           n_heads=2, ff_dim=16, max_positions=12, dropout=dropout)
+    if kind == "pair":
+        _, params, task, rows = toy_pair_setup(small_vocab)
+    elif kind == "ner":
+        params = init_params(config, 0)
+        task = TaskSpec("toy-ner", "ner", ("problem",), "entity_f1")
+        index = {tag: i for i, tag in enumerate(task.outputs)}
+        rows = [encode_ner_example(words.split(), tags.split(), small_vocab, index, 12)
+                for words, tags in [("severe pain today", "B-problem I-problem O"),
+                                    ("no fever", "O B-problem"),
+                                    ("patient denies severe fever", "O O B-problem I-problem"),
+                                    ("alpha beta", "O O")]]
+    else:
+        params = init_params(config, 0)
+        task = TaskSpec("toy-multi", "multilabel", ("x", "y", "z"), "micro_f1")
+        rows = [(prepare_document(text, small_vocab, 12), labels)
+                for text, labels in [("alpha beta", {0, 2}), ("delta", {1}),
+                                     ("gamma gamma", set()), ("beta delta", {0})]]
+    head = {"ner": "head_token", "pair": "head_pair", "multilabel": "head_multi"}[kind]
+    return config, init_head(params, config, head, len(task.outputs), 5), task, rows
+
+
+class TestDropout:
+    @pytest.mark.parametrize("kind", ["ner", "pair", "multilabel"])
+    def test_dropout_trains_differently_and_reruns_exactly(self, small_vocab, kind):
+        hyper = FinetuneConfig(epochs=1, batch_size=2, lr=1e-2)
+
+        def run(dropout):
+            config, params, task, rows = toy_task(kind, small_vocab, dropout)
+            return finetune_task(config, params, task, rows, rows, [3], hyper)[0].params
+
+        plain, a, b = run(0.0), run(0.1), run(0.1)
+        assert any(not np.array_equal(plain[k], a[k]) for k in plain)
+        assert all(np.array_equal(a[k], b[k]) for k in a)
+
+    @pytest.mark.parametrize("kind", ["ner", "pair", "multilabel"])
+    def test_prediction_ignores_dropout(self, small_vocab, kind, monkeypatch):
+        config, params, task, rows = toy_task(kind, small_vocab)
+        dropped = replace(config, dropout=0.5)
+        batch = stack_rows(rows if kind == "ner" else [r[0] for r in rows])
+        assert np.array_equal(forward(params, dropped, batch), forward(params, config, batch))
+        # toy predictions barely move under dropout, so also check that
+        # prediction calls forward without an rng, i.e. in eval mode
+        rngs = []
+
+        def spy(*args, **kwargs):
+            rngs.append(args[3] if len(args) > 3 else kwargs.get("rng"))
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(finetune, "forward", spy)
+
+        def predict(cfg):
+            if kind == "ner":
+                return predict_ner_tags(params, cfg, rows, task.outputs)
+            predict_rows = predict_pair_labels if kind == "pair" else predict_label_sets
+            return predict_rows(params, cfg, [r[0] for r in rows], task.outputs)
+
+        assert predict(dropped) == predict(config)
+        assert rngs and all(rng is None for rng in rngs)
 
 
 class TestPredictLabelSets:

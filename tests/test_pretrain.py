@@ -1,6 +1,7 @@
 """Masking policy, Adam, accumulation, and the two-phase training loop."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -407,6 +408,20 @@ class TestRunPretraining:
                 seed=11,
             )
         a, b = go(), go()
+        assert all(np.array_equal(a.params[k], b.params[k]) for k in a.params)
+        assert [e.loss for e in a.loss_log] == [e.loss for e in b.loss_log]
+
+    def test_dropout_trains_differently_and_reruns_bitwise(self):
+        corpus, vocab, config = self.setup_run()
+
+        def go(dropout):
+            return run_pretraining(
+                corpus, vocab, replace(config, dropout=dropout), PhasePlan(phases=((16, 3),)),
+                MaskingPolicy(), AccumulationConfig(2, 2, 4), AdamConfig(lr=1e-3),
+                seed=11,
+            )
+        plain, a, b = go(0.0), go(0.1), go(0.1)
+        assert [e.loss for e in a.loss_log] != [e.loss for e in plain.loss_log]
         assert all(np.array_equal(a.params[k], b.params[k]) for k in a.params)
         assert [e.loss for e in a.loss_log] == [e.loss for e in b.loss_log]
 

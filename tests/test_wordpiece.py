@@ -119,7 +119,6 @@ class TestTrainWordpiece:
     def test_huge_size_stops_when_merges_exhaust(self):
         vocab = train_wordpiece(self.CORPUS, declared_size=500, min_frequency=2)
         assert len(vocab) < 500
-        assert vocab.declared_size == 500
         assert set(self.EXPECTED) <= set(vocab.tokens)
 
     def test_below_floor_rejected(self):
