@@ -7,9 +7,9 @@ feed-forward sublayers. Every loss function returns analytic gradients for
 all parameters, derived by hand and checked against central finite
 differences in the test suite.
 
-Every input row is framed by frame and batched by stack_rows. Every
-objective, masked-LM and task heads alike, is a linear head read at some
-(row, position) pairs, trained through one routine, _head_loss.
+Every input row is framed by frame and batched, up to the longest real row,
+by stack_rows. Every objective, masked-LM and task heads alike, is a linear
+head read at some (row, position) pairs, trained through one routine, _head_loss.
 
 Train mode means an rng was passed: forward and the losses then drop out
 (config.dropout) the embeddings, then in each layer the attention weights,
@@ -93,7 +93,7 @@ def base_config(vocab_size: int) -> EncoderConfig:
 
 @dataclass
 class Batch:
-    """Padded input rows: token ids, 0/1 attention mask, segment ids."""
+    """Rows padded to the longest real row: token ids, 0/1 mask, segment ids."""
 
     token_ids: np.ndarray
     attention_mask: np.ndarray
@@ -153,11 +153,23 @@ def frame(ids_a, ids_b, length: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
 
 
 def stack_rows(rows) -> Batch:
-    """Stack framed rows into one Batch. Each row is a (token ids, attention
-    mask, segment ids) triple of arrays holding one row (1-D, as frame
-    returns) or several (2-D, as a Batch unpacks)."""
-    ids, mask, segments = (np.vstack(column) for column in zip(*rows))
-    return Batch(token_ids=ids, attention_mask=mask, segment_ids=segments)
+    """Stack framed rows into one Batch padded to its longest real row. Each
+    row is a (token ids, attention mask, segment ids) triple holding one row
+    (1-D, as frame returns) or several (2-D, as a Batch unpacks) of any width.
+    The Batch ends at the last column where any row has mask 1 (or keeps its
+    width if none has), filling narrower rows with [PAD], mask 0, segment 0."""
+    rows = [[np.atleast_2d(part) for part in row] for row in rows]
+    if not rows:
+        raise ValueError("no rows to stack")
+    n, full = sum(len(ids) for ids, _, _ in rows), max(ids.shape[1] for ids, _, _ in rows)
+    ids, mask, segments = columns = [np.full((n, full), fill) for fill in (PAD_ID, 0, 0)]
+    start = 0
+    for row in rows:
+        for column, part in zip(columns, row):
+            column[start:start + len(part), :part.shape[1]] = part
+        start += len(row[0])
+    width = (np.flatnonzero(mask.any(axis=0)) + 1).max(initial=0) or full
+    return Batch(ids[:, :width], mask[:, :width], segments[:, :width])
 
 
 def param_shapes(config: EncoderConfig) -> dict[str, tuple[int, ...]]:
@@ -284,12 +296,12 @@ def _forward(params, config, batch, rng):
         lc = {"x_in": x}
         qh, kh, vh = (_split_heads(_linear(params, p + name, x), config.n_heads)
                       for name in ("attn_q", "attn_k", "attn_v"))
-        scores = np.einsum("bhqd,bhkd->bhqk", qh, kh) * scale + attn_bias
+        scores = qh @ kh.swapaxes(-1, -2) * scale + attn_bias
         scores -= scores.max(axis=-1, keepdims=True)
         exp = np.exp(scores)
         attn = exp / exp.sum(axis=-1, keepdims=True)
         attn_used = _drop(attn, rate, rng, lc, "attn_drop")
-        ctx = _join_heads(np.einsum("bhqk,bhkd->bhqd", attn_used, vh))
+        ctx = _join_heads(attn_used @ vh)
         proj = _drop(_linear(params, p + "attn_out", ctx), rate, rng, lc, "proj_drop")
         h1, ln1 = _layer_norm(params, p + "attn_ln", x + proj, eps)
         a = _linear(params, p + "ff_in", h1)
@@ -317,7 +329,6 @@ def attention_weights(params, config: EncoderConfig, batch: Batch) -> list[np.nd
 
 def _backward(params, config, cache, d_hidden):
     batch = cache["batch"]
-    t = batch.shape[1]
     grads = {name: np.zeros_like(arr) for name, arr in params.items()}
     scale = 1.0 / math.sqrt(config.head_dim)
     dx = d_hidden
@@ -336,13 +347,13 @@ def _backward(params, config, cache, d_hidden):
         d_ctx = _split_heads(_linear_backward(params, grads, p + "attn_out", lc["ctx"], d_proj),
                              config.n_heads)
 
-        d_attn_used = np.einsum("bhqd,bhkd->bhqk", d_ctx, lc["vh"])
-        d_vh = np.einsum("bhqk,bhqd->bhkd", lc["attn_used"], d_ctx)
+        d_attn_used = d_ctx @ lc["vh"].swapaxes(-1, -2)
+        d_vh = lc["attn_used"].swapaxes(-1, -2) @ d_ctx
         d_attn = d_attn_used * lc["attn_drop"] if "attn_drop" in lc else d_attn_used
         attn = lc["attn"]
         d_scores = attn * (d_attn - (d_attn * attn).sum(axis=-1, keepdims=True))
-        d_qh = np.einsum("bhqk,bhkd->bhqd", d_scores, lc["kh"]) * scale
-        d_kh = np.einsum("bhqk,bhqd->bhkd", d_scores, lc["qh"]) * scale
+        d_qh = d_scores @ lc["kh"] * scale
+        d_kh = d_scores.swapaxes(-1, -2) @ lc["qh"] * scale
 
         dx = d_res1.copy()
         for name, d_head in (("attn_q", d_qh), ("attn_k", d_kh), ("attn_v", d_vh)):
@@ -352,10 +363,17 @@ def _backward(params, config, cache, d_hidden):
         dx = dx * cache["emb_drop"]
     d_sum = _layer_norm_backward(params, grads, "emb_ln", dx, cache["emb_ln"])
     flat = d_sum.reshape(-1, config.hidden_dim)
-    np.add.at(grads["tok_emb"], batch.token_ids.ravel(), flat)
-    grads["pos_emb"][:t] += d_sum.sum(axis=0)
-    np.add.at(grads["seg_emb"], batch.segment_ids.ravel(), flat)
+    _add_rows(grads["tok_emb"], batch.token_ids.ravel(), flat)
+    grads["pos_emb"][:batch.shape[1]] += d_sum.sum(axis=0)
+    _add_rows(grads["seg_emb"], batch.segment_ids.ravel(), flat)
     return grads
+
+
+def _add_rows(out, ids, rows):
+    """out[ids[i]] += rows[i] for every i, as np.add.at, by one sorted reduceat."""
+    order = np.argsort(ids, kind="stable")
+    starts = np.flatnonzero(np.diff(ids[order], prepend=-1))  # where each id's run begins
+    out[ids[order[starts]]] += np.add.reduceat(rows[order], starts, axis=0)
 
 
 def _sigmoid(z):

@@ -177,7 +177,7 @@ def load_task_model(task: TaskSpec, checkpoint, vocab_path):
 
 
 def prepare_document(text: str, vocab: Vocabulary, max_positions: int) -> Batch:
-    """One padded row: [CLS], the first max_positions - 2 pieces, [SEP].
+    """One unpadded row: [CLS], the first max_positions - 2 pieces, [SEP].
 
     Truncation keeps the document prefix, so the same text prepared at two
     lengths shares its retained pieces."""
@@ -186,7 +186,7 @@ def prepare_document(text: str, vocab: Vocabulary, max_positions: int) -> Batch:
 
 
 def prepare_pair(text_a: str, text_b: str, vocab: Vocabulary, max_positions: int) -> Batch:
-    """One padded row: [CLS] a [SEP] b [SEP] with segment ids 0 and 1.
+    """One unpadded row: [CLS] a [SEP] b [SEP] with segment ids 0 and 1.
     When the pair is too long, the longer side loses pieces first."""
     ids_a, ids_b = (wordpiece.encode(vocab, normalize(text)).ids for text in (text_a, text_b))
     return stack_rows([frame(ids_a, ids_b, max_positions)])
@@ -194,7 +194,7 @@ def prepare_pair(text_a: str, text_b: str, vocab: Vocabulary, max_positions: int
 
 def prepare_marked_sentence(words: Sequence[str], vocab: Vocabulary,
                             max_positions: int) -> Batch:
-    """Row for a concept-marked word sequence. A word that is itself a
+    """Unpadded row for a concept-marked word sequence. A word that is itself a
     vocabulary token (the reserved markers in particular) maps straight to
     its id; everything else goes through normal wordpiece segmentation."""
     content: list[int] = []
@@ -337,9 +337,11 @@ def _train_step(task, params, config, rows: Sequence, state, rng):
     """One Adam update of params on rows through the task kind's loss, in
     train mode: dropout masks come from rng."""
     if task.kind == "ner":
-        _, grads = token_classify_loss(params, config, stack_rows(rows),
-                                       np.stack([r.label_ids for r in rows]),
-                                       np.stack([r.loss_mask for r in rows]), rng=rng)
+        batch = stack_rows(rows)
+        width = batch.shape[1]  # label_ids and loss_mask are cut to it
+        _, grads = token_classify_loss(params, config, batch,
+                                       np.stack([r.label_ids[:width] for r in rows]),
+                                       np.stack([r.loss_mask[:width] for r in rows]), rng=rng)
     elif task.kind == "pair":
         class_ids = np.array([r[1] for r in rows], dtype=np.int64)
         _, grads = pair_classify_loss(params, config, stack_rows(r[0] for r in rows),

@@ -11,10 +11,12 @@ import pytest
 from gradcheck import max_rel_error
 from clinlm.encoder import (
     Batch,
+    _add_rows,
     EncoderConfig,
     attention_weights,
     base_config,
     forward,
+    frame,
     head_multilabel,
     head_pair_classify,
     head_token_classify,
@@ -28,6 +30,7 @@ from clinlm.encoder import (
     param_shapes,
     pair_classify_loss,
     save_checkpoint,
+    stack_rows,
     token_classify_loss,
 )
 
@@ -529,6 +532,67 @@ class TestTrainModeGradients:
         _, grads = loss(params, config, batch, rng=np.random.default_rng(1))
         assert loss_fn(params) != loss(params, config, batch)[0]  # the masks apply
         assert max_rel_error(loss_fn, params, grads) < 1e-4
+
+
+@pytest.mark.parametrize("n,n_ids", [(1, 3), (7, 2), (512, 50)])
+def test_add_rows_matches_np_add_at(n, n_ids):
+    # the embedding gradients' scatter sums each id's rows in another order
+    # than np.add.at, so the two agree to rounding only
+    rng = np.random.default_rng(n)
+    ids, rows = rng.integers(0, n_ids, size=n), rng.normal(size=(n, 8))
+    expected, got = np.ones((n_ids + 1, 8)), np.ones((n_ids + 1, 8))
+    np.add.at(expected, ids, rows)
+    _add_rows(got, ids, rows)
+    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+
+
+class TestPaddingInvariance:
+    """A batch trimmed to its longest real row (stack_rows) computes what the
+    same rows padded to max_positions compute, at every real position."""
+
+    # Train mode runs at dropout 0: dropout masks are drawn one entry per
+    # batch cell, so batches of two widths draw different masks.
+    @pytest.mark.parametrize("dropout,seed", [(0.3, None), (0.0, 3)], ids=["eval", "train"])
+    def test_forward_losses_and_gradients_agree(self, dropout, seed):
+        config = tiny_config(vocab_size=12, hidden_dim=8, n_layers=2, ff_dim=12,
+                             max_positions=16, dropout=dropout)
+        params = init_params(config, 4)
+        for init in (init_token_head, init_pair_head, init_multilabel_head):
+            params = init(params, config, 3, seed=5)
+        rows = [frame([5, 6], None, 16), frame([7, 8, 9], [10, 11], 16),
+                frame([6, 5, 9, 9, 8, 7, 11], None, 16)]
+        trimmed, padded = stack_rows(rows), Batch(*(np.stack(column) for column in zip(*rows)))
+        assert trimmed.shape == (3, 9) and padded.shape == (3, 16)
+        real = trimmed.attention_mask == 1
+
+        def rng():
+            return None if seed is None else np.random.default_rng(seed)
+
+        hidden = forward(params, config, trimmed, rng())
+        hidden_padded = forward(params, config, padded, rng())
+        np.testing.assert_allclose(hidden[real], hidden_padded[:, :9][real], rtol=0, atol=1e-12)
+
+        labels = np.tile(np.arange(16) % 3, (3, 1))
+        selected = np.zeros((3, 16), dtype=bool)
+        selected[:, :9] = real & (trimmed.token_ids > 4)
+        calls = {  # each loss on a batch, its labels cut to the batch's width
+            "mlm": lambda b: mlm_forward_loss(
+                params, config, b, [[0, 1], [1, 4], [2, 7]], [6, 11, 7], rng=rng()),
+            "token": lambda b: token_classify_loss(
+                params, config, b, labels[:, :b.shape[1]], selected[:, :b.shape[1]],
+                rng=rng()),
+            "pair": lambda b: pair_classify_loss(params, config, b, [2, 0, 1], rng=rng()),
+            "multilabel": lambda b: multilabel_loss(
+                params, config, b, [[1.0, 0.0, 1.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]],
+                rng=rng()),
+        }
+        for name, call in calls.items():
+            (value, grads), (value_padded, grads_padded) = call(trimmed), call(padded)
+            assert abs(value - value_padded) <= 1e-12, name
+            assert grads.keys() == grads_padded.keys()
+            for key in grads:
+                np.testing.assert_allclose(grads[key], grads_padded[key], rtol=0, atol=1e-12,
+                                           err_msg=f"{name} {key}")
 
 
 def _reshape(header, name, shape):

@@ -8,6 +8,7 @@ import pytest
 from clinlm import finetune
 from clinlm.encoder import (
     EncoderConfig,
+    frame,
     stack_rows,
     head_multilabel,
     forward,
@@ -167,12 +168,14 @@ class TestExtendForMarkers:
 class TestPrepareDocument:
     def test_padding_arithmetic(self, small_vocab):
         batch = prepare_document("the patient denies", small_vocab, 128)
-        assert batch.shape == (1, 128)
-        n_real = int(batch.attention_mask.sum())
-        assert n_real == 2 + 3  # CLS + 3 one-piece words + SEP
+        n_real = 2 + 3  # CLS + 3 one-piece words + SEP
+        assert batch.shape == (1, n_real)  # no padding past the one real row
+        assert batch.attention_mask.all()
         assert batch.token_ids[0, 0] == CLS_ID
         assert batch.token_ids[0, n_real - 1] == SEP_ID
-        assert np.all(batch.token_ids[0, n_real:] == PAD_ID)
+        ids = [small_vocab.id_of(w) for w in ("the", "patient", "denies")]
+        for stacked, framed in zip(batch, frame(ids, None, 128)):
+            assert np.array_equal(stacked[0], framed[:n_real])
 
     def test_long_document_truncates_to_budget(self, small_vocab):
         text = " ".join(["pain"] * 900)
@@ -220,6 +223,18 @@ class TestPreparePair:
     def test_too_small_rejected(self, small_vocab):
         with pytest.raises(ValueError):
             prepare_pair("a", "b", small_vocab, 4)
+
+    def test_batches_prepared_at_two_lengths_stack(self, small_vocab):
+        short = prepare_pair("no pain", "fever", small_vocab, 16)
+        long = prepare_pair(" ".join(["pain"] * 40), "severe fever", small_vocab, 32)
+        assert short.shape == (1, 6) and long.shape == (1, 32)
+        batch = stack_rows([short, long])
+        assert batch.shape == (2, 32)
+        for stacked, alone, fill in zip(batch, short, (PAD_ID, 0, 0)):
+            assert np.array_equal(stacked[0, :6], alone[0])
+            assert np.all(stacked[0, 6:] == fill)
+        for stacked, alone in zip(batch, long):
+            assert np.array_equal(stacked[1], alone[0])
 
 
 class TestPrepareMarkedSentence:
@@ -360,9 +375,11 @@ class TestNerRowFraming:
                                    small_vocab, tag_to_id, 8),
                 encode_ner_example(["no"], ["O"], small_vocab, tag_to_id, 8)]
         batch = stack_rows(rows)
-        assert batch.shape == (2, 8)
-        assert np.array_equal(batch.token_ids, np.stack([r.ids for r in rows]))
-        assert np.array_equal(batch.attention_mask, np.stack([r.mask for r in rows]))
+        width = 4  # the longest real row: [CLS] severe pain [SEP]
+        assert [int(r.mask.sum()) for r in rows] == [width, 3]
+        assert batch.shape == (2, width)
+        assert np.array_equal(batch.token_ids, np.stack([r.ids[:width] for r in rows]))
+        assert np.array_equal(batch.attention_mask, np.stack([r.mask[:width] for r in rows]))
         assert not batch.segment_ids.any()
 
 

@@ -65,15 +65,45 @@ def test_pair_cuts_the_longer_side_first(a, b, length):
 def test_stacking_keeps_rows_in_order(texts, length):
     rows = [frame(a, b, length) for a, b in texts]
     batch = stack_rows(rows)
-    assert batch.shape == (len(rows), length)
-    for i, (ids, mask, segments) in enumerate(rows):
-        assert np.array_equal(batch.token_ids[i], ids)
-        assert np.array_equal(batch.attention_mask[i], mask)
-        assert np.array_equal(batch.segment_ids[i], segments)
-    # a Batch is itself a stackable row triple
+    width = max(int(mask.sum()) for _, mask, _ in rows)  # the longest real row
+    assert batch.shape == (len(rows), width)
+    for i, row in enumerate(rows):
+        assert not row[1][width:].any()  # only padding is cut away
+        for stacked, framed in zip(batch, row):
+            assert np.array_equal(stacked[i], framed[:width])
+    # a Batch is itself a stackable row triple; a narrower one is filled out
     again = stack_rows([batch, stack_rows(rows[:1])])
-    assert again.shape == (len(rows) + 1, length)
+    assert again.shape == (len(rows) + 1, width)
     assert np.array_equal(again.token_ids[:len(rows)], batch.token_ids)
+    for stacked, framed in zip(again, rows[0]):
+        assert np.array_equal(stacked[-1], framed[:width])
+
+
+def test_rows_of_different_widths_fill_with_pad_mask_and_segment_zero():
+    short, long = frame([5, 6], [7], 16), frame([8] * 20, [9] * 5, 32)
+    batch = stack_rows([short, long])
+    assert batch.shape == (2, 28)
+    for stacked, framed, fill in zip(batch, short, (PAD_ID, 0, 0)):
+        assert np.array_equal(stacked[0], np.r_[framed, [fill] * 12])
+    for stacked, framed in zip(batch, long):
+        assert np.array_equal(stacked[1], framed[:28])
+
+
+def test_a_mask_with_holes_keeps_every_real_column():
+    row = (np.array([2, 7, 8, 3, 0, 0]), np.array([1, 0, 1, 0, 0, 0]), np.zeros(6))
+    batch = stack_rows([row])
+    assert batch.shape == (1, 3)
+    assert np.array_equal(batch.token_ids[0], [2, 7, 8])
+    assert np.array_equal(batch.attention_mask[0], [1, 0, 1])
+    # with no real column at all there is nothing to cut by, so nothing is cut
+    assert stack_rows([(row[0], np.zeros(6), row[2])]).shape == (1, 6)
+
+
+def test_no_rows_is_one_value_error():
+    with pytest.raises(ValueError, match="^no rows to stack$"):
+        stack_rows([])
+    with pytest.raises(ValueError, match="^no rows to stack$"):
+        stack_rows(iter(()))
 
 
 def test_too_short_lengths_rejected():
