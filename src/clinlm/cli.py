@@ -104,6 +104,8 @@ def _cmd_normalize(args) -> int:
 
 def _cmd_train_vocab(args) -> int:
     lines = [wordpiece.normalize(l) for l in _read_lines(args.corpus)]
+    if not any(line.split() for line in lines):
+        raise ValueError(f"{args.corpus}: training corpus contains no words")
     vocab = wordpiece.train_wordpiece(lines, args.size, args.min_frequency)
     wordpiece.write_vocab(args.output, vocab)
     return 0
@@ -263,9 +265,7 @@ def _cmd_probe(args) -> int:
     predictions = corpus.parse_numbered(args.predictions, corpus.numbered_lines(args.predictions),
                                         probe.check_label)
     if len(predictions) != len(suite):
-        raise ValueError(
-            f"{len(predictions)} predictions for {len(suite)} instances"
-        )
+        raise ValueError(f"{len(predictions)} predictions for {len(suite)} instances")
     rows = iter(predictions)
     report = probe.run_probes(lambda premise, hypothesis: next(rows), suite)
     print(report.format())

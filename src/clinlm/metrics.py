@@ -167,14 +167,3 @@ def aggregate_seeds(values: Sequence[float], metric: str = "") -> MetricReport:
         median=float(statistics.median(values)),
         stddev=spread,
     )
-
-
-def format_report_table(rows: Sequence[tuple[str, str, MetricReport]]) -> str:
-    """Tab-separated summary: one (task, model) row per metric report."""
-    lines = ["task\tmodel\tmetric\tmedian\tstddev\tseeds"]
-    for task, model, report in rows:
-        lines.append(
-            f"{task}\t{model}\t{report.metric}\t{report.median:.4f}"
-            f"\t{report.stddev:.4f}\t{len(report.values)}"
-        )
-    return "\n".join(lines)

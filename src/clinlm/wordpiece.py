@@ -11,11 +11,12 @@ The five special tokens always occupy ids 0 through 4.
 
 from __future__ import annotations
 
+import heapq
 import math
 import statistics
 import string
 import unicodedata
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -77,6 +78,8 @@ class Vocabulary:
     tokens: list[str]
 
     token_to_id: dict[str, int] = field(init=False, repr=False)
+    _initial: dict[str, str] = field(init=False, repr=False)
+    _bodies: dict[str, str] = field(init=False, repr=False)
     _max_token_len: int = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -84,6 +87,8 @@ class Vocabulary:
         if bad:
             raise ValueError(bad[1])
         self.token_to_id = {tok: i for i, tok in enumerate(self.tokens)}
+        self._initial = {t: t for t in self.tokens if not t.startswith(CONTINUATION)}
+        self._bodies = {t[len(CONTINUATION):]: t for t in self.tokens if t.startswith(CONTINUATION)}
         self._max_token_len = max(len(t) for t in self.tokens)
 
     def __len__(self) -> int:
@@ -101,10 +106,7 @@ class Vocabulary:
         return self.tokens[token_id]
 
     def with_extra_tokens(self, extra: Sequence[str]) -> "Vocabulary":
-        """New vocabulary with `extra` appended; ids of existing tokens keep."""
-        for tok in extra:
-            if tok in self.token_to_id:
-                raise ValueError(f"token {tok!r} already present")
+        """New vocabulary with `extra` appended; ids keep, and repeats are rejected."""
         return Vocabulary(self.tokens + list(extra))
 
 
@@ -126,6 +128,17 @@ def _merge_symbols(left: str, right: str) -> str:
     return left + right[len(CONTINUATION):]
 
 
+def _apply_merge(symbols: list[str], pair: tuple[str, str], merged: str) -> list[str]:
+    """Merge pair left to right (##a ##a ##a gives ##a##a ##a); merged is new."""
+    out: list[str] = []
+    for sym in symbols:
+        if out and out[-1] == pair[0] and sym == pair[1]:
+            out[-1] = merged
+        else:
+            out.append(sym)
+    return out
+
+
 def train_wordpiece(
     corpus: Iterable[str],
     declared_size: int,
@@ -142,8 +155,17 @@ def train_wordpiece(
 
     subject to count(pair) >= min_frequency. Ties break by higher raw pair
     count, then by the smaller (left, right) pair. Training stops when the
-    size budget is reached or no pair qualifies.
+    size budget is reached or no pair qualifies. No merge makes a first
+    piece spelled like a continuation (##...).
+
+    Counts are built once, indexed by the word types holding each pair and
+    the pairs holding each symbol, and candidates wait in a heap keyed
+    (-score, -count, pair) whose stale entries are skipped. Each merge
+    rewrites only the word types holding the pair, so it costs those words,
+    not the corpus, then re-pushes each pair whose count or symbols' counts changed.
     """
+    if min_frequency < 1:
+        raise ValueError(f"min_frequency must be >= 1, got {min_frequency}")
     word_freq = Counter()
     for line in corpus:
         word_freq.update(line.split())
@@ -151,62 +173,59 @@ def train_wordpiece(
         raise ValueError("training corpus contains no words")
 
     alphabet = sorted({ch for word in word_freq for ch in word})
-    base = list(SPECIALS) + alphabet + [CONTINUATION + ch for ch in alphabet]
-    floor = len(base)
+    tokens = list(SPECIALS) + alphabet + [CONTINUATION + ch for ch in alphabet]
+    floor = len(tokens)
     if declared_size < floor:
-        raise ValueError(
-            f"declared size {declared_size} is below the alphabet floor {floor}"
-        )
-    if min_frequency < 1:
-        raise ValueError(f"min_frequency must be >= 1, got {min_frequency}")
+        raise ValueError(f"declared size {declared_size} is below the alphabet floor {floor}")
 
-    tokens = list(base)
     seen = set(tokens)
-    words = {w: _word_symbols(w) for w in word_freq}
+    words, freqs = [_word_symbols(w) for w in word_freq], list(word_freq.values())
+    pair_count, symbol_count = Counter(), Counter()
+    pair_words, symbol_pairs = defaultdict(set), defaultdict(set)
+    changed = set()  # the pairs tally touched since it was last cleared
 
-    while len(tokens) < declared_size:
-        pair_count: Counter = Counter()
-        symbol_count: Counter = Counter()
-        for word, symbols in words.items():
-            freq = word_freq[word]
-            for sym in symbols:
-                symbol_count[sym] += freq
-            for left, right in zip(symbols, symbols[1:]):
-                pair_count[(left, right)] += freq
+    def tally(index: int, sign: int) -> None:
+        # add (sign 1) or take away (sign -1) one word's symbols and pairs
+        symbols, freq = words[index], sign * freqs[index]
+        for sym in symbols:
+            symbol_count[sym] += freq
+        for pair in zip(symbols, symbols[1:]):
+            pair_count[pair] += freq
+            changed.add(pair)
+            if sign > 0:
+                pair_words[pair].add(index)
+                symbol_pairs[pair[0]].add(pair)
+                symbol_pairs[pair[1]].add(pair)
+            else:
+                pair_words[pair].discard(index)
 
-        best_pair = None
-        best_key = None
-        for pair, count in pair_count.items():
-            if count < min_frequency:
-                continue
-            merged = _merge_symbols(*pair)
-            if merged in seen:
-                continue
-            score = count / (symbol_count[pair[0]] * symbol_count[pair[1]])
-            key = (-score, -count, pair)
-            if best_key is None or key < best_key:
-                best_key = key
-                best_pair = pair
-        if best_pair is None:
-            break
+    def key(pair: tuple[str, str]) -> tuple[float, int, tuple[str, str]]:
+        count = pair_count[pair]
+        score = count / (symbol_count[pair[0]] * symbol_count[pair[1]])
+        return (-score, -count, pair)
 
-        merged = _merge_symbols(*best_pair)
+    for index in range(len(words)):
+        tally(index, 1)
+    heap = [key(pair) for pair in pair_count]
+    heapq.heapify(heap)
+
+    while len(tokens) < declared_size and heap:
+        entry = heapq.heappop(heap)
+        left, right = best = entry[2]
+        merged = _merge_symbols(left, right)
+        if (pair_count[best] < min_frequency or merged in seen or entry != key(best)
+                or merged.startswith(CONTINUATION) and not left.startswith(CONTINUATION)):
+            continue
         tokens.append(merged)
         seen.add(merged)
-        for word, symbols in words.items():
-            out = []
-            i = 0
-            while i < len(symbols):
-                if (
-                    i + 1 < len(symbols)
-                    and (symbols[i], symbols[i + 1]) == best_pair
-                ):
-                    out.append(merged)
-                    i += 2
-                else:
-                    out.append(symbols[i])
-                    i += 1
-            words[word] = out
+        changed.clear()
+        for index in list(pair_words[best]):
+            tally(index, -1)
+            words[index] = _apply_merge(words[index], best, merged)
+            tally(index, 1)
+        for pair in changed | symbol_pairs[left] | symbol_pairs[right]:
+            if pair_count[pair]:
+                heapq.heappush(heap, key(pair))
 
     return Vocabulary(tokens)
 
@@ -215,27 +234,25 @@ def encode_word(vocab: Vocabulary, word: str) -> list[str]:
     """Greedy longest-match segmentation of one whitespace word.
 
     Repeatedly takes the longest vocabulary token matching the remaining
-    prefix (##-prefixed once inside the word). If no token matches at some
-    point, the whole word collapses to a single [UNK].
+    prefix: a word-initial token first, so never one spelled ##..., then
+    continuation tokens, looked up by their body. If no token matches at
+    some point, the whole word collapses to a single [UNK].
     """
     if not word:
         raise ValueError("cannot encode an empty word")
     pieces = []
-    start = 0
+    start, table, limit = 0, vocab._initial, vocab._max_token_len
     while start < len(word):
-        prefix = CONTINUATION if start > 0 else ""
-        end = min(len(word), start + vocab._max_token_len - len(prefix))
-        match = None
+        end = min(len(word), start + limit)
         while end > start:
-            candidate = prefix + word[start:end]
-            if candidate in vocab.token_to_id:
-                match = candidate
+            match = table.get(word[start:end])
+            if match is not None:
                 break
             end -= 1
-        if match is None:
+        else:
             return [UNK]
         pieces.append(match)
-        start = end
+        start, table, limit = end, vocab._bodies, vocab._max_token_len - len(CONTINUATION)
     return pieces
 
 
@@ -263,12 +280,6 @@ def decode(vocab: Vocabulary, ids: Sequence[int]) -> str:
         else:
             words.append(token)
     return " ".join(words)
-
-
-def vocab_difference(a: Vocabulary, b: Vocabulary) -> tuple[list[str], list[str]]:
-    """Tokens only in a and only in b, each sorted."""
-    set_a, set_b = set(a.tokens), set(b.tokens)
-    return sorted(set_a - set_b), sorted(set_b - set_a)
 
 
 def round_half_away_from_zero(x: float) -> int:

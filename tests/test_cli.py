@@ -130,6 +130,25 @@ class TestTextCommands:
         assert 5 < len(vocab) <= 80  # tiny corpus saturates below the target
         assert vocab.token_of(0) == "[PAD]"
 
+    @pytest.mark.parametrize("text", ["", "\n  \n\t\n"])
+    def test_train_vocab_empty_corpus_names_the_file(self, tmp_path, text, capsys):
+        corpus, vocab = tmp_path / "empty.txt", tmp_path / "vocab.txt"
+        corpus.write_text(text, encoding="utf-8")
+        code, _, err = run_cli(["train-vocab", "--corpus", str(corpus), "--size", "40",
+                                "--output", str(vocab)], capsys)
+        assert code == 1
+        assert err == f"error: {corpus}: training corpus contains no words\n"
+        assert not vocab.exists()
+
+    def test_train_vocab_bad_min_frequency_is_one_error_line(self, tmp_path, corpus_file,
+                                                              capsys):
+        vocab = tmp_path / "vocab.txt"
+        code, _, err = run_cli(["train-vocab", "--corpus", str(corpus_file), "--size", "80",
+                                "--min-frequency", "0", "--output", str(vocab)], capsys)
+        assert code == 1
+        assert err == "error: min_frequency must be >= 1, got 0\n"
+        assert not vocab.exists()
+
     def test_compress_report_baseline_zero(self, tmp_path, corpus_file,
                                            vocab_file, capsys):
         code, out, _ = run_cli(

@@ -6,7 +6,6 @@ import pytest
 
 from clinlm import metrics
 from clinlm.metrics import (
-    MetricReport,
     Span,
     accuracy,
     aggregate_seeds,
@@ -14,7 +13,6 @@ from clinlm.metrics import (
     bio_encode,
     corpus_entity_f1,
     entity_f1,
-    format_report_table,
     micro_f1,
 )
 
@@ -268,12 +266,3 @@ class TestAggregateSeeds:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             aggregate_seeds([])
-
-
-class TestFormatReportTable:
-    def test_layout(self):
-        report = MetricReport("f1", (0.5, 0.7), 0.6, 0.1)
-        table = format_report_table([("ner", "base", report)])
-        lines = table.splitlines()
-        assert lines[0] == "task\tmodel\tmetric\tmedian\tstddev\tseeds"
-        assert lines[1] == "ner\tbase\tf1\t0.6000\t0.1000\t2"

@@ -1,6 +1,12 @@
 """Subword vocabulary training, encoding, and length comparisons."""
 
+import random
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import wordpiece_reference
 
 from clinlm import wordpiece
 from clinlm.wordpiece import (
@@ -23,13 +29,54 @@ from clinlm.wordpiece import (
     round_half_away_from_zero,
     train_wordpiece,
     verify_length_reference,
-    vocab_difference,
     write_vocab,
 )
 
 
 def make_vocab(*extra):
     return Vocabulary(list(SPECIALS) + list(extra))
+
+
+# Letters, digits and punctuation, '#' among them: normalized words can then
+# start with the continuation marker ("##1").
+TEXT_CHARS = "abcAB12#./-"
+
+
+def alphabet_floor(corpus):
+    """The vocabulary size before any merge: the specials plus every
+    character of the corpus, bare and as a continuation."""
+    return len(SPECIALS) + 2 * len(set("".join(corpus).replace(" ", "")))
+
+
+@st.composite
+def small_corpora(draw, letters=st.sampled_from(["ab", "abc"])):
+    """A few lines of words over a 2-3 letter alphabet: small enough to
+    force score ties and long runs of one letter (overlapping pairs)."""
+    word = st.text(alphabet=draw(letters), min_size=1, max_size=8)
+    return draw(st.lists(st.lists(word, min_size=1, max_size=6).map(" ".join),
+                         min_size=1, max_size=6))
+
+
+@st.composite
+def trained_vocabularies(draw):
+    """A vocabulary trained on a normalized corpus drawn from TEXT_CHARS."""
+    words = st.text(alphabet=TEXT_CHARS, min_size=1, max_size=6)
+    lines = draw(st.lists(st.lists(words, min_size=1, max_size=5).map(" ".join),
+                          min_size=1, max_size=4))
+    corpus = [normalize(line) for line in lines]
+    size = alphabet_floor(corpus) + draw(st.integers(min_value=0, max_value=30))
+    return train_wordpiece(corpus, size, draw(st.integers(min_value=1, max_value=2)))
+
+
+def assert_matches_reference(corpus, size, min_frequency):
+    """The trainer and the reference return the same tokens, or raise the
+    same error."""
+    def outcome(train):
+        try:
+            return train(corpus, size, min_frequency).tokens
+        except ValueError as exc:
+            return str(exc)
+    assert outcome(train_wordpiece) == outcome(wordpiece_reference.train_wordpiece)
 
 
 class TestNormalize:
@@ -57,6 +104,12 @@ class TestNormalize:
         "already , spaced", "", "...", "word", "Mixed.Case,Text!",
     ])
     def test_idempotent(self, text):
+        once = normalize(text)
+        assert normalize(once) == once
+
+    @settings(deadline=None)
+    @given(text=st.text())
+    def test_idempotent_on_any_text(self, text):
         once = normalize(text)
         assert normalize(once) == once
 
@@ -145,6 +198,76 @@ class TestTrainWordpiece:
         vocab = train_wordpiece(["Ab Ab aB"], declared_size=60, min_frequency=1)
         assert "Ab" in vocab.tokens and "aB" in vocab.tokens
 
+    def test_bad_min_frequency_rejected_before_reading_the_corpus(self):
+        def corpus():
+            raise AssertionError("corpus read before min_frequency was checked")
+            yield
+        with pytest.raises(ValueError, match="min_frequency must be >= 1, got 0"):
+            train_wordpiece(corpus(), declared_size=10, min_frequency=0)
+
+    def test_no_first_piece_spelled_as_a_continuation(self):
+        # "#" + "###" would spell the bare marker "##", and "#" + "###2"
+        # the continuation token "##2"
+        text = "## ## ###2 ###2 2"
+        vocab = train_wordpiece([text], declared_size=60, min_frequency=1)
+        assert decode(vocab, encode(vocab, text).ids) == text
+
+
+# Corpora the trainer is held to the reference on: the corpora of the tests
+# above and below, at sizes from the floor to past exhaustion.
+REFERENCE_CORPORA = [
+    TestTrainWordpiece.CORPUS,
+    ["ab"],
+    ["the cat sat on the mat", "the cat ran", "a mat sat"] * 3,
+    ["Ab Ab aB"],
+    ["severe chest pain", "chest pain resolved", "severe pain"],
+    ["alpha beta gamma", "beta delta", "gamma gamma alpha"],
+    ["aa aa ab"],
+    ["ba ba bb"],
+    ["aaaa aaa aaaaaaa a aa", "abab ababab ba"],
+]
+
+
+class TestMatchesReferenceTrainer:
+    """The incremental trainer returns, token for token, what the trainer
+    that recounts every word on each merge returns (tests/wordpiece_reference)."""
+
+    @pytest.mark.parametrize("corpus", REFERENCE_CORPORA)
+    @pytest.mark.parametrize("min_frequency", [1, 2, 3])
+    def test_on_the_test_corpora(self, corpus, min_frequency):
+        floor = alphabet_floor(corpus)
+        for size in range(floor - 1, floor + 60, 7):
+            assert_matches_reference(corpus, size, min_frequency)
+
+    @settings(deadline=None)
+    @given(corpus=small_corpora(), min_frequency=st.integers(min_value=1, max_value=3),
+           extra=st.integers(min_value=-1, max_value=80))
+    @example(corpus=["aaaaa aaaa aaa aa a b"], min_frequency=1, extra=80)
+    @example(corpus=["ab ba ab ba abab baba"], min_frequency=2, extra=80)
+    # a merge that spells a token already in the vocabulary must be skipped
+    @example(corpus=["[PAD] [PAD] [PAD]"], min_frequency=1, extra=80)
+    def test_small_alphabets(self, corpus, min_frequency, extra):
+        assert_matches_reference(corpus, alphabet_floor(corpus) + extra, min_frequency)
+
+    def test_syllable_lexicon(self):
+        """Thousands of word types built from shared syllables, most seen
+        once and a few often: the shape of a clinical term lexicon."""
+        rng = random.Random(11)
+        syllables = ["ab", "ac", "al", "an", "ar", "ce", "co", "de", "di", "el",
+                     "en", "er", "ia", "ic", "is", "lo", "ma", "ne", "ol", "on",
+                     "os", "pa", "ra", "ri", "se", "ta", "ti", "ul", "ur", "us"]
+        lexicon = sorted({"".join(rng.choices(syllables, k=rng.randint(2, 4)))
+                          for _ in range(2600)})
+        rng.shuffle(lexicon)
+        frequent = [lexicon[min(int(rng.paretovariate(1.0)) - 1, len(lexicon) - 1)]
+                    for _ in range(4000)]
+        words = lexicon + frequent
+        corpus = [" ".join(words[i:i + 12]) for i in range(0, len(words), 12)]
+        assert len(set(words)) >= 2000
+        new = train_wordpiece(corpus, declared_size=100, min_frequency=2)
+        assert len(new) == 100
+        assert new.tokens == wordpiece_reference.train_wordpiece(corpus, 100, 2).tokens
+
 
 class TestEncode:
     def test_whole_word_hit(self):
@@ -177,6 +300,18 @@ class TestEncode:
 
     def test_encode_empty_text(self):
         assert encode(make_vocab("a"), "") == Encoding((), ())
+
+    def test_word_starting_with_the_marker_keeps_its_first_piece_word_initial(self):
+        vocab = make_vocab("1", "#", "##1", "###")
+        assert encode_word(vocab, "##1") == ["#", "###", "##1"]
+
+    @settings(deadline=None)
+    @given(vocab=trained_vocabularies(),
+           word=st.text(alphabet=TEXT_CHARS + "xyz", min_size=1, max_size=12))
+    def test_pieces_rejoin_to_the_word(self, vocab, word):
+        pieces = encode_word(vocab, word)
+        if pieces != [UNK]:
+            assert pieces[0] + "".join(p[len("##"):] for p in pieces[1:]) == word
 
     def test_monotone_against_alphabet_floor(self):
         corpus = ["severe chest pain", "chest pain resolved", "severe pain"]
@@ -215,13 +350,13 @@ class TestDecode:
         for text in corpus + ["delta alpha", "gamma beta alpha"]:
             assert decode(vocab, encode(vocab, text).ids) == text
 
-
-class TestVocabDifference:
-    def test_symmetric_difference_sorted(self):
-        a = make_vocab("x", "y")
-        b = make_vocab("y", "z", "w")
-        only_a, only_b = vocab_difference(a, b)
-        assert only_a == ["x"] and only_b == ["w", "z"]
+    @settings(deadline=None)
+    @given(vocab=trained_vocabularies(), data=st.data())
+    def test_round_trip_on_any_text_in_the_alphabet(self, vocab, data):
+        alphabet = sorted(t for t in vocab.tokens[len(SPECIALS):] if len(t) == 1)
+        words = st.text(alphabet=alphabet, min_size=1, max_size=10)
+        text = normalize(" ".join(data.draw(st.lists(words, max_size=6))))
+        assert decode(vocab, encode(vocab, text).ids) == text
 
 
 class TestRounding:

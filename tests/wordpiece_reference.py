@@ -1,0 +1,100 @@
+"""The wordpiece trainer as it was before its incremental rewrite, kept
+unchanged as the reference the incremental trainer must match token for
+token: it recounts every pair and symbol of every word type on each merge.
+"""
+
+from collections import Counter
+from typing import Iterable
+
+from clinlm.wordpiece import (
+    CONTINUATION,
+    SPECIALS,
+    Vocabulary,
+    _merge_symbols,
+    _word_symbols,
+)
+
+
+def train_wordpiece(
+    corpus: Iterable[str],
+    declared_size: int,
+    min_frequency: int = 2,
+) -> Vocabulary:
+    """Learn a wordpiece vocabulary of exactly `declared_size` tokens, or as
+    many as the corpus supports.
+
+    The corpus must already be normalized. Every word starts as its first
+    character plus ##-prefixed continuation characters. Each round merges the
+    adjacent symbol pair with the highest likelihood score
+
+        count(pair) / (count(left) * count(right))
+
+    subject to count(pair) >= min_frequency. Ties break by higher raw pair
+    count, then by the smaller (left, right) pair. Training stops when the
+    size budget is reached or no pair qualifies.
+    """
+    word_freq = Counter()
+    for line in corpus:
+        word_freq.update(line.split())
+    if not word_freq:
+        raise ValueError("training corpus contains no words")
+
+    alphabet = sorted({ch for word in word_freq for ch in word})
+    base = list(SPECIALS) + alphabet + [CONTINUATION + ch for ch in alphabet]
+    floor = len(base)
+    if declared_size < floor:
+        raise ValueError(
+            f"declared size {declared_size} is below the alphabet floor {floor}"
+        )
+    if min_frequency < 1:
+        raise ValueError(f"min_frequency must be >= 1, got {min_frequency}")
+
+    tokens = list(base)
+    seen = set(tokens)
+    words = {w: _word_symbols(w) for w in word_freq}
+
+    while len(tokens) < declared_size:
+        pair_count: Counter = Counter()
+        symbol_count: Counter = Counter()
+        for word, symbols in words.items():
+            freq = word_freq[word]
+            for sym in symbols:
+                symbol_count[sym] += freq
+            for left, right in zip(symbols, symbols[1:]):
+                pair_count[(left, right)] += freq
+
+        best_pair = None
+        best_key = None
+        for pair, count in pair_count.items():
+            if count < min_frequency:
+                continue
+            merged = _merge_symbols(*pair)
+            if merged in seen:
+                continue
+            score = count / (symbol_count[pair[0]] * symbol_count[pair[1]])
+            key = (-score, -count, pair)
+            if best_key is None or key < best_key:
+                best_key = key
+                best_pair = pair
+        if best_pair is None:
+            break
+
+        merged = _merge_symbols(*best_pair)
+        tokens.append(merged)
+        seen.add(merged)
+        for word, symbols in words.items():
+            out = []
+            i = 0
+            while i < len(symbols):
+                if (
+                    i + 1 < len(symbols)
+                    and (symbols[i], symbols[i + 1]) == best_pair
+                ):
+                    out.append(merged)
+                    i += 2
+                else:
+                    out.append(symbols[i])
+                    i += 1
+            words[word] = out
+
+    return Vocabulary(tokens)
