@@ -124,11 +124,6 @@ def therapeutic_class_names() -> tuple[str, ...]:
     return _packaged_lines("therapeutic_classes.txt")
 
 
-def note_type_catalog() -> tuple[str, ...]:
-    """Seed list of note categories; note_type is extensible beyond it."""
-    return _packaged_lines("note_types.txt")
-
-
 @dataclass
 class NoteRecord:
     """One clinical note. char_length is always derived from text."""
@@ -146,31 +141,6 @@ class NoteRecord:
             if not getattr(self, name):
                 raise ValueError(f"{name} must be non-empty")
         self.char_length = len(self.text)
-
-
-@dataclass(frozen=True)
-class EncounterLabelSet:
-    """Diagnosis codes and medication classes attached to one encounter.
-
-    Both label sets are validated against their closed 50-entry lists; either
-    may be empty.
-    """
-
-    encounter_id: str
-    icd9_codes: frozenset[str] = frozenset()
-    therapeutic_classes: frozenset[str] = frozenset()
-
-    def __post_init__(self):
-        if not self.encounter_id:
-            raise ValueError("encounter_id must be non-empty")
-        object.__setattr__(self, "icd9_codes", frozenset(self.icd9_codes))
-        object.__setattr__(self, "therapeutic_classes", frozenset(self.therapeutic_classes))
-        unknown = self.icd9_codes - set(icd9_top50_codes())
-        if unknown:
-            raise ValueError(f"unknown diagnosis codes: {sorted(unknown)}")
-        unknown = self.therapeutic_classes - set(therapeutic_class_names())
-        if unknown:
-            raise ValueError(f"unknown therapeutic classes: {sorted(unknown)}")
 
 
 @dataclass(frozen=True)
@@ -298,15 +268,3 @@ def write_split_manifest(path, assignment: dict[str, str]) -> None:
     """Write patient-to-subset lines, sorted by patient id for stable bytes."""
     write_lines(path, (f"{pid}\t{assignment[pid]}" for pid in sorted(assignment)))
 
-
-def read_split_manifest(path) -> dict[str, str]:
-    """patient<TAB>subset lines; a bad line fails as PATH:LINE: message."""
-    assignment = {}
-    for line_no, line in numbered_lines(path):
-        if not line:
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2 or parts[1] not in SUBSET_NAMES:
-            raise ValueError(f"{path}:{line_no}: bad manifest line {line!r}")
-        assignment[parts[0]] = parts[1]
-    return assignment

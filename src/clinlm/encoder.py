@@ -16,9 +16,11 @@ Train mode means an rng was passed: forward and the losses then drop out
 attention projection and feed-forward output, drawing masks from the rng in
 that order. Without an rng they run in eval mode, with no dropout.
 
-Parameters live in a flat dict keyed by name, which keeps optimizers,
-accumulation, checkpointing, and gradient checking trivial. A head named h
-owns the parameters h_w and h_b.
+Parameters live in a ParamStore: a name -> array mapping whose arrays are
+views of one contiguous float64 vector, laid out in param_shapes order with
+task heads appended. Gradients and the Adam moments share the layout, so an
+optimizer step, accumulation, a finiteness check and a checkpoint body are
+each whole-vector operations. A head named h owns the parameters h_w and h_b.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import os
+from collections.abc import Mapping
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -188,18 +192,76 @@ def param_shapes(config: EncoderConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-def init_params(config: EncoderConfig, seed: int) -> dict[str, np.ndarray]:
+class ParamStore(Mapping):
+    """Name -> float64 array, each a view of one contiguous float64 vector,
+    flat (zeros unless given), laid end to end in the order of `shapes`
+    (name -> shape). Assigning to a name writes into its view; a name
+    outside the layout or a value of another shape is refused, so no entry
+    can come loose from flat."""
+
+    def __init__(self, shapes, flat=None):
+        self.layout = tuple((name, tuple(shape)) for name, shape in dict(shapes).items())
+        self._slots, start = {}, 0  # name -> (start, stop, shape) in flat
+        for name, shape in self.layout:
+            self._slots[name] = (start, start + math.prod(shape), shape)
+            start += math.prod(shape)
+        self.flat, self._views = np.zeros(start) if flat is None else flat, {}  # lazy views
+
+    def __getitem__(self, name):
+        if name not in self._views:
+            start, stop, shape = self._slots[name]
+            self._views[name] = self.flat[start:stop].reshape(shape)
+        return self._views[name]
+
+    def __setitem__(self, name, value):
+        if name not in self._slots:
+            raise KeyError(f"{name!r} is not in the store's layout")
+        if value is not self[name]:  # `store[name] += x` hands the view itself back
+            if np.shape(value) != self[name].shape:
+                raise ValueError(f"{name} has shape {self[name].shape}, got {np.shape(value)}")
+            self[name][...] = value
+
+    def __iter__(self):
+        return iter(self._slots)
+
+    def __len__(self):
+        return len(self._slots)
+
+    def like(self, flat=None) -> ParamStore:
+        """A store of this layout over flat (zeros without it)."""
+        store = object.__new__(ParamStore)
+        store.__dict__.update(self.__dict__, _views={},
+                              flat=np.zeros_like(self.flat) if flat is None else flat)
+        return store
+
+    def resized(self, shapes) -> ParamStore:
+        """A store laid out by shapes where each name this store holds too keeps
+        its values in the leading corner of both shapes; all else is zero."""
+        out = ParamStore(shapes)
+        for name in out._slots.keys() & self._slots.keys():
+            corner = tuple(map(slice, np.minimum(out[name].shape, self[name].shape)))
+            out[name][corner] = self[name][corner]
+        return out
+
+    def check_finite(self, message: str) -> None:
+        """Raise ValueError(message + the first name whose tensor holds a NaN
+        or an infinity), if one does."""
+        if not np.isfinite(self.flat).all():
+            index = np.flatnonzero(~np.isfinite(self.flat))[0]
+            name = next(name for name, (_, stop, _) in self._slots.items() if index < stop)
+            raise ValueError(f"{message} {name!r}")
+
+
+def init_params(config: EncoderConfig, seed: int) -> ParamStore:
     """Weights drawn from N(0, 0.02^2) in param_shapes order, biases zero,
     layer-norm scales one."""
     rng = np.random.default_rng(seed)
-    params = {}
-    for name, shape in param_shapes(config).items():
+    params = ParamStore(param_shapes(config))
+    for name, view in params.items():
         if name.endswith("_g"):
-            params[name] = np.ones(shape)
-        elif name.endswith("_b"):
-            params[name] = np.zeros(shape)
-        else:
-            params[name] = rng.normal(0.0, 0.02, size=shape)
+            view[...] = 1.0
+        elif not name.endswith("_b"):
+            view[...] = rng.normal(0.0, 0.02, size=view.shape)
     return params
 
 
@@ -329,7 +391,7 @@ def attention_weights(params, config: EncoderConfig, batch: Batch) -> list[np.nd
 
 def _backward(params, config, cache, d_hidden):
     batch = cache["batch"]
-    grads = {name: np.zeros_like(arr) for name, arr in params.items()}
+    grads = params.like()
     scale = 1.0 / math.sqrt(config.head_dim)
     dx = d_hidden
 
@@ -444,15 +506,16 @@ def mlm_forward_loss(params, config, batch, target_positions, target_ids, rng=No
     return _head_loss(params, config, batch, rows, cols, "mlm", target_ids, rng)
 
 
-def init_head(params, config, head, n_out, seed):
+def init_head(params, config, head, n_out, seed) -> ParamStore:
     """Copy of params with a fresh linear head `head` from hidden vectors to
     n_out scores: weights drawn from N(0, 0.02^2), biases zero."""
     if n_out < 1:
         raise ValueError(f"n_labels must be >= 1, got {n_out}")
     rng = np.random.default_rng(seed)
-    out = dict(params)
-    out[head + "_w"] = rng.normal(0.0, 0.02, size=(config.hidden_dim, n_out))
-    out[head + "_b"] = np.zeros(n_out)
+    w, b = head + "_w", head + "_b"  # appended, or kept in place when params has them
+    out = params.resized({**dict(params.layout), w: (config.hidden_dim, n_out), b: (n_out,)})
+    out[w] = rng.normal(0.0, 0.02, size=(config.hidden_dim, n_out))
+    out[b][...] = 0.0
     return out
 
 
@@ -469,22 +532,6 @@ def init_pair_head(params, config, n_classes, seed):
 def init_multilabel_head(params, config, n_labels, seed):
     """Copy of params with an independent per-label sigmoid head added."""
     return init_head(params, config, "head_multi", n_labels, seed)
-
-
-def head_token_classify(params, hidden, n_labels):
-    """Per-position label logits [batch, positions, n_labels]."""
-    return _head_logits(params, "head_token", hidden, n_labels)
-
-
-def head_pair_classify(params, hidden):
-    """Sequence-level class logits [batch, n_classes] from the first position."""
-    return _head_logits(params, "head_pair", hidden[:, 0, :])
-
-
-def head_multilabel(params, hidden, n_labels):
-    """Independent per-label probabilities [batch, n_labels] via the logistic
-    function on first-position scores."""
-    return _sigmoid(_head_logits(params, "head_multi", hidden[:, 0, :], n_labels))
 
 
 def token_classify_loss(params, config, batch, label_ids, loss_mask, rng=None):
@@ -527,25 +574,25 @@ def multilabel_loss(params, config, batch, label_matrix, rng=None):
 
 def save_checkpoint(path, config: EncoderConfig, params) -> None:
     """Self-describing container: one JSON header line with the config and
-    tensor manifest, then raw little-endian float64 tensor bytes in manifest
-    order. Identical state always produces identical bytes."""
-    names = sorted(params)
+    the tensor manifest in store order, then the store's flat vector as raw
+    little-endian float64 bytes, written in one call. Identical state always
+    produces identical bytes."""
     header = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
         "config": asdict(config),
-        "tensors": [{"name": n, "shape": list(params[n].shape)} for n in names],
+        "tensors": [{"name": n, "shape": list(shape)} for n, shape in params.layout],
     }
     with open(path, "wb") as handle:
         handle.write(json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8"))
         handle.write(b"\n")
-        for name in names:
-            handle.write(np.ascontiguousarray(params[name], dtype="<f8").tobytes())
+        handle.write(np.ascontiguousarray(params.flat, dtype="<f8"))
 
 
-def load_checkpoint(path) -> tuple[EncoderConfig, dict[str, np.ndarray]]:
-    """Read a save_checkpoint file; a fault in its header or tensor bytes
-    fails as PATH: message."""
+def load_checkpoint(path) -> tuple[EncoderConfig, ParamStore]:
+    """Read a save_checkpoint file into a store laid out in manifest order,
+    the body read in one call; a fault in its header or body fails as
+    PATH: message."""
     with open(path, "rb") as handle:
         header_line = handle.readline()
         try:
@@ -580,14 +627,11 @@ def load_checkpoint(path) -> tuple[EncoderConfig, dict[str, np.ndarray]]:
             if layout.get(name) != expected.get(name):
                 raise ValueError(f"{path}: tensor {name} has shape {layout.get(name, 'none')}, "
                                  f"the config needs {expected.get(name, 'none')}")
-        params = {}
-        for entry in tensors:
-            shape = tuple(entry["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            raw = handle.read(count * 8)
-            if len(raw) != count * 8:
-                raise ValueError(f"{path}: truncated tensor {entry['name']}")
-            params[entry["name"]] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-        if handle.read(1):
-            raise ValueError(f"{path}: trailing bytes after last tensor")
-    return config, params
+        need = 8 * sum(math.prod(shape) for shape in layout.values())
+        size = os.fstat(handle.fileno()).st_size - handle.tell()
+        if size != need:
+            raise ValueError(f"{path}: tensor body has {size} bytes, the manifest needs {need} "
+                             f"({'truncated' if size < need else 'trailing bytes'})")
+        body = np.empty(need // 8, dtype="<f8")
+        handle.readinto(body)
+    return config, ParamStore(layout, body.astype(np.float64, copy=False))

@@ -29,9 +29,8 @@ import numpy as np
 
 from . import corpus, metrics, wordpiece
 from .encoder import (
-    Batch, EncoderConfig, forward, frame, head_multilabel, head_pair_classify,
-    head_token_classify, init_head, load_checkpoint, multilabel_loss, pair_classify_loss,
-    stack_rows, token_classify_loss,
+    Batch, EncoderConfig, ParamStore, _head_logits, _sigmoid, forward, frame, init_head,
+    load_checkpoint, multilabel_loss, pair_classify_loss, stack_rows, token_classify_loss,
 )
 from .pretrain import AdamConfig, adam_step, init_optimizer
 from .wordpiece import Vocabulary, normalize
@@ -151,16 +150,12 @@ def extend_for_markers(vocab: Vocabulary, params, config: EncoderConfig,
         return vocab, params, config
     new_vocab = vocab.with_extra_tokens(markers)
     rng = np.random.default_rng(seed)
-    new_params = dict(params)
-    extra = len(markers)
-    new_params["tok_emb"] = np.vstack(
-        [params["tok_emb"], rng.normal(0.0, 0.02, size=(extra, config.hidden_dim))]
-    )
-    new_params["mlm_w"] = np.hstack(
-        [params["mlm_w"], rng.normal(0.0, 0.02, size=(config.hidden_dim, extra))]
-    )
-    new_params["mlm_b"] = np.concatenate([params["mlm_b"], np.zeros(extra)])
-    return new_vocab, new_params, replace(config, vocab_size=config.vocab_size + extra)
+    v, h, extra = config.vocab_size, config.hidden_dim, len(markers)
+    new_params = params.resized({**dict(params.layout), "tok_emb": (v + extra, h),
+                                 "mlm_w": (h, v + extra), "mlm_b": (v + extra,)})
+    new_params["tok_emb"][v:] = rng.normal(0.0, 0.02, size=(extra, h))
+    new_params["mlm_w"][:, v:] = rng.normal(0.0, 0.02, size=(h, extra))
+    return new_vocab, new_params, replace(config, vocab_size=v + extra)
 
 
 def load_task_model(task: TaskSpec, checkpoint, vocab_path):
@@ -283,7 +278,7 @@ class FinetuneConfig:
 @dataclass
 class SeedRun:
     seed: int
-    params: dict[str, np.ndarray]
+    params: ParamStore
     dev_metric: float
     best_epoch: int
 
@@ -299,7 +294,7 @@ def predict_ner_tags(params, config, rows: Sequence[NerRow], tags: Sequence[str]
                      batch_size: int = 32) -> list[list[str]]:
     out: list[list[str]] = []
     for chunk, hidden in _forward_chunks(params, config, rows, batch_size):
-        best = head_token_classify(params, hidden, len(tags)).argmax(axis=-1)
+        best = _head_logits(params, "head_token", hidden, len(tags)).argmax(axis=-1)
         out.extend([tags[b[p]] for p in row.first_piece_positions]
                    for b, row in zip(best, chunk))
     return out
@@ -308,14 +303,15 @@ def predict_ner_tags(params, config, rows: Sequence[NerRow], tags: Sequence[str]
 def predict_pair_labels(params, config, batches: Sequence[Batch], labels: Sequence[str],
                         batch_size: int = 32) -> list[str]:
     return [labels[i] for _, hidden in _forward_chunks(params, config, batches, batch_size)
-            for i in head_pair_classify(params, hidden).argmax(axis=-1)]
+            for i in _head_logits(params, "head_pair", hidden[:, 0], len(labels)).argmax(-1)]
 
 
 def predict_label_sets(params, config, batches: Sequence[Batch], labels: Sequence[str],
                        threshold: float = 0.5, batch_size: int = 32) -> list[set[str]]:
+    """Labels whose logistic probability exceeds threshold, per batch row."""
     return [{labels[i] for i in np.nonzero(row > threshold)[0]}
             for _, hidden in _forward_chunks(params, config, batches, batch_size)
-            for row in head_multilabel(params, hidden, len(labels))]
+            for row in _sigmoid(_head_logits(params, "head_multi", hidden[:, 0], len(labels)))]
 
 
 def _dev_metric(task, params, config, dev):
@@ -357,7 +353,7 @@ def _train_step(task, params, config, rows: Sequence, state, rng):
 
 def finetune_task(
     config: EncoderConfig,
-    params: dict[str, np.ndarray],
+    params: ParamStore,
     task: TaskSpec,
     train_rows: Sequence,
     dev_rows: Sequence,
@@ -399,7 +395,7 @@ def finetune_task(
             metric = _dev_metric(task, p, config, dev_rows)
             if metric > best_metric:
                 best_metric = metric
-                best_params = {k: arr.copy() for k, arr in p.items()}
+                best_params = p.like(p.flat.copy())
                 best_epoch = epoch
             if step == hyper.max_steps:
                 break

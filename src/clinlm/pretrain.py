@@ -18,7 +18,7 @@ import numpy as np
 
 from . import wordpiece
 from .corpus import write_lines
-from .encoder import EncoderConfig, frame, mlm_forward_loss, stack_rows
+from .encoder import EncoderConfig, ParamStore, frame, mlm_forward_loss, stack_rows
 from .wordpiece import CLS_ID, MASK_ID, SEP_ID, Vocabulary
 
 N_RESERVED_IDS = 5  # random replacement never draws a special token
@@ -103,46 +103,47 @@ class AdamConfig:
 @dataclass
 class OptimizerState:
     config: AdamConfig
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    m: ParamStore
+    v: ParamStore
     step: int = 0
 
 
-def init_optimizer(params: dict[str, np.ndarray], config: AdamConfig) -> OptimizerState:
-    return OptimizerState(
-        config=config,
-        m={k: np.zeros_like(p) for k, p in params.items()},
-        v={k: np.zeros_like(p) for k, p in params.items()},
-    )
+def init_optimizer(params: ParamStore, config: AdamConfig) -> OptimizerState:
+    """Zero first and second moments in the layout of params."""
+    return OptimizerState(config=config, m=params.like(), v=params.like())
 
 
-def adam_step(
-    params: dict[str, np.ndarray],
-    grads: dict[str, np.ndarray],
-    state: OptimizerState,
-) -> tuple[dict[str, np.ndarray], OptimizerState]:
-    """One bias-corrected Adam update. Returns fresh params and state; the
-    inputs are left untouched."""
-    if set(grads) != set(params):
-        missing = set(params) ^ set(grads)
-        raise ValueError(f"gradient keys do not match parameters: {sorted(missing)[:5]}")
-    for name, g in grads.items():
-        if not np.isfinite(g).all():
-            raise ValueError(f"non-finite gradient for parameter {name!r}")
-
-    c = state.config
-    t = state.step + 1
-    new_params, new_m, new_v = {}, {}, {}
-    for name, p in params.items():
-        g = grads[name]
-        m = c.beta1 * state.m[name] + (1.0 - c.beta1) * g
-        v = c.beta2 * state.v[name] + (1.0 - c.beta2) * g * g
-        m_hat = m / (1.0 - c.beta1 ** t)
-        v_hat = v / (1.0 - c.beta2 ** t)
-        new_params[name] = p - c.lr * m_hat / (np.sqrt(v_hat) + c.epsilon)
-        new_m[name] = m
-        new_v[name] = v
-    return new_params, OptimizerState(config=c, m=new_m, v=new_v, step=t)
+def adam_step(params: ParamStore, grads: ParamStore,
+              state: OptimizerState) -> tuple[ParamStore, OptimizerState]:
+    """One bias-corrected Adam update over the stores' flat vectors. Returns
+    fresh params and state; the inputs are left untouched. A non-finite
+    gradient, or an update that leaves a parameter non-finite, is refused
+    with the name of the first tensor that holds one."""
+    if not grads.layout == state.m.layout == params.layout:
+        raise ValueError(f"gradient and moment keys and shapes must match the parameters: "
+                         f"{sorted(set(params.layout) ^ set(grads.layout))[:5]}")
+    grads.check_finite("non-finite gradient for parameter")
+    # m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g, p - lr m_hat / (sqrt(v_hat) + eps),
+    # rounded as those expressions are, into the fresh outputs and one scratch
+    # vector: a new whole-model temporary per operation costs more than the operation
+    c, t, g = state.config, state.step + 1, grads.flat
+    new_params, m, v = (params.like(np.empty_like(g)) for _ in range(3))
+    scratch = np.empty_like(g)
+    np.multiply(state.m.flat, c.beta1, out=m.flat)
+    m.flat += np.multiply(g, 1.0 - c.beta1, out=scratch)
+    np.multiply(state.v.flat, c.beta2, out=v.flat)
+    np.multiply(g, 1.0 - c.beta2, out=scratch)
+    v.flat += np.multiply(scratch, g, out=scratch)
+    np.divide(v.flat, 1.0 - c.beta2 ** t, out=scratch)
+    np.sqrt(scratch, out=scratch)
+    scratch += c.epsilon
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below, by name
+        step = np.divide(m.flat, 1.0 - c.beta1 ** t, out=new_params.flat)
+        step *= c.lr
+        step /= scratch
+        np.subtract(params.flat, step, out=new_params.flat)
+    new_params.check_finite("Adam update left a non-finite value in parameter")
+    return new_params, OptimizerState(config=c, m=m, v=v, step=t)
 
 
 @dataclass(frozen=True)
@@ -163,18 +164,18 @@ class AccumulationConfig:
 
 def accumulate_and_step(
     loss_grad_fn: Callable,
-    params: dict[str, np.ndarray],
+    params: ParamStore,
     state: OptimizerState,
     micro_batches: Sequence,
     accum: AccumulationConfig,
-) -> tuple[dict[str, np.ndarray], OptimizerState, float]:
+) -> tuple[ParamStore, OptimizerState, float]:
     """Accumulate gradients over micro-batches, then apply one Adam update.
 
     loss_grad_fn(params, micro_batch) must return (loss, grads, n_terms)
     where n_terms is the number of averaged loss terms in that micro-batch.
-    Per-micro-batch gradients are combined weighted by n_terms, which makes
-    the update identical to a single pass over the union of the
-    micro-batches.
+    Per-micro-batch gradients are summed into one flat vector weighted by
+    n_terms, which makes the update identical to a single pass over the
+    union of the micro-batches.
     """
     if len(micro_batches) != accum.accumulation_steps:
         raise ValueError(
@@ -182,20 +183,18 @@ def accumulate_and_step(
         )
     total_terms = 0
     total_loss = 0.0
-    acc: dict[str, np.ndarray] = {}
+    acc = None
     for mb in micro_batches:
         loss, grads, n_terms = loss_grad_fn(params, mb)
         if n_terms < 1:
             raise ValueError("micro-batch contributed no loss terms")
         total_terms += n_terms
         total_loss += loss * n_terms
-        for name, g in grads.items():
-            if name in acc:
-                acc[name] += g * n_terms
-            else:
-                acc[name] = g * n_terms
-    for name in acc:
-        acc[name] /= total_terms
+        if acc is None:
+            acc = grads.like(grads.flat * n_terms)
+        else:
+            acc.flat += grads.flat * n_terms
+    acc.flat /= total_terms
     params, state = adam_step(params, acc, state)
     return params, state, total_loss / total_terms
 
@@ -237,7 +236,7 @@ class LossLogEntry:
 
 @dataclass
 class PretrainResult:
-    params: dict[str, np.ndarray]
+    params: ParamStore
     config: EncoderConfig
     loss_log: list[LossLogEntry]
     phase_boundaries: list[int]  # first step index of each phase
@@ -322,7 +321,7 @@ def run_pretraining(
     accum: AccumulationConfig,
     adam: AdamConfig,
     seed: int,
-    params: dict[str, np.ndarray] | None = None,
+    params: ParamStore | None = None,
     schedule: str = "constant",
     warmup_fraction: float = 0.01,
     phase_callback: Callable | None = None,

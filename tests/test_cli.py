@@ -7,7 +7,6 @@ import sys
 import pytest
 
 from clinlm.cli import build_parser, dispatch, read_config
-from clinlm.corpus import read_split_manifest
 from clinlm.encoder import load_checkpoint
 from clinlm.wordpiece import read_vocab
 
@@ -203,8 +202,9 @@ class TestCorpusCommands:
                                   "--output", str(out)], capsys)
             assert code == 0
         assert out_a.read_bytes() == out_b.read_bytes()
-        assignment = read_split_manifest(out_a)
+        assignment = dict(line.split("\t") for line in out_a.read_text().splitlines())
         assert set(assignment) == {"p0", "p1", "p2"}
+        assert set(assignment.values()) <= {"train", "dev", "test"}
 
     def test_split_bad_ratios(self, tmp_path, notes_file, capsys):
         code, _, err = run_cli(["split", "--notes", str(notes_file),

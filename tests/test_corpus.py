@@ -7,13 +7,11 @@ import pytest
 from clinlm import corpus
 from clinlm.corpus import (
     DatasetStats,
-    EncounterLabelSet,
     NoteRecord,
     dataset_stats,
     filter_discharge_summaries,
     format_stats_row,
     read_notes,
-    read_split_manifest,
     select_top_k_labels,
     split_by_patient,
     write_notes,
@@ -42,37 +40,13 @@ class TestNoteRecord:
             note(patient="")
 
 
-class TestEncounterLabelSet:
-    def test_accepts_known_labels(self):
-        els = EncounterLabelSet("e1", {"401.9", "250.00"}, {"Hormones"})
-        assert els.icd9_codes == {"401.9", "250.00"}
-
-    def test_sets_may_be_empty(self):
-        els = EncounterLabelSet("e1")
-        assert els.icd9_codes == frozenset() and els.therapeutic_classes == frozenset()
-
-    def test_rejects_unknown_code(self):
-        with pytest.raises(ValueError, match="999.9"):
-            EncounterLabelSet("e1", {"999.9"})
-
-    def test_rejects_unknown_class(self):
-        with pytest.raises(ValueError, match="Placebos"):
-            EncounterLabelSet("e1", therapeutic_classes={"Placebos"})
-
-    def test_rejects_empty_encounter(self):
-        with pytest.raises(ValueError):
-            EncounterLabelSet("")
-
-
 class TestLabelCatalogs:
     def test_closed_list_sizes(self):
         assert len(corpus.icd9_top50_codes()) == 50
         assert len(corpus.therapeutic_class_names()) == 50
-        assert len(corpus.note_type_catalog()) == 48
 
     def test_no_duplicates(self):
-        for labels in (corpus.icd9_top50_codes(), corpus.therapeutic_class_names(),
-                       corpus.note_type_catalog()):
+        for labels in (corpus.icd9_top50_codes(), corpus.therapeutic_class_names()):
             assert len(set(labels)) == len(labels)
 
 
@@ -308,10 +282,3 @@ class TestSplitManifestIO:
         path = tmp_path / "split.tsv"
         write_split_manifest(path, assignment)
         assert path.read_text() == "p1\ttrain\np2\tdev\n"
-        assert read_split_manifest(path) == assignment
-
-    def test_bad_subset_rejected(self, tmp_path):
-        path = tmp_path / "split.tsv"
-        path.write_text("p1\tvalidation\n", encoding="utf-8")
-        with pytest.raises(ValueError, match="1"):
-            read_split_manifest(path)

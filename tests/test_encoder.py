@@ -11,15 +11,14 @@ import pytest
 from gradcheck import max_rel_error
 from clinlm.encoder import (
     Batch,
+    ParamStore,
     _add_rows,
+    _head_logits,
     EncoderConfig,
     attention_weights,
     base_config,
     forward,
     frame,
-    head_multilabel,
-    head_pair_classify,
-    head_token_classify,
     init_multilabel_head,
     init_pair_head,
     init_params,
@@ -33,6 +32,9 @@ from clinlm.encoder import (
     stack_rows,
     token_classify_loss,
 )
+from clinlm.finetune import extend_for_markers, predict_label_sets
+from clinlm.pretrain import AdamConfig, adam_step, init_optimizer
+from clinlm.wordpiece import train_wordpiece
 
 
 def tiny_config(**overrides):
@@ -51,7 +53,8 @@ def full_batch(token_rows, mask_rows=None, segment_rows=None):
 
 def zero_params(config):
     params = init_params(config, seed=0)
-    return {k: np.zeros_like(v) for k, v in params.items()}
+    params.flat[:] = 0.0
+    return params
 
 
 class TestEncoderConfig:
@@ -380,30 +383,39 @@ class TestHeads:
         params = init_pair_head(init_params(config, 0), config, 3, seed=1)
         params["head_pair_w"] = np.zeros_like(params["head_pair_w"])
         hidden = forward(params, config, full_batch([[5, 6]]))
-        logits = head_pair_classify(params, hidden)
+        logits = _head_logits(params, "head_pair", hidden[:, 0], 3)
         probs = np.exp(logits) / np.exp(logits).sum()
         np.testing.assert_allclose(probs, np.full((1, 3), 1 / 3), atol=1e-12)
 
     def test_zero_multilabel_head_is_half(self):
+        # zero scores are probability 1/2: above any lower threshold, not above 1/2
         config = tiny_config()
         params = init_multilabel_head(init_params(config, 0), config, 4, seed=1)
         params["head_multi_w"] = np.zeros_like(params["head_multi_w"])
-        hidden = forward(params, config, full_batch([[5, 6]]))
-        np.testing.assert_allclose(head_multilabel(params, hidden, 4),
-                                   np.full((1, 4), 0.5), atol=1e-12)
+        batch = full_batch([[5, 6]])
+        hidden = forward(params, config, batch)
+        assert np.array_equal(_head_logits(params, "head_multi", hidden[:, 0], 4),
+                              np.zeros((1, 4)))
+        labels = ["a", "b", "c", "d"]
+        assert predict_label_sets(params, config, [batch], labels, threshold=0.5) == [set()]
+        assert predict_label_sets(params, config, [batch], labels,
+                                  threshold=0.5 - 1e-12) == [set(labels)]
 
     def test_multilabel_probabilities_in_open_interval(self):
+        # every probability is above 0 and below 1
         config = tiny_config()
         params = init_multilabel_head(init_params(config, 3), config, 5, seed=2)
-        hidden = forward(params, config, full_batch([[5, 6, 7, 1]]))
-        probs = head_multilabel(params, hidden, 5)
-        assert np.all(probs > 0.0) and np.all(probs < 1.0)
+        batch = full_batch([[5, 6, 7, 1]])
+        labels = list("abcde")
+        assert predict_label_sets(params, config, [batch], labels, threshold=0.0) == [set(labels)]
+        below_one = np.nextafter(1.0, 0.0)
+        assert predict_label_sets(params, config, [batch], labels, threshold=below_one) == [set()]
 
     def test_token_head_scores_every_position(self):
         config = tiny_config()
         params = init_token_head(init_params(config, 3), config, 7, seed=2)
         hidden = forward(params, config, full_batch([[5, 6, 7, 1]]))
-        assert head_token_classify(params, hidden, 7).shape == (1, 4, 7)
+        assert _head_logits(params, "head_token", hidden, 7).shape == (1, 4, 7)
 
     def test_nonpositive_label_count_rejected(self):
         config = tiny_config()
@@ -420,7 +432,7 @@ class TestHeads:
         params = init_token_head(init_params(config, 0), config, 3, seed=0)
         hidden = forward(params, config, full_batch([[5, 6]]))
         with pytest.raises(ValueError, match="built for 3"):
-            head_token_classify(params, hidden, 5)
+            _head_logits(params, "head_token", hidden, 5)
 
 
 class TestHeadLosses:
@@ -714,3 +726,78 @@ class TestCheckpoint:
         self._rewrite_header(path, change)
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
             load_checkpoint(path)
+
+    def test_name_sorted_layout_loads(self, tmp_path):
+        # the layout earlier releases wrote: manifest and body sorted by name,
+        # one tensor after another
+        config = tiny_config(n_layers=2)
+        params = init_pair_head(init_params(config, 11), config, 3, 1)
+        names = sorted(params)
+        header = {"format": "clinlm-checkpoint", "version": 1,
+                  "config": {f: getattr(config, f) for f in config.__dataclass_fields__},
+                  "tensors": [{"name": n, "shape": list(params[n].shape)} for n in names]}
+        path = tmp_path / "sorted.ckpt"
+        with open(path, "wb") as handle:
+            handle.write(json.dumps(header, sort_keys=True, separators=(",", ":")).encode())
+            handle.write(b"\n")
+            for n in names:
+                handle.write(np.ascontiguousarray(params[n], dtype="<f8").tobytes())
+        loaded_config, loaded = load_checkpoint(path)
+        assert loaded_config == config and list(loaded) == names
+        for n in names:
+            np.testing.assert_array_equal(loaded[n], params[n])
+        assert_tiles_flat(loaded)
+
+
+def assert_tiles_flat(store):
+    """Every array of store is a C-contiguous view of store.flat, and the
+    arrays lie end to end over all of it in the store's order."""
+    assert isinstance(store, ParamStore)
+    base, offset = store.flat.__array_interface__["data"][0], 0
+    for name, arr in store.items():
+        assert np.shares_memory(arr, store.flat), name
+        assert arr.flags.c_contiguous, name
+        assert arr.__array_interface__["data"][0] == base + 8 * offset, name
+        offset += arr.size
+    assert offset == store.flat.size
+
+
+class TestParamStore:
+    def test_every_producer_tiles_flat(self, tmp_path):
+        config = tiny_config()
+        params = init_params(config, 0)
+        headed = init_pair_head(params, config, 3, seed=1)
+        assert list(headed) == list(param_shapes(config)) + ["head_pair_w", "head_pair_b"]
+        vocab = train_wordpiece(["alpha beta gamma"], declared_size=40, min_frequency=1)
+        grown_config = EncoderConfig(**{**vars(config), "vocab_size": len(vocab)})
+        _, grown, _ = extend_for_markers(vocab, init_params(grown_config, 0), grown_config,
+                                         ("problem",), seed=2)
+        save_checkpoint(tmp_path / "m.ckpt", config, headed)
+        _, loaded = load_checkpoint(tmp_path / "m.ckpt")
+        _, grads = mlm_forward_loss(params, config, full_batch([[5, 6, 7]]), [[0, 1]], [6])
+        stepped, state = adam_step(params, grads, init_optimizer(params, AdamConfig()))
+        for store in (params, headed, grown, loaded, grads, stepped, state.m, state.v):
+            assert_tiles_flat(store)
+        assert list(loaded) == list(headed) and list(grads) == list(params)
+
+    def test_init_head_keeps_an_existing_head_in_place(self):
+        config = tiny_config()
+        params = init_token_head(init_pair_head(init_params(config, 0), config, 3, 1),
+                                 config, 2, 1)
+        again = init_pair_head(params, config, 5, seed=2)
+        assert list(again) == list(params)
+        assert again["head_pair_w"].shape == (4, 5) and not again["head_pair_b"].any()
+        np.testing.assert_array_equal(again["head_token_w"], params["head_token_w"])
+        assert_tiles_flat(again)
+
+    def test_assignment_writes_into_the_view_or_is_refused(self):
+        params = init_params(tiny_config(), 0)
+        view = params["pos_emb"]
+        params["pos_emb"] = np.ones_like(view)
+        params["pos_emb"] += 1.0
+        assert params["pos_emb"] is view and (view == 2.0).all()
+        assert_tiles_flat(params)
+        with pytest.raises(KeyError, match="head_x_w"):
+            params["head_x_w"] = np.zeros((4, 2))
+        with pytest.raises(ValueError, match="pos_emb"):
+            params["pos_emb"] = np.zeros(3)

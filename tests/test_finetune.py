@@ -10,7 +10,7 @@ from clinlm.encoder import (
     EncoderConfig,
     frame,
     stack_rows,
-    head_multilabel,
+    _head_logits,
     forward,
     init_head,
     init_multilabel_head,
@@ -547,7 +547,8 @@ class TestPredictLabelSets:
                    prepare_document("delta gamma", small_vocab, 12)]
         sets = predict_label_sets(params, config, batches, labels)
         for batch, got in zip(batches, sets):
-            probs = head_multilabel(params, forward(params, config, batch), 3)[0]
+            logits = _head_logits(params, "head_multi", forward(params, config, batch)[:, 0], 3)
+            probs = 1.0 / (1.0 + np.exp(-logits[0]))
             expected = {labels[i] for i in range(3) if probs[i] > 0.5}
             assert got == expected
 

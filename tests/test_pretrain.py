@@ -6,7 +6,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from clinlm.encoder import EncoderConfig, init_params, mlm_forward_loss
+from clinlm.encoder import (
+    Batch, EncoderConfig, ParamStore, init_pair_head, init_params, mlm_forward_loss,
+    pair_classify_loss,
+)
 from clinlm.pretrain import (
     AccumulationConfig,
     AdamConfig,
@@ -127,6 +130,14 @@ class TestApplyMasking:
                           np.random.default_rng(0))
 
 
+def store(**arrays):
+    """A ParamStore holding copies of arrays, in keyword order."""
+    out = ParamStore({name: np.shape(arr) for name, arr in arrays.items()})
+    for name, arr in arrays.items():
+        out[name] = arr
+    return out
+
+
 class TestAdam:
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -143,9 +154,9 @@ class TestAdam:
             AdamConfig(**{field: value})
 
     def test_zero_gradient_is_a_no_op_on_params(self):
-        params = {"w": np.array([1.0, -2.0])}
+        params = store(w=np.array([1.0, -2.0]))
         state = init_optimizer(params, AdamConfig(lr=0.1))
-        new_params, new_state = adam_step(params, {"w": np.zeros(2)}, state)
+        new_params, new_state = adam_step(params, store(w=np.zeros(2)), state)
         assert np.array_equal(new_params["w"], params["w"])
         assert new_state.step == 1
 
@@ -153,10 +164,10 @@ class TestAdam:
         # Scalar parameter, constant gradient 1, lr 0.1. Bias correction
         # makes m_hat = v_hat = 1 (exactly at step 1, to float rounding at
         # step 2), so each update is lr / (1 + epsilon).
-        params = {"w": np.array([0.0])}
+        params = store(w=np.array([0.0]))
         config = AdamConfig(lr=0.1)
         state = init_optimizer(params, config)
-        grads = {"w": np.array([1.0])}
+        grads = store(w=np.array([1.0]))
         params, state = adam_step(params, grads, state)
         expected_first = -0.1 / (1.0 + 1e-8)
         assert params["w"][0] == pytest.approx(expected_first, abs=1e-12)
@@ -166,23 +177,23 @@ class TestAdam:
         assert state.step == 2
 
     def test_non_finite_gradient_names_parameter(self):
-        params = {"good": np.zeros(2), "bad": np.zeros(2)}
+        params = store(good=np.zeros(2), bad=np.zeros(2))
         state = init_optimizer(params, AdamConfig())
-        grads = {"good": np.zeros(2), "bad": np.array([1.0, np.nan])}
+        grads = store(good=np.zeros(2), bad=np.array([1.0, np.nan]))
         with pytest.raises(ValueError, match="bad"):
             adam_step(params, grads, state)
 
     def test_gradient_keys_must_match(self):
-        params = {"w": np.zeros(2)}
+        params = store(w=np.zeros(2))
         state = init_optimizer(params, AdamConfig())
         with pytest.raises(ValueError, match="keys"):
-            adam_step(params, {"v": np.zeros(2)}, state)
+            adam_step(params, store(v=np.zeros(2)), state)
 
     def test_scale_correct_sign_pattern(self):
         rng = np.random.default_rng(9)
-        params = {"w": rng.normal(size=(4, 3)), "b": rng.normal(size=5)}
-        grads = {"w": rng.normal(size=(4, 3)), "b": rng.normal(size=5)}
-        scaled = {k: 7.3 * v for k, v in grads.items()}
+        params = store(w=rng.normal(size=(4, 3)), b=rng.normal(size=5))
+        grads = store(w=rng.normal(size=(4, 3)), b=rng.normal(size=5))
+        scaled = grads.like(7.3 * grads.flat)
         state = init_optimizer(params, AdamConfig(lr=0.01))
         p1, _ = adam_step(params, grads, state)
         p2, _ = adam_step(params, scaled, state)
@@ -190,12 +201,55 @@ class TestAdam:
             assert np.array_equal(np.sign(p1[key] - params[key]),
                                   np.sign(p2[key] - params[key]))
 
+    def test_non_finite_update_names_parameter(self):
+        # 1e308 - 1e308 * (-1) / (1 + 1e-8) overflows to inf
+        params = store(a=np.zeros(2), w=np.array([1e308]))
+        state = init_optimizer(params, AdamConfig(lr=1e308))
+        grads = store(a=np.zeros(2), w=np.array([-1.0]))
+        with pytest.raises(ValueError, match="non-finite value in parameter 'w'"):
+            adam_step(params, grads, state)
+
+    def test_matches_per_tensor_reference_bit_for_bit(self):
+        config = EncoderConfig(vocab_size=12, hidden_dim=4, n_layers=2, n_heads=2,
+                               ff_dim=6, max_positions=4)
+        params = init_pair_head(init_params(config, 0), config, 3, seed=1)
+        adam = AdamConfig(lr=0.01)
+        state = init_optimizer(params, adam)
+        ref_params, ref_m, ref_v = ({k: np.array(a) for k, a in params.items()},
+                                    dict(state.m), dict(state.v))
+        rng = np.random.default_rng(3)
+        for step in range(1, 5):
+            ids = rng.integers(5, 12, size=(2, 4))
+            batch = Batch(ids, np.ones_like(ids), np.zeros_like(ids))
+            _, grads = pair_classify_loss(params, config, batch, rng.integers(0, 3, size=2))
+            ref_params, ref_m, ref_v = reference_adam(ref_params, grads, ref_m, ref_v,
+                                                      adam, step)
+            params, state = adam_step(params, grads, state)
+            for name in ref_params:
+                np.testing.assert_array_equal(params[name], ref_params[name], err_msg=name)
+                np.testing.assert_array_equal(state.m[name], ref_m[name], err_msg=name)
+                np.testing.assert_array_equal(state.v[name], ref_v[name], err_msg=name)
+
     def test_inputs_left_untouched(self):
-        params = {"w": np.array([1.0])}
+        params = store(w=np.array([1.0]))
         state = init_optimizer(params, AdamConfig(lr=0.1))
-        adam_step(params, {"w": np.array([1.0])}, state)
+        adam_step(params, store(w=np.array([1.0])), state)
         assert params["w"][0] == 1.0 and state.step == 0
         assert state.m["w"][0] == 0.0
+
+
+def reference_adam(params, grads, m, v, c, t):
+    """Textbook bias-corrected Adam, one tensor at a time: step t of
+    Kingma & Ba, with fresh dicts out."""
+    new_params, new_m, new_v = {}, {}, {}
+    for name, p in params.items():
+        g = grads[name]
+        new_m[name] = c.beta1 * m[name] + (1.0 - c.beta1) * g
+        new_v[name] = c.beta2 * v[name] + (1.0 - c.beta2) * g * g
+        m_hat = new_m[name] / (1.0 - c.beta1 ** t)
+        v_hat = new_v[name] / (1.0 - c.beta2 ** t)
+        new_params[name] = p - c.lr * m_hat / (np.sqrt(v_hat) + c.epsilon)
+    return new_params, new_m, new_v
 
 
 class TestAccumulationConfig:
