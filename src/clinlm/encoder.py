@@ -7,9 +7,10 @@ feed-forward sublayers. Every loss function returns analytic gradients for
 all parameters, derived by hand and checked against central finite
 differences in the test suite.
 
-Every input row is framed by frame and batched, up to the longest real row,
-by stack_rows. Every objective, masked-LM and task heads alike, is a linear
-head read at some (row, position) pairs, trained through one routine, _head_loss.
+Every input row is framed, unpadded, by frame and padded once, to the widest
+row of its batch, by stack_rows. Every objective, masked-LM and task heads
+alike, is a linear head read at some (row, position) pairs, trained through
+one routine, _head_loss.
 
 Train mode means an rng was passed: forward and the losses then drop out
 (config.dropout) the embeddings, then in each layer the attention weights,
@@ -97,7 +98,8 @@ def base_config(vocab_size: int) -> EncoderConfig:
 
 @dataclass
 class Batch:
-    """Rows padded to the longest real row: token ids, 0/1 mask, segment ids."""
+    """Rows of equal width: token ids, 0/1 attention mask, segment ids.
+    stack_rows builds one from framed rows, padding each to the widest."""
 
     token_ids: np.ndarray
     attention_mask: np.ndarray
@@ -129,13 +131,13 @@ class Batch:
 
 
 def frame(ids_a, ids_b, length: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One row of `length` positions: [CLS] a [SEP] for a single text (ids_b
-    None) or [CLS] a [SEP] b [SEP] for a pair, then [PAD] to the end.
+    """One unpadded row of at most `length` positions: [CLS] a [SEP] for a
+    single text (ids_b None) or [CLS] a [SEP] b [SEP] for a pair.
 
-    Returns (token ids, attention mask, segment ids). The mask is 1 exactly
-    on the framed tokens; side b and its [SEP] carry segment 1, everything
-    else segment 0. A single text that does not fit keeps its prefix; a pair
-    drops trailing pieces from its longer side first (side a on a tie).
+    Returns (token ids, attention mask, segment ids). The mask is all ones;
+    side b and its [SEP] carry segment 1, everything else segment 0. A single
+    text that does not fit keeps its prefix; a pair drops trailing pieces
+    from its longer side first (side a on a tie).
     """
     pair = ids_b is not None
     if length < (5 if pair else 3):  # room for one piece per side
@@ -143,37 +145,28 @@ def frame(ids_a, ids_b, length: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
     a, b = list(ids_a), list(ids_b) if pair else []
     while len(a) + len(b) > length - (3 if pair else 2):
         (a if len(a) >= len(b) else b).pop()
-    row = [CLS_ID] + a + [SEP_ID]
-    start_b = len(row)
-    if pair:
-        row += b + [SEP_ID]
-    ids = np.full(length, PAD_ID, dtype=np.int64)
-    ids[:len(row)] = row
-    mask = np.zeros(length, dtype=np.int64)
-    mask[:len(row)] = 1
-    segments = np.zeros(length, dtype=np.int64)
-    segments[start_b:len(row)] = 1
-    return ids, mask, segments
+    ids = np.array([CLS_ID, *a, SEP_ID] + ([*b, SEP_ID] if pair else []), dtype=np.int64)
+    segments = np.zeros(len(ids), dtype=np.int64)
+    segments[len(a) + 2:] = 1
+    return ids, np.ones(len(ids), dtype=np.int64), segments
 
 
 def stack_rows(rows) -> Batch:
-    """Stack framed rows into one Batch padded to its longest real row. Each
-    row is a (token ids, attention mask, segment ids) triple holding one row
-    (1-D, as frame returns) or several (2-D, as a Batch unpacks) of any width.
-    The Batch ends at the last column where any row has mask 1 (or keeps its
-    width if none has), filling narrower rows with [PAD], mask 0, segment 0."""
+    """Stack framed rows into one Batch as wide as its widest row. Each row is
+    a (token ids, attention mask, segment ids) triple holding one row (1-D,
+    as frame returns) or several (2-D, as a Batch unpacks). Narrower rows are
+    filled out with [PAD], mask 0, segment 0; no column is ever cut."""
     rows = [[np.atleast_2d(part) for part in row] for row in rows]
     if not rows:
         raise ValueError("no rows to stack")
-    n, full = sum(len(ids) for ids, _, _ in rows), max(ids.shape[1] for ids, _, _ in rows)
-    ids, mask, segments = columns = [np.full((n, full), fill) for fill in (PAD_ID, 0, 0)]
+    n, width = sum(len(ids) for ids, _, _ in rows), max(ids.shape[1] for ids, _, _ in rows)
+    columns = [np.full((n, width), fill) for fill in (PAD_ID, 0, 0)]
     start = 0
     for row in rows:
         for column, part in zip(columns, row):
             column[start:start + len(part), :part.shape[1]] = part
         start += len(row[0])
-    width = (np.flatnonzero(mask.any(axis=0)) + 1).max(initial=0) or full
-    return Batch(ids[:, :width], mask[:, :width], segments[:, :width])
+    return Batch(*columns)
 
 
 def param_shapes(config: EncoderConfig) -> dict[str, tuple[int, ...]]:
@@ -477,8 +470,9 @@ def _head_loss(params, config, batch, rows, cols, head, targets, rng, binary=Fal
         d_logits = exp / total  # softmax
         d_logits[np.arange(n), targets] -= 1.0
         d_logits /= n
-    d_hidden = np.zeros_like(hidden)
-    np.add.at(d_hidden, (rows, cols), d_logits @ params[head + "_w"].T)
+    d_hidden = np.zeros_like(hidden)  # a (row, position) pair may repeat
+    _add_rows(d_hidden.reshape(-1, hidden.shape[-1]), rows * hidden.shape[1] + cols,
+              d_logits @ params[head + "_w"].T)
     grads = _backward(params, config, cache, d_hidden)
     grads[head + "_w"] += h_t.T @ d_logits
     grads[head + "_b"] += d_logits.sum(axis=0)
@@ -601,6 +595,10 @@ def load_checkpoint(path) -> tuple[EncoderConfig, ParamStore]:
             raise ValueError(f"{path}: not a checkpoint (bad header)") from exc
         if not isinstance(header, dict) or header.get("format") != CHECKPOINT_FORMAT:
             raise ValueError(f"{path}: unrecognized checkpoint format")
+        version = header.get("version")
+        if type(version) is not int or version != CHECKPOINT_VERSION:
+            raise ValueError(f"{path}: checkpoint version {version!r}, "
+                             f"this release reads version {CHECKPOINT_VERSION}")
         names = {f.name for f in fields(EncoderConfig)}
         if not isinstance(header.get("config"), dict) or set(header["config"]) != names:
             raise ValueError(f"{path}: checkpoint config keys must be exactly {sorted(names)}")

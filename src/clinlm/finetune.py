@@ -203,16 +203,16 @@ def prepare_marked_sentence(words: Sequence[str], vocab: Vocabulary,
 
 @dataclass
 class NerRow:
-    """One encoded tagging example plus the bookkeeping needed to read
-    word-level predictions back out of piece-level logits. It unpacks as the
-    framed row that stack_rows takes, like a Batch."""
+    """One encoded tagging example: the unpadded framed row, and the position
+    and tag of each kept word's first piece, where its tag is scored and
+    read back out. It unpacks as the framed row that stack_rows takes, like
+    a Batch."""
 
     ids: np.ndarray
     mask: np.ndarray
     segment_ids: np.ndarray
-    label_ids: np.ndarray
-    loss_mask: np.ndarray
     first_piece_positions: list[int]
+    tag_ids: list[int]  # the tag id at each first piece position
     word_tags: list[str]  # gold tags for the words that survived truncation
 
     def __iter__(self):
@@ -233,8 +233,8 @@ def encode_ner_example(words: Sequence[str], tags: Sequence[str],
                        vocab: Vocabulary, tag_to_id: dict[str, int],
                        max_positions: int) -> NerRow:
     """Frame a tagged sentence as one row. Each word's first piece carries
-    its tag and a loss-mask 1; words past the max_positions - 2 piece budget
-    are dropped (a word cut inside keeps its first piece)."""
+    its tag, the only piece scored; words past the max_positions - 2 piece
+    budget are dropped (a word cut inside keeps its first piece)."""
     if len(words) != len(tags):
         raise ValueError(f"{len(words)} words but {len(tags)} tags")
     for tag in tags:
@@ -250,13 +250,8 @@ def encode_ner_example(words: Sequence[str], tags: Sequence[str],
         first_positions.append(1 + len(content))
         kept_tags.append(tag)
         content.extend(vocab.id_of(p) for p in pieces)
-    label_ids = np.zeros(max_positions, dtype=np.int64)
-    label_ids[first_positions] = [tag_to_id[tag] for tag in kept_tags]
-    loss_mask = np.zeros(max_positions, dtype=np.int64)
-    loss_mask[first_positions] = 1
-    return NerRow(*frame(content, None, max_positions), label_ids=label_ids,
-                  loss_mask=loss_mask, first_piece_positions=first_positions,
-                  word_tags=kept_tags)
+    return NerRow(*frame(content, None, max_positions), first_piece_positions=first_positions,
+                  tag_ids=[tag_to_id[tag] for tag in kept_tags], word_tags=kept_tags)
 
 
 @dataclass(frozen=True)
@@ -334,10 +329,11 @@ def _train_step(task, params, config, rows: Sequence, state, rng):
     train mode: dropout masks come from rng."""
     if task.kind == "ner":
         batch = stack_rows(rows)
-        width = batch.shape[1]  # label_ids and loss_mask are cut to it
-        _, grads = token_classify_loss(params, config, batch,
-                                       np.stack([r.label_ids[:width] for r in rows]),
-                                       np.stack([r.loss_mask[:width] for r in rows]), rng=rng)
+        label_ids, loss_mask = np.zeros(batch.shape, np.int64), np.zeros(batch.shape, np.int64)
+        for i, r in enumerate(rows):
+            label_ids[i, r.first_piece_positions] = r.tag_ids
+            loss_mask[i, r.first_piece_positions] = 1
+        _, grads = token_classify_loss(params, config, batch, label_ids, loss_mask, rng=rng)
     elif task.kind == "pair":
         class_ids = np.array([r[1] for r in rows], dtype=np.int64)
         _, grads = pair_classify_loss(params, config, stack_rows(r[0] for r in rows),

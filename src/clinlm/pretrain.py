@@ -18,7 +18,7 @@ import numpy as np
 
 from . import wordpiece
 from .corpus import write_lines
-from .encoder import EncoderConfig, ParamStore, frame, mlm_forward_loss, stack_rows
+from .encoder import EncoderConfig, ParamStore, frame, init_params, mlm_forward_loss, stack_rows
 from .wordpiece import CLS_ID, MASK_ID, SEP_ID, Vocabulary
 
 N_RESERVED_IDS = 5  # random replacement never draws a special token
@@ -321,7 +321,6 @@ def run_pretraining(
     accum: AccumulationConfig,
     adam: AdamConfig,
     seed: int,
-    params: ParamStore | None = None,
     schedule: str = "constant",
     warmup_fraction: float = 0.01,
     phase_callback: Callable | None = None,
@@ -344,16 +343,13 @@ def run_pretraining(
         raise ValueError(
             f"plan length {plan.max_length()} exceeds max_positions {config.max_positions}"
         )
-    from .encoder import init_params  # local import keeps module load light
-
     encoded = [list(wordpiece.encode(vocab, wordpiece.normalize(line)).ids)
                for line in corpus]
     encoded = [seq for seq in encoded if seq]
     if not encoded:
         raise ValueError("corpus has no encodable content")
 
-    if params is None:
-        params = init_params(config, seed)
+    params = init_params(config, seed)
     state = init_optimizer(params, adam)
     rng = np.random.default_rng(seed + 1)
     lr_of = lr_schedule(schedule, adam.lr, plan.total_steps, warmup_fraction)

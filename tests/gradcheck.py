@@ -1,6 +1,20 @@
-"""Central finite-difference gradient checking shared across test files."""
+"""Central finite-difference gradient checking shared across test files.
+
+The audits difference forward-only reference losses: the public forward
+plus the head weights, with cross-entropy and binary cross-entropy written
+out. Each reference costs one forward pass per evaluation, where the library
+loss would also run the backward pass and throw its gradients away.
+"""
 
 import numpy as np
+
+from clinlm.encoder import (
+    forward,
+    mlm_forward_loss,
+    multilabel_loss,
+    pair_classify_loss,
+    token_classify_loss,
+)
 
 STEP = 1e-5
 
@@ -9,14 +23,14 @@ def relative_error(analytic: float, numeric: float) -> float:
     return abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-6)
 
 
-def max_rel_error(loss_fn, params, grads, names=None, step=STEP):
+def max_rel_error(loss_fn, params, grads, step=STEP):
     """Worst relative error between analytic gradients and central finite
-    differences over every entry of the named parameters (all by default).
+    differences over every entry of every parameter.
 
     loss_fn(params) must return a scalar and be deterministic.
     """
     worst = 0.0
-    for name in sorted(names if names is not None else params):
+    for name in sorted(params):
         p = params[name]
         g = grads[name]
         flat = p.reshape(-1)
@@ -31,3 +45,67 @@ def max_rel_error(loss_fn, params, grads, names=None, step=STEP):
             numeric = (up - down) / (2.0 * step)
             worst = max(worst, relative_error(float(g_flat[i]), numeric))
     return worst
+
+
+def _head_scores(params, config, batch, rng, head, rows, cols):
+    hidden = forward(params, config, batch, rng)
+    return hidden[rows, cols] @ params[head + "_w"] + params[head + "_b"]
+
+
+def _cross_entropy(logits, targets):
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    log_total = np.log(np.exp(shifted).sum(axis=-1))
+    return float((log_total - shifted[np.arange(len(targets)), targets]).mean())
+
+
+def _first_positions(batch):
+    return np.arange(batch.shape[0]), np.zeros(batch.shape[0], dtype=np.int64)
+
+
+def mlm_reference(params, config, batch, target_positions, target_ids, rng=None):
+    rows, cols = np.asarray(target_positions, dtype=np.int64).reshape(-1, 2).T
+    logits = _head_scores(params, config, batch, rng, "mlm", rows, cols)
+    return _cross_entropy(logits, np.asarray(target_ids, dtype=np.int64))
+
+
+def token_reference(params, config, batch, label_ids, loss_mask, rng=None):
+    rows, cols = np.nonzero(np.asarray(loss_mask))
+    logits = _head_scores(params, config, batch, rng, "head_token", rows, cols)
+    return _cross_entropy(logits, np.asarray(label_ids, dtype=np.int64)[rows, cols])
+
+
+def pair_reference(params, config, batch, class_ids, rng=None):
+    logits = _head_scores(params, config, batch, rng, "head_pair", *_first_positions(batch))
+    return _cross_entropy(logits, np.asarray(class_ids, dtype=np.int64))
+
+
+def multilabel_reference(params, config, batch, label_matrix, rng=None):
+    logits = _head_scores(params, config, batch, rng, "head_multi", *_first_positions(batch))
+    y = np.asarray(label_matrix, dtype=np.float64)
+    return float((np.logaddexp(0.0, logits) - y * logits).mean())  # log(1 + e^z) - y z
+
+
+REFERENCES = {mlm_forward_loss: mlm_reference, token_classify_loss: token_reference,
+              pair_classify_loss: pair_reference, multilabel_loss: multilabel_reference}
+
+
+def audit_gradients(loss, params, config, batch, *args, seed=None):
+    """max_rel_error of loss's analytic gradients at params (every entry)
+    against central differences of its forward-only reference, after
+    asserting that the reference equals loss at params to 1e-12 relative.
+
+    loss is one of the four library losses, called as loss(params, config,
+    batch, *args, rng=...). With a seed both run in train mode, each call on
+    a fresh np.random.default_rng(seed), so every call draws the same
+    dropout masks and the loss is a fixed function of the parameters.
+    """
+    def rng():
+        return None if seed is None else np.random.default_rng(seed)
+
+    def reference(p):
+        return REFERENCES[loss](p, config, batch, *args, rng=rng())
+
+    value, grads = loss(params, config, batch, *args, rng=rng())
+    expected = reference(params)
+    assert abs(expected - value) <= 1e-12 * abs(value), (loss.__name__, expected, value)
+    return max_rel_error(reference, params, grads)

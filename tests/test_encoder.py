@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from gradcheck import max_rel_error
+from gradcheck import audit_gradients
 from clinlm.encoder import (
     Batch,
     ParamStore,
@@ -34,7 +34,7 @@ from clinlm.encoder import (
 )
 from clinlm.finetune import extend_for_markers, predict_label_sets
 from clinlm.pretrain import AdamConfig, adam_step, init_optimizer
-from clinlm.wordpiece import train_wordpiece
+from clinlm.wordpiece import PAD_ID, train_wordpiece
 
 
 def tiny_config(**overrides):
@@ -369,12 +369,7 @@ class TestMlmLoss:
         batch = full_batch([[5, 6, 7, 2], [3, 4, 1, 0]],
                            mask_rows=[[1, 1, 1, 1], [1, 1, 1, 0]])
         positions, targets = [[0, 1], [0, 3], [1, 0]], [6, 2, 3]
-
-        def loss_fn(p):
-            return mlm_forward_loss(p, config, batch, positions, targets)[0]
-
-        _, grads = mlm_forward_loss(params, config, batch, positions, targets)
-        assert max_rel_error(loss_fn, params, grads) < 1e-4
+        assert audit_gradients(mlm_forward_loss, params, config, batch, positions, targets) < 1e-4
 
 
 class TestHeads:
@@ -488,62 +483,45 @@ class TestHeadLosses:
         token_params = init_token_head(base, config, 3, seed=7)
         labels = np.array([[0, 2, 1, 0], [1, 0, 2, 0]])
         sel = np.array([[0, 1, 1, 0], [1, 1, 0, 0]])
-        _, grads = token_classify_loss(token_params, config, batch, labels, sel)
-        err = max_rel_error(
-            lambda p: token_classify_loss(p, config, batch, labels, sel)[0],
-            token_params, grads)
-        assert err < 1e-4
+        assert audit_gradients(token_classify_loss, token_params, config, batch,
+                               labels, sel) < 1e-4
 
         pair_params = init_pair_head(base, config, 3, seed=7)
         classes = np.array([2, 0])
-        _, grads = pair_classify_loss(pair_params, config, batch, classes)
-        err = max_rel_error(
-            lambda p: pair_classify_loss(p, config, batch, classes)[0],
-            pair_params, grads)
-        assert err < 1e-4
+        assert audit_gradients(pair_classify_loss, pair_params, config, batch, classes) < 1e-4
 
         multi_params = init_multilabel_head(base, config, 3, seed=7)
         matrix = np.array([[1.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
-        _, grads = multilabel_loss(multi_params, config, batch, matrix)
-        err = max_rel_error(
-            lambda p: multilabel_loss(p, config, batch, matrix)[0],
-            multi_params, grads)
-        assert err < 1e-4
+        assert audit_gradients(multilabel_loss, multi_params, config, batch, matrix) < 1e-4
 
 
-# (head initializer, loss call) of each loss the train-mode gradient audit
-# checks on its two-row batch
+# (head initializer, loss, its arguments after the batch) of each loss the
+# train-mode gradient audit checks on its two-row batch
 _TRAIN_MODE_LOSSES = [
-    pytest.param(None, lambda p, c, batch, **kw: mlm_forward_loss(
-        p, c, batch, [[0, 1], [0, 3], [1, 0]], [6, 2, 3], **kw), id="mlm"),
-    pytest.param(init_token_head, lambda p, c, batch, **kw: token_classify_loss(
-        p, c, batch, [[0, 2, 1, 0], [1, 0, 2, 0]], [[0, 1, 1, 0], [1, 1, 0, 0]], **kw),
-        id="token"),
-    pytest.param(init_pair_head, lambda p, c, batch, **kw: pair_classify_loss(
-        p, c, batch, [2, 0], **kw), id="pair"),
-    pytest.param(init_multilabel_head, lambda p, c, batch, **kw: multilabel_loss(
-        p, c, batch, [[1.0, 0.0, 1.0], [0.0, 0.0, 1.0]], **kw), id="multilabel"),
+    pytest.param(None, mlm_forward_loss, ([[0, 1], [0, 3], [1, 0]], [6, 2, 3]), id="mlm"),
+    # two targets at one position: their gradients add in the same hidden vector
+    pytest.param(None, mlm_forward_loss, ([[0, 1], [0, 1], [1, 0]], [6, 2, 3]),
+                 id="mlm-repeated-position"),
+    pytest.param(init_token_head, token_classify_loss,
+                 ([[0, 2, 1, 0], [1, 0, 2, 0]], [[0, 1, 1, 0], [1, 1, 0, 0]]), id="token"),
+    pytest.param(init_pair_head, pair_classify_loss, ([2, 0],), id="pair"),
+    pytest.param(init_multilabel_head, multilabel_loss,
+                 ([[1.0, 0.0, 1.0], [0.0, 0.0, 1.0]],), id="multilabel"),
 ]
 
 
 class TestTrainModeGradients:
-    @pytest.mark.parametrize("init,loss", _TRAIN_MODE_LOSSES)
-    def test_gradients_match_finite_differences_under_dropout(self, init, loss):
-        # a fresh generator per call draws the same masks every time, so the
-        # loss is a fixed function of the parameters
+    @pytest.mark.parametrize("init,loss,args", _TRAIN_MODE_LOSSES)
+    def test_gradients_match_finite_differences_under_dropout(self, init, loss, args):
         config = tiny_config(n_layers=2, dropout=0.3)
         params = init_params(config, 6)
         if init is not None:
             params = init(params, config, 3, seed=7)
         batch = full_batch([[5, 6, 7, 2], [3, 4, 1, 0]],
                            mask_rows=[[1, 1, 1, 1], [1, 1, 1, 0]])
-
-        def loss_fn(p):
-            return loss(p, config, batch, rng=np.random.default_rng(1))[0]
-
-        _, grads = loss(params, config, batch, rng=np.random.default_rng(1))
-        assert loss_fn(params) != loss(params, config, batch)[0]  # the masks apply
-        assert max_rel_error(loss_fn, params, grads) < 1e-4
+        train = loss(params, config, batch, *args, rng=np.random.default_rng(1))[0]
+        assert train != loss(params, config, batch, *args)[0]  # the masks apply
+        assert audit_gradients(loss, params, config, batch, *args, seed=1) < 1e-4
 
 
 @pytest.mark.parametrize("n,n_ids", [(1, 3), (7, 2), (512, 50)])
@@ -559,8 +537,8 @@ def test_add_rows_matches_np_add_at(n, n_ids):
 
 
 class TestPaddingInvariance:
-    """A batch trimmed to its longest real row (stack_rows) computes what the
-    same rows padded to max_positions compute, at every real position."""
+    """A batch as wide as its widest row (stack_rows) computes what the same
+    rows padded to max_positions compute, at every real position."""
 
     # Train mode runs at dropout 0: dropout masks are drawn one entry per
     # batch cell, so batches of two widths draw different masks.
@@ -573,20 +551,22 @@ class TestPaddingInvariance:
             params = init(params, config, 3, seed=5)
         rows = [frame([5, 6], None, 16), frame([7, 8, 9], [10, 11], 16),
                 frame([6, 5, 9, 9, 8, 7, 11], None, 16)]
-        trimmed, padded = stack_rows(rows), Batch(*(np.stack(column) for column in zip(*rows)))
-        assert trimmed.shape == (3, 9) and padded.shape == (3, 16)
-        real = trimmed.attention_mask == 1
+        stacked = stack_rows(rows)
+        padded = Batch(*(np.pad(column, ((0, 0), (0, 7)), constant_values=fill)
+                         for column, fill in zip(stacked, (PAD_ID, 0, 0))))
+        assert stacked.shape == (3, 9) and padded.shape == (3, 16)
+        real = stacked.attention_mask == 1
 
         def rng():
             return None if seed is None else np.random.default_rng(seed)
 
-        hidden = forward(params, config, trimmed, rng())
+        hidden = forward(params, config, stacked, rng())
         hidden_padded = forward(params, config, padded, rng())
         np.testing.assert_allclose(hidden[real], hidden_padded[:, :9][real], rtol=0, atol=1e-12)
 
         labels = np.tile(np.arange(16) % 3, (3, 1))
         selected = np.zeros((3, 16), dtype=bool)
-        selected[:, :9] = real & (trimmed.token_ids > 4)
+        selected[:, :9] = real & (stacked.token_ids > 4)
         calls = {  # each loss on a batch, its labels cut to the batch's width
             "mlm": lambda b: mlm_forward_loss(
                 params, config, b, [[0, 1], [1, 4], [2, 7]], [6, 11, 7], rng=rng()),
@@ -599,7 +579,7 @@ class TestPaddingInvariance:
                 rng=rng()),
         }
         for name, call in calls.items():
-            (value, grads), (value_padded, grads_padded) = call(trimmed), call(padded)
+            (value, grads), (value_padded, grads_padded) = call(stacked), call(padded)
             assert abs(value - value_padded) <= 1e-12, name
             assert grads.keys() == grads_padded.keys()
             for key in grads:
@@ -710,13 +690,16 @@ class TestCheckpoint:
         lambda h: {**h, "config": {**h["config"], "ln_epsilon": -1.0}},
         lambda h: {**h, "config": {**h["config"], "hidden_dim": 4.0}},
         lambda h: {**h, "config": {**h["config"], "n_layers": True}},
+        lambda h: {**h, "version": 99},
+        lambda h: {**h, "version": True},
     ], ids=["list-header", "extra-config-key", "missing-config-key", "config-not-object",
             "config-value-type", "tensors-not-list", "tensor-without-name",
             "non-string-name", "negative-dim", "shape-not-list", "float-dim",
             "entry-not-object", "transposed-tensor", "renamed-tensor", "repeated-tensor",
             "transposed-head", "head-without-bias", "head-bias-mismatch", "unknown-head",
             "string-ln-epsilon", "nan-ln-epsilon",
-            "negative-ln-epsilon", "float-hidden-dim", "bool-n-layers"])
+            "negative-ln-epsilon", "float-hidden-dim", "bool-n-layers", "other-version",
+            "bool-version"])
     def test_malformed_header_is_a_value_error_naming_the_file(self, tmp_path, change):
         path = tmp_path / "model.ckpt"
         config = tiny_config()

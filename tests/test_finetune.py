@@ -38,6 +38,7 @@ from clinlm.finetune import (
     read_ner_file,
     word_pieces,
 )
+from clinlm.pretrain import AdamConfig, init_optimizer
 from clinlm.wordpiece import CLS_ID, PAD_ID, SEP_ID, train_wordpiece
 
 
@@ -268,13 +269,13 @@ class TestEncodeNerExample:
     def test_row_structure(self, small_vocab):
         row = encode_ner_example(["severe", "pain"], ["B-problem", "I-problem"],
                                  small_vocab, self.TAG_TO_ID, 16)
-        assert row.ids[0] == CLS_ID
+        # unpadded: [CLS] severe pain [SEP], all real, all segment 0
+        assert row.ids.tolist() == [CLS_ID, small_vocab.id_of("severe"),
+                                    small_vocab.id_of("pain"), SEP_ID]
+        assert row.mask.tolist() == [1, 1, 1, 1] and not row.segment_ids.any()
         assert row.word_tags == ["B-problem", "I-problem"]
-        assert len(row.first_piece_positions) == 2
-        first = row.first_piece_positions[0]
-        assert row.loss_mask[first] == 1
-        assert row.label_ids[first] == 1
-        assert row.loss_mask[0] == 0  # CLS carries no loss
+        assert row.first_piece_positions == [1, 2]  # CLS carries no tag
+        assert row.tag_ids == [1, 2]
 
     def test_truncation_drops_trailing_words(self, small_vocab):
         words = ["pain"] * 30
@@ -291,23 +292,33 @@ class TestEncodeNerExample:
         with pytest.raises(ValueError):
             encode_ner_example(["a", "b"], ["O"], small_vocab, self.TAG_TO_ID, 8)
 
-    def test_ignored_positions_do_not_affect_loss(self, small_vocab):
+    def test_ignored_positions_do_not_affect_loss(self, small_vocab, monkeypatch):
+        # a training step scores each row's first pieces, with their tags, and
+        # nothing else: not [CLS], [SEP], continuation pieces or padding
         config = EncoderConfig(vocab_size=len(small_vocab), hidden_dim=8,
                                n_layers=1, n_heads=2, ff_dim=16, max_positions=16)
-        from clinlm.encoder import init_token_head
-        params = init_token_head(init_params(config, 0), config, 3, seed=1)
-        row = encode_ner_example(["severe", "pain"], ["B-problem", "I-problem"],
-                                 small_vocab, self.TAG_TO_ID, 16)
-        from clinlm.encoder import Batch
-        batch = Batch(row.ids[None, :], row.mask[None, :],
-                      np.zeros((1, 16), dtype=np.int64))
-        labels = row.label_ids[None, :].copy()
-        loss_a, _ = token_classify_loss(params, config, batch, labels,
-                                        row.loss_mask[None, :])
+        params = init_head(init_params(config, 0), config, "head_token", 3, seed=1)
+        task = TaskSpec("toy-ner", "ner", ("problem",), "entity_f1")
+        rows = [encode_ner_example(words, tags, small_vocab, self.TAG_TO_ID, 16)
+                for words, tags in [(["severe", "pain"], ["B-problem", "I-problem"]),
+                                    (["no"], ["O"])]]
+        seen = []
+
+        def spy(params, config, batch, label_ids, loss_mask, rng=None):
+            seen.append((batch, label_ids, loss_mask))
+            return token_classify_loss(params, config, batch, label_ids, loss_mask, rng=rng)
+
+        monkeypatch.setattr(finetune, "token_classify_loss", spy)
+        finetune._train_step(task, params, config, rows, init_optimizer(params, AdamConfig()),
+                             None)
+        [(batch, labels, selected)] = seen
+        assert batch.shape == (2, 4)
+        assert selected.tolist() == [[0, 1, 1, 0], [0, 1, 0, 0]]
+        assert labels[selected == 1].tolist() == [1, 2, 0]
+        loss_a, _ = token_classify_loss(params, config, batch, labels, selected)
         perturbed = labels.copy()
-        perturbed[0, row.loss_mask == 0] = 2  # garbage into ignored slots
-        loss_b, _ = token_classify_loss(params, config, batch, perturbed,
-                                        row.loss_mask[None, :])
+        perturbed[selected == 0] = 2  # garbage into ignored slots
+        loss_b, _ = token_classify_loss(params, config, batch, perturbed, selected)
         assert loss_a == loss_b
 
 
@@ -319,9 +330,8 @@ def _rows_equal(a, b):
             assert all(np.array_equal(u, v) for u, v in zip(x[0], y[0])) and x[1] == y[1]
         else:
             assert all(np.array_equal(u, v) for u, v in zip(x, y))
-            assert (x.label_ids.tolist(), x.loss_mask.tolist(), x.first_piece_positions,
-                    x.word_tags) == (y.label_ids.tolist(), y.loss_mask.tolist(),
-                                     y.first_piece_positions, y.word_tags)
+            assert ((x.first_piece_positions, x.tag_ids, x.word_tags)
+                    == (y.first_piece_positions, y.tag_ids, y.word_tags))
 
 
 class TestLoadTaskRows:
@@ -375,11 +385,10 @@ class TestNerRowFraming:
                                    small_vocab, tag_to_id, 8),
                 encode_ner_example(["no"], ["O"], small_vocab, tag_to_id, 8)]
         batch = stack_rows(rows)
-        width = 4  # the longest real row: [CLS] severe pain [SEP]
-        assert [int(r.mask.sum()) for r in rows] == [width, 3]
-        assert batch.shape == (2, width)
-        assert np.array_equal(batch.token_ids, np.stack([r.ids[:width] for r in rows]))
-        assert np.array_equal(batch.attention_mask, np.stack([r.mask[:width] for r in rows]))
+        assert [len(r.ids) for r in rows] == [4, 3]  # [CLS] severe pain [SEP]; [CLS] no [SEP]
+        assert batch.shape == (2, 4)
+        assert batch.token_ids.tolist() == [rows[0].ids.tolist(), rows[1].ids.tolist() + [PAD_ID]]
+        assert batch.attention_mask.tolist() == [[1, 1, 1, 1], [1, 1, 1, 0]]
         assert not batch.segment_ids.any()
 
 

@@ -15,10 +15,10 @@ pieces = st.lists(st.integers(min_value=5, max_value=500), max_size=40)
 def framed_parts(ids, mask, segments):
     """(side a, side b or None) read back out of a framed row, checking the
     framing invariants on the way."""
-    n = int(mask.sum())
-    assert np.array_equal(mask, np.arange(len(mask)) < n)  # ones prefix
+    n = len(ids)
+    assert ids.shape == mask.shape == segments.shape == (n,)
+    assert mask.all()  # unpadded: every position is real
     assert ids[0] == CLS_ID
-    assert np.all(ids[n:] == PAD_ID)
     seps = np.nonzero(ids == SEP_ID)[0]
     assert len(seps) in (1, 2)
     assert seps[-1] == n - 1
@@ -36,7 +36,7 @@ def framed_parts(ids, mask, segments):
 @given(a=pieces, length=st.integers(min_value=3, max_value=48))
 def test_single_text_keeps_its_prefix(a, length):
     ids, mask, segments = frame(a, None, length)
-    assert ids.shape == mask.shape == segments.shape == (length,)
+    assert len(ids) == min(len(a) + 2, length)
     kept, b = framed_parts(ids, mask, segments)
     assert b is None
     assert kept == a[:length - 2]
@@ -47,7 +47,7 @@ def test_single_text_keeps_its_prefix(a, length):
 @example(a=[5, 6, 7], b=[8, 9], length=6)  # both sides cut, the last cut on a tie
 def test_pair_cuts_the_longer_side_first(a, b, length):
     ids, mask, segments = frame(a, b, length)
-    assert ids.shape == mask.shape == segments.shape == (length,)
+    assert len(ids) == min(len(a) + len(b) + 3, length)
     kept_a, kept_b = framed_parts(ids, mask, segments)
     assert kept_a == a[:len(kept_a)] and kept_b == b[:len(kept_b)]
     assert len(kept_a) + len(kept_b) == min(len(a) + len(b), length - 3)
@@ -65,38 +65,43 @@ def test_pair_cuts_the_longer_side_first(a, b, length):
 def test_stacking_keeps_rows_in_order(texts, length):
     rows = [frame(a, b, length) for a, b in texts]
     batch = stack_rows(rows)
-    width = max(int(mask.sum()) for _, mask, _ in rows)  # the longest real row
+    width = max(len(ids) for ids, _, _ in rows)  # the widest row
     assert batch.shape == (len(rows), width)
     for i, row in enumerate(rows):
-        assert not row[1][width:].any()  # only padding is cut away
-        for stacked, framed in zip(batch, row):
-            assert np.array_equal(stacked[i], framed[:width])
+        n = len(row[0])
+        for stacked, framed, fill in zip(batch, row, (PAD_ID, 0, 0)):
+            assert np.array_equal(stacked[i, :n], framed)
+            assert np.all(stacked[i, n:] == fill)
     # a Batch is itself a stackable row triple; a narrower one is filled out
     again = stack_rows([batch, stack_rows(rows[:1])])
     assert again.shape == (len(rows) + 1, width)
-    assert np.array_equal(again.token_ids[:len(rows)], batch.token_ids)
-    for stacked, framed in zip(again, rows[0]):
-        assert np.array_equal(stacked[-1], framed[:width])
+    for stacked, first in zip(again, batch):
+        assert np.array_equal(stacked[:len(rows)], first)
+        assert np.array_equal(stacked[-1], first[0])
 
 
 def test_rows_of_different_widths_fill_with_pad_mask_and_segment_zero():
     short, long = frame([5, 6], [7], 16), frame([8] * 20, [9] * 5, 32)
+    assert len(short[0]) == 6 and len(long[0]) == 28
     batch = stack_rows([short, long])
     assert batch.shape == (2, 28)
     for stacked, framed, fill in zip(batch, short, (PAD_ID, 0, 0)):
-        assert np.array_equal(stacked[0], np.r_[framed, [fill] * 12])
+        assert np.array_equal(stacked[0], np.r_[framed, [fill] * 22])
     for stacked, framed in zip(batch, long):
-        assert np.array_equal(stacked[1], framed[:28])
+        assert np.array_equal(stacked[1], framed)
 
 
-def test_a_mask_with_holes_keeps_every_real_column():
-    row = (np.array([2, 7, 8, 3, 0, 0]), np.array([1, 0, 1, 0, 0, 0]), np.zeros(6))
-    batch = stack_rows([row])
-    assert batch.shape == (1, 3)
-    assert np.array_equal(batch.token_ids[0], [2, 7, 8])
-    assert np.array_equal(batch.attention_mask[0], [1, 0, 1])
-    # with no real column at all there is nothing to cut by, so nothing is cut
-    assert stack_rows([(row[0], np.zeros(6), row[2])]).shape == (1, 6)
+def test_stack_rows_never_cuts_a_column():
+    # trailing padding, a mask with holes and a row with no real position
+    # all keep every column they were given
+    padded = (np.array([2, 7, 8, 3, 0, 0]), np.array([1, 0, 1, 1, 0, 0]), np.zeros(6))
+    unmasked = (np.array([2, 7, 3]), np.zeros(3), np.zeros(3))
+    batch = stack_rows([padded, unmasked])
+    assert batch.shape == (2, 6)
+    for stacked, row in zip(batch, padded):
+        assert np.array_equal(stacked[0], row)
+    assert np.array_equal(batch.token_ids[1], [2, 7, 3, PAD_ID, PAD_ID, PAD_ID])
+    assert not batch.attention_mask[1].any()
 
 
 def test_no_rows_is_one_value_error():
