@@ -12,6 +12,13 @@ row of its batch, by stack_rows. Every objective, masked-LM and task heads
 alike, is a linear head read at some (row, position) pairs, trained through
 one routine, _head_loss.
 
+A head reads few positions: [CLS], each word's first piece, or the masked
+slots. Given those positions (reads), the top layer still attends at every
+position, since every key and value is needed, but runs its attention
+projection, feed-forward sublayer and both layer norms at the read positions
+only; the backward pass scatters their gradients back before attention. The
+losses and prediction pass reads; forward without them is the full pass.
+
 Train mode means an rng was passed: forward and the losses then drop out
 (config.dropout) the embeddings, then in each layer the attention weights,
 attention projection and feed-forward output, drawing masks from the rng in
@@ -237,12 +244,12 @@ class ParamStore(Mapping):
         return out
 
     def check_finite(self, message: str) -> None:
-        """Raise ValueError(message + the first name whose tensor holds a NaN
-        or an infinity), if one does."""
+        """Raise ValueError(message, its {name} replaced by the first name whose
+        tensor holds a NaN or an infinity), if one does."""
         if not np.isfinite(self.flat).all():
             index = np.flatnonzero(~np.isfinite(self.flat))[0]
             name = next(name for name, (_, stop, _) in self._slots.items() if index < stop)
-            raise ValueError(f"{message} {name!r}")
+            raise ValueError(message.replace("{name}", name))
 
 
 def init_params(config: EncoderConfig, seed: int) -> ParamStore:
@@ -258,12 +265,17 @@ def init_params(config: EncoderConfig, seed: int) -> ParamStore:
     return params
 
 
-def _gelu(x):
-    return 0.5 * x * (1.0 + erf(x / math.sqrt(2.0)))
+def _gelu(a):
+    """(GELU of a, the normal CDF of a); the backward pass reuses the CDF."""
+    cdf = erf(a / math.sqrt(2.0))
+    cdf += 1.0
+    cdf *= 0.5
+    return a * cdf, cdf
 
 
-def _gelu_grad(x):
-    return 0.5 * (1.0 + erf(x / math.sqrt(2.0))) + x * np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+def _gelu_grad(a, cdf):
+    """Derivative of GELU at a, given _gelu's CDF of a."""
+    return cdf + a * np.exp(-0.5 * a * a) / math.sqrt(2.0 * math.pi)
 
 
 def _layer_norm(params, name, x, eps):
@@ -301,15 +313,21 @@ def _linear_backward(params, grads, name, x, dy):
     return (dy2 @ params[name + "_w"].T).reshape(x.shape)
 
 
-def _drop(x, rate, rng, cache, key):
+def _drop(x, rate, rng, cache, key, shape=None, reads=None):
     """Inverted dropout: zero each entry of x with probability rate and scale
     the rest by 1 / (1 - rate), so eval needs no correction; the scaled mask
     is kept as cache[key] for the backward pass. Without an rng (eval mode)
-    or at rate 0 it returns x and draws nothing."""
+    or at rate 0 it returns x and draws nothing. When x holds the rows at
+    flat indices reads of an array of the given shape, the mask is drawn at
+    that full shape and its rows at reads are kept, so the rng advances
+    exactly as it would for the full array."""
     if rng is None or rate == 0.0:
         return x
     keep = 1.0 - rate
-    cache[key] = (rng.random(x.shape) < keep).astype(np.float64) / keep
+    mask = rng.random(x.shape if reads is None else shape) < keep
+    if reads is not None:
+        mask = mask.reshape(-1, x.shape[-1])[reads]
+    cache[key] = mask.astype(np.float64) / keep
     return x * cache[key]
 
 
@@ -323,7 +341,7 @@ def _join_heads(x):
     return x.transpose(0, 2, 1, 3).reshape(b, t, nh * dh)
 
 
-def _forward(params, config, batch, rng):
+def _forward(params, config, batch, rng, reads=None):
     b, t = batch.shape
     if t > config.max_positions:
         raise ValueError(f"sequence length {t} exceeds max_positions {config.max_positions}")
@@ -331,6 +349,11 @@ def _forward(params, config, batch, rng):
         raise ValueError("token id outside vocabulary range")
     if batch.segment_ids.min() < 0 or batch.segment_ids.max() >= config.n_segments:
         raise ValueError("segment id outside segment range")
+    if reads is not None:
+        reads = np.asarray(reads, dtype=np.int64)
+        if reads.ndim != 1 or (reads.size and (reads.min() < 0 or reads.max() >= b * t)):
+            raise ValueError(f"reads must be flat row * {t} + position indices "
+                             f"into the {b} x {t} batch")
 
     rate, eps = config.dropout, config.ln_epsilon
     cache = {"batch": batch, "layers": []}
@@ -346,6 +369,7 @@ def _forward(params, config, batch, rng):
     attn_bias = np.where(batch.attention_mask[:, None, None, :] == 1, 0.0, _NEG_INF)
 
     scale = 1.0 / math.sqrt(config.head_dim)
+    full = (b, t, config.hidden_dim)  # the shape dropout draws at, read rows or not
     for i in range(config.n_layers):
         p = f"layer{i}."
         lc = {"x_in": x}
@@ -357,22 +381,35 @@ def _forward(params, config, batch, rng):
         attn = exp / exp.sum(axis=-1, keepdims=True)
         attn_used = _drop(attn, rate, rng, lc, "attn_drop")
         ctx = _join_heads(attn_used @ vh)
-        proj = _drop(_linear(params, p + "attn_out", ctx), rate, rng, lc, "proj_drop")
+        at = reads if i == config.n_layers - 1 else None
+        if at is not None:
+            # every key and value was needed above; from here on only the
+            # rows a head reads are computed
+            lc["reads"] = at
+            ctx, x = (part.reshape(-1, config.hidden_dim)[at] for part in (ctx, x))
+        proj = _drop(_linear(params, p + "attn_out", ctx), rate, rng, lc, "proj_drop", full, at)
         h1, ln1 = _layer_norm(params, p + "attn_ln", x + proj, eps)
         a = _linear(params, p + "ff_in", h1)
-        g = _gelu(a)
-        f = _drop(_linear(params, p + "ff_out", g), rate, rng, lc, "ff_drop")
+        g, cdf = _gelu(a)
+        f = _drop(_linear(params, p + "ff_out", g), rate, rng, lc, "ff_drop", full, at)
         x, ln2 = _layer_norm(params, p + "ff_ln", h1 + f, eps)
         lc.update(qh=qh, kh=kh, vh=vh, attn=attn, attn_used=attn_used, ctx=ctx,
-                  ln1=ln1, h1=h1, a=a, g=g, ln2=ln2)
+                  ln1=ln1, h1=h1, a=a, cdf=cdf, g=g, ln2=ln2)
         cache["layers"].append(lc)
     return x, cache
 
 
-def forward(params, config: EncoderConfig, batch: Batch, rng=None) -> np.ndarray:
+def forward(params, config: EncoderConfig, batch: Batch, rng=None, reads=None) -> np.ndarray:
     """Hidden states [batch, positions, hidden_dim]. Dropout applies only
-    with an rng (train mode)."""
-    hidden, _ = _forward(params, config, batch, rng)
+    with an rng (train mode), and draws the same masks with or without reads.
+
+    With reads, flat row * width + position indices into the batch (they
+    may repeat and come in any order), it returns only the hidden states at
+    those positions, [len(reads), hidden_dim], equal to the full pass's rows
+    there: the last layer attends at every position but runs its
+    attention projection, feed-forward and layer norms at the read rows only.
+    """
+    hidden, _ = _forward(params, config, batch, rng, reads)
     return hidden
 
 
@@ -394,13 +431,16 @@ def _backward(params, config, cache, d_hidden):
 
         d_res2 = _layer_norm_backward(params, grads, p + "ff_ln", dx, lc["ln2"])
         d_f = d_res2 * lc["ff_drop"] if "ff_drop" in lc else d_res2
-        d_a = _linear_backward(params, grads, p + "ff_out", lc["g"], d_f) * _gelu_grad(lc["a"])
+        d_a = _linear_backward(params, grads, p + "ff_out", lc["g"], d_f)
+        d_a *= _gelu_grad(lc["a"], lc["cdf"])
         d_h1 = d_res2 + _linear_backward(params, grads, p + "ff_in", lc["h1"], d_a)
 
         d_res1 = _layer_norm_backward(params, grads, p + "attn_ln", d_h1, lc["ln1"])
         d_proj = d_res1 * lc["proj_drop"] if "proj_drop" in lc else d_res1
-        d_ctx = _split_heads(_linear_backward(params, grads, p + "attn_out", lc["ctx"], d_proj),
-                             config.n_heads)
+        d_ctx = _linear_backward(params, grads, p + "attn_out", lc["ctx"], d_proj)
+        if "reads" in lc:  # back from the read rows to every position
+            d_ctx, d_res1 = (_scatter_rows(d, lc["reads"], batch.shape) for d in (d_ctx, d_res1))
+        d_ctx = _split_heads(d_ctx, config.n_heads)
 
         d_attn_used = d_ctx @ lc["vh"].swapaxes(-1, -2)
         d_vh = lc["attn_used"].swapaxes(-1, -2) @ d_ctx
@@ -431,6 +471,13 @@ def _add_rows(out, ids, rows):
     out[ids[order[starts]]] += np.add.reduceat(rows[order], starts, axis=0)
 
 
+def _scatter_rows(rows, reads, shape):
+    """[*shape, rows' width] zeros plus rows[i] at flat index reads[i]."""
+    out = np.zeros((math.prod(shape), rows.shape[-1]))
+    _add_rows(out, reads, rows)
+    return out.reshape(*shape, rows.shape[-1])
+
+
 def _sigmoid(z):
     return 1.0 / (1.0 + np.exp(-z))
 
@@ -454,8 +501,10 @@ def _head_loss(params, config, batch, rows, cols, head, targets, rng, binary=Fal
     """
     if not binary and (targets.min() < 0 or targets.max() >= params[head + "_w"].shape[1]):
         raise ValueError(f"label id outside the range of head {head}")
-    hidden, cache = _forward(params, config, batch, rng)
-    h_t = hidden[rows, cols]
+    # the top layer runs at each distinct read position once
+    reads, inverse = np.unique(rows * batch.shape[1] + cols, return_inverse=True)
+    hidden, cache = _forward(params, config, batch, rng, reads)
+    h_t = hidden[inverse]
     logits = _head_logits(params, head, h_t)
     if binary:
         # log(1 + e^z) - y*z, computed stably
@@ -471,8 +520,7 @@ def _head_loss(params, config, batch, rows, cols, head, targets, rng, binary=Fal
         d_logits[np.arange(n), targets] -= 1.0
         d_logits /= n
     d_hidden = np.zeros_like(hidden)  # a (row, position) pair may repeat
-    _add_rows(d_hidden.reshape(-1, hidden.shape[-1]), rows * hidden.shape[1] + cols,
-              d_logits @ params[head + "_w"].T)
+    _add_rows(d_hidden, inverse, d_logits @ params[head + "_w"].T)
     grads = _backward(params, config, cache, d_hidden)
     grads[head + "_w"] += h_t.T @ d_logits
     grads[head + "_b"] += d_logits.sum(axis=0)
@@ -585,8 +633,8 @@ def save_checkpoint(path, config: EncoderConfig, params) -> None:
 
 def load_checkpoint(path) -> tuple[EncoderConfig, ParamStore]:
     """Read a save_checkpoint file into a store laid out in manifest order,
-    the body read in one call; a fault in its header or body fails as
-    PATH: message."""
+    the body read in one call; a fault in its header or body, a NaN or an
+    infinity included, fails as PATH: message."""
     with open(path, "rb") as handle:
         header_line = handle.readline()
         try:
@@ -632,4 +680,6 @@ def load_checkpoint(path) -> tuple[EncoderConfig, ParamStore]:
                              f"({'truncated' if size < need else 'trailing bytes'})")
         body = np.empty(need // 8, dtype="<f8")
         handle.readinto(body)
-    return config, ParamStore(layout, body.astype(np.float64, copy=False))
+    params = ParamStore(layout, body.astype(np.float64, copy=False))
+    params.check_finite(f"{path}: tensor {{name}} holds a NaN or infinity")
+    return config, params

@@ -278,35 +278,48 @@ class SeedRun:
     best_epoch: int
 
 
-def _forward_chunks(params, config, rows: Sequence, batch_size: int):
-    """Yield (chunk, hidden states) for each batch_size rows, in order."""
+def _forward_chunks(params, config, rows: Sequence, batch_size: int, head: str, n_out: int):
+    """Yield, for each row in order, the scores of head at the positions it
+    reads there ([positions, n_out]): a NerRow's first pieces, or position 0
+    of each row a Batch holds. Each batch_size rows take one forward pass,
+    whose top layer runs at those positions only. A non-finite score is
+    refused with a ValueError naming the first row that has one."""
+    done = 0  # rows yielded so far
     for start in range(0, len(rows), batch_size):
         chunk = rows[start:start + batch_size]
-        yield chunk, forward(params, config, stack_rows(chunk))
+        batch = stack_rows(chunk)
+        cols = ([row.first_piece_positions for row in chunk] if head == "head_token"
+                else [[0]] * batch.shape[0])
+        reads = np.concatenate([np.add(c, i * batch.shape[1], dtype=np.int64)
+                                for i, c in enumerate(cols)])
+        scores = _head_logits(params, head, forward(params, config, batch, reads=reads), n_out)
+        per_row = np.split(scores, np.cumsum([len(c) for c in cols])[:-1])
+        if not np.isfinite(scores).all():
+            bad = next(i for i, s in enumerate(per_row) if not np.isfinite(s).all())
+            raise ValueError(f"row {done + bad}: the model's {head} scores hold a NaN "
+                             f"or infinity")
+        done += len(per_row)
+        yield from per_row
 
 
 def predict_ner_tags(params, config, rows: Sequence[NerRow], tags: Sequence[str],
                      batch_size: int = 32) -> list[list[str]]:
-    out: list[list[str]] = []
-    for chunk, hidden in _forward_chunks(params, config, rows, batch_size):
-        best = _head_logits(params, "head_token", hidden, len(tags)).argmax(axis=-1)
-        out.extend([tags[b[p]] for p in row.first_piece_positions]
-                   for b, row in zip(best, chunk))
-    return out
+    """The tag of each kept word of each row, predicted at its first piece."""
+    return [[tags[i] for i in scores.argmax(axis=-1)] for scores in
+            _forward_chunks(params, config, rows, batch_size, "head_token", len(tags))]
 
 
 def predict_pair_labels(params, config, batches: Sequence[Batch], labels: Sequence[str],
                         batch_size: int = 32) -> list[str]:
-    return [labels[i] for _, hidden in _forward_chunks(params, config, batches, batch_size)
-            for i in _head_logits(params, "head_pair", hidden[:, 0], len(labels)).argmax(-1)]
+    return [labels[scores[0].argmax()] for scores in
+            _forward_chunks(params, config, batches, batch_size, "head_pair", len(labels))]
 
 
 def predict_label_sets(params, config, batches: Sequence[Batch], labels: Sequence[str],
                        threshold: float = 0.5, batch_size: int = 32) -> list[set[str]]:
     """Labels whose logistic probability exceeds threshold, per batch row."""
-    return [{labels[i] for i in np.nonzero(row > threshold)[0]}
-            for _, hidden in _forward_chunks(params, config, batches, batch_size)
-            for row in _sigmoid(_head_logits(params, "head_multi", hidden[:, 0], len(labels)))]
+    return [{labels[i] for i in np.nonzero(_sigmoid(scores[0]) > threshold)[0]} for scores in
+            _forward_chunks(params, config, batches, batch_size, "head_multi", len(labels))]
 
 
 def _dev_metric(task, params, config, dev):

@@ -122,7 +122,7 @@ def adam_step(params: ParamStore, grads: ParamStore,
     if not grads.layout == state.m.layout == params.layout:
         raise ValueError(f"gradient and moment keys and shapes must match the parameters: "
                          f"{sorted(set(params.layout) ^ set(grads.layout))[:5]}")
-    grads.check_finite("non-finite gradient for parameter")
+    grads.check_finite("non-finite gradient for parameter '{name}'")
     # m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g, p - lr m_hat / (sqrt(v_hat) + eps),
     # rounded as those expressions are, into the fresh outputs and one scratch
     # vector: a new whole-model temporary per operation costs more than the operation
@@ -142,7 +142,7 @@ def adam_step(params: ParamStore, grads: ParamStore,
         step *= c.lr
         step /= scratch
         np.subtract(params.flat, step, out=new_params.flat)
-    new_params.check_finite("Adam update left a non-finite value in parameter")
+    new_params.check_finite("Adam update left a non-finite value in parameter '{name}'")
     return new_params, OptimizerState(config=c, m=m, v=v, step=t)
 
 

@@ -4,10 +4,11 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from clinlm.cli import build_parser, dispatch, read_config
-from clinlm.encoder import load_checkpoint
+from clinlm.encoder import ParamStore, load_checkpoint
 from clinlm.wordpiece import read_vocab
 
 CORPUS_LINES = [
@@ -421,6 +422,17 @@ def _with_transposed_token_table(header):
     return header
 
 
+def _nan_in_tensor(name):
+    """The tiny model's checkpoint bytes with the first entry of tensor name NaN."""
+    def build(ckpt_bytes):
+        header_line, body = ckpt_bytes.split(b"\n", 1)
+        layout = {e["name"]: e["shape"] for e in json.loads(header_line)["tensors"]}
+        params = ParamStore(layout, np.frombuffer(body, dtype="<f8").astype(np.float64))
+        params[name].flat[0] = np.nan
+        return header_line + b"\n" + params.flat.astype("<f8").tobytes()
+    return build
+
+
 def _finetune(task, *extra, checkpoint="{ckpt}", data="{file}", vocab="{vocab}"):
     return ["finetune", "--task", task, "--checkpoint", checkpoint, "--vocab", vocab,
             "--train", data, "--dev", data, "--seeds", "1", *extra]
@@ -462,6 +474,9 @@ class TestMalformedInputs:
         ("transposed-checkpoint-tensor", "model.ckpt",
          _checkpoint_header(_with_transposed_token_table),
          _finetune("mednli", checkpoint="{file}", data="{vocab}"), "{file}: tensor tok_emb"),
+        ("nan-checkpoint-tensor", "model.ckpt", _nan_in_tensor("layer0.ff_in_w"),
+         _finetune("mednli", checkpoint="{file}", data="{vocab}"),
+         "{file}: tensor layer0.ff_in_w holds a NaN or infinity"),
         ("vocabulary-of-another-size", "vocab.txt", "[PAD]\n[UNK]\n[CLS]\n[SEP]\n[MASK]\npain\n",
          _finetune("re-2010", vocab="{file}", data="{vocab}"), "{file} has 6 tokens but {ckpt}"),
         ("invalid-probe-prediction", "preds.txt", "Neutral\n" * 128 + "Maybe\n",

@@ -7,12 +7,16 @@ import time
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from gradcheck import audit_gradients
+from clinlm import encoder
 from clinlm.encoder import (
     Batch,
     ParamStore,
     _add_rows,
+    _gelu,
+    _gelu_grad,
     _head_logits,
     EncoderConfig,
     attention_weights,
@@ -524,6 +528,90 @@ class TestTrainModeGradients:
         assert audit_gradients(loss, params, config, batch, *args, seed=1) < 1e-4
 
 
+class TestReads:
+    """forward with reads returns the full pass's hidden states at those
+    flat row * width + position indices, and draws the same dropout masks."""
+
+    @staticmethod
+    def model():
+        config = tiny_config(vocab_size=12, hidden_dim=8, n_layers=2, ff_dim=12,
+                             max_positions=8, dropout=0.1)
+        params = init_params(config, 3)
+        batch = stack_rows([frame([5, 6, 7], None, 8), frame([8, 9], [10, 11], 8),
+                            frame([6], None, 8)])
+        return config, params, batch
+
+    @pytest.mark.parametrize("reads", [[9, 0, 17, 3, 12], [4, 4, 1, 4], [0, 7, 14]],
+                             ids=["unsorted", "repeated", "one-per-row"])
+    @pytest.mark.parametrize("seed", [None, 5], ids=["eval", "train"])
+    def test_reads_are_the_full_pass_rows(self, reads, seed):
+        config, params, batch = self.model()
+        assert batch.shape == (3, 7)
+        rngs = [None if seed is None else np.random.default_rng(seed) for _ in range(2)]
+        full = forward(params, config, batch, rngs[0]).reshape(-1, config.hidden_dim)
+        read = forward(params, config, batch, rngs[1], reads=np.array(reads))
+        assert read.shape == (len(reads), config.hidden_dim)
+        np.testing.assert_allclose(read, full[reads], rtol=1e-12, atol=0)
+        if seed is not None:  # the masks were drawn, and the rng left, as in the full pass
+            assert not np.allclose(full, forward(params, config, batch).reshape(full.shape))
+            assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+
+    @pytest.mark.parametrize("reads", [[-1], [21], [0, 21], [[0, 1]]],
+                             ids=["negative", "past-the-end", "one-of-two-past-the-end", "2-d"])
+    def test_reads_outside_the_batch_refused(self, reads):
+        config, params, batch = self.model()
+        with pytest.raises(ValueError, match="reads"):
+            forward(params, config, batch, reads=reads)
+
+
+def last_ff_in_rows(monkeypatch, config):
+    """A list that collects the row count of every call to the last layer's
+    ff_in, through a spy on encoder._linear."""
+    rows, linear = [], encoder._linear
+
+    def spy(params, name, x):
+        if name == f"layer{config.n_layers - 1}.ff_in":
+            rows.append(x.reshape(-1, x.shape[-1]).shape[0])
+        return linear(params, name, x)
+
+    monkeypatch.setattr(encoder, "_linear", spy)
+    return rows
+
+
+class TestLossesRunTheTopLayerAtReadsOnly:
+    # (loss, its arguments after the batch, distinct positions it reads) on
+    # a 2 x 4 batch
+    @pytest.mark.parametrize("init,loss,args,n_reads", [
+        (None, mlm_forward_loss, ([[0, 1], [0, 1], [1, 0], [1, 3]], [6, 2, 3, 4]), 3),
+        (init_token_head, token_classify_loss,
+         ([[0, 2, 1, 0], [1, 0, 2, 0]], [[0, 1, 1, 0], [1, 1, 0, 0]]), 4),
+        (init_pair_head, pair_classify_loss, ([2, 0],), 2),
+        (init_multilabel_head, multilabel_loss, ([[1.0, 0.0, 1.0], [0.0, 0.0, 1.0]],), 2),
+    ], ids=["mlm", "token", "pair", "multilabel"])
+    def test_last_ff_in_sees_each_read_position_once(self, monkeypatch, init, loss, args,
+                                                     n_reads):
+        config = tiny_config(n_layers=2)
+        params = init_params(config, 6)
+        if init is not None:
+            params = init(params, config, 3, seed=7)
+        batch = full_batch([[5, 6, 7, 2], [3, 4, 1, 0]],
+                           mask_rows=[[1, 1, 1, 1], [1, 1, 1, 0]])
+        rows = last_ff_in_rows(monkeypatch, config)
+        loss(params, config, batch, *args)
+        assert rows == [n_reads]
+
+
+def test_gelu_and_its_gradient_are_the_closed_forms_bit_for_bit():
+    # the gradient reuses the forward's normal CDF; scaling by 0.5 is exact,
+    # so reordering it changes no bit
+    rng = np.random.default_rng(0)
+    a = rng.normal(size=100_000) * np.geomspace(0.01, 30.0, 100_000)
+    gelu, cdf = _gelu(a)
+    assert np.array_equal(gelu, 0.5 * a * (1.0 + erf(a / math.sqrt(2.0))))
+    assert np.array_equal(_gelu_grad(a, cdf), 0.5 * (1.0 + erf(a / math.sqrt(2.0)))
+                          + a * np.exp(-0.5 * a * a) / math.sqrt(2.0 * math.pi))
+
+
 @pytest.mark.parametrize("n,n_ids", [(1, 3), (7, 2), (512, 50)])
 def test_add_rows_matches_np_add_at(n, n_ids):
     # the embedding gradients' scatter sums each id's rows in another order
@@ -645,6 +733,17 @@ class TestCheckpoint:
         with open(path, "ab") as handle:
             handle.write(b"x")
         with pytest.raises(ValueError, match="trailing"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_tensor_rejected_by_name(self, tmp_path, value):
+        config = tiny_config()
+        params = init_params(config, 11)
+        params["layer0.ff_in_w"][1, 2] = value
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, config, params)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: tensor layer0.ff_in_w "
+                                             f"holds a NaN or infinity$"):
             load_checkpoint(path)
 
     def test_non_checkpoint_rejected(self, tmp_path):

@@ -40,6 +40,7 @@ from clinlm.finetune import (
 )
 from clinlm.pretrain import AdamConfig, init_optimizer
 from clinlm.wordpiece import CLS_ID, PAD_ID, SEP_ID, train_wordpiece
+from test_encoder import last_ff_in_rows
 
 
 @pytest.fixture(scope="module")
@@ -535,15 +536,49 @@ class TestDropout:
             return forward(*args, **kwargs)
 
         monkeypatch.setattr(finetune, "forward", spy)
-
-        def predict(cfg):
-            if kind == "ner":
-                return predict_ner_tags(params, cfg, rows, task.outputs)
-            predict_rows = predict_pair_labels if kind == "pair" else predict_label_sets
-            return predict_rows(params, cfg, [r[0] for r in rows], task.outputs)
-
-        assert predict(dropped) == predict(config)
+        assert (predict(kind, params, dropped, task, rows)
+                == predict(kind, params, config, task, rows))
         assert rngs and all(rng is None for rng in rngs)
+
+
+def predict(kind, params, config, task, rows, batch_size=32):
+    """The kind's predict_* function on toy_task rows."""
+    if kind == "ner":
+        return predict_ner_tags(params, config, rows, task.outputs, batch_size=batch_size)
+    predict_rows = predict_pair_labels if kind == "pair" else predict_label_sets
+    return predict_rows(params, config, [r[0] for r in rows], task.outputs,
+                        batch_size=batch_size)
+
+
+class TestPredictReadsOnly:
+    @pytest.mark.parametrize("kind", ["ner", "pair", "multilabel"])
+    def test_last_ff_in_sees_only_the_read_positions(self, small_vocab, kind, monkeypatch):
+        config, params, task, rows = toy_task(kind, small_vocab)
+        calls = last_ff_in_rows(monkeypatch, config)
+        predict(kind, params, config, task, rows, batch_size=3)
+        n_reads = [len(r.first_piece_positions) for r in rows] if kind == "ner" else [1] * len(rows)
+        assert calls == [sum(n_reads[:3]), sum(n_reads[3:])]
+
+
+class TestNonFiniteModel:
+    """Prediction and dev scoring refuse a model whose scores hold a NaN or an
+    infinity, naming the first row that has one."""
+
+    @pytest.mark.parametrize("kind", ["ner", "pair", "multilabel"])
+    def test_refused_naming_the_first_bad_row(self, small_vocab, kind):
+        config, params, task, rows = toy_task(kind, small_vocab)
+        # a huge embedding of pieces the first two rows lack: finite
+        # parameters whose hidden states overflow to NaN in row 2 onwards
+        ids = [set(r.ids if kind == "ner" else r[0].token_ids.ravel()) for r in rows]
+        only_later = sorted(ids[2] - ids[0] - ids[1])
+        assert only_later
+        params["tok_emb"][only_later] = 1e308
+        with np.errstate(over="ignore", invalid="ignore"):
+            for batch_size in (1, 2, 32):
+                with pytest.raises(ValueError, match=r"^row 2: .* NaN or infinity"):
+                    predict(kind, params, config, task, rows, batch_size)
+            with pytest.raises(ValueError, match=r"^row 2: .* NaN or infinity"):
+                finetune._dev_metric(task, params, config, rows)
 
 
 class TestPredictLabelSets:
