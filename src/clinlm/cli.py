@@ -211,6 +211,9 @@ def _cmd_finetune(args) -> int:
     task = finetune.builtin_task(args.task)
     config, params, vocab = finetune.load_task_model(task, args.checkpoint, args.vocab)
     max_positions = config.max_positions if args.max_positions is None else args.max_positions
+    if max_positions > config.max_positions:
+        raise ValueError(f"--max-positions {max_positions} exceeds the max_positions "
+                         f"{config.max_positions} of {args.checkpoint}")
     train_rows = finetune.load_task_rows(task, args.train, vocab, max_positions)
     dev_rows = finetune.load_task_rows(task, args.dev, vocab, max_positions)
     hyper = finetune.FinetuneConfig(epochs=args.epochs, batch_size=args.batch_size,

@@ -10,7 +10,8 @@ differences in the test suite.
 Every input row is framed, unpadded, by frame and padded once, to the widest
 row of its batch, by stack_rows. Every objective, masked-LM and task heads
 alike, is a linear head read at some (row, position) pairs, trained through
-one routine, _head_loss.
+one routine, _head_loss. init_params draws the masked-LM head (mlm) for
+pretraining; fine-tuning drops it, as no task reads it.
 
 A head reads few positions: [CLS], each word's first piece, or the masked
 slots. Given those positions (reads), the top layer still attends at every
@@ -47,7 +48,7 @@ from .wordpiece import CLS_ID, PAD_ID, SEP_ID
 
 CHECKPOINT_FORMAT = "clinlm-checkpoint"
 CHECKPOINT_VERSION = 1
-TASK_HEADS = ("head_token", "head_pair", "head_multi")  # the init_head names a checkpoint holds
+HEADS = ("mlm", "head_token", "head_pair", "head_multi")  # the heads a checkpoint may hold
 _NEG_INF = -1e9
 
 
@@ -250,6 +251,11 @@ class ParamStore(Mapping):
             index = np.flatnonzero(~np.isfinite(self.flat))[0]
             name = next(name for name, (_, stop, _) in self._slots.items() if index < stop)
             raise ValueError(message.replace("{name}", name))
+
+
+def without_head(shapes, head) -> dict[str, tuple[int, ...]]:
+    """shapes (name -> shape, or a store's layout) less the parameters of head."""
+    return {name: shape for name, shape in dict(shapes).items() if name[:-2] != head}
 
 
 def init_params(config: EncoderConfig, seed: int) -> ParamStore:
@@ -482,13 +488,20 @@ def _sigmoid(z):
     return 1.0 / (1.0 + np.exp(-z))
 
 
+def _head_width(params, head) -> int:
+    """Number of scores of the linear head `head`; a store without it is refused."""
+    if head + "_w" not in params:
+        raise ValueError(f"the model has no {head} head ({head}_w, {head}_b)")
+    return params[head + "_w"].shape[1]
+
+
 def _head_logits(params, head, hidden, n_out=None):
     """Scores of the linear head `head` on hidden vectors [..., hidden_dim].
     When n_out is given, the head must have been built for that many."""
-    w = params[head + "_w"]
-    if n_out is not None and w.shape[1] != n_out:
-        raise ValueError(f"head was built for {w.shape[1]} labels, asked for {n_out}")
-    return hidden @ w + params[head + "_b"]
+    width = _head_width(params, head)
+    if n_out is not None and width != n_out:
+        raise ValueError(f"head was built for {width} labels, asked for {n_out}")
+    return hidden @ params[head + "_w"] + params[head + "_b"]
 
 
 def _head_loss(params, config, batch, rows, cols, head, targets, rng, binary=False):
@@ -499,7 +512,7 @@ def _head_loss(params, config, batch, rows, cols, head, targets, rng, binary=Fal
     scores against the class id in targets[i]; with binary True it is the
     mean binary cross-entropy over every cell of the 0/1 matrix targets.
     """
-    if not binary and (targets.min() < 0 or targets.max() >= params[head + "_w"].shape[1]):
+    if not binary and (targets.min() < 0 or targets.max() >= _head_width(params, head)):
         raise ValueError(f"label id outside the range of head {head}")
     # the top layer runs at each distinct read position once
     reads, inverse = np.unique(rows * batch.shape[1] + cols, return_inverse=True)
@@ -553,27 +566,11 @@ def init_head(params, config, head, n_out, seed) -> ParamStore:
     n_out scores: weights drawn from N(0, 0.02^2), biases zero."""
     if n_out < 1:
         raise ValueError(f"n_labels must be >= 1, got {n_out}")
-    rng = np.random.default_rng(seed)
     w, b = head + "_w", head + "_b"  # appended, or kept in place when params has them
     out = params.resized({**dict(params.layout), w: (config.hidden_dim, n_out), b: (n_out,)})
-    out[w] = rng.normal(0.0, 0.02, size=(config.hidden_dim, n_out))
+    out[w] = np.random.default_rng(seed).normal(0.0, 0.02, size=(config.hidden_dim, n_out))
     out[b][...] = 0.0
     return out
-
-
-def init_token_head(params, config, n_labels, seed):
-    """Copy of params with a per-position classification head added."""
-    return init_head(params, config, "head_token", n_labels, seed)
-
-
-def init_pair_head(params, config, n_classes, seed):
-    """Copy of params with a first-position (summary vector) classifier added."""
-    return init_head(params, config, "head_pair", n_classes, seed)
-
-
-def init_multilabel_head(params, config, n_labels, seed):
-    """Copy of params with an independent per-label sigmoid head added."""
-    return init_head(params, config, "head_multi", n_labels, seed)
 
 
 def token_classify_loss(params, config, batch, label_ids, loss_mask, rng=None):
@@ -605,7 +602,7 @@ def multilabel_loss(params, config, batch, label_matrix, rng=None):
     """Mean binary cross-entropy over every (example, label) cell."""
     y = np.asarray(label_matrix, dtype=np.float64)
     b, _ = batch.shape
-    n_labels = params["head_multi_w"].shape[1]
+    n_labels = _head_width(params, "head_multi")
     if y.shape != (b, n_labels):
         raise ValueError(f"label_matrix must have shape ({b}, {n_labels}), got {y.shape}")
     if not np.isin(y, (0.0, 1.0)).all():
@@ -664,11 +661,12 @@ def load_checkpoint(path) -> tuple[EncoderConfig, ParamStore]:
         layout = {e["name"]: tuple(e["shape"]) for e in tensors}
         if len(layout) != len(tensors):
             raise ValueError(f"{path}: a checkpoint tensor name repeats")
-        expected = param_shapes(config)
-        for head in TASK_HEADS:  # optional, each as a well-formed pair
+        expected = without_head(param_shapes(config), "mlm")
+        for head in HEADS:  # optional, each as a well-formed pair
             w = layout.get(head + "_w")
             if w is not None and len(w) == 2 and w[1] >= 1:
-                expected.update({head + "_w": (config.hidden_dim, w[1]), head + "_b": (w[1],)})
+                n = config.vocab_size if head == "mlm" else w[1]  # mlm scores the vocabulary
+                expected.update({head + "_w": (config.hidden_dim, n), head + "_b": (n,)})
         for name in sorted(expected.keys() | layout.keys()):
             if layout.get(name) != expected.get(name):
                 raise ValueError(f"{path}: tensor {name} has shape {layout.get(name, 'none')}, "

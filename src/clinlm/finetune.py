@@ -31,6 +31,7 @@ from . import corpus, metrics, wordpiece
 from .encoder import (
     Batch, EncoderConfig, ParamStore, _head_logits, _sigmoid, forward, frame, init_head,
     load_checkpoint, multilabel_loss, pair_classify_loss, stack_rows, token_classify_loss,
+    without_head,
 )
 from .pretrain import AdamConfig, adam_step, init_optimizer
 from .wordpiece import Vocabulary, normalize
@@ -142,20 +143,16 @@ def mark_concepts(words: Sequence[str],
 
 def extend_for_markers(vocab: Vocabulary, params, config: EncoderConfig,
                        concept_types: Iterable[str], seed: int):
-    """Add reserved marker tokens to the vocabulary and grow the embedding
-    and masked-LM output tables to match. Existing rows are untouched; with
-    no new markers the inputs come back unchanged."""
+    """Add reserved marker tokens to the vocabulary and grow the token
+    embedding table to match, dropping the masked-LM head. Existing rows are
+    untouched; with no new markers the inputs come back unchanged."""
     markers = [m for m in marker_tokens(concept_types) if m not in vocab]
     if not markers:
         return vocab, params, config
-    new_vocab = vocab.with_extra_tokens(markers)
-    rng = np.random.default_rng(seed)
     v, h, extra = config.vocab_size, config.hidden_dim, len(markers)
-    new_params = params.resized({**dict(params.layout), "tok_emb": (v + extra, h),
-                                 "mlm_w": (h, v + extra), "mlm_b": (v + extra,)})
-    new_params["tok_emb"][v:] = rng.normal(0.0, 0.02, size=(extra, h))
-    new_params["mlm_w"][:, v:] = rng.normal(0.0, 0.02, size=(h, extra))
-    return new_vocab, new_params, replace(config, vocab_size=v + extra)
+    new_params = params.resized({**without_head(params.layout, "mlm"), "tok_emb": (v + extra, h)})
+    new_params["tok_emb"][v:] = np.random.default_rng(seed).normal(0.0, 0.02, size=(extra, h))
+    return vocab.with_extra_tokens(markers), new_params, replace(config, vocab_size=v + extra)
 
 
 def load_task_model(task: TaskSpec, checkpoint, vocab_path):
@@ -369,23 +366,24 @@ def finetune_task(
     seeds: Sequence[int],
     hyper: FinetuneConfig,
 ) -> list[SeedRun]:
-    """Fine-tune the full encoder plus a fresh task head once per seed.
+    """Fine-tune the full encoder plus a fresh task head once per seed, the
+    masked-LM head dropped first (no task reads it).
 
     train_rows and dev_rows must already be encoded for the task (see
-    load_task_rows; each row is framed with encoder.frame). A step stacks
-    its rows with encoder.stack_rows, takes the task's loss
-    (token_classify_loss, pair_classify_loss or multilabel_loss, each a
-    wrapper of the encoder's head-loss routine that pretraining's
-    mlm_forward_loss shares) and applies one Adam update. After every epoch
-    the dev selection metric is computed and the best-scoring snapshot is
-    kept. Each seed controls its head initialization, batch order and
-    dropout masks (steps run in train mode, dev scoring in eval mode), so a
-    repeated seed reproduces its run exactly.
+    load_task_rows). A step stacks its rows with encoder.stack_rows, takes
+    the task kind's loss and applies one Adam update. After every epoch the
+    dev selection metric is computed and the best-scoring snapshot is kept.
+    Each seed controls its head initialization, batch order and dropout
+    masks (steps run in train mode, dev scoring in eval mode), so rerunning
+    a seed reproduces its run exactly; one call's seeds must be distinct.
     """
     if not seeds:
         raise ValueError("need at least one seed")
+    if len(set(seeds)) < len(seeds):
+        raise ValueError(f"seeds must be distinct, got {list(seeds)}")
     if not train_rows or not dev_rows:
         raise ValueError("train and dev sets must be non-empty")
+    params = params.resized(without_head(params.layout, "mlm"))
     runs: list[SeedRun] = []
     for seed in seeds:
         p = init_head(params, config, _KINDS[task.kind][0], len(task.outputs), seed)

@@ -8,6 +8,7 @@ and 0.0 when only its own denominator is empty.
 
 from __future__ import annotations
 
+import math
 import statistics
 from dataclasses import dataclass
 from typing import Sequence
@@ -156,14 +157,13 @@ class MetricReport:
 
 def aggregate_seeds(values: Sequence[float], metric: str = "") -> MetricReport:
     """Median and sample standard deviation (n - 1 denominator) over per-seed
-    values. A single value reports zero spread."""
+    values. A single value reports zero spread; a NaN or infinite value is
+    refused by its position (from 1)."""
     if not values:
         raise ValueError("no values to aggregate")
     values = tuple(float(v) for v in values)
+    for i, v in enumerate(values, 1):
+        if not math.isfinite(v):
+            raise ValueError(f"value {i} of {len(values)} is {v}, not a finite number")
     spread = statistics.stdev(values) if len(values) > 1 else 0.0
-    return MetricReport(
-        metric=metric,
-        values=values,
-        median=float(statistics.median(values)),
-        stddev=spread,
-    )
+    return MetricReport(metric, values, float(statistics.median(values)), spread)

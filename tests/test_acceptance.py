@@ -17,10 +17,8 @@ from clinlm.corpus import split_by_patient
 from clinlm.encoder import (
     Batch,
     EncoderConfig,
-    init_multilabel_head,
-    init_pair_head,
+    init_head,
     init_params,
-    init_token_head,
     mlm_forward_loss,
     multilabel_loss,
     pair_classify_loss,
@@ -214,9 +212,9 @@ def test_criterion_03_gradient_audit():
     batch = Batch(ids, mask, segments)
 
     params = init_params(config, seed=3)
-    params = init_token_head(params, config, 3, seed=4)
-    params = init_pair_head(params, config, 3, seed=5)
-    params = init_multilabel_head(params, config, 4, seed=6)
+    params = init_head(params, config, "head_token", 3, seed=4)
+    params = init_head(params, config, "head_pair", 3, seed=5)
+    params = init_head(params, config, "head_multi", 4, seed=6)
 
     target_positions = np.array([[0, 1], [0, 4], [1, 2]])
     target_ids = np.array([7, 8, 9])

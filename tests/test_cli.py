@@ -1,6 +1,7 @@
 """End-to-end coverage of the command-line interface via dispatch()."""
 
 import json
+import math
 import subprocess
 import sys
 
@@ -8,7 +9,8 @@ import numpy as np
 import pytest
 
 from clinlm.cli import build_parser, dispatch, read_config
-from clinlm.encoder import ParamStore, load_checkpoint
+from clinlm.encoder import EncoderConfig, ParamStore, load_checkpoint, param_shapes
+from clinlm.finetune import builtin_task
 from clinlm.wordpiece import read_vocab
 
 CORPUS_LINES = [
@@ -481,6 +483,17 @@ class TestMalformedInputs:
          _finetune("re-2010", vocab="{file}", data="{vocab}"), "{file} has 6 tokens but {ckpt}"),
         ("invalid-probe-prediction", "preds.txt", "Neutral\n" * 128 + "Maybe\n",
          ["probe", "--predictions", "{file}"], "{file}:129: unknown label 'Maybe'"),
+        ("nan-aggregate-value", "unused.txt", "",
+         ["evaluate", "--metric", "accuracy", "--aggregate", "0.5,nan,0.7"],
+         "value 2 of 3 is nan, not a finite number"),
+        ("inf-aggregate-value", "unused.txt", "",
+         ["evaluate", "--metric", "accuracy", "--aggregate", "inf"],
+         "value 1 of 1 is inf, not a finite number"),
+        ("repeated-seed", "nli.jsonl", _jsonl(_NLI_ROW), _finetune("mednli", "--seeds", "1,1"),
+         "seeds must be distinct, got [1, 1]"),
+        ("max-positions-above-checkpoint", "nli.jsonl", _jsonl(_NLI_ROW),
+         _finetune("mednli", "--max-positions", "17"),
+         "--max-positions 17 exceeds the max_positions 16 of {ckpt}"),
     ]
 
     @pytest.mark.parametrize("name,contents,argv,where", [case[1:] for case in CASES],
@@ -498,6 +511,29 @@ class TestMalformedInputs:
         assert code == 1
         assert len(err.splitlines()) == 1 and err.startswith("error:"), err
         assert where.format(**slots) in err
+
+
+class TestTunedCheckpoint:
+    @pytest.mark.parametrize("task,rows", [("mednli", _jsonl(_NLI_ROW)),
+                                           ("re-2010", _jsonl(_RELATION_ROW))])
+    def test_holds_no_mlm_head(self, tmp_path, tiny_model, capsys, task, rows):
+        # earlier releases also wrote the masked-LM head into a fine-tuned
+        # checkpoint; now only it is left out, (hidden x V + V) float64s
+        vocab, ckpt = tiny_model
+        data = tmp_path / "rows.jsonl"
+        data.write_text(rows, encoding="utf-8")
+        code, _, err = run_cli(_finetune(task, "--max-steps", "1", "--out-prefix",
+                                         str(tmp_path / "tuned"), checkpoint=str(ckpt),
+                                         data=str(data), vocab=str(vocab)), capsys)
+        assert code == 0, err
+        header, body = (tmp_path / "tuned.seed0.ckpt").read_bytes().split(b"\n", 1)
+        header = json.loads(header)
+        config = EncoderConfig(**header["config"])
+        h, v, n = config.hidden_dim, config.vocab_size, len(builtin_task(task).outputs)
+        earlier = {**param_shapes(config), "head_pair_w": (h, n), "head_pair_b": (n,)}
+        assert [e["name"] for e in header["tensors"]] == [
+            name for name in earlier if name not in ("mlm_w", "mlm_b")]
+        assert 8 * sum(math.prod(s) for s in earlier.values()) - len(body) == 8 * (h * v + v)
 
 
 class TestSettings:

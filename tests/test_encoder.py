@@ -23,10 +23,8 @@ from clinlm.encoder import (
     base_config,
     forward,
     frame,
-    init_multilabel_head,
-    init_pair_head,
+    init_head,
     init_params,
-    init_token_head,
     load_checkpoint,
     mlm_forward_loss,
     multilabel_loss,
@@ -35,6 +33,7 @@ from clinlm.encoder import (
     save_checkpoint,
     stack_rows,
     token_classify_loss,
+    without_head,
 )
 from clinlm.finetune import extend_for_markers, predict_label_sets
 from clinlm.pretrain import AdamConfig, adam_step, init_optimizer
@@ -379,7 +378,7 @@ class TestMlmLoss:
 class TestHeads:
     def test_zero_pair_head_is_uniform(self):
         config = tiny_config()
-        params = init_pair_head(init_params(config, 0), config, 3, seed=1)
+        params = init_head(init_params(config, 0), config, "head_pair", 3, seed=1)
         params["head_pair_w"] = np.zeros_like(params["head_pair_w"])
         hidden = forward(params, config, full_batch([[5, 6]]))
         logits = _head_logits(params, "head_pair", hidden[:, 0], 3)
@@ -389,7 +388,7 @@ class TestHeads:
     def test_zero_multilabel_head_is_half(self):
         # zero scores are probability 1/2: above any lower threshold, not above 1/2
         config = tiny_config()
-        params = init_multilabel_head(init_params(config, 0), config, 4, seed=1)
+        params = init_head(init_params(config, 0), config, "head_multi", 4, seed=1)
         params["head_multi_w"] = np.zeros_like(params["head_multi_w"])
         batch = full_batch([[5, 6]])
         hidden = forward(params, config, batch)
@@ -403,7 +402,7 @@ class TestHeads:
     def test_multilabel_probabilities_in_open_interval(self):
         # every probability is above 0 and below 1
         config = tiny_config()
-        params = init_multilabel_head(init_params(config, 3), config, 5, seed=2)
+        params = init_head(init_params(config, 3), config, "head_multi", 5, seed=2)
         batch = full_batch([[5, 6, 7, 1]])
         labels = list("abcde")
         assert predict_label_sets(params, config, [batch], labels, threshold=0.0) == [set(labels)]
@@ -412,7 +411,7 @@ class TestHeads:
 
     def test_token_head_scores_every_position(self):
         config = tiny_config()
-        params = init_token_head(init_params(config, 3), config, 7, seed=2)
+        params = init_head(init_params(config, 3), config, "head_token", 7, seed=2)
         hidden = forward(params, config, full_batch([[5, 6, 7, 1]]))
         assert _head_logits(params, "head_token", hidden, 7).shape == (1, 4, 7)
 
@@ -420,15 +419,15 @@ class TestHeads:
         config = tiny_config()
         params = init_params(config, 0)
         with pytest.raises(ValueError):
-            init_token_head(params, config, 0, seed=0)
+            init_head(params, config, "head_token", 0, seed=0)
         with pytest.raises(ValueError):
-            init_pair_head(params, config, -1, seed=0)
+            init_head(params, config, "head_pair", -1, seed=0)
         with pytest.raises(ValueError):
-            init_multilabel_head(params, config, 0, seed=0)
+            init_head(params, config, "head_multi", 0, seed=0)
 
     def test_label_count_mismatch_rejected(self):
         config = tiny_config()
-        params = init_token_head(init_params(config, 0), config, 3, seed=0)
+        params = init_head(init_params(config, 0), config, "head_token", 3, seed=0)
         hidden = forward(params, config, full_batch([[5, 6]]))
         with pytest.raises(ValueError, match="built for 3"):
             _head_logits(params, "head_token", hidden, 5)
@@ -437,7 +436,7 @@ class TestHeads:
 class TestHeadLosses:
     def test_token_loss_ignores_unselected_positions(self):
         config = tiny_config()
-        params = init_token_head(init_params(config, 1), config, 3, seed=5)
+        params = init_head(init_params(config, 1), config, "head_token", 3, seed=5)
         batch = full_batch([[5, 6, 7, 0]], mask_rows=[[1, 1, 1, 0]])
         mask = np.array([[1, 1, 0, 0]])
         labels_a = np.array([[0, 2, 1, 1]])
@@ -448,7 +447,7 @@ class TestHeadLosses:
 
     def test_token_loss_empty_mask_rejected(self):
         config = tiny_config()
-        params = init_token_head(init_params(config, 1), config, 3, seed=5)
+        params = init_head(init_params(config, 1), config, "head_token", 3, seed=5)
         batch = full_batch([[5, 6]])
         with pytest.raises(ValueError, match="no positions"):
             token_classify_loss(params, config, batch,
@@ -456,7 +455,7 @@ class TestHeadLosses:
 
     def test_token_loss_label_range_checked(self):
         config = tiny_config()
-        params = init_token_head(init_params(config, 1), config, 3, seed=5)
+        params = init_head(init_params(config, 1), config, "head_token", 3, seed=5)
         batch = full_batch([[5, 6]])
         with pytest.raises(ValueError, match="label"):
             token_classify_loss(params, config, batch,
@@ -464,14 +463,14 @@ class TestHeadLosses:
 
     def test_pair_loss_shape_checked(self):
         config = tiny_config()
-        params = init_pair_head(init_params(config, 1), config, 3, seed=5)
+        params = init_head(init_params(config, 1), config, "head_pair", 3, seed=5)
         batch = full_batch([[5, 6]])
         with pytest.raises(ValueError, match="shape"):
             pair_classify_loss(params, config, batch, [0, 1])
 
     def test_multilabel_matrix_checked(self):
         config = tiny_config()
-        params = init_multilabel_head(init_params(config, 1), config, 3, seed=5)
+        params = init_head(init_params(config, 1), config, "head_multi", 3, seed=5)
         batch = full_batch([[5, 6]])
         with pytest.raises(ValueError, match="0 or 1"):
             multilabel_loss(params, config, batch, [[0.0, 0.5, 1.0]])
@@ -484,43 +483,43 @@ class TestHeadLosses:
         batch = full_batch([[5, 6, 7, 2], [3, 4, 1, 0]],
                            mask_rows=[[1, 1, 1, 1], [1, 1, 1, 0]])
 
-        token_params = init_token_head(base, config, 3, seed=7)
+        token_params = init_head(base, config, "head_token", 3, seed=7)
         labels = np.array([[0, 2, 1, 0], [1, 0, 2, 0]])
         sel = np.array([[0, 1, 1, 0], [1, 1, 0, 0]])
         assert audit_gradients(token_classify_loss, token_params, config, batch,
                                labels, sel) < 1e-4
 
-        pair_params = init_pair_head(base, config, 3, seed=7)
+        pair_params = init_head(base, config, "head_pair", 3, seed=7)
         classes = np.array([2, 0])
         assert audit_gradients(pair_classify_loss, pair_params, config, batch, classes) < 1e-4
 
-        multi_params = init_multilabel_head(base, config, 3, seed=7)
+        multi_params = init_head(base, config, "head_multi", 3, seed=7)
         matrix = np.array([[1.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
         assert audit_gradients(multilabel_loss, multi_params, config, batch, matrix) < 1e-4
 
 
-# (head initializer, loss, its arguments after the batch) of each loss the
-# train-mode gradient audit checks on its two-row batch
+# (head, loss, its arguments after the batch) of each loss the train-mode
+# gradient audit checks on its two-row batch; init_params already draws mlm
 _TRAIN_MODE_LOSSES = [
     pytest.param(None, mlm_forward_loss, ([[0, 1], [0, 3], [1, 0]], [6, 2, 3]), id="mlm"),
     # two targets at one position: their gradients add in the same hidden vector
     pytest.param(None, mlm_forward_loss, ([[0, 1], [0, 1], [1, 0]], [6, 2, 3]),
                  id="mlm-repeated-position"),
-    pytest.param(init_token_head, token_classify_loss,
+    pytest.param("head_token", token_classify_loss,
                  ([[0, 2, 1, 0], [1, 0, 2, 0]], [[0, 1, 1, 0], [1, 1, 0, 0]]), id="token"),
-    pytest.param(init_pair_head, pair_classify_loss, ([2, 0],), id="pair"),
-    pytest.param(init_multilabel_head, multilabel_loss,
+    pytest.param("head_pair", pair_classify_loss, ([2, 0],), id="pair"),
+    pytest.param("head_multi", multilabel_loss,
                  ([[1.0, 0.0, 1.0], [0.0, 0.0, 1.0]],), id="multilabel"),
 ]
 
 
 class TestTrainModeGradients:
-    @pytest.mark.parametrize("init,loss,args", _TRAIN_MODE_LOSSES)
-    def test_gradients_match_finite_differences_under_dropout(self, init, loss, args):
+    @pytest.mark.parametrize("head,loss,args", _TRAIN_MODE_LOSSES)
+    def test_gradients_match_finite_differences_under_dropout(self, head, loss, args):
         config = tiny_config(n_layers=2, dropout=0.3)
         params = init_params(config, 6)
-        if init is not None:
-            params = init(params, config, 3, seed=7)
+        if head is not None:
+            params = init_head(params, config, head, 3, seed=7)
         batch = full_batch([[5, 6, 7, 2], [3, 4, 1, 0]],
                            mask_rows=[[1, 1, 1, 1], [1, 1, 1, 0]])
         train = loss(params, config, batch, *args, rng=np.random.default_rng(1))[0]
@@ -581,19 +580,19 @@ def last_ff_in_rows(monkeypatch, config):
 class TestLossesRunTheTopLayerAtReadsOnly:
     # (loss, its arguments after the batch, distinct positions it reads) on
     # a 2 x 4 batch
-    @pytest.mark.parametrize("init,loss,args,n_reads", [
+    @pytest.mark.parametrize("head,loss,args,n_reads", [
         (None, mlm_forward_loss, ([[0, 1], [0, 1], [1, 0], [1, 3]], [6, 2, 3, 4]), 3),
-        (init_token_head, token_classify_loss,
+        ("head_token", token_classify_loss,
          ([[0, 2, 1, 0], [1, 0, 2, 0]], [[0, 1, 1, 0], [1, 1, 0, 0]]), 4),
-        (init_pair_head, pair_classify_loss, ([2, 0],), 2),
-        (init_multilabel_head, multilabel_loss, ([[1.0, 0.0, 1.0], [0.0, 0.0, 1.0]],), 2),
+        ("head_pair", pair_classify_loss, ([2, 0],), 2),
+        ("head_multi", multilabel_loss, ([[1.0, 0.0, 1.0], [0.0, 0.0, 1.0]],), 2),
     ], ids=["mlm", "token", "pair", "multilabel"])
-    def test_last_ff_in_sees_each_read_position_once(self, monkeypatch, init, loss, args,
+    def test_last_ff_in_sees_each_read_position_once(self, monkeypatch, head, loss, args,
                                                      n_reads):
         config = tiny_config(n_layers=2)
         params = init_params(config, 6)
-        if init is not None:
-            params = init(params, config, 3, seed=7)
+        if head is not None:
+            params = init_head(params, config, head, 3, seed=7)
         batch = full_batch([[5, 6, 7, 2], [3, 4, 1, 0]],
                            mask_rows=[[1, 1, 1, 1], [1, 1, 1, 0]])
         rows = last_ff_in_rows(monkeypatch, config)
@@ -635,8 +634,8 @@ class TestPaddingInvariance:
         config = tiny_config(vocab_size=12, hidden_dim=8, n_layers=2, ff_dim=12,
                              max_positions=16, dropout=dropout)
         params = init_params(config, 4)
-        for init in (init_token_head, init_pair_head, init_multilabel_head):
-            params = init(params, config, 3, seed=5)
+        for head in ("head_token", "head_pair", "head_multi"):
+            params = init_head(params, config, head, 3, seed=5)
         rows = [frame([5, 6], None, 16), frame([7, 8, 9], [10, 11], 16),
                 frame([6, 5, 9, 9, 8, 7, 11], None, 16)]
         stacked = stack_rows(rows)
@@ -681,6 +680,11 @@ def _reshape(header, name, shape):
                                   for e in header["tensors"]]}
 
 
+def _omit(header, name):
+    """header without the manifest entry of tensor name."""
+    return {**header, "tensors": [e for e in header["tensors"] if e["name"] != name]}
+
+
 def _rename(header, **names):
     """header with manifest entries renamed old=new; byte counts unchanged."""
     return {**header, "tensors": [{**e, "name": names.get(e["name"], e["name"])}
@@ -700,8 +704,8 @@ class TestCheckpoint:
 
     def test_task_heads_round_trip(self, tmp_path):
         config = tiny_config()
-        params = init_multilabel_head(init_pair_head(init_params(config, 11), config, 3, 1),
-                                      config, 2, 2)
+        params = init_head(init_head(init_params(config, 11), config, "head_pair", 3, 1),
+                           config, "head_multi", 2, 2)
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, config, params)
         loaded = load_checkpoint(path)[1]
@@ -802,18 +806,45 @@ class TestCheckpoint:
     def test_malformed_header_is_a_value_error_naming_the_file(self, tmp_path, change):
         path = tmp_path / "model.ckpt"
         config = tiny_config()
-        params = init_multilabel_head(init_pair_head(init_params(config, 11), config, 3, 1),
-                                      config, 2, 2)
+        params = init_head(init_head(init_params(config, 11), config, "head_pair", 3, 1),
+                           config, "head_multi", 2, 2)
         save_checkpoint(path, config, params)
         self._rewrite_header(path, change)
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
+            load_checkpoint(path)
+
+    def test_checkpoint_without_the_mlm_head_loads(self, tmp_path):
+        # a fine-tuned model: the encoder and a task head, no masked-LM head
+        config = tiny_config()
+        params = init_params(config, 11)
+        tuned = init_head(params.resized(without_head(params.layout, "mlm")), config,
+                          "head_pair", 3, 1)
+        path = tmp_path / "tuned.ckpt"
+        save_checkpoint(path, config, tuned)
+        _, loaded = load_checkpoint(path)
+        assert list(loaded) == list(tuned) and "mlm_w" not in loaded
+        np.testing.assert_array_equal(loaded.flat, tuned.flat)
+
+    @pytest.mark.parametrize("change,tensor", [
+        (lambda h: _omit(h, "mlm_b"), "mlm_b"),
+        (lambda h: _omit(h, "mlm_w"), "mlm_b"),
+        (lambda h: _reshape(h, "mlm_w", [4, 7]), "mlm_w"),
+        (lambda h: _reshape(h, "mlm_w", [8, 4]), "mlm_w"),
+        (lambda h: _reshape(h, "mlm_b", [9]), "mlm_b"),
+    ], ids=["weights-only", "bias-only", "narrow-weights", "transposed-weights", "long-bias"])
+    def test_half_or_misshapen_mlm_head_refused_by_name(self, tmp_path, change, tensor):
+        path = tmp_path / "model.ckpt"
+        config = tiny_config()
+        save_checkpoint(path, config, init_params(config, 11))
+        self._rewrite_header(path, change)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: tensor {tensor} "):
             load_checkpoint(path)
 
     def test_name_sorted_layout_loads(self, tmp_path):
         # the layout earlier releases wrote: manifest and body sorted by name,
         # one tensor after another
         config = tiny_config(n_layers=2)
-        params = init_pair_head(init_params(config, 11), config, 3, 1)
+        params = init_head(init_params(config, 11), config, "head_pair", 3, 1)
         names = sorted(params)
         header = {"format": "clinlm-checkpoint", "version": 1,
                   "config": {f: getattr(config, f) for f in config.__dataclass_fields__},
@@ -848,7 +879,7 @@ class TestParamStore:
     def test_every_producer_tiles_flat(self, tmp_path):
         config = tiny_config()
         params = init_params(config, 0)
-        headed = init_pair_head(params, config, 3, seed=1)
+        headed = init_head(params, config, "head_pair", 3, seed=1)
         assert list(headed) == list(param_shapes(config)) + ["head_pair_w", "head_pair_b"]
         vocab = train_wordpiece(["alpha beta gamma"], declared_size=40, min_frequency=1)
         grown_config = EncoderConfig(**{**vars(config), "vocab_size": len(vocab)})
@@ -864,9 +895,9 @@ class TestParamStore:
 
     def test_init_head_keeps_an_existing_head_in_place(self):
         config = tiny_config()
-        params = init_token_head(init_pair_head(init_params(config, 0), config, 3, 1),
-                                 config, 2, 1)
-        again = init_pair_head(params, config, 5, seed=2)
+        params = init_head(init_head(init_params(config, 0), config, "head_pair", 3, 1),
+                           config, "head_token", 2, 1)
+        again = init_head(params, config, "head_pair", 5, seed=2)
         assert list(again) == list(params)
         assert again["head_pair_w"].shape == (4, 5) and not again["head_pair_b"].any()
         np.testing.assert_array_equal(again["head_token_w"], params["head_token_w"])

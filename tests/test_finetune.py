@@ -13,8 +13,8 @@ from clinlm.encoder import (
     _head_logits,
     forward,
     init_head,
-    init_multilabel_head,
     init_params,
+    mlm_forward_loss,
     token_classify_loss,
 )
 from clinlm.finetune import (
@@ -143,11 +143,13 @@ class TestExtendForMarkers:
         assert len(new_vocab) == len(small_vocab) + 4
         assert new_config.vocab_size == config.vocab_size + 4
         assert new_params["tok_emb"].shape[0] == config.vocab_size + 4
-        assert new_params["mlm_w"].shape[1] == config.vocab_size + 4
-        assert new_params["mlm_b"].shape[0] == config.vocab_size + 4
-        # existing rows untouched
+        # the masked-LM head, which no task reads, is dropped, not grown
+        assert list(new_params) == [name for name in params if not name.startswith("mlm_")]
+        # existing rows untouched, marker rows the seed's first draw
         assert np.array_equal(new_params["tok_emb"][:config.vocab_size],
                               params["tok_emb"])
+        assert np.array_equal(new_params["tok_emb"][config.vocab_size:],
+                              np.random.default_rng(5).normal(0.0, 0.02, size=(4, 8)))
         assert new_vocab.id_of("the") == small_vocab.id_of("the")
         assert "[problem-start]" in new_vocab
 
@@ -467,6 +469,11 @@ class TestFinetuneTask:
         with pytest.raises(ValueError, match="seed"):
             finetune_task(config, params, task, rows, rows, [], FinetuneConfig())
 
+    def test_repeated_seed_rejected(self, small_vocab):
+        config, params, task, rows = toy_pair_setup(small_vocab)
+        with pytest.raises(ValueError, match=r"^seeds must be distinct, got \[1, 0, 1\]$"):
+            finetune_task(config, params, task, rows, rows, [1, 0, 1], FinetuneConfig())
+
     def test_multilabel_task_runs(self, small_vocab):
         config = EncoderConfig(vocab_size=len(small_vocab), hidden_dim=8,
                                n_layers=1, n_heads=2, ff_dim=16, max_positions=12)
@@ -506,6 +513,50 @@ def toy_task(kind, small_vocab, dropout=0.0):
                                      ("gamma gamma", set()), ("beta delta", {0})]]
     head = {"ner": "head_token", "pair": "head_pair", "multilabel": "head_multi"}[kind]
     return config, init_head(params, config, head, len(task.outputs), 5), task, rows
+
+
+def toy_relation_task(small_vocab):
+    """(config, params, task, rows) for re-2010 on marked toy sentences, the
+    vocabulary and store grown by the task's markers."""
+    config = EncoderConfig(vocab_size=len(small_vocab), hidden_dim=8, n_layers=1,
+                           n_heads=2, ff_dim=16, max_positions=16)
+    task = builtin_task("re-2010")
+    vocab, params, config = extend_for_markers(small_vocab, init_params(config, 0), config,
+                                               task.concept_types, 0)
+    rows = [(prepare_marked_sentence(mark_concepts(words.split(), a, "problem", b, "test"),
+                                     vocab, 16), label)
+            for words, a, b, label in [("severe pain and fever", (0, 2), (3, 4), 1),
+                                       ("no fever today", (1, 2), (2, 3), 0)]]
+    return config, params, task, rows
+
+
+class TestTaskModelsHoldNoMlmHead:
+    """No task reads the masked-LM head, so fine-tuning drops it."""
+
+    @pytest.mark.parametrize("kind", ["ner", "pair", "multilabel", "re-2010"])
+    def test_tuned_store_is_the_encoder_and_task_head(self, small_vocab, kind):
+        if kind == "re-2010":
+            config, params, task, rows = toy_relation_task(small_vocab)
+            params = init_head(params, config, "head_pair", len(task.outputs), 5)
+        else:
+            config, params, task, rows = toy_task(kind, small_vocab)
+            assert "mlm_w" in params and "mlm_b" in params
+        hyper = FinetuneConfig(epochs=1, batch_size=2)
+        for run in finetune_task(config, params, task, rows, rows, [0, 1], hyper):
+            assert list(run.params) == [name for name in params if not name.startswith("mlm_")]
+
+    def test_mlm_loss_on_a_tuned_store_names_the_head(self, small_vocab):
+        config, params, task, rows = toy_task("pair", small_vocab)
+        tuned = finetune_task(config, params, task, rows, rows, [0],
+                              FinetuneConfig(epochs=1, batch_size=2))[0].params
+        with pytest.raises(ValueError, match=r"^the model has no mlm head \(mlm_w, mlm_b\)$"):
+            mlm_forward_loss(tuned, config, rows[0][0], [[0, 1]], [6])
+
+    def test_predicting_with_another_head_names_the_missing_one(self, small_vocab):
+        config, params, task, rows = toy_task("ner", small_vocab)
+        batches = [prepare_pair("alpha", "beta", small_vocab, 12)]
+        with pytest.raises(ValueError, match=r"^the model has no head_pair head"):
+            predict_pair_labels(params, config, batches, ["match", "clash"])
 
 
 class TestDropout:
@@ -585,7 +636,7 @@ class TestPredictLabelSets:
     def test_threshold_against_direct_probabilities(self, small_vocab):
         config = EncoderConfig(vocab_size=len(small_vocab), hidden_dim=8,
                                n_layers=1, n_heads=2, ff_dim=16, max_positions=12)
-        params = init_multilabel_head(init_params(config, 2), config, 3, seed=3)
+        params = init_head(init_params(config, 2), config, "head_multi", 3, seed=3)
         labels = ["x", "y", "z"]
         batches = [prepare_document("alpha beta", small_vocab, 12),
                    prepare_document("delta gamma", small_vocab, 12)]

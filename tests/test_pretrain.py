@@ -5,9 +5,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clinlm.encoder import (
-    Batch, EncoderConfig, ParamStore, init_pair_head, init_params, mlm_forward_loss,
+    Batch, EncoderConfig, ParamStore, init_head, init_params, mlm_forward_loss,
     pair_classify_loss,
 )
 from clinlm.pretrain import (
@@ -212,7 +214,7 @@ class TestAdam:
     def test_matches_per_tensor_reference_bit_for_bit(self):
         config = EncoderConfig(vocab_size=12, hidden_dim=4, n_layers=2, n_heads=2,
                                ff_dim=6, max_positions=4)
-        params = init_pair_head(init_params(config, 0), config, 3, seed=1)
+        params = init_head(init_params(config, 0), config, "head_pair", 3, seed=1)
         adam = AdamConfig(lr=0.01)
         state = init_optimizer(params, adam)
         ref_params, ref_m, ref_v = ({k: np.array(a) for k, a in params.items()},
@@ -407,6 +409,17 @@ class TestPackSequences:
     def test_no_room_rejected(self):
         with pytest.raises(ValueError):
             pack_sequences([[5]], max_seq_len=2)
+
+    @settings(deadline=None)
+    @given(seqs=st.lists(st.lists(st.integers(min_value=5, max_value=500), max_size=20),
+                         max_size=12),
+           max_seq_len=st.integers(min_value=3, max_value=16))
+    def test_round_trip(self, seqs, max_seq_len):
+        # no id is lost or reordered, and every chunk but the last is full
+        chunks = pack_sequences(seqs, max_seq_len)
+        assert [x for c in chunks for x in c] == [x for s in seqs for x in s]
+        assert all(len(c) == max_seq_len - 2 for c in chunks[:-1])
+        assert all(1 <= len(c) <= max_seq_len - 2 for c in chunks[-1:])
 
 
 class TestRunPretraining:
