@@ -132,11 +132,6 @@ class Batch:
     def shape(self) -> tuple[int, int]:
         return self.token_ids.shape
 
-    def __iter__(self):
-        # unpacks as the (token ids, attention mask, segment ids) triple that
-        # stack_rows takes
-        return iter((self.token_ids, self.attention_mask, self.segment_ids))
-
 
 def frame(ids_a, ids_b, length: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One unpadded row of at most `length` positions: [CLS] a [SEP] for a
@@ -161,19 +156,17 @@ def frame(ids_a, ids_b, length: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
 
 def stack_rows(rows) -> Batch:
     """Stack framed rows into one Batch as wide as its widest row. Each row is
-    a (token ids, attention mask, segment ids) triple holding one row (1-D,
-    as frame returns) or several (2-D, as a Batch unpacks). Narrower rows are
-    filled out with [PAD], mask 0, segment 0; no column is ever cut."""
-    rows = [[np.atleast_2d(part) for part in row] for row in rows]
+    a 1-D (token ids, attention mask, segment ids) triple, as frame returns
+    and a finetune.NerRow unpacks. Narrower rows are filled out with [PAD],
+    mask 0, segment 0; no column is ever cut."""
+    rows = [tuple(row) for row in rows]
     if not rows:
         raise ValueError("no rows to stack")
-    n, width = sum(len(ids) for ids, _, _ in rows), max(ids.shape[1] for ids, _, _ in rows)
-    columns = [np.full((n, width), fill) for fill in (PAD_ID, 0, 0)]
-    start = 0
-    for row in rows:
+    width = max(len(ids) for ids, _, _ in rows)
+    columns = [np.full((len(rows), width), fill) for fill in (PAD_ID, 0, 0)]
+    for i, row in enumerate(rows):
         for column, part in zip(columns, row):
-            column[start:start + len(part), :part.shape[1]] = part
-        start += len(row[0])
+            column[i, :len(part)] = part
     return Batch(*columns)
 
 
@@ -504,18 +497,30 @@ def _head_logits(params, head, hidden, n_out=None):
     return hidden @ params[head + "_w"] + params[head + "_b"]
 
 
-def _head_loss(params, config, batch, rows, cols, head, targets, rng, binary=False):
-    """Loss of the linear head `head` read at positions (rows[i], cols[i]),
-    and exact gradients for every parameter.
+def _head_loss(params, config, batch, positions, head, targets, rng, binary=False):
+    """Loss of the linear head `head` read at positions, an [n, 2] array of
+    (row, position) pairs, and exact gradients for every parameter.
 
-    With binary False the loss is the mean cross-entropy of each position's
+    With binary False the loss is the mean cross-entropy of each read's
     scores against the class id in targets[i]; with binary True it is the
-    mean binary cross-entropy over every cell of the 0/1 matrix targets.
+    mean binary cross-entropy over every cell of the 0/1 matrix targets, one
+    row per read. This is where every loss refuses an empty read set, a
+    count of targets other than the count of reads, a read outside the batch
+    and a class id outside the head.
     """
+    positions = np.asarray(positions, dtype=np.int64).reshape(-1, 2)
+    (b, t), n = batch.shape, len(positions)
+    if n == 0:
+        raise ValueError(f"{head} loss needs at least one target position")
+    if len(targets) != n:
+        raise ValueError(f"{head} reads {n} position(s) but has targets of shape {targets.shape}")
+    rows, cols = positions.T
+    if rows.min() < 0 or rows.max() >= b or cols.min() < 0 or cols.max() >= t:
+        raise ValueError(f"a {head} read position is outside the {b} x {t} batch")
     if not binary and (targets.min() < 0 or targets.max() >= _head_width(params, head)):
         raise ValueError(f"label id outside the range of head {head}")
     # the top layer runs at each distinct read position once
-    reads, inverse = np.unique(rows * batch.shape[1] + cols, return_inverse=True)
+    reads, inverse = np.unique(rows * t + cols, return_inverse=True)
     hidden, cache = _forward(params, config, batch, rng, reads)
     h_t = hidden[inverse]
     logits = _head_logits(params, head, h_t)
@@ -524,7 +529,6 @@ def _head_loss(params, config, batch, rows, cols, head, targets, rng, binary=Fal
         loss = float((np.logaddexp(0.0, logits) - targets * logits).mean())
         d_logits = (_sigmoid(logits) - targets) / targets.size
     else:
-        n = len(targets)
         shifted = logits - logits.max(axis=-1, keepdims=True)
         exp = np.exp(shifted)
         total = exp.sum(axis=-1, keepdims=True)
@@ -547,18 +551,8 @@ def mlm_forward_loss(params, config, batch, target_positions, target_ids, rng=No
     the corrupted slots; target_ids holds the original token at each. The
     loss is the mean cross-entropy over all targets.
     """
-    target_positions = np.asarray(target_positions, dtype=np.int64).reshape(-1, 2)
-    target_ids = np.asarray(target_ids, dtype=np.int64)
-    n = len(target_ids)
-    if n == 0:
-        raise ValueError("mlm loss needs at least one target position")
-    if target_positions.shape[0] != n:
-        raise ValueError("target_positions and target_ids lengths differ")
-    b, t = batch.shape
-    rows, cols = target_positions[:, 0], target_positions[:, 1]
-    if rows.min() < 0 or rows.max() >= b or cols.min() < 0 or cols.max() >= t:
-        raise ValueError("target position outside the batch")
-    return _head_loss(params, config, batch, rows, cols, "mlm", target_ids, rng)
+    return _head_loss(params, config, batch, target_positions, "mlm",
+                      np.asarray(target_ids, dtype=np.int64), rng)
 
 
 def init_head(params, config, head, n_out, seed) -> ParamStore:
@@ -573,42 +567,39 @@ def init_head(params, config, head, n_out, seed) -> ParamStore:
     return out
 
 
-def token_classify_loss(params, config, batch, label_ids, loss_mask, rng=None):
-    """Mean cross-entropy over positions with loss_mask 1; everything else
-    (padding, specials, continuation pieces) contributes nothing, so their
-    label values are irrelevant."""
-    label_ids = np.asarray(label_ids, dtype=np.int64)
-    loss_mask = np.asarray(loss_mask)
-    if label_ids.shape != batch.shape or loss_mask.shape != batch.shape:
-        raise ValueError("label_ids and loss_mask must match the batch shape")
-    rows, cols = np.nonzero(loss_mask)
-    if len(rows) == 0:
-        raise ValueError("loss_mask selects no positions")
-    return _head_loss(params, config, batch, rows, cols, "head_token",
-                      label_ids[rows, cols], rng)
+def token_classify_loss(params, config, batch, positions, tag_ids, rng=None):
+    """Mean cross-entropy of the token head at positions, an [n, 2] array of
+    (row, position) pairs (each word's first piece), against the tag id at
+    each; no other position (padding, specials, continuation pieces)
+    contributes."""
+    return _head_loss(params, config, batch, positions, "head_token",
+                      np.asarray(tag_ids, dtype=np.int64), rng)
+
+
+def _first_positions(batch):
+    """(row, 0) for every row of batch: where the pair and multi-label heads read."""
+    return np.c_[np.arange(batch.shape[0]), np.zeros(batch.shape[0], dtype=np.int64)]
 
 
 def pair_classify_loss(params, config, batch, class_ids, rng=None):
     """Mean cross-entropy of first-position class logits over the batch."""
     class_ids = np.asarray(class_ids, dtype=np.int64)
-    b, _ = batch.shape
-    if class_ids.shape != (b,):
-        raise ValueError(f"class_ids must have shape ({b},), got {class_ids.shape}")
-    return _head_loss(params, config, batch, np.arange(b), np.zeros(b, dtype=np.int64),
-                      "head_pair", class_ids, rng)
+    if class_ids.ndim != 1:
+        raise ValueError(f"class_ids must be 1-D, got shape {class_ids.shape}")
+    return _head_loss(params, config, batch, _first_positions(batch), "head_pair",
+                      class_ids, rng)
 
 
 def multilabel_loss(params, config, batch, label_matrix, rng=None):
     """Mean binary cross-entropy over every (example, label) cell."""
     y = np.asarray(label_matrix, dtype=np.float64)
-    b, _ = batch.shape
     n_labels = _head_width(params, "head_multi")
-    if y.shape != (b, n_labels):
-        raise ValueError(f"label_matrix must have shape ({b}, {n_labels}), got {y.shape}")
+    if y.ndim != 2 or y.shape[1] != n_labels:
+        raise ValueError(f"label_matrix must have shape (rows, {n_labels}), got {y.shape}")
     if not np.isin(y, (0.0, 1.0)).all():
         raise ValueError("label_matrix entries must be 0 or 1")
-    return _head_loss(params, config, batch, np.arange(b), np.zeros(b, dtype=np.int64),
-                      "head_multi", y, rng, binary=True)
+    return _head_loss(params, config, batch, _first_positions(batch), "head_multi", y, rng,
+                      binary=True)
 
 
 def save_checkpoint(path, config: EncoderConfig, params) -> None:

@@ -9,10 +9,11 @@ Supported task shapes:
              thresholded at 0.5
 
 This is the one module that knows what a task kind means: TaskSpec,
-load_task_rows, the training step and the dev metric branch on it. Rows are
-framed by encoder.frame and batched by encoder.stack_rows; each kind trains
-an encoder.init_head head through encoder._head_loss, the loss routine
-masked-LM pretraining also uses.
+load_task_rows, the training step and the dev metric branch on it. A row is
+encoder.frame's unpadded triple (or a NerRow, which unpacks as one) until
+encoder.stack_rows pads a batch of rows. Each kind trains an encoder.init_head
+head read at the (row, position) pairs _read_positions gives, through
+encoder._head_loss, the loss routine masked-LM pretraining also uses.
 
 Every run is specified by (checkpoint, task, data, seed); repeating a seed
 reproduces the run exactly.
@@ -29,7 +30,7 @@ import numpy as np
 
 from . import corpus, metrics, wordpiece
 from .encoder import (
-    Batch, EncoderConfig, ParamStore, _head_logits, _sigmoid, forward, frame, init_head,
+    EncoderConfig, ParamStore, _head_logits, _sigmoid, forward, frame, init_head,
     load_checkpoint, multilabel_loss, pair_classify_loss, stack_rows, token_classify_loss,
     without_head,
 )
@@ -143,67 +144,68 @@ def mark_concepts(words: Sequence[str],
 
 def extend_for_markers(vocab: Vocabulary, params, config: EncoderConfig,
                        concept_types: Iterable[str], seed: int):
-    """Add reserved marker tokens to the vocabulary and grow the token
-    embedding table to match, dropping the masked-LM head. Existing rows are
-    untouched; with no new markers the inputs come back unchanged."""
+    """Add reserved marker tokens to the vocabulary and, if the token embedding
+    table is short of them, grow it to match, dropping the masked-LM head.
+    Existing rows are untouched; with no new markers the inputs come back unchanged."""
     markers = [m for m in marker_tokens(concept_types) if m not in vocab]
     if not markers:
         return vocab, params, config
-    v, h, extra = config.vocab_size, config.hidden_dim, len(markers)
-    new_params = params.resized({**without_head(params.layout, "mlm"), "tok_emb": (v + extra, h)})
-    new_params["tok_emb"][v:] = np.random.default_rng(seed).normal(0.0, 0.02, size=(extra, h))
-    return vocab.with_extra_tokens(markers), new_params, replace(config, vocab_size=v + extra)
+    vocab, v, h = vocab.with_extra_tokens(markers), config.vocab_size, config.hidden_dim
+    if v >= len(vocab):  # a model tuned on the markers holds their rows already
+        return vocab, params, config
+    new_params = params.resized({**without_head(params.layout, "mlm"), "tok_emb": (len(vocab), h)})
+    new_params["tok_emb"][v:] = np.random.default_rng(seed).normal(0.0, 0.02, (len(vocab) - v, h))
+    return vocab, new_params, replace(config, vocab_size=len(vocab))
 
 
 def load_task_model(task: TaskSpec, checkpoint, vocab_path):
     """(config, params, vocabulary) of a checkpoint file and the vocabulary
     file it was trained on, grown by the task's concept markers (see
-    extend_for_markers). A vocabulary of another size is refused."""
+    extend_for_markers). The checkpoint may hold the plain vocabulary or the
+    grown one, as a model tuned on the task does; any other size is refused."""
     config, params = load_checkpoint(checkpoint)
-    vocab = wordpiece.read_vocab(vocab_path)
-    if len(vocab) != config.vocab_size:
-        raise ValueError(f"{vocab_path} has {len(vocab)} tokens but {checkpoint} "
+    plain = wordpiece.read_vocab(vocab_path)
+    vocab, params, grown = extend_for_markers(plain, params, config, task.concept_types, 0)
+    if config.vocab_size not in (len(plain), len(vocab)):
+        raise ValueError(f"{vocab_path} has {len(plain)} tokens but {checkpoint} "
                          f"was trained on {config.vocab_size}")
-    vocab, params, config = extend_for_markers(vocab, params, config, task.concept_types, 0)
-    return config, params, vocab
+    return grown, params, vocab
 
 
-def prepare_document(text: str, vocab: Vocabulary, max_positions: int) -> Batch:
-    """One unpadded row: [CLS], the first max_positions - 2 pieces, [SEP].
+def prepare_document(text: str, vocab: Vocabulary, max_positions: int) -> tuple:
+    """frame's unpadded row: [CLS], the first max_positions - 2 pieces, [SEP].
 
     Truncation keeps the document prefix, so the same text prepared at two
     lengths shares its retained pieces."""
-    return stack_rows([frame(wordpiece.encode(vocab, normalize(text)).ids, None,
-                             max_positions)])
+    return frame(wordpiece.encode(vocab, normalize(text)).ids, None, max_positions)
 
 
-def prepare_pair(text_a: str, text_b: str, vocab: Vocabulary, max_positions: int) -> Batch:
-    """One unpadded row: [CLS] a [SEP] b [SEP] with segment ids 0 and 1.
+def prepare_pair(text_a: str, text_b: str, vocab: Vocabulary, max_positions: int) -> tuple:
+    """frame's unpadded row: [CLS] a [SEP] b [SEP] with segment ids 0 and 1.
     When the pair is too long, the longer side loses pieces first."""
     ids_a, ids_b = (wordpiece.encode(vocab, normalize(text)).ids for text in (text_a, text_b))
-    return stack_rows([frame(ids_a, ids_b, max_positions)])
+    return frame(ids_a, ids_b, max_positions)
 
 
 def prepare_marked_sentence(words: Sequence[str], vocab: Vocabulary,
-                            max_positions: int) -> Batch:
-    """Unpadded row for a concept-marked word sequence. A word that is itself a
-    vocabulary token (the reserved markers in particular) maps straight to
-    its id; everything else goes through normal wordpiece segmentation."""
+                            max_positions: int) -> tuple:
+    """frame's unpadded row for a concept-marked word sequence. A word that is
+    itself a vocabulary token (the reserved markers in particular) maps
+    straight to its id; everything else goes through wordpiece segmentation."""
     content: list[int] = []
     for word in words:
         if word in vocab.token_to_id:
             content.append(vocab.id_of(word))
         else:
             content.extend(vocab.id_of(p) for p in word_pieces(vocab, word))
-    return stack_rows([frame(content, None, max_positions)])
+    return frame(content, None, max_positions)
 
 
 @dataclass
 class NerRow:
     """One encoded tagging example: the unpadded framed row, and the position
     and tag of each kept word's first piece, where its tag is scored and
-    read back out. It unpacks as the framed row that stack_rows takes, like
-    a Batch."""
+    read back out. It unpacks as the framed row that frame returns."""
 
     ids: np.ndarray
     mask: np.ndarray
@@ -275,22 +277,28 @@ class SeedRun:
     best_epoch: int
 
 
+def _read_positions(rows) -> np.ndarray:
+    """The (row, position) pairs a head reads in rows stacked as one batch,
+    [n, 2] row-major and ascending: each NerRow's first pieces, or else
+    position 0 of the row."""
+    return np.array([(i, c) for i, row in enumerate(rows) for c in
+                     (row.first_piece_positions if isinstance(row, NerRow) else (0,))],
+                    dtype=np.int64).reshape(-1, 2)
+
+
 def _forward_chunks(params, config, rows: Sequence, batch_size: int, head: str, n_out: int):
     """Yield, for each row in order, the scores of head at the positions it
-    reads there ([positions, n_out]): a NerRow's first pieces, or position 0
-    of each row a Batch holds. Each batch_size rows take one forward pass,
-    whose top layer runs at those positions only. A non-finite score is
-    refused with a ValueError naming the first row that has one."""
+    reads there ([positions, n_out], see _read_positions). Each batch_size
+    rows take one forward pass, whose top layer runs at those positions
+    only. A non-finite score is refused with a ValueError naming the first
+    row that has one."""
     done = 0  # rows yielded so far
     for start in range(0, len(rows), batch_size):
         chunk = rows[start:start + batch_size]
-        batch = stack_rows(chunk)
-        cols = ([row.first_piece_positions for row in chunk] if head == "head_token"
-                else [[0]] * batch.shape[0])
-        reads = np.concatenate([np.add(c, i * batch.shape[1], dtype=np.int64)
-                                for i, c in enumerate(cols)])
-        scores = _head_logits(params, head, forward(params, config, batch, reads=reads), n_out)
-        per_row = np.split(scores, np.cumsum([len(c) for c in cols])[:-1])
+        batch, (row, col) = stack_rows(chunk), _read_positions(chunk).T
+        hidden = forward(params, config, batch, reads=row * batch.shape[1] + col)
+        scores = _head_logits(params, head, hidden, n_out)
+        per_row = np.split(scores, np.searchsorted(row, np.arange(1, len(chunk))))
         if not np.isfinite(scores).all():
             bad = next(i for i, s in enumerate(per_row) if not np.isfinite(s).all())
             raise ValueError(f"row {done + bad}: the model's {head} scores hold a NaN "
@@ -306,17 +314,18 @@ def predict_ner_tags(params, config, rows: Sequence[NerRow], tags: Sequence[str]
             _forward_chunks(params, config, rows, batch_size, "head_token", len(tags))]
 
 
-def predict_pair_labels(params, config, batches: Sequence[Batch], labels: Sequence[str],
+def predict_pair_labels(params, config, rows: Sequence, labels: Sequence[str],
                         batch_size: int = 32) -> list[str]:
+    """The label of each framed row, predicted at its position 0."""
     return [labels[scores[0].argmax()] for scores in
-            _forward_chunks(params, config, batches, batch_size, "head_pair", len(labels))]
+            _forward_chunks(params, config, rows, batch_size, "head_pair", len(labels))]
 
 
-def predict_label_sets(params, config, batches: Sequence[Batch], labels: Sequence[str],
+def predict_label_sets(params, config, rows: Sequence, labels: Sequence[str],
                        threshold: float = 0.5, batch_size: int = 32) -> list[set[str]]:
-    """Labels whose logistic probability exceeds threshold, per batch row."""
+    """Labels whose logistic probability at position 0 exceeds threshold, per row."""
     return [{labels[i] for i in np.nonzero(_sigmoid(scores[0]) > threshold)[0]} for scores in
-            _forward_chunks(params, config, batches, batch_size, "head_multi", len(labels))]
+            _forward_chunks(params, config, rows, batch_size, "head_multi", len(labels))]
 
 
 def _dev_metric(task, params, config, dev):
@@ -324,11 +333,11 @@ def _dev_metric(task, params, config, dev):
         pred = predict_ner_tags(params, config, dev, task.outputs)
         return metrics.corpus_entity_f1([row.word_tags for row in dev], pred)[2]
     # pair and multilabel rows hold label ids, so predict ids too
-    batches, ids = [row[0] for row in dev], range(len(task.labels))
+    rows, ids = [row[0] for row in dev], range(len(task.labels))
     if task.kind == "multilabel":
-        pred_sets = predict_label_sets(params, config, batches, ids)
+        pred_sets = predict_label_sets(params, config, rows, ids)
         return metrics.micro_f1([set(row[1]) for row in dev], pred_sets)[2]
-    gold, pred = [row[1] for row in dev], predict_pair_labels(params, config, batches, ids)
+    gold, pred = [row[1] for row in dev], predict_pair_labels(params, config, rows, ids)
     if task.selection_metric == "accuracy":
         return metrics.accuracy(gold, pred)
     return metrics.micro_f1([{g} for g in gold], [{p} for p in pred])[2]
@@ -338,16 +347,12 @@ def _train_step(task, params, config, rows: Sequence, state, rng):
     """One Adam update of params on rows through the task kind's loss, in
     train mode: dropout masks come from rng."""
     if task.kind == "ner":
-        batch = stack_rows(rows)
-        label_ids, loss_mask = np.zeros(batch.shape, np.int64), np.zeros(batch.shape, np.int64)
-        for i, r in enumerate(rows):
-            label_ids[i, r.first_piece_positions] = r.tag_ids
-            loss_mask[i, r.first_piece_positions] = 1
-        _, grads = token_classify_loss(params, config, batch, label_ids, loss_mask, rng=rng)
+        tag_ids = [tag for row in rows for tag in row.tag_ids]
+        _, grads = token_classify_loss(params, config, stack_rows(rows), _read_positions(rows),
+                                       tag_ids, rng=rng)
     elif task.kind == "pair":
-        class_ids = np.array([r[1] for r in rows], dtype=np.int64)
         _, grads = pair_classify_loss(params, config, stack_rows(r[0] for r in rows),
-                                      class_ids, rng=rng)
+                                      [r[1] for r in rows], rng=rng)
     else:
         matrix = np.zeros((len(rows), len(task.labels)))
         for i, r in enumerate(rows):
@@ -381,6 +386,8 @@ def finetune_task(
         raise ValueError("need at least one seed")
     if len(set(seeds)) < len(seeds):
         raise ValueError(f"seeds must be distinct, got {list(seeds)}")
+    if min(seeds) < 0:
+        raise ValueError(f"seeds must be non-negative, got {list(seeds)}")
     if not train_rows or not dev_rows:
         raise ValueError("train and dev sets must be non-empty")
     params = params.resized(without_head(params.layout, "mlm"))
@@ -413,7 +420,7 @@ def finetune_task(
 
 def load_task_rows(task: TaskSpec, path, vocab: Vocabulary, max_positions: int) -> list:
     """finetune_task's rows of a task file: a NerRow per sentence of a
-    word<TAB>tag file, or a (Batch, label id or id set) per JSON-lines
+    word<TAB>tag file, or a (framed row, label id or id set) per JSON-lines
     record. A malformed line, a field of the wrong type, or an unknown label
     or concept type fails as PATH:LINE: message."""
     index = {name: i for i, name in enumerate(task.outputs)}

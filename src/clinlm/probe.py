@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from importlib import resources  # noqa: F401 - stays importable as probe.resources
 from typing import Callable, Sequence
 
 from . import corpus

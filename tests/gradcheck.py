@@ -62,16 +62,18 @@ def _first_positions(batch):
     return np.arange(batch.shape[0]), np.zeros(batch.shape[0], dtype=np.int64)
 
 
+def _reads_cross_entropy(params, config, batch, rng, head, positions, targets):
+    rows, cols = np.asarray(positions, dtype=np.int64).reshape(-1, 2).T
+    logits = _head_scores(params, config, batch, rng, head, rows, cols)
+    return _cross_entropy(logits, np.asarray(targets, dtype=np.int64))
+
+
 def mlm_reference(params, config, batch, target_positions, target_ids, rng=None):
-    rows, cols = np.asarray(target_positions, dtype=np.int64).reshape(-1, 2).T
-    logits = _head_scores(params, config, batch, rng, "mlm", rows, cols)
-    return _cross_entropy(logits, np.asarray(target_ids, dtype=np.int64))
+    return _reads_cross_entropy(params, config, batch, rng, "mlm", target_positions, target_ids)
 
 
-def token_reference(params, config, batch, label_ids, loss_mask, rng=None):
-    rows, cols = np.nonzero(np.asarray(loss_mask))
-    logits = _head_scores(params, config, batch, rng, "head_token", rows, cols)
-    return _cross_entropy(logits, np.asarray(label_ids, dtype=np.int64)[rows, cols])
+def token_reference(params, config, batch, positions, tag_ids, rng=None):
+    return _reads_cross_entropy(params, config, batch, rng, "head_token", positions, tag_ids)
 
 
 def pair_reference(params, config, batch, class_ids, rng=None):

@@ -7,6 +7,7 @@ pytest failure for that one test.
 
 import math
 import time
+from importlib import resources
 from types import SimpleNamespace
 
 import numpy as np
@@ -179,7 +180,7 @@ def test_criterion_02_probe_oracle(tmp_path):
     assert len(calcium) >= 4
 
     # the loader itself must reject a fixture whose gold contradicts the oracle
-    packaged = probe.resources.files("clinlm").joinpath(
+    packaged = resources.files("clinlm").joinpath(
         "data", "probe_suite.tsv").read_text(encoding="utf-8")
     lines = packaged.splitlines()
     row = next(i for i in range(1, len(lines))
@@ -218,18 +219,14 @@ def test_criterion_03_gradient_audit():
 
     target_positions = np.array([[0, 1], [0, 4], [1, 2]])
     target_ids = np.array([7, 8, 9])
-    label_ids = np.zeros((2, 6), dtype=np.int64)
-    label_ids[0, 1] = 1
-    label_ids[1, 3] = 2
-    loss_mask = np.zeros((2, 6), dtype=np.int64)
-    loss_mask[0, 1:4] = 1
-    loss_mask[1, 1:4] = 1
+    token_positions = np.array([[0, 1], [0, 2], [0, 3], [1, 1], [1, 2], [1, 3]])
+    tag_ids = np.array([1, 0, 0, 0, 0, 2])
     class_ids = np.array([0, 2])
     label_matrix = rng.integers(0, 2, size=(2, 4)).astype(np.float64)
 
     losses = {  # name -> (loss, its arguments after the batch)
         "mlm": (mlm_forward_loss, target_positions, target_ids),
-        "token": (token_classify_loss, label_ids, loss_mask),
+        "token": (token_classify_loss, token_positions, tag_ids),
         "pair": (pair_classify_loss, class_ids),
         "multilabel": (multilabel_loss, label_matrix),
     }
@@ -592,11 +589,11 @@ def test_criterion_11_length_variant_harness(desk):
     start = time.perf_counter()
     documents = [" ".join(clinical_sentences(80, offset=o)) for o in (0, 7, 19)]
     for doc in documents:
-        short = prepare_document(doc, desk.vocab, 128)
-        long = prepare_document(doc, desk.vocab, 512)
-        assert np.array_equal(short.token_ids[0, 1:127], long.token_ids[0, 1:127])
-        assert int(short.attention_mask.sum()) == 128
-        assert long.token_ids[0, int(long.attention_mask.sum()) - 1] == short.token_ids[0, 127]
+        short_ids, short_mask, _ = prepare_document(doc, desk.vocab, 128)
+        long_ids, long_mask, _ = prepare_document(doc, desk.vocab, 512)
+        assert np.array_equal(short_ids[1:127], long_ids[1:127])
+        assert int(short_mask.sum()) == 128
+        assert long_ids[int(long_mask.sum()) - 1] == short_ids[127]
 
     task = TaskSpec("desk-docs", "multilabel", ("has-problem", "has-treatment"),
                     "micro_f1")

@@ -491,6 +491,8 @@ class TestMalformedInputs:
          "value 1 of 1 is inf, not a finite number"),
         ("repeated-seed", "nli.jsonl", _jsonl(_NLI_ROW), _finetune("mednli", "--seeds", "1,1"),
          "seeds must be distinct, got [1, 1]"),
+        ("negative-seed", "nli.jsonl", _jsonl(_NLI_ROW), _finetune("mednli", "--seeds", "1,-1"),
+         "seeds must be non-negative, got [1, -1]"),
         ("max-positions-above-checkpoint", "nli.jsonl", _jsonl(_NLI_ROW),
          _finetune("mednli", "--max-positions", "17"),
          "--max-positions 17 exceeds the max_positions 16 of {ckpt}"),
@@ -534,6 +536,22 @@ class TestTunedCheckpoint:
         assert [e["name"] for e in header["tensors"]] == [
             name for name in earlier if name not in ("mlm_w", "mlm_b")]
         assert 8 * sum(math.prod(s) for s in earlier.values()) - len(body) == 8 * (h * v + v)
+
+    def test_relation_checkpoint_tunes_again(self, tmp_path, tiny_model, capsys):
+        # a tuned re-2010 model already holds the marker tokens' embeddings;
+        # with the plain vocabulary file it loads as the grown vocabulary
+        vocab, ckpt = tiny_model
+        data = tmp_path / "rel.jsonl"
+        data.write_text(_jsonl(_RELATION_ROW), encoding="utf-8")
+        for start, prefix in ((ckpt, "tuned"), (tmp_path / "tuned.seed0.ckpt", "again")):
+            code, _, err = run_cli(_finetune("re-2010", "--max-steps", "1", "--out-prefix",
+                                             str(tmp_path / prefix), checkpoint=str(start),
+                                             data=str(data), vocab=str(vocab)), capsys)
+            assert code == 0, err
+        markers = 2 * len(builtin_task("re-2010").concept_types)
+        for prefix in ("tuned", "again"):
+            config, _ = load_checkpoint(tmp_path / f"{prefix}.seed0.ckpt")
+            assert config.vocab_size == len(read_vocab(vocab)) + markers
 
 
 class TestSettings:

@@ -54,6 +54,16 @@ def full_batch(token_rows, mask_rows=None, segment_rows=None):
     return Batch(token_ids=ids, attention_mask=mask, segment_ids=seg)
 
 
+def columns(batch):
+    """A Batch's (token ids, attention mask, segment ids) arrays."""
+    return batch.token_ids, batch.attention_mask, batch.segment_ids
+
+
+def rows_of(batch):
+    """A Batch's rows as the 1-D framed triples that predict_* take."""
+    return list(zip(*columns(batch)))
+
+
 def zero_params(config):
     params = init_params(config, seed=0)
     params.flat[:] = 0.0
@@ -395,8 +405,9 @@ class TestHeads:
         assert np.array_equal(_head_logits(params, "head_multi", hidden[:, 0], 4),
                               np.zeros((1, 4)))
         labels = ["a", "b", "c", "d"]
-        assert predict_label_sets(params, config, [batch], labels, threshold=0.5) == [set()]
-        assert predict_label_sets(params, config, [batch], labels,
+        assert predict_label_sets(params, config, rows_of(batch), labels,
+                                  threshold=0.5) == [set()]
+        assert predict_label_sets(params, config, rows_of(batch), labels,
                                   threshold=0.5 - 1e-12) == [set(labels)]
 
     def test_multilabel_probabilities_in_open_interval(self):
@@ -405,9 +416,10 @@ class TestHeads:
         params = init_head(init_params(config, 3), config, "head_multi", 5, seed=2)
         batch = full_batch([[5, 6, 7, 1]])
         labels = list("abcde")
-        assert predict_label_sets(params, config, [batch], labels, threshold=0.0) == [set(labels)]
+        rows = rows_of(batch)
+        assert predict_label_sets(params, config, rows, labels, threshold=0.0) == [set(labels)]
         below_one = np.nextafter(1.0, 0.0)
-        assert predict_label_sets(params, config, [batch], labels, threshold=below_one) == [set()]
+        assert predict_label_sets(params, config, rows, labels, threshold=below_one) == [set()]
 
     def test_token_head_scores_every_position(self):
         config = tiny_config()
@@ -435,31 +447,28 @@ class TestHeads:
 
 class TestHeadLosses:
     def test_token_loss_ignores_unselected_positions(self):
+        # the loss is the mean over the read positions alone
         config = tiny_config()
         params = init_head(init_params(config, 1), config, "head_token", 3, seed=5)
         batch = full_batch([[5, 6, 7, 0]], mask_rows=[[1, 1, 1, 0]])
-        mask = np.array([[1, 1, 0, 0]])
-        labels_a = np.array([[0, 2, 1, 1]])
-        labels_b = np.array([[0, 2, 0, 2]])  # differs only where mask is 0
-        loss_a, _ = token_classify_loss(params, config, batch, labels_a, mask)
-        loss_b, _ = token_classify_loss(params, config, batch, labels_b, mask)
-        assert loss_a == loss_b
+        loss, _ = token_classify_loss(params, config, batch, [[0, 0], [0, 1]], [0, 2])
+        singles = [token_classify_loss(params, config, batch, [position], [tag])[0]
+                   for position, tag in (([0, 0], 0), ([0, 1], 2))]
+        assert loss == pytest.approx(np.mean(singles), rel=1e-15)
 
     def test_token_loss_empty_mask_rejected(self):
         config = tiny_config()
         params = init_head(init_params(config, 1), config, "head_token", 3, seed=5)
         batch = full_batch([[5, 6]])
-        with pytest.raises(ValueError, match="no positions"):
-            token_classify_loss(params, config, batch,
-                                np.zeros((1, 2), dtype=int), np.zeros((1, 2)))
+        with pytest.raises(ValueError, match="at least one target position"):
+            token_classify_loss(params, config, batch, np.zeros((0, 2), dtype=int), [])
 
     def test_token_loss_label_range_checked(self):
         config = tiny_config()
         params = init_head(init_params(config, 1), config, "head_token", 3, seed=5)
         batch = full_batch([[5, 6]])
         with pytest.raises(ValueError, match="label"):
-            token_classify_loss(params, config, batch,
-                                np.array([[0, 9]]), np.ones((1, 2)))
+            token_classify_loss(params, config, batch, [[0, 0], [0, 1]], [0, 9])
 
     def test_pair_loss_shape_checked(self):
         config = tiny_config()
@@ -484,10 +493,10 @@ class TestHeadLosses:
                            mask_rows=[[1, 1, 1, 1], [1, 1, 1, 0]])
 
         token_params = init_head(base, config, "head_token", 3, seed=7)
-        labels = np.array([[0, 2, 1, 0], [1, 0, 2, 0]])
-        sel = np.array([[0, 1, 1, 0], [1, 1, 0, 0]])
+        positions = np.array([[0, 1], [0, 2], [1, 0], [1, 1]])
+        tags = np.array([2, 1, 1, 0])
         assert audit_gradients(token_classify_loss, token_params, config, batch,
-                               labels, sel) < 1e-4
+                               positions, tags) < 1e-4
 
         pair_params = init_head(base, config, "head_pair", 3, seed=7)
         classes = np.array([2, 0])
@@ -498,6 +507,42 @@ class TestHeadLosses:
         assert audit_gradients(multilabel_loss, multi_params, config, batch, matrix) < 1e-4
 
 
+# head -> (its loss, then the batch token rows and the loss's arguments after
+# the batch for each refusal of _REFUSALS: no read position, a read outside
+# the batch, two targets for one read)
+_REFUSED_READS = {
+    "mlm": (mlm_forward_loss, [([[5, 6]], ([], [])), ([[5, 6]], ([[0, 2]], [6])),
+                               ([[5, 6]], ([[0, 1]], [6, 7]))]),
+    "head_token": (token_classify_loss, [([[5, 6]], ([], [])), ([[5, 6]], ([[1, 0]], [1])),
+                                         ([[5, 6]], ([[0, 1]], [1, 2]))]),
+    "head_pair": (pair_classify_loss, [(np.zeros((0, 2)), ([],)), (np.zeros((1, 0)), ([0],)),
+                                       ([[5, 6]], ([0, 1],))]),
+    "head_multi": (multilabel_loss, [(np.zeros((0, 2)), (np.zeros((0, 3)),)),
+                                     (np.zeros((1, 0)), ([[0, 1, 0]],)),
+                                     ([[5, 6]], ([[0, 1, 0], [1, 0, 0]],))]),
+}
+_REFUSALS = [r"^{head} loss needs at least one target position$",
+             r"^a {head} read position is outside the {b} x {t} batch$",
+             r"^{head} reads 1 position\(s\) but has targets of shape \(2,"]
+
+
+@pytest.mark.parametrize("refusal", range(3), ids=["no-reads", "outside-the-batch",
+                                                    "count-mismatch"])
+@pytest.mark.parametrize("head", list(_REFUSED_READS))
+def test_every_head_loss_refuses_bad_reads_with_one_message(head, refusal):
+    # _head_loss checks the reads of all four losses, so each refusal reads alike
+    config = tiny_config()
+    params = init_params(config, 1)
+    if head != "mlm":
+        params = init_head(params, config, head, 3, seed=5)
+    loss, cases = _REFUSED_READS[head]
+    tokens, args = cases[refusal]
+    batch = full_batch(tokens)
+    b, t = batch.shape
+    with pytest.raises(ValueError, match=_REFUSALS[refusal].format(head=head, b=b, t=t)):
+        loss(params, config, batch, *args)
+
+
 # (head, loss, its arguments after the batch) of each loss the train-mode
 # gradient audit checks on its two-row batch; init_params already draws mlm
 _TRAIN_MODE_LOSSES = [
@@ -506,7 +551,7 @@ _TRAIN_MODE_LOSSES = [
     pytest.param(None, mlm_forward_loss, ([[0, 1], [0, 1], [1, 0]], [6, 2, 3]),
                  id="mlm-repeated-position"),
     pytest.param("head_token", token_classify_loss,
-                 ([[0, 2, 1, 0], [1, 0, 2, 0]], [[0, 1, 1, 0], [1, 1, 0, 0]]), id="token"),
+                 ([[0, 1], [0, 2], [1, 0], [1, 1]], [2, 1, 1, 0]), id="token"),
     pytest.param("head_pair", pair_classify_loss, ([2, 0],), id="pair"),
     pytest.param("head_multi", multilabel_loss,
                  ([[1.0, 0.0, 1.0], [0.0, 0.0, 1.0]],), id="multilabel"),
@@ -582,8 +627,7 @@ class TestLossesRunTheTopLayerAtReadsOnly:
     # a 2 x 4 batch
     @pytest.mark.parametrize("head,loss,args,n_reads", [
         (None, mlm_forward_loss, ([[0, 1], [0, 1], [1, 0], [1, 3]], [6, 2, 3, 4]), 3),
-        ("head_token", token_classify_loss,
-         ([[0, 2, 1, 0], [1, 0, 2, 0]], [[0, 1, 1, 0], [1, 1, 0, 0]]), 4),
+        ("head_token", token_classify_loss, ([[0, 1], [0, 2], [1, 0], [1, 1]], [2, 1, 1, 0]), 4),
         ("head_pair", pair_classify_loss, ([2, 0],), 2),
         ("head_multi", multilabel_loss, ([[1.0, 0.0, 1.0], [0.0, 0.0, 1.0]],), 2),
     ], ids=["mlm", "token", "pair", "multilabel"])
@@ -640,7 +684,7 @@ class TestPaddingInvariance:
                 frame([6, 5, 9, 9, 8, 7, 11], None, 16)]
         stacked = stack_rows(rows)
         padded = Batch(*(np.pad(column, ((0, 0), (0, 7)), constant_values=fill)
-                         for column, fill in zip(stacked, (PAD_ID, 0, 0))))
+                         for column, fill in zip(columns(stacked), (PAD_ID, 0, 0))))
         assert stacked.shape == (3, 9) and padded.shape == (3, 16)
         real = stacked.attention_mask == 1
 
@@ -651,15 +695,12 @@ class TestPaddingInvariance:
         hidden_padded = forward(params, config, padded, rng())
         np.testing.assert_allclose(hidden[real], hidden_padded[:, :9][real], rtol=0, atol=1e-12)
 
-        labels = np.tile(np.arange(16) % 3, (3, 1))
-        selected = np.zeros((3, 16), dtype=bool)
-        selected[:, :9] = real & (stacked.token_ids > 4)
-        calls = {  # each loss on a batch, its labels cut to the batch's width
+        positions = np.argwhere(real & (stacked.token_ids > 4))
+        calls = {  # each loss on a batch
             "mlm": lambda b: mlm_forward_loss(
                 params, config, b, [[0, 1], [1, 4], [2, 7]], [6, 11, 7], rng=rng()),
             "token": lambda b: token_classify_loss(
-                params, config, b, labels[:, :b.shape[1]], selected[:, :b.shape[1]],
-                rng=rng()),
+                params, config, b, positions, positions[:, 1] % 3, rng=rng()),
             "pair": lambda b: pair_classify_loss(params, config, b, [2, 0, 1], rng=rng()),
             "multilabel": lambda b: multilabel_loss(
                 params, config, b, [[1.0, 0.0, 1.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]],

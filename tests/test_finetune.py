@@ -40,7 +40,7 @@ from clinlm.finetune import (
 )
 from clinlm.pretrain import AdamConfig, init_optimizer
 from clinlm.wordpiece import CLS_ID, PAD_ID, SEP_ID, train_wordpiece
-from test_encoder import last_ff_in_rows
+from test_encoder import columns, last_ff_in_rows
 
 
 @pytest.fixture(scope="module")
@@ -171,31 +171,32 @@ class TestExtendForMarkers:
 
 class TestPrepareDocument:
     def test_padding_arithmetic(self, small_vocab):
-        batch = prepare_document("the patient denies", small_vocab, 128)
+        row = prepare_document("the patient denies", small_vocab, 128)
+        ids, mask, _ = row
         n_real = 2 + 3  # CLS + 3 one-piece words + SEP
-        assert batch.shape == (1, n_real)  # no padding past the one real row
-        assert batch.attention_mask.all()
-        assert batch.token_ids[0, 0] == CLS_ID
-        assert batch.token_ids[0, n_real - 1] == SEP_ID
-        ids = [small_vocab.id_of(w) for w in ("the", "patient", "denies")]
-        for stacked, framed in zip(batch, frame(ids, None, 128)):
-            assert np.array_equal(stacked[0], framed[:n_real])
+        assert ids.shape == (n_real,)  # unpadded
+        assert mask.all()
+        assert ids[0] == CLS_ID
+        assert ids[n_real - 1] == SEP_ID
+        pieces = [small_vocab.id_of(w) for w in ("the", "patient", "denies")]
+        for prepared, framed in zip(row, frame(pieces, None, 128)):
+            assert np.array_equal(prepared, framed)
 
     def test_long_document_truncates_to_budget(self, small_vocab):
         text = " ".join(["pain"] * 900)
-        batch = prepare_document(text, small_vocab, 512)
-        assert batch.shape == (1, 512)
-        assert int(batch.attention_mask.sum()) == 512
-        content = batch.token_ids[0, 1:511]
+        ids, mask, _ = prepare_document(text, small_vocab, 512)
+        assert ids.shape == (512,)
+        assert int(mask.sum()) == 512
+        content = ids[1:511]
         assert np.all(content == small_vocab.id_of("pain"))
-        assert batch.token_ids[0, 511] == SEP_ID
+        assert ids[511] == SEP_ID
 
     def test_short_vs_long_prefix_property(self, small_vocab):
         text = " ".join(["severe", "pain", "fever"] * 100)
-        short = prepare_document(text, small_vocab, 128)
-        long = prepare_document(text, small_vocab, 512)
-        short_content = short.token_ids[0, 1:127]
-        long_content = long.token_ids[0, 1:127]
+        short_ids, _, _ = prepare_document(text, small_vocab, 128)
+        long_ids, _, _ = prepare_document(text, small_vocab, 512)
+        short_content = short_ids[1:127]
+        long_content = long_ids[1:127]
         assert np.array_equal(short_content, long_content)
 
     def test_tiny_budget_rejected(self, small_vocab):
@@ -205,8 +206,7 @@ class TestPrepareDocument:
 
 class TestPreparePair:
     def test_segments_and_framing(self, small_vocab):
-        batch = prepare_pair("no pain", "severe fever", small_vocab, 16)
-        ids, segments = batch.token_ids[0], batch.segment_ids[0]
+        ids, mask, segments = prepare_pair("no pain", "severe fever", small_vocab, 16)
         assert ids[0] == CLS_ID
         sep_positions = np.nonzero(ids == SEP_ID)[0]
         assert len(sep_positions) == 2
@@ -214,15 +214,14 @@ class TestPreparePair:
         assert np.all(segments[:first_sep + 1] == 0)
         assert np.all(segments[first_sep + 1:second_sep + 1] == 1)
         assert np.all(segments[second_sep + 1:] == 0)  # padding back to 0
-        assert int(batch.attention_mask[0].sum()) == second_sep + 1
+        assert int(mask.sum()) == second_sep + 1
 
     def test_longer_side_truncated_first(self, small_vocab):
         long_a = " ".join(["pain"] * 30)
-        batch = prepare_pair(long_a, "fever", small_vocab, 12)
-        ids = batch.token_ids[0]
+        ids, mask, _ = prepare_pair(long_a, "fever", small_vocab, 12)
         fever_id = small_vocab.id_of("fever")
         assert fever_id in ids  # the short side survives
-        assert int(batch.attention_mask[0].sum()) == 12
+        assert int(mask.sum()) == 12
 
     def test_too_small_rejected(self, small_vocab):
         with pytest.raises(ValueError):
@@ -231,14 +230,14 @@ class TestPreparePair:
     def test_batches_prepared_at_two_lengths_stack(self, small_vocab):
         short = prepare_pair("no pain", "fever", small_vocab, 16)
         long = prepare_pair(" ".join(["pain"] * 40), "severe fever", small_vocab, 32)
-        assert short.shape == (1, 6) and long.shape == (1, 32)
+        assert len(short[0]) == 6 and len(long[0]) == 32
         batch = stack_rows([short, long])
         assert batch.shape == (2, 32)
-        for stacked, alone, fill in zip(batch, short, (PAD_ID, 0, 0)):
-            assert np.array_equal(stacked[0, :6], alone[0])
+        for stacked, alone, fill in zip(columns(batch), short, (PAD_ID, 0, 0)):
+            assert np.array_equal(stacked[0, :6], alone)
             assert np.all(stacked[0, 6:] == fill)
-        for stacked, alone in zip(batch, long):
-            assert np.array_equal(stacked[1], alone[0])
+        for stacked, alone in zip(columns(batch), long):
+            assert np.array_equal(stacked[1], alone)
 
 
 class TestPrepareMarkedSentence:
@@ -250,8 +249,8 @@ class TestPrepareMarkedSentence:
             small_vocab, params, config, ("problem",), seed=1)
         marked = mark_concepts(["severe", "pain", "today"], (0, 2), "problem",
                                (2, 3), "problem")
-        batch = prepare_marked_sentence(marked, vocab, 16)
-        ids = list(batch.token_ids[0])
+        ids, _, _ = prepare_marked_sentence(marked, vocab, 16)
+        ids = list(ids)
         assert vocab.id_of("[problem-start]") in ids
         assert vocab.id_of("[problem-end]") in ids
 
@@ -307,22 +306,17 @@ class TestEncodeNerExample:
                                     (["no"], ["O"])]]
         seen = []
 
-        def spy(params, config, batch, label_ids, loss_mask, rng=None):
-            seen.append((batch, label_ids, loss_mask))
-            return token_classify_loss(params, config, batch, label_ids, loss_mask, rng=rng)
+        def spy(params, config, batch, positions, tag_ids, rng=None):
+            seen.append((batch, positions, tag_ids))
+            return token_classify_loss(params, config, batch, positions, tag_ids, rng=rng)
 
         monkeypatch.setattr(finetune, "token_classify_loss", spy)
         finetune._train_step(task, params, config, rows, init_optimizer(params, AdamConfig()),
                              None)
-        [(batch, labels, selected)] = seen
+        [(batch, positions, tag_ids)] = seen
         assert batch.shape == (2, 4)
-        assert selected.tolist() == [[0, 1, 1, 0], [0, 1, 0, 0]]
-        assert labels[selected == 1].tolist() == [1, 2, 0]
-        loss_a, _ = token_classify_loss(params, config, batch, labels, selected)
-        perturbed = labels.copy()
-        perturbed[selected == 0] = 2  # garbage into ignored slots
-        loss_b, _ = token_classify_loss(params, config, batch, perturbed, selected)
-        assert loss_a == loss_b
+        assert positions.tolist() == [[0, 1], [0, 2], [1, 1]]  # row-major, ascending
+        assert list(tag_ids) == [1, 2, 0]
 
 
 def _rows_equal(a, b):
@@ -550,13 +544,13 @@ class TestTaskModelsHoldNoMlmHead:
         tuned = finetune_task(config, params, task, rows, rows, [0],
                               FinetuneConfig(epochs=1, batch_size=2))[0].params
         with pytest.raises(ValueError, match=r"^the model has no mlm head \(mlm_w, mlm_b\)$"):
-            mlm_forward_loss(tuned, config, rows[0][0], [[0, 1]], [6])
+            mlm_forward_loss(tuned, config, stack_rows([rows[0][0]]), [[0, 1]], [6])
 
     def test_predicting_with_another_head_names_the_missing_one(self, small_vocab):
         config, params, task, rows = toy_task("ner", small_vocab)
-        batches = [prepare_pair("alpha", "beta", small_vocab, 12)]
+        pair_rows = [prepare_pair("alpha", "beta", small_vocab, 12)]
         with pytest.raises(ValueError, match=r"^the model has no head_pair head"):
-            predict_pair_labels(params, config, batches, ["match", "clash"])
+            predict_pair_labels(params, config, pair_rows, ["match", "clash"])
 
 
 class TestDropout:
@@ -620,7 +614,7 @@ class TestNonFiniteModel:
         config, params, task, rows = toy_task(kind, small_vocab)
         # a huge embedding of pieces the first two rows lack: finite
         # parameters whose hidden states overflow to NaN in row 2 onwards
-        ids = [set(r.ids if kind == "ner" else r[0].token_ids.ravel()) for r in rows]
+        ids = [set(r.ids if kind == "ner" else r[0][0]) for r in rows]
         only_later = sorted(ids[2] - ids[0] - ids[1])
         assert only_later
         params["tok_emb"][only_later] = 1e308
@@ -638,11 +632,12 @@ class TestPredictLabelSets:
                                n_layers=1, n_heads=2, ff_dim=16, max_positions=12)
         params = init_head(init_params(config, 2), config, "head_multi", 3, seed=3)
         labels = ["x", "y", "z"]
-        batches = [prepare_document("alpha beta", small_vocab, 12),
-                   prepare_document("delta gamma", small_vocab, 12)]
-        sets = predict_label_sets(params, config, batches, labels)
-        for batch, got in zip(batches, sets):
-            logits = _head_logits(params, "head_multi", forward(params, config, batch)[:, 0], 3)
+        rows = [prepare_document("alpha beta", small_vocab, 12),
+                prepare_document("delta gamma", small_vocab, 12)]
+        sets = predict_label_sets(params, config, rows, labels)
+        for row, got in zip(rows, sets):
+            hidden = forward(params, config, stack_rows([row]))
+            logits = _head_logits(params, "head_multi", hidden[:, 0], 3)
             probs = 1.0 / (1.0 + np.exp(-logits[0]))
             expected = {labels[i] for i in range(3) if probs[i] > 0.5}
             assert got == expected
