@@ -82,9 +82,13 @@ def _parse_ratios(text: str) -> tuple[float, float, float]:
 
 
 def _parse_seeds(text: str) -> list[int]:
-    if "," in text:
-        return [int(p) for p in text.split(",")]
-    return list(range(int(text)))
+    try:
+        seeds = [int(p) for p in text.split(",")]
+    except ValueError:
+        seeds = []
+    if not seeds or ("," not in text and seeds[0] < 1):
+        raise ValueError(f"--seeds must be a count >= 1 or a comma list of ints, got {text!r}")
+    return seeds if "," in text else list(range(seeds[0]))
 
 
 def _parse_named_paths(pairs) -> dict[str, str]:

@@ -13,11 +13,14 @@ alike, is a linear head read at some (row, position) pairs, trained through
 one routine, _head_loss. init_params draws the masked-LM head (mlm) for
 pretraining; fine-tuning drops it, as no task reads it.
 
-A head reads few positions: [CLS], each word's first piece, or the masked
-slots. Given those positions (reads), the top layer still attends at every
-position, since every key and value is needed, but runs its attention
-projection, feed-forward sublayer and both layer norms at the read positions
-only; the backward pass scatters their gradients back before attention. The
+The attention core, scores, softmax, dropout and context, is one function
+pair, _attention and _attention_backward, computed in place in one scores
+buffer. A head reads few positions: [CLS], each word's first piece, or the
+masked slots. Given those positions (reads), the top layer still computes
+keys and values at every position, but its queries run at the read rows
+only, held in a [rows, most reads in one row] grid, and so do its attention
+scores, attention projection, feed-forward sublayer and both layer norms;
+the backward pass scatters their gradients back to every position. The
 losses and prediction pass reads; forward without them is the full pass.
 
 Train mode means an rng was passed: forward and the losses then drop out
@@ -266,40 +269,58 @@ def init_params(config: EncoderConfig, seed: int) -> ParamStore:
 
 def _gelu(a):
     """(GELU of a, the normal CDF of a); the backward pass reuses the CDF."""
-    cdf = erf(a / math.sqrt(2.0))
+    cdf = a / math.sqrt(2.0)
+    erf(cdf, out=cdf)
     cdf += 1.0
     cdf *= 0.5
     return a * cdf, cdf
 
 
 def _gelu_grad(a, cdf):
-    """Derivative of GELU at a, given _gelu's CDF of a."""
-    return cdf + a * np.exp(-0.5 * a * a) / math.sqrt(2.0 * math.pi)
+    """Derivative of GELU at a, given _gelu's CDF of a: cdf + a exp(-a^2 / 2) / sqrt(2 pi),
+    built in one buffer."""
+    out = a * -0.5
+    out *= a
+    np.exp(out, out=out)
+    out *= a
+    out /= math.sqrt(2.0 * math.pi)
+    out += cdf
+    return out
 
 
 def _layer_norm(params, name, x, eps):
     mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    xhat = x - mu
+    var = (xhat * xhat).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    return params[name + "_g"] * xhat + params[name + "_b"], (xhat, inv)
+    xhat *= inv
+    y = xhat * params[name + "_g"]
+    y += params[name + "_b"]
+    return y, (xhat, inv)
 
 
 def _layer_norm_backward(params, grads, name, dy, cache):
     """Add the gradients of name_g and name_b; return the gradient of x."""
     xhat, inv = cache
-    grads[name + "_g"] += (dy * xhat).reshape(-1, xhat.shape[-1]).sum(axis=0)
-    grads[name + "_b"] += dy.reshape(-1, xhat.shape[-1]).sum(axis=0)
-    dxhat = dy * params[name + "_g"]
-    mean_dxhat = dxhat.mean(axis=-1, keepdims=True)
-    mean_dxhat_xhat = (dxhat * xhat).mean(axis=-1, keepdims=True)
-    return inv * (dxhat - mean_dxhat - xhat * mean_dxhat_xhat)
+    width = xhat.shape[-1]
+    tmp = dy * xhat
+    grads[name + "_g"] += tmp.reshape(-1, width).sum(axis=0)
+    grads[name + "_b"] += dy.reshape(-1, width).sum(axis=0)
+    dx = dy * params[name + "_g"]  # the gradient of xhat, turned into that of x in place
+    mean_dxhat = dx.mean(axis=-1, keepdims=True)
+    np.multiply(dx, xhat, out=tmp)
+    mean_dxhat_xhat = tmp.mean(axis=-1, keepdims=True)
+    dx -= mean_dxhat
+    np.multiply(xhat, mean_dxhat_xhat, out=tmp)
+    dx -= tmp
+    dx *= inv
+    return dx
 
 
 def _linear(params, name, x):
     """x @ name_w + name_b over the last axis of x."""
-    y = x.reshape(-1, x.shape[-1]) @ params[name + "_w"] + params[name + "_b"]
+    y = x.reshape(-1, x.shape[-1]) @ params[name + "_w"]
+    y += params[name + "_b"]
     return y.reshape(*x.shape[:-1], y.shape[-1])
 
 
@@ -312,22 +333,22 @@ def _linear_backward(params, grads, name, x, dy):
     return (dy2 @ params[name + "_w"].T).reshape(x.shape)
 
 
-def _drop(x, rate, rng, cache, key, shape=None, reads=None):
+def _drop(x, rate, rng, cache, key, shape=None, pick=None):
     """Inverted dropout: zero each entry of x with probability rate and scale
     the rest by 1 / (1 - rate), so eval needs no correction; the scaled mask
     is kept as cache[key] for the backward pass. Without an rng (eval mode)
-    or at rate 0 it returns x and draws nothing. When x holds the rows at
-    flat indices reads of an array of the given shape, the mask is drawn at
-    that full shape and its rows at reads are kept, so the rng advances
-    exactly as it would for the full array."""
+    or at rate 0 it returns x and draws nothing. When x is the part
+    pick(full) of an array full of the given shape, the mask is drawn at that
+    full shape and pick keeps x's part of it, so the rng advances exactly as
+    it would for the full array."""
     if rng is None or rate == 0.0:
         return x
     keep = 1.0 - rate
-    mask = rng.random(x.shape if reads is None else shape) < keep
-    if reads is not None:
-        mask = mask.reshape(-1, x.shape[-1])[reads]
-    cache[key] = mask.astype(np.float64) / keep
-    return x * cache[key]
+    mask = rng.random(x.shape if pick is None else shape) < keep
+    mask = (mask if pick is None else pick(mask)).astype(np.float64)
+    mask /= keep
+    cache[key] = mask
+    return x * mask
 
 
 def _split_heads(x, n_heads):
@@ -338,6 +359,61 @@ def _split_heads(x, n_heads):
 def _join_heads(x):
     b, nh, t, dh = x.shape
     return x.transpose(0, 2, 1, 3).reshape(b, t, nh * dh)
+
+
+def _attention(qh, kh, vh, bias, rate, rng, lc, pick=None):
+    """Context [b, heads, queries, head_dim] of the queries qh over the keys
+    kh and values vh, all [b, heads, n, head_dim]: the attention weights
+    softmax(qh kh^T / sqrt(head_dim) + bias), dropped out, times vh. The
+    weights are computed in place in one scores buffer. bias [b, 1, 1, keys]
+    is _NEG_INF at padded keys and 0 elsewhere, or None when no key is
+    padded. The dropout mask is drawn at the full [b, heads, keys, keys]
+    shape, and pick, if given, keeps the rows of the queries (see _drop).
+    What _attention_backward needs is kept in lc."""
+    s = qh @ kh.swapaxes(-1, -2)
+    s *= 1.0 / math.sqrt(qh.shape[-1])
+    if bias is not None:
+        s += bias
+    s -= s.max(axis=-1, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=-1, keepdims=True)
+    b, nh, _, t = s.shape
+    used = _drop(s, rate, rng, lc, "attn_drop", (b, nh, t, t), pick)
+    lc.update(qh=qh, kh=kh, vh=vh, attn=s, attn_used=used)
+    return used @ vh
+
+
+def _attention_backward(d_ctx, lc):
+    """Gradients (d_qh, d_kh, d_vh) of _attention's inputs given d_ctx, that
+    of its context; the scores' gradient is built in one buffer."""
+    attn = lc["attn"]
+    d_vh = lc["attn_used"].swapaxes(-1, -2) @ d_ctx
+    d = d_ctx @ lc["vh"].swapaxes(-1, -2)
+    if "attn_drop" in lc:
+        d *= lc["attn_drop"]
+    d -= (d * attn).sum(axis=-1, keepdims=True)
+    d *= attn
+    scale = 1.0 / math.sqrt(d_ctx.shape[-1])
+    d_qh = d @ lc["kh"]
+    d_qh *= scale
+    d_kh = d.swapaxes(-1, -2) @ lc["qh"]
+    d_kh *= scale
+    return d_qh, d_kh, d_vh
+
+
+def _slots(reads, b, t):
+    """Where the queries of reads, flat row * t + position indices into a
+    b x t batch, sit in a [b, m] grid, m being the most reads in one row:
+    each row's reads fill its first slots in the order given. Returns each
+    read's (row, slot) and the grid's positions, 0 at a slot no read fills."""
+    row = reads // t
+    counts = np.bincount(row, minlength=b)
+    order = np.argsort(row, kind="stable")
+    slot = np.empty_like(reads)
+    slot[order] = np.arange(len(reads)) - (np.cumsum(counts) - counts)[row[order]]
+    positions = np.zeros((b, counts.max()), dtype=np.int64)
+    positions[row, slot] = reads % t
+    return row, slot, positions
 
 
 def _forward(params, config, batch, rng, reads=None):
@@ -354,46 +430,46 @@ def _forward(params, config, batch, rng, reads=None):
             raise ValueError(f"reads must be flat row * {t} + position indices "
                              f"into the {b} x {t} batch")
 
-    rate, eps = config.dropout, config.ln_epsilon
+    rate, eps, hd, nh = config.dropout, config.ln_epsilon, config.hidden_dim, config.n_heads
     cache = {"batch": batch, "layers": []}
-    summed = (
-        params["tok_emb"][batch.token_ids]
-        + params["pos_emb"][np.arange(t)][None, :, :]
-        + params["seg_emb"][batch.segment_ids]
-    )
+    summed = params["tok_emb"][batch.token_ids]
+    summed += params["pos_emb"][:t]
+    summed += params["seg_emb"][batch.segment_ids]
     x, cache["emb_ln"] = _layer_norm(params, "emb_ln", summed, eps)
     x = _drop(x, rate, rng, cache, "emb_drop")
 
-    # additive bias: masked keys get a large negative score, real keys zero
-    attn_bias = np.where(batch.attention_mask[:, None, None, :] == 1, 0.0, _NEG_INF)
+    # masked keys get a large negative score; no bias when every key is real
+    mask = batch.attention_mask[:, None, None, :]
+    attn_bias = None if mask.all() else np.where(mask == 1, 0.0, _NEG_INF)
 
-    scale = 1.0 / math.sqrt(config.head_dim)
-    full = (b, t, config.hidden_dim)  # the shape dropout draws at, read rows or not
+    full = (b, t, hd)  # the shape dropout draws at, read rows or not
     for i in range(config.n_layers):
         p = f"layer{i}."
         lc = {"x_in": x}
-        qh, kh, vh = (_split_heads(_linear(params, p + name, x), config.n_heads)
-                      for name in ("attn_q", "attn_k", "attn_v"))
-        scores = qh @ kh.swapaxes(-1, -2) * scale + attn_bias
-        scores -= scores.max(axis=-1, keepdims=True)
-        exp = np.exp(scores)
-        attn = exp / exp.sum(axis=-1, keepdims=True)
-        attn_used = _drop(attn, rate, rng, lc, "attn_drop")
-        ctx = _join_heads(attn_used @ vh)
-        at = reads if i == config.n_layers - 1 else None
-        if at is not None:
-            # every key and value was needed above; from here on only the
-            # rows a head reads are computed
-            lc["reads"] = at
-            ctx, x = (part.reshape(-1, config.hidden_dim)[at] for part in (ctx, x))
-        proj = _drop(_linear(params, p + "attn_out", ctx), rate, rng, lc, "proj_drop", full, at)
+        kh, vh = (_split_heads(_linear(params, p + name, x), nh) for name in ("attn_k", "attn_v"))
+        pick = None  # the part of a full-shape dropout mask x keeps
+        if reads is None or i < config.n_layers - 1:
+            qh = _split_heads(_linear(params, p + "attn_q", x), nh)
+            ctx = _join_heads(_attention(qh, kh, vh, attn_bias, rate, rng, lc))
+        else:
+            # every key and value is needed; the queries and all that follows
+            # them run at the read rows only, the queries in a [b, m] grid
+            row, slot, positions = _slots(reads, b, t)
+            x = lc["q_in"] = x.reshape(-1, hd)[reads]
+            q = np.zeros((b, positions.shape[1], hd))  # a slot no read fills stays zero
+            q[row, slot] = _linear(params, p + "attn_q", x)
+            ctx = _attention(_split_heads(q, nh), kh, vh, attn_bias, rate, rng, lc,
+                             lambda m: np.take_along_axis(m, positions[:, None, :, None], 2))
+            ctx = _join_heads(ctx)[row, slot]
+            lc.update(reads=reads, row=row, slot=slot)
+            pick = lambda m: m.reshape(-1, hd)[reads]
+        proj = _drop(_linear(params, p + "attn_out", ctx), rate, rng, lc, "proj_drop", full, pick)
         h1, ln1 = _layer_norm(params, p + "attn_ln", x + proj, eps)
         a = _linear(params, p + "ff_in", h1)
         g, cdf = _gelu(a)
-        f = _drop(_linear(params, p + "ff_out", g), rate, rng, lc, "ff_drop", full, at)
+        f = _drop(_linear(params, p + "ff_out", g), rate, rng, lc, "ff_drop", full, pick)
         x, ln2 = _layer_norm(params, p + "ff_ln", h1 + f, eps)
-        lc.update(qh=qh, kh=kh, vh=vh, attn=attn, attn_used=attn_used, ctx=ctx,
-                  ln1=ln1, h1=h1, a=a, cdf=cdf, g=g, ln2=ln2)
+        lc.update(ctx=ctx, ln1=ln1, h1=h1, a=a, cdf=cdf, g=g, ln2=ln2)
         cache["layers"].append(lc)
     return x, cache
 
@@ -405,8 +481,9 @@ def forward(params, config: EncoderConfig, batch: Batch, rng=None, reads=None) -
     With reads, flat row * width + position indices into the batch (they
     may repeat and come in any order), it returns only the hidden states at
     those positions, [len(reads), hidden_dim], equal to the full pass's rows
-    there: the last layer attends at every position but runs its
-    attention projection, feed-forward and layer norms at the read rows only.
+    there up to rounding: the last layer's keys and values cover every
+    position, but its queries, attention scores, attention projection,
+    feed-forward and layer norms run at the read rows only.
     """
     hidden, _ = _forward(params, config, batch, rng, reads)
     return hidden
@@ -421,7 +498,7 @@ def attention_weights(params, config: EncoderConfig, batch: Batch) -> list[np.nd
 def _backward(params, config, cache, d_hidden):
     batch = cache["batch"]
     grads = params.like()
-    scale = 1.0 / math.sqrt(config.head_dim)
+    hd, nh = config.hidden_dim, config.n_heads
     dx = d_hidden
 
     for i in reversed(range(config.n_layers)):
@@ -434,29 +511,27 @@ def _backward(params, config, cache, d_hidden):
         d_a *= _gelu_grad(lc["a"], lc["cdf"])
         d_h1 = d_res2 + _linear_backward(params, grads, p + "ff_in", lc["h1"], d_a)
 
-        d_res1 = _layer_norm_backward(params, grads, p + "attn_ln", d_h1, lc["ln1"])
-        d_proj = d_res1 * lc["proj_drop"] if "proj_drop" in lc else d_res1
+        dx = _layer_norm_backward(params, grads, p + "attn_ln", d_h1, lc["ln1"])
+        d_proj = dx * lc["proj_drop"] if "proj_drop" in lc else dx
         d_ctx = _linear_backward(params, grads, p + "attn_out", lc["ctx"], d_proj)
-        if "reads" in lc:  # back from the read rows to every position
-            d_ctx, d_res1 = (_scatter_rows(d, lc["reads"], batch.shape) for d in (d_ctx, d_res1))
-        d_ctx = _split_heads(d_ctx, config.n_heads)
-
-        d_attn_used = d_ctx @ lc["vh"].swapaxes(-1, -2)
-        d_vh = lc["attn_used"].swapaxes(-1, -2) @ d_ctx
-        d_attn = d_attn_used * lc["attn_drop"] if "attn_drop" in lc else d_attn_used
-        attn = lc["attn"]
-        d_scores = attn * (d_attn - (d_attn * attn).sum(axis=-1, keepdims=True))
-        d_qh = d_scores @ lc["kh"] * scale
-        d_kh = d_scores.swapaxes(-1, -2) @ lc["qh"] * scale
-
-        dx = d_res1.copy()
-        for name, d_head in (("attn_q", d_qh), ("attn_k", d_kh), ("attn_v", d_vh)):
+        if "reads" in lc:  # from the read rows back to the query grid, then every position
+            row, slot = lc["row"], lc["slot"]
+            grid = np.zeros((batch.shape[0], lc["qh"].shape[2], hd))
+            grid[row, slot] = d_ctx
+            d_qh, d_kh, d_vh = _attention_backward(_split_heads(grid, nh), lc)
+            dx += _linear_backward(params, grads, p + "attn_q", lc["q_in"],
+                                   _join_heads(d_qh)[row, slot])
+            dx = _scatter_rows(dx, lc["reads"], batch.shape)
+        else:
+            d_qh, d_kh, d_vh = _attention_backward(_split_heads(d_ctx, nh), lc)
+            dx += _linear_backward(params, grads, p + "attn_q", lc["x_in"], _join_heads(d_qh))
+        for name, d_head in (("attn_k", d_kh), ("attn_v", d_vh)):
             dx += _linear_backward(params, grads, p + name, lc["x_in"], _join_heads(d_head))
 
     if "emb_drop" in cache:
         dx = dx * cache["emb_drop"]
     d_sum = _layer_norm_backward(params, grads, "emb_ln", dx, cache["emb_ln"])
-    flat = d_sum.reshape(-1, config.hidden_dim)
+    flat = d_sum.reshape(-1, hd)
     _add_rows(grads["tok_emb"], batch.token_ids.ravel(), flat)
     grads["pos_emb"][:batch.shape[1]] += d_sum.sum(axis=0)
     _add_rows(grads["seg_emb"], batch.segment_ids.ravel(), flat)

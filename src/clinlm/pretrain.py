@@ -372,17 +372,16 @@ def run_pretraining(
                 f"corpus packs into {len(chunks)} examples at length {max_seq_len}, "
                 f"fewer than one micro-batch of {accum.micro_batch_size}"
             )
-        framed = [frame(c, None, max_seq_len) for c in chunks]
         order: list[int] = []
         for _ in range(n_steps):
             micro_batches = []
             for _ in range(accum.accumulation_steps):
                 if len(order) < accum.micro_batch_size:
-                    reshuffle = list(range(len(framed)))
+                    reshuffle = list(range(len(chunks)))
                     rng.shuffle(reshuffle)
                     order.extend(reshuffle)
                 take, order = order[:accum.micro_batch_size], order[accum.micro_batch_size:]
-                rows = [framed[i] for i in take]
+                rows = [frame(chunks[i], None, max_seq_len) for i in take]  # only rows a step takes
                 micro_batches.append(
                     _build_micro_batch(rows, policy, config.vocab_size, rng)
                 )

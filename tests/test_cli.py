@@ -493,6 +493,11 @@ class TestMalformedInputs:
          "seeds must be distinct, got [1, 1]"),
         ("negative-seed", "nli.jsonl", _jsonl(_NLI_ROW), _finetune("mednli", "--seeds", "1,-1"),
          "seeds must be non-negative, got [1, -1]"),
+        ("seed-not-an-int", "nli.jsonl", _jsonl(_NLI_ROW), _finetune("mednli", "--seeds", "1,x"),
+         "--seeds must be a count >= 1 or a comma list of ints, got '1,x'"),
+        ("negative-seed-count", "nli.jsonl", _jsonl(_NLI_ROW),
+         _finetune("mednli", "--seeds", "-2"),
+         "--seeds must be a count >= 1 or a comma list of ints, got '-2'"),
         ("max-positions-above-checkpoint", "nli.jsonl", _jsonl(_NLI_ROW),
          _finetune("mednli", "--max-positions", "17"),
          "--max-positions 17 exceeds the max_positions 16 of {ckpt}"),

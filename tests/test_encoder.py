@@ -15,9 +15,14 @@ from clinlm.encoder import (
     Batch,
     ParamStore,
     _add_rows,
+    _attention,
+    _attention_backward,
     _gelu,
     _gelu_grad,
     _head_logits,
+    _layer_norm,
+    _layer_norm_backward,
+    _linear,
     EncoderConfig,
     attention_weights,
     base_config,
@@ -585,8 +590,10 @@ class TestReads:
                             frame([6], None, 8)])
         return config, params, batch
 
-    @pytest.mark.parametrize("reads", [[9, 0, 17, 3, 12], [4, 4, 1, 4], [0, 7, 14]],
-                             ids=["unsorted", "repeated", "one-per-row"])
+    # ragged: row 0 has no reads, row 1 three, row 2 one read twice
+    @pytest.mark.parametrize("reads", [[9, 0, 17, 3, 12], [4, 4, 1, 4], [0, 7, 14],
+                                       [8, 15, 12, 10, 15]],
+                             ids=["unsorted", "repeated", "one-per-row", "ragged"])
     @pytest.mark.parametrize("seed", [None, 5], ids=["eval", "train"])
     def test_reads_are_the_full_pass_rows(self, reads, seed):
         config, params, batch = self.model()
@@ -608,14 +615,15 @@ class TestReads:
             forward(params, config, batch, reads=reads)
 
 
-def last_ff_in_rows(monkeypatch, config):
-    """A list that collects the row count of every call to the last layer's
-    ff_in, through a spy on encoder._linear."""
-    rows, linear = [], encoder._linear
+def last_layer_rows(monkeypatch, config):
+    """Name -> a list that collects the row count of every call to the last
+    layer's attn_q or ff_in, through a spy on encoder._linear."""
+    rows, linear = {"attn_q": [], "ff_in": []}, encoder._linear
 
     def spy(params, name, x):
-        if name == f"layer{config.n_layers - 1}.ff_in":
-            rows.append(x.reshape(-1, x.shape[-1]).shape[0])
+        layer, _, sublayer = name.partition(".")
+        if layer == f"layer{config.n_layers - 1}" and sublayer in rows:
+            rows[sublayer].append(x.reshape(-1, x.shape[-1]).shape[0])
         return linear(params, name, x)
 
     monkeypatch.setattr(encoder, "_linear", spy)
@@ -639,9 +647,10 @@ class TestLossesRunTheTopLayerAtReadsOnly:
             params = init_head(params, config, head, 3, seed=7)
         batch = full_batch([[5, 6, 7, 2], [3, 4, 1, 0]],
                            mask_rows=[[1, 1, 1, 1], [1, 1, 1, 0]])
-        rows = last_ff_in_rows(monkeypatch, config)
+        rows = last_layer_rows(monkeypatch, config)
         loss(params, config, batch, *args)
-        assert rows == [n_reads]
+        # the queries run at the read rows too, not at every position
+        assert rows == {"attn_q": [n_reads], "ff_in": [n_reads]}
 
 
 def test_gelu_and_its_gradient_are_the_closed_forms_bit_for_bit():
@@ -653,6 +662,54 @@ def test_gelu_and_its_gradient_are_the_closed_forms_bit_for_bit():
     assert np.array_equal(gelu, 0.5 * a * (1.0 + erf(a / math.sqrt(2.0))))
     assert np.array_equal(_gelu_grad(a, cdf), 0.5 * (1.0 + erf(a / math.sqrt(2.0)))
                           + a * np.exp(-0.5 * a * a) / math.sqrt(2.0 * math.pi))
+
+
+@pytest.mark.parametrize("padded", [False, True], ids=["no-padding", "padding"])
+def test_attention_and_its_backward_are_the_closed_forms_bit_for_bit(padded):
+    # scores are scaled, biased, shifted, exponentiated and normalized in one
+    # buffer, in the closed form's order; with no padded key the zero bias is
+    # not added at all, which changes no weight
+    rng = np.random.default_rng(0)
+    qh, kh, vh, d_ctx = (rng.normal(size=(2, 3, 9, 4)) for _ in range(4))
+    mask = np.ones((2, 1, 1, 9))
+    if padded:
+        mask[1, ..., 6:] = 0
+    bias, lc = np.where(mask == 1, 0.0, encoder._NEG_INF), {}
+    ctx = _attention(qh, kh, vh, bias if padded else None, 0.0, None, lc)
+    scores = qh @ kh.swapaxes(-1, -2) * (1.0 / math.sqrt(4)) + bias
+    scores -= scores.max(axis=-1, keepdims=True)
+    exp = np.exp(scores)
+    attn = exp / exp.sum(axis=-1, keepdims=True)
+    assert np.array_equal(lc["attn"], attn)
+    assert np.array_equal(ctx, attn @ vh)
+    d_attn = d_ctx @ vh.swapaxes(-1, -2)
+    d_scores = attn * (d_attn - (d_attn * attn).sum(axis=-1, keepdims=True))
+    expected = (d_scores @ kh * (1.0 / math.sqrt(4)),
+                d_scores.swapaxes(-1, -2) @ qh * (1.0 / math.sqrt(4)),
+                attn.swapaxes(-1, -2) @ d_ctx)
+    for got, want in zip(_attention_backward(d_ctx, lc), expected):
+        assert np.array_equal(got, want)
+
+
+def test_layer_norm_linear_and_their_backward_are_the_closed_forms_bit_for_bit():
+    rng = np.random.default_rng(1)
+    params = ParamStore({"ln_g": (8,), "ln_b": (8,), "lin_w": (8, 5), "lin_b": (5,)})
+    params.flat[...] = rng.normal(size=params.flat.shape)
+    x, dy = rng.normal(size=(2, 3, 8)) * 3.0 + 1.0, rng.normal(size=(2, 3, 8))
+    y, (xhat, inv) = _layer_norm(params, "ln", x, 1e-12)
+    xc = x - x.mean(axis=-1, keepdims=True)
+    want_inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + 1e-12)
+    assert np.array_equal(inv, want_inv)
+    assert np.array_equal(xhat, xc * want_inv)
+    assert np.array_equal(y, params["ln_g"] * (xc * want_inv) + params["ln_b"])
+    grads = params.like()
+    dx = _layer_norm_backward(params, grads, "ln", dy, (xhat, inv))
+    dxhat = dy * params["ln_g"]
+    assert np.array_equal(dx, inv * (dxhat - dxhat.mean(axis=-1, keepdims=True) - xhat
+                                     * (dxhat * xhat).mean(axis=-1, keepdims=True)))
+    assert np.array_equal(grads["ln_g"], (dy * xhat).reshape(-1, 8).sum(axis=0))
+    assert np.array_equal(_linear(params, "lin", x),
+                          (x.reshape(-1, 8) @ params["lin_w"] + params["lin_b"]).reshape(2, 3, 5))
 
 
 @pytest.mark.parametrize("n,n_ids", [(1, 3), (7, 2), (512, 50)])

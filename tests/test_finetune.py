@@ -40,7 +40,7 @@ from clinlm.finetune import (
 )
 from clinlm.pretrain import AdamConfig, init_optimizer
 from clinlm.wordpiece import CLS_ID, PAD_ID, SEP_ID, train_wordpiece
-from test_encoder import columns, last_ff_in_rows
+from test_encoder import columns, last_layer_rows
 
 
 @pytest.fixture(scope="module")
@@ -599,10 +599,11 @@ class TestPredictReadsOnly:
     @pytest.mark.parametrize("kind", ["ner", "pair", "multilabel"])
     def test_last_ff_in_sees_only_the_read_positions(self, small_vocab, kind, monkeypatch):
         config, params, task, rows = toy_task(kind, small_vocab)
-        calls = last_ff_in_rows(monkeypatch, config)
+        calls = last_layer_rows(monkeypatch, config)
         predict(kind, params, config, task, rows, batch_size=3)
         n_reads = [len(r.first_piece_positions) for r in rows] if kind == "ner" else [1] * len(rows)
-        assert calls == [sum(n_reads[:3]), sum(n_reads[3:])]
+        chunks = [sum(n_reads[:3]), sum(n_reads[3:])]
+        assert calls == {"attn_q": chunks, "ff_in": chunks}
 
 
 class TestNonFiniteModel:

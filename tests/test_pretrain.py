@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clinlm import pretrain
 from clinlm.encoder import (
     Batch, EncoderConfig, ParamStore, init_head, init_params, mlm_forward_loss,
     pair_classify_loss,
@@ -504,6 +505,22 @@ class TestRunPretraining:
         assert result.phase_boundaries == [0, 3]
         assert seen == [(0, 0), (1, 3)]
         assert [e.max_seq_len for e in result.loss_log] == [8, 8, 8, 16, 16]
+
+    def test_frames_only_the_rows_a_step_takes(self, monkeypatch):
+        corpus, vocab, config = self.setup_run()
+        framed, frame = [], pretrain.frame
+
+        def spy(ids_a, ids_b, length):
+            framed.append(length)
+            return frame(ids_a, ids_b, length)
+
+        monkeypatch.setattr(pretrain, "frame", spy)
+        run_pretraining(
+            corpus, vocab, config, PhasePlan(phases=((8, 3), (16, 2))),
+            MaskingPolicy(), AccumulationConfig(2, 2, 4), AdamConfig(lr=1e-3), seed=7,
+        )
+        # steps x accumulation steps x micro-batch rows per phase, each framed once
+        assert framed == [8] * 3 * 2 * 2 + [16] * 2 * 2 * 2
 
     def test_plan_exceeding_positions_rejected(self):
         corpus, vocab, config = self.setup_run()
