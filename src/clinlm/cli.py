@@ -75,10 +75,13 @@ def _parse_plan(text: str) -> pretrain.PhasePlan:
 
 
 def _parse_ratios(text: str) -> tuple[float, float, float]:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ValueError(f"ratios must be TRAIN:DEV:TEST, got {text!r}")
-    return tuple(float(p) for p in parts)
+    try:
+        ratios = tuple(float(p) for p in text.split(":"))
+    except ValueError:
+        ratios = ()
+    if len(ratios) != 3:
+        raise ValueError(f"--ratios must be TRAIN:DEV:TEST numbers, got {text!r}")
+    return ratios
 
 
 def _parse_seeds(text: str) -> list[int]:

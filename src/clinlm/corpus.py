@@ -13,6 +13,7 @@ All functions are deterministic; anything random takes an explicit seed.
 from __future__ import annotations
 
 import json
+import math
 import random
 import statistics
 from collections import Counter
@@ -192,8 +193,9 @@ def split_by_patient(
     only on the id set, the ratios, and the seed.
     """
     total = sum(ratios)
-    if len(ratios) != 3 or any(r < 0 for r in ratios) or total == 0:
-        raise ValueError(f"ratios must be three non-negative numbers, not all zero: {ratios!r}")
+    if len(ratios) != 3 or any(r < 0 for r in ratios) or not 0 < total < math.inf:
+        raise ValueError(f"ratios must be three non-negative numbers with a finite, "
+                         f"non-zero sum: {ratios!r}")
     ids = sorted(set(patient_ids))
     random.Random(seed).shuffle(ids)
     n = len(ids)

@@ -47,7 +47,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 from scipy.special import erf
 
-from .wordpiece import CLS_ID, PAD_ID, SEP_ID
+from .wordpiece import CLS_ID, PAD_ID, SEP_ID, SPECIALS
 
 CHECKPOINT_FORMAT = "clinlm-checkpoint"
 CHECKPOINT_VERSION = 1
@@ -76,9 +76,9 @@ class EncoderConfig:
                                  f"got {value!r}")
             if integral and value < 1:
                 raise ValueError(f"{f.name} must be >= 1, got {value}")
-        if self.vocab_size < 5:
+        if self.vocab_size < len(SPECIALS):
             raise ValueError(
-                f"vocab_size must cover the 5 special tokens, got {self.vocab_size}"
+                f"vocab_size must cover the {len(SPECIALS)} special tokens, got {self.vocab_size}"
             )
         if self.hidden_dim % self.n_heads != 0:
             raise ValueError(

@@ -34,7 +34,7 @@ from .encoder import (
     load_checkpoint, multilabel_loss, pair_classify_loss, stack_rows, token_classify_loss,
     without_head,
 )
-from .pretrain import AdamConfig, adam_step, init_optimizer
+from .pretrain import adam_step, init_optimizer
 from .wordpiece import Vocabulary, normalize
 
 NER_2010_TYPES = ("problem", "treatment", "test")
@@ -143,10 +143,11 @@ def mark_concepts(words: Sequence[str],
 
 
 def extend_for_markers(vocab: Vocabulary, params, config: EncoderConfig,
-                       concept_types: Iterable[str], seed: int):
+                       concept_types: Iterable[str]):
     """Add reserved marker tokens to the vocabulary and, if the token embedding
-    table is short of them, grow it to match, dropping the masked-LM head.
-    Existing rows are untouched; with no new markers the inputs come back unchanged."""
+    table is short of them, grow it by rows drawn from seed 0, dropping the
+    masked-LM head. Existing rows are untouched; with no new markers the inputs
+    come back unchanged."""
     markers = [m for m in marker_tokens(concept_types) if m not in vocab]
     if not markers:
         return vocab, params, config
@@ -154,7 +155,7 @@ def extend_for_markers(vocab: Vocabulary, params, config: EncoderConfig,
     if v >= len(vocab):  # a model tuned on the markers holds their rows already
         return vocab, params, config
     new_params = params.resized({**without_head(params.layout, "mlm"), "tok_emb": (len(vocab), h)})
-    new_params["tok_emb"][v:] = np.random.default_rng(seed).normal(0.0, 0.02, (len(vocab) - v, h))
+    new_params["tok_emb"][v:] = np.random.default_rng(0).normal(0.0, 0.02, (len(vocab) - v, h))
     return vocab, new_params, replace(config, vocab_size=len(vocab))
 
 
@@ -165,7 +166,7 @@ def load_task_model(task: TaskSpec, checkpoint, vocab_path):
     grown one, as a model tuned on the task does; any other size is refused."""
     config, params = load_checkpoint(checkpoint)
     plain = wordpiece.read_vocab(vocab_path)
-    vocab, params, grown = extend_for_markers(plain, params, config, task.concept_types, 0)
+    vocab, params, grown = extend_for_markers(plain, params, config, task.concept_types)
     if config.vocab_size not in (len(plain), len(vocab)):
         raise ValueError(f"{vocab_path} has {len(plain)} tokens but {checkpoint} "
                          f"was trained on {config.vocab_size}")
@@ -322,9 +323,9 @@ def predict_pair_labels(params, config, rows: Sequence, labels: Sequence[str],
 
 
 def predict_label_sets(params, config, rows: Sequence, labels: Sequence[str],
-                       threshold: float = 0.5, batch_size: int = 32) -> list[set[str]]:
-    """Labels whose logistic probability at position 0 exceeds threshold, per row."""
-    return [{labels[i] for i in np.nonzero(_sigmoid(scores[0]) > threshold)[0]} for scores in
+                       batch_size: int = 32) -> list[set[str]]:
+    """Labels whose logistic probability at position 0 exceeds 1/2, per row."""
+    return [{labels[i] for i in np.nonzero(_sigmoid(scores[0]) > 0.5)[0]} for scores in
             _forward_chunks(params, config, rows, batch_size, "head_multi", len(labels))]
 
 
@@ -343,9 +344,9 @@ def _dev_metric(task, params, config, dev):
     return metrics.micro_f1([{g} for g in gold], [{p} for p in pred])[2]
 
 
-def _train_step(task, params, config, rows: Sequence, state, rng):
-    """One Adam update of params on rows through the task kind's loss, in
-    train mode: dropout masks come from rng."""
+def _train_step(task, params, config, rows: Sequence, state, lr, rng):
+    """One Adam update at learning rate lr of params on rows through the task
+    kind's loss, in train mode: dropout masks come from rng."""
     if task.kind == "ner":
         tag_ids = [tag for row in rows for tag in row.tag_ids]
         _, grads = token_classify_loss(params, config, stack_rows(rows), _read_positions(rows),
@@ -359,7 +360,7 @@ def _train_step(task, params, config, rows: Sequence, state, rng):
             matrix[i, sorted(r[1])] = 1.0
         _, grads = multilabel_loss(params, config, stack_rows(r[0] for r in rows), matrix,
                                    rng=rng)
-    return adam_step(params, grads, state)
+    return adam_step(params, grads, state, lr)
 
 
 def finetune_task(
@@ -394,7 +395,7 @@ def finetune_task(
     runs: list[SeedRun] = []
     for seed in seeds:
         p = init_head(params, config, _KINDS[task.kind][0], len(task.outputs), seed)
-        state = init_optimizer(p, AdamConfig(lr=hyper.lr))
+        state = init_optimizer(p)
         rng = np.random.default_rng(seed)
         step = 0
         best_metric, best_params, best_epoch = -1.0, None, -1
@@ -402,7 +403,7 @@ def finetune_task(
             order = rng.permutation(len(train_rows))
             for start in range(0, len(order), hyper.batch_size):
                 chosen = [train_rows[i] for i in order[start:start + hyper.batch_size]]
-                p, state = _train_step(task, p, config, chosen, state, rng)
+                p, state = _train_step(task, p, config, chosen, state, hyper.lr, rng)
                 step += 1
                 if step == hyper.max_steps:
                     break
@@ -477,6 +478,6 @@ def numbered_ner_sentences(path):
         group = list(group)
         pairs = [line.split("\t") for _, line in group]
         for (line_no, line), parts in zip(group, pairs):
-            if len(parts) != 2 or not parts[0]:
+            if len(parts) != 2 or not parts[0].strip():
                 raise ValueError(f"{path}:{line_no}: expected word<TAB>tag, got {line!r}")
         yield group[0][0], [word for word, _ in pairs], [tag for _, tag in pairs]

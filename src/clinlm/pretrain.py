@@ -11,7 +11,7 @@ quadratically with sequence length, so most steps run short.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -21,25 +21,17 @@ from .corpus import write_lines
 from .encoder import EncoderConfig, ParamStore, frame, init_params, mlm_forward_loss, stack_rows
 from .wordpiece import CLS_ID, MASK_ID, SEP_ID, Vocabulary
 
-N_RESERVED_IDS = 5  # random replacement never draws a special token
+MASK_SHARE, RANDOM_SHARE = 0.8, 0.1  # of the selected positions; the rest keep their id
+BETA1, BETA2, EPSILON = 0.9, 0.999, 1e-8  # Adam's moment decay rates and epsilon
 
 
 @dataclass(frozen=True)
 class MaskingPolicy:
     mask_prob: float = 0.15
-    replace_with_mask: float = 0.8
-    replace_with_random: float = 0.1
-    keep_original: float = 0.1
 
     def __post_init__(self):
         if not 0.0 <= self.mask_prob <= 1.0:
             raise ValueError(f"mask_prob must be in [0, 1], got {self.mask_prob}")
-        total = self.replace_with_mask + self.replace_with_random + self.keep_original
-        if not math.isclose(total, 1.0, rel_tol=0.0, abs_tol=1e-9):
-            raise ValueError(f"sub-fractions must sum to 1, got {total}")
-        for name in ("replace_with_mask", "replace_with_random", "keep_original"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
 
 
 def apply_masking(
@@ -52,10 +44,10 @@ def apply_masking(
     """Corrupt one id sequence for masked-token prediction.
 
     Each maskable position is independently selected with probability
-    mask_prob. Selected positions become [MASK] with probability 0.8, a
-    uniformly random non-special id with probability 0.1, and stay unchanged
-    otherwise; the original id is always the prediction target. Positions
-    with maskable 0 (specials, padding) are never touched.
+    mask_prob. Selected positions become [MASK] with probability MASK_SHARE,
+    a uniformly random non-special id with probability RANDOM_SHARE, and stay
+    unchanged otherwise (80/10/10); the original id is always the prediction
+    target. Positions with maskable 0 (specials, padding) are never touched.
 
     Returns (corrupted ids, selected positions, original ids at those
     positions). Zero selections yield empty arrays; the caller decides how
@@ -65,60 +57,52 @@ def apply_masking(
     maskable = np.asarray(maskable, dtype=bool)
     if token_ids.shape != maskable.shape or token_ids.ndim != 1:
         raise ValueError("token_ids and maskable must be equal-length 1-D arrays")
-    if vocab_size <= N_RESERVED_IDS:
-        raise ValueError(f"vocab_size must exceed {N_RESERVED_IDS}")
+    n_specials = len(wordpiece.SPECIALS)  # random replacement never draws one
+    if vocab_size <= n_specials:
+        raise ValueError(f"vocab_size must exceed {n_specials}")
 
     corrupted = token_ids.copy()
     selected = maskable & (rng.random(len(token_ids)) < policy.mask_prob)
     positions = np.nonzero(selected)[0]
     targets = token_ids[positions].copy()
     action = rng.random(len(positions))
-    random_ids = rng.integers(N_RESERVED_IDS, vocab_size, size=len(positions))
+    random_ids = rng.integers(n_specials, vocab_size, size=len(positions))
     # the remaining selections keep their original id, still predicted
     corrupted[positions] = np.where(
-        action < policy.replace_with_mask, MASK_ID,
-        np.where(action < policy.replace_with_mask + policy.replace_with_random,
+        action < MASK_SHARE, MASK_ID,
+        np.where(action < MASK_SHARE + RANDOM_SHARE,
                  random_ids, targets))
     return corrupted, positions, targets
 
 
 @dataclass(frozen=True)
 class AdamConfig:
-    lr: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
+    lr: float
 
     def __post_init__(self):
         if not 0 < self.lr < math.inf:
             raise ValueError(f"lr must be finite and positive, got {self.lr}")
-        for name in ("beta1", "beta2"):
-            value = getattr(self, name)
-            if not 0.0 <= value < 1.0:
-                raise ValueError(f"{name} must be in [0, 1), got {value}")
-        if not 0 < self.epsilon < math.inf:
-            raise ValueError(f"epsilon must be finite and positive, got {self.epsilon}")
 
 
 @dataclass
 class OptimizerState:
-    config: AdamConfig
     m: ParamStore
     v: ParamStore
     step: int = 0
 
 
-def init_optimizer(params: ParamStore, config: AdamConfig) -> OptimizerState:
+def init_optimizer(params: ParamStore) -> OptimizerState:
     """Zero first and second moments in the layout of params."""
-    return OptimizerState(config=config, m=params.like(), v=params.like())
+    return OptimizerState(m=params.like(), v=params.like())
 
 
-def adam_step(params: ParamStore, grads: ParamStore,
-              state: OptimizerState) -> tuple[ParamStore, OptimizerState]:
-    """One bias-corrected Adam update over the stores' flat vectors. Returns
-    fresh params and state; the inputs are left untouched. A non-finite
-    gradient, or an update that leaves a parameter non-finite, is refused
-    with the name of the first tensor that holds one."""
+def adam_step(params: ParamStore, grads: ParamStore, state: OptimizerState,
+              lr: float) -> tuple[ParamStore, OptimizerState]:
+    """One bias-corrected Adam update at learning rate lr (the caller's
+    schedule sets it per step; BETA1, BETA2 and EPSILON are fixed) over the
+    stores' flat vectors. Returns fresh params and state; the inputs are left
+    untouched. A non-finite gradient, or an update that leaves a parameter
+    non-finite, is refused with the name of the first tensor that holds one."""
     if not grads.layout == state.m.layout == params.layout:
         raise ValueError(f"gradient and moment keys and shapes must match the parameters: "
                          f"{sorted(set(params.layout) ^ set(grads.layout))[:5]}")
@@ -126,24 +110,24 @@ def adam_step(params: ParamStore, grads: ParamStore,
     # m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g, p - lr m_hat / (sqrt(v_hat) + eps),
     # rounded as those expressions are, into the fresh outputs and one scratch
     # vector: a new whole-model temporary per operation costs more than the operation
-    c, t, g = state.config, state.step + 1, grads.flat
+    t, g = state.step + 1, grads.flat
     new_params, m, v = (params.like(np.empty_like(g)) for _ in range(3))
     scratch = np.empty_like(g)
-    np.multiply(state.m.flat, c.beta1, out=m.flat)
-    m.flat += np.multiply(g, 1.0 - c.beta1, out=scratch)
-    np.multiply(state.v.flat, c.beta2, out=v.flat)
-    np.multiply(g, 1.0 - c.beta2, out=scratch)
+    np.multiply(state.m.flat, BETA1, out=m.flat)
+    m.flat += np.multiply(g, 1.0 - BETA1, out=scratch)
+    np.multiply(state.v.flat, BETA2, out=v.flat)
+    np.multiply(g, 1.0 - BETA2, out=scratch)
     v.flat += np.multiply(scratch, g, out=scratch)
-    np.divide(v.flat, 1.0 - c.beta2 ** t, out=scratch)
+    np.divide(v.flat, 1.0 - BETA2 ** t, out=scratch)
     np.sqrt(scratch, out=scratch)
-    scratch += c.epsilon
+    scratch += EPSILON
     with np.errstate(over="ignore", invalid="ignore"):  # refused just below, by name
-        step = np.divide(m.flat, 1.0 - c.beta1 ** t, out=new_params.flat)
-        step *= c.lr
+        step = np.divide(m.flat, 1.0 - BETA1 ** t, out=new_params.flat)
+        step *= lr
         step /= scratch
         np.subtract(params.flat, step, out=new_params.flat)
     new_params.check_finite("Adam update left a non-finite value in parameter '{name}'")
-    return new_params, OptimizerState(config=c, m=m, v=v, step=t)
+    return new_params, OptimizerState(m=m, v=v, step=t)
 
 
 @dataclass(frozen=True)
@@ -168,8 +152,10 @@ def accumulate_and_step(
     state: OptimizerState,
     micro_batches: Sequence,
     accum: AccumulationConfig,
+    lr: float,
 ) -> tuple[ParamStore, OptimizerState, float]:
-    """Accumulate gradients over micro-batches, then apply one Adam update.
+    """Accumulate gradients over micro-batches, then apply one Adam update at
+    learning rate lr.
 
     loss_grad_fn(params, micro_batch) must return (loss, grads, n_terms)
     where n_terms is the number of averaged loss terms in that micro-batch.
@@ -195,7 +181,7 @@ def accumulate_and_step(
         else:
             acc.flat += grads.flat * n_terms
     acc.flat /= total_terms
-    params, state = adam_step(params, acc, state)
+    params, state = adam_step(params, acc, state, lr)
     return params, state, total_loss / total_terms
 
 
@@ -237,7 +223,6 @@ class LossLogEntry:
 @dataclass
 class PretrainResult:
     params: ParamStore
-    config: EncoderConfig
     loss_log: list[LossLogEntry]
     phase_boundaries: list[int]  # first step index of each phase
 
@@ -339,6 +324,8 @@ def run_pretraining(
     The same corpus, vocabulary, configuration, and seed always produce the
     same result, bit for bit.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     if plan.max_length() > config.max_positions:
         raise ValueError(
             f"plan length {plan.max_length()} exceeds max_positions {config.max_positions}"
@@ -350,7 +337,7 @@ def run_pretraining(
         raise ValueError("corpus has no encodable content")
 
     params = init_params(config, seed)
-    state = init_optimizer(params, adam)
+    state = init_optimizer(params)
     rng = np.random.default_rng(seed + 1)
     lr_of = lr_schedule(schedule, adam.lr, plan.total_steps, warmup_fraction)
 
@@ -385,17 +372,14 @@ def run_pretraining(
                 micro_batches.append(
                     _build_micro_batch(rows, policy, config.vocab_size, rng)
                 )
-            state = replace(state, config=replace(adam, lr=lr_of(global_step)))
             params, state, loss = accumulate_and_step(
-                loss_grad_fn, params, state, micro_batches, accum
+                loss_grad_fn, params, state, micro_batches, accum, lr_of(global_step)
             )
             loss_log.append(LossLogEntry(
                 step=global_step, phase=phase_index, max_seq_len=max_seq_len, loss=loss,
             ))
             global_step += 1
-    return PretrainResult(
-        params=params, config=config, loss_log=loss_log, phase_boundaries=phase_boundaries,
-    )
+    return PretrainResult(params=params, loss_log=loss_log, phase_boundaries=phase_boundaries)
 
 
 def write_loss_log(path, loss_log: Sequence[LossLogEntry]) -> None:

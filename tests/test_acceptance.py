@@ -34,6 +34,7 @@ from clinlm.finetune import (
 )
 from clinlm.metrics import Span, aggregate_seeds, bio_decode, bio_encode
 from clinlm.pretrain import (
+    BETA1,
     AccumulationConfig,
     AdamConfig,
     MaskingPolicy,
@@ -276,13 +277,12 @@ def test_criterion_04_accumulation_equivalence():
         loss, grads = mlm_forward_loss(p, config, b, pos, tgt)
         return loss, grads, len(tgt)
 
-    adam = AdamConfig(lr=1e-3)
     accum = AccumulationConfig(8, 4, 32)
     micros = [micro(0, 8), micro(8, 16), micro(16, 24), micro(24, 32)]
     _, state_after, _ = accumulate_and_step(
-        loss_grad_fn, params, init_optimizer(params, adam), micros, accum)
+        loss_grad_fn, params, init_optimizer(params), micros, accum, 1e-3)
     # after one update from zero state, m = (1 - beta1) * accumulated gradient
-    g_accumulated = {k: m / (1.0 - adam.beta1) for k, m in state_after.m.items()}
+    g_accumulated = {k: m / (1.0 - BETA1) for k, m in state_after.m.items()}
 
     full = Batch(ids, np.ones((32, 8), dtype=np.int64),
                  np.zeros((32, 8), dtype=np.int64))

@@ -435,6 +435,10 @@ def _nan_in_tensor(name):
     return build
 
 
+def _split(ratios):
+    return ["split", "--notes", "{file}", "--ratios", ratios, "--seed", "0", "--output", "{out}"]
+
+
 def _finetune(task, *extra, checkpoint="{ckpt}", data="{file}", vocab="{vocab}"):
     return ["finetune", "--task", task, "--checkpoint", checkpoint, "--vocab", vocab,
             "--train", data, "--dev", data, "--seeds", "1", *extra]
@@ -501,6 +505,18 @@ class TestMalformedInputs:
         ("max-positions-above-checkpoint", "nli.jsonl", _jsonl(_NLI_ROW),
          _finetune("mednli", "--max-positions", "17"),
          "--max-positions 17 exceeds the max_positions 16 of {ckpt}"),
+        ("infinite-ratio", "notes.jsonl", _jsonl(_NOTE_ROW), _split("inf:1:1"),
+         "ratios must be three non-negative numbers with a finite, non-zero sum: (inf, 1.0, 1.0)"),
+        ("nan-ratio", "notes.jsonl", _jsonl(_NOTE_ROW), _split("1:1:nan"),
+         "ratios must be three non-negative numbers with a finite, non-zero sum: (1.0, 1.0, nan)"),
+        ("ratio-not-a-number", "notes.jsonl", _jsonl(_NOTE_ROW), _split("1:1:x"),
+         "--ratios must be TRAIN:DEV:TEST numbers, got '1:1:x'"),
+        ("negative-pretrain-seed", "corpus.txt", "no pain today\nsevere fever\n",
+         ["pretrain", "--corpus", "{file}", "--vocab", "{vocab}", "--plan", "8:1",
+          "--micro-batch", "1", "--accum", "1", "--seed", "-1", "--out", "{out}"],
+         "seed must be non-negative, got -1"),
+        ("whitespace-ner-word", "tags.tsv", "no\tO\n \tO\n", _finetune("ner-2010"),
+         "{file}:2: expected word<TAB>tag, got ' \\tO'"),
     ]
 
     @pytest.mark.parametrize("name,contents,argv,where", [case[1:] for case in CASES],

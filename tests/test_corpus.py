@@ -1,5 +1,6 @@
 """Note filtering, patient splits, label selection, and length stats."""
 
+import math
 import re
 
 import pytest
@@ -126,6 +127,12 @@ class TestSplitByPatient:
     def test_all_zero_ratios_rejected(self):
         with pytest.raises(ValueError):
             split_by_patient(["p1"], (0, 0, 0), seed=0)
+
+    @pytest.mark.parametrize("ratios", [(math.inf, 1, 1), (1, 1, math.nan), (1e308, 1e308, 0)],
+                             ids=["inf", "nan", "overflowing-sum"])
+    def test_non_finite_ratios_rejected(self, ratios):
+        with pytest.raises(ValueError, match="finite"):
+            split_by_patient(["p1", "p2"], ratios, seed=0)
 
     def test_negative_ratio_rejected(self):
         with pytest.raises(ValueError):

@@ -41,7 +41,7 @@ from clinlm.encoder import (
     without_head,
 )
 from clinlm.finetune import extend_for_markers, predict_label_sets
-from clinlm.pretrain import AdamConfig, adam_step, init_optimizer
+from clinlm.pretrain import adam_step, init_optimizer
 from clinlm.wordpiece import PAD_ID, train_wordpiece
 
 
@@ -401,7 +401,8 @@ class TestHeads:
         np.testing.assert_allclose(probs, np.full((1, 3), 1 / 3), atol=1e-12)
 
     def test_zero_multilabel_head_is_half(self):
-        # zero scores are probability 1/2: above any lower threshold, not above 1/2
+        # zero scores are probability 1/2, not above the 1/2 threshold; a bias
+        # of 1e-12 lifts every label above it
         config = tiny_config()
         params = init_head(init_params(config, 0), config, "head_multi", 4, seed=1)
         params["head_multi_w"] = np.zeros_like(params["head_multi_w"])
@@ -410,21 +411,18 @@ class TestHeads:
         assert np.array_equal(_head_logits(params, "head_multi", hidden[:, 0], 4),
                               np.zeros((1, 4)))
         labels = ["a", "b", "c", "d"]
-        assert predict_label_sets(params, config, rows_of(batch), labels,
-                                  threshold=0.5) == [set()]
-        assert predict_label_sets(params, config, rows_of(batch), labels,
-                                  threshold=0.5 - 1e-12) == [set(labels)]
+        assert predict_label_sets(params, config, rows_of(batch), labels) == [set()]
+        params["head_multi_b"] += 1e-12
+        assert predict_label_sets(params, config, rows_of(batch), labels) == [set(labels)]
 
     def test_multilabel_probabilities_in_open_interval(self):
         # every probability is above 0 and below 1
         config = tiny_config()
         params = init_head(init_params(config, 3), config, "head_multi", 5, seed=2)
         batch = full_batch([[5, 6, 7, 1]])
-        labels = list("abcde")
-        rows = rows_of(batch)
-        assert predict_label_sets(params, config, rows, labels, threshold=0.0) == [set(labels)]
-        below_one = np.nextafter(1.0, 0.0)
-        assert predict_label_sets(params, config, rows, labels, threshold=below_one) == [set()]
+        hidden = forward(params, config, batch)
+        probs = encoder._sigmoid(_head_logits(params, "head_multi", hidden[:, 0], 5))
+        assert ((0.0 < probs) & (probs < 1.0)).all()
 
     def test_token_head_scores_every_position(self):
         config = tiny_config()
@@ -982,11 +980,11 @@ class TestParamStore:
         vocab = train_wordpiece(["alpha beta gamma"], declared_size=40, min_frequency=1)
         grown_config = EncoderConfig(**{**vars(config), "vocab_size": len(vocab)})
         _, grown, _ = extend_for_markers(vocab, init_params(grown_config, 0), grown_config,
-                                         ("problem",), seed=2)
+                                         ("problem",))
         save_checkpoint(tmp_path / "m.ckpt", config, headed)
         _, loaded = load_checkpoint(tmp_path / "m.ckpt")
         _, grads = mlm_forward_loss(params, config, full_batch([[5, 6, 7]]), [[0, 1]], [6])
-        stepped, state = adam_step(params, grads, init_optimizer(params, AdamConfig()))
+        stepped, state = adam_step(params, grads, init_optimizer(params), 1e-4)
         for store in (params, headed, grown, loaded, grads, stepped, state.m, state.v):
             assert_tiles_flat(store)
         assert list(loaded) == list(headed) and list(grads) == list(params)

@@ -38,7 +38,7 @@ from clinlm.finetune import (
     read_ner_file,
     word_pieces,
 )
-from clinlm.pretrain import AdamConfig, init_optimizer
+from clinlm.pretrain import init_optimizer
 from clinlm.wordpiece import CLS_ID, PAD_ID, SEP_ID, train_wordpiece
 from test_encoder import columns, last_layer_rows
 
@@ -139,17 +139,17 @@ class TestExtendForMarkers:
                                n_layers=1, n_heads=2, ff_dim=16, max_positions=8)
         params = init_params(config, 0)
         new_vocab, new_params, new_config = extend_for_markers(
-            small_vocab, params, config, ("problem", "test"), seed=5)
+            small_vocab, params, config, ("problem", "test"))
         assert len(new_vocab) == len(small_vocab) + 4
         assert new_config.vocab_size == config.vocab_size + 4
         assert new_params["tok_emb"].shape[0] == config.vocab_size + 4
         # the masked-LM head, which no task reads, is dropped, not grown
         assert list(new_params) == [name for name in params if not name.startswith("mlm_")]
-        # existing rows untouched, marker rows the seed's first draw
+        # existing rows untouched, marker rows seed 0's first draw
         assert np.array_equal(new_params["tok_emb"][:config.vocab_size],
                               params["tok_emb"])
         assert np.array_equal(new_params["tok_emb"][config.vocab_size:],
-                              np.random.default_rng(5).normal(0.0, 0.02, size=(4, 8)))
+                              np.random.default_rng(0).normal(0.0, 0.02, size=(4, 8)))
         assert new_vocab.id_of("the") == small_vocab.id_of("the")
         assert "[problem-start]" in new_vocab
 
@@ -157,15 +157,15 @@ class TestExtendForMarkers:
         config = EncoderConfig(vocab_size=len(small_vocab), hidden_dim=8,
                                n_layers=1, n_heads=2, ff_dim=16, max_positions=8)
         params = init_params(config, 0)
-        v, p, c = extend_for_markers(small_vocab, params, config, (), 5)
+        v, p, c = extend_for_markers(small_vocab, params, config, ())
         assert v is small_vocab and p is params and c is config
 
     def test_idempotent_once_extended(self, small_vocab):
         config = EncoderConfig(vocab_size=len(small_vocab), hidden_dim=8,
                                n_layers=1, n_heads=2, ff_dim=16, max_positions=8)
         params = init_params(config, 0)
-        v1, p1, c1 = extend_for_markers(small_vocab, params, config, ("a",), 5)
-        v2, p2, c2 = extend_for_markers(v1, p1, c1, ("a",), 5)
+        v1, p1, c1 = extend_for_markers(small_vocab, params, config, ("a",))
+        v2, p2, c2 = extend_for_markers(v1, p1, c1, ("a",))
         assert v2 is v1 and p2 is p1 and c2 is c1
 
 
@@ -246,7 +246,7 @@ class TestPrepareMarkedSentence:
                                n_layers=1, n_heads=2, ff_dim=16, max_positions=16)
         params = init_params(config, 0)
         vocab, params, config = extend_for_markers(
-            small_vocab, params, config, ("problem",), seed=1)
+            small_vocab, params, config, ("problem",))
         marked = mark_concepts(["severe", "pain", "today"], (0, 2), "problem",
                                (2, 3), "problem")
         ids, _, _ = prepare_marked_sentence(marked, vocab, 16)
@@ -311,8 +311,7 @@ class TestEncodeNerExample:
             return token_classify_loss(params, config, batch, positions, tag_ids, rng=rng)
 
         monkeypatch.setattr(finetune, "token_classify_loss", spy)
-        finetune._train_step(task, params, config, rows, init_optimizer(params, AdamConfig()),
-                             None)
+        finetune._train_step(task, params, config, rows, init_optimizer(params), 1e-4, None)
         [(batch, positions, tag_ids)] = seen
         assert batch.shape == (2, 4)
         assert positions.tolist() == [[0, 1], [0, 2], [1, 1]]  # row-major, ascending
@@ -356,7 +355,7 @@ class TestLoadTaskRows:
                                n_layers=1, n_heads=2, ff_dim=16, max_positions=16)
         task = builtin_task("re-2010")
         vocab, _, _ = extend_for_markers(small_vocab, init_params(config, 0), config,
-                                         task.concept_types, 0)
+                                         task.concept_types)
         path = tmp_path / "rel.jsonl"
         path.write_text('{"words": ["pain", "and", "fever"], "span_a": [0, 1], '
                         '"type_a": "problem", "span_b": [2, 3], "type_b": "test", '
@@ -516,7 +515,7 @@ def toy_relation_task(small_vocab):
                            n_heads=2, ff_dim=16, max_positions=16)
     task = builtin_task("re-2010")
     vocab, params, config = extend_for_markers(small_vocab, init_params(config, 0), config,
-                                               task.concept_types, 0)
+                                               task.concept_types)
     rows = [(prepare_marked_sentence(mark_concepts(words.split(), a, "problem", b, "test"),
                                      vocab, 16), label)
             for words, a, b, label in [("severe pain and fever", (0, 2), (3, 4), 1),
