@@ -129,8 +129,11 @@ def _cmd_encode(args) -> int:
 
 
 def _cmd_compress_report(args) -> int:
-    datasets = {name: _read_lines(path)
-                for name, path in _parse_named_paths(args.dataset).items()}
+    datasets = {}
+    for name, path in _parse_named_paths(args.dataset).items():
+        datasets[name] = _read_lines(path)
+        if not any(line.split() for line in datasets[name]):  # else its baseline length is 0
+            raise ValueError(f"{path}: dataset {name!r} contains no words")
     vocabularies = {name: wordpiece.read_vocab(path)
                     for name, path in _parse_named_paths(args.vocab).items()}
     report = wordpiece.compression_report(datasets, vocabularies, args.baseline)
@@ -159,6 +162,8 @@ def _cmd_split(args) -> int:
 
 def _cmd_stats(args) -> int:
     texts = [l for l in _read_lines(args.input) if l.strip()]
+    if not texts:
+        raise ValueError(f"{args.input}: no non-blank line to summarize")
     stats = corpus.dataset_stats(texts)
     print("dataset\tn\tmin\tmax\tmedian\tmean")
     print(corpus.format_stats_row(args.name, stats))
@@ -244,7 +249,11 @@ def _read_label_sets(path) -> list[set[str]]:
 
 def _cmd_evaluate(args) -> int:
     if args.aggregate:
-        values = [float(v) for v in args.aggregate.split(",")]
+        try:
+            values = [float(v) for v in args.aggregate.split(",")]
+        except ValueError:
+            raise ValueError(f"--aggregate must be a comma list of numbers, "
+                             f"got {args.aggregate!r}") from None
         report = metrics.aggregate_seeds(values, args.metric)
         print(f"median {report.median:.4f}\tstddev {report.stddev:.4f}\tn {len(values)}")
         return 0

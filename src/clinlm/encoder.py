@@ -16,12 +16,15 @@ pretraining; fine-tuning drops it, as no task reads it.
 The attention core, scores, softmax, dropout and context, is one function
 pair, _attention and _attention_backward, computed in place in one scores
 buffer. A head reads few positions: [CLS], each word's first piece, or the
-masked slots. Given those positions (reads), the top layer still computes
-keys and values at every position, but its queries run at the read rows
-only, held in a [rows, most reads in one row] grid, and so do its attention
-scores, attention projection, feed-forward sublayer and both layer norms;
-the backward pass scatters their gradients back to every position. The
-losses and prediction pass reads; forward without them is the full pass.
+masked slots. forward and all four losses take them (reads, or positions)
+in one form: an [n, 2] int array of (row, position) pairs inside the batch,
+strictly ascending in row-major order, so no pair repeats. _forward alone
+checks that. Given reads, the top layer still computes keys and values at
+every position, but its queries run at the read rows only, held in a
+[rows, most reads in one row] grid, and so do its attention scores,
+attention projection, feed-forward sublayer and both layer norms; the
+backward pass writes their gradients back into every position. The losses
+and prediction pass reads; forward without them is the full pass.
 
 Train mode means an rng was passed: forward and the losses then drop out
 (config.dropout) the embeddings, then in each layer the attention weights,
@@ -401,18 +404,16 @@ def _attention_backward(d_ctx, lc):
     return d_qh, d_kh, d_vh
 
 
-def _slots(reads, b, t):
-    """Where the queries of reads, flat row * t + position indices into a
-    b x t batch, sit in a [b, m] grid, m being the most reads in one row:
-    each row's reads fill its first slots in the order given. Returns each
-    read's (row, slot) and the grid's positions, 0 at a slot no read fills."""
-    row = reads // t
+def _slots(reads, b):
+    """Where the queries of reads, ascending (row, position) pairs in a batch
+    of b rows, sit in a [b, m] grid, m being the most reads in one row: each
+    row's reads fill its first slots in order. Returns each read's (row,
+    slot) and the grid's positions, 0 at a slot no read fills."""
+    row = reads[:, 0]
     counts = np.bincount(row, minlength=b)
-    order = np.argsort(row, kind="stable")
-    slot = np.empty_like(reads)
-    slot[order] = np.arange(len(reads)) - (np.cumsum(counts) - counts)[row[order]]
+    slot = np.arange(len(reads)) - (np.cumsum(counts) - counts)[row]
     positions = np.zeros((b, counts.max()), dtype=np.int64)
-    positions[row, slot] = reads % t
+    positions[row, slot] = reads[:, 1]
     return row, slot, positions
 
 
@@ -424,11 +425,12 @@ def _forward(params, config, batch, rng, reads=None):
         raise ValueError("token id outside vocabulary range")
     if batch.segment_ids.min() < 0 or batch.segment_ids.max() >= config.n_segments:
         raise ValueError("segment id outside segment range")
-    if reads is not None:
+    if reads is not None:  # the one check of the reads contract (see the module docstring)
         reads = np.asarray(reads, dtype=np.int64)
-        if reads.ndim != 1 or (reads.size and (reads.min() < 0 or reads.max() >= b * t)):
-            raise ValueError(f"reads must be flat row * {t} + position indices "
-                             f"into the {b} x {t} batch")
+        flat = reads[:, 0] * t + reads[:, 1] if reads.ndim == 2 and reads.shape[1] == 2 else None
+        if flat is None or ((reads < 0) | (reads >= (b, t))).any() or (np.diff(flat) <= 0).any():
+            raise ValueError(f"reads must be [n, 2] (row, position) pairs in strictly ascending "
+                             f"row-major order, none outside the {b} x {t} batch")
 
     rate, eps, hd, nh = config.dropout, config.ln_epsilon, config.hidden_dim, config.n_heads
     cache = {"batch": batch, "layers": []}
@@ -454,15 +456,15 @@ def _forward(params, config, batch, rng, reads=None):
         else:
             # every key and value is needed; the queries and all that follows
             # them run at the read rows only, the queries in a [b, m] grid
-            row, slot, positions = _slots(reads, b, t)
-            x = lc["q_in"] = x.reshape(-1, hd)[reads]
+            row, slot, positions = _slots(reads, b)
+            x = lc["q_in"] = x.reshape(-1, hd)[flat]
             q = np.zeros((b, positions.shape[1], hd))  # a slot no read fills stays zero
             q[row, slot] = _linear(params, p + "attn_q", x)
             ctx = _attention(_split_heads(q, nh), kh, vh, attn_bias, rate, rng, lc,
                              lambda m: np.take_along_axis(m, positions[:, None, :, None], 2))
             ctx = _join_heads(ctx)[row, slot]
-            lc.update(reads=reads, row=row, slot=slot)
-            pick = lambda m: m.reshape(-1, hd)[reads]
+            lc.update(reads=flat, row=row, slot=slot)
+            pick = lambda m: m.reshape(-1, hd)[flat]
         proj = _drop(_linear(params, p + "attn_out", ctx), rate, rng, lc, "proj_drop", full, pick)
         h1, ln1 = _layer_norm(params, p + "attn_ln", x + proj, eps)
         a = _linear(params, p + "ff_in", h1)
@@ -478,12 +480,14 @@ def forward(params, config: EncoderConfig, batch: Batch, rng=None, reads=None) -
     """Hidden states [batch, positions, hidden_dim]. Dropout applies only
     with an rng (train mode), and draws the same masks with or without reads.
 
-    With reads, flat row * width + position indices into the batch (they
-    may repeat and come in any order), it returns only the hidden states at
-    those positions, [len(reads), hidden_dim], equal to the full pass's rows
-    there up to rounding: the last layer's keys and values cover every
-    position, but its queries, attention scores, attention projection,
-    feed-forward and layer norms run at the read rows only.
+    With reads, an [n, 2] int array of (row, position) pairs inside the
+    batch, strictly ascending in row-major order (so each pair at most once),
+    it returns only the hidden states at those pairs, [n, hidden_dim], equal
+    to the full pass's rows there up to rounding: the last layer's keys and
+    values cover every position, but its queries, attention scores,
+    attention projection, feed-forward and layer norms run at the read rows
+    only. Reads of another shape, outside the batch or out of order are
+    refused.
     """
     hidden, _ = _forward(params, config, batch, rng, reads)
     return hidden
@@ -521,7 +525,8 @@ def _backward(params, config, cache, d_hidden):
             d_qh, d_kh, d_vh = _attention_backward(_split_heads(grid, nh), lc)
             dx += _linear_backward(params, grads, p + "attn_q", lc["q_in"],
                                    _join_heads(d_qh)[row, slot])
-            dx = _scatter_rows(dx, lc["reads"], batch.shape)
+            d_read, dx = dx, np.zeros((*batch.shape, hd))
+            dx.reshape(-1, hd)[lc["reads"]] = d_read  # the reads are distinct positions
         else:
             d_qh, d_kh, d_vh = _attention_backward(_split_heads(d_ctx, nh), lc)
             dx += _linear_backward(params, grads, p + "attn_q", lc["x_in"], _join_heads(d_qh))
@@ -545,13 +550,6 @@ def _add_rows(out, ids, rows):
     out[ids[order[starts]]] += np.add.reduceat(rows[order], starts, axis=0)
 
 
-def _scatter_rows(rows, reads, shape):
-    """[*shape, rows' width] zeros plus rows[i] at flat index reads[i]."""
-    out = np.zeros((math.prod(shape), rows.shape[-1]))
-    _add_rows(out, reads, rows)
-    return out.reshape(*shape, rows.shape[-1])
-
-
 def _sigmoid(z):
     return 1.0 / (1.0 + np.exp(-z))
 
@@ -573,32 +571,25 @@ def _head_logits(params, head, hidden, n_out=None):
 
 
 def _head_loss(params, config, batch, positions, head, targets, rng, binary=False):
-    """Loss of the linear head `head` read at positions, an [n, 2] array of
-    (row, position) pairs, and exact gradients for every parameter.
+    """Loss of the linear head `head` read at positions, the reads of
+    forward, and exact gradients for every parameter.
 
     With binary False the loss is the mean cross-entropy of each read's
     scores against the class id in targets[i]; with binary True it is the
     mean binary cross-entropy over every cell of the 0/1 matrix targets, one
     row per read. This is where every loss refuses an empty read set, a
-    count of targets other than the count of reads, a read outside the batch
-    and a class id outside the head.
+    count of targets other than the count of reads and a class id outside
+    the head; _forward checks the reads themselves.
     """
-    positions = np.asarray(positions, dtype=np.int64).reshape(-1, 2)
-    (b, t), n = batch.shape, len(positions)
+    n = len(positions)
     if n == 0:
         raise ValueError(f"{head} loss needs at least one target position")
     if len(targets) != n:
         raise ValueError(f"{head} reads {n} position(s) but has targets of shape {targets.shape}")
-    rows, cols = positions.T
-    if rows.min() < 0 or rows.max() >= b or cols.min() < 0 or cols.max() >= t:
-        raise ValueError(f"a {head} read position is outside the {b} x {t} batch")
     if not binary and (targets.min() < 0 or targets.max() >= _head_width(params, head)):
         raise ValueError(f"label id outside the range of head {head}")
-    # the top layer runs at each distinct read position once
-    reads, inverse = np.unique(rows * t + cols, return_inverse=True)
-    hidden, cache = _forward(params, config, batch, rng, reads)
-    h_t = hidden[inverse]
-    logits = _head_logits(params, head, h_t)
+    hidden, cache = _forward(params, config, batch, rng, positions)
+    logits = _head_logits(params, head, hidden)
     if binary:
         # log(1 + e^z) - y*z, computed stably
         loss = float((np.logaddexp(0.0, logits) - targets * logits).mean())
@@ -611,10 +602,8 @@ def _head_loss(params, config, batch, positions, head, targets, rng, binary=Fals
         d_logits = exp / total  # softmax
         d_logits[np.arange(n), targets] -= 1.0
         d_logits /= n
-    d_hidden = np.zeros_like(hidden)  # a (row, position) pair may repeat
-    _add_rows(d_hidden, inverse, d_logits @ params[head + "_w"].T)
-    grads = _backward(params, config, cache, d_hidden)
-    grads[head + "_w"] += h_t.T @ d_logits
+    grads = _backward(params, config, cache, d_logits @ params[head + "_w"].T)
+    grads[head + "_w"] += hidden.T @ d_logits
     grads[head + "_b"] += d_logits.sum(axis=0)
     return loss, grads
 
@@ -622,8 +611,8 @@ def _head_loss(params, config, batch, positions, head, targets, rng, binary=Fals
 def mlm_forward_loss(params, config, batch, target_positions, target_ids, rng=None):
     """Masked-token prediction loss and exact gradients.
 
-    target_positions is an [n, 2] array of (row, position) pairs pointing at
-    the corrupted slots; target_ids holds the original token at each. The
+    target_positions, forward's reads, are the (row, position) pairs of the
+    corrupted slots; target_ids holds the original token at each. The
     loss is the mean cross-entropy over all targets.
     """
     return _head_loss(params, config, batch, target_positions, "mlm",
@@ -643,38 +632,33 @@ def init_head(params, config, head, n_out, seed) -> ParamStore:
 
 
 def token_classify_loss(params, config, batch, positions, tag_ids, rng=None):
-    """Mean cross-entropy of the token head at positions, an [n, 2] array of
-    (row, position) pairs (each word's first piece), against the tag id at
-    each; no other position (padding, specials, continuation pieces)
-    contributes."""
+    """Mean cross-entropy of the token head at positions, forward's reads
+    (each word's first piece), against the tag id at each; no other position
+    (padding, specials, continuation pieces) contributes."""
     return _head_loss(params, config, batch, positions, "head_token",
                       np.asarray(tag_ids, dtype=np.int64), rng)
 
 
-def _first_positions(batch):
-    """(row, 0) for every row of batch: where the pair and multi-label heads read."""
-    return np.c_[np.arange(batch.shape[0]), np.zeros(batch.shape[0], dtype=np.int64)]
-
-
-def pair_classify_loss(params, config, batch, class_ids, rng=None):
-    """Mean cross-entropy of first-position class logits over the batch."""
+def pair_classify_loss(params, config, batch, positions, class_ids, rng=None):
+    """Mean cross-entropy of the pair head at positions, forward's reads
+    (each row's (i, 0), its [CLS]), against the class id at each."""
     class_ids = np.asarray(class_ids, dtype=np.int64)
     if class_ids.ndim != 1:
         raise ValueError(f"class_ids must be 1-D, got shape {class_ids.shape}")
-    return _head_loss(params, config, batch, _first_positions(batch), "head_pair",
-                      class_ids, rng)
+    return _head_loss(params, config, batch, positions, "head_pair", class_ids, rng)
 
 
-def multilabel_loss(params, config, batch, label_matrix, rng=None):
-    """Mean binary cross-entropy over every (example, label) cell."""
+def multilabel_loss(params, config, batch, positions, label_matrix, rng=None):
+    """Mean binary cross-entropy of the multi-label head at positions,
+    forward's reads (each row's (i, 0), its [CLS]), over every (read, label)
+    cell of the 0/1 label_matrix."""
     y = np.asarray(label_matrix, dtype=np.float64)
     n_labels = _head_width(params, "head_multi")
     if y.ndim != 2 or y.shape[1] != n_labels:
         raise ValueError(f"label_matrix must have shape (rows, {n_labels}), got {y.shape}")
     if not np.isin(y, (0.0, 1.0)).all():
         raise ValueError("label_matrix entries must be 0 or 1")
-    return _head_loss(params, config, batch, _first_positions(batch), "head_multi", y, rng,
-                      binary=True)
+    return _head_loss(params, config, batch, positions, "head_multi", y, rng, binary=True)
 
 
 def save_checkpoint(path, config: EncoderConfig, params) -> None:

@@ -280,8 +280,8 @@ class SeedRun:
 
 def _read_positions(rows) -> np.ndarray:
     """The (row, position) pairs a head reads in rows stacked as one batch,
-    [n, 2] row-major and ascending: each NerRow's first pieces, or else
-    position 0 of the row."""
+    in encoder.forward's reads form: each NerRow's first pieces, or else
+    position 0 of the row. Training and prediction both read here."""
     return np.array([(i, c) for i, row in enumerate(rows) for c in
                      (row.first_piece_positions if isinstance(row, NerRow) else (0,))],
                     dtype=np.int64).reshape(-1, 2)
@@ -296,10 +296,10 @@ def _forward_chunks(params, config, rows: Sequence, batch_size: int, head: str, 
     done = 0  # rows yielded so far
     for start in range(0, len(rows), batch_size):
         chunk = rows[start:start + batch_size]
-        batch, (row, col) = stack_rows(chunk), _read_positions(chunk).T
-        hidden = forward(params, config, batch, reads=row * batch.shape[1] + col)
+        reads = _read_positions(chunk)
+        hidden = forward(params, config, stack_rows(chunk), reads=reads)
         scores = _head_logits(params, head, hidden, n_out)
-        per_row = np.split(scores, np.searchsorted(row, np.arange(1, len(chunk))))
+        per_row = np.split(scores, np.searchsorted(reads[:, 0], np.arange(1, len(chunk))))
         if not np.isfinite(scores).all():
             bad = next(i for i, s in enumerate(per_row) if not np.isfinite(s).all())
             raise ValueError(f"row {done + bad}: the model's {head} scores hold a NaN "
@@ -346,20 +346,20 @@ def _dev_metric(task, params, config, dev):
 
 def _train_step(task, params, config, rows: Sequence, state, lr, rng):
     """One Adam update at learning rate lr of params on rows through the task
-    kind's loss, in train mode: dropout masks come from rng."""
+    kind's loss, read at _read_positions, in train mode: dropout masks come
+    from rng."""
     if task.kind == "ner":
-        tag_ids = [tag for row in rows for tag in row.tag_ids]
-        _, grads = token_classify_loss(params, config, stack_rows(rows), _read_positions(rows),
-                                       tag_ids, rng=rng)
-    elif task.kind == "pair":
-        _, grads = pair_classify_loss(params, config, stack_rows(r[0] for r in rows),
-                                      [r[1] for r in rows], rng=rng)
-    else:
-        matrix = np.zeros((len(rows), len(task.labels)))
-        for i, r in enumerate(rows):
-            matrix[i, sorted(r[1])] = 1.0
-        _, grads = multilabel_loss(params, config, stack_rows(r[0] for r in rows), matrix,
-                                   rng=rng)
+        loss, framed = token_classify_loss, rows
+        targets = [tag for row in rows for tag in row.tag_ids]
+    else:  # (framed row, label id or id set) pairs
+        framed = [r[0] for r in rows]
+        if task.kind == "pair":
+            loss, targets = pair_classify_loss, [r[1] for r in rows]
+        else:
+            loss, targets = multilabel_loss, np.zeros((len(rows), len(task.labels)))
+            for i, r in enumerate(rows):
+                targets[i, sorted(r[1])] = 1.0
+    _, grads = loss(params, config, stack_rows(framed), _read_positions(framed), targets, rng=rng)
     return adam_step(params, grads, state, lr)
 
 

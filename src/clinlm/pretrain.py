@@ -30,8 +30,8 @@ class MaskingPolicy:
     mask_prob: float = 0.15
 
     def __post_init__(self):
-        if not 0.0 <= self.mask_prob <= 1.0:
-            raise ValueError(f"mask_prob must be in [0, 1], got {self.mask_prob}")
+        if not 0.0 < self.mask_prob <= 1.0:  # at 0 no slot is ever a target
+            raise ValueError(f"mask_prob must be in (0, 1], got {self.mask_prob}")
 
 
 def apply_masking(

@@ -2,8 +2,10 @@
 
 The audits difference forward-only reference losses: the public forward
 plus the head weights, with cross-entropy and binary cross-entropy written
-out. Each reference costs one forward pass per evaluation, where the library
-loss would also run the backward pass and throw its gradients away.
+out. Each reference takes the losses' (row, position) pairs but indexes the
+full pass, forward without reads, so the audit does not lean on the read
+path it checks. Each costs one forward pass per evaluation, where the
+library loss would also run the backward pass and throw its gradients away.
 """
 
 import numpy as np
@@ -47,7 +49,8 @@ def max_rel_error(loss_fn, params, grads, step=STEP):
     return worst
 
 
-def _head_scores(params, config, batch, rng, head, rows, cols):
+def _head_scores(params, config, batch, rng, head, positions):
+    rows, cols = np.asarray(positions, dtype=np.int64).reshape(-1, 2).T
     hidden = forward(params, config, batch, rng)
     return hidden[rows, cols] @ params[head + "_w"] + params[head + "_b"]
 
@@ -58,13 +61,8 @@ def _cross_entropy(logits, targets):
     return float((log_total - shifted[np.arange(len(targets)), targets]).mean())
 
 
-def _first_positions(batch):
-    return np.arange(batch.shape[0]), np.zeros(batch.shape[0], dtype=np.int64)
-
-
 def _reads_cross_entropy(params, config, batch, rng, head, positions, targets):
-    rows, cols = np.asarray(positions, dtype=np.int64).reshape(-1, 2).T
-    logits = _head_scores(params, config, batch, rng, head, rows, cols)
+    logits = _head_scores(params, config, batch, rng, head, positions)
     return _cross_entropy(logits, np.asarray(targets, dtype=np.int64))
 
 
@@ -76,13 +74,12 @@ def token_reference(params, config, batch, positions, tag_ids, rng=None):
     return _reads_cross_entropy(params, config, batch, rng, "head_token", positions, tag_ids)
 
 
-def pair_reference(params, config, batch, class_ids, rng=None):
-    logits = _head_scores(params, config, batch, rng, "head_pair", *_first_positions(batch))
-    return _cross_entropy(logits, np.asarray(class_ids, dtype=np.int64))
+def pair_reference(params, config, batch, positions, class_ids, rng=None):
+    return _reads_cross_entropy(params, config, batch, rng, "head_pair", positions, class_ids)
 
 
-def multilabel_reference(params, config, batch, label_matrix, rng=None):
-    logits = _head_scores(params, config, batch, rng, "head_multi", *_first_positions(batch))
+def multilabel_reference(params, config, batch, positions, label_matrix, rng=None):
+    logits = _head_scores(params, config, batch, rng, "head_multi", positions)
     y = np.asarray(label_matrix, dtype=np.float64)
     return float((np.logaddexp(0.0, logits) - y * logits).mean())  # log(1 + e^z) - y z
 

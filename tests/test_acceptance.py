@@ -222,14 +222,15 @@ def test_criterion_03_gradient_audit():
     target_ids = np.array([7, 8, 9])
     token_positions = np.array([[0, 1], [0, 2], [0, 3], [1, 1], [1, 2], [1, 3]])
     tag_ids = np.array([1, 0, 0, 0, 0, 2])
+    cls_positions = np.array([[0, 0], [1, 0]])
     class_ids = np.array([0, 2])
     label_matrix = rng.integers(0, 2, size=(2, 4)).astype(np.float64)
 
     losses = {  # name -> (loss, its arguments after the batch)
         "mlm": (mlm_forward_loss, target_positions, target_ids),
         "token": (token_classify_loss, token_positions, tag_ids),
-        "pair": (pair_classify_loss, class_ids),
-        "multilabel": (multilabel_loss, label_matrix),
+        "pair": (pair_classify_loss, cls_positions, class_ids),
+        "multilabel": (multilabel_loss, cls_positions, label_matrix),
     }
     worst_overall = 0.0
     for name, (loss, *args) in losses.items():

@@ -517,6 +517,20 @@ class TestMalformedInputs:
          "seed must be non-negative, got -1"),
         ("whitespace-ner-word", "tags.tsv", "no\tO\n \tO\n", _finetune("ner-2010"),
          "{file}:2: expected word<TAB>tag, got ' \\tO'"),
+        ("zero-mask-prob", "corpus.txt", "no pain today\nsevere fever\n",
+         ["pretrain", "--corpus", "{file}", "--vocab", "{vocab}", "--plan", "8:3",
+          "--micro-batch", "1", "--accum", "1", "--seed", "0", "--mask-prob", "0",
+          "--out", "{out}"],
+         "mask_prob must be in (0, 1], got 0.0"),
+        ("aggregate-value-not-a-number", "unused.txt", "",
+         ["evaluate", "--metric", "accuracy", "--aggregate", "1,x"],
+         "--aggregate must be a comma list of numbers, got '1,x'"),
+        ("stats-of-blank-lines", "blank.txt", "\n  \n\n", ["stats", "--input", "{file}"],
+         "{file}: no non-blank line to summarize"),
+        ("compress-report-of-no-words", "blank.txt", "\n  \n",
+         ["compress-report", "--dataset", "notes={file}", "--vocab", "base={vocab}",
+          "--baseline", "base"],
+         "{file}: dataset 'notes' contains no words"),
     ]
 
     @pytest.mark.parametrize("name,contents,argv,where", [case[1:] for case in CASES],

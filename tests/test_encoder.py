@@ -7,6 +7,7 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import erf
 
 from gradcheck import audit_gradients
@@ -353,20 +354,21 @@ class TestMlmLoss:
         assert loss2 == pytest.approx(loss1, rel=1e-12)
 
     def test_target_order_invariance(self):
+        # targets are read in row-major order, so listing them in another
+        # order means stacking the rows in another order
         config = tiny_config()
         params = init_params(config, 2)
-        batch = full_batch([[5, 6, 7, 2]])
-        loss_a, grads_a = mlm_forward_loss(batch=batch, params=params,
+        rows = [[5, 6, 7, 2], [3, 4, 1, 0]]
+        loss_a, grads_a = mlm_forward_loss(batch=full_batch(rows), params=params,
                                            config=config,
-                                           target_positions=[[0, 1], [0, 2]],
-                                           target_ids=[6, 7])
-        loss_b, grads_b = mlm_forward_loss(batch=batch, params=params,
+                                           target_positions=[[0, 1], [1, 2]],
+                                           target_ids=[6, 1])
+        loss_b, grads_b = mlm_forward_loss(batch=full_batch(rows[::-1]), params=params,
                                            config=config,
-                                           target_positions=[[0, 2], [0, 1]],
-                                           target_ids=[7, 6])
+                                           target_positions=[[0, 2], [1, 1]],
+                                           target_ids=[1, 6])
         assert loss_a == pytest.approx(loss_b, rel=1e-14)
-        np.testing.assert_allclose(grads_a["tok_emb"], grads_b["tok_emb"],
-                                   rtol=0, atol=1e-14)
+        np.testing.assert_allclose(grads_a.flat, grads_b.flat, rtol=0, atol=1e-14)
 
     def test_zero_targets_rejected(self):
         config = tiny_config()
@@ -478,16 +480,16 @@ class TestHeadLosses:
         params = init_head(init_params(config, 1), config, "head_pair", 3, seed=5)
         batch = full_batch([[5, 6]])
         with pytest.raises(ValueError, match="shape"):
-            pair_classify_loss(params, config, batch, [0, 1])
+            pair_classify_loss(params, config, batch, [[0, 0]], [0, 1])
 
     def test_multilabel_matrix_checked(self):
         config = tiny_config()
         params = init_head(init_params(config, 1), config, "head_multi", 3, seed=5)
         batch = full_batch([[5, 6]])
         with pytest.raises(ValueError, match="0 or 1"):
-            multilabel_loss(params, config, batch, [[0.0, 0.5, 1.0]])
+            multilabel_loss(params, config, batch, [[0, 0]], [[0.0, 0.5, 1.0]])
         with pytest.raises(ValueError, match="shape"):
-            multilabel_loss(params, config, batch, [[0.0, 1.0]])
+            multilabel_loss(params, config, batch, [[0, 0]], [[0.0, 1.0]])
 
     def test_each_head_loss_passes_gradient_check(self):
         config = tiny_config(n_layers=1)
@@ -501,63 +503,58 @@ class TestHeadLosses:
         assert audit_gradients(token_classify_loss, token_params, config, batch,
                                positions, tags) < 1e-4
 
+        cls = np.array([[0, 0], [1, 0]])  # where the pair and multi-label heads read
         pair_params = init_head(base, config, "head_pair", 3, seed=7)
         classes = np.array([2, 0])
-        assert audit_gradients(pair_classify_loss, pair_params, config, batch, classes) < 1e-4
+        assert audit_gradients(pair_classify_loss, pair_params, config, batch,
+                               cls, classes) < 1e-4
 
         multi_params = init_head(base, config, "head_multi", 3, seed=7)
         matrix = np.array([[1.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
-        assert audit_gradients(multilabel_loss, multi_params, config, batch, matrix) < 1e-4
+        assert audit_gradients(multilabel_loss, multi_params, config, batch,
+                               cls, matrix) < 1e-4
 
 
-# head -> (its loss, then the batch token rows and the loss's arguments after
-# the batch for each refusal of _REFUSALS: no read position, a read outside
-# the batch, two targets for one read)
-_REFUSED_READS = {
-    "mlm": (mlm_forward_loss, [([[5, 6]], ([], [])), ([[5, 6]], ([[0, 2]], [6])),
-                               ([[5, 6]], ([[0, 1]], [6, 7]))]),
-    "head_token": (token_classify_loss, [([[5, 6]], ([], [])), ([[5, 6]], ([[1, 0]], [1])),
-                                         ([[5, 6]], ([[0, 1]], [1, 2]))]),
-    "head_pair": (pair_classify_loss, [(np.zeros((0, 2)), ([],)), (np.zeros((1, 0)), ([0],)),
-                                       ([[5, 6]], ([0, 1],))]),
-    "head_multi": (multilabel_loss, [(np.zeros((0, 2)), (np.zeros((0, 3)),)),
-                                     (np.zeros((1, 0)), ([[0, 1, 0]],)),
-                                     ([[5, 6]], ([[0, 1, 0], [1, 0, 0]],))]),
+# head -> (its loss, one valid target)
+_HEAD_LOSSES = {"mlm": (mlm_forward_loss, 6), "head_token": (token_classify_loss, 1),
+                "head_pair": (pair_classify_loss, 1), "head_multi": (multilabel_loss, [0, 1, 0])}
+_BAD_READS = (r"^reads must be \[n, 2\] \(row, position\) pairs in strictly ascending "
+              r"row-major order, none outside the 1 x 2 batch$")
+# refusal -> (positions on a 1 x 2 batch, how many targets, the one message)
+_REFUSALS = {
+    "no-reads": ([], 0, r"^{head} loss needs at least one target position$"),
+    "outside-the-batch": ([[0, 2]], 1, _BAD_READS),
+    "count-mismatch": ([[0, 1]], 2, r"^{head} reads 1 position\(s\) but has targets of shape \(2,"),
+    "unsorted": ([[0, 1], [0, 0]], 2, _BAD_READS),
+    "repeated": ([[0, 1], [0, 1]], 2, _BAD_READS),
 }
-_REFUSALS = [r"^{head} loss needs at least one target position$",
-             r"^a {head} read position is outside the {b} x {t} batch$",
-             r"^{head} reads 1 position\(s\) but has targets of shape \(2,"]
 
 
-@pytest.mark.parametrize("refusal", range(3), ids=["no-reads", "outside-the-batch",
-                                                    "count-mismatch"])
-@pytest.mark.parametrize("head", list(_REFUSED_READS))
+@pytest.mark.parametrize("refusal", list(_REFUSALS))
+@pytest.mark.parametrize("head", list(_HEAD_LOSSES))
 def test_every_head_loss_refuses_bad_reads_with_one_message(head, refusal):
-    # _head_loss checks the reads of all four losses, so each refusal reads alike
+    # _head_loss checks the read count and _forward the reads themselves, for
+    # all four losses alike
     config = tiny_config()
     params = init_params(config, 1)
     if head != "mlm":
         params = init_head(params, config, head, 3, seed=5)
-    loss, cases = _REFUSED_READS[head]
-    tokens, args = cases[refusal]
-    batch = full_batch(tokens)
-    b, t = batch.shape
-    with pytest.raises(ValueError, match=_REFUSALS[refusal].format(head=head, b=b, t=t)):
-        loss(params, config, batch, *args)
+    loss, target = _HEAD_LOSSES[head]
+    positions, n_targets, message = _REFUSALS[refusal]
+    targets = np.array([target] * n_targets).reshape(n_targets, *np.shape(target))
+    with pytest.raises(ValueError, match=message.format(head=head)):
+        loss(params, config, full_batch([[5, 6]]), positions, targets)
 
 
 # (head, loss, its arguments after the batch) of each loss the train-mode
 # gradient audit checks on its two-row batch; init_params already draws mlm
 _TRAIN_MODE_LOSSES = [
     pytest.param(None, mlm_forward_loss, ([[0, 1], [0, 3], [1, 0]], [6, 2, 3]), id="mlm"),
-    # two targets at one position: their gradients add in the same hidden vector
-    pytest.param(None, mlm_forward_loss, ([[0, 1], [0, 1], [1, 0]], [6, 2, 3]),
-                 id="mlm-repeated-position"),
     pytest.param("head_token", token_classify_loss,
                  ([[0, 1], [0, 2], [1, 0], [1, 1]], [2, 1, 1, 0]), id="token"),
-    pytest.param("head_pair", pair_classify_loss, ([2, 0],), id="pair"),
+    pytest.param("head_pair", pair_classify_loss, ([[0, 0], [1, 0]], [2, 0]), id="pair"),
     pytest.param("head_multi", multilabel_loss,
-                 ([[1.0, 0.0, 1.0], [0.0, 0.0, 1.0]],), id="multilabel"),
+                 ([[0, 0], [1, 0]], [[1.0, 0.0, 1.0], [0.0, 0.0, 1.0]]), id="multilabel"),
 ]
 
 
@@ -576,8 +573,8 @@ class TestTrainModeGradients:
 
 
 class TestReads:
-    """forward with reads returns the full pass's hidden states at those
-    flat row * width + position indices, and draws the same dropout masks."""
+    """forward with reads, ascending (row, position) pairs, returns the full
+    pass's hidden states at those pairs, and draws the same dropout masks."""
 
     @staticmethod
     def model():
@@ -588,29 +585,65 @@ class TestReads:
                             frame([6], None, 8)])
         return config, params, batch
 
-    # ragged: row 0 has no reads, row 1 three, row 2 one read twice
-    @pytest.mark.parametrize("reads", [[9, 0, 17, 3, 12], [4, 4, 1, 4], [0, 7, 14],
-                                       [8, 15, 12, 10, 15]],
-                             ids=["unsorted", "repeated", "one-per-row", "ragged"])
+    # ragged: row 0 has no reads, row 1 three, row 2 one; repeated: row 0 read
+    # repeatedly (the flat [4, 4, 1, 4] as its distinct pairs), rows 1 and 2 not
+    # at all, so the last rows of the query grid are empty
+    @pytest.mark.parametrize("reads", [[[0, 0], [1, 0], [2, 0]],
+                                       [[1, 1], [1, 3], [1, 5], [2, 1]],
+                                       [[0, 1], [0, 4]]],
+                             ids=["one-per-row", "ragged", "repeated"])
     @pytest.mark.parametrize("seed", [None, 5], ids=["eval", "train"])
     def test_reads_are_the_full_pass_rows(self, reads, seed):
         config, params, batch = self.model()
         assert batch.shape == (3, 7)
         rngs = [None if seed is None else np.random.default_rng(seed) for _ in range(2)]
-        full = forward(params, config, batch, rngs[0]).reshape(-1, config.hidden_dim)
+        full = forward(params, config, batch, rngs[0])
         read = forward(params, config, batch, rngs[1], reads=np.array(reads))
         assert read.shape == (len(reads), config.hidden_dim)
-        np.testing.assert_allclose(read, full[reads], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(read, full[tuple(np.array(reads).T)], rtol=1e-12, atol=0)
         if seed is not None:  # the masks were drawn, and the rng left, as in the full pass
-            assert not np.allclose(full, forward(params, config, batch).reshape(full.shape))
+            assert not np.allclose(full, forward(params, config, batch))
             assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
 
-    @pytest.mark.parametrize("reads", [[-1], [21], [0, 21], [[0, 1]]],
-                             ids=["negative", "past-the-end", "one-of-two-past-the-end", "2-d"])
+    # 2-d: a 2-d array, but three columns wide; flat: the bare flat indices
+    @pytest.mark.parametrize("reads", [[[0, -1]], [[3, 0]], [[0, 0], [2, 7]], [[0, 1, 2]],
+                                       [0, 1]],
+                             ids=["negative", "past-the-end", "one-of-two-past-the-end", "2-d",
+                                  "flat"])
     def test_reads_outside_the_batch_refused(self, reads):
         config, params, batch = self.model()
-        with pytest.raises(ValueError, match="reads"):
+        with pytest.raises(ValueError, match=r"^reads must be \[n, 2\] \(row, position\) pairs "
+                                             r".* none outside the 3 x 7 batch$"):
             forward(params, config, batch, reads=reads)
+
+    @pytest.mark.parametrize("reads", [[[1, 2], [0, 3]], [[0, 4], [0, 1]], [[1, 4], [1, 4]]],
+                             ids=["rows-unsorted", "positions-unsorted", "repeated"])
+    def test_reads_out_of_order_refused(self, reads):
+        # every loss meets the same refusal, through forward
+        # (test_every_head_loss_refuses_bad_reads_with_one_message)
+        config, params, batch = self.model()
+        with pytest.raises(ValueError, match=r"^reads must be .* in strictly ascending "
+                                             r"row-major order, "):
+            forward(params, config, batch, reads=reads)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_any_ascending_read_set_is_the_full_pass_rows(self, data):
+        # random ragged rows, each read any subset of its positions, padding
+        # included and the empty set too
+        lengths = data.draw(st.lists(st.integers(1, 6), min_size=1, max_size=4), label="lengths")
+        config = tiny_config(vocab_size=12, hidden_dim=8, n_layers=2, ff_dim=12,
+                             max_positions=8)
+        params = init_params(config, data.draw(st.integers(0, 3), label="seed"))
+        rows = [data.draw(st.lists(st.integers(5, 11), min_size=n, max_size=n), label="ids")
+                for n in lengths]
+        batch = stack_rows([frame(ids, None, 8) for ids in rows])
+        cells = [(i, j) for i in range(batch.shape[0]) for j in range(batch.shape[1])]
+        picked = data.draw(st.sets(st.sampled_from(cells)), label="reads")
+        reads = np.array(sorted(picked), dtype=np.int64).reshape(-1, 2)
+        full = forward(params, config, batch)
+        read = forward(params, config, batch, reads=reads)
+        np.testing.assert_allclose(read, full[tuple(reads.T)], rtol=1e-12, atol=0)
 
 
 def last_layer_rows(monkeypatch, config):
@@ -629,13 +662,14 @@ def last_layer_rows(monkeypatch, config):
 
 
 class TestLossesRunTheTopLayerAtReadsOnly:
-    # (loss, its arguments after the batch, distinct positions it reads) on
-    # a 2 x 4 batch
+    # (loss, its arguments after the batch, positions it reads) on a 2 x 4
+    # batch
     @pytest.mark.parametrize("head,loss,args,n_reads", [
-        (None, mlm_forward_loss, ([[0, 1], [0, 1], [1, 0], [1, 3]], [6, 2, 3, 4]), 3),
+        (None, mlm_forward_loss, ([[0, 1], [1, 0], [1, 3]], [6, 3, 4]), 3),
         ("head_token", token_classify_loss, ([[0, 1], [0, 2], [1, 0], [1, 1]], [2, 1, 1, 0]), 4),
-        ("head_pair", pair_classify_loss, ([2, 0],), 2),
-        ("head_multi", multilabel_loss, ([[1.0, 0.0, 1.0], [0.0, 0.0, 1.0]],), 2),
+        ("head_pair", pair_classify_loss, ([[0, 0], [1, 0]], [2, 0]), 2),
+        ("head_multi", multilabel_loss, ([[0, 0], [1, 0]], [[1.0, 0.0, 1.0], [0.0, 0.0, 1.0]]),
+         2),
     ], ids=["mlm", "token", "pair", "multilabel"])
     def test_last_ff_in_sees_each_read_position_once(self, monkeypatch, head, loss, args,
                                                      n_reads):
@@ -750,15 +784,16 @@ class TestPaddingInvariance:
         hidden_padded = forward(params, config, padded, rng())
         np.testing.assert_allclose(hidden[real], hidden_padded[:, :9][real], rtol=0, atol=1e-12)
 
-        positions = np.argwhere(real & (stacked.token_ids > 4))
+        positions = np.argwhere(real & (stacked.token_ids > 4))  # row-major, ascending
+        cls = [[0, 0], [1, 0], [2, 0]]
         calls = {  # each loss on a batch
             "mlm": lambda b: mlm_forward_loss(
                 params, config, b, [[0, 1], [1, 4], [2, 7]], [6, 11, 7], rng=rng()),
             "token": lambda b: token_classify_loss(
                 params, config, b, positions, positions[:, 1] % 3, rng=rng()),
-            "pair": lambda b: pair_classify_loss(params, config, b, [2, 0, 1], rng=rng()),
+            "pair": lambda b: pair_classify_loss(params, config, b, cls, [2, 0, 1], rng=rng()),
             "multilabel": lambda b: multilabel_loss(
-                params, config, b, [[1.0, 0.0, 1.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]],
+                params, config, b, cls, [[1.0, 0.0, 1.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]],
                 rng=rng()),
         }
         for name, call in calls.items():

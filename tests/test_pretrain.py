@@ -43,17 +43,16 @@ class TestMaskingPolicy:
         with pytest.raises(ValueError):
             MaskingPolicy(mask_prob=-0.1)
 
+    def test_zero_probability_refused(self):
+        # at 0 no slot is ever selected, so each micro-batch would train only
+        # on the one target _build_micro_batch forces at row 0
+        with pytest.raises(ValueError, match=r"^mask_prob must be in \(0, 1\], got 0.0$"):
+            MaskingPolicy(mask_prob=0.0)
+
 
 class TestApplyMasking:
     IDS = np.array([2, 5, 6, 7, 8, 9, 3, 0], dtype=np.int64)
     MASKABLE = np.array([0, 1, 1, 1, 1, 1, 0, 0], dtype=bool)
-
-    def test_zero_probability_is_identity(self):
-        policy = MaskingPolicy(mask_prob=0.0)
-        corrupted, positions, targets = apply_masking(
-            policy, self.IDS, self.MASKABLE, 20, np.random.default_rng(0))
-        assert np.array_equal(corrupted, self.IDS)
-        assert len(positions) == 0 and len(targets) == 0
 
     def test_specials_never_selected(self):
         policy = MaskingPolicy(mask_prob=1.0)
@@ -212,7 +211,8 @@ class TestAdam:
         for step in range(1, 5):
             ids = rng.integers(5, 12, size=(2, 4))
             batch = Batch(ids, np.ones_like(ids), np.zeros_like(ids))
-            _, grads = pair_classify_loss(params, config, batch, rng.integers(0, 3, size=2))
+            _, grads = pair_classify_loss(params, config, batch, [[0, 0], [1, 0]],
+                                          rng.integers(0, 3, size=2))
             ref_params, ref_m, ref_v = reference_adam(ref_params, grads, ref_m, ref_v,
                                                       0.01, step)
             params, state = adam_step(params, grads, state, 0.01)
