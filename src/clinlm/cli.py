@@ -185,6 +185,8 @@ def _cmd_top_labels(args) -> int:
 
 
 def _cmd_pretrain(args) -> int:
+    if args.warmup_fraction is not None and args.schedule == "constant":
+        raise ValueError("--warmup-fraction applies only to --schedule linear, not constant")
     vocab = wordpiece.read_vocab(args.vocab)
     plan = _parse_plan(args.plan)
     config = EncoderConfig(
@@ -358,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     settings = [p.add_argument(flag, type=cast, default=default) for flag, cast, default in (
         ("--hidden-dim", int, 64), ("--n-layers", int, 2), ("--n-heads", int, 2),
         ("--ff-dim", int, 128), ("--max-positions", int, None),
-        ("--lr", float, 1e-3), ("--warmup-fraction", float, 0.01), ("--mask-prob", float, 0.15))]
+        ("--lr", float, 1e-3), ("--warmup-fraction", float, None), ("--mask-prob", float, 0.15))]
     settings.append(p.add_argument(
         "--dropout", type=float, default=0.0,
         help="dropout rate of every pretraining step; the checkpoint keeps it, so "

@@ -256,9 +256,13 @@ def format_stats_row(name: str, stats: DatasetStats) -> str:
 
 def read_notes(path) -> list[NoteRecord]:
     """Read JSON-lines note records whose six fields are all strings; a bad
-    line, an empty id included, fails as PATH:LINE: message."""
-    return parse_numbered(path, read_jsonl(path, dict.fromkeys(_NOTE_FIELDS, str)),
-                          lambda row: NoteRecord(**{k: row[k] for k in _NOTE_FIELDS}))
+    line, an empty id included, fails as PATH:LINE: message, and a file with
+    no record as PATH: no note record."""
+    notes = parse_numbered(path, read_jsonl(path, dict.fromkeys(_NOTE_FIELDS, str)),
+                           lambda row: NoteRecord(**{k: row[k] for k in _NOTE_FIELDS}))
+    if not notes:
+        raise ValueError(f"{path}: no note record")
+    return notes
 
 
 def write_notes(path, notes: Sequence[NoteRecord]) -> None:

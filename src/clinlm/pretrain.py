@@ -227,16 +227,19 @@ class PretrainResult:
     phase_boundaries: list[int]  # first step index of each phase
 
 
-def lr_schedule(schedule: str, peak_lr: float, total_steps: int, warmup_fraction: float = 0.01):
+def lr_schedule(schedule: str, peak_lr: float, total_steps: int,
+                warmup_fraction: float | None = None):
     """Step -> learning rate. "constant" ignores warmup; "linear" warms up
-    linearly to peak_lr, then decays linearly toward zero at total_steps.
-    warmup_fraction must lie in [0, 1] either way."""
-    if not 0.0 <= warmup_fraction <= 1.0:
+    linearly to peak_lr over warmup_fraction of the steps (None means 0.01),
+    then decays linearly toward zero at total_steps. A given warmup_fraction
+    must lie in [0, 1] either way."""
+    if warmup_fraction is not None and not 0.0 <= warmup_fraction <= 1.0:
         raise ValueError(f"warmup_fraction must be in [0, 1], got {warmup_fraction}")
     if schedule == "constant":
         return lambda step: peak_lr
     if schedule == "linear":
-        warmup = max(1, int(round(total_steps * warmup_fraction)))
+        fraction = 0.01 if warmup_fraction is None else warmup_fraction
+        warmup = max(1, int(round(total_steps * fraction)))
 
         def lr(step):
             if step < warmup:
@@ -307,7 +310,7 @@ def run_pretraining(
     adam: AdamConfig,
     seed: int,
     schedule: str = "constant",
-    warmup_fraction: float = 0.01,
+    warmup_fraction: float | None = None,
     phase_callback: Callable | None = None,
 ) -> PretrainResult:
     """Train the encoder on a sentence corpus with the masked-LM objective.

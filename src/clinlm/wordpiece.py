@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import re
 import statistics
 import string
 import unicodedata
@@ -28,10 +29,20 @@ PAD_ID, UNK_ID, CLS_ID, SEP_ID, MASK_ID = range(5)
 CONTINUATION = "##"
 
 _ASCII_PUNCT = set(string.punctuation)
+_MAYBE_PUNCT = re.compile(r"[^A-Za-z0-9 ]")
 
 
 def _is_punct(ch: str) -> bool:
     return ch in _ASCII_PUNCT or unicodedata.category(ch).startswith("P")
+
+
+def _spaced(match: re.Match) -> str:
+    """The matched character, and if it is punctuation, a space on each side
+    where it touches a letter."""
+    ch, i, text = match.group(), match.start(), match.string
+    if not _is_punct(ch):
+        return ch
+    return " " * text[i - 1:i].isalpha() + ch + " " * text[i + 1:i + 2].isalpha()
 
 
 def normalize(text: str) -> str:
@@ -40,19 +51,10 @@ def normalize(text: str) -> str:
 
     Digits do not trigger separation, so measurements like 120/80 survive
     intact. The function is idempotent: spaces inserted on the first pass
-    shield the punctuation on any later pass.
+    shield the punctuation on any later pass. Only the characters that can
+    be punctuation, those not an ASCII letter, digit or space, are tested.
     """
-    out: list[str] = []
-    for i, ch in enumerate(text):
-        if _is_punct(ch):
-            if out and out[-1].isalpha():
-                out.append(" ")
-            out.append(ch)
-            if i + 1 < len(text) and text[i + 1].isalpha():
-                out.append(" ")
-        else:
-            out.append(ch)
-    return "".join(out)
+    return _MAYBE_PUNCT.sub(_spaced, text)
 
 
 def _first_bad_token(tokens: Sequence[str]) -> tuple[int, str] | None:
@@ -71,6 +73,14 @@ def _first_bad_token(tokens: Sequence[str]) -> tuple[int, str] | None:
     return None
 
 
+def _lengths_by_first_char(keys: Iterable[str]) -> dict[str, tuple[int, ...]]:
+    """First character -> the lengths of the keys starting with it, longest first."""
+    lengths = defaultdict(set)
+    for key in keys:
+        lengths[key[0]].add(len(key))
+    return {ch: tuple(sorted(found, reverse=True)) for ch, found in lengths.items()}
+
+
 @dataclass
 class Vocabulary:
     """Ordered token inventory. Index in `tokens` is the token id."""
@@ -80,7 +90,8 @@ class Vocabulary:
     token_to_id: dict[str, int] = field(init=False, repr=False)
     _initial: dict[str, str] = field(init=False, repr=False)
     _bodies: dict[str, str] = field(init=False, repr=False)
-    _max_token_len: int = field(init=False, repr=False)
+    _initial_lengths: dict[str, tuple[int, ...]] = field(init=False, repr=False)
+    _body_lengths: dict[str, tuple[int, ...]] = field(init=False, repr=False)
 
     def __post_init__(self):
         bad = _first_bad_token(self.tokens)
@@ -89,7 +100,8 @@ class Vocabulary:
         self.token_to_id = {tok: i for i, tok in enumerate(self.tokens)}
         self._initial = {t: t for t in self.tokens if not t.startswith(CONTINUATION)}
         self._bodies = {t[len(CONTINUATION):]: t for t in self.tokens if t.startswith(CONTINUATION)}
-        self._max_token_len = max(len(t) for t in self.tokens)
+        self._initial_lengths = _lengths_by_first_char(self._initial)
+        self._body_lengths = _lengths_by_first_char(self._bodies)
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -234,37 +246,30 @@ def encode_word(vocab: Vocabulary, word: str) -> list[str]:
     """Greedy longest-match segmentation of one whitespace word.
 
     Repeatedly takes the longest vocabulary token matching the remaining
-    prefix: a word-initial token first, so never one spelled ##..., then
+    prefix, trying only the lengths of the tokens that start with its first
+    character: a word-initial token first, so never one spelled ##..., then
     continuation tokens, looked up by their body. If no token matches at
     some point, the whole word collapses to a single [UNK].
     """
     if not word:
         raise ValueError("cannot encode an empty word")
     pieces = []
-    start, table, limit = 0, vocab._initial, vocab._max_token_len
+    start, table, lengths = 0, vocab._initial, vocab._initial_lengths
     while start < len(word):
-        end = min(len(word), start + limit)
-        while end > start:
-            match = table.get(word[start:end])
-            if match is not None:
+        for length in lengths.get(word[start], ()):
+            if start + length <= len(word) and (match := table.get(word[start:start + length])):
                 break
-            end -= 1
         else:
             return [UNK]
         pieces.append(match)
-        start, table, limit = end, vocab._bodies, vocab._max_token_len - len(CONTINUATION)
+        start, table, lengths = start + length, vocab._bodies, vocab._body_lengths
     return pieces
 
 
 def encode(vocab: Vocabulary, text: str) -> Encoding:
     """Encode normalized text, word by word."""
-    tokens: list[str] = []
-    for word in text.split():
-        tokens.extend(encode_word(vocab, word))
-    return Encoding(
-        ids=tuple(vocab.token_to_id[t] for t in tokens),
-        tokens=tuple(tokens),
-    )
+    tokens = [t for word in text.split() for t in encode_word(vocab, word)]
+    return Encoding(ids=tuple([vocab.token_to_id[t] for t in tokens]), tokens=tuple(tokens))
 
 
 def decode(vocab: Vocabulary, ids: Sequence[int]) -> str:

@@ -527,6 +527,21 @@ class TestMalformedInputs:
          "--aggregate must be a comma list of numbers, got '1,x'"),
         ("stats-of-blank-lines", "blank.txt", "\n  \n\n", ["stats", "--input", "{file}"],
          "{file}: no non-blank line to summarize"),
+        ("split-of-no-note-record", "notes.jsonl", "\n  \n", _split("8:1:1"),
+         "{file}: no note record"),
+        ("filter-discharge-of-no-note-record", "notes.jsonl", "",
+         ["filter-discharge", "--notes", "{file}", "--output", "{out}"],
+         "{file}: no note record"),
+        ("warmup-under-constant-schedule", "corpus.txt", "no pain today\n",
+         ["pretrain", "--corpus", "{file}", "--vocab", "{vocab}", "--plan", "8:1",
+          "--micro-batch", "1", "--accum", "1", "--seed", "0", "--warmup-fraction", "0.5",
+          "--out", "{out}"],
+         "--warmup-fraction applies only to --schedule linear, not constant"),
+        ("warmup-in-config-under-constant-schedule", "cfg.txt", "warmup_fraction = 0.5\n",
+         ["pretrain", "--corpus", "{vocab}", "--vocab", "{vocab}", "--plan", "8:1",
+          "--micro-batch", "1", "--accum", "1", "--seed", "0", "--config", "{file}",
+          "--out", "{out}"],
+         "--warmup-fraction applies only to --schedule linear, not constant"),
         ("compress-report-of-no-words", "blank.txt", "\n  \n",
          ["compress-report", "--dataset", "notes={file}", "--vocab", "base={vocab}",
           "--baseline", "base"],
@@ -598,7 +613,7 @@ class TestSettings:
     @pytest.mark.parametrize("argv,defaults", [
         (PRETRAIN, {"hidden_dim": 64, "n_layers": 2, "n_heads": 2, "ff_dim": 128,
                     "max_positions": None, "dropout": 0.0, "lr": 1e-3,
-                    "schedule": "constant", "warmup_fraction": 0.01, "mask_prob": 0.15}),
+                    "schedule": "constant", "warmup_fraction": None, "mask_prob": 0.15}),
         (FINETUNE, {"epochs": 3, "batch_size": 8, "lr": 1e-3, "max_steps": None,
                     "max_positions": None}),
     ], ids=["pretrain", "finetune"])

@@ -372,6 +372,11 @@ class TestLrSchedule:
         assert lr(100) == 0.0
         assert lr(50) < lr(10)
 
+    def test_linear_warmup_defaults_to_a_hundredth(self):
+        default, explicit = lr_schedule("linear", 1.0, 300), lr_schedule("linear", 1.0, 300, 0.01)
+        assert [default(s) for s in range(301)] == [explicit(s) for s in range(301)]
+        assert default(1) < default(2) == 1.0  # three warmup steps, not one
+
     def test_unknown_schedule_rejected(self):
         with pytest.raises(ValueError, match="schedule"):
             lr_schedule("cosine", 1.0, 100)

@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 import wordpiece_reference
 
 from clinlm import wordpiece
+from clinlm.finetune import marker_tokens
 from clinlm.wordpiece import (
     CLS,
+    CONTINUATION,
     MASK,
     PAD,
     SEP,
@@ -68,6 +70,27 @@ def trained_vocabularies(draw):
     return train_wordpiece(corpus, size, draw(st.integers(min_value=1, max_value=2)))
 
 
+# ASCII letters, digits and punctuation; Unicode punctuation, letters and a
+# combining accent; a superscript digit; tab, newline, space and NBSP.
+NORMALIZE_CHARS = ("aZ09.,/-#()_'" + "–«»¿、。" + "éßا\u0301" + "²" + "\t\n \xa0")
+
+# Token spellings that overlap in first characters and lengths, with the
+# brackets and dash of specials and relation markers.
+VOCAB_CHARS = "abé#[]-"
+
+
+@st.composite
+def random_vocabularies(draw):
+    """Specials, then random tokens and continuation tokens, and sometimes
+    the relation marker tokens."""
+    body = st.text(alphabet=VOCAB_CHARS, min_size=1, max_size=6)
+    drawn = draw(st.lists(st.one_of(body, body.map(CONTINUATION.__add__)), max_size=20))
+    if draw(st.booleans()):
+        drawn += marker_tokens(["problem", "test"])
+    extra = [t for t in dict.fromkeys(drawn) if t not in SPECIALS and t != CONTINUATION]
+    return Vocabulary(list(SPECIALS) + extra)
+
+
 def assert_matches_reference(corpus, size, min_frequency):
     """The trainer and the reference return the same tokens, or raise the
     same error."""
@@ -112,6 +135,11 @@ class TestNormalize:
     def test_idempotent_on_any_text(self, text):
         once = normalize(text)
         assert normalize(once) == once
+
+    @settings(deadline=None)
+    @given(text=st.one_of(st.text(alphabet=NORMALIZE_CHARS), st.text()))
+    def test_matches_the_per_character_reference(self, text):
+        assert normalize(text) == wordpiece_reference.normalize(text)
 
 
 class TestVocabulary:
@@ -312,6 +340,15 @@ class TestEncode:
         pieces = encode_word(vocab, word)
         if pieces != [UNK]:
             assert pieces[0] + "".join(p[len("##"):] for p in pieces[1:]) == word
+
+    @settings(deadline=None)
+    @given(vocab=st.one_of(random_vocabularies(), trained_vocabularies()), data=st.data())
+    def test_matches_the_every_length_reference(self, vocab, data):
+        # words glued from token spellings and loose characters, so both long
+        # matches and dead ends occur
+        parts = [t.removeprefix(CONTINUATION) for t in vocab.tokens] + list(VOCAB_CHARS + "x")
+        word = "".join(data.draw(st.lists(st.sampled_from(parts), min_size=1, max_size=5)))
+        assert encode_word(vocab, word) == wordpiece_reference.encode_word(vocab, word)
 
     def test_monotone_against_alphabet_floor(self):
         corpus = ["severe chest pain", "chest pain resolved", "severe pain"]

@@ -1,6 +1,13 @@
-"""The wordpiece trainer as it was before its incremental rewrite, kept
-unchanged as the reference the incremental trainer must match token for
-token: it recounts every pair and symbol of every word type on each merge.
+"""Earlier versions of the wordpiece kernels, kept unchanged as references
+the current ones must match output for output:
+
+- the trainer before its incremental rewrite, which recounts every pair and
+  symbol of every word type on each merge;
+- normalize before its scan of only the characters that can be punctuation,
+  which tests every character;
+- encode_word before its per-first-character length index, which tries
+  every prefix length up to the longest token (computed here from the
+  tokens, where the vocabulary used to store it).
 """
 
 from collections import Counter
@@ -9,10 +16,60 @@ from typing import Iterable
 from clinlm.wordpiece import (
     CONTINUATION,
     SPECIALS,
+    UNK,
     Vocabulary,
+    _is_punct,
     _merge_symbols,
     _word_symbols,
 )
+
+
+def normalize(text: str) -> str:
+    """Insert a space between every punctuation character and any letter
+    directly adjacent to it, leaving all other characters alone.
+
+    Digits do not trigger separation, so measurements like 120/80 survive
+    intact. The function is idempotent: spaces inserted on the first pass
+    shield the punctuation on any later pass.
+    """
+    out: list[str] = []
+    for i, ch in enumerate(text):
+        if _is_punct(ch):
+            if out and out[-1].isalpha():
+                out.append(" ")
+            out.append(ch)
+            if i + 1 < len(text) and text[i + 1].isalpha():
+                out.append(" ")
+        else:
+            out.append(ch)
+    return "".join(out)
+
+
+def encode_word(vocab: Vocabulary, word: str) -> list[str]:
+    """Greedy longest-match segmentation of one whitespace word.
+
+    Repeatedly takes the longest vocabulary token matching the remaining
+    prefix: a word-initial token first, so never one spelled ##..., then
+    continuation tokens, looked up by their body. If no token matches at
+    some point, the whole word collapses to a single [UNK].
+    """
+    if not word:
+        raise ValueError("cannot encode an empty word")
+    max_token_len = max(len(t) for t in vocab.tokens)
+    pieces = []
+    start, table, limit = 0, vocab._initial, max_token_len
+    while start < len(word):
+        end = min(len(word), start + limit)
+        while end > start:
+            match = table.get(word[start:end])
+            if match is not None:
+                break
+            end -= 1
+        else:
+            return [UNK]
+        pieces.append(match)
+        start, table, limit = end, vocab._bodies, max_token_len - len(CONTINUATION)
+    return pieces
 
 
 def train_wordpiece(
