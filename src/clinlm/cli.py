@@ -136,8 +136,8 @@ def _cmd_compress_report(args) -> int:
             raise ValueError(f"{path}: dataset {name!r} contains no words")
     vocabularies = {name: wordpiece.read_vocab(path)
                     for name, path in _parse_named_paths(args.vocab).items()}
-    report = wordpiece.compression_report(datasets, vocabularies, args.baseline)
-    text = report.format()
+    text = wordpiece.format_length_table(
+        wordpiece.compression_report(datasets, vocabularies, args.baseline))
     if args.output:
         corpus.write_lines(args.output, text.splitlines())
     else:
@@ -225,6 +225,9 @@ def _cmd_finetune(args) -> int:
     task = finetune.builtin_task(args.task)
     config, params, vocab = finetune.load_task_model(task, args.checkpoint, args.vocab)
     max_positions = config.max_positions if args.max_positions is None else args.max_positions
+    if max_positions < task.min_positions:
+        raise ValueError(f"--max-positions {max_positions} is below {task.min_positions}, "
+                         f"the fewest that fit a row of task {task.name}")
     if max_positions > config.max_positions:
         raise ValueError(f"--max-positions {max_positions} exceeds the max_positions "
                          f"{config.max_positions} of {args.checkpoint}")
@@ -267,8 +270,8 @@ def _cmd_evaluate(args) -> int:
     if args.metric == "micro-f1":
         p, r, f1 = metrics.micro_f1(_read_label_sets(args.gold), _read_label_sets(args.pred))
     else:
-        gold = [tags for _, tags in finetune.read_ner_file(args.gold)]
-        pred = [tags for _, tags in finetune.read_ner_file(args.pred)]
+        gold = [tags for _, _, tags in finetune.numbered_ner_sentences(args.gold)]
+        pred = [tags for _, _, tags in finetune.numbered_ner_sentences(args.pred)]
         p, r, f1 = metrics.corpus_entity_f1(gold, pred, token_level=args.metric == "token-f1")
     print(f"precision {p:.4f}\trecall {r:.4f}\tf1 {f1:.4f}")
     return 0

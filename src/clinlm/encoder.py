@@ -56,6 +56,7 @@ CHECKPOINT_FORMAT = "clinlm-checkpoint"
 CHECKPOINT_VERSION = 1
 HEADS = ("mlm", "head_token", "head_pair", "head_multi")  # the heads a checkpoint may hold
 _NEG_INF = -1e9
+MIN_FRAME_LENGTH = {False: 3, True: 5}  # frame's fewest positions, a text (False) or a pair
 
 
 @dataclass(frozen=True)
@@ -149,7 +150,7 @@ def frame(ids_a, ids_b, length: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
     from its longer side first (side a on a tie).
     """
     pair = ids_b is not None
-    if length < (5 if pair else 3):  # room for one piece per side
+    if length < MIN_FRAME_LENGTH[pair]:  # room for one piece per side
         raise ValueError(f"length {length} leaves no room for content")
     a, b = list(ids_a), list(ids_b) if pair else []
     while len(a) + len(b) > length - (3 if pair else 2):

@@ -30,9 +30,9 @@ import numpy as np
 
 from . import corpus, metrics, wordpiece
 from .encoder import (
-    EncoderConfig, ParamStore, _head_logits, _sigmoid, forward, frame, init_head,
-    load_checkpoint, multilabel_loss, pair_classify_loss, stack_rows, token_classify_loss,
-    without_head,
+    MIN_FRAME_LENGTH, EncoderConfig, ParamStore, _head_logits, _sigmoid, forward, frame,
+    init_head, load_checkpoint, multilabel_loss, pair_classify_loss, stack_rows,
+    token_classify_loss, without_head,
 )
 from .pretrain import adam_step, init_optimizer
 from .wordpiece import Vocabulary, normalize
@@ -71,6 +71,11 @@ class TaskSpec:
             raise ValueError(f"a {self.kind} task cannot select on {self.selection_metric!r}")
         if not self.labels:
             raise ValueError("task needs at least one label")
+
+    @property
+    def min_positions(self) -> int:
+        """frame's fewest positions for a row: a pair task without concept markers has two texts."""
+        return MIN_FRAME_LENGTH[self.kind == "pair" and not self.concept_types]
 
     @property
     def outputs(self) -> list[str]:
@@ -198,7 +203,7 @@ def prepare_marked_sentence(words: Sequence[str], vocab: Vocabulary,
         if word in vocab.token_to_id:
             content.append(vocab.id_of(word))
         else:
-            content.extend(vocab.id_of(p) for p in word_pieces(vocab, word))
+            content.extend(word_ids(vocab, word))
     return frame(content, None, max_positions)
 
 
@@ -219,14 +224,14 @@ class NerRow:
         return iter((self.ids, self.mask, self.segment_ids))
 
 
-def word_pieces(vocab: Vocabulary, word: str) -> list[str]:
-    """Pieces for one pre-tokenized word. Normalization may split off
+def word_ids(vocab: Vocabulary, word: str) -> tuple[int, ...]:
+    """Piece ids for one pre-tokenized word. Normalization may split off
     attached punctuation; the resulting sub-words are encoded in order and
-    concatenated, so the word still maps to one flat piece list."""
-    pieces = list(wordpiece.encode(vocab, normalize(word)).tokens)
-    if not pieces:
+    concatenated, so the word still maps to one flat id sequence."""
+    ids = wordpiece.encode(vocab, normalize(word)).ids
+    if not ids:
         raise ValueError(f"word {word!r} normalizes to nothing")
-    return pieces
+    return ids
 
 
 def encode_ner_example(words: Sequence[str], tags: Sequence[str],
@@ -244,12 +249,12 @@ def encode_ner_example(words: Sequence[str], tags: Sequence[str],
     first_positions: list[int] = []
     kept_tags: list[str] = []
     for word, tag in zip(words, tags):
-        pieces = word_pieces(vocab, word)
+        ids = word_ids(vocab, word)
         if len(content) >= max_positions - 2:
             break
         first_positions.append(1 + len(content))
         kept_tags.append(tag)
-        content.extend(vocab.id_of(p) for p in pieces)
+        content.extend(ids)
     return NerRow(*frame(content, None, max_positions), first_piece_positions=first_positions,
                   tag_ids=[tag_to_id[tag] for tag in kept_tags], word_tags=kept_tags)
 
@@ -262,12 +267,13 @@ class FinetuneConfig:
     max_steps: int | None = None
 
     def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs and batch_size must be >= 1")
+        for name in ("epochs", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not 0 < self.lr < math.inf:
             raise ValueError(f"lr must be finite and positive, got {self.lr}")
         if self.max_steps is not None and self.max_steps < 1:
-            raise ValueError("max_steps must be >= 1 when given")
+            raise ValueError(f"max_steps must be >= 1 when given, got {self.max_steps}")
 
 
 @dataclass
@@ -461,11 +467,6 @@ def load_task_rows(task: TaskSpec, path, vocab: Vocabulary, max_positions: int) 
             return (prepare_pair(rec["premise"], rec["hypothesis"], vocab, max_positions),
                     label_id(rec["label"]))
     return corpus.parse_numbered(path, corpus.read_jsonl(path, fields), row)
-
-
-def read_ner_file(path) -> list[tuple[list[str], list[str]]]:
-    """word<TAB>tag lines, blank line between sentences."""
-    return [(words, tags) for _, words, tags in numbered_ner_sentences(path)]
 
 
 def numbered_ner_sentences(path):

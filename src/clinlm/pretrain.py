@@ -137,8 +137,9 @@ class AccumulationConfig:
     effective_batch: int
 
     def __post_init__(self):
-        if self.micro_batch_size < 1 or self.accumulation_steps < 1:
-            raise ValueError("micro_batch_size and accumulation_steps must be >= 1")
+        for name in ("micro_batch_size", "accumulation_steps"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.effective_batch != self.micro_batch_size * self.accumulation_steps:
             raise ValueError(
                 f"effective_batch {self.effective_batch} != "
@@ -151,11 +152,10 @@ def accumulate_and_step(
     params: ParamStore,
     state: OptimizerState,
     micro_batches: Sequence,
-    accum: AccumulationConfig,
     lr: float,
 ) -> tuple[ParamStore, OptimizerState, float]:
-    """Accumulate gradients over micro-batches, then apply one Adam update at
-    learning rate lr.
+    """Accumulate gradients over the micro-batches, as many as are given,
+    then apply one Adam update at learning rate lr.
 
     loss_grad_fn(params, micro_batch) must return (loss, grads, n_terms)
     where n_terms is the number of averaged loss terms in that micro-batch.
@@ -163,10 +163,6 @@ def accumulate_and_step(
     n_terms, which makes the update identical to a single pass over the
     union of the micro-batches.
     """
-    if len(micro_batches) != accum.accumulation_steps:
-        raise ValueError(
-            f"got {len(micro_batches)} micro-batches, expected {accum.accumulation_steps}"
-        )
     total_terms = 0
     total_loss = 0.0
     acc = None
@@ -224,7 +220,6 @@ class LossLogEntry:
 class PretrainResult:
     params: ParamStore
     loss_log: list[LossLogEntry]
-    phase_boundaries: list[int]  # first step index of each phase
 
 
 def lr_schedule(schedule: str, peak_lr: float, total_steps: int,
@@ -350,10 +345,8 @@ def run_pretraining(
         return loss, grads, len(targets)
 
     loss_log: list[LossLogEntry] = []
-    phase_boundaries: list[int] = []
     global_step = 0
     for phase_index, (max_seq_len, n_steps) in enumerate(plan.phases):
-        phase_boundaries.append(global_step)
         if phase_callback is not None:
             phase_callback(phase_index, global_step, params)
         chunks = pack_sequences(encoded, max_seq_len)
@@ -376,13 +369,13 @@ def run_pretraining(
                     _build_micro_batch(rows, policy, config.vocab_size, rng)
                 )
             params, state, loss = accumulate_and_step(
-                loss_grad_fn, params, state, micro_batches, accum, lr_of(global_step)
+                loss_grad_fn, params, state, micro_batches, lr_of(global_step)
             )
             loss_log.append(LossLogEntry(
                 step=global_step, phase=phase_index, max_seq_len=max_seq_len, loss=loss,
             ))
             global_step += 1
-    return PretrainResult(params=params, loss_log=loss_log, phase_boundaries=phase_boundaries)
+    return PretrainResult(params=params, loss_log=loss_log)
 
 
 def write_loss_log(path, loss_log: Sequence[LossLogEntry]) -> None:

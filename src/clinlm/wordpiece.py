@@ -18,7 +18,7 @@ import statistics
 import string
 import unicodedata
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Sequence
 
 from .corpus import numbered_lines, read_table, write_lines
@@ -126,10 +126,6 @@ class Vocabulary:
 class Encoding:
     ids: tuple[int, ...]
     tokens: tuple[str, ...]
-
-    @property
-    def n_tokens(self) -> int:
-        return len(self.ids)
 
 
 def _word_symbols(word: str) -> list[str]:
@@ -292,28 +288,17 @@ def round_half_away_from_zero(x: float) -> int:
 
 
 @dataclass(frozen=True)
-class CompressionRow:
+class LengthRow:
+    """Mean and median encoded length of one dataset under one vocabulary and
+    their rounded percentage changes against its baseline vocabulary: None on
+    a published baseline row, and until with_percentages fills them."""
+
     dataset: str
     vocabulary: str
     mean_length: float
     median_length: float
-    pct_diff_mean: int
-    pct_diff_median: int
-
-
-@dataclass(frozen=True)
-class CompressionReport:
-    baseline: str
-    rows: tuple[CompressionRow, ...]
-
-    def format(self) -> str:
-        lines = ["dataset\tvocabulary\tmean\tpct_diff_mean\tmedian\tpct_diff_median"]
-        for r in self.rows:
-            lines.append(
-                f"{r.dataset}\t{r.vocabulary}\t{r.mean_length:g}\t{r.pct_diff_mean}%"
-                f"\t{r.median_length:g}\t{r.pct_diff_median}%"
-            )
-        return "\n".join(lines)
+    pct_mean: int | None = None
+    pct_median: int | None = None
 
 
 def pct_diff(candidate: float, base: float) -> int:
@@ -324,11 +309,20 @@ def pct_diff(candidate: float, base: float) -> int:
     return round_half_away_from_zero(100.0 * (candidate - base) / base)
 
 
+def with_percentages(rows: Iterable[LengthRow],
+                     baselines: Mapping[str, LengthRow]) -> list[LengthRow]:
+    """rows with both percentage columns filled, through pct_diff, against
+    the baseline row of each row's dataset."""
+    return [replace(row, pct_mean=pct_diff(row.mean_length, baselines[row.dataset].mean_length),
+                    pct_median=pct_diff(row.median_length, baselines[row.dataset].median_length))
+            for row in rows]
+
+
 def compression_report(
     datasets: Mapping[str, Sequence[str]],
     vocabularies: Mapping[str, Vocabulary],
     baseline: str,
-) -> CompressionReport:
+) -> list[LengthRow]:
     """Mean and median encoded lengths per (dataset, vocabulary), with the
     rounded percentage change of each vocabulary against the baseline one.
 
@@ -341,46 +335,24 @@ def compression_report(
         if not texts:
             raise ValueError(f"dataset {name!r} is empty")
 
-    lengths: dict[tuple[str, str], tuple[float, float]] = {}
+    rows = []
     for ds_name, texts in datasets.items():
         normalized = [normalize(t) for t in texts]
         for vb_name, vocab in vocabularies.items():
-            counts = [encode(vocab, t).n_tokens for t in normalized]
-            lengths[(ds_name, vb_name)] = (
-                sum(counts) / len(counts),
-                float(statistics.median(counts)),
-            )
-
-    rows = []
-    for ds_name in datasets:
-        base_mean, base_median = lengths[(ds_name, baseline)]
-        for vb_name in vocabularies:
-            mean, median = lengths[(ds_name, vb_name)]
-            rows.append(CompressionRow(
-                dataset=ds_name,
-                vocabulary=vb_name,
-                mean_length=mean,
-                median_length=median,
-                pct_diff_mean=pct_diff(mean, base_mean),
-                pct_diff_median=pct_diff(median, base_median),
-            ))
-    return CompressionReport(baseline=baseline, rows=tuple(rows))
+            counts = [len(encode(vocab, t).ids) for t in normalized]
+            rows.append(LengthRow(ds_name, vb_name, sum(counts) / len(counts),
+                                  float(statistics.median(counts))))
+    return with_percentages(rows, {r.dataset: r for r in rows if r.vocabulary == baseline})
 
 
-@dataclass(frozen=True)
-class LengthReferenceRow:
-    """One published (dataset, vocabulary) length measurement. pct fields are
-    None on the baseline rows."""
-
-    dataset: str
-    vocabulary: str
-    mean_length: float
-    median_length: float
-    pct_mean: int | None
-    pct_median: int | None
+def format_length_table(rows: Iterable[LengthRow]) -> str:
+    """A header line, then one tab-separated line per row."""
+    return "\n".join(["dataset\tvocabulary\tmean\tpct_diff_mean\tmedian\tpct_diff_median"] + [
+        f"{r.dataset}\t{r.vocabulary}\t{r.mean_length:g}\t{r.pct_mean}%"
+        f"\t{r.median_length:g}\t{r.pct_median}%" for r in rows])
 
 
-def load_length_reference(path=None) -> list[LengthReferenceRow]:
+def load_length_reference(path=None) -> list[LengthRow]:
     """Load the packaged table of encoded-length measurements across four
     vocabularies (the wikipedia-books rows are each dataset's baseline). A
     bad row fails as PATH:LINE: message."""
@@ -390,11 +362,11 @@ def load_length_reference(path=None) -> list[LengthReferenceRow]:
 
 
 def _length_reference_row(dataset, vocabulary, mean, median, pct_mean,
-                          pct_median) -> LengthReferenceRow:
+                          pct_median) -> LengthRow:
     base = pct_mean == "base"
     if base != (pct_median == "base"):
         raise ValueError("half-baseline row")
-    return LengthReferenceRow(
+    return LengthRow(
         dataset=dataset,
         vocabulary=vocabulary,
         mean_length=float(mean),
@@ -404,35 +376,29 @@ def _length_reference_row(dataset, vocabulary, mean, median, pct_mean,
     )
 
 
-def verify_length_reference(rows: Sequence[LengthReferenceRow]) -> list[str]:
+def verify_length_reference(rows: Sequence[LengthRow]) -> list[str]:
     """Recompute every non-baseline percentage cell from the printed mean and
     median columns and describe each cell that disagrees with the printed
     percentage. An empty result means the whole table is arithmetically
     self-consistent under nearest-integer rounding.
     """
-    base: dict[str, LengthReferenceRow] = {}
+    base: dict[str, LengthRow] = {}
     for row in rows:
         if row.pct_mean is None:
             if row.dataset in base:
                 raise ValueError(f"dataset {row.dataset!r} has two baseline rows")
             base[row.dataset] = row
-    deviations = []
-    for row in rows:
-        if row.pct_mean is None:
-            continue
+    printed = [row for row in rows if row.pct_mean is not None]
+    for row in printed:
         if row.dataset not in base:
             raise ValueError(f"dataset {row.dataset!r} has no baseline row")
-        b = base[row.dataset]
-        for stat, printed, value, base_value in (
-            ("mean", row.pct_mean, row.mean_length, b.mean_length),
-            ("median", row.pct_median, row.median_length, b.median_length),
-        ):
-            computed = pct_diff(value, base_value)
-            if computed != printed:
-                deviations.append(
-                    f"{row.dataset}/{row.vocabulary} {stat}: "
-                    f"computed {computed}% but printed {printed}%"
-                )
+    deviations = []
+    for row, computed in zip(printed, with_percentages(printed, base)):
+        for stat, shown, value in (("mean", row.pct_mean, computed.pct_mean),
+                                   ("median", row.pct_median, computed.pct_median)):
+            if value != shown:
+                deviations.append(f"{row.dataset}/{row.vocabulary} {stat}: "
+                                  f"computed {value}% but printed {shown}%")
     return deviations
 
 

@@ -505,6 +505,27 @@ class TestMalformedInputs:
         ("max-positions-above-checkpoint", "nli.jsonl", _jsonl(_NLI_ROW),
          _finetune("mednli", "--max-positions", "17"),
          "--max-positions 17 exceeds the max_positions 16 of {ckpt}"),
+        # refused before the task file is read, so its broken line goes unseen
+        ("max-positions-below-a-tagging-row", "tags.tsv", "no\tO\nbroken line\n",
+         _finetune("ner-2010", "--max-positions", "2"),
+         "--max-positions 2 is below 3, the fewest that fit a row of task ner-2010"),
+        ("max-positions-below-a-document-row", "d.jsonl",
+         _jsonl({"text": "severe pain", "labels": ["401.9"]}),
+         _finetune("icd9-top50", "--max-positions", "2"),
+         "--max-positions 2 is below 3, the fewest that fit a row of task icd9-top50"),
+        ("max-positions-below-a-two-text-row", "nli.jsonl", _jsonl(_NLI_ROW),
+         _finetune("mednli", "--max-positions", "4"),
+         "--max-positions 4 is below 5, the fewest that fit a row of task mednli"),
+        ("zero-batch-size", "nli.jsonl", _jsonl(_NLI_ROW), _finetune("mednli", "--batch-size", "0"),
+         "batch_size must be >= 1, got 0"),
+        ("zero-accumulation-steps", "corpus.txt", "no pain today\nsevere fever\n",
+         ["pretrain", "--corpus", "{file}", "--vocab", "{vocab}", "--plan", "8:1",
+          "--micro-batch", "1", "--accum", "0", "--seed", "0", "--out", "{out}"],
+         "accumulation_steps must be >= 1, got 0"),
+        ("zero-micro-batch", "corpus.txt", "no pain today\nsevere fever\n",
+         ["pretrain", "--corpus", "{file}", "--vocab", "{vocab}", "--plan", "8:1",
+          "--micro-batch", "0", "--accum", "1", "--seed", "0", "--out", "{out}"],
+         "micro_batch_size must be >= 1, got 0"),
         ("infinite-ratio", "notes.jsonl", _jsonl(_NOTE_ROW), _split("inf:1:1"),
          "ratios must be three non-negative numbers with a finite, non-zero sum: (inf, 1.0, 1.0)"),
         ("nan-ratio", "notes.jsonl", _jsonl(_NOTE_ROW), _split("1:1:nan"),

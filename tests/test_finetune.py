@@ -1,5 +1,6 @@
 """Task encodings, concept markers, and the per-seed fine-tuning loop."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -29,16 +30,16 @@ from clinlm.finetune import (
     load_task_rows,
     mark_concepts,
     marker_tokens,
+    numbered_ner_sentences,
     predict_label_sets,
     predict_ner_tags,
     predict_pair_labels,
     prepare_document,
     prepare_marked_sentence,
     prepare_pair,
-    read_ner_file,
-    word_pieces,
+    word_ids,
 )
-from clinlm.pretrain import init_optimizer
+from clinlm.pretrain import adam_step, init_optimizer
 from clinlm.wordpiece import CLS_ID, PAD_ID, SEP_ID, train_wordpiece
 from test_encoder import columns, last_layer_rows
 
@@ -257,12 +258,12 @@ class TestPrepareMarkedSentence:
 
 class TestWordPieces:
     def test_attached_punctuation_is_split(self, small_vocab):
-        pieces = word_pieces(small_vocab, "pain.")
-        assert pieces[0] == "pain" and pieces[-1] == "."
+        ids = word_ids(small_vocab, "pain.")
+        assert ids[0] == small_vocab.id_of("pain") and ids[-1] == small_vocab.id_of(".")
 
     def test_unnormalizable_word_rejected(self, small_vocab):
         with pytest.raises(ValueError):
-            word_pieces(small_vocab, " ")
+            word_ids(small_vocab, " ")
 
 
 class TestEncodeNerExample:
@@ -446,11 +447,32 @@ class TestFinetuneTask:
         b = finetune_task(config, params, task, rows, rows, [1], hyper)[0]
         assert any(not np.array_equal(a.params[k], b.params[k]) for k in a.params)
 
-    def test_max_steps_caps_updates(self, small_vocab):
+    @staticmethod
+    def adam_steps(small_vocab, monkeypatch, epochs, max_steps):
+        """Adam steps taken and the run, fine-tuning the 6 toy rows at batch 4
+        (ceil(6 / 4) = 2 steps an epoch)."""
         config, params, task, rows = toy_pair_setup(small_vocab)
-        hyper = FinetuneConfig(epochs=5, batch_size=2, lr=1e-3, max_steps=1)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return adam_step(*args)
+
+        monkeypatch.setattr(finetune, "adam_step", counted)
+        hyper = FinetuneConfig(epochs=epochs, batch_size=4, lr=1e-3, max_steps=max_steps)
         run = finetune_task(config, params, task, rows, rows, [0], hyper)[0]
-        assert run.best_epoch == 0
+        return len(calls), run
+
+    # the first limit reached ends training, and only epochs that ran are scored
+    def test_max_steps_caps_updates(self, small_vocab, monkeypatch):
+        steps, run = self.adam_steps(small_vocab, monkeypatch, 5, 1)
+        assert steps == 1 and run.best_epoch == 0
+        steps, run = self.adam_steps(small_vocab, monkeypatch, 2, 3)  # mid second epoch
+        assert steps == 3 and run.best_epoch in (0, 1)
+
+    def test_epochs_end_training_before_max_steps(self, small_vocab, monkeypatch):
+        steps, run = self.adam_steps(small_vocab, monkeypatch, 1, 100)
+        assert steps == math.ceil(6 / 4) and run.best_epoch == 0
 
     def test_empty_train_rejected(self, small_vocab):
         config, params, task, rows = toy_pair_setup(small_vocab)
@@ -647,17 +669,17 @@ class TestReaders:
     def test_ner_round_trip(self, tmp_path):
         path = tmp_path / "data.tsv"
         path.write_text("the\tO\nrash\tB-problem\n\nno\tO\n", encoding="utf-8")
-        sentences = read_ner_file(path)
-        assert sentences == [(["the", "rash"], ["O", "B-problem"]),
-                             (["no"], ["O"])]
+        sentences = list(numbered_ner_sentences(path))
+        assert sentences == [(1, ["the", "rash"], ["O", "B-problem"]),
+                             (4, ["no"], ["O"])]
 
     def test_ner_malformed_line_located(self, tmp_path):
         path = tmp_path / "data.tsv"
         path.write_text("the\tO\nbroken line\n", encoding="utf-8")
         with pytest.raises(ValueError, match=r"2"):
-            read_ner_file(path)
+            list(numbered_ner_sentences(path))
 
     def test_ner_empty_file(self, tmp_path):
         path = tmp_path / "data.tsv"
         path.write_text("", encoding="utf-8")
-        assert read_ner_file(path) == []
+        assert list(numbered_ner_sentences(path)) == []

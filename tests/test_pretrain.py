@@ -254,7 +254,7 @@ class TestAccumulationConfig:
             AccumulationConfig(64, 32, 2000)
 
     def test_factors_must_be_positive(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^micro_batch_size must be >= 1, got 0$"):
             AccumulationConfig(0, 32, 0)
 
 
@@ -287,9 +287,8 @@ class TestAccumulateAndStep:
         config, params = self.setup_model()
         mb = self.micro(config, [[5, 6, 7, 8], [9, 10, 11, 5]])
         fn = self.loss_grad_fn(config)
-        accum = AccumulationConfig(2, 1, 2)
         state = init_optimizer(params)
-        via_accumulate, _, loss_a = accumulate_and_step(fn, params, state, [mb], accum, 0.01)
+        via_accumulate, _, loss_a = accumulate_and_step(fn, params, state, [mb], 0.01)
         _, grads = mlm_forward_loss(params, config, mb[0], mb[1], mb[2])
         via_plain, _ = adam_step(params, grads, state, 0.01)
         for key in params:
@@ -317,20 +316,10 @@ class TestAccumulateAndStep:
 
         # and the optimizer step built on those micro-batches matches too
         state = init_optimizer(params)
-        accum = AccumulationConfig(1, 4, 4)
-        stepped, _, _ = accumulate_and_step(fn, params, state, micros, accum, 0.01)
+        stepped, _, _ = accumulate_and_step(fn, params, state, micros, 0.01)
         direct, _ = adam_step(params, full_grads, state, 0.01)
         for key in params:
             np.testing.assert_allclose(stepped[key], direct[key], rtol=0, atol=1e-9)
-
-    def test_wrong_micro_batch_count_rejected(self):
-        config, params = self.setup_model()
-        fn = self.loss_grad_fn(config)
-        state = init_optimizer(params)
-        accum = AccumulationConfig(2, 2, 4)
-        mb = self.micro(config, [[5, 6, 7, 8]])
-        with pytest.raises(ValueError, match="micro-batches"):
-            accumulate_and_step(fn, params, state, [mb], accum, 1e-4)
 
 
 class TestPhasePlan:
@@ -447,7 +436,6 @@ class TestRunPretraining:
         assert len(result.loss_log) == 10
         assert [e.step for e in result.loss_log] == list(range(10))
         assert all(e.phase == 0 and e.max_seq_len == 16 for e in result.loss_log)
-        assert result.phase_boundaries == [0]
         assert all(math.isfinite(e.loss) and e.loss > 0 for e in result.loss_log)
 
     def test_initial_loss_near_log_vocab(self):
@@ -495,7 +483,7 @@ class TestRunPretraining:
             seed=7,
             phase_callback=lambda phase, step, params: seen.append((phase, step)),
         )
-        assert result.phase_boundaries == [0, 3]
+        assert [e.phase for e in result.loss_log] == [0, 0, 0, 1, 1]
         assert seen == [(0, 0), (1, 3)]
         assert [e.max_seq_len for e in result.loss_log] == [8, 8, 8, 16, 16]
 

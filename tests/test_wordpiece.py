@@ -19,11 +19,13 @@ from clinlm.wordpiece import (
     SPECIALS,
     UNK,
     Encoding,
+    LengthRow,
     Vocabulary,
     compression_report,
     decode,
     encode,
     encode_word,
+    format_length_table,
     load_length_reference,
     normalize,
     pct_diff,
@@ -324,7 +326,7 @@ class TestEncode:
         enc = encode(v, "hi hello")
         assert enc.tokens == ("hi", "hell", "##o")
         assert enc.ids == tuple(v.id_of(t) for t in enc.tokens)
-        assert enc.n_tokens == 3
+        assert len(enc.ids) == 3
 
     def test_encode_empty_text(self):
         assert encode(make_vocab("a"), "") == Encoding((), ())
@@ -425,8 +427,25 @@ class TestCompressionReport:
         v2 = train_wordpiece(["ba ba bb"], declared_size=30, min_frequency=1)
         report = compression_report(
             {"d": ["aa ab", "aa"]}, {"one": v1, "two": v2}, baseline="one")
-        row = next(r for r in report.rows if r.vocabulary == "one")
-        assert row.pct_diff_mean == 0 and row.pct_diff_median == 0
+        row = next(r for r in report if r.vocabulary == "one")
+        assert row.pct_mean == 0 and row.pct_median == 0
+
+    # one piece per character, against whole-word pieces for ab, aab and ##ab:
+    # d1's lengths are [4, 3, 1] and [2, 1, 1], d2's [2, 4] and [2, 2]
+    DATASETS = {"d1": ["ab ab", "aab", "b"], "d2": ["a b", "abab"]}
+    CHARS = ("a", "b", "##a", "##b")
+
+    @pytest.mark.parametrize("baseline,expected", [
+        ("chars", [("d1", "chars", 8 / 3, 3.0, 0, 0), ("d1", "merged", 4 / 3, 1.0, -50, -67),
+                   ("d2", "chars", 3.0, 3.0, 0, 0), ("d2", "merged", 2.0, 2.0, -33, -33)]),
+        ("merged", [("d1", "chars", 8 / 3, 3.0, 100, 200), ("d1", "merged", 4 / 3, 1.0, 0, 0),
+                    ("d2", "chars", 3.0, 3.0, 50, 50), ("d2", "merged", 2.0, 2.0, 0, 0)]),
+    ], ids=["baseline-listed-first", "baseline-listed-second"])
+    def test_lengths_and_percentages_by_hand(self, baseline, expected):
+        vocabularies = {"chars": make_vocab(*self.CHARS),
+                        "merged": make_vocab(*self.CHARS, "ab", "aab", "##ab")}
+        report = compression_report(self.DATASETS, vocabularies, baseline=baseline)
+        assert report == [LengthRow(*row) for row in expected]
 
     def test_unknown_baseline_rejected(self):
         v = make_vocab("a")
@@ -441,9 +460,17 @@ class TestCompressionReport:
     def test_format_has_header_and_percent_signs(self):
         v = make_vocab("a")
         report = compression_report({"d": ["a a"]}, {"one": v}, baseline="one")
-        lines = report.format().splitlines()
+        lines = format_length_table(report).splitlines()
         assert lines[0].startswith("dataset\t")
         assert "0%" in lines[1]
+
+    def test_format_prints_each_row_as_published(self):
+        rows = [LengthRow("d1", "chars", 8 / 3, 3.0, 100, 200),
+                LengthRow("d2", "x", 2.0, 2.5, -33, 0)]
+        assert format_length_table(rows) == (
+            "dataset\tvocabulary\tmean\tpct_diff_mean\tmedian\tpct_diff_median\n"
+            "d1\tchars\t2.66667\t100%\t3\t200%\n"
+            "d2\tx\t2\t-33%\t2.5\t0%")
 
 
 class TestLengthReference:
