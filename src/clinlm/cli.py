@@ -64,14 +64,18 @@ def _read_lines(path) -> list[str]:
 
 
 def _parse_plan(text: str) -> pretrain.PhasePlan:
-    phases = []
-    for part in text.split(","):
-        try:
-            length, steps = part.split(":")
-            phases.append((int(length), int(steps)))
-        except ValueError as exc:
-            raise ValueError(f"bad plan entry {part!r}, expected LENGTH:STEPS") from exc
-    return pretrain.PhasePlan(tuple(phases))
+    """The --plan flag as a PhasePlan; every refusal names --plan."""
+    try:
+        phases = []
+        for part in text.split(","):
+            try:
+                length, steps = part.split(":")
+                phases.append((int(length), int(steps)))
+            except ValueError:
+                raise ValueError(f"bad entry {part!r}, expected LENGTH:STEPS") from None
+        return pretrain.PhasePlan(tuple(phases))
+    except ValueError as exc:
+        raise ValueError(f"--plan {text!r}: {exc}") from exc
 
 
 def _parse_ratios(text: str) -> tuple[float, float, float]:

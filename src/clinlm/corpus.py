@@ -17,7 +17,7 @@ import math
 import random
 import statistics
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
@@ -47,15 +47,19 @@ def write_lines(path, lines: Iterable[str]) -> None:
         handle.writelines(f"{line}\n" for line in lines)
 
 
-def parse_numbered(path, numbered: Iterable[tuple[int, object]], parse: Callable) -> list:
+def parse_numbered(path, numbered: Iterable[tuple[int, object]], parse: Callable,
+                   record: str | None = None) -> list:
     """[parse(item) for each (line number, item) of numbered], where a
-    ValueError from parse is re-raised as PATH:LINE: message."""
+    ValueError from parse is re-raised as PATH:LINE: message. When record
+    names what an item is, a file of none fails as PATH: no {record}."""
     out = []
     for line_no, item in numbered:
         try:
             out.append(parse(item))
         except ValueError as exc:
             raise ValueError(f"{path}:{line_no}: {exc}") from exc
+    if record and not out:
+        raise ValueError(f"{path}: no {record}")
     return out
 
 
@@ -127,7 +131,7 @@ def therapeutic_class_names() -> tuple[str, ...]:
 
 @dataclass
 class NoteRecord:
-    """One clinical note. char_length is always derived from text."""
+    """One clinical note; its length is len(text)."""
 
     note_id: str
     patient_id: str
@@ -135,13 +139,11 @@ class NoteRecord:
     note_type: str
     provider_type: str
     text: str
-    char_length: int = field(init=False)
 
     def __post_init__(self):
         for name in ("note_id", "patient_id", "encounter_id"):
             if not getattr(self, name):
                 raise ValueError(f"{name} must be non-empty")
-        self.char_length = len(self.text)
 
 
 @dataclass(frozen=True)
@@ -162,21 +164,14 @@ def filter_discharge_summaries(notes: Sequence[NoteRecord]) -> list[NoteRecord]:
     input. Applying the filter twice gives the same result as applying it
     once.
     """
-    candidates = [
-        n for n in notes
-        if n.char_length > 2000 and n.provider_type.lower() != "nursing"
-    ]
-    best: dict[str, NoteRecord] = {}
-    order: list[str] = []
-    for note in candidates:
-        if note.encounter_id not in best:
-            best[note.encounter_id] = note
-            order.append(note.encounter_id)
+    best: dict[str, NoteRecord] = {}  # keeps the order encounters first appear in
+    for note in notes:
+        if len(note.text) <= 2000 or note.provider_type.lower() == "nursing":
             continue
-        kept = best[note.encounter_id]
-        if (-note.char_length, note.note_id) < (-kept.char_length, kept.note_id):
+        kept = best.get(note.encounter_id)
+        if kept is None or (-len(note.text), note.note_id) < (-len(kept.text), kept.note_id):
             best[note.encounter_id] = note
-    return [best[eid] for eid in order]
+    return list(best.values())
 
 
 def split_by_patient(
@@ -199,17 +194,10 @@ def split_by_patient(
     ids = sorted(set(patient_ids))
     random.Random(seed).shuffle(ids)
     n = len(ids)
-    n_dev = int(n * ratios[1] / total)
-    n_test = int(n * ratios[2] / total)
-    n_train = n - n_dev - n_test
-    assignment: dict[str, str] = {}
-    for pid in ids[:n_train]:
-        assignment[pid] = "train"
-    for pid in ids[n_train:n_train + n_dev]:
-        assignment[pid] = "dev"
-    for pid in ids[n_train + n_dev:]:
-        assignment[pid] = "test"
-    return assignment
+    n_dev, n_test = (int(n * ratio / total) for ratio in ratios[1:])
+    cuts = (0, n - n_dev - n_test, n - n_test, n)
+    return {pid: name for name, start, stop in zip(SUBSET_NAMES, cuts, cuts[1:])
+            for pid in ids[start:stop]}
 
 
 def select_top_k_labels(occurrences: Iterable[str], k: int) -> list[str]:
@@ -258,11 +246,9 @@ def read_notes(path) -> list[NoteRecord]:
     """Read JSON-lines note records whose six fields are all strings; a bad
     line, an empty id included, fails as PATH:LINE: message, and a file with
     no record as PATH: no note record."""
-    notes = parse_numbered(path, read_jsonl(path, dict.fromkeys(_NOTE_FIELDS, str)),
-                           lambda row: NoteRecord(**{k: row[k] for k in _NOTE_FIELDS}))
-    if not notes:
-        raise ValueError(f"{path}: no note record")
-    return notes
+    return parse_numbered(path, read_jsonl(path, dict.fromkeys(_NOTE_FIELDS, str)),
+                          lambda row: NoteRecord(**{k: row[k] for k in _NOTE_FIELDS}),
+                          "note record")
 
 
 def write_notes(path, notes: Sequence[NoteRecord]) -> None:

@@ -56,7 +56,7 @@ CHECKPOINT_FORMAT = "clinlm-checkpoint"
 CHECKPOINT_VERSION = 1
 HEADS = ("mlm", "head_token", "head_pair", "head_multi")  # the heads a checkpoint may hold
 _NEG_INF = -1e9
-MIN_FRAME_LENGTH = {False: 3, True: 5}  # frame's fewest positions, a text (False) or a pair
+MIN_FRAME_LENGTH = {False: 3, True: 5}  # a row's fewest positions, a text (False) or a pair
 
 
 @dataclass(frozen=True)
@@ -140,6 +140,16 @@ class Batch:
         return self.token_ids.shape
 
 
+def content_room(length: int, pair: bool) -> int:
+    """How many content pieces a row of `length` positions holds: all but its
+    [CLS] and a [SEP] per text. The one statement of a row's overhead; a
+    length below MIN_FRAME_LENGTH[pair] is refused with that minimum."""
+    if length < MIN_FRAME_LENGTH[pair]:
+        raise ValueError(f"length {length} is below {MIN_FRAME_LENGTH[pair]}, the fewest "
+                         f"positions of a {'two-text ' if pair else ''}row")
+    return length - (3 if pair else 2)
+
+
 def frame(ids_a, ids_b, length: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One unpadded row of at most `length` positions: [CLS] a [SEP] for a
     single text (ids_b None) or [CLS] a [SEP] b [SEP] for a pair.
@@ -150,10 +160,9 @@ def frame(ids_a, ids_b, length: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
     from its longer side first (side a on a tie).
     """
     pair = ids_b is not None
-    if length < MIN_FRAME_LENGTH[pair]:  # room for one piece per side
-        raise ValueError(f"length {length} leaves no room for content")
+    room = content_room(length, pair)
     a, b = list(ids_a), list(ids_b) if pair else []
-    while len(a) + len(b) > length - (3 if pair else 2):
+    while len(a) + len(b) > room:
         (a if len(a) >= len(b) else b).pop()
     ids = np.array([CLS_ID, *a, SEP_ID] + ([*b, SEP_ID] if pair else []), dtype=np.int64)
     segments = np.zeros(len(ids), dtype=np.int64)
@@ -578,16 +587,21 @@ def _head_loss(params, config, batch, positions, head, targets, rng, binary=Fals
     With binary False the loss is the mean cross-entropy of each read's
     scores against the class id in targets[i]; with binary True it is the
     mean binary cross-entropy over every cell of the 0/1 matrix targets, one
-    row per read. This is where every loss refuses an empty read set, a
-    count of targets other than the count of reads and a class id outside
-    the head; _forward checks the reads themselves.
+    row per read. Every loss's targets are checked here: an empty read set,
+    targets not of shape (reads,) of class ids or (reads, head width) of 0/1
+    cells, and a class id outside the head are refused; _forward checks the reads.
     """
-    n = len(positions)
+    n, width = len(positions), _head_width(params, head)
     if n == 0:
         raise ValueError(f"{head} loss needs at least one target position")
-    if len(targets) != n:
-        raise ValueError(f"{head} reads {n} position(s) but has targets of shape {targets.shape}")
-    if not binary and (targets.min() < 0 or targets.max() >= _head_width(params, head)):
+    targets = np.asarray(targets, dtype=np.float64 if binary else np.int64)
+    shape = (n, width) if binary else (n,)
+    if targets.shape != shape:
+        raise ValueError(f"{head} reads {n} position(s) but has targets of shape "
+                         f"{targets.shape}, not {shape}")
+    if binary and not np.isin(targets, (0.0, 1.0)).all():
+        raise ValueError(f"{head} targets must be 0 or 1")
+    if not binary and (targets.min() < 0 or targets.max() >= width):
         raise ValueError(f"label id outside the range of head {head}")
     hidden, cache = _forward(params, config, batch, rng, positions)
     logits = _head_logits(params, head, hidden)
@@ -616,8 +630,7 @@ def mlm_forward_loss(params, config, batch, target_positions, target_ids, rng=No
     corrupted slots; target_ids holds the original token at each. The
     loss is the mean cross-entropy over all targets.
     """
-    return _head_loss(params, config, batch, target_positions, "mlm",
-                      np.asarray(target_ids, dtype=np.int64), rng)
+    return _head_loss(params, config, batch, target_positions, "mlm", target_ids, rng)
 
 
 def init_head(params, config, head, n_out, seed) -> ParamStore:
@@ -636,16 +649,12 @@ def token_classify_loss(params, config, batch, positions, tag_ids, rng=None):
     """Mean cross-entropy of the token head at positions, forward's reads
     (each word's first piece), against the tag id at each; no other position
     (padding, specials, continuation pieces) contributes."""
-    return _head_loss(params, config, batch, positions, "head_token",
-                      np.asarray(tag_ids, dtype=np.int64), rng)
+    return _head_loss(params, config, batch, positions, "head_token", tag_ids, rng)
 
 
 def pair_classify_loss(params, config, batch, positions, class_ids, rng=None):
     """Mean cross-entropy of the pair head at positions, forward's reads
     (each row's (i, 0), its [CLS]), against the class id at each."""
-    class_ids = np.asarray(class_ids, dtype=np.int64)
-    if class_ids.ndim != 1:
-        raise ValueError(f"class_ids must be 1-D, got shape {class_ids.shape}")
     return _head_loss(params, config, batch, positions, "head_pair", class_ids, rng)
 
 
@@ -653,13 +662,8 @@ def multilabel_loss(params, config, batch, positions, label_matrix, rng=None):
     """Mean binary cross-entropy of the multi-label head at positions,
     forward's reads (each row's (i, 0), its [CLS]), over every (read, label)
     cell of the 0/1 label_matrix."""
-    y = np.asarray(label_matrix, dtype=np.float64)
-    n_labels = _head_width(params, "head_multi")
-    if y.ndim != 2 or y.shape[1] != n_labels:
-        raise ValueError(f"label_matrix must have shape (rows, {n_labels}), got {y.shape}")
-    if not np.isin(y, (0.0, 1.0)).all():
-        raise ValueError("label_matrix entries must be 0 or 1")
-    return _head_loss(params, config, batch, positions, "head_multi", y, rng, binary=True)
+    return _head_loss(params, config, batch, positions, "head_multi", label_matrix, rng,
+                      binary=True)
 
 
 def save_checkpoint(path, config: EncoderConfig, params) -> None:

@@ -30,8 +30,8 @@ import numpy as np
 
 from . import corpus, metrics, wordpiece
 from .encoder import (
-    MIN_FRAME_LENGTH, EncoderConfig, ParamStore, _head_logits, _sigmoid, forward, frame,
-    init_head, load_checkpoint, multilabel_loss, pair_classify_loss, stack_rows,
+    MIN_FRAME_LENGTH, EncoderConfig, ParamStore, _head_logits, _sigmoid, content_room, forward,
+    frame, init_head, load_checkpoint, multilabel_loss, pair_classify_loss, stack_rows,
     token_classify_loss, without_head,
 )
 from .pretrain import adam_step, init_optimizer
@@ -238,19 +238,21 @@ def encode_ner_example(words: Sequence[str], tags: Sequence[str],
                        vocab: Vocabulary, tag_to_id: dict[str, int],
                        max_positions: int) -> NerRow:
     """Frame a tagged sentence as one row. Each word's first piece carries
-    its tag, the only piece scored; words past the max_positions - 2 piece
-    budget are dropped (a word cut inside keeps its first piece)."""
+    its tag, the only piece scored; words starting past the row's content
+    room (encoder.content_room) are dropped (a word cut inside keeps its
+    first piece)."""
     if len(words) != len(tags):
         raise ValueError(f"{len(words)} words but {len(tags)} tags")
     for tag in tags:
         if tag not in tag_to_id:
             raise ValueError(f"tag {tag!r} not in the task tag set")
+    room = content_room(max_positions, False)
     content: list[int] = []
     first_positions: list[int] = []
     kept_tags: list[str] = []
     for word, tag in zip(words, tags):
         ids = word_ids(vocab, word)
-        if len(content) >= max_positions - 2:
+        if len(content) >= room:
             break
         first_positions.append(1 + len(content))
         kept_tags.append(tag)
@@ -429,7 +431,8 @@ def load_task_rows(task: TaskSpec, path, vocab: Vocabulary, max_positions: int) 
     """finetune_task's rows of a task file: a NerRow per sentence of a
     word<TAB>tag file, or a (framed row, label id or id set) per JSON-lines
     record. A malformed line, a field of the wrong type, or an unknown label
-    or concept type fails as PATH:LINE: message."""
+    or concept type fails as PATH:LINE: message, and a file of no row as
+    PATH: no task row."""
     index = {name: i for i, name in enumerate(task.outputs)}
 
     def label_id(label):
@@ -441,17 +444,19 @@ def load_task_rows(task: TaskSpec, path, vocab: Vocabulary, max_positions: int) 
         sentences = list(numbered_ner_sentences(path))
         for start, _, tags in sentences:
             corpus.parse_numbered(path, enumerate(tags, start), label_id)
-        return [encode_ner_example(words, tags, vocab, index, max_positions)
-                for _, words, tags in sentences]
-    if task.kind == "multilabel":
-        fields = {"text": str, "labels": list[str]}
+        numbered = ((start, (words, tags)) for start, words, tags in sentences)
+
+        def row(sentence):
+            return encode_ner_example(*sentence, vocab, index, max_positions)
+    elif task.kind == "multilabel":
+        numbered = corpus.read_jsonl(path, {"text": str, "labels": list[str]})
 
         def row(rec):
             return (prepare_document(rec["text"], vocab, max_positions),
                     {label_id(label) for label in rec["labels"]})
     elif task.concept_types:
-        fields = {"words": list[str], "span_a": list[int], "type_a": str,
-                  "span_b": list[int], "type_b": str, "label": str}
+        numbered = corpus.read_jsonl(path, {"words": list[str], "span_a": list[int], "type_a": str,
+                                            "span_b": list[int], "type_b": str, "label": str})
 
         def row(rec):
             for concept in (rec["type_a"], rec["type_b"]):
@@ -461,12 +466,12 @@ def load_task_rows(task: TaskSpec, path, vocab: Vocabulary, max_positions: int) 
                                    tuple(rec["span_b"]), rec["type_b"])
             return prepare_marked_sentence(marked, vocab, max_positions), label_id(rec["label"])
     else:
-        fields = {"premise": str, "hypothesis": str, "label": str}
+        numbered = corpus.read_jsonl(path, {"premise": str, "hypothesis": str, "label": str})
 
         def row(rec):
             return (prepare_pair(rec["premise"], rec["hypothesis"], vocab, max_positions),
                     label_id(rec["label"]))
-    return corpus.parse_numbered(path, corpus.read_jsonl(path, fields), row)
+    return corpus.parse_numbered(path, numbered, row, "task row")
 
 
 def numbered_ner_sentences(path):

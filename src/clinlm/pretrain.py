@@ -18,7 +18,9 @@ import numpy as np
 
 from . import wordpiece
 from .corpus import write_lines
-from .encoder import EncoderConfig, ParamStore, frame, init_params, mlm_forward_loss, stack_rows
+from .encoder import (
+    EncoderConfig, ParamStore, content_room, frame, init_params, mlm_forward_loss, stack_rows,
+)
 from .wordpiece import CLS_ID, MASK_ID, SEP_ID, Vocabulary
 
 MASK_SHARE, RANDOM_SHARE = 0.8, 0.1  # of the selected positions; the rest keep their id
@@ -192,8 +194,7 @@ class PhasePlan:
             raise ValueError("phase plan is empty")
         previous = 0
         for max_len, steps in self.phases:
-            if max_len < 3:
-                raise ValueError(f"max_seq_len {max_len} leaves no room for content")
+            content_room(max_len, False)  # refuses a length below a row's fewest positions
             if steps < 1:
                 raise ValueError(f"phase step count must be >= 1, got {steps}")
             if max_len < previous:
@@ -247,29 +248,13 @@ def lr_schedule(schedule: str, peak_lr: float, total_steps: int,
 
 
 def pack_sequences(id_seqs: Sequence[Sequence[int]], max_seq_len: int) -> list[list[int]]:
-    """Concatenate consecutive sentences into chunks of at most
-    max_seq_len - 2 content ids (leaving room for [CLS] and [SEP]).
-    Sentences longer than one chunk are split across consecutive chunks, so
-    no text is dropped."""
-    budget = max_seq_len - 2
-    if budget < 1:
-        raise ValueError(f"max_seq_len {max_seq_len} leaves no room for content")
-    chunks: list[list[int]] = []
-    current: list[int] = []
-    for seq in id_seqs:
-        seq = list(seq)
-        while seq:
-            room = budget - len(current)
-            if room == 0:
-                chunks.append(current)
-                current = []
-                room = budget
-            take = seq if len(seq) <= room else seq[:room]
-            current.extend(take)
-            seq = seq[len(take):]
-    if current:
-        chunks.append(current)
-    return chunks
+    """Lay the sentences' ids end to end and cut them into chunks of as many
+    content ids as a row of max_seq_len positions holds (encoder.content_room),
+    the last chunk holding the rest. A sentence may span chunks, so no text
+    is dropped."""
+    room = content_room(max_seq_len, False)
+    ids = [i for seq in id_seqs for i in seq]
+    return [ids[start:start + room] for start in range(0, len(ids), room)]
 
 
 def _build_micro_batch(rows, policy, vocab_size, rng):

@@ -414,7 +414,7 @@ def read_vocab(path) -> Vocabulary:
     tokens = [line for _, line in numbered_lines(path)]
     while tokens and tokens[-1] == "":
         tokens.pop()
-    bad = _first_bad_token(tokens)
-    if bad:
-        raise ValueError(f"{path}:{bad[0] + 1}: {bad[1]}")
-    return Vocabulary(tokens)
+    try:
+        return Vocabulary(tokens)
+    except ValueError as exc:  # the rules ran once; find the line only on a failure
+        raise ValueError(f"{path}:{_first_bad_token(tokens)[0] + 1}: {exc}") from exc

@@ -1,5 +1,8 @@
 """End-to-end coverage of the command-line interface via dispatch()."""
 
+import contextlib
+import functools
+import io
 import json
 import math
 import subprocess
@@ -444,6 +447,11 @@ def _finetune(task, *extra, checkpoint="{ckpt}", data="{file}", vocab="{vocab}")
             "--train", data, "--dev", data, "--seeds", "1", *extra]
 
 
+def _pretrain_plan(plan):
+    return ["pretrain", "--corpus", "{file}", "--vocab", "{vocab}", "--plan", plan,
+            "--micro-batch", "1", "--accum", "1", "--seed", "0", "--out", "{out}"]
+
+
 class TestMalformedInputs:
     """Each malformed input makes its command exit 1 with exactly one
     stderr line, an error: line that names where the problem is."""
@@ -563,6 +571,14 @@ class TestMalformedInputs:
           "--micro-batch", "1", "--accum", "1", "--seed", "0", "--config", "{file}",
           "--out", "{out}"],
          "--warmup-fraction applies only to --schedule linear, not constant"),
+        ("plan-below-the-row-minimum", "corpus.txt", "no pain today\n", _pretrain_plan("2:1"),
+         "--plan '2:1': length 2 is below 3, the fewest positions of a row"),
+        ("plan-of-decreasing-lengths", "corpus.txt", "no pain today\n", _pretrain_plan("8:1,4:1"),
+         "--plan '8:1,4:1': phase lengths must be non-decreasing"),
+        ("plan-of-zero-steps", "corpus.txt", "no pain today\n", _pretrain_plan("8:0"),
+         "--plan '8:0': phase step count must be >= 1, got 0"),
+        ("plan-entry-not-length-steps", "corpus.txt", "no pain today\n", _pretrain_plan("8:1:2"),
+         "--plan '8:1:2': bad entry '8:1:2', expected LENGTH:STEPS"),
         ("compress-report-of-no-words", "blank.txt", "\n  \n",
          ["compress-report", "--dataset", "notes={file}", "--vocab", "base={vocab}",
           "--baseline", "base"],
@@ -584,6 +600,24 @@ class TestMalformedInputs:
         assert code == 1
         assert len(err.splitlines()) == 1 and err.startswith("error:"), err
         assert where.format(**slots) in err
+
+
+    @pytest.mark.parametrize("flag", ["--train", "--dev"])
+    @pytest.mark.parametrize("task,rows,empty", [
+        ("mednli", _jsonl(_NLI_ROW), ""), ("mednli", _jsonl(_NLI_ROW), "\n  \n"),
+        ("ner-2010", "no\tO\npain\tB-problem\n", "\n\n\n"),
+    ], ids=["empty-json-lines", "blank-json-lines", "blank-word-tab-tag"])
+    def test_file_of_no_task_row_is_named(self, tmp_path, tiny_model, capsys, flag, task,
+                                          rows, empty):
+        vocab, ckpt = tiny_model
+        paths = {f: tmp_path / f"{f[2:]}.txt" for f in ("--train", "--dev")}
+        for f, path in paths.items():
+            path.write_text(empty if f == flag else rows, encoding="utf-8")
+        code, _, err = run_cli(["finetune", "--task", task, "--checkpoint", str(ckpt),
+                                "--vocab", str(vocab), "--train", str(paths["--train"]),
+                                "--dev", str(paths["--dev"]), "--seeds", "1"], capsys)
+        assert code == 1
+        assert err == f"error: {paths[flag]}: no task row\n"
 
 
 class TestTunedCheckpoint:
@@ -696,6 +730,83 @@ class TestSettings:
              "--out", str(tmp_path / "x.ckpt")], capsys)
         assert code == 1
         assert "plan length 16 exceeds max_positions 8" in err
+
+
+# command -> (setting -> a valid value other than its default)
+_KNOBS = {
+    "pretrain": {"hidden_dim": "32", "n_layers": "1", "n_heads": "4", "ff_dim": "64",
+                 "max_positions": "16", "lr": "0.01", "warmup_fraction": "0.5",
+                 "mask_prob": "0.5", "dropout": "0.1", "schedule": "linear"},
+    # the documents are 3 to 5 words, so 4 positions truncate every one
+    "finetune": {"epochs": "1", "batch_size": "2", "lr": "0.01", "max_steps": "1",
+                 "max_positions": "4"},
+}
+# six documents on which the tiny model's best dev epoch is its last
+_CODE_ROWS = [{"text": text, "labels": [["401.9", "250.00", "V70.0"][i % 3],
+                                        ["272.4", "V20.2"][i % 2]]}
+              for i, text in enumerate(CORPUS_LINES)]
+
+
+@pytest.fixture(scope="module")
+def knob_run(tiny_model, tmp_path_factory):
+    """run(command, *extra flags) -> (exit code, stdout, stderr, bytes of the
+    checkpoint written or None): a short pretraining run, or fine-tuning of
+    the tiny model on _CODE_ROWS, at every default but the extra flags. Each
+    distinct run is made once."""
+    vocab, ckpt = tiny_model
+    root = tmp_path_factory.mktemp("knobs")
+    data = root / "codes.jsonl"
+    data.write_text(_jsonl(*_CODE_ROWS), encoding="utf-8")
+    base = {"pretrain": ["pretrain", "--corpus", str(vocab.parent / "corpus.txt"),
+                         "--vocab", str(vocab), "--plan", "8:3", "--micro-batch", "2",
+                         "--accum", "1", "--seed", "0"],
+            "finetune": _finetune("icd9-top50", checkpoint=str(ckpt), data=str(data),
+                                  vocab=str(vocab))}
+
+    @functools.cache
+    def run(command, *extra):
+        out = root / f"run{len(list(root.iterdir()))}"
+        written = out / ("model.ckpt" if command == "pretrain" else "tuned.seed0.ckpt")
+        out.mkdir()
+        where = ["--out", str(written)] if command == "pretrain" else [
+            "--out-prefix", str(out / "tuned")]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = dispatch(base[command] + where + list(extra))
+        return (code, stdout.getvalue(), stderr.getvalue(),
+                written.read_bytes() if written.exists() else None)
+
+    return run
+
+
+class TestKnobs:
+    """Every pretrain and finetune setting does what it says: at one value
+    other than its default the run writes or prints something else, or it is
+    refused with one error line that names the flag."""
+
+    @pytest.mark.parametrize("command", list(_KNOBS))
+    def test_the_table_covers_every_setting(self, command):
+        argv = TestSettings.PRETRAIN if command == "pretrain" else TestSettings.FINETUNE
+        assert build_parser().parse_args(argv).config_keys.keys() == _KNOBS[command].keys()
+
+    def test_the_default_fine_tune_keeps_a_later_epoch(self, knob_run):
+        # else fewer epochs or steps could leave the kept snapshot unchanged
+        code, out, err, _ = knob_run("finetune")
+        assert code == 0, err
+        assert "best epoch 0" not in out
+
+    @pytest.mark.parametrize("command,key", [(c, k) for c in _KNOBS for k in _KNOBS[c]],
+                             ids=[f"{c}-{k}" for c in _KNOBS for k in _KNOBS[c]])
+    def test_setting_changes_the_run_or_is_refused(self, knob_run, command, key):
+        flag = "--" + key.replace("_", "-")
+        code, default_out, err, default_written = knob_run(command)
+        assert code == 0, err
+        code, out, err, written = knob_run(command, flag, _KNOBS[command][key])
+        if code == 0:
+            assert (out, written) != (default_out, default_written)
+        else:
+            assert code == 1 and written is None
+            assert len(err.splitlines()) == 1 and err.startswith("error:") and flag in err
 
 
 class TestEvaluateCommand:

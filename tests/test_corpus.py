@@ -33,9 +33,6 @@ def note(note_id="n1", patient="p1", encounter="e1", length=3000,
 
 
 class TestNoteRecord:
-    def test_char_length_derived_from_text(self):
-        assert note(length=123).char_length == 123
-
     def test_empty_ids_rejected(self):
         with pytest.raises(ValueError, match="patient_id"):
             note(patient="")

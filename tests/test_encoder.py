@@ -546,6 +546,26 @@ def test_every_head_loss_refuses_bad_reads_with_one_message(head, refusal):
         loss(params, config, full_batch([[5, 6]]), positions, targets)
 
 
+# head -> targets of the wrong shape for two reads, the shape _head_loss asks for
+_WRONG_SHAPES = {"mlm": ([[6, 7], [6, 7]], "(2,)"), "head_token": ([[0], [1]], "(2,)"),
+                 "head_pair": ([[0], [1]], "(2,)"), "head_multi": ([0, 1], "(2, 3)")}
+
+
+@pytest.mark.parametrize("head", list(_WRONG_SHAPES))
+def test_every_head_loss_refuses_targets_of_the_wrong_shape_with_one_message(head):
+    # 2-D class ids once went through the token and masked-LM losses as if
+    # flat, and only the pair and multi-label losses checked their shape
+    config = tiny_config()
+    params = init_params(config, 1)
+    if head != "mlm":
+        params = init_head(params, config, head, 3, seed=5)
+    targets, shape = _WRONG_SHAPES[head]
+    message = (rf"^{head} reads 2 position\(s\) but has targets of shape "
+               rf"{re.escape(str(np.shape(targets)))}, not {re.escape(shape)}$")
+    with pytest.raises(ValueError, match=message):
+        _HEAD_LOSSES[head][0](params, config, full_batch([[5, 6]]), [[0, 0], [0, 1]], targets)
+
+
 # (head, loss, its arguments after the batch) of each loss the train-mode
 # gradient audit checks on its two-row batch; init_params already draws mlm
 _TRAIN_MODE_LOSSES = [

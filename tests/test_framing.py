@@ -5,7 +5,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from clinlm.encoder import frame, stack_rows
+from clinlm.encoder import content_room, frame, stack_rows
+from clinlm.finetune import encode_ner_example
+from clinlm.pretrain import PhasePlan, pack_sequences
+from clinlm.wordpiece import train_wordpiece
 from clinlm.wordpiece import CLS_ID, PAD_ID, SEP_ID
 from test_encoder import columns
 
@@ -111,3 +114,28 @@ def test_too_short_lengths_rejected():
         frame([5], None, 2)
     with pytest.raises(ValueError):
         frame([5], [6], 4)
+
+
+def test_content_room_is_all_but_the_specials():
+    assert [content_room(n, False) for n in (3, 4, 16)] == [1, 2, 14]
+    assert [content_room(n, True) for n in (5, 6, 16)] == [2, 3, 13]
+    for pair, floor in ((False, 3), (True, 5)):
+        with pytest.raises(ValueError, match=f"^length {floor - 1} is below {floor}, the fewest "
+                                             f"positions of a {'two-text ' if pair else ''}row$"):
+            content_room(floor - 1, pair)
+
+
+# every reader of the row format refuses a length of 2 with content_room's message
+_FLOOR_READERS = {
+    "frame": lambda: frame([5], None, 2),
+    "pack_sequences": lambda: pack_sequences([[5]], 2),
+    "PhasePlan": lambda: PhasePlan(((2, 1),)),
+    "encode_ner_example": lambda: encode_ner_example(
+        ["ab"], ["O"], train_wordpiece(["ab"], 9, 1), {"O": 0}, 2),
+}
+
+
+@pytest.mark.parametrize("reader", list(_FLOOR_READERS))
+def test_every_reader_of_the_row_format_has_one_floor(reader):
+    with pytest.raises(ValueError, match="^length 2 is below 3, the fewest positions of a row$"):
+        _FLOOR_READERS[reader]()

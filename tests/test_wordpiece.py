@@ -545,6 +545,16 @@ class TestVocabIO:
         with pytest.raises(ValueError, match=f"v.txt:{line}: .*{message}"):
             read_vocab(path)
 
+    def test_good_file_is_checked_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "v.txt"
+        write_vocab(path, make_vocab("a", "b"))
+        calls = []
+        check = wordpiece._first_bad_token
+        monkeypatch.setattr(wordpiece, "_first_bad_token",
+                            lambda tokens: calls.append(len(tokens)) or check(tokens))
+        assert read_vocab(path).tokens == list(SPECIALS) + ["a", "b"]
+        assert calls == [7]
+
     def test_line_number_is_id(self, tmp_path):
         vocab = make_vocab("a", "b")
         path = tmp_path / "v.txt"
