@@ -26,6 +26,11 @@ attention projection, feed-forward sublayer and both layer norms; the
 backward pass writes their gradients back into every position. The losses
 and prediction pass reads; forward without them is the full pass.
 
+Only the losses (for _backward) and attention_weights keep each layer's
+activations. forward keeps no backward cache: a layer's activations are
+freed as the next layer starts, so a forward-only pass's memory does not
+grow with depth. The layer math is the same either way.
+
 Train mode means an rng was passed: forward and the losses then drop out
 (config.dropout) the embeddings, then in each layer the attention weights,
 attention projection and feed-forward output, drawing masks from the rng in
@@ -304,10 +309,10 @@ def _gelu_grad(a, cdf):
 def _layer_norm(params, name, x, eps):
     mu = x.mean(axis=-1, keepdims=True)
     xhat = x - mu
-    var = (xhat * xhat).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    y = np.multiply(xhat, xhat)  # the squares, then the output, in one buffer
+    inv = 1.0 / np.sqrt(y.mean(axis=-1, keepdims=True) + eps)
     xhat *= inv
-    y = xhat * params[name + "_g"]
+    np.multiply(xhat, params[name + "_g"], out=y)
     y += params[name + "_b"]
     return y, (xhat, inv)
 
@@ -427,7 +432,9 @@ def _slots(reads, b):
     return row, slot, positions
 
 
-def _forward(params, config, batch, rng, reads=None):
+def _forward(params, config, batch, rng, reads=None, keep=False):
+    """(hidden states, cache) of forward; with keep, cache["layers"] holds
+    each layer's activations, else none outlives its layer."""
     b, t = batch.shape
     if t > config.max_positions:
         raise ValueError(f"sequence length {t} exceeds max_positions {config.max_positions}")
@@ -476,13 +483,17 @@ def _forward(params, config, batch, rng, reads=None):
             lc.update(reads=flat, row=row, slot=slot)
             pick = lambda m: m.reshape(-1, hd)[flat]
         proj = _drop(_linear(params, p + "attn_out", ctx), rate, rng, lc, "proj_drop", full, pick)
-        h1, ln1 = _layer_norm(params, p + "attn_ln", x + proj, eps)
+        proj += x  # the residual sums go into the fresh sublayer outputs
+        h1, ln1 = _layer_norm(params, p + "attn_ln", proj, eps)
         a = _linear(params, p + "ff_in", h1)
         g, cdf = _gelu(a)
         f = _drop(_linear(params, p + "ff_out", g), rate, rng, lc, "ff_drop", full, pick)
-        x, ln2 = _layer_norm(params, p + "ff_ln", h1 + f, eps)
-        lc.update(ctx=ctx, ln1=ln1, h1=h1, a=a, cdf=cdf, g=g, ln2=ln2)
-        cache["layers"].append(lc)
+        f += h1
+        x, ln2 = _layer_norm(params, p + "ff_ln", f, eps)
+        if keep:
+            lc.update(ctx=ctx, ln1=ln1, h1=h1, a=a, cdf=cdf, g=g, ln2=ln2)
+            cache["layers"].append(lc)
+        del lc, kh, vh, ctx, proj, ln1, h1, a, cdf, g, f, ln2  # only a kept lc still holds them
     return x, cache
 
 
@@ -505,7 +516,7 @@ def forward(params, config: EncoderConfig, batch: Batch, rng=None, reads=None) -
 
 def attention_weights(params, config: EncoderConfig, batch: Batch) -> list[np.ndarray]:
     """Per-layer softmax attention maps [batch, heads, query, key] (eval mode)."""
-    _, cache = _forward(params, config, batch, None)
+    _, cache = _forward(params, config, batch, None, keep=True)
     return [lc["attn"] for lc in cache["layers"]]
 
 
@@ -588,13 +599,16 @@ def _head_loss(params, config, batch, positions, head, targets, rng, binary=Fals
     scores against the class id in targets[i]; with binary True it is the
     mean binary cross-entropy over every cell of the 0/1 matrix targets, one
     row per read. Every loss's targets are checked here: an empty read set,
-    targets not of shape (reads,) of class ids or (reads, head width) of 0/1
-    cells, and a class id outside the head are refused; _forward checks the reads.
+    targets not of shape (reads,) of integer class ids or (reads, head width)
+    of 0/1 cells, and a class id outside the head are refused; _forward checks
+    the reads.
     """
     n, width = len(positions), _head_width(params, head)
     if n == 0:
         raise ValueError(f"{head} loss needs at least one target position")
-    targets = np.asarray(targets, dtype=np.float64 if binary else np.int64)
+    targets = np.asarray(targets, dtype=np.float64 if binary else None)
+    if not binary and not np.issubdtype(targets.dtype, np.integer):
+        raise ValueError(f"{head} targets must be integer class ids, not {targets.dtype}")
     shape = (n, width) if binary else (n,)
     if targets.shape != shape:
         raise ValueError(f"{head} reads {n} position(s) but has targets of shape "
@@ -603,7 +617,7 @@ def _head_loss(params, config, batch, positions, head, targets, rng, binary=Fals
         raise ValueError(f"{head} targets must be 0 or 1")
     if not binary and (targets.min() < 0 or targets.max() >= width):
         raise ValueError(f"label id outside the range of head {head}")
-    hidden, cache = _forward(params, config, batch, rng, positions)
+    hidden, cache = _forward(params, config, batch, rng, positions, keep=True)
     logits = _head_logits(params, head, hidden)
     if binary:
         # log(1 + e^z) - y*z, computed stably

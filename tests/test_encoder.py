@@ -4,6 +4,7 @@ import json
 import math
 import re
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -262,7 +263,9 @@ class TestForwardProperties:
         params = init_params(config, 3)
         batch = full_batch([[5, 6, 7, 1], [2, 3, 0, 0]],
                            mask_rows=[[1, 1, 1, 1], [1, 1, 0, 0]])
-        for layer_attn in attention_weights(params, config, batch):
+        maps = attention_weights(params, config, batch)
+        assert len(maps) == config.n_layers
+        for layer_attn in maps:
             sums = layer_attn.sum(axis=-1)
             np.testing.assert_allclose(sums, np.ones_like(sums), atol=1e-6)
 
@@ -566,6 +569,22 @@ def test_every_head_loss_refuses_targets_of_the_wrong_shape_with_one_message(hea
         _HEAD_LOSSES[head][0](params, config, full_batch([[5, 6]]), [[0, 0], [0, 1]], targets)
 
 
+@pytest.mark.parametrize("head", ["mlm", "head_token", "head_pair"])
+def test_every_class_id_loss_refuses_float_targets_with_one_message(head):
+    # class ids were once cast to int64, which truncates: [0.7, 1.9] trained as [0, 1]
+    config = tiny_config()
+    params = init_params(config, 1)
+    if head != "mlm":
+        params = init_head(params, config, head, 3, seed=5)
+    loss, batch, reads = _HEAD_LOSSES[head][0], full_batch([[5, 6]]), [[0, 0], [0, 1]]
+    for targets in ([0.7, 1.9], [0, 1.0], np.array([0.0, 1.0])):
+        with pytest.raises(ValueError, match=rf"^{head} targets must be integer class ids, "
+                                             r"not float64$"):
+            loss(params, config, batch, reads, targets)
+    value = loss(params, config, batch, reads, [0, 1])[0]
+    assert loss(params, config, batch, reads, np.array([0, 1], dtype=np.int64))[0] == value
+
+
 # (head, loss, its arguments after the batch) of each loss the train-mode
 # gradient audit checks on its two-row batch; init_params already draws mlm
 _TRAIN_MODE_LOSSES = [
@@ -664,6 +683,40 @@ class TestReads:
         full = forward(params, config, batch)
         read = forward(params, config, batch, reads=reads)
         np.testing.assert_allclose(read, full[tuple(reads.T)], rtol=1e-12, atol=0)
+
+
+class TestForwardOnly:
+    """forward keeps no backward cache: it frees each layer's activations as
+    the next layer starts, and computes what the losses' cache-keeping pass
+    computes, bit for bit."""
+
+    def test_peak_memory_does_not_grow_with_depth(self):
+        # numpy reports its buffers to tracemalloc; when every layer's cache
+        # was kept to the end, 8 layers peaked at 3.7 times 2 layers
+        peaks = {}
+        ids = np.random.default_rng(0).integers(5, 60, size=(16, 64))
+        for n_layers in (2, 8):
+            config = EncoderConfig(vocab_size=60, hidden_dim=32, n_layers=n_layers, n_heads=2,
+                                   ff_dim=128, max_positions=64)
+            params = init_params(config, 1)
+            tracemalloc.start()
+            try:
+                forward(params, config, full_batch(ids))
+                peaks[n_layers] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[8] <= 1.1 * peaks[2], peaks  # 10% for Python objects
+
+    @pytest.mark.parametrize("reads", [None, [[0, 0], [1, 2], [1, 5], [2, 1]]],
+                             ids=["full", "reads"])
+    @pytest.mark.parametrize("seed", [None, 5], ids=["eval", "train"])
+    def test_forward_is_the_cache_keeping_pass_bit_for_bit(self, reads, seed):
+        config, params, batch = TestReads.model()
+        assert (batch.attention_mask == 0).any()  # a padded row
+        rngs = [None if seed is None else np.random.default_rng(seed) for _ in range(2)]
+        kept, cache = encoder._forward(params, config, batch, rngs[0], reads, keep=True)
+        assert len(cache["layers"]) == config.n_layers
+        assert np.array_equal(forward(params, config, batch, rngs[1], reads), kept)
 
 
 def last_layer_rows(monkeypatch, config):
