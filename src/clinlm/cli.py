@@ -24,12 +24,7 @@ from .encoder import EncoderConfig, save_checkpoint
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise SystemExit(_fail(f"{self.prog}: {message}"))
-
-
-def _fail(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return 1
+        raise ValueError(f"{self.prog}: {message}")
 
 
 def read_config(path, settings: dict[str, argparse.Action]) -> dict[str, object]:
@@ -37,26 +32,24 @@ def read_config(path, settings: dict[str, argparse.Action]) -> dict[str, object]
     each allowed key to its flag; a value takes the flag's type and must be
     one of its choices. Keys outside the command's settings are rejected so
     typos cannot silently vanish."""
-    values: dict[str, object] = {}
-    for line_no, line in corpus.numbered_lines(path):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
+    def entry(line):
         if "=" not in line:
-            raise ValueError(f"{path}:{line_no}: expected key = value, got {line!r}")
+            raise ValueError(f"expected key = value, got {line!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in settings:
-            raise ValueError(f"{path}:{line_no}: unknown config key {key!r}")
+            raise ValueError(f"unknown config key {key!r}")
         flag = settings[key]
         try:
-            values[key] = flag.type(value) if flag.type else value
+            typed = flag.type(value) if flag.type else value
         except ValueError:
-            raise ValueError(f"{path}:{line_no}: {key}: invalid {flag.type.__name__} "
-                             f"value {value!r}") from None
-        if flag.choices is not None and values[key] not in flag.choices:
-            raise ValueError(f"{path}:{line_no}: {key}: invalid choice {value!r}, "
+            raise ValueError(f"{key}: invalid {flag.type.__name__} value {value!r}") from None
+        if flag.choices is not None and typed not in flag.choices:
+            raise ValueError(f"{key}: invalid choice {value!r}, "
                              f"expected one of {', '.join(flag.choices)}")
-    return values
+        return key, typed
+
+    lines = ((n, line.split("#", 1)[0].strip()) for n, line in corpus.numbered_lines(path))
+    return dict(corpus.parse_numbered(path, ((n, line) for n, line in lines if line), entry))
 
 
 def _read_lines(path) -> list[str]:
@@ -252,10 +245,6 @@ def _cmd_finetune(args) -> int:
     return 0
 
 
-def _read_label_sets(path) -> list[set[str]]:
-    return [set(l.split("|")) if l else set() for l in _read_lines(path)]
-
-
 def _cmd_evaluate(args) -> int:
     if args.aggregate:
         try:
@@ -272,11 +261,18 @@ def _cmd_evaluate(args) -> int:
         print(f"accuracy {metrics.accuracy(_read_lines(args.gold), _read_lines(args.pred)):.4f}")
         return 0
     if args.metric == "micro-f1":
-        p, r, f1 = metrics.micro_f1(_read_label_sets(args.gold), _read_label_sets(args.pred))
+        gold, pred = ([set(l.split("|")) if l else set() for l in _read_lines(path)]
+                      for path in (args.gold, args.pred))
+        p, r, f1 = metrics.micro_f1(gold, pred)
     else:
-        gold = [tags for _, _, tags in finetune.numbered_ner_sentences(args.gold)]
-        pred = [tags for _, _, tags in finetune.numbered_ner_sentences(args.pred)]
-        p, r, f1 = metrics.corpus_entity_f1(gold, pred, token_level=args.metric == "token-f1")
+        gold, pred = ([*finetune.numbered_ner_sentences(path, metrics.bio_tag)]
+                      for path in (args.gold, args.pred))
+        for (gold_line, _, gold_tags), (pred_line, _, pred_tags) in zip(gold, pred):
+            if len(gold_tags) != len(pred_tags):
+                raise ValueError(f"{args.pred}:{pred_line}: sentence length {len(pred_tags)}, but "
+                                 f"the gold one at {args.gold}:{gold_line} has {len(gold_tags)}")
+        p, r, f1 = metrics.corpus_entity_f1([s[2] for s in gold], [s[2] for s in pred],
+                                            token_level=args.metric == "token-f1")
     print(f"precision {p:.4f}\trecall {r:.4f}\tf1 {f1:.4f}")
     return 0
 
@@ -365,11 +361,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--loss-log")
     settings = [p.add_argument(flag, type=cast, default=default) for flag, cast, default in (
-        ("--hidden-dim", int, 64), ("--n-layers", int, 2), ("--n-heads", int, 2),
-        ("--ff-dim", int, 128), ("--max-positions", int, None),
-        ("--lr", float, 1e-3), ("--warmup-fraction", float, None), ("--mask-prob", float, 0.15))]
+        ("--hidden-dim", int, EncoderConfig.hidden_dim),
+        ("--n-layers", int, EncoderConfig.n_layers), ("--n-heads", int, EncoderConfig.n_heads),
+        ("--ff-dim", int, EncoderConfig.ff_dim), ("--max-positions", int, None),
+        ("--lr", float, pretrain.AdamConfig.lr), ("--warmup-fraction", float, None),
+        ("--mask-prob", float, pretrain.MaskingPolicy.mask_prob))]
     settings.append(p.add_argument(
-        "--dropout", type=float, default=0.0,
+        "--dropout", type=float, default=EncoderConfig.dropout,
         help="dropout rate of every pretraining step; the checkpoint keeps it, so "
              "fine-tuning steps use it too (prediction and dev scoring never drop)"))
     settings.append(p.add_argument("--schedule", choices=("constant", "linear"),
@@ -386,9 +384,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", required=True,
                    help="a count (5 means seeds 0..4) or a comma list")
     p.add_argument("--out-prefix", help="write per-seed checkpoints with this prefix")
+    defaults = finetune.FinetuneConfig
     settings = [p.add_argument(flag, type=cast, default=default) for flag, cast, default in (
-        ("--epochs", int, 3), ("--batch-size", int, 8), ("--lr", float, 1e-3),
-        ("--max-steps", int, None), ("--max-positions", int, None))]
+        ("--epochs", int, defaults.epochs), ("--batch-size", int, defaults.batch_size),
+        ("--lr", float, defaults.lr), ("--max-steps", int, defaults.max_steps),
+        ("--max-positions", int, None))]
     p.add_argument("--config", help="flat key-value file of setting defaults")
     p.set_defaults(run=_cmd_finetune, command_parser=p, config_keys={a.dest: a for a in settings})
 
@@ -419,10 +419,11 @@ def dispatch(argv) -> int:
             args.command_parser.set_defaults(**read_config(args.config, args.config_keys))
             args = parser.parse_args(argv)
         return args.run(args)
-    except SystemExit as exc:
+    except SystemExit as exc:  # --help
         return int(exc.code or 0)
     except (ValueError, OSError) as exc:
-        return _fail(str(exc))
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 def main() -> None:

@@ -4,8 +4,8 @@ Covers the bookkeeping that happens before any modeling: selecting usable
 discharge summaries, splitting patients into train/dev/test without leakage,
 picking the most frequent label codes, and summarizing dataset lengths.
 It also holds the input path every clinlm reader is built on: numbered_lines
-opens text files and packaged data, read_jsonl parses JSON lines, and a
-malformed line fails as PATH:LINE: message.
+opens text files and packaged data, and every reader runs its per-line parse
+inside parse_numbered, the one place that makes a bad line PATH:LINE: message.
 
 All functions are deterministic; anything random takes an explicit seed.
 """
@@ -64,34 +64,36 @@ def parse_numbered(path, numbered: Iterable[tuple[int, object]], parse: Callable
 
 
 def _has_type(value, kind) -> bool:
-    if get_origin(kind) is None:
-        return isinstance(value, kind)
-    return isinstance(value, get_origin(kind)) and all(isinstance(v, get_args(kind)) for v in value)
+    """isinstance(value, kind), where list[T] means a list of T and a bool is not an int."""
+    if get_origin(kind) is not None:
+        return isinstance(value, get_origin(kind)) and all(_has_type(v, *get_args(kind))
+                                                           for v in value)
+    return isinstance(value, kind) and not (kind is int and isinstance(value, bool))
 
 
-def read_jsonl(path, fields: Mapping[str, type]) -> Iterator[tuple[int, dict]]:
-    """Yield (line number, record) for each non-blank line of a JSON-lines
-    file. Each record must be an object holding every key of fields with a
-    value of that type: list[str] means a list of strings, and object takes
-    anything. A line that is not such a record fails as PATH:LINE: message.
+def read_jsonl(path, fields: Mapping[str, type], parse: Callable, record: str) -> list:
+    """parse(record) for each non-blank line of a JSON-lines file. Each
+    record must be an object holding every key of fields with a value of that
+    type: list[str] means a list of strings, a bool is not an int, and object
+    takes anything. A line that is not such a record, or that parse refuses,
+    fails as PATH:LINE: message, and a file of none as PATH: no {record}.
     This is the one place clinlm parses JSON lines."""
-    for line_no, line in numbered_lines(path):
-        if not line.strip():
-            continue
-        where = f"{path}:{line_no}"
+    def row(line):
         try:
-            record = json.loads(line)
+            value = json.loads(line)
         except json.JSONDecodeError as exc:
-            raise ValueError(f"{where}: bad JSON: {exc}") from exc
-        if not isinstance(record, dict):
-            raise ValueError(f"{where}: expected a JSON object, got {line.strip()!r}")
+            raise ValueError(f"bad JSON: {exc}") from exc
+        if not isinstance(value, dict):
+            raise ValueError(f"expected a JSON object, got {line.strip()!r}")
         for name, kind in fields.items():
-            if name not in record:
-                raise ValueError(f"{where}: record lacks key {name!r}")
-            if not _has_type(record[name], kind):
+            if name not in value:
+                raise ValueError(f"record lacks key {name!r}")
+            if not _has_type(value[name], kind):
                 kind_name = kind.__name__ if get_origin(kind) is None else kind
-                raise ValueError(f"{where}: {name!r} must be {kind_name}, got {record[name]!r}")
-        yield line_no, record
+                raise ValueError(f"{name!r} must be {kind_name}, got {value[name]!r}")
+        return parse(value)
+
+    return parse_numbered(path, ((n, l) for n, l in numbered_lines(path) if l.strip()), row, record)
 
 
 def read_table(path, packaged: str, header: str, parse: Callable) -> list:
@@ -246,9 +248,8 @@ def read_notes(path) -> list[NoteRecord]:
     """Read JSON-lines note records whose six fields are all strings; a bad
     line, an empty id included, fails as PATH:LINE: message, and a file with
     no record as PATH: no note record."""
-    return parse_numbered(path, read_jsonl(path, dict.fromkeys(_NOTE_FIELDS, str)),
-                          lambda row: NoteRecord(**{k: row[k] for k in _NOTE_FIELDS}),
-                          "note record")
+    return read_jsonl(path, dict.fromkeys(_NOTE_FIELDS, str),
+                      lambda row: NoteRecord(**{k: row[k] for k in _NOTE_FIELDS}), "note record")
 
 
 def write_notes(path, notes: Sequence[NoteRecord]) -> None:

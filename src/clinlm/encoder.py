@@ -64,6 +64,25 @@ _NEG_INF = -1e9
 MIN_FRAME_LENGTH = {False: 3, True: 5}  # a row's fewest positions, a text (False) or a pair
 
 
+def check_setting(name: str, value, kind: str) -> None:
+    """Refuse a setting that does not fit its annotation kind: an int is an
+    int >= 1, a float any number, neither a bool, and "X | None" allows None."""
+    optional, integral = kind.endswith(" | None"), kind.startswith("int")
+    if optional and value is None:
+        return
+    number = numbers.Integral if integral else numbers.Real
+    if isinstance(value, bool) or not isinstance(value, number):
+        raise ValueError(f"{name} must be {'an int' if integral else 'a number'}, got {value!r}")
+    if integral and value < 1:
+        raise ValueError(f"{name} must be >= 1{' when given' if optional else ''}, got {value}")
+
+
+def check_fields(settings) -> None:
+    """check_setting on every field of a settings dataclass."""
+    for f in fields(settings):
+        check_setting(f.name, getattr(settings, f.name), f.type)
+
+
 @dataclass(frozen=True)
 class EncoderConfig:
     vocab_size: int
@@ -77,14 +96,7 @@ class EncoderConfig:
     ln_epsilon: float = 1e-12
 
     def __post_init__(self):
-        for f in fields(self):  # the size fields are ints >= 1, the others numbers
-            value, integral = getattr(self, f.name), f.type == "int"
-            if isinstance(value, bool) or not isinstance(
-                    value, numbers.Integral if integral else numbers.Real):
-                raise ValueError(f"{f.name} must be {'an int' if integral else 'a number'}, "
-                                 f"got {value!r}")
-            if integral and value < 1:
-                raise ValueError(f"{f.name} must be >= 1, got {value}")
+        check_fields(self)
         if self.vocab_size < len(SPECIALS):
             raise ValueError(
                 f"vocab_size must cover the {len(SPECIALS)} special tokens, got {self.vocab_size}"
@@ -650,8 +662,7 @@ def mlm_forward_loss(params, config, batch, target_positions, target_ids, rng=No
 def init_head(params, config, head, n_out, seed) -> ParamStore:
     """Copy of params with a fresh linear head `head` from hidden vectors to
     n_out scores: weights drawn from N(0, 0.02^2), biases zero."""
-    if n_out < 1:
-        raise ValueError(f"n_labels must be >= 1, got {n_out}")
+    check_setting("n_labels", n_out, "int")
     w, b = head + "_w", head + "_b"  # appended, or kept in place when params has them
     out = params.resized({**dict(params.layout), w: (config.hidden_dim, n_out), b: (n_out,)})
     out[w] = np.random.default_rng(seed).normal(0.0, 0.02, size=(config.hidden_dim, n_out))

@@ -24,15 +24,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from itertools import groupby
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from . import corpus, metrics, wordpiece
 from .encoder import (
-    MIN_FRAME_LENGTH, EncoderConfig, ParamStore, _head_logits, _sigmoid, content_room, forward,
-    frame, init_head, load_checkpoint, multilabel_loss, pair_classify_loss, stack_rows,
-    token_classify_loss, without_head,
+    MIN_FRAME_LENGTH, EncoderConfig, ParamStore, _head_logits, _sigmoid, check_fields,
+    content_room, forward, frame, init_head, load_checkpoint, multilabel_loss, pair_classify_loss,
+    stack_rows, token_classify_loss, without_head,
 )
 from .pretrain import adam_step, init_optimizer
 from .wordpiece import Vocabulary, normalize
@@ -269,13 +269,9 @@ class FinetuneConfig:
     max_steps: int | None = None
 
     def __post_init__(self):
-        for name in ("epochs", "batch_size"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        check_fields(self)
         if not 0 < self.lr < math.inf:
             raise ValueError(f"lr must be finite and positive, got {self.lr}")
-        if self.max_steps is not None and self.max_steps < 1:
-            raise ValueError(f"max_steps must be >= 1 when given, got {self.max_steps}")
 
 
 @dataclass
@@ -435,55 +431,49 @@ def load_task_rows(task: TaskSpec, path, vocab: Vocabulary, max_positions: int) 
     PATH: no task row."""
     index = {name: i for i, name in enumerate(task.outputs)}
 
-    def label_id(label):
-        if label not in index:
-            raise ValueError(f"unknown label {label!r} for task {task.name}")
-        return index[label]
+    def label(name):
+        if name not in index:
+            raise ValueError(f"unknown label {name!r} for task {task.name}")
+        return name
 
     if task.kind == "ner":
-        sentences = list(numbered_ner_sentences(path))
-        for start, _, tags in sentences:
-            corpus.parse_numbered(path, enumerate(tags, start), label_id)
-        numbered = ((start, (words, tags)) for start, words, tags in sentences)
-
-        def row(sentence):
-            return encode_ner_example(*sentence, vocab, index, max_positions)
-    elif task.kind == "multilabel":
-        numbered = corpus.read_jsonl(path, {"text": str, "labels": list[str]})
-
-        def row(rec):
-            return (prepare_document(rec["text"], vocab, max_positions),
-                    {label_id(label) for label in rec["labels"]})
-    elif task.concept_types:
-        numbered = corpus.read_jsonl(path, {"words": list[str], "span_a": list[int], "type_a": str,
-                                            "span_b": list[int], "type_b": str, "label": str})
-
-        def row(rec):
+        sentences = ((start, pair) for start, *pair in numbered_ner_sentences(path, label))
+        return corpus.parse_numbered(path, sentences, lambda pair: encode_ner_example(
+            *pair, vocab, index, max_positions), "task row")
+    if task.kind == "multilabel":
+        return corpus.read_jsonl(path, {"text": str, "labels": list[str]}, lambda rec: (
+            prepare_document(rec["text"], vocab, max_positions),
+            {index[label(name)] for name in rec["labels"]}), "task row")
+    if task.concept_types:
+        def relation(rec):
             for concept in (rec["type_a"], rec["type_b"]):
                 if concept not in task.concept_types:
                     raise ValueError(f"unknown concept type {concept!r} for task {task.name}")
             marked = mark_concepts(rec["words"], tuple(rec["span_a"]), rec["type_a"],
                                    tuple(rec["span_b"]), rec["type_b"])
-            return prepare_marked_sentence(marked, vocab, max_positions), label_id(rec["label"])
-    else:
-        numbered = corpus.read_jsonl(path, {"premise": str, "hypothesis": str, "label": str})
+            return prepare_marked_sentence(marked, vocab, max_positions), index[label(rec["label"])]
 
-        def row(rec):
-            return (prepare_pair(rec["premise"], rec["hypothesis"], vocab, max_positions),
-                    label_id(rec["label"]))
-    return corpus.parse_numbered(path, numbered, row, "task row")
+        return corpus.read_jsonl(path, {"words": list[str], "span_a": list[int], "type_a": str,
+                                        "span_b": list[int], "type_b": str, "label": str},
+                                 relation, "task row")
+    return corpus.read_jsonl(path, {"premise": str, "hypothesis": str, "label": str}, lambda rec: (
+        prepare_pair(rec["premise"], rec["hypothesis"], vocab, max_positions),
+        index[label(rec["label"])]), "task row")
 
 
-def numbered_ner_sentences(path):
+def numbered_ner_sentences(path, tag: Callable[[str], object] = str):
     """Yield (line number of the first word, words, tags) for each sentence
-    of a word<TAB>tag file; a sentence's words sit on consecutive lines and
-    blank lines part sentences. A malformed line fails as PATH:LINE: message."""
+    of a word<TAB>tag file, each tag read through tag; a sentence's words
+    sit on consecutive lines and blank lines part sentences. A malformed
+    line, or a tag that tag refuses, fails as PATH:LINE: message."""
+    def word_tag(line):
+        parts = line.split("\t")
+        if len(parts) != 2 or not parts[0].strip():
+            raise ValueError(f"expected word<TAB>tag, got {line!r}")
+        return parts[0], tag(parts[1])
+
     for blank, group in groupby(corpus.numbered_lines(path), key=lambda item: not item[1]):
-        if blank:
-            continue
-        group = list(group)
-        pairs = [line.split("\t") for _, line in group]
-        for (line_no, line), parts in zip(group, pairs):
-            if len(parts) != 2 or not parts[0].strip():
-                raise ValueError(f"{path}:{line_no}: expected word<TAB>tag, got {line!r}")
-        yield group[0][0], [word for word, _ in pairs], [tag for _, tag in pairs]
+        if not blank:
+            group = list(group)
+            words, tags = zip(*corpus.parse_numbered(path, group, word_tag))
+            yield group[0][0], list(words), list(tags)

@@ -27,37 +27,32 @@ class Span:
             raise ValueError(f"invalid span [{self.start}, {self.end})")
 
 
+def bio_tag(tag: str) -> str:
+    """tag, when it is O, B-<type> or I-<type>: the one rule of a BIO tag."""
+    if tag != "O" and not (tag[:2] in ("B-", "I-") and len(tag) > 2):
+        raise ValueError(f"unknown tag {tag!r}")
+    return tag
+
+
 def bio_decode(tags: Sequence[str]) -> list[Span]:
     """Spans from a BIO tag sequence.
 
     B-x opens a span, I-x continues one of the same type. An I-x with no
     open x-span (after O, at the start, or after a different type) is
-    repaired to B-x rather than rejected. Anything other than O, B-<type>,
-    or I-<type> is an error.
+    repaired to B-x rather than rejected. A tag bio_tag refuses is an
+    error that names its position.
     """
     spans: list[Span] = []
-    open_start = None
-    open_label = None
-
-    def flush(end):
-        nonlocal open_start, open_label
-        if open_label is not None:
-            spans.append(Span(open_start, end, open_label))
-            open_start = open_label = None
-
-    for i, tag in enumerate(tags):
-        if tag == "O":
-            flush(i)
-        elif tag.startswith("B-") and len(tag) > 2:
-            flush(i)
-            open_start, open_label = i, tag[2:]
-        elif tag.startswith("I-") and len(tag) > 2:
-            if open_label != tag[2:]:
-                flush(i)  # orphan continuation: treat as a new span
-                open_start, open_label = i, tag[2:]
-        else:
-            raise ValueError(f"position {i}: unknown tag {tag!r}")
-    flush(len(tags))
+    open_start = open_label = None
+    for i, tag in enumerate([*tags, "O"]):  # the final O closes an open span
+        try:
+            label = None if bio_tag(tag) == "O" else tag[2:]
+        except ValueError as exc:
+            raise ValueError(f"position {i}: {exc}") from None
+        if label != open_label or tag[0] == "B":
+            if open_label is not None:
+                spans.append(Span(open_start, i, open_label))
+            open_start, open_label = i, label
     return spans
 
 

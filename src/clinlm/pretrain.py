@@ -19,7 +19,8 @@ import numpy as np
 from . import wordpiece
 from .corpus import write_lines
 from .encoder import (
-    EncoderConfig, ParamStore, content_room, frame, init_params, mlm_forward_loss, stack_rows,
+    EncoderConfig, ParamStore, check_fields, check_setting, content_room, frame, init_params,
+    mlm_forward_loss, stack_rows,
 )
 from .wordpiece import CLS_ID, MASK_ID, SEP_ID, Vocabulary
 
@@ -32,6 +33,7 @@ class MaskingPolicy:
     mask_prob: float = 0.15
 
     def __post_init__(self):
+        check_fields(self)
         if not 0.0 < self.mask_prob <= 1.0:  # at 0 no slot is ever a target
             raise ValueError(f"mask_prob must be in (0, 1], got {self.mask_prob}")
 
@@ -79,9 +81,10 @@ def apply_masking(
 
 @dataclass(frozen=True)
 class AdamConfig:
-    lr: float
+    lr: float = 1e-3
 
     def __post_init__(self):
+        check_fields(self)
         if not 0 < self.lr < math.inf:
             raise ValueError(f"lr must be finite and positive, got {self.lr}")
 
@@ -139,9 +142,7 @@ class AccumulationConfig:
     effective_batch: int
 
     def __post_init__(self):
-        for name in ("micro_batch_size", "accumulation_steps"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        check_fields(self)
         if self.effective_batch != self.micro_batch_size * self.accumulation_steps:
             raise ValueError(
                 f"effective_batch {self.effective_batch} != "
@@ -195,8 +196,8 @@ class PhasePlan:
         previous = 0
         for max_len, steps in self.phases:
             content_room(max_len, False)  # refuses a length below a row's fewest positions
-            if steps < 1:
-                raise ValueError(f"phase step count must be >= 1, got {steps}")
+            check_setting("phase length", max_len, "int")
+            check_setting("phase step count", steps, "int")
             if max_len < previous:
                 raise ValueError("phase lengths must be non-decreasing")
             previous = max_len

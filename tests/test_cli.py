@@ -465,6 +465,8 @@ class TestMalformedInputs:
          _finetune("mednli"), "{file}:2:"),
         ("span-not-a-list", "rel.jsonl", _jsonl({**_RELATION_ROW, "span_a": 0}),
          _finetune("re-2010"), "{file}:1:"),
+        ("span-of-a-bool", "rel.jsonl", _jsonl({**_RELATION_ROW, "span_a": [True, 3]}),
+         _finetune("re-2010"), "{file}:1: 'span_a' must be list[int], got [True, 3]"),
         ("unknown-concept-type", "rel.jsonl", _jsonl({**_RELATION_ROW, "type_a": "drug"}),
          _finetune("re-2010"), "{file}:1: unknown concept type 'drug'"),
         ("word-not-a-string", "rel.jsonl",
@@ -546,6 +548,15 @@ class TestMalformedInputs:
          "seed must be non-negative, got -1"),
         ("whitespace-ner-word", "tags.tsv", "no\tO\n \tO\n", _finetune("ner-2010"),
          "{file}:2: expected word<TAB>tag, got ' \\tO'"),
+        # a tagging file's errors come in file order: a bad tag before a bad line
+        ("first-error-in-file-order", "tags.tsv", "no\tO\npain\tB-drug\n\nbroken line\n",
+         _finetune("ner-2010"), "{file}:2: unknown label 'B-drug' for task ner-2010"),
+        ("unknown-tag-entity-f1", "tags.tsv", "no\tO\npain\tX-problem\n",
+         ["evaluate", "--metric", "entity-f1", "--gold", "{file}", "--pred", "{file}"],
+         "{file}:2: unknown tag 'X-problem'"),
+        ("unknown-tag-token-f1", "tags.tsv", "no\tO\npain\tX-problem\n",
+         ["evaluate", "--metric", "token-f1", "--gold", "{file}", "--pred", "{file}"],
+         "{file}:2: unknown tag 'X-problem'"),
         ("zero-mask-prob", "corpus.txt", "no pain today\nsevere fever\n",
          ["pretrain", "--corpus", "{file}", "--vocab", "{vocab}", "--plan", "8:3",
           "--micro-batch", "1", "--accum", "1", "--seed", "0", "--mask-prob", "0",
@@ -839,6 +850,27 @@ class TestEvaluateCommand:
                                 "--gold", str(gold), "--pred", str(pred)], capsys)
         assert code == 0
         assert "f1 1.0000" in out
+
+    def test_unknown_predicted_tag_is_located_in_the_pred_file(self, tmp_path, capsys):
+        gold = tmp_path / "gold.tsv"
+        pred = tmp_path / "pred.tsv"
+        gold.write_text("no\tO\npain\tB-problem\n", encoding="utf-8")
+        pred.write_text("no\tO\npain\tX-problem\n", encoding="utf-8")
+        code, out, err = run_cli(["evaluate", "--metric", "token-f1",
+                                  "--gold", str(gold), "--pred", str(pred)], capsys)
+        assert (code, out) == (1, "")
+        assert err == f"error: {pred}:2: unknown tag 'X-problem'\n"
+
+    def test_sentences_of_other_lengths_are_located_in_both_files(self, tmp_path, capsys):
+        gold = tmp_path / "gold.tsv"
+        pred = tmp_path / "pred.tsv"
+        gold.write_text("no\tO\n\nsevere\tB-problem\npain\tI-problem\n", encoding="utf-8")
+        pred.write_text("no\tO\n\n\nsevere\tB-problem\n", encoding="utf-8")
+        code, out, err = run_cli(["evaluate", "--metric", "token-f1",
+                                  "--gold", str(gold), "--pred", str(pred)], capsys)
+        assert (code, out) == (1, "")
+        assert err == (f"error: {pred}:4: sentence length 1, but the gold one at {gold}:3 "
+                       f"has 2\n")
 
     def test_aggregate_mode(self, capsys):
         code, out, _ = run_cli(

@@ -245,8 +245,17 @@ class TestReaders:
     def test_read_jsonl_yields_numbered_records(self, tmp_path):
         path = tmp_path / "r.jsonl"
         path.write_text('\n{"text": "a", "labels": [], "extra": null}\n', encoding="utf-8")
-        assert list(corpus.read_jsonl(path, self.FIELDS)) == [
-            (2, {"text": "a", "labels": [], "extra": None})]
+        assert corpus.read_jsonl(path, self.FIELDS, lambda r: r, "record") == [
+            {"text": "a", "labels": [], "extra": None}]
+
+        def refuse(record):
+            raise ValueError(f"refused {record['text']!r}")
+
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: refused 'a'$"):
+            corpus.read_jsonl(path, self.FIELDS, refuse, "record")
+        path.write_text("\n \n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: no record$"):
+            corpus.read_jsonl(path, self.FIELDS, lambda r: r, "record")
 
     @pytest.mark.parametrize("line,message", [
         ("{", "bad JSON"),
@@ -262,7 +271,17 @@ class TestReaders:
         path.write_text('{"text": "a", "labels": [], "extra": 1}\n' + line + "\n",
                         encoding="utf-8")
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: {message}"):
-            list(corpus.read_jsonl(path, self.FIELDS))
+            corpus.read_jsonl(path, self.FIELDS, lambda r: r, "record")
+
+    @pytest.mark.parametrize("line,message", [
+        ('{"span": [true, 3], "count": 1}', r"'span' must be list\[int\], got \[True, 3\]$"),
+        ('{"span": [0, 3], "count": false}', "'count' must be int, got False$"),
+    ])
+    def test_read_jsonl_reads_no_bool_as_an_int(self, tmp_path, line, message):
+        path = tmp_path / "r.jsonl"
+        path.write_text(line + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:1: {message}"):
+            corpus.read_jsonl(path, {"span": list[int], "count": int}, lambda r: r, "record")
 
     def test_read_table_locates_short_rows_and_parse_errors(self, tmp_path):
         path = tmp_path / "t.tsv"

@@ -42,8 +42,10 @@ from clinlm.encoder import (
     token_classify_loss,
     without_head,
 )
-from clinlm.finetune import extend_for_markers, predict_label_sets
-from clinlm.pretrain import adam_step, init_optimizer
+from clinlm.finetune import FinetuneConfig, extend_for_markers, predict_label_sets
+from clinlm.pretrain import (
+    AccumulationConfig, AdamConfig, MaskingPolicy, PhasePlan, adam_step, init_optimizer,
+)
 from clinlm.wordpiece import PAD_ID, train_wordpiece
 
 
@@ -104,6 +106,45 @@ class TestEncoderConfig:
         config = base_config(64000)
         assert (config.hidden_dim, config.n_layers, config.n_heads) == (768, 12, 12)
         assert config.max_positions == 512
+
+
+# every settings class checks its fields by annotation, through check_fields
+# (PhasePlan entry by entry): (case, construction, the one error message)
+_BAD_SETTINGS = [
+    ("encoder-float-layers", lambda: tiny_config(n_layers=2.0), "n_layers must be an int, got 2.0"),
+    ("finetune-float-max-steps", lambda: FinetuneConfig(max_steps=1.5),
+     "max_steps must be an int, got 1.5"),
+    ("finetune-float-epochs", lambda: FinetuneConfig(epochs=2.5), "epochs must be an int, got 2.5"),
+    ("finetune-bool-batch-size", lambda: FinetuneConfig(batch_size=True),
+     "batch_size must be an int, got True"),
+    ("finetune-bool-lr", lambda: FinetuneConfig(lr=True), "lr must be a number, got True"),
+    ("accumulation-floats", lambda: AccumulationConfig(2.0, 1, 2.0),
+     "micro_batch_size must be an int, got 2.0"),
+    ("accumulation-bool-steps", lambda: AccumulationConfig(2, True, 2),
+     "accumulation_steps must be an int, got True"),
+    ("adam-bool-lr", lambda: AdamConfig(True), "lr must be a number, got True"),
+    ("masking-bool", lambda: MaskingPolicy(True), "mask_prob must be a number, got True"),
+    ("masking-string", lambda: MaskingPolicy("0.5"), "mask_prob must be a number, got '0.5'"),
+    ("plan-float-steps", lambda: PhasePlan(((8, 1.5),)),
+     "phase step count must be an int, got 1.5"),
+    ("plan-bool-steps", lambda: PhasePlan(((8, True),)),
+     "phase step count must be an int, got True"),
+    ("plan-float-length", lambda: PhasePlan(((8.0, 1),)), "phase length must be an int, got 8.0"),
+]
+
+
+@pytest.mark.parametrize("build,message", [case[1:] for case in _BAD_SETTINGS],
+                         ids=[case[0] for case in _BAD_SETTINGS])
+def test_every_settings_class_refuses_a_value_of_the_wrong_type(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+def test_settings_take_numpy_numbers_and_an_optional_none():
+    assert FinetuneConfig(epochs=np.int64(2), lr=np.float64(0.1), max_steps=None).epochs == 2
+    assert AccumulationConfig(np.int32(2), 1, 2).effective_batch == 2
+    with pytest.raises(ValueError, match="^max_steps must be >= 1 when given, got 0$"):
+        FinetuneConfig(max_steps=0)
 
 
 class TestBatch:
