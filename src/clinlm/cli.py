@@ -230,6 +230,7 @@ def _cmd_finetune(args) -> int:
                          f"{config.max_positions} of {args.checkpoint}")
     train_rows = finetune.load_task_rows(task, args.train, vocab, max_positions)
     dev_rows = finetune.load_task_rows(task, args.dev, vocab, max_positions)
+    finetune.check_dev_rows(task, dev_rows, args.dev)
     hyper = finetune.FinetuneConfig(epochs=args.epochs, batch_size=args.batch_size,
                                     lr=args.lr, max_steps=args.max_steps)
     runs = finetune.finetune_task(config, params, task, train_rows, dev_rows,
@@ -245,6 +246,16 @@ def _cmd_finetune(args) -> int:
     return 0
 
 
+def _scored_files(args, read, unit: str) -> tuple[list, list]:
+    """read of --gold and --pred, refused as PATH: on unequal counts or none."""
+    gold, pred = read(args.gold), read(args.pred)
+    if len(gold) != len(pred):
+        raise ValueError(f"{args.pred}: {len(pred)} {unit}, but {args.gold}: {len(gold)}")
+    if not gold:
+        raise ValueError(f"{args.gold}: no {unit} to score")
+    return gold, pred
+
+
 def _cmd_evaluate(args) -> int:
     if args.aggregate:
         try:
@@ -258,15 +269,14 @@ def _cmd_evaluate(args) -> int:
     if not args.gold or not args.pred:
         raise ValueError("evaluate needs --gold and --pred (or --aggregate)")
     if args.metric == "accuracy":
-        print(f"accuracy {metrics.accuracy(_read_lines(args.gold), _read_lines(args.pred)):.4f}")
+        print(f"accuracy {metrics.accuracy(*_scored_files(args, _read_lines, 'lines')):.4f}")
         return 0
     if args.metric == "micro-f1":
-        gold, pred = ([set(l.split("|")) if l else set() for l in _read_lines(path)]
-                      for path in (args.gold, args.pred))
-        p, r, f1 = metrics.micro_f1(gold, pred)
+        p, r, f1 = metrics.micro_f1(*_scored_files(args, lambda path: [
+            set(l.split("|")) if l else set() for l in _read_lines(path)], "lines"))
     else:
-        gold, pred = ([*finetune.numbered_ner_sentences(path, metrics.bio_tag)]
-                      for path in (args.gold, args.pred))
+        gold, pred = _scored_files(args, lambda path: [
+            *finetune.numbered_ner_sentences(path, metrics.bio_tag)], "sentences")
         for (gold_line, _, gold_tags), (pred_line, _, pred_tags) in zip(gold, pred):
             if len(gold_tags) != len(pred_tags):
                 raise ValueError(f"{args.pred}:{pred_line}: sentence length {len(pred_tags)}, but "

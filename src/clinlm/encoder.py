@@ -7,11 +7,12 @@ feed-forward sublayers. Every loss function returns analytic gradients for
 all parameters, derived by hand and checked against central finite
 differences in the test suite.
 
-Every input row is framed, unpadded, by frame and padded once, to the widest
-row of its batch, by stack_rows. Every objective, masked-LM and task heads
-alike, is a linear head read at some (row, position) pairs, trained through
-one routine, _head_loss. init_params draws the masked-LM head (mlm) for
-pretraining; fine-tuning drops it, as no task reads it.
+A row is its token ids: frame makes it, unpadded, and stack_rows pads a
+batch of rows once with [PAD]; a Batch reads the mask and segments off the
+ids. Every objective, masked-LM and task heads alike, is a linear head read
+at some (row, position) pairs, trained through one routine, _head_loss.
+init_params draws the masked-LM head (mlm) for pretraining; fine-tuning
+drops it, as no task reads it.
 
 The attention core, scores, softmax, dropout and context, is one function
 pair, _attention and _attention_backward, computed in place in one scores
@@ -50,7 +51,7 @@ import math
 import numbers
 import os
 from collections.abc import Mapping
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 from scipy.special import erf
@@ -130,27 +131,23 @@ def base_config(vocab_size: int) -> EncoderConfig:
 
 @dataclass
 class Batch:
-    """Rows of equal width: token ids, 0/1 attention mask, segment ids.
-    stack_rows builds one from framed rows, padding each to the widest."""
+    """Rows of token ids of equal width, which alone give the layout. The one
+    statement of its rule: attention_mask is 0 exactly at [PAD], and
+    segment_ids is 1 after a row's first [SEP] (a framed pair's side b and
+    its last [SEP]) except at [PAD]."""
 
     token_ids: np.ndarray
-    attention_mask: np.ndarray
-    segment_ids: np.ndarray
+    attention_mask: np.ndarray = field(init=False)
+    segment_ids: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        self.token_ids = np.asarray(self.token_ids, dtype=np.int64)
-        self.attention_mask = np.asarray(self.attention_mask, dtype=np.int64)
-        self.segment_ids = np.asarray(self.segment_ids, dtype=np.int64)
-        if self.token_ids.ndim != 2:
-            raise ValueError(f"token_ids must be 2-D, got shape {self.token_ids.shape}")
-        for name in ("attention_mask", "segment_ids"):
-            arr = getattr(self, name)
-            if arr.shape != self.token_ids.shape:
-                raise ValueError(
-                    f"{name} shape {arr.shape} does not match token_ids {self.token_ids.shape}"
-                )
-        if not np.isin(self.attention_mask, (0, 1)).all():
-            raise ValueError("attention_mask entries must be 0 or 1")
+        ids = self.token_ids = np.asarray(self.token_ids, dtype=np.int64)
+        if ids.ndim != 2:
+            raise ValueError(f"token_ids must be 2-D, got shape {ids.shape}")
+        real, sep = ids != PAD_ID, ids == SEP_ID
+        self.attention_mask = real.astype(np.int64)
+        # more [SEP]s up to a position than at it: the first lies before it
+        self.segment_ids = ((np.cumsum(sep, axis=1) > sep) & real).astype(np.int64)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -167,40 +164,35 @@ def content_room(length: int, pair: bool) -> int:
     return length - (3 if pair else 2)
 
 
-def frame(ids_a, ids_b, length: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One unpadded row of at most `length` positions: [CLS] a [SEP] for a
-    single text (ids_b None) or [CLS] a [SEP] b [SEP] for a pair.
-
-    Returns (token ids, attention mask, segment ids). The mask is all ones;
-    side b and its [SEP] carry segment 1, everything else segment 0. A single
-    text that does not fit keeps its prefix; a pair drops trailing pieces
-    from its longer side first (side a on a tie).
+def frame(ids_a, ids_b, length: int) -> np.ndarray:
+    """The token ids of one unpadded row of at most `length` positions:
+    [CLS] a [SEP] for a single text (ids_b None) or [CLS] a [SEP] b [SEP]
+    for a pair. A Batch reads the row's mask and segments off its [PAD]s and
+    [SEP]s, so content holding either is refused. A single text that does
+    not fit keeps its prefix; a pair drops trailing pieces from its longer
+    side first (side a on a tie).
     """
     pair = ids_b is not None
     room = content_room(length, pair)
     a, b = list(ids_a), list(ids_b) if pair else []
+    if {PAD_ID, SEP_ID} & {*a, *b}:
+        raise ValueError("content holds [PAD] or [SEP], the ids a batch reads a row's layout from")
     while len(a) + len(b) > room:
         (a if len(a) >= len(b) else b).pop()
-    ids = np.array([CLS_ID, *a, SEP_ID] + ([*b, SEP_ID] if pair else []), dtype=np.int64)
-    segments = np.zeros(len(ids), dtype=np.int64)
-    segments[len(a) + 2:] = 1
-    return ids, np.ones(len(ids), dtype=np.int64), segments
+    return np.array([CLS_ID, *a, SEP_ID] + ([*b, SEP_ID] if pair else []), dtype=np.int64)
 
 
 def stack_rows(rows) -> Batch:
-    """Stack framed rows into one Batch as wide as its widest row. Each row is
-    a 1-D (token ids, attention mask, segment ids) triple, as frame returns
-    and a finetune.NerRow unpacks. Narrower rows are filled out with [PAD],
-    mask 0, segment 0; no column is ever cut."""
-    rows = [tuple(row) for row in rows]
+    """Stack framed rows, 1-D token id arrays as frame returns, into one
+    Batch as wide as its widest row. Narrower rows are filled out with
+    [PAD]; no column is ever cut."""
+    rows = list(rows)
     if not rows:
         raise ValueError("no rows to stack")
-    width = max(len(ids) for ids, _, _ in rows)
-    columns = [np.full((len(rows), width), fill) for fill in (PAD_ID, 0, 0)]
+    ids = np.full((len(rows), max(map(len, rows))), PAD_ID, dtype=np.int64)
     for i, row in enumerate(rows):
-        for column, part in zip(columns, row):
-            column[i, :len(part)] = part
-    return Batch(*columns)
+        ids[i, :len(row)] = row
+    return Batch(ids)
 
 
 def param_shapes(config: EncoderConfig) -> dict[str, tuple[int, ...]]:
@@ -452,7 +444,7 @@ def _forward(params, config, batch, rng, reads=None, keep=False):
         raise ValueError(f"sequence length {t} exceeds max_positions {config.max_positions}")
     if batch.token_ids.min() < 0 or batch.token_ids.max() >= config.vocab_size:
         raise ValueError("token id outside vocabulary range")
-    if batch.segment_ids.min() < 0 or batch.segment_ids.max() >= config.n_segments:
+    if batch.segment_ids.max() >= config.n_segments:
         raise ValueError("segment id outside segment range")
     if reads is not None:  # the one check of the reads contract (see the module docstring)
         reads = np.asarray(reads, dtype=np.int64)

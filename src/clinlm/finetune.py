@@ -10,10 +10,10 @@ Supported task shapes:
 
 This is the one module that knows what a task kind means: TaskSpec,
 load_task_rows, the training step and the dev metric branch on it. A row is
-encoder.frame's unpadded triple (or a NerRow, which unpacks as one) until
-encoder.stack_rows pads a batch of rows. Each kind trains an encoder.init_head
-head read at the (row, position) pairs _read_positions gives, through
-encoder._head_loss, the loss routine masked-LM pretraining also uses.
+encoder.frame's unpadded token ids (or a NerRow, which holds them) until
+_stacked pads a batch of rows. Each kind trains an encoder.init_head head
+read at the (row, position) pairs _stacked gives, through encoder._head_loss,
+the loss routine masked-LM pretraining also uses.
 
 Every run is specified by (checkpoint, task, data, seed); repeating a seed
 reproduces the run exactly.
@@ -30,7 +30,7 @@ import numpy as np
 
 from . import corpus, metrics, wordpiece
 from .encoder import (
-    MIN_FRAME_LENGTH, EncoderConfig, ParamStore, _head_logits, _sigmoid, check_fields,
+    MIN_FRAME_LENGTH, Batch, EncoderConfig, ParamStore, _head_logits, _sigmoid, check_fields,
     content_room, forward, frame, init_head, load_checkpoint, multilabel_loss, pair_classify_loss,
     stack_rows, token_classify_loss, without_head,
 )
@@ -85,10 +85,7 @@ class TaskSpec:
     def bio_tags(self) -> list[str]:
         if self.kind != "ner":
             raise ValueError("bio_tags only applies to ner tasks")
-        tags = ["O"]
-        for t in self.labels:
-            tags.extend([f"B-{t}", f"I-{t}"])
-        return tags
+        return ["O"] + [f"{prefix}-{t}" for t in self.labels for prefix in "BI"]
 
 
 TASK_NAMES = ("ner-2010", "ner-2012", "re-2010", "mednli", "icd9-top50", "therapeutic-class")
@@ -117,10 +114,8 @@ def marker_token(concept_type: str, closing: bool) -> str:
 
 
 def marker_tokens(concept_types: Iterable[str]) -> list[str]:
-    out = []
-    for t in sorted(set(concept_types)):
-        out.extend([marker_token(t, False), marker_token(t, True)])
-    return out
+    return [marker_token(t, closing) for t in sorted(set(concept_types))
+            for closing in (False, True)]
 
 
 def mark_concepts(words: Sequence[str],
@@ -129,21 +124,19 @@ def mark_concepts(words: Sequence[str],
     """Wrap two word spans (half-open indices) in typed boundary markers.
 
     The marked sequence keeps the original word order and grows by exactly
-    four marker pseudo-words. Overlapping or out-of-range spans are errors.
+    four marker strings; words may be any items. Overlapping or
+    out-of-range spans are errors.
     """
     spans = sorted([(span_a, type_a), (span_b, type_b)])
     for (s, e), _ in spans:
         if not (0 <= s < e <= len(words)):
             raise ValueError(f"span ({s}, {e}) out of range for {len(words)} words")
-    (first, t1), (second, t2) = spans
+    (first, _), (second, _) = spans
     if first[1] > second[0]:
         raise ValueError(f"concept spans {first} and {second} overlap")
     out = list(words)
-    # insert right-to-left so earlier indices stay valid
-    out.insert(second[1], marker_token(t2, True))
-    out.insert(second[0], marker_token(t2, False))
-    out.insert(first[1], marker_token(t1, True))
-    out.insert(first[0], marker_token(t1, False))
+    for (start, end), t in reversed(spans):  # right to left, so earlier indices stay valid
+        out[start:end] = [marker_token(t, False), *out[start:end], marker_token(t, True)]
     return out
 
 
@@ -178,7 +171,7 @@ def load_task_model(task: TaskSpec, checkpoint, vocab_path):
     return grown, params, vocab
 
 
-def prepare_document(text: str, vocab: Vocabulary, max_positions: int) -> tuple:
+def prepare_document(text: str, vocab: Vocabulary, max_positions: int) -> np.ndarray:
     """frame's unpadded row: [CLS], the first max_positions - 2 pieces, [SEP].
 
     Truncation keeps the document prefix, so the same text prepared at two
@@ -186,42 +179,36 @@ def prepare_document(text: str, vocab: Vocabulary, max_positions: int) -> tuple:
     return frame(wordpiece.encode(vocab, normalize(text)).ids, None, max_positions)
 
 
-def prepare_pair(text_a: str, text_b: str, vocab: Vocabulary, max_positions: int) -> tuple:
-    """frame's unpadded row: [CLS] a [SEP] b [SEP] with segment ids 0 and 1.
-    When the pair is too long, the longer side loses pieces first."""
+def prepare_pair(text_a: str, text_b: str, vocab: Vocabulary, max_positions: int) -> np.ndarray:
+    """frame's unpadded row: [CLS] a [SEP] b [SEP]. When the pair is too
+    long, the longer side loses pieces first."""
     ids_a, ids_b = (wordpiece.encode(vocab, normalize(text)).ids for text in (text_a, text_b))
     return frame(ids_a, ids_b, max_positions)
 
 
-def prepare_marked_sentence(words: Sequence[str], vocab: Vocabulary,
-                            max_positions: int) -> tuple:
-    """frame's unpadded row for a concept-marked word sequence. A word that is
-    itself a vocabulary token (the reserved markers in particular) maps
-    straight to its id; everything else goes through wordpiece segmentation."""
-    content: list[int] = []
-    for word in words:
-        if word in vocab.token_to_id:
-            content.append(vocab.id_of(word))
-        else:
-            content.extend(word_ids(vocab, word))
-    return frame(content, None, max_positions)
+def prepare_marked_sentence(words: Sequence[str], span_a: tuple[int, int], type_a: str,
+                            span_b: tuple[int, int], type_b: str, vocab: Vocabulary,
+                            max_positions: int) -> np.ndarray:
+    """frame's unpadded row for two typed concept spans of a word sequence,
+    wrapped in their markers by mark_concepts. Only those four markers map
+    straight to their ids; every word goes through word_ids, so a word
+    spelled like a vocabulary token ([SEP], ##ing, a marker) is text."""
+    marked = mark_concepts([word_ids(vocab, word) for word in words],
+                           span_a, type_a, span_b, type_b)
+    return frame([i for item in marked for i in
+                  ((vocab.id_of(item),) if isinstance(item, str) else item)], None, max_positions)
 
 
 @dataclass
 class NerRow:
-    """One encoded tagging example: the unpadded framed row, and the position
-    and tag of each kept word's first piece, where its tag is scored and
-    read back out. It unpacks as the framed row that frame returns."""
+    """One encoded tagging example: the unpadded framed row's token ids, and
+    the position and tag of each kept word's first piece, where its tag is
+    scored and read back out."""
 
     ids: np.ndarray
-    mask: np.ndarray
-    segment_ids: np.ndarray
     first_piece_positions: list[int]
     tag_ids: list[int]  # the tag id at each first piece position
     word_tags: list[str]  # gold tags for the words that survived truncation
-
-    def __iter__(self):
-        return iter((self.ids, self.mask, self.segment_ids))
 
 
 def word_ids(vocab: Vocabulary, word: str) -> tuple[int, ...]:
@@ -257,7 +244,7 @@ def encode_ner_example(words: Sequence[str], tags: Sequence[str],
         first_positions.append(1 + len(content))
         kept_tags.append(tag)
         content.extend(ids)
-    return NerRow(*frame(content, None, max_positions), first_piece_positions=first_positions,
+    return NerRow(frame(content, None, max_positions), first_piece_positions=first_positions,
                   tag_ids=[tag_to_id[tag] for tag in kept_tags], word_tags=kept_tags)
 
 
@@ -282,26 +269,29 @@ class SeedRun:
     best_epoch: int
 
 
-def _read_positions(rows) -> np.ndarray:
-    """The (row, position) pairs a head reads in rows stacked as one batch,
-    in encoder.forward's reads form: each NerRow's first pieces, or else
-    position 0 of the row. Training and prediction both read here."""
-    return np.array([(i, c) for i, row in enumerate(rows) for c in
-                     (row.first_piece_positions if isinstance(row, NerRow) else (0,))],
-                    dtype=np.int64).reshape(-1, 2)
+def _stacked(rows) -> tuple[Batch, np.ndarray]:
+    """rows stacked as one Batch (encoder.stack_rows, a NerRow by its ids) and
+    the (row, position) pairs a head reads there, in encoder.forward's reads
+    form: each NerRow's first pieces, or else position 0 of the row.
+    Training and prediction both stack and read here."""
+    ner = [isinstance(row, NerRow) for row in rows]
+    reads = [(i, c) for i, row in enumerate(rows)
+             for c in (row.first_piece_positions if ner[i] else (0,))]
+    return (stack_rows([row.ids if ner[i] else row for i, row in enumerate(rows)]),
+            np.array(reads, dtype=np.int64).reshape(-1, 2))
 
 
 def _forward_chunks(params, config, rows: Sequence, batch_size: int, head: str, n_out: int):
     """Yield, for each row in order, the scores of head at the positions it
-    reads there ([positions, n_out], see _read_positions). Each batch_size
+    reads there ([positions, n_out], see _stacked). Each batch_size
     rows take one forward pass, whose top layer runs at those positions
     only. A non-finite score is refused with a ValueError naming the first
     row that has one."""
     done = 0  # rows yielded so far
     for start in range(0, len(rows), batch_size):
         chunk = rows[start:start + batch_size]
-        reads = _read_positions(chunk)
-        hidden = forward(params, config, stack_rows(chunk), reads=reads)
+        batch, reads = _stacked(chunk)
+        hidden = forward(params, config, batch, reads=reads)
         scores = _head_logits(params, head, hidden, n_out)
         per_row = np.split(scores, np.searchsorted(reads[:, 0], np.arange(1, len(chunk))))
         if not np.isfinite(scores).all():
@@ -350,7 +340,7 @@ def _dev_metric(task, params, config, dev):
 
 def _train_step(task, params, config, rows: Sequence, state, lr, rng):
     """One Adam update at learning rate lr of params on rows through the task
-    kind's loss, read at _read_positions, in train mode: dropout masks come
+    kind's loss, stacked and read by _stacked, in train mode: dropout masks come
     from rng."""
     if task.kind == "ner":
         loss, framed = token_classify_loss, rows
@@ -363,7 +353,7 @@ def _train_step(task, params, config, rows: Sequence, state, lr, rng):
             loss, targets = multilabel_loss, np.zeros((len(rows), len(task.labels)))
             for i, r in enumerate(rows):
                 targets[i, sorted(r[1])] = 1.0
-    _, grads = loss(params, config, stack_rows(framed), _read_positions(framed), targets, rng=rng)
+    _, grads = loss(params, config, *_stacked(framed), targets, rng=rng)
     return adam_step(params, grads, state, lr)
 
 
@@ -402,7 +392,7 @@ def finetune_task(
         state = init_optimizer(p)
         rng = np.random.default_rng(seed)
         step = 0
-        best_metric, best_params, best_epoch = -1.0, None, -1
+        best = SeedRun(seed, p, -1.0, -1)  # replaced at the first epoch
         for epoch in range(hyper.epochs):
             order = rng.permutation(len(train_rows))
             for start in range(0, len(order), hyper.batch_size):
@@ -412,14 +402,11 @@ def finetune_task(
                 if step == hyper.max_steps:
                     break
             metric = _dev_metric(task, p, config, dev_rows)
-            if metric > best_metric:
-                best_metric = metric
-                best_params = p.like(p.flat.copy())
-                best_epoch = epoch
+            if metric > best.dev_metric:
+                best = SeedRun(seed, p.like(p.flat.copy()), metric, epoch)
             if step == hyper.max_steps:
                 break
-        runs.append(SeedRun(seed=seed, params=best_params,
-                            dev_metric=best_metric, best_epoch=best_epoch))
+        runs.append(best)
     return runs
 
 
@@ -449,9 +436,9 @@ def load_task_rows(task: TaskSpec, path, vocab: Vocabulary, max_positions: int) 
             for concept in (rec["type_a"], rec["type_b"]):
                 if concept not in task.concept_types:
                     raise ValueError(f"unknown concept type {concept!r} for task {task.name}")
-            marked = mark_concepts(rec["words"], tuple(rec["span_a"]), rec["type_a"],
-                                   tuple(rec["span_b"]), rec["type_b"])
-            return prepare_marked_sentence(marked, vocab, max_positions), index[label(rec["label"])]
+            return prepare_marked_sentence(rec["words"], tuple(rec["span_a"]), rec["type_a"],
+                                           tuple(rec["span_b"]), rec["type_b"], vocab,
+                                           max_positions), index[label(rec["label"])]
 
         return corpus.read_jsonl(path, {"words": list[str], "span_a": list[int], "type_a": str,
                                         "span_b": list[int], "type_b": str, "label": str},
@@ -459,6 +446,15 @@ def load_task_rows(task: TaskSpec, path, vocab: Vocabulary, max_positions: int) 
     return corpus.read_jsonl(path, {"premise": str, "hypothesis": str, "label": str}, lambda rec: (
         prepare_pair(rec["premise"], rec["hypothesis"], vocab, max_positions),
         index[label(rec["label"])]), "task row")
+
+
+def check_dev_rows(task: TaskSpec, rows: Sequence, path) -> None:
+    """Refuse ner or multilabel dev rows of no gold entity or label, as PATH:
+    message: every model, one predicting nothing too, would score 1.0."""
+    if task.kind == "ner" and not any(tag != "O" for row in rows for tag in row.word_tags):
+        raise ValueError(f"{path}: dev set has no gold entity to select on")
+    if task.kind == "multilabel" and not any(labels for _, labels in rows):
+        raise ValueError(f"{path}: dev set has no gold label to select on")
 
 
 def numbered_ner_sentences(path, tag: Callable[[str], object] = str):

@@ -3,7 +3,7 @@
 Entity scores are strict: a predicted span counts only when its boundaries
 and label both match a gold span exactly. Degenerate denominators follow the
 usual conventions: precision or recall is 1.0 when both span sets are empty
-and 0.0 when only its own denominator is empty.
+and 0.0 when only its own denominator is empty; a corpus of none is refused.
 """
 
 from __future__ import annotations
@@ -97,11 +97,18 @@ def _pooled_prf(pairs) -> tuple[float, float, float]:
     return _prf(tp, n_pred, n_gold)
 
 
+def _check_counts(gold: Sequence, pred: Sequence, what: str) -> None:
+    """Refuse gold and predicted instances of different counts, or of none."""
+    if len(gold) != len(pred):
+        raise ValueError(f"{len(gold)} gold {what} but {len(pred)} predicted")
+    if not gold:
+        raise ValueError(f"cannot score an empty list of {what}")
+
+
 def micro_f1(gold_sets: Sequence[set], pred_sets: Sequence[set]) -> tuple[float, float, float]:
     """Pooled precision, recall, F1: TP/FP/FN are summed over instances
     before any division."""
-    if len(gold_sets) != len(pred_sets):
-        raise ValueError(f"{len(gold_sets)} gold sets but {len(pred_sets)} predictions")
+    _check_counts(gold_sets, pred_sets, "sets")
     return _pooled_prf(zip(gold_sets, pred_sets))
 
 
@@ -114,10 +121,7 @@ def corpus_entity_f1(gold_tag_seqs: Sequence[Sequence[str]],
     instead scores each non-O position: a true positive is a position where
     gold and prediction carry the same non-O tag.
     """
-    if len(gold_tag_seqs) != len(pred_tag_seqs):
-        raise ValueError(
-            f"{len(gold_tag_seqs)} gold sequences but {len(pred_tag_seqs)} predicted"
-        )
+    _check_counts(gold_tag_seqs, pred_tag_seqs, "sequences")
 
     def items(tags) -> set:
         if token_level:
@@ -133,10 +137,7 @@ def corpus_entity_f1(gold_tag_seqs: Sequence[Sequence[str]],
 
 
 def accuracy(gold: Sequence, pred: Sequence) -> float:
-    if len(gold) != len(pred):
-        raise ValueError(f"{len(gold)} gold labels but {len(pred)} predictions")
-    if not gold:
-        raise ValueError("cannot score an empty prediction list")
+    _check_counts(gold, pred, "labels")
     return sum(g == p for g, p in zip(gold, pred)) / len(gold)
 
 

@@ -19,8 +19,8 @@ import numpy as np
 from . import wordpiece
 from .corpus import write_lines
 from .encoder import (
-    EncoderConfig, ParamStore, check_fields, check_setting, content_room, frame, init_params,
-    mlm_forward_loss, stack_rows,
+    Batch, EncoderConfig, ParamStore, check_fields, check_setting, content_room, frame,
+    init_params, mlm_forward_loss, stack_rows,
 )
 from .wordpiece import CLS_ID, MASK_ID, SEP_ID, Vocabulary
 
@@ -260,11 +260,11 @@ def pack_sequences(id_seqs: Sequence[Sequence[int]], max_seq_len: int) -> list[l
 
 def _build_micro_batch(rows, policy, vocab_size, rng):
     batch = stack_rows(rows)
-    ids, mask = batch.token_ids, batch.attention_mask
+    ids = batch.token_ids
     corrupted = ids.copy()
-    positions = []
-    targets = []
-    maskable = (mask == 1) & (ids != CLS_ID) & (ids != SEP_ID)
+    positions, targets = [], []
+    # [UNK] stays maskable; corruption writes no [PAD] or [SEP], so keeps the layout
+    maskable = (batch.attention_mask == 1) & (ids != CLS_ID) & (ids != SEP_ID)
     for b in range(len(rows)):
         row, pos, tgt = apply_masking(policy, ids[b], maskable[b], vocab_size, rng)
         corrupted[b] = row
@@ -277,8 +277,7 @@ def _build_micro_batch(rows, policy, vocab_size, rng):
         positions.append((b, p))
         targets.append(int(ids[b, p]))
         corrupted[b, p] = MASK_ID
-    batch.token_ids = corrupted
-    return batch, np.array(positions, dtype=np.int64), np.array(targets, dtype=np.int64)
+    return Batch(corrupted), np.array(positions, dtype=np.int64), np.array(targets, dtype=np.int64)
 
 
 def run_pretraining(

@@ -44,6 +44,8 @@ from clinlm.pretrain import (
     run_pretraining,
 )
 from clinlm.wordpiece import (
+    PAD_ID,
+    SEP_ID,
     SPECIALS,
     Vocabulary,
     decode,
@@ -207,11 +209,11 @@ def test_criterion_03_gradient_audit():
                            ff_dim=16, max_positions=6)
     rng = np.random.default_rng(9)
     ids = rng.integers(5, 50, size=(2, 6))
-    mask = np.ones((2, 6), dtype=np.int64)
-    mask[1, 5] = 0
-    segments = np.zeros((2, 6), dtype=np.int64)
-    segments[1, 2:5] = 1
-    batch = Batch(ids, mask, segments)
+    # row 1 is a pair padded by one: segment 1 after its [SEP], mask 0 at [PAD]
+    ids[1, 1], ids[1, 5] = SEP_ID, PAD_ID
+    batch = Batch(ids)
+    assert batch.attention_mask[1].tolist() == [1, 1, 1, 1, 1, 0]
+    assert batch.segment_ids.tolist() == [[0] * 6, [0, 0, 1, 1, 1, 0]]
 
     params = init_params(config, seed=3)
     params = init_head(params, config, "head_token", 3, seed=4)
@@ -252,22 +254,19 @@ def test_criterion_04_accumulation_equivalence():
     params = init_params(config, seed=1)
     rng = np.random.default_rng(2)
     ids = rng.integers(5, 40, size=(32, 8))
-    batch_rows = [(ids[i], np.ones(8, dtype=np.int64)) for i in range(32)]
-
     def targets_for(rows):
         positions, originals = [], []
-        for r, (row_ids, _) in enumerate(rows):
+        for r, row_ids in enumerate(rows):
             col = int(rng.integers(0, 8))
             positions.append([r, col])
             originals.append(row_ids[col])
         return np.array(positions), np.array(originals)
 
     # one fixed target per row, then shared between both routes
-    all_positions, all_targets = targets_for(batch_rows)
+    all_positions, all_targets = targets_for(ids)
 
     def micro(lo, hi):
-        b = Batch(ids[lo:hi], np.ones((hi - lo, 8), dtype=np.int64),
-                  np.zeros((hi - lo, 8), dtype=np.int64))
+        b = Batch(ids[lo:hi])
         sel = (all_positions[:, 0] >= lo) & (all_positions[:, 0] < hi)
         pos = all_positions[sel].copy()
         pos[:, 0] -= lo
@@ -284,8 +283,7 @@ def test_criterion_04_accumulation_equivalence():
     # after one update from zero state, m = (1 - beta1) * accumulated gradient
     g_accumulated = {k: m / (1.0 - BETA1) for k, m in state_after.m.items()}
 
-    full = Batch(ids, np.ones((32, 8), dtype=np.int64),
-                 np.zeros((32, 8), dtype=np.int64))
+    full = Batch(ids)
     _, g_full = mlm_forward_loss(params, config, full, all_positions, all_targets)
 
     worst = 0.0
@@ -589,11 +587,11 @@ def test_criterion_11_length_variant_harness(desk):
     start = time.perf_counter()
     documents = [" ".join(clinical_sentences(80, offset=o)) for o in (0, 7, 19)]
     for doc in documents:
-        short_ids, short_mask, _ = prepare_document(doc, desk.vocab, 128)
-        long_ids, long_mask, _ = prepare_document(doc, desk.vocab, 512)
+        short_ids = prepare_document(doc, desk.vocab, 128)
+        long_ids = prepare_document(doc, desk.vocab, 512)
         assert np.array_equal(short_ids[1:127], long_ids[1:127])
-        assert int(short_mask.sum()) == 128
-        assert long_ids[int(long_mask.sum()) - 1] == short_ids[127]
+        assert len(short_ids) == 128
+        assert long_ids[-1] == short_ids[127]
 
     task = TaskSpec("desk-docs", "multilabel", ("has-problem", "has-treatment"),
                     "micro_f1")

@@ -594,6 +594,23 @@ class TestMalformedInputs:
          ["compress-report", "--dataset", "notes={file}", "--vocab", "base={vocab}",
           "--baseline", "base"],
          "{file}: dataset 'notes' contains no words"),
+        # nothing to score is no perfect score
+        ("entity-f1-of-empty-files", "tags.tsv", "",
+         ["evaluate", "--metric", "entity-f1", "--gold", "{file}", "--pred", "{file}"],
+         "{file}: no sentences to score"),
+        ("micro-f1-of-empty-files", "labels.txt", "",
+         ["evaluate", "--metric", "micro-f1", "--gold", "{file}", "--pred", "{file}"],
+         "{file}: no lines to score"),
+        # the vocabulary file stands in for a longer gold file
+        ("pred-file-of-fewer-lines", "pred.txt", "pain\n",
+         ["evaluate", "--metric", "accuracy", "--gold", "{vocab}", "--pred", "{file}"],
+         "{file}: 1 lines, but {vocab}: "),
+        # a dev set every model scores 1.0 on selects no epoch
+        ("ner-dev-set-of-no-entity", "tags.tsv", "no\tO\npain\tO\n\nfever\tO\n",
+         _finetune("ner-2010"), "{file}: dev set has no gold entity to select on"),
+        ("multilabel-dev-set-of-no-label", "d.jsonl",
+         _jsonl({"text": "severe pain", "labels": []}, {"text": "no fever", "labels": []}),
+         _finetune("icd9-top50"), "{file}: dev set has no gold label to select on"),
     ]
 
     @pytest.mark.parametrize("name,contents,argv,where", [case[1:] for case in CASES],
@@ -871,6 +888,16 @@ class TestEvaluateCommand:
         assert (code, out) == (1, "")
         assert err == (f"error: {pred}:4: sentence length 1, but the gold one at {gold}:3 "
                        f"has 2\n")
+
+    def test_files_of_other_sentence_counts_are_both_named(self, tmp_path, capsys):
+        gold = tmp_path / "gold.tsv"
+        pred = tmp_path / "pred.tsv"
+        gold.write_text("no\tO\n\nsevere\tB-problem\n", encoding="utf-8")
+        pred.write_text("no\tO\n", encoding="utf-8")
+        code, out, err = run_cli(["evaluate", "--metric", "entity-f1",
+                                  "--gold", str(gold), "--pred", str(pred)], capsys)
+        assert (code, out) == (1, "")
+        assert err == f"error: {pred}: 1 sentences, but {gold}: 2\n"
 
     def test_aggregate_mode(self, capsys):
         code, out, _ = run_cli(

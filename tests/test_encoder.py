@@ -46,7 +46,7 @@ from clinlm.finetune import FinetuneConfig, extend_for_markers, predict_label_se
 from clinlm.pretrain import (
     AccumulationConfig, AdamConfig, MaskingPolicy, PhasePlan, adam_step, init_optimizer,
 )
-from clinlm.wordpiece import PAD_ID, train_wordpiece
+from clinlm.wordpiece import PAD_ID, SEP_ID, train_wordpiece
 
 
 def tiny_config(**overrides):
@@ -54,23 +54,6 @@ def tiny_config(**overrides):
                     ff_dim=6, max_positions=4, n_segments=2)
     defaults.update(overrides)
     return EncoderConfig(**defaults)
-
-
-def full_batch(token_rows, mask_rows=None, segment_rows=None):
-    ids = np.array(token_rows)
-    mask = np.ones_like(ids) if mask_rows is None else np.array(mask_rows)
-    seg = np.zeros_like(ids) if segment_rows is None else np.array(segment_rows)
-    return Batch(token_ids=ids, attention_mask=mask, segment_ids=seg)
-
-
-def columns(batch):
-    """A Batch's (token ids, attention mask, segment ids) arrays."""
-    return batch.token_ids, batch.attention_mask, batch.segment_ids
-
-
-def rows_of(batch):
-    """A Batch's rows as the 1-D framed triples that predict_* take."""
-    return list(zip(*columns(batch)))
 
 
 def zero_params(config):
@@ -150,15 +133,22 @@ def test_settings_take_numpy_numbers_and_an_optional_none():
 class TestBatch:
     def test_must_be_2d(self):
         with pytest.raises(ValueError, match="2-D"):
-            Batch(np.zeros(3), np.zeros(3), np.zeros(3))
+            Batch(np.zeros(3))
 
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="attention_mask"):
-            Batch(np.zeros((2, 3)), np.zeros((2, 4)), np.zeros((2, 3)))
-
-    def test_mask_values_restricted(self):
-        with pytest.raises(ValueError, match="0 or 1"):
-            full_batch([[5, 6]], mask_rows=[[1, 2]])
+    def test_layout_is_read_off_pad_and_sep(self):
+        # mask 0 exactly at [PAD]; segment 1 after the first [SEP], but not
+        # at [PAD]: a [PAD] inside a row is masked, and a row with no [SEP]
+        # is all segment 0
+        batch = Batch([[2, 5, 3, 6, 7, 3, 0, 0],
+                       [2, 5, 0, 6, 3, 0, 7, 3],
+                       [5, 6, 7, 1, 4, 0, 6, 0]])
+        assert batch.attention_mask.tolist() == [[1, 1, 1, 1, 1, 1, 0, 0],
+                                                 [1, 1, 0, 1, 1, 0, 1, 1],
+                                                 [1, 1, 1, 1, 1, 0, 1, 0]]
+        assert batch.segment_ids.tolist() == [[0, 0, 0, 1, 1, 1, 0, 0],
+                                              [0, 0, 0, 0, 0, 0, 1, 1],
+                                              [0, 0, 0, 0, 0, 0, 0, 0]]
+        assert batch.attention_mask.dtype == batch.segment_ids.dtype == np.int64
 
 
 class TestInitParams:
@@ -280,13 +270,13 @@ class TestForwardOracle:
         return {k: np.array(v, dtype=np.float64) for k, v in self.WEIGHTS.items()}
 
     def test_output_matches_frozen_scalar_oracle(self):
-        batch = full_batch([self.TOKEN_IDS])
+        batch = Batch([self.TOKEN_IDS])
         hidden = forward(self.params(), self.CONFIG, batch)
         assert hidden.shape == (1, 2, 2)
         np.testing.assert_allclose(hidden[0], self.EXPECTED_OUT, atol=1e-10, rtol=0)
 
     def test_attention_matches_frozen_scalar_oracle(self):
-        batch = full_batch([self.TOKEN_IDS])
+        batch = Batch([self.TOKEN_IDS])
         attn = attention_weights(self.params(), self.CONFIG, batch)
         assert len(attn) == 1 and attn[0].shape == (1, 1, 2, 2)
         np.testing.assert_allclose(attn[0][0, 0], self.EXPECTED_ATTN,
@@ -302,8 +292,7 @@ class TestForwardProperties:
     def test_attention_rows_sum_to_one(self):
         config = tiny_config(n_layers=2)
         params = init_params(config, 3)
-        batch = full_batch([[5, 6, 7, 1], [2, 3, 0, 0]],
-                           mask_rows=[[1, 1, 1, 1], [1, 1, 0, 0]])
+        batch = Batch([[5, 6, 7, 1], [2, 3, 0, 0]])
         maps = attention_weights(params, config, batch)
         assert len(maps) == config.n_layers
         for layer_attn in maps:
@@ -313,7 +302,7 @@ class TestForwardProperties:
     def test_masked_positions_get_zero_attention(self):
         config = tiny_config()
         params = init_params(config, 3)
-        batch = full_batch([[5, 6, 7, 1]], mask_rows=[[1, 1, 0, 1]])
+        batch = Batch([[5, 6, PAD_ID, 1]])
         for layer_attn in attention_weights(params, config, batch):
             assert np.all(layer_attn[..., 2] == 0.0)
 
@@ -321,24 +310,24 @@ class TestForwardProperties:
         config = tiny_config(max_positions=2)
         params = init_params(config, 0)
         with pytest.raises(ValueError, match="max_positions"):
-            forward(params, config, full_batch([[5, 6, 7]]))
+            forward(params, config, Batch([[5, 6, 7]]))
 
     def test_out_of_vocab_id_rejected(self):
         config = tiny_config()
         params = init_params(config, 0)
         with pytest.raises(ValueError, match="vocabulary"):
-            forward(params, config, full_batch([[5, 200]]))
+            forward(params, config, Batch([[5, 200]]))
 
     def test_out_of_range_segment_rejected(self):
         config = tiny_config(n_segments=1)
         params = init_params(config, 0)
         with pytest.raises(ValueError, match="segment"):
-            forward(params, config, full_batch([[5, 6]], segment_rows=[[0, 1]]))
+            forward(params, config, Batch([[SEP_ID, 6]]))  # segment 1 after the [SEP]
 
     def test_deterministic(self):
         config = tiny_config()
         params = init_params(config, 5)
-        batch = full_batch([[5, 6, 7, 2]])
+        batch = Batch([[5, 6, 7, 2]])
         assert np.array_equal(forward(params, config, batch),
                               forward(params, config, batch))
 
@@ -348,14 +337,14 @@ class TestForwardProperties:
         params["pos_emb"] = np.zeros_like(params["pos_emb"])
         ids = [5, 6, 7, 2]
         perm = [2, 0, 3, 1]
-        out = forward(params, config, full_batch([ids]))
-        out_perm = forward(params, config, full_batch([[ids[i] for i in perm]]))
+        out = forward(params, config, Batch([ids]))
+        out_perm = forward(params, config, Batch([[ids[i] for i in perm]]))
         np.testing.assert_allclose(out_perm[0], out[0][perm], rtol=0, atol=1e-10)
 
     def test_dropout_needs_rng_and_changes_output(self):
         config = tiny_config(dropout=0.5)
         params = init_params(config, 0)
-        batch = full_batch([[5, 6, 7, 2]])
+        batch = Batch([[5, 6, 7, 2]])
         a = forward(params, config, batch, rng=np.random.default_rng(0))
         b = forward(params, config, batch)  # eval mode ignores dropout
         assert not np.allclose(a, b)
@@ -366,7 +355,7 @@ class TestForwardProperties:
         params = init_params(config, 0)
 
         def timed(t):
-            batch = full_batch([[5] * t])
+            batch = Batch([[5] * t])
             best = math.inf
             for _ in range(3):
                 tick = time.perf_counter()
@@ -383,15 +372,15 @@ class TestMlmLoss:
     def test_uniform_logits_give_log_vocab(self):
         config = tiny_config()
         params = zero_params(config)
-        batch = full_batch([[5, 6, 7, 2]])
+        batch = Batch([[5, 6, 7, 2]])
         loss, _ = mlm_forward_loss(params, config, batch, [[0, 1], [0, 3]], [6, 2])
         assert loss == pytest.approx(math.log(config.vocab_size), abs=1e-12)
 
     def test_duplicated_row_leaves_mean_unchanged(self):
         config = tiny_config()
         params = init_params(config, 2)
-        single = full_batch([[5, 6, 7, 2]])
-        double = full_batch([[5, 6, 7, 2], [5, 6, 7, 2]])
+        single = Batch([[5, 6, 7, 2]])
+        double = Batch([[5, 6, 7, 2], [5, 6, 7, 2]])
         loss1, _ = mlm_forward_loss(params, config, single, [[0, 1]], [6])
         loss2, _ = mlm_forward_loss(params, config, double,
                                     [[0, 1], [1, 1]], [6, 6])
@@ -402,12 +391,12 @@ class TestMlmLoss:
         # order means stacking the rows in another order
         config = tiny_config()
         params = init_params(config, 2)
-        rows = [[5, 6, 7, 2], [3, 4, 1, 0]]
-        loss_a, grads_a = mlm_forward_loss(batch=full_batch(rows), params=params,
+        rows = [[5, 6, 7, 2], [2, 4, 1, 7]]
+        loss_a, grads_a = mlm_forward_loss(batch=Batch(rows), params=params,
                                            config=config,
                                            target_positions=[[0, 1], [1, 2]],
                                            target_ids=[6, 1])
-        loss_b, grads_b = mlm_forward_loss(batch=full_batch(rows[::-1]), params=params,
+        loss_b, grads_b = mlm_forward_loss(batch=Batch(rows[::-1]), params=params,
                                            config=config,
                                            target_positions=[[0, 2], [1, 1]],
                                            target_ids=[1, 6])
@@ -418,20 +407,19 @@ class TestMlmLoss:
         config = tiny_config()
         params = init_params(config, 0)
         with pytest.raises(ValueError, match="target"):
-            mlm_forward_loss(params, config, full_batch([[5, 6]]),
+            mlm_forward_loss(params, config, Batch([[5, 6]]),
                              np.zeros((0, 2)), [])
 
     def test_out_of_batch_target_rejected(self):
         config = tiny_config()
         params = init_params(config, 0)
         with pytest.raises(ValueError, match="outside"):
-            mlm_forward_loss(params, config, full_batch([[5, 6]]), [[0, 5]], [6])
+            mlm_forward_loss(params, config, Batch([[5, 6]]), [[0, 5]], [6])
 
     def test_gradients_match_finite_differences(self):
         config = tiny_config(n_layers=1)
         params = init_params(config, 4)
-        batch = full_batch([[5, 6, 7, 2], [3, 4, 1, 0]],
-                           mask_rows=[[1, 1, 1, 1], [1, 1, 1, 0]])
+        batch = Batch([[5, 6, 7, 2], [6, 4, 1, PAD_ID]])
         positions, targets = [[0, 1], [0, 3], [1, 0]], [6, 2, 3]
         assert audit_gradients(mlm_forward_loss, params, config, batch, positions, targets) < 1e-4
 
@@ -441,7 +429,7 @@ class TestHeads:
         config = tiny_config()
         params = init_head(init_params(config, 0), config, "head_pair", 3, seed=1)
         params["head_pair_w"] = np.zeros_like(params["head_pair_w"])
-        hidden = forward(params, config, full_batch([[5, 6]]))
+        hidden = forward(params, config, Batch([[5, 6]]))
         logits = _head_logits(params, "head_pair", hidden[:, 0], 3)
         probs = np.exp(logits) / np.exp(logits).sum()
         np.testing.assert_allclose(probs, np.full((1, 3), 1 / 3), atol=1e-12)
@@ -452,20 +440,20 @@ class TestHeads:
         config = tiny_config()
         params = init_head(init_params(config, 0), config, "head_multi", 4, seed=1)
         params["head_multi_w"] = np.zeros_like(params["head_multi_w"])
-        batch = full_batch([[5, 6]])
+        batch = Batch([[5, 6]])
         hidden = forward(params, config, batch)
         assert np.array_equal(_head_logits(params, "head_multi", hidden[:, 0], 4),
                               np.zeros((1, 4)))
         labels = ["a", "b", "c", "d"]
-        assert predict_label_sets(params, config, rows_of(batch), labels) == [set()]
+        assert predict_label_sets(params, config, list(batch.token_ids), labels) == [set()]
         params["head_multi_b"] += 1e-12
-        assert predict_label_sets(params, config, rows_of(batch), labels) == [set(labels)]
+        assert predict_label_sets(params, config, list(batch.token_ids), labels) == [set(labels)]
 
     def test_multilabel_probabilities_in_open_interval(self):
         # every probability is above 0 and below 1
         config = tiny_config()
         params = init_head(init_params(config, 3), config, "head_multi", 5, seed=2)
-        batch = full_batch([[5, 6, 7, 1]])
+        batch = Batch([[5, 6, 7, 1]])
         hidden = forward(params, config, batch)
         probs = encoder._sigmoid(_head_logits(params, "head_multi", hidden[:, 0], 5))
         assert ((0.0 < probs) & (probs < 1.0)).all()
@@ -473,7 +461,7 @@ class TestHeads:
     def test_token_head_scores_every_position(self):
         config = tiny_config()
         params = init_head(init_params(config, 3), config, "head_token", 7, seed=2)
-        hidden = forward(params, config, full_batch([[5, 6, 7, 1]]))
+        hidden = forward(params, config, Batch([[5, 6, 7, 1]]))
         assert _head_logits(params, "head_token", hidden, 7).shape == (1, 4, 7)
 
     def test_nonpositive_label_count_rejected(self):
@@ -489,7 +477,7 @@ class TestHeads:
     def test_label_count_mismatch_rejected(self):
         config = tiny_config()
         params = init_head(init_params(config, 0), config, "head_token", 3, seed=0)
-        hidden = forward(params, config, full_batch([[5, 6]]))
+        hidden = forward(params, config, Batch([[5, 6]]))
         with pytest.raises(ValueError, match="built for 3"):
             _head_logits(params, "head_token", hidden, 5)
 
@@ -499,7 +487,7 @@ class TestHeadLosses:
         # the loss is the mean over the read positions alone
         config = tiny_config()
         params = init_head(init_params(config, 1), config, "head_token", 3, seed=5)
-        batch = full_batch([[5, 6, 7, 0]], mask_rows=[[1, 1, 1, 0]])
+        batch = Batch([[5, 6, 7, PAD_ID]])
         loss, _ = token_classify_loss(params, config, batch, [[0, 0], [0, 1]], [0, 2])
         singles = [token_classify_loss(params, config, batch, [position], [tag])[0]
                    for position, tag in (([0, 0], 0), ([0, 1], 2))]
@@ -508,28 +496,28 @@ class TestHeadLosses:
     def test_token_loss_empty_mask_rejected(self):
         config = tiny_config()
         params = init_head(init_params(config, 1), config, "head_token", 3, seed=5)
-        batch = full_batch([[5, 6]])
+        batch = Batch([[5, 6]])
         with pytest.raises(ValueError, match="at least one target position"):
             token_classify_loss(params, config, batch, np.zeros((0, 2), dtype=int), [])
 
     def test_token_loss_label_range_checked(self):
         config = tiny_config()
         params = init_head(init_params(config, 1), config, "head_token", 3, seed=5)
-        batch = full_batch([[5, 6]])
+        batch = Batch([[5, 6]])
         with pytest.raises(ValueError, match="label"):
             token_classify_loss(params, config, batch, [[0, 0], [0, 1]], [0, 9])
 
     def test_pair_loss_shape_checked(self):
         config = tiny_config()
         params = init_head(init_params(config, 1), config, "head_pair", 3, seed=5)
-        batch = full_batch([[5, 6]])
+        batch = Batch([[5, 6]])
         with pytest.raises(ValueError, match="shape"):
             pair_classify_loss(params, config, batch, [[0, 0]], [0, 1])
 
     def test_multilabel_matrix_checked(self):
         config = tiny_config()
         params = init_head(init_params(config, 1), config, "head_multi", 3, seed=5)
-        batch = full_batch([[5, 6]])
+        batch = Batch([[5, 6]])
         with pytest.raises(ValueError, match="0 or 1"):
             multilabel_loss(params, config, batch, [[0, 0]], [[0.0, 0.5, 1.0]])
         with pytest.raises(ValueError, match="shape"):
@@ -538,8 +526,7 @@ class TestHeadLosses:
     def test_each_head_loss_passes_gradient_check(self):
         config = tiny_config(n_layers=1)
         base = init_params(config, 6)
-        batch = full_batch([[5, 6, 7, 2], [3, 4, 1, 0]],
-                           mask_rows=[[1, 1, 1, 1], [1, 1, 1, 0]])
+        batch = Batch([[5, 6, 7, 2], [6, 4, 1, PAD_ID]])
 
         token_params = init_head(base, config, "head_token", 3, seed=7)
         positions = np.array([[0, 1], [0, 2], [1, 0], [1, 1]])
@@ -587,7 +574,7 @@ def test_every_head_loss_refuses_bad_reads_with_one_message(head, refusal):
     positions, n_targets, message = _REFUSALS[refusal]
     targets = np.array([target] * n_targets).reshape(n_targets, *np.shape(target))
     with pytest.raises(ValueError, match=message.format(head=head)):
-        loss(params, config, full_batch([[5, 6]]), positions, targets)
+        loss(params, config, Batch([[5, 6]]), positions, targets)
 
 
 # head -> targets of the wrong shape for two reads, the shape _head_loss asks for
@@ -607,7 +594,7 @@ def test_every_head_loss_refuses_targets_of_the_wrong_shape_with_one_message(hea
     message = (rf"^{head} reads 2 position\(s\) but has targets of shape "
                rf"{re.escape(str(np.shape(targets)))}, not {re.escape(shape)}$")
     with pytest.raises(ValueError, match=message):
-        _HEAD_LOSSES[head][0](params, config, full_batch([[5, 6]]), [[0, 0], [0, 1]], targets)
+        _HEAD_LOSSES[head][0](params, config, Batch([[5, 6]]), [[0, 0], [0, 1]], targets)
 
 
 @pytest.mark.parametrize("head", ["mlm", "head_token", "head_pair"])
@@ -617,7 +604,7 @@ def test_every_class_id_loss_refuses_float_targets_with_one_message(head):
     params = init_params(config, 1)
     if head != "mlm":
         params = init_head(params, config, head, 3, seed=5)
-    loss, batch, reads = _HEAD_LOSSES[head][0], full_batch([[5, 6]]), [[0, 0], [0, 1]]
+    loss, batch, reads = _HEAD_LOSSES[head][0], Batch([[5, 6]]), [[0, 0], [0, 1]]
     for targets in ([0.7, 1.9], [0, 1.0], np.array([0.0, 1.0])):
         with pytest.raises(ValueError, match=rf"^{head} targets must be integer class ids, "
                                              r"not float64$"):
@@ -645,8 +632,7 @@ class TestTrainModeGradients:
         params = init_params(config, 6)
         if head is not None:
             params = init_head(params, config, head, 3, seed=7)
-        batch = full_batch([[5, 6, 7, 2], [3, 4, 1, 0]],
-                           mask_rows=[[1, 1, 1, 1], [1, 1, 1, 0]])
+        batch = Batch([[5, 6, 7, 2], [6, 4, 1, PAD_ID]])
         train = loss(params, config, batch, *args, rng=np.random.default_rng(1))[0]
         assert train != loss(params, config, batch, *args)[0]  # the masks apply
         assert audit_gradients(loss, params, config, batch, *args, seed=1) < 1e-4
@@ -742,7 +728,7 @@ class TestForwardOnly:
             params = init_params(config, 1)
             tracemalloc.start()
             try:
-                forward(params, config, full_batch(ids))
+                forward(params, config, Batch(ids))
                 peaks[n_layers] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -791,8 +777,7 @@ class TestLossesRunTheTopLayerAtReadsOnly:
         params = init_params(config, 6)
         if head is not None:
             params = init_head(params, config, head, 3, seed=7)
-        batch = full_batch([[5, 6, 7, 2], [3, 4, 1, 0]],
-                           mask_rows=[[1, 1, 1, 1], [1, 1, 1, 0]])
+        batch = Batch([[5, 6, 7, 2], [6, 4, 1, PAD_ID]])
         rows = last_layer_rows(monkeypatch, config)
         loss(params, config, batch, *args)
         # the queries run at the read rows too, not at every position
@@ -886,8 +871,7 @@ class TestPaddingInvariance:
         rows = [frame([5, 6], None, 16), frame([7, 8, 9], [10, 11], 16),
                 frame([6, 5, 9, 9, 8, 7, 11], None, 16)]
         stacked = stack_rows(rows)
-        padded = Batch(*(np.pad(column, ((0, 0), (0, 7)), constant_values=fill)
-                         for column, fill in zip(columns(stacked), (PAD_ID, 0, 0))))
+        padded = Batch(np.pad(stacked.token_ids, ((0, 0), (0, 7)), constant_values=PAD_ID))
         assert stacked.shape == (3, 9) and padded.shape == (3, 16)
         real = stacked.attention_mask == 1
 
@@ -1132,7 +1116,7 @@ class TestParamStore:
                                          ("problem",))
         save_checkpoint(tmp_path / "m.ckpt", config, headed)
         _, loaded = load_checkpoint(tmp_path / "m.ckpt")
-        _, grads = mlm_forward_loss(params, config, full_batch([[5, 6, 7]]), [[0, 1]], [6])
+        _, grads = mlm_forward_loss(params, config, Batch([[5, 6, 7]]), [[0, 1]], [6])
         stepped, state = adam_step(params, grads, init_optimizer(params), 1e-4)
         for store in (params, headed, grown, loaded, grads, stepped, state.m, state.v):
             assert_tiles_flat(store)

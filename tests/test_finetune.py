@@ -41,7 +41,7 @@ from clinlm.finetune import (
 )
 from clinlm.pretrain import adam_step, init_optimizer
 from clinlm.wordpiece import CLS_ID, PAD_ID, SEP_ID, train_wordpiece
-from test_encoder import columns, last_layer_rows
+from test_encoder import last_layer_rows
 
 
 @pytest.fixture(scope="module")
@@ -172,30 +172,28 @@ class TestExtendForMarkers:
 
 class TestPrepareDocument:
     def test_padding_arithmetic(self, small_vocab):
-        row = prepare_document("the patient denies", small_vocab, 128)
-        ids, mask, _ = row
+        ids = prepare_document("the patient denies", small_vocab, 128)
         n_real = 2 + 3  # CLS + 3 one-piece words + SEP
         assert ids.shape == (n_real,)  # unpadded
-        assert mask.all()
+        assert PAD_ID not in ids
         assert ids[0] == CLS_ID
         assert ids[n_real - 1] == SEP_ID
         pieces = [small_vocab.id_of(w) for w in ("the", "patient", "denies")]
-        for prepared, framed in zip(row, frame(pieces, None, 128)):
-            assert np.array_equal(prepared, framed)
+        assert np.array_equal(ids, frame(pieces, None, 128))
 
     def test_long_document_truncates_to_budget(self, small_vocab):
         text = " ".join(["pain"] * 900)
-        ids, mask, _ = prepare_document(text, small_vocab, 512)
+        ids = prepare_document(text, small_vocab, 512)
         assert ids.shape == (512,)
-        assert int(mask.sum()) == 512
+        assert PAD_ID not in ids
         content = ids[1:511]
         assert np.all(content == small_vocab.id_of("pain"))
         assert ids[511] == SEP_ID
 
     def test_short_vs_long_prefix_property(self, small_vocab):
         text = " ".join(["severe", "pain", "fever"] * 100)
-        short_ids, _, _ = prepare_document(text, small_vocab, 128)
-        long_ids, _, _ = prepare_document(text, small_vocab, 512)
+        short_ids = prepare_document(text, small_vocab, 128)
+        long_ids = prepare_document(text, small_vocab, 512)
         short_content = short_ids[1:127]
         long_content = long_ids[1:127]
         assert np.array_equal(short_content, long_content)
@@ -207,11 +205,14 @@ class TestPrepareDocument:
 
 class TestPreparePair:
     def test_segments_and_framing(self, small_vocab):
-        ids, mask, segments = prepare_pair("no pain", "severe fever", small_vocab, 16)
+        ids = prepare_pair("no pain", "severe fever", small_vocab, 16)
+        padded = stack_rows([ids, np.arange(5, 21)])  # padded to 16 in a batch
+        mask, segments = padded.attention_mask[0], padded.segment_ids[0]
         assert ids[0] == CLS_ID
         sep_positions = np.nonzero(ids == SEP_ID)[0]
         assert len(sep_positions) == 2
         first_sep, second_sep = sep_positions
+        assert second_sep == len(ids) - 1
         assert np.all(segments[:first_sep + 1] == 0)
         assert np.all(segments[first_sep + 1:second_sep + 1] == 1)
         assert np.all(segments[second_sep + 1:] == 0)  # padding back to 0
@@ -219,10 +220,10 @@ class TestPreparePair:
 
     def test_longer_side_truncated_first(self, small_vocab):
         long_a = " ".join(["pain"] * 30)
-        ids, mask, _ = prepare_pair(long_a, "fever", small_vocab, 12)
+        ids = prepare_pair(long_a, "fever", small_vocab, 12)
         fever_id = small_vocab.id_of("fever")
         assert fever_id in ids  # the short side survives
-        assert int(mask.sum()) == 12
+        assert len(ids) == 12
 
     def test_too_small_rejected(self, small_vocab):
         with pytest.raises(ValueError):
@@ -231,14 +232,14 @@ class TestPreparePair:
     def test_batches_prepared_at_two_lengths_stack(self, small_vocab):
         short = prepare_pair("no pain", "fever", small_vocab, 16)
         long = prepare_pair(" ".join(["pain"] * 40), "severe fever", small_vocab, 32)
-        assert len(short[0]) == 6 and len(long[0]) == 32
+        assert len(short) == 6 and len(long) == 32
         batch = stack_rows([short, long])
         assert batch.shape == (2, 32)
-        for stacked, alone, fill in zip(columns(batch), short, (PAD_ID, 0, 0)):
-            assert np.array_equal(stacked[0, :6], alone)
-            assert np.all(stacked[0, 6:] == fill)
-        for stacked, alone in zip(columns(batch), long):
-            assert np.array_equal(stacked[1], alone)
+        assert np.array_equal(batch.token_ids[0, :6], short)
+        assert np.all(batch.token_ids[0, 6:] == PAD_ID)
+        assert np.array_equal(batch.token_ids[1], long)
+        assert batch.attention_mask[0].tolist() == [1] * 6 + [0] * 26
+        assert batch.attention_mask[1].all()
 
 
 class TestPrepareMarkedSentence:
@@ -248,12 +249,29 @@ class TestPrepareMarkedSentence:
         params = init_params(config, 0)
         vocab, params, config = extend_for_markers(
             small_vocab, params, config, ("problem",))
-        marked = mark_concepts(["severe", "pain", "today"], (0, 2), "problem",
-                               (2, 3), "problem")
-        ids, _, _ = prepare_marked_sentence(marked, vocab, 16)
-        ids = list(ids)
-        assert vocab.id_of("[problem-start]") in ids
-        assert vocab.id_of("[problem-end]") in ids
+        ids = prepare_marked_sentence(["severe", "pain", "today"], (0, 2), "problem",
+                                      (2, 3), "problem", vocab, 16)
+        start, end = vocab.id_of("[problem-start]"), vocab.id_of("[problem-end]")
+        severe, pain, today = (word_ids(vocab, w) for w in ("severe", "pain", "today"))
+        assert ids.tolist() == [CLS_ID, start, *severe, *pain, end, start, *today, end, SEP_ID]
+
+    def test_a_word_spelled_like_a_token_is_text(self, small_vocab):
+        # a word spelled like a special, a continuation piece or a marker is
+        # normalized into pieces like any other word; only the four markers
+        # mark_concepts inserts map straight to their ids
+        config = EncoderConfig(vocab_size=len(small_vocab), hidden_dim=8,
+                               n_layers=1, n_heads=2, ff_dim=16, max_positions=32)
+        vocab, _, _ = extend_for_markers(small_vocab, init_params(config, 0), config,
+                                         ("problem",))
+        assert "##e" in vocab  # a continuation piece
+        words = ["[SEP]", "chest", "[PAD]", "##e", "[problem-start]", "fever"]
+        ids = prepare_marked_sentence(words, (1, 2), "problem", (5, 6), "problem", vocab, 32)
+        markers = [vocab.id_of(m) for m in ("[problem-start]", "[problem-end]")]
+        texts = [word_ids(vocab, word) for word in words]
+        assert ids.tolist() == [CLS_ID, *texts[0], markers[0], *texts[1], markers[1], *texts[2],
+                                *texts[3], *texts[4], markers[0], *texts[5], markers[1], SEP_ID]
+        assert not {PAD_ID, SEP_ID} & {*ids[1:-1]}
+        assert texts[3] != (vocab.id_of("##e"),) and ids.tolist().count(markers[0]) == 2
 
 
 class TestWordPieces:
@@ -275,7 +293,7 @@ class TestEncodeNerExample:
         # unpadded: [CLS] severe pain [SEP], all real, all segment 0
         assert row.ids.tolist() == [CLS_ID, small_vocab.id_of("severe"),
                                     small_vocab.id_of("pain"), SEP_ID]
-        assert row.mask.tolist() == [1, 1, 1, 1] and not row.segment_ids.any()
+        assert not stack_rows([row.ids]).segment_ids.any()
         assert row.word_tags == ["B-problem", "I-problem"]
         assert row.first_piece_positions == [1, 2]  # CLS carries no tag
         assert row.tag_ids == [1, 2]
@@ -324,9 +342,9 @@ def _rows_equal(a, b):
     assert len(a) == len(b)
     for x, y in zip(a, b):
         if isinstance(x, tuple):
-            assert all(np.array_equal(u, v) for u, v in zip(x[0], y[0])) and x[1] == y[1]
+            assert np.array_equal(x[0], y[0]) and x[1] == y[1]
         else:
-            assert all(np.array_equal(u, v) for u, v in zip(x, y))
+            assert np.array_equal(x.ids, y.ids)
             assert ((x.first_piece_positions, x.tag_ids, x.word_tags)
                     == (y.first_piece_positions, y.tag_ids, y.word_tags))
 
@@ -361,8 +379,8 @@ class TestLoadTaskRows:
         path.write_text('{"words": ["pain", "and", "fever"], "span_a": [0, 1], '
                         '"type_a": "problem", "span_b": [2, 3], "type_b": "test", '
                         '"label": "test-reveals-problem"}\n', encoding="utf-8")
-        marked = mark_concepts(["pain", "and", "fever"], (0, 1), "problem", (2, 3), "test")
-        direct = [(prepare_marked_sentence(marked, vocab, 16), 1)]
+        direct = [(prepare_marked_sentence(["pain", "and", "fever"], (0, 1), "problem", (2, 3),
+                                           "test", vocab, 16), 1)]
         _rows_equal(load_task_rows(task, path, vocab, 16), direct)
 
     def test_multilabel(self, small_vocab, tmp_path):
@@ -375,13 +393,32 @@ class TestLoadTaskRows:
         _rows_equal(load_task_rows(task, path, small_vocab, 12), direct)
 
 
+class TestCheckDevRows:
+    """A dev set with no gold entity or label would score every model 1.0."""
+
+    def test_refuses_only_a_dev_set_with_nothing_to_select_on(self, small_vocab):
+        tags = {"O": 0, "B-problem": 1, "I-problem": 2}
+        plain, tagged = (encode_ner_example(["no", "pain"], row_tags, small_vocab, tags, 8)
+                         for row_tags in (["O", "O"], ["O", "B-problem"]))
+        ner, multi = builtin_task("ner-2010"), TaskSpec("m", "multilabel", ("x",), "micro_f1")
+        doc = prepare_document("pain", small_vocab, 8)
+        with pytest.raises(ValueError, match="^dev.tsv: dev set has no gold entity to select on$"):
+            finetune.check_dev_rows(ner, [plain, plain], "dev.tsv")
+        with pytest.raises(ValueError, match="^d.jsonl: dev set has no gold label to select on$"):
+            finetune.check_dev_rows(multi, [(doc, set())], "d.jsonl")
+        finetune.check_dev_rows(ner, [plain, tagged], "dev.tsv")
+        finetune.check_dev_rows(multi, [(doc, set()), (doc, {0})], "d.jsonl")
+        # a pair row always holds its label, label id 0 included
+        finetune.check_dev_rows(builtin_task("mednli"), [(doc, 0)], "nli.jsonl")
+
+
 class TestNerRowFraming:
-    def test_stack_rows_takes_ner_rows(self, small_vocab):
+    def test_ner_rows_stack_as_their_ids(self, small_vocab):
         tag_to_id = {"O": 0, "B-problem": 1, "I-problem": 2}
         rows = [encode_ner_example(["severe", "pain"], ["B-problem", "I-problem"],
                                    small_vocab, tag_to_id, 8),
                 encode_ner_example(["no"], ["O"], small_vocab, tag_to_id, 8)]
-        batch = stack_rows(rows)
+        batch, _ = finetune._stacked(rows)
         assert [len(r.ids) for r in rows] == [4, 3]  # [CLS] severe pain [SEP]; [CLS] no [SEP]
         assert batch.shape == (2, 4)
         assert batch.token_ids.tolist() == [rows[0].ids.tolist(), rows[1].ids.tolist() + [PAD_ID]]
@@ -538,8 +575,7 @@ def toy_relation_task(small_vocab):
     task = builtin_task("re-2010")
     vocab, params, config = extend_for_markers(small_vocab, init_params(config, 0), config,
                                                task.concept_types)
-    rows = [(prepare_marked_sentence(mark_concepts(words.split(), a, "problem", b, "test"),
-                                     vocab, 16), label)
+    rows = [(prepare_marked_sentence(words.split(), a, "problem", b, "test", vocab, 16), label)
             for words, a, b, label in [("severe pain and fever", (0, 2), (3, 4), 1),
                                        ("no fever today", (1, 2), (2, 3), 0)]]
     return config, params, task, rows
@@ -591,7 +627,7 @@ class TestDropout:
     def test_prediction_ignores_dropout(self, small_vocab, kind, monkeypatch):
         config, params, task, rows = toy_task(kind, small_vocab)
         dropped = replace(config, dropout=0.5)
-        batch = stack_rows(rows if kind == "ner" else [r[0] for r in rows])
+        batch, _ = finetune._stacked(rows if kind == "ner" else [r[0] for r in rows])
         assert np.array_equal(forward(params, dropped, batch), forward(params, config, batch))
         # toy predictions barely move under dropout, so also check that
         # prediction calls forward without an rng, i.e. in eval mode
@@ -636,7 +672,7 @@ class TestNonFiniteModel:
         config, params, task, rows = toy_task(kind, small_vocab)
         # a huge embedding of pieces the first two rows lack: finite
         # parameters whose hidden states overflow to NaN in row 2 onwards
-        ids = [set(r.ids if kind == "ner" else r[0][0]) for r in rows]
+        ids = [set(r.ids if kind == "ner" else r[0]) for r in rows]
         only_later = sorted(ids[2] - ids[0] - ids[1])
         assert only_later
         params["tok_emb"][only_later] = 1e308

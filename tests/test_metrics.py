@@ -226,6 +226,16 @@ class TestCorpusEntityF1:
             assert corpus_entity_f1(gold_seqs, pred_seqs) == pytest.approx(expected)
 
 
+@pytest.mark.parametrize("score,what", [(accuracy, "labels"), (micro_f1, "sets"),
+                                        (corpus_entity_f1, "sequences")],
+                         ids=["accuracy", "micro-f1", "entity-f1"])
+def test_every_corpus_score_refuses_zero_instances(score, what):
+    # a corpus of nothing scores nothing, not 1.0; one empty instance still
+    # follows the per-instance convention
+    with pytest.raises(ValueError, match=f"^cannot score an empty list of {what}$"):
+        score([], [])
+
+
 class TestAccuracy:
     def test_three_quarters(self):
         assert accuracy(["a", "b", "c", "d"], ["a", "b", "c", "x"]) == 0.75

@@ -210,7 +210,7 @@ class TestAdam:
         rng = np.random.default_rng(3)
         for step in range(1, 5):
             ids = rng.integers(5, 12, size=(2, 4))
-            batch = Batch(ids, np.ones_like(ids), np.zeros_like(ids))
+            batch = Batch(ids)
             _, grads = pair_classify_loss(params, config, batch, [[0, 0], [1, 0]],
                                           rng.integers(0, 3, size=2))
             ref_params, ref_m, ref_v = reference_adam(ref_params, grads, ref_m, ref_v,
@@ -268,9 +268,7 @@ class TestAccumulateAndStep:
 
     @staticmethod
     def micro(config, rows, n_targets_per_row=2):
-        from clinlm.encoder import Batch
-        ids = np.array(rows)
-        batch = Batch(ids, np.ones_like(ids), np.zeros_like(ids))
+        batch = Batch(rows)
         positions = [[r, c] for r in range(len(rows))
                      for c in range(n_targets_per_row)]
         targets = [rows[r][c] for r, c in positions]
