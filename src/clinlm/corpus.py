@@ -5,7 +5,8 @@ discharge summaries, splitting patients into train/dev/test without leakage,
 picking the most frequent label codes, and summarizing dataset lengths.
 It also holds the input path every clinlm reader is built on: numbered_lines
 opens text files and packaged data, and every reader runs its per-line parse
-inside parse_numbered, the one place that makes a bad line PATH:LINE: message.
+inside parse_numbered, the one place that makes a bad line PATH:LINE: message,
+and check_setting, the one rule every int or number setting is held to.
 
 All functions are deterministic; anything random takes an explicit seed.
 """
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import random
 import statistics
 from collections import Counter
@@ -61,6 +63,19 @@ def parse_numbered(path, numbered: Iterable[tuple[int, object]], parse: Callable
     if record and not out:
         raise ValueError(f"{path}: no {record}")
     return out
+
+
+def check_setting(name: str, value, kind: str) -> None:
+    """Refuse a setting that does not fit its annotation kind: an int is an
+    int >= 1, a float any number, neither a bool, and "X | None" allows None."""
+    optional, integral = kind.endswith(" | None"), kind.startswith("int")
+    if optional and value is None:
+        return
+    number = numbers.Integral if integral else numbers.Real
+    if isinstance(value, bool) or not isinstance(value, number):
+        raise ValueError(f"{name} must be {'an int' if integral else 'a number'}, got {value!r}")
+    if integral and value < 1:
+        raise ValueError(f"{name} must be >= 1{' when given' if optional else ''}, got {value}")
 
 
 def _has_type(value, kind) -> bool:

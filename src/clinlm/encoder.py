@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import os
 from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field, fields
@@ -56,6 +55,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 from scipy.special import erf
 
+from .corpus import check_setting
 from .wordpiece import CLS_ID, PAD_ID, SEP_ID, SPECIALS
 
 CHECKPOINT_FORMAT = "clinlm-checkpoint"
@@ -63,19 +63,6 @@ CHECKPOINT_VERSION = 1
 HEADS = ("mlm", "head_token", "head_pair", "head_multi")  # the heads a checkpoint may hold
 _NEG_INF = -1e9
 MIN_FRAME_LENGTH = {False: 3, True: 5}  # a row's fewest positions, a text (False) or a pair
-
-
-def check_setting(name: str, value, kind: str) -> None:
-    """Refuse a setting that does not fit its annotation kind: an int is an
-    int >= 1, a float any number, neither a bool, and "X | None" allows None."""
-    optional, integral = kind.endswith(" | None"), kind.startswith("int")
-    if optional and value is None:
-        return
-    number = numbers.Integral if integral else numbers.Real
-    if isinstance(value, bool) or not isinstance(value, number):
-        raise ValueError(f"{name} must be {'an int' if integral else 'a number'}, got {value!r}")
-    if integral and value < 1:
-        raise ValueError(f"{name} must be >= 1{' when given' if optional else ''}, got {value}")
 
 
 def check_fields(settings) -> None:

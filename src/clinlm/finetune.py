@@ -375,7 +375,8 @@ def finetune_task(
     dev selection metric is computed and the best-scoring snapshot is kept.
     Each seed controls its head initialization, batch order and dropout
     masks (steps run in train mode, dev scoring in eval mode), so rerunning
-    a seed reproduces its run exactly; one call's seeds must be distinct.
+    a seed reproduces its run exactly; one call's seeds must be distinct. A
+    dev set with nothing to score is refused, as check_dev_rows refuses it.
     """
     if not seeds:
         raise ValueError("need at least one seed")
@@ -385,6 +386,7 @@ def finetune_task(
         raise ValueError(f"seeds must be non-negative, got {list(seeds)}")
     if not train_rows or not dev_rows:
         raise ValueError("train and dev sets must be non-empty")
+    check_dev_rows(task, dev_rows)
     params = params.resized(without_head(params.layout, "mlm"))
     runs: list[SeedRun] = []
     for seed in seeds:
@@ -448,13 +450,15 @@ def load_task_rows(task: TaskSpec, path, vocab: Vocabulary, max_positions: int) 
         index[label(rec["label"])]), "task row")
 
 
-def check_dev_rows(task: TaskSpec, rows: Sequence, path) -> None:
+def check_dev_rows(task: TaskSpec, rows: Sequence, path=None) -> None:
     """Refuse ner or multilabel dev rows of no gold entity or label, as PATH:
-    message: every model, one predicting nothing too, would score 1.0."""
+    message when a path is given: every model, one predicting nothing too,
+    would score 1.0."""
+    where = "" if path is None else f"{path}: "
     if task.kind == "ner" and not any(tag != "O" for row in rows for tag in row.word_tags):
-        raise ValueError(f"{path}: dev set has no gold entity to select on")
+        raise ValueError(f"{where}dev set has no gold entity to select on")
     if task.kind == "multilabel" and not any(labels for _, labels in rows):
-        raise ValueError(f"{path}: dev set has no gold label to select on")
+        raise ValueError(f"{where}dev set has no gold label to select on")
 
 
 def numbered_ner_sentences(path, tag: Callable[[str], object] = str):

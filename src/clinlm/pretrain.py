@@ -17,9 +17,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import wordpiece
-from .corpus import write_lines
+from .corpus import check_setting, write_lines
 from .encoder import (
-    Batch, EncoderConfig, ParamStore, check_fields, check_setting, content_room, frame,
+    Batch, EncoderConfig, ParamStore, check_fields, content_room, frame,
     init_params, mlm_forward_loss, stack_rows,
 )
 from .wordpiece import CLS_ID, MASK_ID, SEP_ID, Vocabulary

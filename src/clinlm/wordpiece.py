@@ -21,7 +21,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Sequence
 
-from .corpus import numbered_lines, read_table, write_lines
+from .corpus import check_setting, numbered_lines, read_table, write_lines
 
 PAD, UNK, CLS, SEP, MASK = "[PAD]", "[UNK]", "[CLS]", "[SEP]", "[MASK]"
 SPECIALS = (PAD, UNK, CLS, SEP, MASK)
@@ -147,11 +147,8 @@ def _apply_merge(symbols: list[str], pair: tuple[str, str], merged: str) -> list
     return out
 
 
-def train_wordpiece(
-    corpus: Iterable[str],
-    declared_size: int,
-    min_frequency: int = 2,
-) -> Vocabulary:
+def train_wordpiece(corpus: Iterable[str], declared_size: int,
+                    min_frequency: int = 2) -> Vocabulary:
     """Learn a wordpiece vocabulary of exactly `declared_size` tokens, or as
     many as the corpus supports.
 
@@ -166,54 +163,44 @@ def train_wordpiece(
     size budget is reached or no pair qualifies. No merge makes a first
     piece spelled like a continuation (##...).
 
-    Counts are built once, indexed by the word types holding each pair and
-    the pairs holding each symbol, and candidates wait in a heap keyed
-    (-score, -count, pair) whose stale entries are skipped. Each merge
-    rewrites only the word types holding the pair, so it costs those words,
-    not the corpus, then re-pushes each pair whose count or symbols' counts changed.
+    Counts are built once, with an index of the word types that may hold each
+    pair (one entry per occurrence; new pairs add entries, none are removed)
+    and of the pairs holding each symbol. Candidates wait in a heap keyed
+    (-score, -count, pair) whose stale entries are skipped. A merge rewrites
+    the words listed under its pair, skipping those it leaves unchanged, adds
+    their (new pairs - old pairs) * freq as one delta, and re-pushes the pairs
+    of left, right and the merged symbol: every pair whose key changed holds one.
     """
-    if min_frequency < 1:
-        raise ValueError(f"min_frequency must be >= 1, got {min_frequency}")
-    word_freq = Counter()
-    for line in corpus:
-        word_freq.update(line.split())
+    check_setting("min_frequency", min_frequency, "int")
+    check_setting("declared_size", declared_size, "int")
+    word_freq = Counter(word for line in corpus for word in line.split())
     if not word_freq:
         raise ValueError("training corpus contains no words")
 
     alphabet = sorted({ch for word in word_freq for ch in word})
     tokens = list(SPECIALS) + alphabet + [CONTINUATION + ch for ch in alphabet]
-    floor = len(tokens)
-    if declared_size < floor:
-        raise ValueError(f"declared size {declared_size} is below the alphabet floor {floor}")
+    if declared_size < len(tokens):
+        raise ValueError(f"declared size {declared_size} is below the alphabet floor {len(tokens)}")
 
     seen = set(tokens)
     words, freqs = [_word_symbols(w) for w in word_freq], list(word_freq.values())
     pair_count, symbol_count = Counter(), Counter()
-    pair_words, symbol_pairs = defaultdict(set), defaultdict(set)
-    changed = set()  # the pairs tally touched since it was last cleared
-
-    def tally(index: int, sign: int) -> None:
-        # add (sign 1) or take away (sign -1) one word's symbols and pairs
-        symbols, freq = words[index], sign * freqs[index]
+    pair_words, symbol_pairs = defaultdict(list), defaultdict(set)
+    for index, (symbols, freq) in enumerate(zip(words, freqs)):
         for sym in symbols:
             symbol_count[sym] += freq
         for pair in zip(symbols, symbols[1:]):
-            pair_count[pair] += freq
-            changed.add(pair)
-            if sign > 0:
-                pair_words[pair].add(index)
-                symbol_pairs[pair[0]].add(pair)
-                symbol_pairs[pair[1]].add(pair)
-            else:
-                pair_words[pair].discard(index)
+            pair_words[pair].append(index)
+    for pair, holders in pair_words.items():
+        pair_count[pair] = sum([freqs[index] for index in holders])
+        symbol_pairs[pair[0]].add(pair)
+        symbol_pairs[pair[1]].add(pair)
 
     def key(pair: tuple[str, str]) -> tuple[float, int, tuple[str, str]]:
         count = pair_count[pair]
         score = count / (symbol_count[pair[0]] * symbol_count[pair[1]])
         return (-score, -count, pair)
 
-    for index in range(len(words)):
-        tally(index, 1)
     heap = [key(pair) for pair in pair_count]
     heapq.heapify(heap)
 
@@ -226,12 +213,25 @@ def train_wordpiece(
             continue
         tokens.append(merged)
         seen.add(merged)
-        changed.clear()
-        for index in list(pair_words[best]):
-            tally(index, -1)
-            words[index] = _apply_merge(words[index], best, merged)
-            tally(index, 1)
-        for pair in changed | symbol_pairs[left] | symbol_pairs[right]:
+        delta, merges = Counter(), 0
+        for index in pair_words.pop(best):
+            old, freq = words[index], freqs[index]
+            words[index] = new = _apply_merge(old, best, merged)
+            if len(new) == len(old):
+                continue
+            merges += (len(old) - len(new)) * freq
+            for pair in zip(old, old[1:]):
+                delta[pair] -= freq
+            for pair in zip(new, new[1:]):
+                delta[pair] += freq
+                if merged in pair:
+                    pair_words[pair].append(index)
+                    symbol_pairs[pair[0]].add(pair)
+                    symbol_pairs[pair[1]].add(pair)
+        pair_count.update(delta)
+        for sym, change in ((left, -merges), (right, -merges), (merged, merges)):
+            symbol_count[sym] += change
+        for pair in symbol_pairs[left] | symbol_pairs[right] | symbol_pairs[merged]:
             if pair_count[pair]:
                 heapq.heappush(heap, key(pair))
 

@@ -411,6 +411,14 @@ class TestCheckDevRows:
         # a pair row always holds its label, label id 0 included
         finetune.check_dev_rows(builtin_task("mednli"), [(doc, 0)], "nli.jsonl")
 
+    @pytest.mark.parametrize("kind, what", [("ner", "entity"), ("multilabel", "label")])
+    def test_library_call_refuses_a_dev_set_with_nothing_to_select_on(self, small_vocab,
+                                                                      kind, what):
+        config, params, task, rows = toy_task(kind, small_vocab)
+        empty = {"ner": rows[3:], "multilabel": rows[2:3]}[kind]  # all O; no label
+        with pytest.raises(ValueError, match=f"^dev set has no gold {what} to select on$"):
+            finetune_task(config, params, task, rows, empty, [0], FinetuneConfig(epochs=1))
+
 
 class TestNerRowFraming:
     def test_ner_rows_stack_as_their_ids(self, small_vocab):

@@ -1,6 +1,9 @@
 """Subword vocabulary training, encoding, and length comparisons."""
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -50,6 +53,22 @@ def alphabet_floor(corpus):
     """The vocabulary size before any merge: the specials plus every
     character of the corpus, bare and as a continuation."""
     return len(SPECIALS) + 2 * len(set("".join(corpus).replace(" ", "")))
+
+
+def syllable_lexicon() -> list[str]:
+    """Thousands of word types built from shared syllables, most seen once
+    and a few often: the shape of a clinical term lexicon."""
+    rng = random.Random(11)
+    syllables = ["ab", "ac", "al", "an", "ar", "ce", "co", "de", "di", "el",
+                 "en", "er", "ia", "ic", "is", "lo", "ma", "ne", "ol", "on",
+                 "os", "pa", "ra", "ri", "se", "ta", "ti", "ul", "ur", "us"]
+    lexicon = sorted({"".join(rng.choices(syllables, k=rng.randint(2, 4)))
+                      for _ in range(2600)})
+    rng.shuffle(lexicon)
+    frequent = [lexicon[min(int(rng.paretovariate(1.0)) - 1, len(lexicon) - 1)]
+                for _ in range(4000)]
+    words = lexicon + frequent
+    return [" ".join(words[i:i + 12]) for i in range(0, len(words), 12)]
 
 
 @st.composite
@@ -224,6 +243,22 @@ class TestTrainWordpiece:
         b = train_wordpiece(corpus, declared_size=40)
         assert a.tokens == b.tokens
 
+    def test_tokens_do_not_depend_on_the_hash_seed(self):
+        """A merge re-pushes pairs in the order of a set of strings, which the
+        hash seed sets; only the heap's keys may order the merges."""
+        script = ("import sys; from clinlm.wordpiece import train_wordpiece; "
+                  "print(*train_wordpiece(sys.stdin.read().splitlines(), 300, 2).tokens)")
+        package_root = os.path.dirname(os.path.dirname(wordpiece.__file__))
+        path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+        vocabularies = [subprocess.run([sys.executable, "-c", script],
+                                       input="\n".join(syllable_lexicon()), capture_output=True,
+                                       text=True, check=True,
+                                       env={**os.environ, "PYTHONPATH": path,
+                                            "PYTHONHASHSEED": seed}).stdout.split()
+                        for seed in ("0", "1")]
+        assert len(vocabularies[0]) == 300
+        assert vocabularies[0] == vocabularies[1]
+
     def test_case_is_preserved(self):
         vocab = train_wordpiece(["Ab Ab aB"], declared_size=60, min_frequency=1)
         assert "Ab" in vocab.tokens and "aB" in vocab.tokens
@@ -234,6 +269,22 @@ class TestTrainWordpiece:
             yield
         with pytest.raises(ValueError, match="min_frequency must be >= 1, got 0"):
             train_wordpiece(corpus(), declared_size=10, min_frequency=0)
+
+    # both settings follow check_setting, the one rule of every int setting
+    @pytest.mark.parametrize("size, min_frequency, message", [
+        (10, 1.0, "min_frequency must be an int, got 1.0"),
+        (10, True, "min_frequency must be an int, got True"),
+        (20.5, 1, "declared_size must be an int, got 20.5"),
+        (True, 1, "declared_size must be an int, got True"),
+        (0, 1, "declared_size must be >= 1, got 0"),
+    ])
+    def test_bad_setting_rejected_by_name_before_reading_the_corpus(self, size, min_frequency,
+                                                                    message):
+        def corpus():
+            raise AssertionError("corpus read before the settings were checked")
+            yield
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            train_wordpiece(corpus(), declared_size=size, min_frequency=min_frequency)
 
     def test_no_first_piece_spelled_as_a_continuation(self):
         # "#" + "###" would spell the bare marker "##", and "#" + "###2"
@@ -255,6 +306,14 @@ REFERENCE_CORPORA = [
     ["aa aa ab"],
     ["ba ba bb"],
     ["aaaa aaa aaaaaaa a aa", "abab ababab ba"],
+    # each alone, a case an incremental merge must get right: a word holding
+    # the merged pair twice; an overlapping run; bac still indexed under
+    # (b, ##a) when that pair merges, after ##ac took its ##a; merges that
+    # spell a token already in the vocabulary, here a special
+    ["ababab"],
+    ["aaaa"],
+    ["ba bd bac"],
+    ["[CLS] [SEP] [MASK] [CLS]"],
 ]
 
 
@@ -280,20 +339,8 @@ class TestMatchesReferenceTrainer:
         assert_matches_reference(corpus, alphabet_floor(corpus) + extra, min_frequency)
 
     def test_syllable_lexicon(self):
-        """Thousands of word types built from shared syllables, most seen
-        once and a few often: the shape of a clinical term lexicon."""
-        rng = random.Random(11)
-        syllables = ["ab", "ac", "al", "an", "ar", "ce", "co", "de", "di", "el",
-                     "en", "er", "ia", "ic", "is", "lo", "ma", "ne", "ol", "on",
-                     "os", "pa", "ra", "ri", "se", "ta", "ti", "ul", "ur", "us"]
-        lexicon = sorted({"".join(rng.choices(syllables, k=rng.randint(2, 4)))
-                          for _ in range(2600)})
-        rng.shuffle(lexicon)
-        frequent = [lexicon[min(int(rng.paretovariate(1.0)) - 1, len(lexicon) - 1)]
-                    for _ in range(4000)]
-        words = lexicon + frequent
-        corpus = [" ".join(words[i:i + 12]) for i in range(0, len(words), 12)]
-        assert len(set(words)) >= 2000
+        corpus = syllable_lexicon()
+        assert len({word for line in corpus for word in line.split()}) >= 2000
         new = train_wordpiece(corpus, declared_size=100, min_frequency=2)
         assert len(new) == 100
         assert new.tokens == wordpiece_reference.train_wordpiece(corpus, 100, 2).tokens
