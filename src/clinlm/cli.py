@@ -30,14 +30,19 @@ class _Parser(argparse.ArgumentParser):
 def read_config(path, settings: dict[str, argparse.Action]) -> dict[str, object]:
     """Flat key-value config: "key = value" lines, # comments. settings maps
     each allowed key to its flag; a value takes the flag's type and must be
-    one of its choices. Keys outside the command's settings are rejected so
-    typos cannot silently vanish."""
+    one of its choices. Keys outside the command's settings, or set on two
+    lines, are rejected so typos cannot silently vanish."""
+    seen = set()
+
     def entry(line):
         if "=" not in line:
             raise ValueError(f"expected key = value, got {line!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in settings:
             raise ValueError(f"unknown config key {key!r}")
+        if key in seen:
+            raise ValueError(f"config key {key!r} is set again")
+        seen.add(key)
         flag = settings[key]
         try:
             typed = flag.type(value) if flag.type else value
@@ -91,12 +96,15 @@ def _parse_seeds(text: str) -> list[int]:
     return seeds if "," in text else list(range(seeds[0]))
 
 
-def _parse_named_paths(pairs) -> dict[str, str]:
+def _parse_named_paths(flag: str, pairs) -> dict[str, str]:
+    """The NAME=PATH values of a repeatable flag; every refusal names flag."""
     out = {}
     for pair in pairs:
         if "=" not in pair:
-            raise ValueError(f"expected NAME=PATH, got {pair!r}")
+            raise ValueError(f"{flag}: expected NAME=PATH, got {pair!r}")
         name, path = pair.split("=", 1)
+        if name in out:
+            raise ValueError(f"{flag}: name {name!r} is given twice")
         out[name] = path
     return out
 
@@ -127,12 +135,12 @@ def _cmd_encode(args) -> int:
 
 def _cmd_compress_report(args) -> int:
     datasets = {}
-    for name, path in _parse_named_paths(args.dataset).items():
+    for name, path in _parse_named_paths("--dataset", args.dataset).items():
         datasets[name] = _read_lines(path)
         if not any(line.split() for line in datasets[name]):  # else its baseline length is 0
             raise ValueError(f"{path}: dataset {name!r} contains no words")
     vocabularies = {name: wordpiece.read_vocab(path)
-                    for name, path in _parse_named_paths(args.vocab).items()}
+                    for name, path in _parse_named_paths("--vocab", args.vocab).items()}
     text = wordpiece.format_length_table(
         wordpiece.compression_report(datasets, vocabularies, args.baseline))
     if args.output:
@@ -299,7 +307,8 @@ def _cmd_probe(args) -> int:
     predictions = corpus.parse_numbered(args.predictions, corpus.numbered_lines(args.predictions),
                                         probe.check_label)
     if len(predictions) != len(suite):
-        raise ValueError(f"{len(predictions)} predictions for {len(suite)} instances")
+        raise ValueError(f"{args.predictions}: {len(predictions)} predictions for "
+                         f"{len(suite)} instances")
     rows = iter(predictions)
     report = probe.run_probes(lambda premise, hypothesis: next(rows), suite)
     print(report.format())

@@ -27,10 +27,10 @@ attention projection, feed-forward sublayer and both layer norms; the
 backward pass writes their gradients back into every position. The losses
 and prediction pass reads; forward without them is the full pass.
 
-Only the losses (for _backward) and attention_weights keep each layer's
-activations. forward keeps no backward cache: a layer's activations are
-freed as the next layer starts, so a forward-only pass's memory does not
-grow with depth. The layer math is the same either way.
+Only the losses keep each layer's activations, for _backward. forward
+keeps no backward cache: a layer's activations are freed as the next layer
+starts, so a forward-only pass's memory does not grow with depth. The layer
+math is the same either way.
 
 Train mode means an rng was passed: forward and the losses then drop out
 (config.dropout) the embeddings, then in each layer the attention weights,
@@ -63,6 +63,9 @@ CHECKPOINT_VERSION = 1
 HEADS = ("mlm", "head_token", "head_pair", "head_multi")  # the heads a checkpoint may hold
 _NEG_INF = -1e9
 MIN_FRAME_LENGTH = {False: 3, True: 5}  # a row's fewest positions, a text (False) or a pair
+N_SEGMENTS = 2  # segment embeddings: side a, and a pair's side b (BERT's two)
+LN_EPSILON = 1e-12  # every layer norm's epsilon, BERT's
+FIXED_CONFIG = {"n_segments": N_SEGMENTS, "ln_epsilon": LN_EPSILON}  # as checkpoint keys
 
 
 def check_fields(settings) -> None:
@@ -79,9 +82,7 @@ class EncoderConfig:
     n_heads: int = 2
     ff_dim: int = 128
     max_positions: int = 32
-    n_segments: int = 2
     dropout: float = 0.0
-    ln_epsilon: float = 1e-12
 
     def __post_init__(self):
         check_fields(self)
@@ -95,25 +96,6 @@ class EncoderConfig:
             )
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
-        if not 0 < self.ln_epsilon < math.inf:
-            raise ValueError(f"ln_epsilon must be finite and positive, got {self.ln_epsilon}")
-
-    @property
-    def head_dim(self) -> int:
-        return self.hidden_dim // self.n_heads
-
-
-def base_config(vocab_size: int) -> EncoderConfig:
-    """Conventional base scale: 12 layers, 12 heads, hidden 768, 512 positions."""
-    return EncoderConfig(
-        vocab_size=vocab_size,
-        hidden_dim=768,
-        n_layers=12,
-        n_heads=12,
-        ff_dim=3072,
-        max_positions=512,
-        dropout=0.1,
-    )
 
 
 @dataclass
@@ -187,7 +169,7 @@ def param_shapes(config: EncoderConfig) -> dict[str, tuple[int, ...]]:
     draws them. Task heads (init_head) are not included."""
     h, f, v = config.hidden_dim, config.ff_dim, config.vocab_size
     shapes = {"tok_emb": (v, h), "pos_emb": (config.max_positions, h),
-              "seg_emb": (config.n_segments, h), "emb_ln_g": (h,), "emb_ln_b": (h,),
+              "seg_emb": (N_SEGMENTS, h), "emb_ln_g": (h,), "emb_ln_b": (h,),
               "mlm_w": (h, v), "mlm_b": (v,)}
     layer = {"attn_q_w": (h, h), "attn_q_b": (h,), "attn_k_w": (h, h), "attn_k_b": (h,),
              "attn_v_w": (h, h), "attn_v_b": (h,), "attn_out_w": (h, h), "attn_out_b": (h,),
@@ -297,11 +279,11 @@ def _gelu_grad(a, cdf):
     return out
 
 
-def _layer_norm(params, name, x, eps):
+def _layer_norm(params, name, x):
     mu = x.mean(axis=-1, keepdims=True)
     xhat = x - mu
     y = np.multiply(xhat, xhat)  # the squares, then the output, in one buffer
-    inv = 1.0 / np.sqrt(y.mean(axis=-1, keepdims=True) + eps)
+    inv = 1.0 / np.sqrt(y.mean(axis=-1, keepdims=True) + LN_EPSILON)
     xhat *= inv
     np.multiply(xhat, params[name + "_g"], out=y)
     y += params[name + "_b"]
@@ -431,8 +413,6 @@ def _forward(params, config, batch, rng, reads=None, keep=False):
         raise ValueError(f"sequence length {t} exceeds max_positions {config.max_positions}")
     if batch.token_ids.min() < 0 or batch.token_ids.max() >= config.vocab_size:
         raise ValueError("token id outside vocabulary range")
-    if batch.segment_ids.max() >= config.n_segments:
-        raise ValueError("segment id outside segment range")
     if reads is not None:  # the one check of the reads contract (see the module docstring)
         reads = np.asarray(reads, dtype=np.int64)
         flat = reads[:, 0] * t + reads[:, 1] if reads.ndim == 2 and reads.shape[1] == 2 else None
@@ -440,12 +420,12 @@ def _forward(params, config, batch, rng, reads=None, keep=False):
             raise ValueError(f"reads must be [n, 2] (row, position) pairs in strictly ascending "
                              f"row-major order, none outside the {b} x {t} batch")
 
-    rate, eps, hd, nh = config.dropout, config.ln_epsilon, config.hidden_dim, config.n_heads
+    rate, hd, nh = config.dropout, config.hidden_dim, config.n_heads
     cache = {"batch": batch, "layers": []}
     summed = params["tok_emb"][batch.token_ids]
     summed += params["pos_emb"][:t]
     summed += params["seg_emb"][batch.segment_ids]
-    x, cache["emb_ln"] = _layer_norm(params, "emb_ln", summed, eps)
+    x, cache["emb_ln"] = _layer_norm(params, "emb_ln", summed)
     x = _drop(x, rate, rng, cache, "emb_drop")
 
     # masked keys get a large negative score; no bias when every key is real
@@ -475,12 +455,12 @@ def _forward(params, config, batch, rng, reads=None, keep=False):
             pick = lambda m: m.reshape(-1, hd)[flat]
         proj = _drop(_linear(params, p + "attn_out", ctx), rate, rng, lc, "proj_drop", full, pick)
         proj += x  # the residual sums go into the fresh sublayer outputs
-        h1, ln1 = _layer_norm(params, p + "attn_ln", proj, eps)
+        h1, ln1 = _layer_norm(params, p + "attn_ln", proj)
         a = _linear(params, p + "ff_in", h1)
         g, cdf = _gelu(a)
         f = _drop(_linear(params, p + "ff_out", g), rate, rng, lc, "ff_drop", full, pick)
         f += h1
-        x, ln2 = _layer_norm(params, p + "ff_ln", f, eps)
+        x, ln2 = _layer_norm(params, p + "ff_ln", f)
         if keep:
             lc.update(ctx=ctx, ln1=ln1, h1=h1, a=a, cdf=cdf, g=g, ln2=ln2)
             cache["layers"].append(lc)
@@ -503,12 +483,6 @@ def forward(params, config: EncoderConfig, batch: Batch, rng=None, reads=None) -
     """
     hidden, _ = _forward(params, config, batch, rng, reads)
     return hidden
-
-
-def attention_weights(params, config: EncoderConfig, batch: Batch) -> list[np.ndarray]:
-    """Per-layer softmax attention maps [batch, heads, query, key] (eval mode)."""
-    _, cache = _forward(params, config, batch, None, keep=True)
-    return [lc["attn"] for lc in cache["layers"]]
 
 
 def _backward(params, config, cache, d_hidden):
@@ -671,14 +645,14 @@ def multilabel_loss(params, config, batch, positions, label_matrix, rng=None):
 
 
 def save_checkpoint(path, config: EncoderConfig, params) -> None:
-    """Self-describing container: one JSON header line with the config and
-    the tensor manifest in store order, then the store's flat vector as raw
-    little-endian float64 bytes, written in one call. Identical state always
-    produces identical bytes."""
+    """Self-describing container: one JSON header line with the config,
+    FIXED_CONFIG's keys included, and the tensor manifest in store order,
+    then the store's flat vector as raw little-endian float64 bytes, written
+    in one call. Identical state always produces identical bytes."""
     header = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
-        "config": asdict(config),
+        "config": {**asdict(config), **FIXED_CONFIG},
         "tensors": [{"name": n, "shape": list(shape)} for n, shape in params.layout],
     }
     with open(path, "wb") as handle:
@@ -689,8 +663,9 @@ def save_checkpoint(path, config: EncoderConfig, params) -> None:
 
 def load_checkpoint(path) -> tuple[EncoderConfig, ParamStore]:
     """Read a save_checkpoint file into a store laid out in manifest order,
-    the body read in one call; a fault in its header or body, a NaN or an
-    infinity included, fails as PATH: message."""
+    the body read in one call; a fault in its header or body, a
+    FIXED_CONFIG key of another value, a NaN or an infinity included, fails
+    as PATH: message."""
     with open(path, "rb") as handle:
         header_line = handle.readline()
         try:
@@ -703,9 +678,14 @@ def load_checkpoint(path) -> tuple[EncoderConfig, ParamStore]:
         if type(version) is not int or version != CHECKPOINT_VERSION:
             raise ValueError(f"{path}: checkpoint version {version!r}, "
                              f"this release reads version {CHECKPOINT_VERSION}")
-        names = {f.name for f in fields(EncoderConfig)}
+        names = {f.name for f in fields(EncoderConfig)} | FIXED_CONFIG.keys()
         if not isinstance(header.get("config"), dict) or set(header["config"]) != names:
             raise ValueError(f"{path}: checkpoint config keys must be exactly {sorted(names)}")
+        settings = dict(header["config"])
+        for key, value in FIXED_CONFIG.items():
+            got = settings.pop(key)
+            if type(got) is not type(value) or got != value:
+                raise ValueError(f"{path}: checkpoint {key} is {got!r}, the encoder's is {value!r}")
         tensors = header.get("tensors")
         if not isinstance(tensors, list) or not all(
                 isinstance(e, dict) and isinstance(e.get("name"), str)
@@ -714,7 +694,7 @@ def load_checkpoint(path) -> tuple[EncoderConfig, ParamStore]:
             raise ValueError(f"{path}: every checkpoint tensor needs a string name "
                              f"and a list of non-negative int dims")
         try:
-            config = EncoderConfig(**header["config"])
+            config = EncoderConfig(**settings)
         except (TypeError, ValueError) as exc:
             raise ValueError(f"{path}: bad checkpoint config: {exc}") from exc
         layout = {e["name"]: tuple(e["shape"]) for e in tensors}

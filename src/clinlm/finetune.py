@@ -50,6 +50,7 @@ RELATION_2010_LABELS = (
     "treatment-not-administered-for-problem",
 )
 NLI_LABELS = ("entailment", "contradiction", "neutral")
+PREDICT_CHUNK = 32  # rows per forward pass of the predict_* functions
 # task kind -> (the encoder head it trains, the dev metrics it computes)
 _KINDS = {"ner": ("head_token", ("entity_f1",)),
           "pair": ("head_pair", ("accuracy", "micro_f1")),
@@ -281,15 +282,15 @@ def _stacked(rows) -> tuple[Batch, np.ndarray]:
             np.array(reads, dtype=np.int64).reshape(-1, 2))
 
 
-def _forward_chunks(params, config, rows: Sequence, batch_size: int, head: str, n_out: int):
+def _forward_chunks(params, config, rows: Sequence, head: str, n_out: int):
     """Yield, for each row in order, the scores of head at the positions it
-    reads there ([positions, n_out], see _stacked). Each batch_size
+    reads there ([positions, n_out], see _stacked). Each PREDICT_CHUNK
     rows take one forward pass, whose top layer runs at those positions
     only. A non-finite score is refused with a ValueError naming the first
     row that has one."""
     done = 0  # rows yielded so far
-    for start in range(0, len(rows), batch_size):
-        chunk = rows[start:start + batch_size]
+    for start in range(0, len(rows), PREDICT_CHUNK):
+        chunk = rows[start:start + PREDICT_CHUNK]
         batch, reads = _stacked(chunk)
         hidden = forward(params, config, batch, reads=reads)
         scores = _head_logits(params, head, hidden, n_out)
@@ -302,25 +303,23 @@ def _forward_chunks(params, config, rows: Sequence, batch_size: int, head: str, 
         yield from per_row
 
 
-def predict_ner_tags(params, config, rows: Sequence[NerRow], tags: Sequence[str],
-                     batch_size: int = 32) -> list[list[str]]:
+def predict_ner_tags(params, config, rows: Sequence[NerRow],
+                     tags: Sequence[str]) -> list[list[str]]:
     """The tag of each kept word of each row, predicted at its first piece."""
     return [[tags[i] for i in scores.argmax(axis=-1)] for scores in
-            _forward_chunks(params, config, rows, batch_size, "head_token", len(tags))]
+            _forward_chunks(params, config, rows, "head_token", len(tags))]
 
 
-def predict_pair_labels(params, config, rows: Sequence, labels: Sequence[str],
-                        batch_size: int = 32) -> list[str]:
+def predict_pair_labels(params, config, rows: Sequence, labels: Sequence[str]) -> list[str]:
     """The label of each framed row, predicted at its position 0."""
     return [labels[scores[0].argmax()] for scores in
-            _forward_chunks(params, config, rows, batch_size, "head_pair", len(labels))]
+            _forward_chunks(params, config, rows, "head_pair", len(labels))]
 
 
-def predict_label_sets(params, config, rows: Sequence, labels: Sequence[str],
-                       batch_size: int = 32) -> list[set[str]]:
+def predict_label_sets(params, config, rows: Sequence, labels: Sequence[str]) -> list[set[str]]:
     """Labels whose logistic probability at position 0 exceeds 1/2, per row."""
     return [{labels[i] for i in np.nonzero(_sigmoid(scores[0]) > 0.5)[0]} for scores in
-            _forward_chunks(params, config, rows, batch_size, "head_multi", len(labels))]
+            _forward_chunks(params, config, rows, "head_multi", len(labels))]
 
 
 def _dev_metric(task, params, config, dev):
@@ -438,6 +437,9 @@ def load_task_rows(task: TaskSpec, path, vocab: Vocabulary, max_positions: int) 
             for concept in (rec["type_a"], rec["type_b"]):
                 if concept not in task.concept_types:
                     raise ValueError(f"unknown concept type {concept!r} for task {task.name}")
+            for span in ("span_a", "span_b"):
+                if len(rec[span]) != 2:
+                    raise ValueError(f"{span!r} must be [start, end], got {rec[span]!r}")
             return prepare_marked_sentence(rec["words"], tuple(rec["span_a"]), rec["type_a"],
                                            tuple(rec["span_b"]), rec["type_b"], vocab,
                                            max_positions), index[label(rec["label"])]
@@ -461,7 +463,7 @@ def check_dev_rows(task: TaskSpec, rows: Sequence, path=None) -> None:
         raise ValueError(f"{where}dev set has no gold label to select on")
 
 
-def numbered_ner_sentences(path, tag: Callable[[str], object] = str):
+def numbered_ner_sentences(path, tag: Callable[[str], object]):
     """Yield (line number of the first word, words, tags) for each sentence
     of a word<TAB>tag file, each tag read through tag; a sentence's words
     sit on consecutive lines and blank lines part sentences. A malformed

@@ -226,13 +226,15 @@ class PretrainResult:
 
 def lr_schedule(schedule: str, peak_lr: float, total_steps: int,
                 warmup_fraction: float | None = None):
-    """Step -> learning rate. "constant" ignores warmup; "linear" warms up
-    linearly to peak_lr over warmup_fraction of the steps (None means 0.01),
-    then decays linearly toward zero at total_steps. A given warmup_fraction
-    must lie in [0, 1] either way."""
+    """Step -> learning rate. "constant" is peak_lr at every step and takes
+    no warmup_fraction; "linear" warms up linearly to peak_lr over
+    warmup_fraction of the steps (None means 0.01; a given one must lie in
+    [0, 1]), then decays linearly toward zero at total_steps."""
     if warmup_fraction is not None and not 0.0 <= warmup_fraction <= 1.0:
         raise ValueError(f"warmup_fraction must be in [0, 1], got {warmup_fraction}")
     if schedule == "constant":
+        if warmup_fraction is not None:
+            raise ValueError("warmup_fraction applies only to the linear schedule, not constant")
         return lambda step: peak_lr
     if schedule == "linear":
         fraction = 0.01 if warmup_fraction is None else warmup_fraction

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from clinlm.cli import build_parser, dispatch, read_config
-from clinlm.encoder import EncoderConfig, ParamStore, load_checkpoint, param_shapes
+from clinlm.encoder import ParamStore, load_checkpoint, param_shapes
 from clinlm.finetune import builtin_task
 from clinlm.wordpiece import read_vocab
 
@@ -467,6 +467,10 @@ class TestMalformedInputs:
          _finetune("re-2010"), "{file}:1:"),
         ("span-of-a-bool", "rel.jsonl", _jsonl({**_RELATION_ROW, "span_a": [True, 3]}),
          _finetune("re-2010"), "{file}:1: 'span_a' must be list[int], got [True, 3]"),
+        ("span-of-three-ints", "rel.jsonl", _jsonl({**_RELATION_ROW, "span_a": [0, 3, 4]}),
+         _finetune("re-2010"), "{file}:1: 'span_a' must be [start, end], got [0, 3, 4]"),
+        ("span-of-one-int", "rel.jsonl", _jsonl({**_RELATION_ROW, "span_b": [0]}),
+         _finetune("re-2010"), "{file}:1: 'span_b' must be [start, end], got [0]"),
         ("unknown-concept-type", "rel.jsonl", _jsonl({**_RELATION_ROW, "type_a": "drug"}),
          _finetune("re-2010"), "{file}:1: unknown concept type 'drug'"),
         ("word-not-a-string", "rel.jsonl",
@@ -497,6 +501,8 @@ class TestMalformedInputs:
          _finetune("re-2010", vocab="{file}", data="{vocab}"), "{file} has 6 tokens but {ckpt}"),
         ("invalid-probe-prediction", "preds.txt", "Neutral\n" * 128 + "Maybe\n",
          ["probe", "--predictions", "{file}"], "{file}:129: unknown label 'Maybe'"),
+        ("probe-predictions-of-another-count", "preds.txt", "Neutral\n",
+         ["probe", "--predictions", "{file}"], "{file}: 1 predictions for 129 instances"),
         ("nan-aggregate-value", "unused.txt", "",
          ["evaluate", "--metric", "accuracy", "--aggregate", "0.5,nan,0.7"],
          "value 2 of 3 is nan, not a finite number"),
@@ -582,6 +588,20 @@ class TestMalformedInputs:
           "--micro-batch", "1", "--accum", "1", "--seed", "0", "--config", "{file}",
           "--out", "{out}"],
          "--warmup-fraction applies only to --schedule linear, not constant"),
+        # a setting given twice is no silent last-one-wins
+        ("config-key-set-twice", "cfg.txt", "hidden_dim = 8\n# wider\nhidden_dim = 16\n",
+         ["pretrain", "--corpus", "{vocab}", "--vocab", "{vocab}", "--plan", "8:1",
+          "--micro-batch", "1", "--accum", "1", "--seed", "0", "--config", "{file}",
+          "--out", "{out}"],
+         "{file}:3: config key 'hidden_dim' is set again"),
+        ("dataset-name-given-twice", "notes.txt", "no pain today\n",
+         ["compress-report", "--dataset", "a={file}", "--dataset", "a={vocab}",
+          "--vocab", "base={vocab}", "--baseline", "base"],
+         "--dataset: name 'a' is given twice"),
+        ("vocab-name-given-twice", "notes.txt", "no pain today\n",
+         ["compress-report", "--dataset", "a={file}", "--vocab", "base={vocab}",
+          "--vocab", "base={vocab}", "--baseline", "base"],
+         "--vocab: name 'base' is given twice"),
         ("plan-below-the-row-minimum", "corpus.txt", "no pain today\n", _pretrain_plan("2:1"),
          "--plan '2:1': length 2 is below 3, the fewest positions of a row"),
         ("plan-of-decreasing-lengths", "corpus.txt", "no pain today\n", _pretrain_plan("8:1,4:1"),
@@ -662,8 +682,7 @@ class TestTunedCheckpoint:
                                          data=str(data), vocab=str(vocab)), capsys)
         assert code == 0, err
         header, body = (tmp_path / "tuned.seed0.ckpt").read_bytes().split(b"\n", 1)
-        header = json.loads(header)
-        config = EncoderConfig(**header["config"])
+        header, config = json.loads(header), load_checkpoint(tmp_path / "tuned.seed0.ckpt")[0]
         h, v, n = config.hidden_dim, config.vocab_size, len(builtin_task(task).outputs)
         earlier = {**param_shapes(config), "head_pair_w": (h, n), "head_pair_b": (n,)}
         assert [e["name"] for e in header["tensors"]] == [

@@ -26,8 +26,6 @@ from clinlm.encoder import (
     _layer_norm_backward,
     _linear,
     EncoderConfig,
-    attention_weights,
-    base_config,
     forward,
     frame,
     init_head,
@@ -46,14 +44,21 @@ from clinlm.finetune import FinetuneConfig, extend_for_markers, predict_label_se
 from clinlm.pretrain import (
     AccumulationConfig, AdamConfig, MaskingPolicy, PhasePlan, adam_step, init_optimizer,
 )
-from clinlm.wordpiece import PAD_ID, SEP_ID, train_wordpiece
+from clinlm.wordpiece import PAD_ID, train_wordpiece
 
 
 def tiny_config(**overrides):
     defaults = dict(vocab_size=8, hidden_dim=4, n_layers=1, n_heads=2,
-                    ff_dim=6, max_positions=4, n_segments=2)
+                    ff_dim=6, max_positions=4)
     defaults.update(overrides)
     return EncoderConfig(**defaults)
+
+
+def attention_maps(params, config, batch):
+    """Each layer's softmax attention weights [batch, heads, query, key], in
+    eval mode, from the cache the losses keep."""
+    _, cache = encoder._forward(params, config, batch, None, keep=True)
+    return [lc["attn"] for lc in cache["layers"]]
 
 
 def zero_params(config):
@@ -64,8 +69,7 @@ def zero_params(config):
 
 class TestEncoderConfig:
     def test_defaults_valid(self):
-        config = tiny_config()
-        assert config.head_dim == 2
+        tiny_config()
 
     def test_vocab_below_specials_rejected(self):
         with pytest.raises(ValueError, match="special"):
@@ -84,11 +88,6 @@ class TestEncoderConfig:
             tiny_config(dropout=1.0)
         with pytest.raises(ValueError):
             tiny_config(dropout=-0.1)
-
-    def test_base_scale_preset(self):
-        config = base_config(64000)
-        assert (config.hidden_dim, config.n_layers, config.n_heads) == (768, 12, 12)
-        assert config.max_positions == 512
 
 
 # every settings class checks its fields by annotation, through check_fields
@@ -188,13 +187,13 @@ class TestForwardOracle:
     """
 
     CONFIG = EncoderConfig(vocab_size=6, hidden_dim=2, n_layers=1, n_heads=1,
-                           ff_dim=2, max_positions=2, n_segments=1)
+                           ff_dim=2, max_positions=2)
 
     WEIGHTS = {
         "tok_emb": [[0.1, -0.2], [0.0, 0.3], [0.2, 0.1],
                     [-0.1, 0.4], [0.3, 0.0], [0.5, -0.5]],
         "pos_emb": [[0.05, 0.1], [-0.1, 0.2]],
-        "seg_emb": [[0.02, -0.03]],
+        "seg_emb": [[0.02, -0.03], [0.0, 0.0]],  # no [SEP], so row 1 goes unread
         "emb_ln_g": [1.1, 0.9], "emb_ln_b": [0.01, -0.02],
         "layer0.attn_q_w": [[0.2, -0.1], [0.1, 0.3]],
         "layer0.attn_q_b": [0.01, 0.02],
@@ -277,7 +276,7 @@ class TestForwardOracle:
 
     def test_attention_matches_frozen_scalar_oracle(self):
         batch = Batch([self.TOKEN_IDS])
-        attn = attention_weights(self.params(), self.CONFIG, batch)
+        attn = attention_maps(self.params(), self.CONFIG, batch)
         assert len(attn) == 1 and attn[0].shape == (1, 1, 2, 2)
         np.testing.assert_allclose(attn[0][0, 0], self.EXPECTED_ATTN,
                                    atol=1e-10, rtol=0)
@@ -293,7 +292,7 @@ class TestForwardProperties:
         config = tiny_config(n_layers=2)
         params = init_params(config, 3)
         batch = Batch([[5, 6, 7, 1], [2, 3, 0, 0]])
-        maps = attention_weights(params, config, batch)
+        maps = attention_maps(params, config, batch)
         assert len(maps) == config.n_layers
         for layer_attn in maps:
             sums = layer_attn.sum(axis=-1)
@@ -303,7 +302,7 @@ class TestForwardProperties:
         config = tiny_config()
         params = init_params(config, 3)
         batch = Batch([[5, 6, PAD_ID, 1]])
-        for layer_attn in attention_weights(params, config, batch):
+        for layer_attn in attention_maps(params, config, batch):
             assert np.all(layer_attn[..., 2] == 0.0)
 
     def test_too_long_sequence_rejected(self):
@@ -317,12 +316,6 @@ class TestForwardProperties:
         params = init_params(config, 0)
         with pytest.raises(ValueError, match="vocabulary"):
             forward(params, config, Batch([[5, 200]]))
-
-    def test_out_of_range_segment_rejected(self):
-        config = tiny_config(n_segments=1)
-        params = init_params(config, 0)
-        with pytest.raises(ValueError, match="segment"):
-            forward(params, config, Batch([[SEP_ID, 6]]))  # segment 1 after the [SEP]
 
     def test_deterministic(self):
         config = tiny_config()
@@ -827,7 +820,7 @@ def test_layer_norm_linear_and_their_backward_are_the_closed_forms_bit_for_bit()
     params = ParamStore({"ln_g": (8,), "ln_b": (8,), "lin_w": (8, 5), "lin_b": (5,)})
     params.flat[...] = rng.normal(size=params.flat.shape)
     x, dy = rng.normal(size=(2, 3, 8)) * 3.0 + 1.0, rng.normal(size=(2, 3, 8))
-    y, (xhat, inv) = _layer_norm(params, "ln", x, 1e-12)
+    y, (xhat, inv) = _layer_norm(params, "ln", x)
     xc = x - x.mean(axis=-1, keepdims=True)
     want_inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + 1e-12)
     assert np.array_equal(inv, want_inv)
@@ -948,6 +941,15 @@ class TestCheckpoint:
         save_checkpoint(p2, config, params)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_header_holds_the_fixed_settings(self, tmp_path):
+        # as the config of earlier releases did, so their files load and
+        # this release writes the same bytes
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, tiny_config(), init_params(tiny_config(), 11))
+        assert (b'"config":{"dropout":0.0,"ff_dim":6,"hidden_dim":4,"ln_epsilon":1e-12,'
+                b'"max_positions":4,"n_heads":2,"n_layers":1,"n_segments":2,"vocab_size":8}'
+                in path.read_bytes().split(b"\n", 1)[0])
+
     def test_truncated_file_rejected(self, tmp_path):
         config = tiny_config()
         params = init_params(config, 11)
@@ -1020,6 +1022,10 @@ class TestCheckpoint:
         lambda h: {**h, "config": {**h["config"], "ln_epsilon": "tiny"}},
         lambda h: {**h, "config": {**h["config"], "ln_epsilon": float("nan")}},
         lambda h: {**h, "config": {**h["config"], "ln_epsilon": -1.0}},
+        lambda h: {**h, "config": {**h["config"], "ln_epsilon": 1e-5}},
+        lambda h: {**h, "config": {**h["config"], "n_segments": 1}},
+        lambda h: {**h, "config": {**h["config"], "n_segments": 2.0}},
+        lambda h: {**h, "config": {k: v for k, v in h["config"].items() if k != "n_segments"}},
         lambda h: {**h, "config": {**h["config"], "hidden_dim": 4.0}},
         lambda h: {**h, "config": {**h["config"], "n_layers": True}},
         lambda h: {**h, "version": 99},
@@ -1030,7 +1036,8 @@ class TestCheckpoint:
             "entry-not-object", "transposed-tensor", "renamed-tensor", "repeated-tensor",
             "transposed-head", "head-without-bias", "head-bias-mismatch", "unknown-head",
             "string-ln-epsilon", "nan-ln-epsilon",
-            "negative-ln-epsilon", "float-hidden-dim", "bool-n-layers", "other-version",
+            "negative-ln-epsilon", "other-ln-epsilon", "one-segment", "float-n-segments",
+            "missing-n-segments", "float-hidden-dim", "bool-n-layers", "other-version",
             "bool-version"])
     def test_malformed_header_is_a_value_error_naming_the_file(self, tmp_path, change):
         path = tmp_path / "model.ckpt"
@@ -1076,7 +1083,8 @@ class TestCheckpoint:
         params = init_head(init_params(config, 11), config, "head_pair", 3, 1)
         names = sorted(params)
         header = {"format": "clinlm-checkpoint", "version": 1,
-                  "config": {f: getattr(config, f) for f in config.__dataclass_fields__},
+                  "config": {**{f: getattr(config, f) for f in config.__dataclass_fields__},
+                             "n_segments": 2, "ln_epsilon": 1e-12},
                   "tensors": [{"name": n, "shape": list(params[n].shape)} for n in names]}
         path = tmp_path / "sorted.ckpt"
         with open(path, "wb") as handle:

@@ -651,13 +651,12 @@ class TestDropout:
         assert rngs and all(rng is None for rng in rngs)
 
 
-def predict(kind, params, config, task, rows, batch_size=32):
+def predict(kind, params, config, task, rows):
     """The kind's predict_* function on toy_task rows."""
     if kind == "ner":
-        return predict_ner_tags(params, config, rows, task.outputs, batch_size=batch_size)
+        return predict_ner_tags(params, config, rows, task.outputs)
     predict_rows = predict_pair_labels if kind == "pair" else predict_label_sets
-    return predict_rows(params, config, [r[0] for r in rows], task.outputs,
-                        batch_size=batch_size)
+    return predict_rows(params, config, [r[0] for r in rows], task.outputs)
 
 
 class TestPredictReadsOnly:
@@ -665,7 +664,8 @@ class TestPredictReadsOnly:
     def test_last_ff_in_sees_only_the_read_positions(self, small_vocab, kind, monkeypatch):
         config, params, task, rows = toy_task(kind, small_vocab)
         calls = last_layer_rows(monkeypatch, config)
-        predict(kind, params, config, task, rows, batch_size=3)
+        monkeypatch.setattr(finetune, "PREDICT_CHUNK", 3)
+        predict(kind, params, config, task, rows)
         n_reads = [len(r.first_piece_positions) for r in rows] if kind == "ner" else [1] * len(rows)
         chunks = [sum(n_reads[:3]), sum(n_reads[3:])]
         assert calls == {"attn_q": chunks, "ff_in": chunks}
@@ -676,7 +676,7 @@ class TestNonFiniteModel:
     infinity, naming the first row that has one."""
 
     @pytest.mark.parametrize("kind", ["ner", "pair", "multilabel"])
-    def test_refused_naming_the_first_bad_row(self, small_vocab, kind):
+    def test_refused_naming_the_first_bad_row(self, small_vocab, kind, monkeypatch):
         config, params, task, rows = toy_task(kind, small_vocab)
         # a huge embedding of pieces the first two rows lack: finite
         # parameters whose hidden states overflow to NaN in row 2 onwards
@@ -685,9 +685,10 @@ class TestNonFiniteModel:
         assert only_later
         params["tok_emb"][only_later] = 1e308
         with np.errstate(over="ignore", invalid="ignore"):
-            for batch_size in (1, 2, 32):
+            for chunk in (1, 2, 32):
+                monkeypatch.setattr(finetune, "PREDICT_CHUNK", chunk)
                 with pytest.raises(ValueError, match=r"^row 2: .* NaN or infinity"):
-                    predict(kind, params, config, task, rows, batch_size)
+                    predict(kind, params, config, task, rows)
             with pytest.raises(ValueError, match=r"^row 2: .* NaN or infinity"):
                 finetune._dev_metric(task, params, config, rows)
 
@@ -713,7 +714,7 @@ class TestReaders:
     def test_ner_round_trip(self, tmp_path):
         path = tmp_path / "data.tsv"
         path.write_text("the\tO\nrash\tB-problem\n\nno\tO\n", encoding="utf-8")
-        sentences = list(numbered_ner_sentences(path))
+        sentences = list(numbered_ner_sentences(path, str))
         assert sentences == [(1, ["the", "rash"], ["O", "B-problem"]),
                              (4, ["no"], ["O"])]
 
@@ -721,9 +722,9 @@ class TestReaders:
         path = tmp_path / "data.tsv"
         path.write_text("the\tO\nbroken line\n", encoding="utf-8")
         with pytest.raises(ValueError, match=r"2"):
-            list(numbered_ner_sentences(path))
+            list(numbered_ner_sentences(path, str))
 
     def test_ner_empty_file(self, tmp_path):
         path = tmp_path / "data.tsv"
         path.write_text("", encoding="utf-8")
-        assert list(numbered_ner_sentences(path)) == []
+        assert list(numbered_ner_sentences(path, str)) == []

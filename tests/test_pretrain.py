@@ -351,6 +351,12 @@ class TestLrSchedule:
         lr = lr_schedule("constant", 3e-4, 100)
         assert lr(0) == lr(99) == 3e-4
 
+    def test_constant_refuses_a_warmup_fraction(self):
+        # it has no warmup, so the fraction would be silently ignored
+        with pytest.raises(ValueError, match="^warmup_fraction applies only to the linear "
+                                             "schedule, not constant$"):
+            lr_schedule("constant", 1e-3, 10, 0.5)
+
     def test_linear_warmup_and_decay(self):
         lr = lr_schedule("linear", 1.0, 100, warmup_fraction=0.1)
         assert lr(0) == pytest.approx(0.1)
