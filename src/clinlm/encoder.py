@@ -27,10 +27,12 @@ attention projection, feed-forward sublayer and both layer norms; the
 backward pass writes their gradients back into every position. The losses
 and prediction pass reads; forward without them is the full pass.
 
-Only the losses keep each layer's activations, for _backward. forward
-keeps no backward cache: a layer's activations are freed as the next layer
-starts, so a forward-only pass's memory does not grow with depth. The layer
-math is the same either way.
+Only the losses keep each layer's activations, for _backward, which frees
+each layer's once its backward has run. The feed-forward sublayer keeps its
+pre-activation and that one's normal CDF; _backward rebuilds GELU's output
+from the two. forward keeps no backward cache: a layer's activations are
+freed as the next layer starts, so a forward-only pass's memory does not
+grow with depth. The layer math is the same either way.
 
 Train mode means an rng was passed: forward and the losses then drop out
 (config.dropout) the embeddings, then in each layer the attention weights,
@@ -461,8 +463,8 @@ def _forward(params, config, batch, rng, reads=None, keep=False):
         f = _drop(_linear(params, p + "ff_out", g), rate, rng, lc, "ff_drop", full, pick)
         f += h1
         x, ln2 = _layer_norm(params, p + "ff_ln", f)
-        if keep:
-            lc.update(ctx=ctx, ln1=ln1, h1=h1, a=a, cdf=cdf, g=g, ln2=ln2)
+        if keep:  # not g: _backward rebuilds it as a * cdf, _gelu's multiply
+            lc.update(ctx=ctx, ln1=ln1, h1=h1, a=a, cdf=cdf, ln2=ln2)
             cache["layers"].append(lc)
         del lc, kh, vh, ctx, proj, ln1, h1, a, cdf, g, f, ln2  # only a kept lc still holds them
     return x, cache
@@ -486,6 +488,9 @@ def forward(params, config: EncoderConfig, batch: Batch, rng=None, reads=None) -
 
 
 def _backward(params, config, cache, d_hidden):
+    """Gradients of every parameter, given d_hidden, that of _forward's
+    output. Consumes cache["layers"]: each layer's activations are freed
+    once its backward has run, so the layers below reuse their memory."""
     batch = cache["batch"]
     grads = params.like()
     hd, nh = config.hidden_dim, config.n_heads
@@ -493,11 +498,11 @@ def _backward(params, config, cache, d_hidden):
 
     for i in reversed(range(config.n_layers)):
         p = f"layer{i}."
-        lc = cache["layers"][i]
+        lc = cache["layers"].pop()  # layer i's, freed with this iteration's temporaries
 
         d_res2 = _layer_norm_backward(params, grads, p + "ff_ln", dx, lc["ln2"])
         d_f = d_res2 * lc["ff_drop"] if "ff_drop" in lc else d_res2
-        d_a = _linear_backward(params, grads, p + "ff_out", lc["g"], d_f)
+        d_a = _linear_backward(params, grads, p + "ff_out", lc["a"] * lc["cdf"], d_f)
         d_a *= _gelu_grad(lc["a"], lc["cdf"])
         d_h1 = d_res2 + _linear_backward(params, grads, p + "ff_in", lc["h1"], d_a)
 
@@ -518,6 +523,7 @@ def _backward(params, config, cache, d_hidden):
             dx += _linear_backward(params, grads, p + "attn_q", lc["x_in"], _join_heads(d_qh))
         for name, d_head in (("attn_k", d_kh), ("attn_v", d_vh)):
             dx += _linear_backward(params, grads, p + name, lc["x_in"], _join_heads(d_head))
+        del lc, d_res2, d_f, d_a, d_h1, d_proj, d_ctx, d_qh, d_kh, d_vh, d_head
 
     if "emb_drop" in cache:
         dx = dx * cache["emb_drop"]

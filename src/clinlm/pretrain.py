@@ -26,6 +26,7 @@ from .wordpiece import CLS_ID, MASK_ID, SEP_ID, Vocabulary
 
 MASK_SHARE, RANDOM_SHARE = 0.8, 0.1  # of the selected positions; the rest keep their id
 BETA1, BETA2, EPSILON = 0.9, 0.999, 1e-8  # Adam's moment decay rates and epsilon
+ADAM_BLOCK = 32768  # entries adam_step updates at a time: 256 KiB of float64
 
 
 @dataclass(frozen=True)
@@ -105,32 +106,42 @@ def adam_step(params: ParamStore, grads: ParamStore, state: OptimizerState,
               lr: float) -> tuple[ParamStore, OptimizerState]:
     """One bias-corrected Adam update at learning rate lr (the caller's
     schedule sets it per step; BETA1, BETA2 and EPSILON are fixed) over the
-    stores' flat vectors. Returns fresh params and state; the inputs are left
-    untouched. A non-finite gradient, or an update that leaves a parameter
-    non-finite, is refused with the name of the first tensor that holds one."""
+    stores' flat vectors, ADAM_BLOCK entries at a time. Returns fresh params
+    and state; the inputs are left untouched. A non-finite or non-positive
+    lr is refused first; a non-finite gradient, or an update that leaves a
+    parameter non-finite, is refused with the name of the first tensor that
+    holds one."""
+    if not 0 < lr < math.inf:
+        raise ValueError(f"lr must be finite and positive, got {lr}")
     if not grads.layout == state.m.layout == params.layout:
         raise ValueError(f"gradient and moment keys and shapes must match the parameters: "
                          f"{sorted(set(params.layout) ^ set(grads.layout))[:5]}")
     grads.check_finite("non-finite gradient for parameter '{name}'")
     # m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g, p - lr m_hat / (sqrt(v_hat) + eps),
-    # rounded as those expressions are, into the fresh outputs and one scratch
-    # vector: a new whole-model temporary per operation costs more than the operation
+    # rounded as those expressions are, into the fresh outputs and one
+    # block-sized scratch: elementwise, so a block's result is the whole
+    # vector's there, and a block stays in cache through all its operations
     t, g = state.step + 1, grads.flat
+    m_correction, v_correction = 1.0 - BETA1 ** t, 1.0 - BETA2 ** t
     new_params, m, v = (params.like(np.empty_like(g)) for _ in range(3))
-    scratch = np.empty_like(g)
-    np.multiply(state.m.flat, BETA1, out=m.flat)
-    m.flat += np.multiply(g, 1.0 - BETA1, out=scratch)
-    np.multiply(state.v.flat, BETA2, out=v.flat)
-    np.multiply(g, 1.0 - BETA2, out=scratch)
-    v.flat += np.multiply(scratch, g, out=scratch)
-    np.divide(v.flat, 1.0 - BETA2 ** t, out=scratch)
-    np.sqrt(scratch, out=scratch)
-    scratch += EPSILON
-    with np.errstate(over="ignore", invalid="ignore"):  # refused just below, by name
-        step = np.divide(m.flat, 1.0 - BETA1 ** t, out=new_params.flat)
-        step *= lr
-        step /= scratch
-        np.subtract(params.flat, step, out=new_params.flat)
+    scratch = np.empty(min(ADAM_BLOCK, g.size))
+    for start in range(0, g.size, ADAM_BLOCK):
+        at = slice(start, start + ADAM_BLOCK)
+        g_at, m_at, v_at = g[at], m.flat[at], v.flat[at]
+        s = scratch[:len(g_at)]
+        np.multiply(state.m.flat[at], BETA1, out=m_at)
+        m_at += np.multiply(g_at, 1.0 - BETA1, out=s)
+        np.multiply(state.v.flat[at], BETA2, out=v_at)
+        np.multiply(g_at, 1.0 - BETA2, out=s)
+        v_at += np.multiply(s, g_at, out=s)
+        np.divide(v_at, v_correction, out=s)
+        np.sqrt(s, out=s)
+        s += EPSILON
+        with np.errstate(over="ignore", invalid="ignore"):  # refused just below, by name
+            step = np.divide(m_at, m_correction, out=new_params.flat[at])
+            step *= lr
+            step /= s
+            np.subtract(params.flat[at], step, out=step)
     new_params.check_finite("Adam update left a non-finite value in parameter '{name}'")
     return new_params, OptimizerState(m=m, v=v, step=t)
 
@@ -157,15 +168,21 @@ def accumulate_and_step(
     micro_batches: Sequence,
     lr: float,
 ) -> tuple[ParamStore, OptimizerState, float]:
-    """Accumulate gradients over the micro-batches, as many as are given,
-    then apply one Adam update at learning rate lr.
+    """Accumulate gradients over the micro-batches, as many as are given
+    (an empty list is refused), then apply one Adam update at learning rate
+    lr.
 
     loss_grad_fn(params, micro_batch) must return (loss, grads, n_terms)
     where n_terms is the number of averaged loss terms in that micro-batch.
-    Per-micro-batch gradients are summed into one flat vector weighted by
-    n_terms, which makes the update identical to a single pass over the
+    accumulate_and_step owns each grads store loss_grad_fn returns and
+    scales it by n_terms in place: the first micro-batch's scaled store is
+    the accumulator, and each later one is added into it in micro-batch
+    order and dropped before the next call. The weighted sum, divided by
+    the total n_terms, makes the update identical to a single pass over the
     union of the micro-batches.
     """
+    if not micro_batches:
+        raise ValueError("no micro-batches to accumulate")
     total_terms = 0
     total_loss = 0.0
     acc = None
@@ -175,10 +192,12 @@ def accumulate_and_step(
             raise ValueError("micro-batch contributed no loss terms")
         total_terms += n_terms
         total_loss += loss * n_terms
+        grads.flat *= n_terms
         if acc is None:
-            acc = grads.like(grads.flat * n_terms)
+            acc = grads
         else:
-            acc.flat += grads.flat * n_terms
+            acc.flat += grads.flat
+        del grads  # the next call's store may take its memory
     acc.flat /= total_terms
     params, state = adam_step(params, acc, state, lr)
     return params, state, total_loss / total_terms

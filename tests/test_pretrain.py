@@ -1,6 +1,7 @@
 """Masking policy, Adam, accumulation, and the two-phase training loop."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -221,6 +222,31 @@ class TestAdam:
                 np.testing.assert_array_equal(state.m[name], ref_m[name], err_msg=name)
                 np.testing.assert_array_equal(state.v[name], ref_v[name], err_msg=name)
 
+    def test_blocks_match_per_tensor_reference_bit_for_bit(self, monkeypatch):
+        # blocks of 7 entries cut every tensor but the smallest across blocks
+        monkeypatch.setattr(pretrain, "ADAM_BLOCK", 7)
+        self.test_matches_per_tensor_reference_bit_for_bit()
+
+    @pytest.mark.parametrize("lr", [0.0, -1e-3, math.nan, math.inf, -math.inf])
+    def test_non_finite_or_non_positive_lr_refused(self, lr):
+        # a negative rate would climb the loss; a NaN one would be blamed on a tensor
+        params = store(w=np.zeros(2))
+        with pytest.raises(ValueError, match=rf"^lr must be finite and positive, got {lr}$"):
+            adam_step(params, store(w=np.array([1.0, -1.0])), init_optimizer(params), lr)
+
+    def test_a_later_block_names_its_tensor(self, monkeypatch):
+        # blocks of 3 over a (8 entries) then w (4): w's third entry is in the fourth block
+        monkeypatch.setattr(pretrain, "ADAM_BLOCK", 3)
+        params = store(a=np.zeros(8), w=np.array([0.0, 0.0, 1e308, 0.0]))
+        state = init_optimizer(params)
+        with pytest.raises(ValueError, match=r"^non-finite gradient for parameter 'w'$"):
+            adam_step(params, store(a=np.zeros(8), w=np.array([0.0, 0.0, np.nan, 0.0])),
+                      state, 1e-4)
+        with pytest.raises(ValueError, match=r"^Adam update left a non-finite value "
+                                             r"in parameter 'w'$"):
+            adam_step(params, store(a=np.zeros(8), w=np.array([0.0, 0.0, -1.0, 0.0])),
+                      state, 1e308)
+
     def test_inputs_left_untouched(self):
         params = store(w=np.array([1.0]))
         state = init_optimizer(params)
@@ -318,6 +344,69 @@ class TestAccumulateAndStep:
         direct, _ = adam_step(params, full_grads, state, 0.01)
         for key in params:
             np.testing.assert_allclose(stepped[key], direct[key], rtol=0, atol=1e-9)
+
+    def test_empty_micro_batch_list_refused(self):
+        config, params = self.setup_model()
+
+        def never_called(p, mb):
+            raise AssertionError("loss_grad_fn ran")
+
+        with pytest.raises(ValueError, match=r"^no micro-batches to accumulate$"):
+            accumulate_and_step(never_called, params, init_optimizer(params), [], 0.01)
+
+    def test_three_micro_batches_are_adam_on_the_weighted_mean_bit_for_bit(self):
+        config, params = self.setup_model()
+        # 2, 4 and 3 loss terms, so the weights differ
+        micros = [self.micro(config, [[5, 6, 7, 8]]),
+                  self.micro(config, [[9, 10, 11, 5], [6, 7, 8, 9]]),
+                  self.micro(config, [[10, 11, 5, 6]], n_targets_per_row=3)]
+        fn = self.loss_grad_fn(config)
+        state = init_optimizer(params)
+        stepped, stepped_state, loss = accumulate_and_step(fn, params, state, micros, 0.01)
+
+        results = [mlm_forward_loss(params, config, *m) for m in micros]  # separate stores
+        n = [len(m[2]) for m in micros]
+        total = results[0][1].flat * n[0] + results[1][1].flat * n[1] + results[2][1].flat * n[2]
+        total /= sum(n)
+        direct, direct_state = adam_step(params, params.like(total), state, 0.01)
+        assert np.array_equal(stepped.flat, direct.flat)
+        assert np.array_equal(stepped_state.m.flat, direct_state.m.flat)
+        assert np.array_equal(stepped_state.v.flat, direct_state.v.flat)
+        assert loss == sum(r[0] * k for r, k in zip(results, n)) / sum(n)
+
+    @pytest.mark.parametrize("n_micro", [2, 3])
+    def test_accumulation_holds_one_store_above_a_loss_call(self, monkeypatch, n_micro):
+        # a large vocabulary makes the masked-LM head, and so each gradient
+        # store, far larger than the activations; the peak is read as Adam
+        # starts, whose fresh outputs are its own
+        config = EncoderConfig(vocab_size=20000, hidden_dim=16, n_layers=1, n_heads=2,
+                               ff_dim=32, max_positions=8)
+        params = init_params(config, 0)
+        state = init_optimizer(params)
+        mb = self.micro(config, [[5, 6, 7, 8], [9, 10, 11, 5]])
+        fn = self.loss_grad_fn(config)
+        fn(params, mb)  # the first call's one-time allocations stay out of the peaks
+        peaks = {}
+
+        def peak_at_adam(params, grads, state, lr):
+            peaks["accumulate"] = tracemalloc.get_traced_memory()[1]
+            return params, state
+
+        monkeypatch.setattr(pretrain, "adam_step", peak_at_adam)
+        tracemalloc.start()
+        try:
+            fn(params, mb)
+            peaks["loss"] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        tracemalloc.start()
+        try:
+            accumulate_and_step(fn, params, state, [mb] * n_micro, 0.01)
+        finally:
+            tracemalloc.stop()
+        store_bytes = params.flat.nbytes
+        # at most one store more, and 5% of one for Python objects
+        assert peaks["accumulate"] - peaks["loss"] <= 1.05 * store_bytes, (peaks, store_bytes)
 
 
 class TestPhasePlan:
