@@ -176,15 +176,9 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_top_labels(args) -> int:
-    occurrences: list[str] = []
-    for line in _read_lines(args.input):
-        if not line.strip():
-            continue
-        if "\t" in line:
-            _, labels = line.split("\t", 1)
-            occurrences.extend(sorted(set(labels.split("|"))))
-        else:
-            occurrences.append(line.strip())
+    sets = corpus.parse_numbered(args.input, corpus.numbered_lines(args.input),  # [NOTE<TAB>]CODES
+                                 lambda line: metrics.label_set(line.split("\t", 1)[-1]))
+    occurrences = [code for codes in sets for code in sorted(codes)]
     corpus.write_lines(args.output, corpus.select_top_k_labels(occurrences, args.k))
     return 0
 
@@ -280,8 +274,8 @@ def _cmd_evaluate(args) -> int:
         print(f"accuracy {metrics.accuracy(*_scored_files(args, _read_lines, 'lines')):.4f}")
         return 0
     if args.metric == "micro-f1":
-        p, r, f1 = metrics.micro_f1(*_scored_files(args, lambda path: [
-            set(l.split("|")) if l else set() for l in _read_lines(path)], "lines"))
+        p, r, f1 = metrics.micro_f1(*_scored_files(args, lambda path: corpus.parse_numbered(
+            path, corpus.numbered_lines(path), metrics.label_set), "lines"))
     else:
         gold, pred = _scored_files(args, lambda path: [
             *finetune.numbered_ner_sentences(path, metrics.bio_tag)], "sentences")

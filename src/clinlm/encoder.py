@@ -12,7 +12,7 @@ batch of rows once with [PAD]; a Batch reads the mask and segments off the
 ids. Every objective, masked-LM and task heads alike, is a linear head read
 at some (row, position) pairs, trained through one routine, _head_loss.
 init_params draws the masked-LM head (mlm) for pretraining; fine-tuning
-drops it, as no task reads it.
+drops every head (without_heads) and appends the one it trains.
 
 The attention core, scores, softmax, dropout and context, is one function
 pair, _attention and _attention_backward, computed in place in one scores
@@ -242,9 +242,9 @@ class ParamStore(Mapping):
             raise ValueError(message.replace("{name}", name))
 
 
-def without_head(shapes, head) -> dict[str, tuple[int, ...]]:
-    """shapes (name -> shape, or a store's layout) less the parameters of head."""
-    return {name: shape for name, shape in dict(shapes).items() if name[:-2] != head}
+def without_heads(shapes) -> dict[str, tuple[int, ...]]:
+    """shapes (name -> shape, or a store's layout) less every HEADS pair."""
+    return {name: shape for name, shape in dict(shapes).items() if name[:-2] not in HEADS}
 
 
 def init_params(config: EncoderConfig, seed: int) -> ParamStore:
@@ -706,7 +706,7 @@ def load_checkpoint(path) -> tuple[EncoderConfig, ParamStore]:
         layout = {e["name"]: tuple(e["shape"]) for e in tensors}
         if len(layout) != len(tensors):
             raise ValueError(f"{path}: a checkpoint tensor name repeats")
-        expected = without_head(param_shapes(config), "mlm")
+        expected = without_heads(param_shapes(config))
         for head in HEADS:  # optional, each as a well-formed pair
             w = layout.get(head + "_w")
             if w is not None and len(w) == 2 and w[1] >= 1:

@@ -32,7 +32,7 @@ from . import corpus, metrics, wordpiece
 from .encoder import (
     MIN_FRAME_LENGTH, Batch, EncoderConfig, ParamStore, _head_logits, _sigmoid, check_fields,
     content_room, forward, frame, init_head, load_checkpoint, multilabel_loss, pair_classify_loss,
-    stack_rows, token_classify_loss, without_head,
+    stack_rows, token_classify_loss, without_heads,
 )
 from .pretrain import adam_step, init_optimizer
 from .wordpiece import Vocabulary, normalize
@@ -144,16 +144,16 @@ def mark_concepts(words: Sequence[str],
 def extend_for_markers(vocab: Vocabulary, params, config: EncoderConfig,
                        concept_types: Iterable[str]):
     """Add reserved marker tokens to the vocabulary and, if the token embedding
-    table is short of them, grow it by rows drawn from seed 0, dropping the
-    masked-LM head. Existing rows are untouched; with no new markers the inputs
-    come back unchanged."""
+    table is short of them, grow it by rows drawn from seed 0, dropping every
+    head (without_heads). Existing rows are untouched; with no new markers
+    the inputs come back unchanged."""
     markers = [m for m in marker_tokens(concept_types) if m not in vocab]
     if not markers:
         return vocab, params, config
     vocab, v, h = vocab.with_extra_tokens(markers), config.vocab_size, config.hidden_dim
     if v >= len(vocab):  # a model tuned on the markers holds their rows already
         return vocab, params, config
-    new_params = params.resized({**without_head(params.layout, "mlm"), "tok_emb": (len(vocab), h)})
+    new_params = params.resized({**without_heads(params.layout), "tok_emb": (len(vocab), h)})
     new_params["tok_emb"][v:] = np.random.default_rng(0).normal(0.0, 0.02, (len(vocab) - v, h))
     return vocab, new_params, replace(config, vocab_size=len(vocab))
 
@@ -365,8 +365,8 @@ def finetune_task(
     seeds: Sequence[int],
     hyper: FinetuneConfig,
 ) -> list[SeedRun]:
-    """Fine-tune the full encoder plus a fresh task head once per seed, the
-    masked-LM head dropped first (no task reads it).
+    """Fine-tune the full encoder plus a fresh task head once per seed, every
+    head params holds dropped first (without_heads), so a run holds only its own.
 
     train_rows and dev_rows must already be encoded for the task (see
     load_task_rows). A step stacks its rows with encoder.stack_rows, takes
@@ -386,7 +386,7 @@ def finetune_task(
     if not train_rows or not dev_rows:
         raise ValueError("train and dev sets must be non-empty")
     check_dev_rows(task, dev_rows)
-    params = params.resized(without_head(params.layout, "mlm"))
+    params = params.resized(without_heads(params.layout))
     runs: list[SeedRun] = []
     for seed in seeds:
         p = init_head(params, config, _KINDS[task.kind][0], len(task.outputs), seed)
@@ -403,8 +403,8 @@ def finetune_task(
                 if step == hyper.max_steps:
                     break
             metric = _dev_metric(task, p, config, dev_rows)
-            if metric > best.dev_metric:
-                best = SeedRun(seed, p.like(p.flat.copy()), metric, epoch)
+            if metric > best.dev_metric:  # adam_step returns fresh stores, so p stays as is
+                best = SeedRun(seed, p, metric, epoch)
             if step == hyper.max_steps:
                 break
         runs.append(best)

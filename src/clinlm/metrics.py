@@ -34,6 +34,15 @@ def bio_tag(tag: str) -> str:
     return tag
 
 
+def label_set(text: str) -> set[str]:
+    """The |-separated labels of text, each stripped: the one rule of a label
+    set. A blank text is the empty set; an empty label is refused."""
+    labels = {label.strip() for label in text.split("|")} if text.strip() else set()
+    if "" in labels:
+        raise ValueError(f"empty label in {text!r}")
+    return labels
+
+
 def bio_decode(tags: Sequence[str]) -> list[Span]:
     """Spans from a BIO tag sequence.
 

@@ -69,7 +69,7 @@ def apply_masking(
     corrupted = token_ids.copy()
     selected = maskable & (rng.random(len(token_ids)) < policy.mask_prob)
     positions = np.nonzero(selected)[0]
-    targets = token_ids[positions].copy()
+    targets = token_ids[positions]
     action = rng.random(len(positions))
     random_ids = rng.integers(n_specials, vocab_size, size=len(positions))
     # the remaining selections keep their original id, still predicted
@@ -214,9 +214,9 @@ class PhasePlan:
             raise ValueError("phase plan is empty")
         previous = 0
         for max_len, steps in self.phases:
-            content_room(max_len, False)  # refuses a length below a row's fewest positions
             check_setting("phase length", max_len, "int")
             check_setting("phase step count", steps, "int")
+            content_room(max_len, False)  # refuses a length below a row's fewest positions
             if max_len < previous:
                 raise ValueError("phase lengths must be non-decreasing")
             previous = max_len
@@ -334,8 +334,7 @@ def run_pretraining(
         raise ValueError(
             f"plan length {plan.max_length()} exceeds max_positions {config.max_positions}"
         )
-    encoded = [list(wordpiece.encode(vocab, wordpiece.normalize(line)).ids)
-               for line in corpus]
+    encoded = [wordpiece.encode(vocab, wordpiece.normalize(line)).ids for line in corpus]
     encoded = [seq for seq in encoded if seq]
     if not encoded:
         raise ValueError("corpus has no encodable content")

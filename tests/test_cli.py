@@ -188,6 +188,21 @@ class TestTextCommands:
         assert code == 0
         assert out.read_text(encoding="utf-8").split() == ["a", "b"]
 
+    def test_a_note_without_codes_adds_no_label(self, tmp_path, capsys):
+        src, out = tmp_path / "labels.txt", tmp_path / "top.txt"
+        src.write_text("n1\t\nn2\t\nn3\ta\n", encoding="utf-8")
+        code, _, _ = run_cli(["top-labels", "--input", str(src), "--k", "1",
+                              "--output", str(out)], capsys)
+        assert code == 0
+        assert out.read_text(encoding="utf-8") == "a\n"
+
+    def test_an_empty_label_is_refused_at_its_line(self, tmp_path, capsys):
+        src, out = tmp_path / "labels.txt", tmp_path / "top.txt"
+        src.write_text("n1\ta\nn2\ta||b\n", encoding="utf-8")
+        code, _, err = run_cli(["top-labels", "--input", str(src), "--k", "1",
+                                "--output", str(out)], capsys)
+        assert (code, err) == (1, f"error: {src}:2: empty label in 'a||b'\n")
+
 
 class TestCorpusCommands:
     def test_filter_discharge(self, tmp_path, notes_file, capsys):
@@ -341,6 +356,24 @@ class TestFinetuneCommand:
         assert lines[2].startswith("median ")
         assert (tmp_path / "tuned.seed0.ckpt").exists()
         assert (tmp_path / "tuned.seed1.ckpt").exists()
+
+    def test_a_retuned_checkpoint_holds_one_head(self, tmp_path, tiny_model, capsys):
+        # mednli's head_pair is dropped when ner-2010 tunes the model again
+        vocab, ckpt = tiny_model
+        nli, tags = tmp_path / "nli.jsonl", tmp_path / "tags.tsv"
+        nli.write_text(_jsonl({"premise": "no pain", "hypothesis": "pain",
+                               "label": "contradiction"}), encoding="utf-8")
+        tags.write_text("no\tO\npain\tB-problem\n", encoding="utf-8")
+        for task, model, data, prefix in [("mednli", ckpt, nli, "nli"),
+                                          ("ner-2010", tmp_path / "nli.seed0.ckpt", tags, "ner")]:
+            assert dispatch(["finetune", "--task", task, "--checkpoint", str(model),
+                             "--vocab", str(vocab), "--train", str(data), "--dev", str(data),
+                             "--seeds", "1", "--max-steps", "1",
+                             "--out-prefix", str(tmp_path / prefix)]) == 0
+        capsys.readouterr()
+        config, tuned = load_checkpoint(tmp_path / "ner.seed0.ckpt")
+        encoder = [name for name in param_shapes(config) if not name.startswith("mlm_")]
+        assert list(tuned) == encoder + ["head_token_w", "head_token_b"]
 
 
 @pytest.fixture(scope="module")
@@ -876,6 +909,17 @@ class TestEvaluateCommand:
                                 "--gold", str(gold), "--pred", str(pred)], capsys)
         assert code == 0
         assert "f1 0.6667" in out
+
+    def test_micro_f1_refuses_an_empty_label_at_its_line(self, tmp_path, capsys):
+        # counted as a label, it would score a true positive in a||b against a||c
+        gold = tmp_path / "gold.txt"
+        pred = tmp_path / "pred.txt"
+        gold.write_text("a||b\n", encoding="utf-8")
+        pred.write_text("a||c\n", encoding="utf-8")
+        code, out, err = run_cli(["evaluate", "--metric", "micro-f1",
+                                  "--gold", str(gold), "--pred", str(pred)], capsys)
+        assert (code, out) == (1, "")
+        assert err == f"error: {gold}:1: empty label in 'a||b'\n"
 
     def test_entity_f1_mode(self, tmp_path, capsys):
         gold = tmp_path / "gold.tsv"

@@ -38,7 +38,7 @@ from clinlm.encoder import (
     save_checkpoint,
     stack_rows,
     token_classify_loss,
-    without_head,
+    without_heads,
 )
 from clinlm.finetune import FinetuneConfig, extend_for_markers, predict_label_sets
 from clinlm.pretrain import (
@@ -1053,7 +1053,7 @@ class TestCheckpoint:
         # a fine-tuned model: the encoder and a task head, no masked-LM head
         config = tiny_config()
         params = init_params(config, 11)
-        tuned = init_head(params.resized(without_head(params.layout, "mlm")), config,
+        tuned = init_head(params.resized(without_heads(params.layout)), config,
                           "head_pair", 3, 1)
         path = tmp_path / "tuned.ckpt"
         save_checkpoint(path, config, tuned)

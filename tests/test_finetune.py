@@ -16,6 +16,7 @@ from clinlm.encoder import (
     init_head,
     init_params,
     mlm_forward_loss,
+    param_shapes,
     token_classify_loss,
 )
 from clinlm.finetune import (
@@ -590,7 +591,8 @@ def toy_relation_task(small_vocab):
 
 
 class TestTaskModelsHoldNoMlmHead:
-    """No task reads the masked-LM head, so fine-tuning drops it."""
+    """No task reads the masked-LM head, so fine-tuning drops it, and every
+    other head it holds too."""
 
     @pytest.mark.parametrize("kind", ["ner", "pair", "multilabel", "re-2010"])
     def test_tuned_store_is_the_encoder_and_task_head(self, small_vocab, kind):
@@ -603,6 +605,20 @@ class TestTaskModelsHoldNoMlmHead:
         hyper = FinetuneConfig(epochs=1, batch_size=2)
         for run in finetune_task(config, params, task, rows, rows, [0, 1], hyper):
             assert list(run.params) == [name for name in params if not name.startswith("mlm_")]
+
+    def test_a_head_of_another_kind_is_dropped_too(self, small_vocab):
+        # a store tuned on pairs, re-tuned on tagging: its head_pair was
+        # trained for another encoder, and Adam would step it on zero gradients
+        config, params, task, rows = toy_task("ner", small_vocab)
+        paired = init_head(params, config, "head_pair", 3, seed=9)
+        hyper = FinetuneConfig(epochs=2, batch_size=2)
+        runs = finetune_task(config, paired, task, rows, rows, [0, 1], hyper)
+        bare = finetune_task(config, params, task, rows, rows, [0, 1], hyper)
+        encoder = [name for name in param_shapes(config) if not name.startswith("mlm_")]
+        for run, plain in zip(runs, bare):
+            assert list(run.params) == encoder + ["head_token_w", "head_token_b"]
+            for name in run.params:
+                np.testing.assert_array_equal(run.params[name], plain.params[name])
 
     def test_mlm_loss_on_a_tuned_store_names_the_head(self, small_vocab):
         config, params, task, rows = toy_task("pair", small_vocab)

@@ -1,6 +1,7 @@
 """Span decoding and F1 metrics, checked against brute-force counters."""
 
 import random
+import re
 
 import pytest
 
@@ -13,6 +14,7 @@ from clinlm.metrics import (
     bio_encode,
     corpus_entity_f1,
     entity_f1,
+    label_set,
     micro_f1,
 )
 
@@ -136,6 +138,19 @@ class TestEntityF1:
         p1, r1, _ = entity_f1(gold, pred)
         p2, r2, _ = entity_f1(pred, gold)
         assert (p1, r1) == (r2, p2)
+
+
+class TestLabelSet:
+    @pytest.mark.parametrize("text,labels", [
+        ("", set()), ("  ", set()), ("a", {"a"}), ("b|a|b", {"a", "b"}), (" a | b ", {"a", "b"}),
+    ])
+    def test_labels(self, text, labels):
+        assert label_set(text) == labels
+
+    @pytest.mark.parametrize("text", ["a||b", "|a", "a|", "a| |b", "|"])
+    def test_an_empty_label_is_refused(self, text):
+        with pytest.raises(ValueError, match=f"^empty label in {re.escape(repr(text))}$"):
+            label_set(text)
 
 
 class TestMicroF1:

@@ -1,6 +1,7 @@
 """Masking policy, Adam, accumulation, and the two-phase training loop."""
 
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -433,6 +434,12 @@ class TestPhasePlan:
     def test_too_short_length_rejected(self):
         with pytest.raises(ValueError):
             PhasePlan(phases=((2, 10),))
+
+    @pytest.mark.parametrize("length", [2.5, True, "16"])
+    def test_length_not_an_int_is_refused_as_such(self, length):
+        message = f"^phase length must be an int, got {re.escape(repr(length))}$"
+        with pytest.raises(ValueError, match=message):
+            PhasePlan(phases=((length, 1),))
 
 
 class TestLrSchedule:
