@@ -7,9 +7,11 @@ byte-identical output when rerun with the same inputs and flags. Failures
 exit nonzero with a one-line diagnostic on stderr.
 
 Each pretrain/finetune setting is declared once, as a flag with its type
-and default. A flat key-value config file (one "key = value" per line,
-# comments, keys spelled like the flags with underscores) replaces those
-defaults, so explicit flags still win over file values.
+and its default from clinlm.settings, and stored under its field's name,
+so a setting the library refuses is named by its flag. A flat key-value
+config file (one "key = value" per line, # comments, keys spelled like the
+flags with underscores) replaces those defaults, so explicit flags still
+win over file values. Only pretrain and finetune import numpy.
 """
 
 from __future__ import annotations
@@ -17,9 +19,11 @@ from __future__ import annotations
 import argparse
 import sys
 from collections import Counter
+from dataclasses import fields
 
-from . import corpus, finetune, metrics, pretrain, probe, wordpiece
-from .encoder import EncoderConfig, save_checkpoint
+from . import corpus, metrics, probe, wordpiece
+from .settings import (TASK_NAMES, AccumulationConfig, AdamConfig, EncoderConfig,
+                       FinetuneConfig, MaskingPolicy, PhasePlan, SettingError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -57,11 +61,17 @@ def read_config(path, settings: dict[str, argparse.Action]) -> dict[str, object]
     return dict(corpus.parse_numbered(path, ((n, line) for n, line in lines if line), entry))
 
 
+def _settings(cls, args, **given):
+    """cls built from given and, for each other field, the flag value stored under its name."""
+    return cls(**{f.name: getattr(args, f.name) for f in fields(cls) if f.name not in given},
+               **given)
+
+
 def _read_lines(path) -> list[str]:
     return [line for _, line in corpus.numbered_lines(path)]
 
 
-def _parse_plan(text: str) -> pretrain.PhasePlan:
+def _parse_plan(text: str) -> PhasePlan:
     """The --plan flag as a PhasePlan; every refusal names --plan."""
     try:
         phases = []
@@ -71,7 +81,7 @@ def _parse_plan(text: str) -> pretrain.PhasePlan:
                 phases.append((int(length), int(steps)))
             except ValueError:
                 raise ValueError(f"bad entry {part!r}, expected LENGTH:STEPS") from None
-        return pretrain.PhasePlan(tuple(phases))
+        return PhasePlan(tuple(phases))
     except ValueError as exc:
         raise ValueError(f"--plan {text!r}: {exc}") from exc
 
@@ -118,7 +128,7 @@ def _cmd_train_vocab(args) -> int:
     lines = [wordpiece.normalize(l) for l in _read_lines(args.corpus)]
     if not any(line.split() for line in lines):
         raise ValueError(f"{args.corpus}: training corpus contains no words")
-    vocab = wordpiece.train_wordpiece(lines, args.size, args.min_frequency)
+    vocab = wordpiece.train_wordpiece(lines, args.declared_size, args.min_frequency)
     wordpiece.write_vocab(args.output, vocab)
     return 0
 
@@ -184,36 +194,17 @@ def _cmd_top_labels(args) -> int:
 
 
 def _cmd_pretrain(args) -> int:
-    if args.warmup_fraction is not None and args.schedule == "constant":
-        raise ValueError("--warmup-fraction applies only to --schedule linear, not constant")
+    from . import encoder, pretrain
     vocab = wordpiece.read_vocab(args.vocab)
     plan = _parse_plan(args.plan)
-    config = EncoderConfig(
-        vocab_size=len(vocab),
-        hidden_dim=args.hidden_dim,
-        n_layers=args.n_layers,
-        n_heads=args.n_heads,
-        ff_dim=args.ff_dim,
-        max_positions=plan.max_length() if args.max_positions is None else args.max_positions,
-        dropout=args.dropout,
-    )
+    config = _settings(EncoderConfig, args, vocab_size=len(vocab), max_positions=(
+        plan.max_length() if args.max_positions is None else args.max_positions))
+    accum = _settings(AccumulationConfig, args,
+                      effective_batch=args.micro_batch_size * args.accumulation_steps)
     result = pretrain.run_pretraining(
-        corpus=_read_lines(args.corpus),
-        vocab=vocab,
-        config=config,
-        plan=plan,
-        policy=pretrain.MaskingPolicy(mask_prob=args.mask_prob),
-        accum=pretrain.AccumulationConfig(
-            micro_batch_size=args.micro_batch,
-            accumulation_steps=args.accum,
-            effective_batch=args.micro_batch * args.accum,
-        ),
-        adam=pretrain.AdamConfig(lr=args.lr),
-        seed=args.seed,
-        schedule=args.schedule,
-        warmup_fraction=args.warmup_fraction,
-    )
-    save_checkpoint(args.out, config, result.params)
+        _read_lines(args.corpus), vocab, config, plan, _settings(MaskingPolicy, args), accum,
+        _settings(AdamConfig, args), args.seed, args.schedule, args.warmup_fraction)
+    encoder.save_checkpoint(args.out, config, result.params)
     if args.loss_log:
         pretrain.write_loss_log(args.loss_log, result.loss_log)
     print(f"pretrained {plan.total_steps} steps; final loss {result.loss_log[-1].loss:.4f}")
@@ -221,26 +212,19 @@ def _cmd_pretrain(args) -> int:
 
 
 def _cmd_finetune(args) -> int:
+    from . import encoder, finetune
     task = finetune.builtin_task(args.task)
-    config, params, vocab = finetune.load_task_model(task, args.checkpoint, args.vocab)
-    max_positions = config.max_positions if args.max_positions is None else args.max_positions
-    if max_positions < task.min_positions:
-        raise ValueError(f"--max-positions {max_positions} is below {task.min_positions}, "
-                         f"the fewest that fit a row of task {task.name}")
-    if max_positions > config.max_positions:
-        raise ValueError(f"--max-positions {max_positions} exceeds the max_positions "
-                         f"{config.max_positions} of {args.checkpoint}")
+    config, params, vocab, max_positions = finetune.load_task_model(
+        task, args.checkpoint, args.vocab, args.max_positions)
     train_rows = finetune.load_task_rows(task, args.train, vocab, max_positions)
     dev_rows = finetune.load_task_rows(task, args.dev, vocab, max_positions)
     finetune.check_dev_rows(task, dev_rows, args.dev)
-    hyper = finetune.FinetuneConfig(epochs=args.epochs, batch_size=args.batch_size,
-                                    lr=args.lr, max_steps=args.max_steps)
     runs = finetune.finetune_task(config, params, task, train_rows, dev_rows,
-                                  _parse_seeds(args.seeds), hyper)
+                                  _parse_seeds(args.seeds), _settings(FinetuneConfig, args))
     report = metrics.aggregate_seeds([r.dev_metric for r in runs], task.selection_metric)
     if args.out_prefix:
         for run in runs:
-            save_checkpoint(f"{args.out_prefix}.seed{run.seed}.ckpt", config, run.params)
+            encoder.save_checkpoint(f"{args.out_prefix}.seed{run.seed}.ckpt", config, run.params)
     for run in runs:
         print(f"seed {run.seed}\t{task.selection_metric} {run.dev_metric:.4f}"
               f"\tbest epoch {run.best_epoch}")
@@ -260,6 +244,8 @@ def _scored_files(args, read, unit: str) -> tuple[list, list]:
 
 def _cmd_evaluate(args) -> int:
     if args.aggregate:
+        if args.gold or args.pred:
+            raise ValueError("--aggregate takes no --gold or --pred")
         try:
             values = [float(v) for v in args.aggregate.split(",")]
         except ValueError:
@@ -278,7 +264,7 @@ def _cmd_evaluate(args) -> int:
             path, corpus.numbered_lines(path), metrics.label_set), "lines"))
     else:
         gold, pred = _scored_files(args, lambda path: [
-            *finetune.numbered_ner_sentences(path, metrics.bio_tag)], "sentences")
+            *corpus.numbered_ner_sentences(path, metrics.bio_tag)], "sentences")
         for (gold_line, _, gold_tags), (pred_line, _, pred_tags) in zip(gold, pred):
             if len(gold_tags) != len(pred_tags):
                 raise ValueError(f"{args.pred}:{pred_line}: sentence length {len(pred_tags)}, but "
@@ -320,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train-vocab", help="learn a wordpiece vocabulary")
     p.add_argument("--corpus", required=True)
-    p.add_argument("--size", type=int, required=True)
+    p.add_argument("--size", type=int, required=True, dest="declared_size")
     p.add_argument("--min-frequency", type=int, default=2)
     p.add_argument("--output", required=True)
     p.set_defaults(run=_cmd_train_vocab)
@@ -368,8 +354,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--vocab", required=True)
     p.add_argument("--plan", required=True, metavar="LEN:STEPS[,LEN:STEPS...]")
-    p.add_argument("--micro-batch", type=int, required=True)
-    p.add_argument("--accum", type=int, required=True)
+    p.add_argument("--micro-batch", type=int, required=True, dest="micro_batch_size")
+    p.add_argument("--accum", type=int, required=True, dest="accumulation_steps")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--loss-log")
@@ -377,8 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
         ("--hidden-dim", int, EncoderConfig.hidden_dim),
         ("--n-layers", int, EncoderConfig.n_layers), ("--n-heads", int, EncoderConfig.n_heads),
         ("--ff-dim", int, EncoderConfig.ff_dim), ("--max-positions", int, None),
-        ("--lr", float, pretrain.AdamConfig.lr), ("--warmup-fraction", float, None),
-        ("--mask-prob", float, pretrain.MaskingPolicy.mask_prob))]
+        ("--lr", float, AdamConfig.lr), ("--warmup-fraction", float, None),
+        ("--mask-prob", float, MaskingPolicy.mask_prob))]
     settings.append(p.add_argument(
         "--dropout", type=float, default=EncoderConfig.dropout,
         help="dropout rate of every pretraining step; the checkpoint keeps it, so "
@@ -389,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_cmd_pretrain, command_parser=p, config_keys={a.dest: a for a in settings})
 
     p = sub.add_parser("finetune", help="fine-tune a checkpoint on a task")
-    p.add_argument("--task", required=True, choices=finetune.TASK_NAMES)
+    p.add_argument("--task", required=True, choices=TASK_NAMES)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--vocab", required=True)
     p.add_argument("--train", required=True)
@@ -397,11 +383,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", required=True,
                    help="a count (5 means seeds 0..4) or a comma list")
     p.add_argument("--out-prefix", help="write per-seed checkpoints with this prefix")
-    defaults = finetune.FinetuneConfig
     settings = [p.add_argument(flag, type=cast, default=default) for flag, cast, default in (
-        ("--epochs", int, defaults.epochs), ("--batch-size", int, defaults.batch_size),
-        ("--lr", float, defaults.lr), ("--max-steps", int, defaults.max_steps),
-        ("--max-positions", int, None))]
+        ("--epochs", int, FinetuneConfig.epochs), ("--lr", float, FinetuneConfig.lr),
+        ("--batch-size", int, FinetuneConfig.batch_size), ("--max-positions", int, None),
+        ("--max-steps", int, FinetuneConfig.max_steps))]
     p.add_argument("--config", help="flat key-value file of setting defaults")
     p.set_defaults(run=_cmd_finetune, command_parser=p, config_keys={a.dest: a for a in settings})
 
@@ -418,6 +403,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--predictions", help="one label per suite row")
     p.set_defaults(run=_cmd_probe)
 
+    for p in sub.choices.values():  # dest -> flag, to name a setting the library refuses
+        p.set_defaults(flags={a.dest: a.option_strings[0] for a in p._actions})
     return parser
 
 
@@ -434,6 +421,9 @@ def dispatch(argv) -> int:
         return args.run(args)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
+    except SettingError as exc:  # raised by run, so args is set: name it by its flag
+        print(f"error: {args.flags.get(exc.name, exc.name)} {exc.detail}", file=sys.stderr)
+        return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -5,8 +5,7 @@ discharge summaries, splitting patients into train/dev/test without leakage,
 picking the most frequent label codes, and summarizing dataset lengths.
 It also holds the input path every clinlm reader is built on: numbered_lines
 opens text files and packaged data, and every reader runs its per-line parse
-inside parse_numbered, the one place that makes a bad line PATH:LINE: message,
-and check_setting, the one rule every int or number setting is held to.
+inside parse_numbered, the one place that makes a bad line PATH:LINE: message.
 
 All functions are deterministic; anything random takes an explicit seed.
 """
@@ -15,15 +14,17 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import random
 import statistics
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
+from itertools import groupby
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, get_args, get_origin
+
+from .settings import SettingError, check_setting
 
 SUBSET_NAMES = ("train", "dev", "test")
 _NOTE_FIELDS = ("note_id", "patient_id", "encounter_id", "note_type", "provider_type", "text")
@@ -65,17 +66,22 @@ def parse_numbered(path, numbered: Iterable[tuple[int, object]], parse: Callable
     return out
 
 
-def check_setting(name: str, value, kind: str) -> None:
-    """Refuse a setting that does not fit its annotation kind: an int is an
-    int >= 1, a float any number, neither a bool, and "X | None" allows None."""
-    optional, integral = kind.endswith(" | None"), kind.startswith("int")
-    if optional and value is None:
-        return
-    number = numbers.Integral if integral else numbers.Real
-    if isinstance(value, bool) or not isinstance(value, number):
-        raise ValueError(f"{name} must be {'an int' if integral else 'a number'}, got {value!r}")
-    if integral and value < 1:
-        raise ValueError(f"{name} must be >= 1{' when given' if optional else ''}, got {value}")
+def numbered_ner_sentences(path, tag: Callable[[str], object]):
+    """Yield (line number of the first word, words, tags) for each sentence
+    of a word<TAB>tag file, each tag read through tag; a sentence's words
+    sit on consecutive lines and blank lines part sentences. A malformed
+    line, or a tag that tag refuses, fails as PATH:LINE: message."""
+    def word_tag(line):
+        parts = line.split("\t")
+        if len(parts) != 2 or not parts[0].strip():
+            raise ValueError(f"expected word<TAB>tag, got {line!r}")
+        return parts[0], tag(parts[1])
+
+    for blank, group in groupby(numbered_lines(path), key=lambda item: not item[1]):
+        if not blank:
+            group = list(group)
+            words, tags = zip(*parse_numbered(path, group, word_tag))
+            yield group[0][0], list(words), list(tags)
 
 
 def _has_type(value, kind) -> bool:
@@ -206,8 +212,8 @@ def split_by_patient(
     """
     total = sum(ratios)
     if len(ratios) != 3 or any(r < 0 for r in ratios) or not 0 < total < math.inf:
-        raise ValueError(f"ratios must be three non-negative numbers with a finite, "
-                         f"non-zero sum: {ratios!r}")
+        raise SettingError("ratios", f"must be three non-negative numbers with a finite, "
+                                     f"non-zero sum: {ratios!r}")
     ids = sorted(set(patient_ids))
     random.Random(seed).shuffle(ids)
     n = len(ids)
@@ -224,8 +230,7 @@ def select_top_k_labels(occurrences: Iterable[str], k: int) -> list[str]:
     distinct labels just yields all of them; an empty occurrence list yields
     an empty list.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    check_setting("k", k, "int")
     counts = Counter(occurrences)
     ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
     return [label for label, _ in ranked[:k]]

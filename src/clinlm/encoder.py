@@ -57,47 +57,16 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 from scipy.special import erf
 
-from .corpus import check_setting
-from .wordpiece import CLS_ID, PAD_ID, SEP_ID, SPECIALS
+from .settings import EncoderConfig, check_setting, content_room
+from .wordpiece import CLS_ID, PAD_ID, SEP_ID
 
 CHECKPOINT_FORMAT = "clinlm-checkpoint"
 CHECKPOINT_VERSION = 1
 HEADS = ("mlm", "head_token", "head_pair", "head_multi")  # the heads a checkpoint may hold
 _NEG_INF = -1e9
-MIN_FRAME_LENGTH = {False: 3, True: 5}  # a row's fewest positions, a text (False) or a pair
 N_SEGMENTS = 2  # segment embeddings: side a, and a pair's side b (BERT's two)
 LN_EPSILON = 1e-12  # every layer norm's epsilon, BERT's
 FIXED_CONFIG = {"n_segments": N_SEGMENTS, "ln_epsilon": LN_EPSILON}  # as checkpoint keys
-
-
-def check_fields(settings) -> None:
-    """check_setting on every field of a settings dataclass."""
-    for f in fields(settings):
-        check_setting(f.name, getattr(settings, f.name), f.type)
-
-
-@dataclass(frozen=True)
-class EncoderConfig:
-    vocab_size: int
-    hidden_dim: int = 64
-    n_layers: int = 2
-    n_heads: int = 2
-    ff_dim: int = 128
-    max_positions: int = 32
-    dropout: float = 0.0
-
-    def __post_init__(self):
-        check_fields(self)
-        if self.vocab_size < len(SPECIALS):
-            raise ValueError(
-                f"vocab_size must cover the {len(SPECIALS)} special tokens, got {self.vocab_size}"
-            )
-        if self.hidden_dim % self.n_heads != 0:
-            raise ValueError(
-                f"hidden_dim {self.hidden_dim} not divisible by n_heads {self.n_heads}"
-            )
-        if not 0.0 <= self.dropout < 1.0:
-            raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
 
 
 @dataclass
@@ -123,16 +92,6 @@ class Batch:
     @property
     def shape(self) -> tuple[int, int]:
         return self.token_ids.shape
-
-
-def content_room(length: int, pair: bool) -> int:
-    """How many content pieces a row of `length` positions holds: all but its
-    [CLS] and a [SEP] per text. The one statement of a row's overhead; a
-    length below MIN_FRAME_LENGTH[pair] is refused with that minimum."""
-    if length < MIN_FRAME_LENGTH[pair]:
-        raise ValueError(f"length {length} is below {MIN_FRAME_LENGTH[pair]}, the fewest "
-                         f"positions of a {'two-text ' if pair else ''}row")
-    return length - (3 if pair else 2)
 
 
 def frame(ids_a, ids_b, length: int) -> np.ndarray:

@@ -21,20 +21,19 @@ reproduces the run exactly.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
-from itertools import groupby
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import corpus, metrics, wordpiece
 from .encoder import (
-    MIN_FRAME_LENGTH, Batch, EncoderConfig, ParamStore, _head_logits, _sigmoid, check_fields,
-    content_room, forward, frame, init_head, load_checkpoint, multilabel_loss, pair_classify_loss,
-    stack_rows, token_classify_loss, without_heads,
+    Batch, ParamStore, _head_logits, _sigmoid, forward, frame, init_head, load_checkpoint,
+    multilabel_loss, pair_classify_loss, stack_rows, token_classify_loss, without_heads,
 )
 from .pretrain import adam_step, init_optimizer
+from .settings import (MIN_FRAME_LENGTH, EncoderConfig, FinetuneConfig, SettingError,
+                       content_room)
 from .wordpiece import Vocabulary, normalize
 
 NER_2010_TYPES = ("problem", "treatment", "test")
@@ -74,11 +73,6 @@ class TaskSpec:
             raise ValueError("task needs at least one label")
 
     @property
-    def min_positions(self) -> int:
-        """frame's fewest positions for a row: a pair task without concept markers has two texts."""
-        return MIN_FRAME_LENGTH[self.kind == "pair" and not self.concept_types]
-
-    @property
     def outputs(self) -> list[str]:
         """Names of the head's outputs: BIO tags for ner, else the labels."""
         return self.bio_tags() if self.kind == "ner" else list(self.labels)
@@ -87,9 +81,6 @@ class TaskSpec:
         if self.kind != "ner":
             raise ValueError("bio_tags only applies to ner tasks")
         return ["O"] + [f"{prefix}-{t}" for t in self.labels for prefix in "BI"]
-
-
-TASK_NAMES = ("ner-2010", "ner-2012", "re-2010", "mednli", "icd9-top50", "therapeutic-class")
 
 
 def builtin_task(name: str) -> TaskSpec:
@@ -158,18 +149,27 @@ def extend_for_markers(vocab: Vocabulary, params, config: EncoderConfig,
     return vocab, new_params, replace(config, vocab_size=len(vocab))
 
 
-def load_task_model(task: TaskSpec, checkpoint, vocab_path):
-    """(config, params, vocabulary) of a checkpoint file and the vocabulary
-    file it was trained on, grown by the task's concept markers (see
-    extend_for_markers). The checkpoint may hold the plain vocabulary or the
-    grown one, as a model tuned on the task does; any other size is refused."""
+def load_task_model(task: TaskSpec, checkpoint, vocab_path, max_positions: int | None = None):
+    """(config, params, vocabulary, row length) of a checkpoint file and the
+    vocabulary file it was trained on, grown by the task's concept markers
+    (see extend_for_markers). The checkpoint may hold the plain vocabulary or
+    the grown one, as a model tuned on the task does. The row length,
+    max_positions or else the checkpoint's, must fit a row of the task."""
     config, params = load_checkpoint(checkpoint)
     plain = wordpiece.read_vocab(vocab_path)
     vocab, params, grown = extend_for_markers(plain, params, config, task.concept_types)
     if config.vocab_size not in (len(plain), len(vocab)):
         raise ValueError(f"{vocab_path} has {len(plain)} tokens but {checkpoint} "
                          f"was trained on {config.vocab_size}")
-    return grown, params, vocab
+    length = config.max_positions if max_positions is None else max_positions
+    least = MIN_FRAME_LENGTH[task.kind == "pair" and not task.concept_types]
+    if length < least:
+        raise SettingError("max_positions", f"{length} is below {least}, the fewest that fit "
+                                            f"a row of task {task.name}")
+    if length > config.max_positions:
+        raise SettingError("max_positions", f"{length} exceeds the max_positions "
+                                            f"{config.max_positions} of {checkpoint}")
+    return grown, params, vocab, length
 
 
 def prepare_document(text: str, vocab: Vocabulary, max_positions: int) -> np.ndarray:
@@ -227,7 +227,7 @@ def encode_ner_example(words: Sequence[str], tags: Sequence[str],
                        max_positions: int) -> NerRow:
     """Frame a tagged sentence as one row. Each word's first piece carries
     its tag, the only piece scored; words starting past the row's content
-    room (encoder.content_room) are dropped (a word cut inside keeps its
+    room (settings.content_room) are dropped (a word cut inside keeps its
     first piece)."""
     if len(words) != len(tags):
         raise ValueError(f"{len(words)} words but {len(tags)} tags")
@@ -247,19 +247,6 @@ def encode_ner_example(words: Sequence[str], tags: Sequence[str],
         content.extend(ids)
     return NerRow(frame(content, None, max_positions), first_piece_positions=first_positions,
                   tag_ids=[tag_to_id[tag] for tag in kept_tags], word_tags=kept_tags)
-
-
-@dataclass(frozen=True)
-class FinetuneConfig:
-    epochs: int = 3
-    batch_size: int = 8
-    lr: float = 1e-3
-    max_steps: int | None = None
-
-    def __post_init__(self):
-        check_fields(self)
-        if not 0 < self.lr < math.inf:
-            raise ValueError(f"lr must be finite and positive, got {self.lr}")
 
 
 @dataclass
@@ -356,15 +343,9 @@ def _train_step(task, params, config, rows: Sequence, state, lr, rng):
     return adam_step(params, grads, state, lr)
 
 
-def finetune_task(
-    config: EncoderConfig,
-    params: ParamStore,
-    task: TaskSpec,
-    train_rows: Sequence,
-    dev_rows: Sequence,
-    seeds: Sequence[int],
-    hyper: FinetuneConfig,
-) -> list[SeedRun]:
+def finetune_task(config: EncoderConfig, params: ParamStore, task: TaskSpec,
+                  train_rows: Sequence, dev_rows: Sequence, seeds: Sequence[int],
+                  hyper: FinetuneConfig) -> list[SeedRun]:
     """Fine-tune the full encoder plus a fresh task head once per seed, every
     head params holds dropped first (without_heads), so a run holds only its own.
 
@@ -380,9 +361,9 @@ def finetune_task(
     if not seeds:
         raise ValueError("need at least one seed")
     if len(set(seeds)) < len(seeds):
-        raise ValueError(f"seeds must be distinct, got {list(seeds)}")
+        raise SettingError("seeds", f"must be distinct, got {list(seeds)}")
     if min(seeds) < 0:
-        raise ValueError(f"seeds must be non-negative, got {list(seeds)}")
+        raise SettingError("seeds", f"must be non-negative, got {list(seeds)}")
     if not train_rows or not dev_rows:
         raise ValueError("train and dev sets must be non-empty")
     check_dev_rows(task, dev_rows)
@@ -425,7 +406,7 @@ def load_task_rows(task: TaskSpec, path, vocab: Vocabulary, max_positions: int) 
         return name
 
     if task.kind == "ner":
-        sentences = ((start, pair) for start, *pair in numbered_ner_sentences(path, label))
+        sentences = ((start, pair) for start, *pair in corpus.numbered_ner_sentences(path, label))
         return corpus.parse_numbered(path, sentences, lambda pair: encode_ner_example(
             *pair, vocab, index, max_positions), "task row")
     if task.kind == "multilabel":
@@ -461,21 +442,3 @@ def check_dev_rows(task: TaskSpec, rows: Sequence, path=None) -> None:
         raise ValueError(f"{where}dev set has no gold entity to select on")
     if task.kind == "multilabel" and not any(labels for _, labels in rows):
         raise ValueError(f"{where}dev set has no gold label to select on")
-
-
-def numbered_ner_sentences(path, tag: Callable[[str], object]):
-    """Yield (line number of the first word, words, tags) for each sentence
-    of a word<TAB>tag file, each tag read through tag; a sentence's words
-    sit on consecutive lines and blank lines part sentences. A malformed
-    line, or a tag that tag refuses, fails as PATH:LINE: message."""
-    def word_tag(line):
-        parts = line.split("\t")
-        if len(parts) != 2 or not parts[0].strip():
-            raise ValueError(f"expected word<TAB>tag, got {line!r}")
-        return parts[0], tag(parts[1])
-
-    for blank, group in groupby(corpus.numbered_lines(path), key=lambda item: not item[1]):
-        if not blank:
-            group = list(group)
-            words, tags = zip(*corpus.parse_numbered(path, group, word_tag))
-            yield group[0][0], list(words), list(tags)

@@ -10,18 +10,16 @@ quadratically with sequence length, so most steps run short.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import wordpiece
-from .corpus import check_setting, write_lines
-from .encoder import (
-    Batch, EncoderConfig, ParamStore, check_fields, content_room, frame,
-    init_params, mlm_forward_loss, stack_rows,
-)
+from .corpus import write_lines
+from .encoder import Batch, ParamStore, frame, init_params, mlm_forward_loss, stack_rows
+from .settings import (AccumulationConfig, AdamConfig, EncoderConfig, MaskingPolicy, PhasePlan,
+                       SettingError, check_lr, content_room)
 from .wordpiece import CLS_ID, MASK_ID, SEP_ID, Vocabulary
 
 MASK_SHARE, RANDOM_SHARE = 0.8, 0.1  # of the selected positions; the rest keep their id
@@ -29,23 +27,9 @@ BETA1, BETA2, EPSILON = 0.9, 0.999, 1e-8  # Adam's moment decay rates and epsilo
 ADAM_BLOCK = 32768  # entries adam_step updates at a time: 256 KiB of float64
 
 
-@dataclass(frozen=True)
-class MaskingPolicy:
-    mask_prob: float = 0.15
-
-    def __post_init__(self):
-        check_fields(self)
-        if not 0.0 < self.mask_prob <= 1.0:  # at 0 no slot is ever a target
-            raise ValueError(f"mask_prob must be in (0, 1], got {self.mask_prob}")
-
-
-def apply_masking(
-    policy: MaskingPolicy,
-    token_ids: np.ndarray,
-    maskable: np.ndarray,
-    vocab_size: int,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def apply_masking(policy: MaskingPolicy, token_ids: np.ndarray, maskable: np.ndarray,
+                  vocab_size: int, rng: np.random.Generator
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Corrupt one id sequence for masked-token prediction.
 
     Each maskable position is independently selected with probability
@@ -80,16 +64,6 @@ def apply_masking(
     return corrupted, positions, targets
 
 
-@dataclass(frozen=True)
-class AdamConfig:
-    lr: float = 1e-3
-
-    def __post_init__(self):
-        check_fields(self)
-        if not 0 < self.lr < math.inf:
-            raise ValueError(f"lr must be finite and positive, got {self.lr}")
-
-
 @dataclass
 class OptimizerState:
     m: ParamStore
@@ -111,8 +85,7 @@ def adam_step(params: ParamStore, grads: ParamStore, state: OptimizerState,
     lr is refused first; a non-finite gradient, or an update that leaves a
     parameter non-finite, is refused with the name of the first tensor that
     holds one."""
-    if not 0 < lr < math.inf:
-        raise ValueError(f"lr must be finite and positive, got {lr}")
+    check_lr(lr)
     if not grads.layout == state.m.layout == params.layout:
         raise ValueError(f"gradient and moment keys and shapes must match the parameters: "
                          f"{sorted(set(params.layout) ^ set(grads.layout))[:5]}")
@@ -144,21 +117,6 @@ def adam_step(params: ParamStore, grads: ParamStore, state: OptimizerState,
             np.subtract(params.flat[at], step, out=step)
     new_params.check_finite("Adam update left a non-finite value in parameter '{name}'")
     return new_params, OptimizerState(m=m, v=v, step=t)
-
-
-@dataclass(frozen=True)
-class AccumulationConfig:
-    micro_batch_size: int
-    accumulation_steps: int
-    effective_batch: int
-
-    def __post_init__(self):
-        check_fields(self)
-        if self.effective_batch != self.micro_batch_size * self.accumulation_steps:
-            raise ValueError(
-                f"effective_batch {self.effective_batch} != "
-                f"{self.micro_batch_size} * {self.accumulation_steps}"
-            )
 
 
 def accumulate_and_step(
@@ -204,32 +162,6 @@ def accumulate_and_step(
 
 
 @dataclass(frozen=True)
-class PhasePlan:
-    """Sequence-length curriculum: (max_seq_len, n_steps) stages in order."""
-
-    phases: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        if not self.phases:
-            raise ValueError("phase plan is empty")
-        previous = 0
-        for max_len, steps in self.phases:
-            check_setting("phase length", max_len, "int")
-            check_setting("phase step count", steps, "int")
-            content_room(max_len, False)  # refuses a length below a row's fewest positions
-            if max_len < previous:
-                raise ValueError("phase lengths must be non-decreasing")
-            previous = max_len
-
-    @property
-    def total_steps(self) -> int:
-        return sum(steps for _, steps in self.phases)
-
-    def max_length(self) -> int:
-        return self.phases[-1][0]
-
-
-@dataclass(frozen=True)
 class LossLogEntry:
     step: int
     phase: int
@@ -250,10 +182,10 @@ def lr_schedule(schedule: str, peak_lr: float, total_steps: int,
     warmup_fraction of the steps (None means 0.01; a given one must lie in
     [0, 1]), then decays linearly toward zero at total_steps."""
     if warmup_fraction is not None and not 0.0 <= warmup_fraction <= 1.0:
-        raise ValueError(f"warmup_fraction must be in [0, 1], got {warmup_fraction}")
+        raise SettingError("warmup_fraction", f"must be in [0, 1], got {warmup_fraction}")
+    if schedule == "constant" and warmup_fraction is not None:
+        raise SettingError("warmup_fraction", "applies only to the linear schedule, not constant")
     if schedule == "constant":
-        if warmup_fraction is not None:
-            raise ValueError("warmup_fraction applies only to the linear schedule, not constant")
         return lambda step: peak_lr
     if schedule == "linear":
         fraction = 0.01 if warmup_fraction is None else warmup_fraction
@@ -271,7 +203,7 @@ def lr_schedule(schedule: str, peak_lr: float, total_steps: int,
 
 def pack_sequences(id_seqs: Sequence[Sequence[int]], max_seq_len: int) -> list[list[int]]:
     """Lay the sentences' ids end to end and cut them into chunks of as many
-    content ids as a row of max_seq_len positions holds (encoder.content_room),
+    content ids as a row of max_seq_len positions holds (settings.content_room),
     the last chunk holding the rest. A sentence may span chunks, so no text
     is dropped."""
     room = content_room(max_seq_len, False)
@@ -301,19 +233,11 @@ def _build_micro_batch(rows, policy, vocab_size, rng):
     return Batch(corrupted), np.array(positions, dtype=np.int64), np.array(targets, dtype=np.int64)
 
 
-def run_pretraining(
-    corpus: Sequence[str],
-    vocab: Vocabulary,
-    config: EncoderConfig,
-    plan: PhasePlan,
-    policy: MaskingPolicy,
-    accum: AccumulationConfig,
-    adam: AdamConfig,
-    seed: int,
-    schedule: str = "constant",
-    warmup_fraction: float | None = None,
-    phase_callback: Callable | None = None,
-) -> PretrainResult:
+def run_pretraining(corpus: Sequence[str], vocab: Vocabulary, config: EncoderConfig,
+                    plan: PhasePlan, policy: MaskingPolicy, accum: AccumulationConfig,
+                    adam: AdamConfig, seed: int, schedule: str = "constant",
+                    warmup_fraction: float | None = None,
+                    phase_callback: Callable | None = None) -> PretrainResult:
     """Train the encoder on a sentence corpus with the masked-LM objective.
 
     Each line of the corpus is normalized, encoded, and packed to the active
@@ -329,11 +253,11 @@ def run_pretraining(
     same result, bit for bit.
     """
     if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
+        raise SettingError("seed", f"must be non-negative, got {seed}")
     if plan.max_length() > config.max_positions:
-        raise ValueError(
-            f"plan length {plan.max_length()} exceeds max_positions {config.max_positions}"
-        )
+        raise SettingError("max_positions", f"{config.max_positions} is below the plan's "
+                                            f"length {plan.max_length()}")
+    lr_of = lr_schedule(schedule, adam.lr, plan.total_steps, warmup_fraction)
     encoded = [wordpiece.encode(vocab, wordpiece.normalize(line)).ids for line in corpus]
     encoded = [seq for seq in encoded if seq]
     if not encoded:
@@ -342,7 +266,6 @@ def run_pretraining(
     params = init_params(config, seed)
     state = init_optimizer(params)
     rng = np.random.default_rng(seed + 1)
-    lr_of = lr_schedule(schedule, adam.lr, plan.total_steps, warmup_fraction)
 
     def loss_grad_fn(p, mb):
         batch, positions, targets = mb

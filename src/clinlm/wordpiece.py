@@ -21,7 +21,8 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Sequence
 
-from .corpus import check_setting, numbered_lines, read_table, write_lines
+from .corpus import numbered_lines, read_table, write_lines
+from .settings import SettingError, check_setting
 
 PAD, UNK, CLS, SEP, MASK = "[PAD]", "[UNK]", "[CLS]", "[SEP]", "[MASK]"
 SPECIALS = (PAD, UNK, CLS, SEP, MASK)
@@ -180,7 +181,8 @@ def train_wordpiece(corpus: Iterable[str], declared_size: int,
     alphabet = sorted({ch for word in word_freq for ch in word})
     tokens = list(SPECIALS) + alphabet + [CONTINUATION + ch for ch in alphabet]
     if declared_size < len(tokens):
-        raise ValueError(f"declared size {declared_size} is below the alphabet floor {len(tokens)}")
+        raise SettingError("declared_size", f"{declared_size} is below the alphabet floor "
+                                            f"{len(tokens)}")
 
     seen = set(tokens)
     words, freqs = [_word_symbols(w) for w in word_freq], list(word_freq.values())

@@ -151,7 +151,7 @@ class TestTextCommands:
         code, _, err = run_cli(["train-vocab", "--corpus", str(corpus_file), "--size", "80",
                                 "--min-frequency", "0", "--output", str(vocab)], capsys)
         assert code == 1
-        assert err == "error: min_frequency must be >= 1, got 0\n"
+        assert err == "error: --min-frequency must be >= 1, got 0\n"
         assert not vocab.exists()
 
     def test_compress_report_baseline_zero(self, tmp_path, corpus_file,
@@ -202,6 +202,33 @@ class TestTextCommands:
         code, _, err = run_cli(["top-labels", "--input", str(src), "--k", "1",
                                 "--output", str(out)], capsys)
         assert (code, err) == (1, f"error: {src}:2: empty label in 'a||b'\n")
+
+    def test_the_text_commands_load_no_numpy_or_scipy(self, tmp_path, corpus_file, notes_file):
+        # all ten run in one fresh process, which holds neither module at exit
+        (tmp_path / "codes.tsv").write_text("n1\t401.9|250.00\nn2\t401.9\n", encoding="utf-8")
+        (tmp_path / "tags.tsv").write_text("severe\tB-problem\npain\tI-problem\n",
+                                           encoding="utf-8")
+        commands = [
+            ["normalize", "--input", "corpus.txt", "--output", "norm.txt"],
+            ["train-vocab", "--corpus", "corpus.txt", "--size", "60", "--min-frequency", "1",
+             "--output", "vocab.txt"],
+            ["encode", "--vocab", "vocab.txt", "--input", "corpus.txt", "--output", "ids.txt"],
+            ["compress-report", "--dataset", "notes=corpus.txt", "--vocab", "v=vocab.txt",
+             "--baseline", "v", "--output", "report.tsv"],
+            ["filter-discharge", "--notes", "notes.jsonl", "--output", "kept.jsonl"],
+            ["split", "--notes", "notes.jsonl", "--seed", "0", "--output", "split.tsv"],
+            ["stats", "--input", "corpus.txt"],
+            ["top-labels", "--input", "codes.tsv", "--k", "1", "--output", "top.txt"],
+            ["evaluate", "--metric", "entity-f1", "--gold", "tags.tsv", "--pred", "tags.tsv"],
+            ["probe"],
+        ]
+        script = ("import json, os, sys\nfrom clinlm.cli import dispatch\nos.chdir(sys.argv[2])\n"
+                  "for argv in json.loads(sys.argv[1]):\n    assert dispatch(argv) == 0, argv\n"
+                  "print(sorted({'numpy', 'scipy'} & set(sys.modules)))\n")
+        proc = subprocess.run([sys.executable, "-c", script, json.dumps(commands), str(tmp_path)],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
 
 
 class TestCorpusCommands:
@@ -523,7 +550,7 @@ class TestMalformedInputs:
         ("extra-checkpoint-config-key", "model.ckpt", _checkpoint_header(_with_extra_config_key),
          _finetune("mednli", checkpoint="{file}", data="{vocab}"), "{file}:"),
         ("nan-learning-rate", "nli.jsonl", _jsonl(_NLI_ROW), _finetune("mednli", "--lr", "nan"),
-         "lr must be finite"),
+         "--lr must be finite"),
         ("transposed-checkpoint-tensor", "model.ckpt",
          _checkpoint_header(_with_transposed_token_table),
          _finetune("mednli", checkpoint="{file}", data="{vocab}"), "{file}: tensor tok_emb"),
@@ -543,9 +570,9 @@ class TestMalformedInputs:
          ["evaluate", "--metric", "accuracy", "--aggregate", "inf"],
          "value 1 of 1 is inf, not a finite number"),
         ("repeated-seed", "nli.jsonl", _jsonl(_NLI_ROW), _finetune("mednli", "--seeds", "1,1"),
-         "seeds must be distinct, got [1, 1]"),
+         "--seeds must be distinct, got [1, 1]"),
         ("negative-seed", "nli.jsonl", _jsonl(_NLI_ROW), _finetune("mednli", "--seeds", "1,-1"),
-         "seeds must be non-negative, got [1, -1]"),
+         "--seeds must be non-negative, got [1, -1]"),
         ("seed-not-an-int", "nli.jsonl", _jsonl(_NLI_ROW), _finetune("mednli", "--seeds", "1,x"),
          "--seeds must be a count >= 1 or a comma list of ints, got '1,x'"),
         ("negative-seed-count", "nli.jsonl", _jsonl(_NLI_ROW),
@@ -566,25 +593,27 @@ class TestMalformedInputs:
          _finetune("mednli", "--max-positions", "4"),
          "--max-positions 4 is below 5, the fewest that fit a row of task mednli"),
         ("zero-batch-size", "nli.jsonl", _jsonl(_NLI_ROW), _finetune("mednli", "--batch-size", "0"),
-         "batch_size must be >= 1, got 0"),
+         "--batch-size must be >= 1, got 0"),
         ("zero-accumulation-steps", "corpus.txt", "no pain today\nsevere fever\n",
          ["pretrain", "--corpus", "{file}", "--vocab", "{vocab}", "--plan", "8:1",
           "--micro-batch", "1", "--accum", "0", "--seed", "0", "--out", "{out}"],
-         "accumulation_steps must be >= 1, got 0"),
+         "--accum must be >= 1, got 0"),
         ("zero-micro-batch", "corpus.txt", "no pain today\nsevere fever\n",
          ["pretrain", "--corpus", "{file}", "--vocab", "{vocab}", "--plan", "8:1",
           "--micro-batch", "0", "--accum", "1", "--seed", "0", "--out", "{out}"],
-         "micro_batch_size must be >= 1, got 0"),
+         "--micro-batch must be >= 1, got 0"),
         ("infinite-ratio", "notes.jsonl", _jsonl(_NOTE_ROW), _split("inf:1:1"),
-         "ratios must be three non-negative numbers with a finite, non-zero sum: (inf, 1.0, 1.0)"),
+         "--ratios must be three non-negative numbers with a finite, non-zero sum: "
+         "(inf, 1.0, 1.0)"),
         ("nan-ratio", "notes.jsonl", _jsonl(_NOTE_ROW), _split("1:1:nan"),
-         "ratios must be three non-negative numbers with a finite, non-zero sum: (1.0, 1.0, nan)"),
+         "--ratios must be three non-negative numbers with a finite, non-zero sum: "
+         "(1.0, 1.0, nan)"),
         ("ratio-not-a-number", "notes.jsonl", _jsonl(_NOTE_ROW), _split("1:1:x"),
          "--ratios must be TRAIN:DEV:TEST numbers, got '1:1:x'"),
         ("negative-pretrain-seed", "corpus.txt", "no pain today\nsevere fever\n",
          ["pretrain", "--corpus", "{file}", "--vocab", "{vocab}", "--plan", "8:1",
           "--micro-batch", "1", "--accum", "1", "--seed", "-1", "--out", "{out}"],
-         "seed must be non-negative, got -1"),
+         "--seed must be non-negative, got -1"),
         ("whitespace-ner-word", "tags.tsv", "no\tO\n \tO\n", _finetune("ner-2010"),
          "{file}:2: expected word<TAB>tag, got ' \\tO'"),
         # a tagging file's errors come in file order: a bad tag before a bad line
@@ -600,10 +629,21 @@ class TestMalformedInputs:
          ["pretrain", "--corpus", "{file}", "--vocab", "{vocab}", "--plan", "8:3",
           "--micro-batch", "1", "--accum", "1", "--seed", "0", "--mask-prob", "0",
           "--out", "{out}"],
-         "mask_prob must be in (0, 1], got 0.0"),
+         "--mask-prob must be in (0, 1], got 0.0"),
         ("aggregate-value-not-a-number", "unused.txt", "",
          ["evaluate", "--metric", "accuracy", "--aggregate", "1,x"],
          "--aggregate must be a comma list of numbers, got '1,x'"),
+        # neither file would be read, the missing one ({out}) included
+        ("aggregate-with-gold-and-pred", "gold.txt", "yes\n",
+         ["evaluate", "--metric", "accuracy", "--aggregate", "0.5,0.7", "--gold", "{file}",
+          "--pred", "{out}"],
+         "--aggregate takes no --gold or --pred"),
+        ("vocab-size-below-the-alphabet-floor", "corpus.txt", "no pain today\n",
+         ["train-vocab", "--corpus", "{file}", "--size", "3", "--output", "{out}"],
+         "--size 3 is below the alphabet floor 21"),
+        ("zero-top-labels", "codes.tsv", "n1\ta\n",
+         ["top-labels", "--input", "{file}", "--k", "0", "--output", "{out}"],
+         "--k must be >= 1, got 0"),
         ("stats-of-blank-lines", "blank.txt", "\n  \n\n", ["stats", "--input", "{file}"],
          "{file}: no non-blank line to summarize"),
         ("split-of-no-note-record", "notes.jsonl", "\n  \n", _split("8:1:1"),
@@ -615,12 +655,12 @@ class TestMalformedInputs:
          ["pretrain", "--corpus", "{file}", "--vocab", "{vocab}", "--plan", "8:1",
           "--micro-batch", "1", "--accum", "1", "--seed", "0", "--warmup-fraction", "0.5",
           "--out", "{out}"],
-         "--warmup-fraction applies only to --schedule linear, not constant"),
+         "--warmup-fraction applies only to the linear schedule, not constant"),
         ("warmup-in-config-under-constant-schedule", "cfg.txt", "warmup_fraction = 0.5\n",
          ["pretrain", "--corpus", "{vocab}", "--vocab", "{vocab}", "--plan", "8:1",
           "--micro-batch", "1", "--accum", "1", "--seed", "0", "--config", "{file}",
           "--out", "{out}"],
-         "--warmup-fraction applies only to --schedule linear, not constant"),
+         "--warmup-fraction applies only to the linear schedule, not constant"),
         # a setting given twice is no silent last-one-wins
         ("config-key-set-twice", "cfg.txt", "hidden_dim = 8\n# wider\nhidden_dim = 16\n",
          ["pretrain", "--corpus", "{vocab}", "--vocab", "{vocab}", "--plan", "8:1",
@@ -637,6 +677,8 @@ class TestMalformedInputs:
          "--vocab: name 'base' is given twice"),
         ("plan-below-the-row-minimum", "corpus.txt", "no pain today\n", _pretrain_plan("2:1"),
          "--plan '2:1': length 2 is below 3, the fewest positions of a row"),
+        ("plan-of-length-zero", "corpus.txt", "no pain today\n", _pretrain_plan("0:1"),
+         "--plan '0:1': length 0 is below 3, the fewest positions of a row"),
         ("plan-of-decreasing-lengths", "corpus.txt", "no pain today\n", _pretrain_plan("8:1,4:1"),
          "--plan '8:1,4:1': phase lengths must be non-decreasing"),
         ("plan-of-zero-steps", "corpus.txt", "no pain today\n", _pretrain_plan("8:0"),
@@ -809,7 +851,7 @@ class TestSettings:
              "--hidden-dim", "8", "--n-heads", "2", "--max-positions", "8",
              "--out", str(tmp_path / "x.ckpt")], capsys)
         assert code == 1
-        assert "plan length 16 exceeds max_positions 8" in err
+        assert "--max-positions 8 is below the plan's length 16" in err
 
 
 # command -> (setting -> a valid value other than its default)

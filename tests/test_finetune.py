@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from clinlm import finetune
+from clinlm.corpus import numbered_ner_sentences
 from clinlm.encoder import (
     EncoderConfig,
     frame,
@@ -22,7 +23,6 @@ from clinlm.encoder import (
 from clinlm.finetune import (
     FinetuneConfig,
     NLI_LABELS,
-    TASK_NAMES,
     TaskSpec,
     builtin_task,
     encode_ner_example,
@@ -31,7 +31,6 @@ from clinlm.finetune import (
     load_task_rows,
     mark_concepts,
     marker_tokens,
-    numbered_ner_sentences,
     predict_label_sets,
     predict_ner_tags,
     predict_pair_labels,
@@ -41,6 +40,7 @@ from clinlm.finetune import (
     word_ids,
 )
 from clinlm.pretrain import adam_step, init_optimizer
+from clinlm.settings import TASK_NAMES
 from clinlm.wordpiece import CLS_ID, PAD_ID, SEP_ID, train_wordpiece
 from test_encoder import last_layer_rows
 

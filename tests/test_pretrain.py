@@ -432,8 +432,11 @@ class TestPhasePlan:
             PhasePlan(phases=((16, 0),))
 
     def test_too_short_length_rejected(self):
-        with pytest.raises(ValueError):
-            PhasePlan(phases=((2, 10),))
+        # every length below a row's fewest positions reads the one floor
+        for length in (2, 1, 0, -4):
+            with pytest.raises(ValueError, match=f"^length {length} is below 3, the fewest "
+                                                 "positions of a row$"):
+                PhasePlan(phases=((length, 10),))
 
     @pytest.mark.parametrize("length", [2.5, True, "16"])
     def test_length_not_an_int_is_refused_as_such(self, length):

@@ -101,7 +101,7 @@ def train_wordpiece(
     floor = len(base)
     if declared_size < floor:
         raise ValueError(
-            f"declared size {declared_size} is below the alphabet floor {floor}"
+            f"declared_size {declared_size} is below the alphabet floor {floor}"
         )
     if min_frequency < 1:
         raise ValueError(f"min_frequency must be >= 1, got {min_frequency}")
