@@ -11,7 +11,8 @@ and its default from clinlm.settings, and stored under its field's name,
 so a setting the library refuses is named by its flag. A flat key-value
 config file (one "key = value" per line, # comments, keys spelled like the
 flags with underscores) replaces those defaults, so explicit flags still
-win over file values. Only pretrain and finetune import numpy.
+win over file values; a refused value from the file is named by its line.
+Only pretrain and finetune import numpy.
 """
 
 from __future__ import annotations
@@ -31,14 +32,16 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(f"{self.prog}: {message}")
 
 
-def read_config(path, settings: dict[str, argparse.Action]) -> dict[str, object]:
-    """Flat key-value config: "key = value" lines, # comments. settings maps
-    each allowed key to its flag; a value takes the flag's type and must be
-    one of its choices. Keys outside the command's settings, or set on two
-    lines, are rejected so typos cannot silently vanish."""
+def read_config(path, settings: dict[str, argparse.Action]) -> dict[str, tuple[int, object]]:
+    """Flat key-value config: "key = value" lines, # comments, read as key ->
+    (its line number, its value). settings maps each allowed key to its flag;
+    a value takes the flag's type and must be one of its choices. Keys outside
+    the command's settings, or set on two lines, are rejected so typos cannot
+    silently vanish."""
     seen = set()
 
-    def entry(line):
+    def entry(numbered):
+        line_no, line = numbered
         if "=" not in line:
             raise ValueError(f"expected key = value, got {line!r}")
         key, value = (part.strip() for part in line.split("=", 1))
@@ -55,10 +58,10 @@ def read_config(path, settings: dict[str, argparse.Action]) -> dict[str, object]
         if flag.choices is not None and typed not in flag.choices:
             raise ValueError(f"{key}: invalid choice {value!r}, "
                              f"expected one of {', '.join(flag.choices)}")
-        return key, typed
+        return key, (line_no, typed)
 
     lines = ((n, line.split("#", 1)[0].strip()) for n, line in corpus.numbered_lines(path))
-    return dict(corpus.parse_numbered(path, ((n, line) for n, line in lines if line), entry))
+    return dict(corpus.parse_numbered(path, ((n, (n, line)) for n, line in lines if line), entry))
 
 
 def _settings(cls, args, **given):
@@ -410,19 +413,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 def dispatch(argv) -> int:
     parser = build_parser()
+    located = {}  # setting -> CFG:LINE, for each file value that no flag overrode
     try:
         args = parser.parse_args(argv)
         if getattr(args, "config", None):
             # the file's values, already typed and checked, become the
             # command's defaults (the settings in config_keys), so explicit
-            # flags still win
-            args.command_parser.set_defaults(**read_config(args.config, args.config_keys))
+            # flags still win; a default of None first shows which no flag sets
+            entries = read_config(args.config, args.config_keys)
+            args.command_parser.set_defaults(**dict.fromkeys(entries))
+            unset = vars(parser.parse_args(argv))
+            located = {k: f"{args.config}:{n}" for k, (n, _) in entries.items() if unset[k] is None}
+            args.command_parser.set_defaults(**{k: v for k, (_, v) in entries.items()})
             args = parser.parse_args(argv)
         return args.run(args)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    except SettingError as exc:  # raised by run, so args is set: name it by its flag
-        print(f"error: {args.flags.get(exc.name, exc.name)} {exc.detail}", file=sys.stderr)
+    except SettingError as exc:  # raised by run, so args is set: name its line, or its flag
+        where = located.get(exc.name)
+        name = f"{where}: {exc.name}" if where else args.flags.get(exc.name, exc.name)
+        print(f"error: {name} {exc.detail}", file=sys.stderr)
         return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

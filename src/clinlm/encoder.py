@@ -29,8 +29,8 @@ and prediction pass reads; forward without them is the full pass.
 
 Only the losses keep each layer's activations, for _backward, which frees
 each layer's once its backward has run. The feed-forward sublayer keeps its
-pre-activation and that one's normal CDF; _backward rebuilds GELU's output
-from the two. forward keeps no backward cache: a layer's activations are
+pre-activation a and GELU's gate h (see _gelu); _backward rebuilds GELU's
+output as a * h. forward keeps no backward cache: a layer's activations are
 freed as the next layer starts, so a forward-only pass's memory does not
 grow with depth. The layer math is the same either way.
 
@@ -55,7 +55,6 @@ from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
-from scipy.special import erf
 
 from .settings import EncoderConfig, check_setting, content_room
 from .wordpiece import CLS_ID, PAD_ID, SEP_ID
@@ -66,7 +65,7 @@ HEADS = ("mlm", "head_token", "head_pair", "head_multi")  # the heads a checkpoi
 _NEG_INF = -1e9
 N_SEGMENTS = 2  # segment embeddings: side a, and a pair's side b (BERT's two)
 LN_EPSILON = 1e-12  # every layer norm's epsilon, BERT's
-FIXED_CONFIG = {"n_segments": N_SEGMENTS, "ln_epsilon": LN_EPSILON}  # as checkpoint keys
+FIXED_CONFIG = dict(n_segments=N_SEGMENTS, ln_epsilon=LN_EPSILON, hidden_act="gelu_tanh")  # as keys
 
 
 @dataclass
@@ -220,23 +219,26 @@ def init_params(config: EncoderConfig, seed: int) -> ParamStore:
 
 
 def _gelu(a):
-    """(GELU of a, the normal CDF of a); the backward pass reuses the CDF."""
-    cdf = a / math.sqrt(2.0)
-    erf(cdf, out=cdf)
-    cdf += 1.0
-    cdf *= 0.5
-    return a * cdf, cdf
+    """(a * h, h): GELU of a in its tanh form and its gate h = (1 + tanh u) / 2."""
+    h = a * a  # then u = sqrt(2 / pi) (a + 0.044715 a^3), then h, in this buffer
+    h *= 0.044715 * math.sqrt(2.0 / math.pi)
+    h += math.sqrt(2.0 / math.pi)
+    h *= a
+    np.tanh(h, out=h)
+    h += 1.0
+    h *= 0.5
+    return a * h, h
 
 
-def _gelu_grad(a, cdf):
-    """Derivative of GELU at a, given _gelu's CDF of a: cdf + a exp(-a^2 / 2) / sqrt(2 pi),
-    built in one buffer."""
-    out = a * -0.5
+def _gelu_grad(a, h):
+    """Derivative of GELU at a, given _gelu's gate h: h + a 2h(1 - h) u'."""
+    out = a * a  # then 2 u' = 2 sqrt(2 / pi) (1 + 3 * 0.044715 a^2)
+    out *= 6 * 0.044715 * math.sqrt(2.0 / math.pi)
+    out += 2.0 * math.sqrt(2.0 / math.pi)
     out *= a
-    np.exp(out, out=out)
-    out *= a
-    out /= math.sqrt(2.0 * math.pi)
-    out += cdf
+    out *= h
+    out *= 1.0 - h
+    out += h
     return out
 
 
@@ -418,14 +420,14 @@ def _forward(params, config, batch, rng, reads=None, keep=False):
         proj += x  # the residual sums go into the fresh sublayer outputs
         h1, ln1 = _layer_norm(params, p + "attn_ln", proj)
         a = _linear(params, p + "ff_in", h1)
-        g, cdf = _gelu(a)
+        g, gate = _gelu(a)
         f = _drop(_linear(params, p + "ff_out", g), rate, rng, lc, "ff_drop", full, pick)
         f += h1
         x, ln2 = _layer_norm(params, p + "ff_ln", f)
-        if keep:  # not g: _backward rebuilds it as a * cdf, _gelu's multiply
-            lc.update(ctx=ctx, ln1=ln1, h1=h1, a=a, cdf=cdf, ln2=ln2)
+        if keep:  # not g: _backward rebuilds it as a * gate, _gelu's multiply
+            lc.update(ctx=ctx, ln1=ln1, h1=h1, a=a, gate=gate, ln2=ln2)
             cache["layers"].append(lc)
-        del lc, kh, vh, ctx, proj, ln1, h1, a, cdf, g, f, ln2  # only a kept lc still holds them
+        del lc, kh, vh, ctx, proj, ln1, h1, a, gate, g, f, ln2  # only a kept lc still holds them
     return x, cache
 
 
@@ -461,8 +463,8 @@ def _backward(params, config, cache, d_hidden):
 
         d_res2 = _layer_norm_backward(params, grads, p + "ff_ln", dx, lc["ln2"])
         d_f = d_res2 * lc["ff_drop"] if "ff_drop" in lc else d_res2
-        d_a = _linear_backward(params, grads, p + "ff_out", lc["a"] * lc["cdf"], d_f)
-        d_a *= _gelu_grad(lc["a"], lc["cdf"])
+        d_a = _linear_backward(params, grads, p + "ff_out", lc["a"] * lc["gate"], d_f)
+        d_a *= _gelu_grad(lc["a"], lc["gate"])
         d_h1 = d_res2 + _linear_backward(params, grads, p + "ff_in", lc["h1"], d_a)
 
         dx = _layer_norm_backward(params, grads, p + "attn_ln", d_h1, lc["ln1"])
@@ -643,6 +645,9 @@ def load_checkpoint(path) -> tuple[EncoderConfig, ParamStore]:
         if type(version) is not int or version != CHECKPOINT_VERSION:
             raise ValueError(f"{path}: checkpoint version {version!r}, "
                              f"this release reads version {CHECKPOINT_VERSION}")
+        if isinstance(header.get("config"), dict) and "hidden_act" not in header["config"]:
+            raise ValueError(f"{path}: checkpoint has no hidden_act; it was trained with the "
+                             f"erf GELU, which this release does not compute")
         names = {f.name for f in fields(EncoderConfig)} | FIXED_CONFIG.keys()
         if not isinstance(header.get("config"), dict) or set(header["config"]) != names:
             raise ValueError(f"{path}: checkpoint config keys must be exactly {sorted(names)}")

@@ -33,7 +33,7 @@ from .encoder import (
 )
 from .pretrain import adam_step, init_optimizer
 from .settings import (MIN_FRAME_LENGTH, EncoderConfig, FinetuneConfig, SettingError,
-                       content_room)
+                       check_seeds, content_room)
 from .wordpiece import Vocabulary, normalize
 
 NER_2010_TYPES = ("problem", "treatment", "test")
@@ -362,8 +362,7 @@ def finetune_task(config: EncoderConfig, params: ParamStore, task: TaskSpec,
         raise ValueError("need at least one seed")
     if len(set(seeds)) < len(seeds):
         raise SettingError("seeds", f"must be distinct, got {list(seeds)}")
-    if min(seeds) < 0:
-        raise SettingError("seeds", f"must be non-negative, got {list(seeds)}")
+    check_seeds("seeds", list(seeds))
     if not train_rows or not dev_rows:
         raise ValueError("train and dev sets must be non-empty")
     check_dev_rows(task, dev_rows)

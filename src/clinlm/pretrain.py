@@ -19,7 +19,7 @@ from . import wordpiece
 from .corpus import write_lines
 from .encoder import Batch, ParamStore, frame, init_params, mlm_forward_loss, stack_rows
 from .settings import (AccumulationConfig, AdamConfig, EncoderConfig, MaskingPolicy, PhasePlan,
-                       SettingError, check_lr, content_room)
+                       SettingError, check_lr, check_seeds, content_room)
 from .wordpiece import CLS_ID, MASK_ID, SEP_ID, Vocabulary
 
 MASK_SHARE, RANDOM_SHARE = 0.8, 0.1  # of the selected positions; the rest keep their id
@@ -252,8 +252,7 @@ def run_pretraining(corpus: Sequence[str], vocab: Vocabulary, config: EncoderCon
     The same corpus, vocabulary, configuration, and seed always produce the
     same result, bit for bit.
     """
-    if seed < 0:
-        raise SettingError("seed", f"must be non-negative, got {seed}")
+    check_seeds("seed", seed)
     if plan.max_length() > config.max_positions:
         raise SettingError("max_positions", f"{config.max_positions} is below the plan's "
                                             f"length {plan.max_length()}")

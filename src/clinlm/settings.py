@@ -1,9 +1,9 @@
 """Run settings and their rules, each stated once: the settings classes,
 content_room (a row's overhead), the task names, check_setting (the rule of
-every int or number setting) and check_lr. A refusal is a SettingError,
-which carries the setting's name, so the CLI can name its flag instead.
-Only the standard library is imported, so the CLI's text commands start
-without numpy or scipy."""
+every int or number setting), check_seeds and check_lr. A refusal is a
+SettingError, which carries the setting's name, so the CLI can name its flag
+instead. Only the standard library is imported, so the CLI's text commands
+start without numpy."""
 
 from __future__ import annotations
 
@@ -42,6 +42,12 @@ def check_fields(settings) -> None:
     """check_setting on every field of a settings dataclass."""
     for f in fields(settings):
         check_setting(f.name, getattr(settings, f.name), f.type)
+
+
+def check_seeds(name: str, seeds) -> None:
+    """Refuse a seed, or a list of seeds, holding one below 0, the rule of every seed."""
+    if min(seeds if isinstance(seeds, list) else [seeds]) < 0:
+        raise SettingError(name, f"must be non-negative, got {seeds}")
 
 
 def check_lr(lr) -> None:

@@ -273,7 +273,7 @@ class TestConfigFile:
         path.write_text("lr = 0.01  # step size\n\nhidden_dim = 8\n",
                         encoding="utf-8")
         values = read_config(path, self.settings())
-        assert values == {"lr": 0.01, "hidden_dim": 8}
+        assert values == {"lr": (1, 0.01), "hidden_dim": (3, 8)}
 
     def test_unknown_key_located(self, tmp_path):
         path = tmp_path / "cfg.txt"
@@ -384,6 +384,26 @@ class TestFinetuneCommand:
         assert (tmp_path / "tuned.seed0.ckpt").exists()
         assert (tmp_path / "tuned.seed1.ckpt").exists()
 
+    def test_the_model_commands_load_no_scipy(self, tmp_path, corpus_file):
+        # a pretraining and a fine-tuning run in one fresh process need numpy alone
+        (tmp_path / "nli.jsonl").write_text(_jsonl(_NLI_ROW), encoding="utf-8")
+        commands = [
+            ["train-vocab", "--corpus", "corpus.txt", "--size", "60", "--min-frequency", "1",
+             "--output", "vocab.txt"],
+            ["pretrain", "--corpus", "corpus.txt", "--vocab", "vocab.txt", "--plan", "8:1",
+             "--micro-batch", "2", "--accum", "1", "--seed", "0", "--hidden-dim", "8",
+             "--n-layers", "1", "--n-heads", "2", "--ff-dim", "16", "--out", "model.ckpt"],
+            _finetune("mednli", "--max-steps", "1", checkpoint="model.ckpt", data="nli.jsonl",
+                      vocab="vocab.txt"),
+        ]
+        script = ("import json, os, sys\nfrom clinlm.cli import dispatch\nos.chdir(sys.argv[2])\n"
+                  "for argv in json.loads(sys.argv[1]):\n    assert dispatch(argv) == 0, argv\n"
+                  "print(sorted({'numpy', 'scipy'} & set(sys.modules)))\n")
+        proc = subprocess.run([sys.executable, "-c", script, json.dumps(commands), str(tmp_path)],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "['numpy']"
+
     def test_a_retuned_checkpoint_holds_one_head(self, tmp_path, tiny_model, capsys):
         # mednli's head_pair is dropped when ner-2010 tunes the model again
         vocab, ckpt = tiny_model
@@ -480,6 +500,11 @@ def _with_extra_config_key(header):
     return header
 
 
+def _without_hidden_act(header):
+    del header["config"]["hidden_act"]
+    return header
+
+
 def _with_transposed_token_table(header):
     for entry in header["tensors"]:
         if entry["name"] == "tok_emb":
@@ -554,6 +579,14 @@ class TestMalformedInputs:
         ("transposed-checkpoint-tensor", "model.ckpt",
          _checkpoint_header(_with_transposed_token_table),
          _finetune("mednli", checkpoint="{file}", data="{vocab}"), "{file}: tensor tok_emb"),
+        # every checkpoint of earlier releases: trained with the erf GELU
+        ("checkpoint-of-no-hidden-act", "model.ckpt", _checkpoint_header(_without_hidden_act),
+         _finetune("mednli", checkpoint="{file}", data="{vocab}"),
+         "{file}: checkpoint has no hidden_act; it was trained with the erf GELU"),
+        ("checkpoint-of-erf-hidden-act", "model.ckpt",
+         _checkpoint_header(lambda h: {**h, "config": {**h["config"], "hidden_act": "gelu"}}),
+         _finetune("mednli", checkpoint="{file}", data="{vocab}"),
+         "{file}: checkpoint hidden_act is 'gelu', the encoder's is 'gelu_tanh'"),
         ("nan-checkpoint-tensor", "model.ckpt", _nan_in_tensor("layer0.ff_in_w"),
          _finetune("mednli", checkpoint="{file}", data="{vocab}"),
          "{file}: tensor layer0.ff_in_w holds a NaN or infinity"),
@@ -660,7 +693,20 @@ class TestMalformedInputs:
          ["pretrain", "--corpus", "{vocab}", "--vocab", "{vocab}", "--plan", "8:1",
           "--micro-batch", "1", "--accum", "1", "--seed", "0", "--config", "{file}",
           "--out", "{out}"],
-         "--warmup-fraction applies only to the linear schedule, not constant"),
+         "{file}:1: warmup_fraction applies only to the linear schedule, not constant"),
+        # a refused value from the file is named by its line, unless a flag overrode it
+        ("zero-mask-prob-in-config", "cfg.txt", "# masking\nmask_prob = 0\n",
+         [*_pretrain_plan("8:1"), "--config", "{file}"],
+         "{file}:2: mask_prob must be in (0, 1], got 0.0"),
+        ("zero-mask-prob-flag-over-config", "cfg.txt", "mask_prob = 0\n",
+         [*_pretrain_plan("8:1"), "--config", "{file}", "--mask-prob", "0"],
+         "error: --mask-prob must be in (0, 1], got 0.0"),
+        ("max-positions-in-config-below-the-plan", "cfg.txt", "max_positions = 4\n",
+         [*_pretrain_plan("8:1"), "--config", "{file}"],
+         "{file}:1: max_positions 4 is below the plan's length 8"),
+        ("max-positions-in-finetune-config", "cfg.txt", "max_positions = 17\n",
+         _finetune("mednli", "--config", "{file}", data="{vocab}"),
+         "{file}:1: max_positions 17 exceeds the max_positions 16 of {ckpt}"),
         # a setting given twice is no silent last-one-wins
         ("config-key-set-twice", "cfg.txt", "hidden_dim = 8\n# wider\nhidden_dim = 16\n",
          ["pretrain", "--corpus", "{vocab}", "--vocab", "{vocab}", "--plan", "8:1",

@@ -9,7 +9,6 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.special import erf
 
 from gradcheck import audit_gradients
 from clinlm import encoder
@@ -215,8 +214,8 @@ class TestForwardOracle:
     TOKEN_IDS = [5, 2]
     EXPECTED_ATTN = [[0.4579875484884131, 0.542012451511587],
                      [0.5396172891715522, 0.4603827108284478]]
-    EXPECTED_OUT = [[1.2299999999994398, -0.8199999999996265],
-                    [-1.1699999999994697, 0.7799999999996464]]
+    EXPECTED_OUT = [[1.2299999999994398, -0.8199999999996266],
+                    [-1.1699999999994695, 0.7799999999996464]]
 
     @staticmethod
     def scalar_reference(weights, token_ids):
@@ -232,8 +231,9 @@ class TestForwardOracle:
             return [sum(v[i] * w[i][j] for i in range(len(v))) + b[j]
                     for j in range(len(b))]
 
-        def gelu(x):
-            return 0.5 * x * (1.0 + math.erf(x / math.sqrt(2.0)))
+        def gelu(x):  # the tanh form
+            u = math.sqrt(2.0 / math.pi) * (x + 0.044715 * x ** 3)
+            return 0.5 * x * (1.0 + math.tanh(u))
 
         w = weights
         x = [ln([w["tok_emb"][tid][d] + w["pos_emb"][t][d] + w["seg_emb"][0][d]
@@ -778,14 +778,23 @@ class TestLossesRunTheTopLayerAtReadsOnly:
 
 
 def test_gelu_and_its_gradient_are_the_closed_forms_bit_for_bit():
-    # the gradient reuses the forward's normal CDF; scaling by 0.5 is exact,
-    # so reordering it changes no bit
+    # the tanh form, its u = sqrt(2 / pi) (a + 0.044715 a^3) summed as
+    # a (c + 0.044715 c a^2); the gradient h + a 2h(1 - h) u' reuses the
+    # forward's gate h; scaling by 0.5 or 2 is exact, so reordering it
+    # changes no bit
     rng = np.random.default_rng(0)
     a = rng.normal(size=100_000) * np.geomspace(0.01, 30.0, 100_000)
-    gelu, cdf = _gelu(a)
-    assert np.array_equal(gelu, 0.5 * a * (1.0 + erf(a / math.sqrt(2.0))))
-    assert np.array_equal(_gelu_grad(a, cdf), 0.5 * (1.0 + erf(a / math.sqrt(2.0)))
-                          + a * np.exp(-0.5 * a * a) / math.sqrt(2.0 * math.pi))
+    c = math.sqrt(2.0 / math.pi)
+    gate = 0.5 * (1.0 + np.tanh(a * (0.044715 * c * (a * a) + c)))
+    gelu, h = _gelu(a)
+    assert np.array_equal(h, gate) and np.array_equal(gelu, a * gate)
+    assert np.array_equal(_gelu_grad(a, h),
+                          (a * a * (6 * 0.044715 * c) + 2.0 * c) * a * gate * (1.0 - gate) + gate)
+    # numpy's tanh is not libm's bit for bit, so the scalar forms agree up to rounding
+    tanh_form = [0.5 * x * (1.0 + math.tanh(c * (x + 0.044715 * x ** 3))) for x in a]
+    np.testing.assert_allclose(gelu, tanh_form, rtol=1e-13, atol=1e-15)
+    erf_form = [0.5 * x * (1.0 + math.erf(x / math.sqrt(2.0))) for x in a]
+    assert np.abs(gelu - erf_form).max() < 5e-4  # the erf form's GELU is 4.7e-4 away at most
 
 
 @pytest.mark.parametrize("padded", [False, True], ids=["no-padding", "padding"])
@@ -942,12 +951,13 @@ class TestCheckpoint:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_header_holds_the_fixed_settings(self, tmp_path):
-        # as the config of earlier releases did, so their files load and
-        # this release writes the same bytes
+        # the fixed settings as earlier releases wrote them, plus the
+        # activation, which their files lack (they hold erf-GELU models)
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, tiny_config(), init_params(tiny_config(), 11))
-        assert (b'"config":{"dropout":0.0,"ff_dim":6,"hidden_dim":4,"ln_epsilon":1e-12,'
-                b'"max_positions":4,"n_heads":2,"n_layers":1,"n_segments":2,"vocab_size":8}'
+        assert (b'"config":{"dropout":0.0,"ff_dim":6,"hidden_act":"gelu_tanh","hidden_dim":4,'
+                b'"ln_epsilon":1e-12,"max_positions":4,"n_heads":2,"n_layers":1,"n_segments":2,'
+                b'"vocab_size":8}'
                 in path.read_bytes().split(b"\n", 1)[0])
 
     def test_truncated_file_rejected(self, tmp_path):
@@ -1026,6 +1036,7 @@ class TestCheckpoint:
         lambda h: {**h, "config": {**h["config"], "n_segments": 1}},
         lambda h: {**h, "config": {**h["config"], "n_segments": 2.0}},
         lambda h: {**h, "config": {k: v for k, v in h["config"].items() if k != "n_segments"}},
+        lambda h: {**h, "config": {**h["config"], "hidden_act": "gelu"}},
         lambda h: {**h, "config": {**h["config"], "hidden_dim": 4.0}},
         lambda h: {**h, "config": {**h["config"], "n_layers": True}},
         lambda h: {**h, "version": 99},
@@ -1037,8 +1048,8 @@ class TestCheckpoint:
             "transposed-head", "head-without-bias", "head-bias-mismatch", "unknown-head",
             "string-ln-epsilon", "nan-ln-epsilon",
             "negative-ln-epsilon", "other-ln-epsilon", "one-segment", "float-n-segments",
-            "missing-n-segments", "float-hidden-dim", "bool-n-layers", "other-version",
-            "bool-version"])
+            "missing-n-segments", "erf-hidden-act", "float-hidden-dim", "bool-n-layers",
+            "other-version", "bool-version"])
     def test_malformed_header_is_a_value_error_naming_the_file(self, tmp_path, change):
         path = tmp_path / "model.ckpt"
         config = tiny_config()
@@ -1047,6 +1058,18 @@ class TestCheckpoint:
         save_checkpoint(path, config, params)
         self._rewrite_header(path, change)
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
+            load_checkpoint(path)
+
+    def test_header_of_no_hidden_act_is_refused_by_name(self, tmp_path):
+        # what every earlier release wrote: its models were trained with the
+        # erf GELU, which the generic config-keys message would not say
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, tiny_config(), init_params(tiny_config(), 11))
+        self._rewrite_header(path, lambda h: {**h, "config": {
+            k: v for k, v in h["config"].items() if k != "hidden_act"}})
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: checkpoint has no "
+                                             f"hidden_act; it was trained with the erf GELU, "
+                                             f"which this release does not compute$"):
             load_checkpoint(path)
 
     def test_checkpoint_without_the_mlm_head_loads(self, tmp_path):
@@ -1078,13 +1101,14 @@ class TestCheckpoint:
 
     def test_name_sorted_layout_loads(self, tmp_path):
         # the layout earlier releases wrote: manifest and body sorted by name,
-        # one tensor after another
+        # one tensor after another (here under this release's activation)
         config = tiny_config(n_layers=2)
         params = init_head(init_params(config, 11), config, "head_pair", 3, 1)
         names = sorted(params)
         header = {"format": "clinlm-checkpoint", "version": 1,
                   "config": {**{f: getattr(config, f) for f in config.__dataclass_fields__},
-                             "n_segments": 2, "ln_epsilon": 1e-12},
+                             "n_segments": 2, "ln_epsilon": 1e-12,
+                             "hidden_act": "gelu_tanh"},
                   "tensors": [{"name": n, "shape": list(params[n].shape)} for n in names]}
         path = tmp_path / "sorted.ckpt"
         with open(path, "wb") as handle:

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from clinlm import finetune
+from clinlm import finetune, pretrain
 from clinlm.corpus import numbered_ner_sentences
 from clinlm.encoder import (
     EncoderConfig,
@@ -40,9 +40,11 @@ from clinlm.finetune import (
     word_ids,
 )
 from clinlm.pretrain import adam_step, init_optimizer
-from clinlm.settings import TASK_NAMES
+from clinlm.settings import (TASK_NAMES, AccumulationConfig, AdamConfig, MaskingPolicy, PhasePlan,
+                             SettingError, check_seeds)
 from clinlm.wordpiece import CLS_ID, PAD_ID, SEP_ID, train_wordpiece
 from test_encoder import last_layer_rows
+import test_pretrain
 
 
 @pytest.fixture(scope="module")
@@ -534,6 +536,28 @@ class TestFinetuneTask:
         config, params, task, rows = toy_pair_setup(small_vocab)
         with pytest.raises(ValueError, match=r"^seeds must be distinct, got \[1, 0, 1\]$"):
             finetune_task(config, params, task, rows, rows, [1, 0, 1], FinetuneConfig())
+
+    def test_both_training_loops_take_the_one_seed_rule(self, small_vocab, monkeypatch):
+        # pretraining's seed and fine-tuning's seeds are refused by one rule,
+        # each message kept
+        config, params, task, rows = toy_pair_setup(small_vocab)
+        corpus, vocab, lm_config = test_pretrain.TestRunPretraining.setup_run()
+        seen = []
+
+        def spy(name, seeds):
+            seen.append((name, seeds))
+            check_seeds(name, seeds)
+
+        for module in (pretrain, finetune):
+            assert module.check_seeds is check_seeds
+            monkeypatch.setattr(module, "check_seeds", spy)
+        with pytest.raises(SettingError, match=r"^seed must be non-negative, got -1$"):
+            pretrain.run_pretraining(corpus, vocab, lm_config, PhasePlan(((16, 1),)),
+                                     MaskingPolicy(), AccumulationConfig(2, 1, 2), AdamConfig(),
+                                     seed=-1)
+        with pytest.raises(SettingError, match=r"^seeds must be non-negative, got \[1, -1\]$"):
+            finetune_task(config, params, task, rows, rows, (1, -1), FinetuneConfig())
+        assert seen == [("seed", -1), ("seeds", [1, -1])]
 
     def test_multilabel_task_runs(self, small_vocab):
         config = EncoderConfig(vocab_size=len(small_vocab), hidden_dim=8,
