@@ -7,17 +7,18 @@ byte-identical output when rerun with the same inputs and flags. Failures
 exit nonzero with a one-line diagnostic on stderr.
 
 Each pretrain/finetune setting is declared once, as a flag with its type
-and its default from clinlm.settings, and stored under its field's name,
-so a setting the library refuses is named by its flag. A flat key-value
-config file (one "key = value" per line, # comments, keys spelled like the
-flags with underscores) replaces those defaults, so explicit flags still
-win over file values; a refused value from the file is named by its line.
-Only pretrain and finetune import numpy.
+and no default, and stored under its field's name, so a setting the library
+refuses is named by its flag. A flat key-value config file (one "key = value"
+per line, # comments, keys spelled like the flags with underscores) sets
+each setting no flag set, and a refused value from the file is named by its
+line. A setting neither sets is left out of the library call, so every
+default is the library's. Only pretrain and finetune import numpy.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from collections import Counter
 from dataclasses import fields
@@ -64,18 +65,30 @@ def read_config(path, settings: dict[str, argparse.Action]) -> dict[str, tuple[i
     return dict(corpus.parse_numbered(path, ((n, (n, line)) for n, line in lines if line), entry))
 
 
+def _set(args, *names) -> dict:
+    """name -> value of each named setting that a flag or the config file set."""
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+
+
 def _settings(cls, args, **given):
-    """cls built from given and, for each other field, the flag value stored under its name."""
-    return cls(**{f.name: getattr(args, f.name) for f in fields(cls) if f.name not in given},
-               **given)
+    """cls built from given and from each other field's value, if one was set."""
+    return cls(**_set(args, *(f.name for f in fields(cls) if f.name not in given)), **given)
 
 
 def _read_lines(path) -> list[str]:
     return [line for _, line in corpus.numbered_lines(path)]
 
 
+def _read_words(path, what: str) -> list[str]:
+    """The lines of a text file, refused as PATH: {what} contains no words."""
+    lines = _read_lines(path)
+    if not any(line.split() for line in lines):
+        raise ValueError(f"{path}: {what} contains no words")
+    return lines
+
+
 def _parse_plan(text: str) -> PhasePlan:
-    """The --plan flag as a PhasePlan; every refusal names --plan."""
+    """The --plan value as a PhasePlan; every refusal is a SettingError of plan."""
     try:
         phases = []
         for part in text.split(","):
@@ -86,7 +99,7 @@ def _parse_plan(text: str) -> PhasePlan:
                 raise ValueError(f"bad entry {part!r}, expected LENGTH:STEPS") from None
         return PhasePlan(tuple(phases))
     except ValueError as exc:
-        raise ValueError(f"--plan {text!r}: {exc}") from exc
+        raise SettingError("plan", f"{text!r}: {exc}") from exc
 
 
 def _parse_ratios(text: str) -> tuple[float, float, float]:
@@ -95,7 +108,7 @@ def _parse_ratios(text: str) -> tuple[float, float, float]:
     except ValueError:
         ratios = ()
     if len(ratios) != 3:
-        raise ValueError(f"--ratios must be TRAIN:DEV:TEST numbers, got {text!r}")
+        raise SettingError("ratios", f"must be TRAIN:DEV:TEST numbers, got {text!r}")
     return ratios
 
 
@@ -105,19 +118,19 @@ def _parse_seeds(text: str) -> list[int]:
     except ValueError:
         seeds = []
     if not seeds or ("," not in text and seeds[0] < 1):
-        raise ValueError(f"--seeds must be a count >= 1 or a comma list of ints, got {text!r}")
+        raise SettingError("seeds", f"must be a count >= 1 or a comma list of ints, got {text!r}")
     return seeds if "," in text else list(range(seeds[0]))
 
 
-def _parse_named_paths(flag: str, pairs) -> dict[str, str]:
-    """The NAME=PATH values of a repeatable flag; every refusal names flag."""
+def _parse_named_paths(args, dest: str) -> dict[str, str]:
+    """The NAME=PATH values of the repeatable flag stored under dest."""
     out = {}
-    for pair in pairs:
+    for pair in getattr(args, dest):
         if "=" not in pair:
-            raise ValueError(f"{flag}: expected NAME=PATH, got {pair!r}")
+            raise SettingError(dest, f"must be NAME=PATH, got {pair!r}")
         name, path = pair.split("=", 1)
         if name in out:
-            raise ValueError(f"{flag}: name {name!r} is given twice")
+            raise SettingError(dest, f"name {name!r} is given twice")
         out[name] = path
     return out
 
@@ -128,10 +141,8 @@ def _cmd_normalize(args) -> int:
 
 
 def _cmd_train_vocab(args) -> int:
-    lines = [wordpiece.normalize(l) for l in _read_lines(args.corpus)]
-    if not any(line.split() for line in lines):
-        raise ValueError(f"{args.corpus}: training corpus contains no words")
-    vocab = wordpiece.train_wordpiece(lines, args.declared_size, args.min_frequency)
+    lines = [wordpiece.normalize(l) for l in _read_words(args.corpus, "training corpus")]
+    vocab = wordpiece.train_wordpiece(lines, args.declared_size, **_set(args, "min_frequency"))
     wordpiece.write_vocab(args.output, vocab)
     return 0
 
@@ -147,13 +158,10 @@ def _cmd_encode(args) -> int:
 
 
 def _cmd_compress_report(args) -> int:
-    datasets = {}
-    for name, path in _parse_named_paths("--dataset", args.dataset).items():
-        datasets[name] = _read_lines(path)
-        if not any(line.split() for line in datasets[name]):  # else its baseline length is 0
-            raise ValueError(f"{path}: dataset {name!r} contains no words")
+    datasets = {name: _read_words(path, f"dataset {name!r}")  # else its baseline length is 0
+                for name, path in _parse_named_paths(args, "dataset").items()}
     vocabularies = {name: wordpiece.read_vocab(path)
-                    for name, path in _parse_named_paths("--vocab", args.vocab).items()}
+                    for name, path in _parse_named_paths(args, "vocab").items()}
     text = wordpiece.format_length_table(
         wordpiece.compression_report(datasets, vocabularies, args.baseline))
     if args.output:
@@ -205,8 +213,9 @@ def _cmd_pretrain(args) -> int:
     accum = _settings(AccumulationConfig, args,
                       effective_batch=args.micro_batch_size * args.accumulation_steps)
     result = pretrain.run_pretraining(
-        _read_lines(args.corpus), vocab, config, plan, _settings(MaskingPolicy, args), accum,
-        _settings(AdamConfig, args), args.seed, args.schedule, args.warmup_fraction)
+        _read_words(args.corpus, "pretraining corpus"), vocab, config, plan,
+        _settings(MaskingPolicy, args), accum, _settings(AdamConfig, args), args.seed,
+        **_set(args, "schedule", "warmup_fraction"))
     encoder.save_checkpoint(args.out, config, result.params)
     if args.loss_log:
         pretrain.write_loss_log(args.loss_log, result.loss_log)
@@ -218,7 +227,7 @@ def _cmd_finetune(args) -> int:
     from . import encoder, finetune
     task = finetune.builtin_task(args.task)
     config, params, vocab, max_positions = finetune.load_task_model(
-        task, args.checkpoint, args.vocab, args.max_positions)
+        task, args.checkpoint, args.vocab, **_set(args, "max_positions"))
     train_rows = finetune.load_task_rows(task, args.train, vocab, max_positions)
     dev_rows = finetune.load_task_rows(task, args.dev, vocab, max_positions)
     finetune.check_dev_rows(task, dev_rows, args.dev)
@@ -248,12 +257,12 @@ def _scored_files(args, read, unit: str) -> tuple[list, list]:
 def _cmd_evaluate(args) -> int:
     if args.aggregate:
         if args.gold or args.pred:
-            raise ValueError("--aggregate takes no --gold or --pred")
+            raise SettingError("aggregate", "takes no --gold or --pred")
         try:
             values = [float(v) for v in args.aggregate.split(",")]
         except ValueError:
-            raise ValueError(f"--aggregate must be a comma list of numbers, "
-                             f"got {args.aggregate!r}") from None
+            raise SettingError("aggregate", f"must be a comma list of numbers, "
+                                            f"got {args.aggregate!r}") from None
         report = metrics.aggregate_seeds(values, args.metric)
         print(f"median {report.median:.4f}\tstddev {report.stddev:.4f}\tn {len(values)}")
         return 0
@@ -310,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train-vocab", help="learn a wordpiece vocabulary")
     p.add_argument("--corpus", required=True)
     p.add_argument("--size", type=int, required=True, dest="declared_size")
-    p.add_argument("--min-frequency", type=int, default=2)
+    p.add_argument("--min-frequency", type=int)
     p.add_argument("--output", required=True)
     p.set_defaults(run=_cmd_train_vocab)
 
@@ -362,20 +371,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--loss-log")
-    settings = [p.add_argument(flag, type=cast, default=default) for flag, cast, default in (
-        ("--hidden-dim", int, EncoderConfig.hidden_dim),
-        ("--n-layers", int, EncoderConfig.n_layers), ("--n-heads", int, EncoderConfig.n_heads),
-        ("--ff-dim", int, EncoderConfig.ff_dim), ("--max-positions", int, None),
-        ("--lr", float, AdamConfig.lr), ("--warmup-fraction", float, None),
-        ("--mask-prob", float, MaskingPolicy.mask_prob))]
+    settings = [p.add_argument(flag, type=cast) for flag, cast in (
+        ("--hidden-dim", int), ("--n-layers", int), ("--n-heads", int), ("--ff-dim", int),
+        ("--max-positions", int), ("--lr", float), ("--warmup-fraction", float),
+        ("--mask-prob", float))]
     settings.append(p.add_argument(
-        "--dropout", type=float, default=EncoderConfig.dropout,
+        "--dropout", type=float,
         help="dropout rate of every pretraining step; the checkpoint keeps it, so "
              "fine-tuning steps use it too (prediction and dev scoring never drop)"))
-    settings.append(p.add_argument("--schedule", choices=("constant", "linear"),
-                                   default="constant"))
-    p.add_argument("--config", help="flat key-value file of setting defaults")
-    p.set_defaults(run=_cmd_pretrain, command_parser=p, config_keys={a.dest: a for a in settings})
+    settings.append(p.add_argument("--schedule", choices=("constant", "linear")))
+    p.add_argument("--config", help="flat key-value file of the settings no flag sets")
+    p.set_defaults(run=_cmd_pretrain, config_keys={a.dest: a for a in settings})
 
     p = sub.add_parser("finetune", help="fine-tune a checkpoint on a task")
     p.add_argument("--task", required=True, choices=TASK_NAMES)
@@ -386,12 +392,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", required=True,
                    help="a count (5 means seeds 0..4) or a comma list")
     p.add_argument("--out-prefix", help="write per-seed checkpoints with this prefix")
-    settings = [p.add_argument(flag, type=cast, default=default) for flag, cast, default in (
-        ("--epochs", int, FinetuneConfig.epochs), ("--lr", float, FinetuneConfig.lr),
-        ("--batch-size", int, FinetuneConfig.batch_size), ("--max-positions", int, None),
-        ("--max-steps", int, FinetuneConfig.max_steps))]
-    p.add_argument("--config", help="flat key-value file of setting defaults")
-    p.set_defaults(run=_cmd_finetune, command_parser=p, config_keys={a.dest: a for a in settings})
+    settings = [p.add_argument(flag, type=cast) for flag, cast in (
+        ("--epochs", int), ("--lr", float), ("--batch-size", int), ("--max-positions", int),
+        ("--max-steps", int))]
+    p.add_argument("--config", help="flat key-value file of the settings no flag sets")
+    p.set_defaults(run=_cmd_finetune, config_keys={a.dest: a for a in settings})
 
     p = sub.add_parser("evaluate", help="score predictions against gold")
     p.add_argument("--metric", required=True,
@@ -412,20 +417,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def dispatch(argv) -> int:
-    parser = build_parser()
     located = {}  # setting -> CFG:LINE, for each file value that no flag overrode
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         if getattr(args, "config", None):
-            # the file's values, already typed and checked, become the
-            # command's defaults (the settings in config_keys), so explicit
-            # flags still win; a default of None first shows which no flag sets
-            entries = read_config(args.config, args.config_keys)
-            args.command_parser.set_defaults(**dict.fromkeys(entries))
-            unset = vars(parser.parse_args(argv))
-            located = {k: f"{args.config}:{n}" for k, (n, _) in entries.items() if unset[k] is None}
-            args.command_parser.set_defaults(**{k: v for k, (_, v) in entries.items()})
-            args = parser.parse_args(argv)
+            # a setting flag has no default, so None means no flag set it;
+            # the file's values are already typed and checked
+            for key, (line_no, value) in read_config(args.config, args.config_keys).items():
+                if getattr(args, key) is None:
+                    setattr(args, key, value)
+                    located[key] = f"{args.config}:{line_no}"
         return args.run(args)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
@@ -440,6 +441,10 @@ def dispatch(argv) -> int:
 
 
 def main() -> None:
+    # one BLAS thread, so a run's bytes do not depend on the core count; no
+    # numpy is loaded yet, as only pretrain and finetune import it
+    os.environ.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                     "MKL_NUM_THREADS"), "1"))
     sys.exit(dispatch(sys.argv[1:]))
 
 

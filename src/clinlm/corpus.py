@@ -138,18 +138,9 @@ def read_table(path, packaged: str, header: str, parse: Callable) -> list:
 
 
 @lru_cache(maxsize=None)
-def _packaged_lines(filename: str) -> tuple[str, ...]:
+def packaged_lines(filename: str) -> tuple[str, ...]:
+    """The non-blank lines of a packaged data file, such as a closed label list."""
     return tuple(line for _, line in numbered_lines(None, filename) if line.strip())
-
-
-def icd9_top50_codes() -> tuple[str, ...]:
-    """The closed 50-code diagnosis label list, most frequent first."""
-    return _packaged_lines("icd9_top50.txt")
-
-
-def therapeutic_class_names() -> tuple[str, ...]:
-    """The closed 50-class medication label list."""
-    return _packaged_lines("therapeutic_classes.txt")
 
 
 @dataclass

@@ -32,23 +32,10 @@ from .encoder import (
     multilabel_loss, pair_classify_loss, stack_rows, token_classify_loss, without_heads,
 )
 from .pretrain import adam_step, init_optimizer
-from .settings import (MIN_FRAME_LENGTH, EncoderConfig, FinetuneConfig, SettingError,
+from .settings import (MIN_FRAME_LENGTH, TASKS, EncoderConfig, FinetuneConfig, SettingError,
                        check_seeds, content_room)
 from .wordpiece import Vocabulary, normalize
 
-NER_2010_TYPES = ("problem", "treatment", "test")
-NER_2012_TYPES = ("clinical", "department", "evidential", "occurrence", "temporal")
-RELATION_2010_LABELS = (
-    "problem-indicates-problem",
-    "test-reveals-problem",
-    "test-investigates-problem",
-    "treatment-improves-problem",
-    "treatment-worsens-problem",
-    "treatment-causes-problem",
-    "treatment-administered-for-problem",
-    "treatment-not-administered-for-problem",
-)
-NLI_LABELS = ("entailment", "contradiction", "neutral")
 PREDICT_CHUNK = 32  # rows per forward pass of the predict_* functions
 # task kind -> (the encoder head it trains, the dev metrics it computes)
 _KINDS = {"ner": ("head_token", ("entity_f1",)),
@@ -84,21 +71,13 @@ class TaskSpec:
 
 
 def builtin_task(name: str) -> TaskSpec:
-    """Task presets for the benchmark suite."""
-    if name == "ner-2010":
-        return TaskSpec(name, "ner", NER_2010_TYPES, "entity_f1")
-    if name == "ner-2012":
-        return TaskSpec(name, "ner", NER_2012_TYPES, "entity_f1")
-    if name == "re-2010":
-        return TaskSpec(name, "pair", RELATION_2010_LABELS, "micro_f1",
-                        concept_types=NER_2010_TYPES)
-    if name == "mednli":
-        return TaskSpec(name, "pair", NLI_LABELS, "accuracy")
-    if name == "icd9-top50":
-        return TaskSpec(name, "multilabel", corpus.icd9_top50_codes(), "micro_f1")
-    if name == "therapeutic-class":
-        return TaskSpec(name, "multilabel", corpus.therapeutic_class_names(), "micro_f1")
-    raise ValueError(f"unknown task {name!r}")
+    """The task preset of that name in settings.TASKS."""
+    if name not in TASKS:
+        raise ValueError(f"unknown task {name!r}")
+    kind, labels, metric, concept_types = TASKS[name]
+    if isinstance(labels, str):  # a packaged file of one label a line
+        labels = corpus.packaged_lines(labels)
+    return TaskSpec(name, kind, labels, metric, concept_types)
 
 
 def marker_token(concept_type: str, closing: bool) -> str:

@@ -1,6 +1,6 @@
 """Run settings and their rules, each stated once: the settings classes,
-content_room (a row's overhead), the task names, check_setting (the rule of
-every int or number setting), check_seeds and check_lr. A refusal is a
+content_room (a row's overhead), the table of task presets, check_setting
+(the rule of every int or number setting), check_seeds and check_lr. A refusal is a
 SettingError, which carries the setting's name, so the CLI can name its flag
 instead. Only the standard library is imported, so the CLI's text commands
 start without numpy."""
@@ -12,7 +12,30 @@ import numbers
 from dataclasses import dataclass, fields
 
 MIN_FRAME_LENGTH = {False: 3, True: 5}  # a row's fewest positions, a text (False) or a pair
-TASK_NAMES = ("ner-2010", "ner-2012", "re-2010", "mednli", "icd9-top50", "therapeutic-class")
+NER_2010_TYPES = ("problem", "treatment", "test")
+NER_2012_TYPES = ("clinical", "department", "evidential", "occurrence", "temporal")
+RELATION_2010_LABELS = (
+    "problem-indicates-problem",
+    "test-reveals-problem",
+    "test-investigates-problem",
+    "treatment-improves-problem",
+    "treatment-worsens-problem",
+    "treatment-causes-problem",
+    "treatment-administered-for-problem",
+    "treatment-not-administered-for-problem",
+)
+NLI_LABELS = ("entailment", "contradiction", "neutral")
+# preset name -> (kind, its labels or the packaged file that lists them,
+#                 selection metric, concept types); finetune.builtin_task builds each
+TASKS = {
+    "ner-2010": ("ner", NER_2010_TYPES, "entity_f1", ()),
+    "ner-2012": ("ner", NER_2012_TYPES, "entity_f1", ()),
+    "re-2010": ("pair", RELATION_2010_LABELS, "micro_f1", NER_2010_TYPES),
+    "mednli": ("pair", NLI_LABELS, "accuracy", ()),
+    "icd9-top50": ("multilabel", "icd9_top50.txt", "micro_f1", ()),
+    "therapeutic-class": ("multilabel", "therapeutic_classes.txt", "micro_f1", ()),
+}
+TASK_NAMES = tuple(TASKS)
 
 
 class SettingError(ValueError):

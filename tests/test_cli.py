@@ -2,15 +2,19 @@
 
 import contextlib
 import functools
+import inspect
 import io
 import json
 import math
+import os
+import random
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+from clinlm import finetune, pretrain
 from clinlm.cli import build_parser, dispatch, read_config
 from clinlm.encoder import ParamStore, load_checkpoint, param_shapes
 from clinlm.finetune import builtin_task
@@ -86,6 +90,11 @@ class TestParsing:
         code, _, err = run_cli(["frobnicate"], capsys)
         assert code != 0
         assert err.strip().count("\n") == 0  # one-line diagnostic
+
+    def test_help_exits_0(self, capsys):
+        code, out, err = run_cli(["pretrain", "--help"], capsys)
+        assert (code, err) == (0, "")
+        assert "--config" in out
 
     def test_module_entry_point(self, tmp_path):
         src = tmp_path / "in.txt"
@@ -336,6 +345,31 @@ class TestPretrainCommand:
              "--config", str(cfg), "--out", str(tmp_path / "x.ckpt")], capsys)
         assert code == 1
         assert "learning_rate" in err and err.strip().count("\n") == 0
+
+    def test_checkpoint_bytes_do_not_depend_on_the_blas_thread_count(self, tmp_path, capsys):
+        # unpinned, 1 and 2 OpenBLAS threads round this run's GEMMs differently
+        # (seen on a 2-core x86-64 host); the entry point pins one thread
+        words = ("the patient has severe chest pain no fever and cough today denies with "
+                 "mild acute nausea left arm shortness breath").split()
+        rng = random.Random(0)
+        corpus, vocab = tmp_path / "corpus.txt", tmp_path / "vocab.txt"
+        corpus.write_text("".join(" ".join(rng.choice(words) for _ in range(12)) + "\n"
+                                  for _ in range(200)), encoding="utf-8")
+        assert run_cli(["train-vocab", "--corpus", str(corpus), "--size", "95",
+                        "--min-frequency", "1", "--output", str(vocab)], capsys)[0] == 0
+        written = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}.ckpt"
+            proc = subprocess.run(
+                [sys.executable, "-m", "clinlm.cli", "pretrain", "--corpus", str(corpus),
+                 "--vocab", str(vocab), "--plan", "64:6", "--micro-batch", "8", "--accum", "1",
+                 "--seed", "3", "--hidden-dim", "128", "--ff-dim", "256", "--n-heads", "4",
+                 "--out", str(out)],
+                env={**os.environ, "OPENBLAS_NUM_THREADS": threads}, capture_output=True,
+                text=True)
+            assert proc.returncode == 0, proc.stderr
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
 
     def test_bad_plan_string(self, tmp_path, corpus_file, vocab_file, capsys):
         code, _, err = run_cli(
@@ -716,11 +750,14 @@ class TestMalformedInputs:
         ("dataset-name-given-twice", "notes.txt", "no pain today\n",
          ["compress-report", "--dataset", "a={file}", "--dataset", "a={vocab}",
           "--vocab", "base={vocab}", "--baseline", "base"],
-         "--dataset: name 'a' is given twice"),
+         "error: --dataset name 'a' is given twice"),
         ("vocab-name-given-twice", "notes.txt", "no pain today\n",
          ["compress-report", "--dataset", "a={file}", "--vocab", "base={vocab}",
           "--vocab", "base={vocab}", "--baseline", "base"],
-         "--vocab: name 'base' is given twice"),
+         "error: --vocab name 'base' is given twice"),
+        ("dataset-not-name-path", "notes.txt", "no pain today\n",
+         ["compress-report", "--dataset", "a", "--vocab", "base={vocab}", "--baseline", "base"],
+         "error: --dataset must be NAME=PATH, got 'a'"),
         ("plan-below-the-row-minimum", "corpus.txt", "no pain today\n", _pretrain_plan("2:1"),
          "--plan '2:1': length 2 is below 3, the fewest positions of a row"),
         ("plan-of-length-zero", "corpus.txt", "no pain today\n", _pretrain_plan("0:1"),
@@ -735,6 +772,8 @@ class TestMalformedInputs:
          ["compress-report", "--dataset", "notes={file}", "--vocab", "base={vocab}",
           "--baseline", "base"],
          "{file}: dataset 'notes' contains no words"),
+        ("pretrain-of-no-words", "corpus.txt", "\n  \n\n", _pretrain_plan("8:1"),
+         "error: {file}: pretraining corpus contains no words"),
         # nothing to score is no perfect score
         ("entity-f1-of-empty-files", "tags.tsv", "",
          ["evaluate", "--metric", "entity-f1", "--gold", "{file}", "--pred", "{file}"],
@@ -834,16 +873,56 @@ class TestSettings:
                 "--train", "t", "--dev", "d", "--seeds", "1"]
 
     @pytest.mark.parametrize("argv,defaults", [
+        # max_positions 8 is the plan's length
         (PRETRAIN, {"hidden_dim": 64, "n_layers": 2, "n_heads": 2, "ff_dim": 128,
-                    "max_positions": None, "dropout": 0.0, "lr": 1e-3,
+                    "max_positions": 8, "dropout": 0.0, "lr": 1e-3,
                     "schedule": "constant", "warmup_fraction": None, "mask_prob": 0.15}),
+        # max_positions None is the checkpoint's
         (FINETUNE, {"epochs": 3, "batch_size": 8, "lr": 1e-3, "max_steps": None,
                     "max_positions": None}),
     ], ids=["pretrain", "finetune"])
-    def test_config_keys_are_the_declared_settings(self, argv, defaults):
+    def test_config_keys_are_the_declared_settings(self, tmp_path, tiny_model, monkeypatch,
+                                                   argv, defaults):
         args = build_parser().parse_args(argv)
         assert args.config_keys.keys() == set(defaults)
-        assert {key: getattr(args, key) for key in defaults} == defaults
+        assert all(getattr(args, key) is None for key in defaults)  # no flag states a default
+        # so the settings built from a flagless command line are the library's defaults
+        seen = {}
+
+        class Stop(Exception):
+            """Raised in place of the watched call that would train."""
+
+        def watch(module, name, stop=False):
+            real = getattr(module, name)
+
+            def spy(*call_args, **kwargs):
+                bound = inspect.signature(real).bind(*call_args, **kwargs)
+                bound.apply_defaults()
+                seen.update(bound.arguments)
+                if stop:
+                    raise Stop
+                return real(*call_args, **kwargs)
+
+            monkeypatch.setattr(module, name, spy)
+
+        vocab, ckpt = tiny_model
+        data = tmp_path / "nli.jsonl"
+        data.write_text(_jsonl(_NLI_ROW), encoding="utf-8")
+        files = {"c": vocab.parent / "corpus.txt", "v": vocab, "m": ckpt, "t": data, "d": data,
+                 "o": tmp_path / "o"}
+        if argv[0] == "pretrain":
+            watch(pretrain, "run_pretraining", stop=True)
+        else:
+            watch(finetune, "load_task_model")
+            watch(finetune, "finetune_task", stop=True)
+        with pytest.raises(Stop):
+            dispatch([str(files.get(arg, arg)) for arg in argv])
+        if argv[0] == "pretrain":
+            built = {**vars(seen["config"]), **vars(seen["policy"]), **vars(seen["adam"]),
+                     "schedule": seen["schedule"], "warmup_fraction": seen["warmup_fraction"]}
+        else:
+            built = {**vars(seen["hyper"]), "max_positions": seen["max_positions"]}
+        assert {key: built[key] for key in defaults} == defaults
 
     def test_non_setting_flag_is_not_a_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.txt"

@@ -40,11 +40,12 @@ class TestNoteRecord:
 
 class TestLabelCatalogs:
     def test_closed_list_sizes(self):
-        assert len(corpus.icd9_top50_codes()) == 50
-        assert len(corpus.therapeutic_class_names()) == 50
+        assert len(corpus.packaged_lines("icd9_top50.txt")) == 50
+        assert len(corpus.packaged_lines("therapeutic_classes.txt")) == 50
 
     def test_no_duplicates(self):
-        for labels in (corpus.icd9_top50_codes(), corpus.therapeutic_class_names()):
+        for name in ("icd9_top50.txt", "therapeutic_classes.txt"):
+            labels = corpus.packaged_lines(name)
             assert len(set(labels)) == len(labels)
 
 

@@ -178,7 +178,9 @@ class TestInitParams:
 
 
 class TestForwardOracle:
-    """Single layer, single head, hidden 2, T=2, hand-set weights.
+    """Single layer, single head, hidden 2, T=2, hand-set weights, and a
+    hidden-3 case: a layer norm over two values maps any distinct pair to
+    +-1 (times its gain, plus its bias), so only hidden 3 pins the activation.
 
     Expected values derived by scalar arithmetic (no arrays) straight from
     the defining equations and frozen below; the scalar route is kept inline
@@ -211,11 +213,39 @@ class TestForwardOracle:
         "mlm_w": [[0.0] * 6, [0.0] * 6], "mlm_b": [0.0] * 6,
     }
 
+    CONFIG_3 = EncoderConfig(vocab_size=6, hidden_dim=3, n_layers=1, n_heads=1,
+                             ff_dim=3, max_positions=2)
+
+    WEIGHTS_3 = {
+        "tok_emb": [[0.1, -0.2, 0.3], [0.0, 0.3, -0.1], [0.2, 0.1, 0.0],
+                    [-0.1, 0.4, 0.2], [0.3, 0.0, -0.3], [0.5, -0.5, 0.1]],
+        "pos_emb": [[0.05, 0.1, -0.05], [-0.1, 0.2, 0.15]],
+        "seg_emb": [[0.02, -0.03, 0.01], [0.0, 0.0, 0.0]],
+        "emb_ln_g": [1.1, 0.9, 1.0], "emb_ln_b": [0.01, -0.02, 0.0],
+        "layer0.attn_q_w": [[0.2, -0.1, 0.3], [0.1, 0.3, -0.2], [-0.3, 0.1, 0.2]],
+        "layer0.attn_q_b": [0.01, 0.02, -0.01],
+        "layer0.attn_k_w": [[-0.3, 0.2, 0.1], [0.2, 0.1, -0.1], [0.1, -0.2, 0.3]],
+        "layer0.attn_k_b": [0.0, -0.01, 0.02],
+        "layer0.attn_v_w": [[0.1, 0.4, -0.2], [-0.2, 0.1, 0.3], [0.3, -0.1, 0.1]],
+        "layer0.attn_v_b": [0.03, 0.0, -0.02],
+        "layer0.attn_out_w": [[0.25, -0.15, 0.1], [0.05, 0.35, -0.2], [-0.1, 0.2, 0.3]],
+        "layer0.attn_out_b": [-0.01, 0.02, 0.0],
+        "layer0.attn_ln_g": [0.95, 1.05, 1.0], "layer0.attn_ln_b": [0.0, 0.01, -0.01],
+        # pre-activations near 1, where GELU's cubic term is felt
+        "layer0.ff_in_w": [[0.9, -0.6, 0.4], [0.5, 0.8, -0.7], [-0.6, 0.3, 1.0]],
+        "layer0.ff_in_b": [0.05, -0.1, 0.2],
+        "layer0.ff_out_w": [[0.6, 0.3, -0.4], [-0.3, 0.7, 0.2], [0.4, -0.5, 0.6]],
+        "layer0.ff_out_b": [0.01, 0.0, -0.02],
+        "layer0.ff_ln_g": [1.2, 0.8, 1.0], "layer0.ff_ln_b": [0.03, -0.02, 0.0],
+    }
+
     TOKEN_IDS = [5, 2]
     EXPECTED_ATTN = [[0.4579875484884131, 0.542012451511587],
                      [0.5396172891715522, 0.4603827108284478]]
     EXPECTED_OUT = [[1.2299999999994398, -0.8199999999996266],
                     [-1.1699999999994695, 0.7799999999996464]]
+    EXPECTED_OUT_3 = [[1.4302396542070528, -1.0403194646320688, 0.1085329522842086],
+                      [-1.2540449759620071, 1.048647101627403, -0.26577139706591424]]
 
     @staticmethod
     def scalar_reference(weights, token_ids):
@@ -236,47 +266,53 @@ class TestForwardOracle:
             return 0.5 * x * (1.0 + math.tanh(u))
 
         w = weights
+        hd, steps = len(w["emb_ln_g"]), range(len(token_ids))
         x = [ln([w["tok_emb"][tid][d] + w["pos_emb"][t][d] + w["seg_emb"][0][d]
-                 for d in range(2)], w["emb_ln_g"], w["emb_ln_b"])
+                 for d in range(hd)], w["emb_ln_g"], w["emb_ln_b"])
              for t, tid in enumerate(token_ids)]
         q = [matvec(xi, w["layer0.attn_q_w"], w["layer0.attn_q_b"]) for xi in x]
         k = [matvec(xi, w["layer0.attn_k_w"], w["layer0.attn_k_b"]) for xi in x]
         v = [matvec(xi, w["layer0.attn_v_w"], w["layer0.attn_v_b"]) for xi in x]
-        scale = 1.0 / math.sqrt(2.0)
+        scale = 1.0 / math.sqrt(hd)
         attn_rows, h1 = [], []
-        for t in range(2):
-            scores = [(q[t][0] * k[s][0] + q[t][1] * k[s][1]) * scale
-                      for s in range(2)]
+        for t in steps:
+            scores = [sum(q[t][d] * k[s][d] for d in range(hd)) * scale for s in steps]
             mx = max(scores)
             exps = [math.exp(s - mx) for s in scores]
             z = sum(exps)
             attn = [e / z for e in exps]
             attn_rows.append(attn)
-            ctx = [attn[0] * v[0][d] + attn[1] * v[1][d] for d in range(2)]
+            ctx = [sum(attn[s] * v[s][d] for s in steps) for d in range(hd)]
             proj = matvec(ctx, w["layer0.attn_out_w"], w["layer0.attn_out_b"])
-            h1.append(ln([x[t][d] + proj[d] for d in range(2)],
+            h1.append(ln([x[t][d] + proj[d] for d in range(hd)],
                          w["layer0.attn_ln_g"], w["layer0.attn_ln_b"]))
         out = []
-        for t in range(2):
+        for t in steps:
             a = matvec(h1[t], w["layer0.ff_in_w"], w["layer0.ff_in_b"])
-            f = matvec([gelu(a[0]), gelu(a[1])],
-                       w["layer0.ff_out_w"], w["layer0.ff_out_b"])
-            out.append(ln([h1[t][d] + f[d] for d in range(2)],
+            f = matvec([gelu(ai) for ai in a], w["layer0.ff_out_w"], w["layer0.ff_out_b"])
+            out.append(ln([h1[t][d] + f[d] for d in range(hd)],
                           w["layer0.ff_ln_g"], w["layer0.ff_ln_b"]))
         return attn_rows, out
 
-    def params(self):
-        return {k: np.array(v, dtype=np.float64) for k, v in self.WEIGHTS.items()}
+    @staticmethod
+    def params(weights):
+        return {k: np.array(v, dtype=np.float64) for k, v in weights.items()}
 
     def test_output_matches_frozen_scalar_oracle(self):
         batch = Batch([self.TOKEN_IDS])
-        hidden = forward(self.params(), self.CONFIG, batch)
+        hidden = forward(self.params(self.WEIGHTS), self.CONFIG, batch)
         assert hidden.shape == (1, 2, 2)
         np.testing.assert_allclose(hidden[0], self.EXPECTED_OUT, atol=1e-10, rtol=0)
 
+    def test_hidden_3_output_matches_frozen_scalar_oracle(self):
+        # GELU's 0.044715 moved by 1e-7 (relative 2e-6) moves this output by 1.3e-8
+        hidden = forward(self.params(self.WEIGHTS_3), self.CONFIG_3, Batch([self.TOKEN_IDS]))
+        assert hidden.shape == (1, 2, 3)
+        np.testing.assert_allclose(hidden[0], self.EXPECTED_OUT_3, atol=1e-10, rtol=0)
+
     def test_attention_matches_frozen_scalar_oracle(self):
         batch = Batch([self.TOKEN_IDS])
-        attn = attention_maps(self.params(), self.CONFIG, batch)
+        attn = attention_maps(self.params(self.WEIGHTS), self.CONFIG, batch)
         assert len(attn) == 1 and attn[0].shape == (1, 1, 2, 2)
         np.testing.assert_allclose(attn[0][0, 0], self.EXPECTED_ATTN,
                                    atol=1e-10, rtol=0)
@@ -285,6 +321,8 @@ class TestForwardOracle:
         attn_rows, out = self.scalar_reference(self.WEIGHTS, self.TOKEN_IDS)
         np.testing.assert_allclose(attn_rows, self.EXPECTED_ATTN, atol=1e-12, rtol=0)
         np.testing.assert_allclose(out, self.EXPECTED_OUT, atol=1e-12, rtol=0)
+        _, out_3 = self.scalar_reference(self.WEIGHTS_3, self.TOKEN_IDS)
+        np.testing.assert_allclose(out_3, self.EXPECTED_OUT_3, atol=1e-12, rtol=0)
 
 
 class TestForwardProperties:

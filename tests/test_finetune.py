@@ -22,7 +22,6 @@ from clinlm.encoder import (
 )
 from clinlm.finetune import (
     FinetuneConfig,
-    NLI_LABELS,
     TaskSpec,
     builtin_task,
     encode_ner_example,
@@ -40,8 +39,8 @@ from clinlm.finetune import (
     word_ids,
 )
 from clinlm.pretrain import adam_step, init_optimizer
-from clinlm.settings import (TASK_NAMES, AccumulationConfig, AdamConfig, MaskingPolicy, PhasePlan,
-                             SettingError, check_seeds)
+from clinlm.settings import (NLI_LABELS, TASK_NAMES, AccumulationConfig, AdamConfig,
+                             MaskingPolicy, PhasePlan, SettingError, check_seeds)
 from clinlm.wordpiece import CLS_ID, PAD_ID, SEP_ID, train_wordpiece
 from test_encoder import last_layer_rows
 import test_pretrain
@@ -57,8 +56,15 @@ def small_vocab():
 
 class TestBuiltinTasks:
     def test_task_inventory(self):
+        assert {name: (task.kind, task.selection_metric, task.concept_types)
+                for name in TASK_NAMES for task in [builtin_task(name)]} == {
+            "ner-2010": ("ner", "entity_f1", ()), "ner-2012": ("ner", "entity_f1", ()),
+            "re-2010": ("pair", "micro_f1", ("problem", "treatment", "test")),
+            "mednli": ("pair", "accuracy", ()), "icd9-top50": ("multilabel", "micro_f1", ()),
+            "therapeutic-class": ("multilabel", "micro_f1", ())}
         assert builtin_task("ner-2010").labels == ("problem", "treatment", "test")
-        assert len(builtin_task("ner-2012").labels) == 5
+        assert builtin_task("ner-2012").labels == (
+            "clinical", "department", "evidential", "occurrence", "temporal")
         re_task = builtin_task("re-2010")
         assert len(re_task.labels) == 8 and re_task.kind == "pair"
         assert re_task.concept_types == ("problem", "treatment", "test")
@@ -92,6 +98,10 @@ class TestBuiltinTasks:
     def test_bad_kind_rejected(self):
         with pytest.raises(ValueError, match="kind"):
             TaskSpec("x", "regression", ("a",), "accuracy")
+
+    def test_no_labels_rejected(self):
+        with pytest.raises(ValueError, match="^task needs at least one label$"):
+            TaskSpec("x", "pair", (), "accuracy")
 
     @pytest.mark.parametrize("kind,metric", [
         ("ner", "accuracy"), ("ner", "micro_f1"), ("multilabel", "accuracy"),

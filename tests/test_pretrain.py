@@ -355,6 +355,19 @@ class TestAccumulateAndStep:
         with pytest.raises(ValueError, match=r"^no micro-batches to accumulate$"):
             accumulate_and_step(never_called, params, init_optimizer(params), [], 0.01)
 
+    def test_micro_batch_of_no_loss_terms_refused(self):
+        # else the step would divide by a total of 0 terms
+        config, params = self.setup_model()
+        mb = self.micro(config, [[5, 6, 7, 8]])
+        fn = self.loss_grad_fn(config)
+
+        def no_terms(p, mb):
+            loss, grads, _ = fn(p, mb)
+            return loss, grads, 0
+
+        with pytest.raises(ValueError, match=r"^micro-batch contributed no loss terms$"):
+            accumulate_and_step(no_terms, params, init_optimizer(params), [mb], 0.01)
+
     def test_three_micro_batches_are_adam_on_the_weighted_mean_bit_for_bit(self):
         config, params = self.setup_model()
         # 2, 4 and 3 loss terms, so the weights differ
@@ -638,6 +651,14 @@ class TestRunPretraining:
             run_pretraining(
                 corpus[:1], vocab, config, PhasePlan(phases=((16, 1),)),
                 MaskingPolicy(), AccumulationConfig(8, 1, 8), AdamConfig(lr=1e-3), seed=0,
+            )
+
+    def test_corpus_of_no_words_rejected(self):
+        _, vocab, config = self.setup_run()
+        with pytest.raises(ValueError, match="^corpus has no encodable content$"):
+            run_pretraining(
+                ["", "  \t"], vocab, config, PhasePlan(phases=((16, 1),)),
+                MaskingPolicy(), AccumulationConfig(2, 1, 2), AdamConfig(lr=1e-3), seed=0,
             )
 
     def test_loss_log_file_format(self, tmp_path):

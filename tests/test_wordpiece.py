@@ -565,6 +565,12 @@ class TestLengthReference:
         with pytest.raises(ValueError, match="half-baseline"):
             load_length_reference(path)
 
+    def test_verify_rejects_two_baselines_for_one_dataset(self):
+        rows = load_length_reference()
+        base = next(r for r in rows if r.pct_mean is None)
+        with pytest.raises(ValueError, match=f"^dataset '{base.dataset}' has two baseline rows$"):
+            verify_length_reference(rows + [base])
+
     def test_verify_rejects_missing_baseline(self):
         rows = [r for r in load_length_reference() if r.pct_mean is not None]
         with pytest.raises(ValueError, match="baseline"):
@@ -591,6 +597,11 @@ class TestVocabIO:
         path.write_text("\n".join(tokens) + "\n", encoding="utf-8")
         with pytest.raises(ValueError, match=f"v.txt:{line}: .*{message}"):
             read_vocab(path)
+
+    def test_trailing_blank_lines_are_ignored(self, tmp_path):
+        path = tmp_path / "v.txt"
+        path.write_text("\n".join(SPECIALS) + "\na\nb\n\n\n", encoding="utf-8")
+        assert read_vocab(path).tokens == list(SPECIALS) + ["a", "b"]
 
     def test_good_file_is_checked_once(self, tmp_path, monkeypatch):
         path = tmp_path / "v.txt"
