@@ -187,9 +187,7 @@ def _cmd_split(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    texts = [l for l in _read_lines(args.input) if l.strip()]
-    if not texts:
-        raise ValueError(f"{args.input}: no non-blank line to summarize")
+    texts = [l for l in _read_words(args.input, "input") if l.strip()]
     stats = corpus.dataset_stats(texts)
     print("dataset\tn\tmin\tmax\tmedian\tmean")
     print(corpus.format_stats_row(args.name, stats))

@@ -27,41 +27,46 @@ BETA1, BETA2, EPSILON = 0.9, 0.999, 1e-8  # Adam's moment decay rates and epsilo
 ADAM_BLOCK = 32768  # entries adam_step updates at a time: 256 KiB of float64
 
 
-def apply_masking(policy: MaskingPolicy, token_ids: np.ndarray, maskable: np.ndarray,
-                  vocab_size: int, rng: np.random.Generator
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Corrupt one id sequence for masked-token prediction.
+def apply_masking(policy: MaskingPolicy, batch: Batch, vocab_size: int,
+                  rng: np.random.Generator) -> tuple[Batch, np.ndarray, np.ndarray]:
+    """Corrupt a micro-batch for masked-token prediction, in one draw.
 
-    Each maskable position is independently selected with probability
-    mask_prob. Selected positions become [MASK] with probability MASK_SHARE,
-    a uniformly random non-special id with probability RANDOM_SHARE, and stay
-    unchanged otherwise (80/10/10); the original id is always the prediction
-    target. Positions with maskable 0 (specials, padding) are never touched.
+    Every real position but [CLS] and [SEP] is maskable, [UNK] included, and
+    rng.random(batch.shape) selects each with probability mask_prob. The
+    selected slots, row-major, become [MASK] (MASK_SHARE), a random
+    non-special id (RANDOM_SHARE) or keep their id (80/10/10), from one
+    rng.random and one rng.integers over them; the original id is always the
+    target, and no [PAD] or [SEP] is written. A draw that selects nothing
+    yields one target, the first maskable position, set to [MASK] with no
+    further draw; a batch with no maskable position is refused.
 
-    Returns (corrupted ids, selected positions, original ids at those
-    positions). Zero selections yield empty arrays; the caller decides how
-    to proceed.
+    Returns (corrupted Batch, [n, 2] (row, position) targets strictly
+    ascending row-major, original ids there): mlm_forward_loss's batch,
+    positions and targets.
     """
-    token_ids = np.asarray(token_ids, dtype=np.int64)
-    maskable = np.asarray(maskable, dtype=bool)
-    if token_ids.shape != maskable.shape or token_ids.ndim != 1:
-        raise ValueError("token_ids and maskable must be equal-length 1-D arrays")
     n_specials = len(wordpiece.SPECIALS)  # random replacement never draws one
     if vocab_size <= n_specials:
         raise ValueError(f"vocab_size must exceed {n_specials}")
+    ids = batch.token_ids
+    maskable = (batch.attention_mask == 1) & (ids != CLS_ID) & (ids != SEP_ID)
+    if not maskable.any():
+        raise ValueError("batch has no maskable position: every real one is [CLS] or [SEP]")
 
-    corrupted = token_ids.copy()
-    selected = maskable & (rng.random(len(token_ids)) < policy.mask_prob)
-    positions = np.nonzero(selected)[0]
-    targets = token_ids[positions]
-    action = rng.random(len(positions))
-    random_ids = rng.integers(n_specials, vocab_size, size=len(positions))
-    # the remaining selections keep their original id, still predicted
-    corrupted[positions] = np.where(
-        action < MASK_SHARE, MASK_ID,
-        np.where(action < MASK_SHARE + RANDOM_SHARE,
-                 random_ids, targets))
-    return corrupted, positions, targets
+    selected = maskable & (rng.random(ids.shape) < policy.mask_prob)
+    if selected.any():
+        positions, targets = np.argwhere(selected), ids[selected]
+        action = rng.random(len(targets))
+        random_ids = rng.integers(n_specials, vocab_size, size=len(targets))
+        values = np.where(action < MASK_SHARE, MASK_ID,
+                          np.where(action < MASK_SHARE + RANDOM_SHARE, random_ids, targets))
+    else:
+        # at 15% a micro-batch of two 8-position rows, 12 maskable slots,
+        # selects nothing 0.85**12, about 14%, of the time
+        positions = np.argwhere(maskable)[:1]
+        targets, values = ids[tuple(positions.T)], MASK_ID
+    corrupted = ids.copy()
+    corrupted[tuple(positions.T)] = values
+    return Batch(corrupted), positions, targets
 
 
 @dataclass
@@ -211,28 +216,6 @@ def pack_sequences(id_seqs: Sequence[Sequence[int]], max_seq_len: int) -> list[l
     return [ids[start:start + room] for start in range(0, len(ids), room)]
 
 
-def _build_micro_batch(rows, policy, vocab_size, rng):
-    batch = stack_rows(rows)
-    ids = batch.token_ids
-    corrupted = ids.copy()
-    positions, targets = [], []
-    # [UNK] stays maskable; corruption writes no [PAD] or [SEP], so keeps the layout
-    maskable = (batch.attention_mask == 1) & (ids != CLS_ID) & (ids != SEP_ID)
-    for b in range(len(rows)):
-        row, pos, tgt = apply_masking(policy, ids[b], maskable[b], vocab_size, rng)
-        corrupted[b] = row
-        positions.extend((b, p) for p in pos)
-        targets.extend(tgt)
-    if not positions:
-        # vanishingly rare at 15%; force one target so the step is defined
-        b = 0
-        p = int(np.nonzero(maskable[b])[0][0])
-        positions.append((b, p))
-        targets.append(int(ids[b, p]))
-        corrupted[b, p] = MASK_ID
-    return Batch(corrupted), np.array(positions, dtype=np.int64), np.array(targets, dtype=np.int64)
-
-
 def run_pretraining(corpus: Sequence[str], vocab: Vocabulary, config: EncoderConfig,
                     plan: PhasePlan, policy: MaskingPolicy, accum: AccumulationConfig,
                     adam: AdamConfig, seed: int, schedule: str = "constant",
@@ -293,8 +276,7 @@ def run_pretraining(corpus: Sequence[str], vocab: Vocabulary, config: EncoderCon
                 take, order = order[:accum.micro_batch_size], order[accum.micro_batch_size:]
                 rows = [frame(chunks[i], None, max_seq_len) for i in take]  # only rows a step takes
                 micro_batches.append(
-                    _build_micro_batch(rows, policy, config.vocab_size, rng)
-                )
+                    apply_masking(policy, stack_rows(rows), config.vocab_size, rng))
             params, state, loss = accumulate_and_step(
                 loss_grad_fn, params, state, micro_batches, lr_of(global_step)
             )

@@ -712,7 +712,7 @@ class TestMalformedInputs:
          ["top-labels", "--input", "{file}", "--k", "0", "--output", "{out}"],
          "--k must be >= 1, got 0"),
         ("stats-of-blank-lines", "blank.txt", "\n  \n\n", ["stats", "--input", "{file}"],
-         "{file}: no non-blank line to summarize"),
+         "{file}: input contains no words"),
         ("split-of-no-note-record", "notes.jsonl", "\n  \n", _split("8:1:1"),
          "{file}: no note record"),
         ("filter-discharge-of-no-note-record", "notes.jsonl", "",

@@ -31,7 +31,8 @@ from clinlm.pretrain import (
     run_pretraining,
     write_loss_log,
 )
-from clinlm.wordpiece import MASK_ID, SPECIALS, train_wordpiece
+from clinlm.wordpiece import (CLS_ID, MASK_ID, PAD_ID, SEP_ID, SPECIALS, UNK_ID,
+                              train_wordpiece)
 
 
 class TestMaskingPolicy:
@@ -47,85 +48,127 @@ class TestMaskingPolicy:
 
     def test_zero_probability_refused(self):
         # at 0 no slot is ever selected, so each micro-batch would train only
-        # on the one target _build_micro_batch forces at row 0
+        # on the one target apply_masking forces at its first maskable position
         with pytest.raises(ValueError, match=r"^mask_prob must be in \(0, 1\], got 0.0$"):
             MaskingPolicy(mask_prob=0.0)
 
 
+def assert_row_major(positions, width):
+    """(row, position) pairs strictly ascending in row-major order, as forward's reads."""
+    assert positions.ndim == 2 and positions.shape[1] == 2
+    assert np.all(np.diff(positions[:, 0] * width + positions[:, 1]) > 0)
+
+
 class TestApplyMasking:
-    IDS = np.array([2, 5, 6, 7, 8, 9, 3, 0], dtype=np.int64)
-    MASKABLE = np.array([0, 1, 1, 1, 1, 1, 0, 0], dtype=bool)
+    # two framed rows, the second shorter and padded; [UNK] (1) is maskable
+    IDS = np.array([[CLS_ID, 5, 6, 7, 8, 9, SEP_ID, PAD_ID],
+                    [CLS_ID, UNK_ID, 10, 11, SEP_ID, PAD_ID, PAD_ID, PAD_ID]], dtype=np.int64)
+    MASKABLE = np.array([[0, 1, 1, 1, 1, 1, 0, 0],
+                         [0, 1, 1, 1, 0, 0, 0, 0]], dtype=bool)
 
     def test_specials_never_selected(self):
         policy = MaskingPolicy(mask_prob=1.0)
         for seed in range(20):
             corrupted, positions, _ = apply_masking(
-                policy, self.IDS, self.MASKABLE, 20, np.random.default_rng(seed))
-            assert set(positions) <= set(np.nonzero(self.MASKABLE)[0])
-            assert corrupted[0] == 2 and corrupted[6] == 3 and corrupted[7] == 0
+                policy, Batch(self.IDS), 20, np.random.default_rng(seed))
+            assert np.array_equal(positions, np.argwhere(self.MASKABLE))
+            assert_row_major(positions, self.IDS.shape[1])
+            assert np.array_equal(corrupted.token_ids[~self.MASKABLE], self.IDS[~self.MASKABLE])
+            assert np.array_equal(corrupted.attention_mask, Batch(self.IDS).attention_mask)
+            assert np.array_equal(corrupted.segment_ids, Batch(self.IDS).segment_ids)
 
     def test_targets_record_originals(self):
         policy = MaskingPolicy(mask_prob=1.0)
         _, positions, targets = apply_masking(
-            policy, self.IDS, self.MASKABLE, 20, np.random.default_rng(1))
-        assert np.array_equal(targets, self.IDS[positions])
+            policy, Batch(self.IDS), 20, np.random.default_rng(1))
+        assert np.array_equal(targets, self.IDS[tuple(positions.T)])
 
     def test_corrupted_values_stay_in_domain(self):
         policy = MaskingPolicy()
         for seed in range(30):
             corrupted, positions, targets = apply_masking(
-                policy, self.IDS, self.MASKABLE, 20, np.random.default_rng(seed))
-            for pos, original in zip(positions, targets):
-                value = corrupted[pos]
+                policy, Batch(self.IDS), 20, np.random.default_rng(seed))
+            for (row, pos), original in zip(positions, targets):
+                value = corrupted.token_ids[row, pos]
                 assert value == MASK_ID or value == original or 5 <= value < 20
 
     def test_reproducible_given_seed(self):
         policy = MaskingPolicy()
-        runs = [apply_masking(policy, self.IDS, self.MASKABLE, 20,
-                              np.random.default_rng(42)) for _ in range(2)]
-        for a, b in zip(*runs):
-            assert np.array_equal(a, b)
+        runs = [apply_masking(policy, Batch(self.IDS), 20, np.random.default_rng(42))
+                for _ in range(2)]
+        (a, *a_rest), (b, *b_rest) = runs
+        assert np.array_equal(a.token_ids, b.token_ids)
+        for x, y in zip(a_rest, b_rest):
+            assert np.array_equal(x, y)
 
     def test_selection_rate_concentrates(self):
         policy = MaskingPolicy()
-        ids = np.full(10000, 7, dtype=np.int64)
-        maskable = np.ones(10000, dtype=bool)
-        _, positions, _ = apply_masking(policy, ids, maskable, 50,
-                                        np.random.default_rng(123))
+        batch = Batch(np.full((100, 100), 7, dtype=np.int64))
+        _, positions, _ = apply_masking(policy, batch, 50, np.random.default_rng(123))
         fraction = len(positions) / 10000
         assert 0.14 <= fraction <= 0.16
 
     def test_matches_the_per_position_loop(self):
-        """The corruption equals a per-position loop over the same draws."""
+        """The corruption equals a per-position loop over the one draw's
+        stream: random((rows, width)), then random(n) and integers(n) over
+        the selected slots in row-major order."""
         policy = MaskingPolicy(mask_prob=0.5)
-        ids = np.arange(5, 405, dtype=np.int64)
-        maskable = np.arange(400) % 7 != 0
+        ids = np.arange(5, 405, dtype=np.int64).reshape(4, 100)
+        special = np.arange(400).reshape(4, 100) % 7 == 0
+        ids[special] = np.resize([CLS_ID, SEP_ID, PAD_ID], special.sum())
         for seed in range(10):
             corrupted, positions, targets = apply_masking(
-                policy, ids, maskable, 500, np.random.default_rng(seed))
+                policy, Batch(ids), 500, np.random.default_rng(seed))
             rng = np.random.default_rng(seed)
-            expected_positions = np.nonzero(maskable & (rng.random(400) < 0.5))[0]
+            draw = rng.random((4, 100))
+            expected_positions = [(r, p) for r in range(4) for p in range(100)
+                                  if ids[r, p] not in (CLS_ID, SEP_ID, PAD_ID)
+                                  and draw[r, p] < 0.5]
             action = rng.random(len(expected_positions))
             random_ids = rng.integers(len(SPECIALS), 500, size=len(expected_positions))
             expected = ids.copy()
-            for idx, pos in enumerate(expected_positions):
+            for idx, (r, p) in enumerate(expected_positions):
                 if action[idx] < MASK_SHARE:
-                    expected[pos] = MASK_ID
+                    expected[r, p] = MASK_ID
                 elif action[idx] < MASK_SHARE + RANDOM_SHARE:
-                    expected[pos] = random_ids[idx]
-            assert np.array_equal(positions, expected_positions)
-            assert np.array_equal(targets, ids[expected_positions])
-            assert np.array_equal(corrupted, expected)
+                    expected[r, p] = random_ids[idx]
+            assert positions.tolist() == [list(rp) for rp in expected_positions]
+            assert_row_major(positions, 100)
+            assert targets.tolist() == [ids[r, p] for r, p in expected_positions]
+            assert np.array_equal(corrupted.token_ids, expected)
 
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            apply_masking(MaskingPolicy(), self.IDS, self.MASKABLE[:3], 20,
-                          np.random.default_rng(0))
+    def test_a_draw_selecting_nothing_masks_the_first_maskable_position(self):
+        """The one-target rule: the first maskable position in row-major
+        order becomes [MASK] with its original id as target, and no draw
+        follows the selection."""
+        policy = MaskingPolicy(mask_prob=1e-12)
+        row_0_unmaskable = np.array([[CLS_ID, SEP_ID, PAD_ID, PAD_ID],
+                                     [CLS_ID, 8, 9, SEP_ID]], dtype=np.int64)
+        for ids, first in ((self.IDS, (0, 1)), (self.IDS[::-1], (0, 1)),
+                           (row_0_unmaskable, (1, 1))):
+            for seed in range(5):
+                rng = np.random.default_rng(seed)
+                corrupted, positions, targets = apply_masking(policy, Batch(ids), 20, rng)
+                assert positions.tolist() == [list(first)]
+                assert targets.tolist() == [ids[first]]
+                expected = ids.copy()
+                expected[first] = MASK_ID
+                assert np.array_equal(corrupted.token_ids, expected)
+                selection_only = np.random.default_rng(seed)
+                selection_only.random(ids.shape)
+                assert rng.bit_generator.state == selection_only.bit_generator.state
+
+    def test_batch_without_maskable_position_refused(self):
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        ids = np.array([[CLS_ID, SEP_ID, PAD_ID], [CLS_ID, SEP_ID, SEP_ID]], dtype=np.int64)
+        with pytest.raises(ValueError, match="no maskable position"):
+            apply_masking(MaskingPolicy(mask_prob=1.0), Batch(ids), 20, rng)
+        assert rng.bit_generator.state == before
 
     def test_vocab_must_exceed_specials(self):
         with pytest.raises(ValueError):
-            apply_masking(MaskingPolicy(), self.IDS, self.MASKABLE, 5,
-                          np.random.default_rng(0))
+            apply_masking(MaskingPolicy(), Batch(self.IDS), 5, np.random.default_rng(0))
 
 
 def store(**arrays):
