@@ -79,6 +79,11 @@ def _read_lines(path) -> list[str]:
     return [line for _, line in corpus.numbered_lines(path)]
 
 
+def _parsed_lines(parse):
+    """A reader of a file's lines, each through parse, a refusal as PATH:LINE: message."""
+    return lambda path: corpus.parse_numbered(path, corpus.numbered_lines(path), parse)
+
+
 def _read_words(path, what: str) -> list[str]:
     """The lines of a text file, refused as PATH: {what} contains no words."""
     lines = _read_lines(path)
@@ -179,9 +184,8 @@ def _cmd_filter_discharge(args) -> int:
 
 def _cmd_split(args) -> int:
     notes = corpus.read_notes(args.notes)
-    assignment = corpus.split_by_patient(
-        (n.patient_id for n in notes), _parse_ratios(args.ratios), args.seed
-    )
+    assignment = corpus.split_by_patient((n.patient_id for n in notes),
+                                         _parse_ratios(args.ratios), args.seed)
     corpus.write_split_manifest(args.output, assignment)
     return 0
 
@@ -195,9 +199,8 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_top_labels(args) -> int:
-    sets = corpus.parse_numbered(args.input, corpus.numbered_lines(args.input),  # [NOTE<TAB>]CODES
-                                 lambda line: metrics.label_set(line.split("\t", 1)[-1]))
-    occurrences = [code for codes in sets for code in sorted(codes)]
+    read = _parsed_lines(lambda l: metrics.label_set(l.split("\t", 1)[-1]))  # [NOTE<TAB>]CODES
+    occurrences = [code for codes in read(args.input) for code in sorted(codes)]
     corpus.write_lines(args.output, corpus.select_top_k_labels(occurrences, args.k))
     return 0
 
@@ -266,12 +269,13 @@ def _cmd_evaluate(args) -> int:
         return 0
     if not args.gold or not args.pred:
         raise ValueError("evaluate needs --gold and --pred (or --aggregate)")
-    if args.metric == "accuracy":
-        print(f"accuracy {metrics.accuracy(*_scored_files(args, _read_lines, 'lines')):.4f}")
+    if args.metric == "accuracy":  # one label a line
+        gold, pred = _scored_files(args, _parsed_lines(metrics.label), "lines")
+        print(f"accuracy {metrics.accuracy(gold, pred):.4f}")
         return 0
-    if args.metric == "micro-f1":
-        p, r, f1 = metrics.micro_f1(*_scored_files(args, lambda path: corpus.parse_numbered(
-            path, corpus.numbered_lines(path), metrics.label_set), "lines"))
+    if args.metric == "micro-f1":  # one label set a line
+        gold, pred = _scored_files(args, _parsed_lines(metrics.label_set), "lines")
+        p, r, f1 = metrics.micro_f1(gold, pred)
     else:
         gold, pred = _scored_files(args, lambda path: [
             *corpus.numbered_ner_sentences(path, metrics.bio_tag)], "sentences")
@@ -294,8 +298,7 @@ def _cmd_probe(args) -> int:
         for category in probe.CATEGORIES:
             print(f"{category}\t{counts[category]}")
         return 0
-    predictions = corpus.parse_numbered(args.predictions, corpus.numbered_lines(args.predictions),
-                                        probe.check_label)
+    predictions = _parsed_lines(probe.check_label)(args.predictions)
     if len(predictions) != len(suite):
         raise ValueError(f"{args.predictions}: {len(predictions)} predictions for "
                          f"{len(suite)} instances")

@@ -24,7 +24,7 @@ from itertools import groupby
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, get_args, get_origin
 
-from .settings import SettingError, check_setting
+from .settings import SettingError, check_seeds, check_setting
 
 SUBSET_NAMES = ("train", "dev", "test")
 _NOTE_FIELDS = ("note_id", "patient_id", "encounter_id", "note_type", "provider_type", "text")
@@ -188,11 +188,8 @@ def filter_discharge_summaries(notes: Sequence[NoteRecord]) -> list[NoteRecord]:
     return list(best.values())
 
 
-def split_by_patient(
-    patient_ids: Iterable[str],
-    ratios: tuple[float, float, float],
-    seed: int,
-) -> dict[str, str]:
+def split_by_patient(patient_ids: Iterable[str], ratios: tuple[float, float, float],
+                     seed: int) -> dict[str, str]:
     """Assign each distinct patient id to train/dev/test.
 
     Duplicate ids collapse to a single assignment, so the result is a
@@ -201,6 +198,7 @@ def split_by_patient(
     floor arithmetic; leftover patients go to train. The assignment depends
     only on the id set, the ratios, and the seed.
     """
+    check_seeds("seed", seed)
     total = sum(ratios)
     if len(ratios) != 3 or any(r < 0 for r in ratios) or not 0 < total < math.inf:
         raise SettingError("ratios", f"must be three non-negative numbers with a finite, "

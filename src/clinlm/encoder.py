@@ -23,9 +23,10 @@ strictly ascending in row-major order, so no pair repeats. _forward alone
 checks that. Given reads, the top layer still computes keys and values at
 every position, but its queries run at the read rows only, held in a
 [rows, most reads in one row] grid, and so do its attention scores,
-attention projection, feed-forward sublayer and both layer norms; the
-backward pass writes their gradients back into every position. The losses
-and prediction pass reads; forward without them is the full pass.
+attention projection, feed-forward sublayer, both layer norms and their
+dropout masks; the backward pass writes their gradients back into every
+position. The losses and prediction pass reads; forward without them is the
+full pass.
 
 Only the losses keep each layer's activations, for _backward, which frees
 each layer's once its backward has run. The feed-forward sublayer keeps its
@@ -36,8 +37,9 @@ grow with depth. The layer math is the same either way.
 
 Train mode means an rng was passed: forward and the losses then drop out
 (config.dropout) the embeddings, then in each layer the attention weights,
-attention projection and feed-forward output, drawing masks from the rng in
-that order. Without an rng they run in eval mode, with no dropout.
+attention projection and feed-forward output, in that order, drawing one
+uniform from the rng per entry computed. Without an rng they run in eval
+mode, with no dropout.
 
 Parameters live in a ParamStore: a name -> array mapping whose arrays are
 views of one contiguous float64 vector, laid out in param_shapes order with
@@ -287,19 +289,15 @@ def _linear_backward(params, grads, name, x, dy):
     return (dy2 @ params[name + "_w"].T).reshape(x.shape)
 
 
-def _drop(x, rate, rng, cache, key, shape=None, pick=None):
-    """Inverted dropout: zero each entry of x with probability rate and scale
-    the rest by 1 / (1 - rate), so eval needs no correction; the scaled mask
-    is kept as cache[key] for the backward pass. Without an rng (eval mode)
-    or at rate 0 it returns x and draws nothing. When x is the part
-    pick(full) of an array full of the given shape, the mask is drawn at that
-    full shape and pick keeps x's part of it, so the rng advances exactly as
-    it would for the full array."""
+def _drop(x, rate, rng, cache, key):
+    """Inverted dropout, one uniform drawn per entry of x: zero each entry with
+    probability rate and scale the rest by 1 / (1 - rate), the scaled mask
+    kept as cache[key] for backward. Without an rng (eval mode) or at rate 0
+    it returns x and draws nothing."""
     if rng is None or rate == 0.0:
         return x
     keep = 1.0 - rate
-    mask = rng.random(x.shape if pick is None else shape) < keep
-    mask = (mask if pick is None else pick(mask)).astype(np.float64)
+    mask = (rng.random(x.shape) < keep).astype(np.float64)
     mask /= keep
     cache[key] = mask
     return x * mask
@@ -315,15 +313,13 @@ def _join_heads(x):
     return x.transpose(0, 2, 1, 3).reshape(b, t, nh * dh)
 
 
-def _attention(qh, kh, vh, bias, rate, rng, lc, pick=None):
+def _attention(qh, kh, vh, bias, rate, rng, lc):
     """Context [b, heads, queries, head_dim] of the queries qh over the keys
     kh and values vh, all [b, heads, n, head_dim]: the attention weights
     softmax(qh kh^T / sqrt(head_dim) + bias), dropped out, times vh. The
     weights are computed in place in one scores buffer. bias [b, 1, 1, keys]
     is _NEG_INF at padded keys and 0 elsewhere, or None when no key is
-    padded. The dropout mask is drawn at the full [b, heads, keys, keys]
-    shape, and pick, if given, keeps the rows of the queries (see _drop).
-    What _attention_backward needs is kept in lc."""
+    padded. What _attention_backward needs is kept in lc."""
     s = qh @ kh.swapaxes(-1, -2)
     s *= 1.0 / math.sqrt(qh.shape[-1])
     if bias is not None:
@@ -331,8 +327,7 @@ def _attention(qh, kh, vh, bias, rate, rng, lc, pick=None):
     s -= s.max(axis=-1, keepdims=True)
     np.exp(s, out=s)
     s /= s.sum(axis=-1, keepdims=True)
-    b, nh, _, t = s.shape
-    used = _drop(s, rate, rng, lc, "attn_drop", (b, nh, t, t), pick)
+    used = _drop(s, rate, rng, lc, "attn_drop")
     lc.update(qh=qh, kh=kh, vh=vh, attn=s, attn_used=used)
     return used @ vh
 
@@ -356,16 +351,13 @@ def _attention_backward(d_ctx, lc):
 
 
 def _slots(reads, b):
-    """Where the queries of reads, ascending (row, position) pairs in a batch
-    of b rows, sit in a [b, m] grid, m being the most reads in one row: each
-    row's reads fill its first slots in order. Returns each read's (row,
-    slot) and the grid's positions, 0 at a slot no read fills."""
+    """The (row, slot) of each of reads, ascending (row, position) pairs in a
+    batch of b rows, in a [b, m] query grid, and m, the most reads in one
+    row: each row's reads fill its first slots in order."""
     row = reads[:, 0]
     counts = np.bincount(row, minlength=b)
     slot = np.arange(len(reads)) - (np.cumsum(counts) - counts)[row]
-    positions = np.zeros((b, counts.max()), dtype=np.int64)
-    positions[row, slot] = reads[:, 1]
-    return row, slot, positions
+    return row, slot, counts.max()
 
 
 def _forward(params, config, batch, rng, reads=None, keep=False):
@@ -395,33 +387,29 @@ def _forward(params, config, batch, rng, reads=None, keep=False):
     mask = batch.attention_mask[:, None, None, :]
     attn_bias = None if mask.all() else np.where(mask == 1, 0.0, _NEG_INF)
 
-    full = (b, t, hd)  # the shape dropout draws at, read rows or not
     for i in range(config.n_layers):
         p = f"layer{i}."
         lc = {"x_in": x}
         kh, vh = (_split_heads(_linear(params, p + name, x), nh) for name in ("attn_k", "attn_v"))
-        pick = None  # the part of a full-shape dropout mask x keeps
         if reads is None or i < config.n_layers - 1:
             qh = _split_heads(_linear(params, p + "attn_q", x), nh)
             ctx = _join_heads(_attention(qh, kh, vh, attn_bias, rate, rng, lc))
         else:
             # every key and value is needed; the queries and all that follows
             # them run at the read rows only, the queries in a [b, m] grid
-            row, slot, positions = _slots(reads, b)
+            row, slot, m = _slots(reads, b)
             x = lc["q_in"] = x.reshape(-1, hd)[flat]
-            q = np.zeros((b, positions.shape[1], hd))  # a slot no read fills stays zero
+            q = np.zeros((b, m, hd))  # a slot no read fills stays zero
             q[row, slot] = _linear(params, p + "attn_q", x)
-            ctx = _attention(_split_heads(q, nh), kh, vh, attn_bias, rate, rng, lc,
-                             lambda m: np.take_along_axis(m, positions[:, None, :, None], 2))
-            ctx = _join_heads(ctx)[row, slot]
+            ctx = _join_heads(_attention(_split_heads(q, nh), kh, vh, attn_bias, rate, rng, lc))
+            ctx = ctx[row, slot]
             lc.update(reads=flat, row=row, slot=slot)
-            pick = lambda m: m.reshape(-1, hd)[flat]
-        proj = _drop(_linear(params, p + "attn_out", ctx), rate, rng, lc, "proj_drop", full, pick)
+        proj = _drop(_linear(params, p + "attn_out", ctx), rate, rng, lc, "proj_drop")
         proj += x  # the residual sums go into the fresh sublayer outputs
         h1, ln1 = _layer_norm(params, p + "attn_ln", proj)
         a = _linear(params, p + "ff_in", h1)
         g, gate = _gelu(a)
-        f = _drop(_linear(params, p + "ff_out", g), rate, rng, lc, "ff_drop", full, pick)
+        f = _drop(_linear(params, p + "ff_out", g), rate, rng, lc, "ff_drop")
         f += h1
         x, ln2 = _layer_norm(params, p + "ff_ln", f)
         if keep:  # not g: _backward rebuilds it as a * gate, _gelu's multiply
@@ -433,16 +421,16 @@ def _forward(params, config, batch, rng, reads=None, keep=False):
 
 def forward(params, config: EncoderConfig, batch: Batch, rng=None, reads=None) -> np.ndarray:
     """Hidden states [batch, positions, hidden_dim]. Dropout applies only
-    with an rng (train mode), and draws the same masks with or without reads.
+    with an rng (train mode).
 
     With reads, an [n, 2] int array of (row, position) pairs inside the
     batch, strictly ascending in row-major order (so each pair at most once),
-    it returns only the hidden states at those pairs, [n, hidden_dim], equal
-    to the full pass's rows there up to rounding: the last layer's keys and
-    values cover every position, but its queries, attention scores,
-    attention projection, feed-forward and layer norms run at the read rows
-    only. Reads of another shape, outside the batch or out of order are
-    refused.
+    it returns only the hidden states at those pairs, [n, hidden_dim]: the
+    last layer's keys and values cover every position, but its queries,
+    attention scores, attention projection, feed-forward, layer norms and
+    dropout masks run at the read rows only. In eval mode, or reading every
+    position, these equal the full pass's rows up to rounding. Reads of
+    another shape, outside the batch or out of order are refused.
     """
     hidden, _ = _forward(params, config, batch, rng, reads)
     return hidden
@@ -580,9 +568,14 @@ def mlm_forward_loss(params, config, batch, target_positions, target_ids, rng=No
 
 
 def init_head(params, config, head, n_out, seed) -> ParamStore:
-    """Copy of params with a fresh linear head `head` from hidden vectors to
-    n_out scores: weights drawn from N(0, 0.02^2), biases zero."""
+    """Copy of params with a fresh linear head `head`, one of HEADS, from
+    hidden vectors to n_out scores (an mlm head's are the vocabulary's):
+    weights drawn from N(0, 0.02^2), biases zero."""
     check_setting("n_labels", n_out, "int")
+    if head not in HEADS:
+        raise ValueError(f"no head {head!r}: a model holds only {', '.join(HEADS)}")
+    if head == "mlm" and n_out != config.vocab_size:
+        raise ValueError(f"mlm head width {n_out} is not the vocabulary's {config.vocab_size}")
     w, b = head + "_w", head + "_b"  # appended, or kept in place when params has them
     out = params.resized({**dict(params.layout), w: (config.hidden_dim, n_out), b: (n_out,)})
     out[w] = np.random.default_rng(seed).normal(0.0, 0.02, size=(config.hidden_dim, n_out))

@@ -254,7 +254,6 @@ def _forward_chunks(params, config, rows: Sequence, head: str, n_out: int):
     rows take one forward pass, whose top layer runs at those positions
     only. A non-finite score is refused with a ValueError naming the first
     row that has one."""
-    done = 0  # rows yielded so far
     for start in range(0, len(rows), PREDICT_CHUNK):
         chunk = rows[start:start + PREDICT_CHUNK]
         batch, reads = _stacked(chunk)
@@ -263,9 +262,7 @@ def _forward_chunks(params, config, rows: Sequence, head: str, n_out: int):
         per_row = np.split(scores, np.searchsorted(reads[:, 0], np.arange(1, len(chunk))))
         if not np.isfinite(scores).all():
             bad = next(i for i, s in enumerate(per_row) if not np.isfinite(s).all())
-            raise ValueError(f"row {done + bad}: the model's {head} scores hold a NaN "
-                             f"or infinity")
-        done += len(per_row)
+            raise ValueError(f"row {start + bad}: the model's {head} scores hold a NaN or infinity")
         yield from per_row
 
 
@@ -337,10 +334,6 @@ def finetune_task(config: EncoderConfig, params: ParamStore, task: TaskSpec,
     a seed reproduces its run exactly; one call's seeds must be distinct. A
     dev set with nothing to score is refused, as check_dev_rows refuses it.
     """
-    if not seeds:
-        raise ValueError("need at least one seed")
-    if len(set(seeds)) < len(seeds):
-        raise SettingError("seeds", f"must be distinct, got {list(seeds)}")
     check_seeds("seeds", list(seeds))
     if not train_rows or not dev_rows:
         raise ValueError("train and dev sets must be non-empty")

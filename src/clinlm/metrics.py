@@ -37,10 +37,17 @@ def bio_tag(tag: str) -> str:
 def label_set(text: str) -> set[str]:
     """The |-separated labels of text, each stripped: the one rule of a label
     set. A blank text is the empty set; an empty label is refused."""
-    labels = {label.strip() for label in text.split("|")} if text.strip() else set()
+    labels = {part.strip() for part in text.split("|")} if text.strip() else set()
     if "" in labels:
         raise ValueError(f"empty label in {text!r}")
     return labels
+
+
+def label(text: str) -> str:
+    """text as one label, stripped as in label_set; a blank one is refused."""
+    if not text.strip():
+        raise ValueError("empty label")
+    return text.strip()
 
 
 def bio_decode(tags: Sequence[str]) -> list[Span]:

@@ -68,9 +68,14 @@ def check_fields(settings) -> None:
 
 
 def check_seeds(name: str, seeds) -> None:
-    """Refuse a seed, or a list of seeds, holding one below 0, the rule of every seed."""
-    if min(seeds if isinstance(seeds, list) else [seeds]) < 0:
-        raise SettingError(name, f"must be non-negative, got {seeds}")
+    """The rule of every seed: an int >= 0, or a non-empty list of them, none twice."""
+    many = isinstance(seeds, list)
+    if many and not seeds:
+        raise SettingError(name, "must hold at least one seed, got []")
+    for seed in seeds if many else [seeds]:
+        check_setting(name, seed, "int", least=0)
+    if many and len(set(seeds)) < len(seeds):
+        raise SettingError(name, f"must be distinct, got {seeds}")
 
 
 def check_lr(lr) -> None:

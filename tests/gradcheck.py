@@ -2,10 +2,13 @@
 
 The audits difference forward-only reference losses: the public forward
 plus the head weights, with cross-entropy and binary cross-entropy written
-out. Each reference takes the losses' (row, position) pairs but indexes the
-full pass, forward without reads, so the audit does not lean on the read
-path it checks. Each costs one forward pass per evaluation, where the
-library loss would also run the backward pass and throw its gradients away.
+out. Each reference takes the losses' (row, position) pairs. In eval mode it
+indexes the full pass, forward without reads, so the audit does not lean on
+the read path it checks. In train mode it reads through forward(...,
+reads=...), as the loss does: dropout draws one mask entry per entry a pass
+computes, so only a pass that reads the same rows draws the same top-layer
+masks. Each costs one forward pass per evaluation, where the library loss
+would also run the backward pass and throw its gradients away.
 """
 
 import numpy as np
@@ -50,9 +53,12 @@ def max_rel_error(loss_fn, params, grads, step=STEP):
 
 
 def _head_scores(params, config, batch, rng, head, positions):
-    rows, cols = np.asarray(positions, dtype=np.int64).reshape(-1, 2).T
-    hidden = forward(params, config, batch, rng)
-    return hidden[rows, cols] @ params[head + "_w"] + params[head + "_b"]
+    reads = np.asarray(positions, dtype=np.int64).reshape(-1, 2)
+    if rng is None:
+        hidden = forward(params, config, batch)[tuple(reads.T)]
+    else:
+        hidden = forward(params, config, batch, rng, reads=reads)
+    return hidden @ params[head + "_w"] + params[head + "_b"]
 
 
 def _cross_entropy(logits, targets):

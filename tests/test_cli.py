@@ -639,7 +639,7 @@ class TestMalformedInputs:
         ("repeated-seed", "nli.jsonl", _jsonl(_NLI_ROW), _finetune("mednli", "--seeds", "1,1"),
          "--seeds must be distinct, got [1, 1]"),
         ("negative-seed", "nli.jsonl", _jsonl(_NLI_ROW), _finetune("mednli", "--seeds", "1,-1"),
-         "--seeds must be non-negative, got [1, -1]"),
+         "--seeds must be >= 0, got -1"),
         ("seed-not-an-int", "nli.jsonl", _jsonl(_NLI_ROW), _finetune("mednli", "--seeds", "1,x"),
          "--seeds must be a count >= 1 or a comma list of ints, got '1,x'"),
         ("negative-seed-count", "nli.jsonl", _jsonl(_NLI_ROW),
@@ -680,7 +680,10 @@ class TestMalformedInputs:
         ("negative-pretrain-seed", "corpus.txt", "no pain today\nsevere fever\n",
          ["pretrain", "--corpus", "{file}", "--vocab", "{vocab}", "--plan", "8:1",
           "--micro-batch", "1", "--accum", "1", "--seed", "-1", "--out", "{out}"],
-         "--seed must be non-negative, got -1"),
+         "--seed must be >= 0, got -1"),
+        ("negative-split-seed", "notes.jsonl", _jsonl(_NOTE_ROW),
+         ["split", "--notes", "{file}", "--seed", "-1", "--output", "{out}"],
+         "--seed must be >= 0, got -1"),
         ("whitespace-ner-word", "tags.tsv", "no\tO\n \tO\n", _finetune("ner-2010"),
          "{file}:2: expected word<TAB>tag, got ' \\tO'"),
         # a tagging file's errors come in file order: a bad tag before a bad line
@@ -781,6 +784,10 @@ class TestMalformedInputs:
         ("micro-f1-of-empty-files", "labels.txt", "",
          ["evaluate", "--metric", "micro-f1", "--gold", "{file}", "--pred", "{file}"],
          "{file}: no lines to score"),
+        # a blank line is no label, so it cannot match the blank line facing it
+        ("blank-accuracy-label", "labels.txt", "yes\n\nno\n",
+         ["evaluate", "--metric", "accuracy", "--gold", "{file}", "--pred", "{file}"],
+         "{file}:2: empty label"),
         # the vocabulary file stands in for a longer gold file
         ("pred-file-of-fewer-lines", "pred.txt", "pain\n",
          ["evaluate", "--metric", "accuracy", "--gold", "{vocab}", "--pred", "{file}"],

@@ -505,6 +505,21 @@ class TestHeads:
         with pytest.raises(ValueError):
             init_head(params, config, "head_multi", 0, seed=0)
 
+    @pytest.mark.parametrize("head,n_out,refusal", [
+        ("head_x", 3,
+         "no head 'head_x': a model holds only mlm, head_token, head_pair, head_multi"),
+        ("mlm", 5, "mlm head width 5 is not the vocabulary's 8"),
+    ], ids=["unknown-head", "mlm-of-another-width"])
+    def test_a_head_the_checkpoint_reader_refuses_is_not_built(self, tmp_path, head, n_out,
+                                                               refusal):
+        config = tiny_config()
+        params = init_params(config, 0)
+        with pytest.raises(ValueError, match=f"^{re.escape(refusal)}$"):
+            init_head(params, config, head, n_out, seed=0)
+        # the mlm head of the vocabulary's width is built, and reads back
+        save_checkpoint(tmp_path / "m.ckpt", config, init_head(params, config, "mlm", 8, seed=0))
+        assert load_checkpoint(tmp_path / "m.ckpt")[1].layout == params.layout
+
     def test_label_count_mismatch_rejected(self):
         config = tiny_config()
         params = init_head(init_params(config, 0), config, "head_token", 3, seed=0)
@@ -671,7 +686,9 @@ class TestTrainModeGradients:
 
 class TestReads:
     """forward with reads, ascending (row, position) pairs, returns the full
-    pass's hidden states at those pairs, and draws the same dropout masks."""
+    pass's hidden states at those pairs in eval mode. In train mode its top
+    layer draws masks at the read rows, so only reading every position draws
+    the full pass's masks."""
 
     @staticmethod
     def model():
@@ -688,19 +705,24 @@ class TestReads:
     @pytest.mark.parametrize("reads", [[[0, 0], [1, 0], [2, 0]],
                                        [[1, 1], [1, 3], [1, 5], [2, 1]],
                                        [[0, 1], [0, 4]]],
-                             ids=["one-per-row", "ragged", "repeated"])
-    @pytest.mark.parametrize("seed", [None, 5], ids=["eval", "train"])
-    def test_reads_are_the_full_pass_rows(self, reads, seed):
+                             ids=["eval-one-per-row", "eval-ragged", "eval-repeated"])
+    def test_reads_are_the_full_pass_rows(self, reads):
         config, params, batch = self.model()
         assert batch.shape == (3, 7)
-        rngs = [None if seed is None else np.random.default_rng(seed) for _ in range(2)]
-        full = forward(params, config, batch, rngs[0])
-        read = forward(params, config, batch, rngs[1], reads=np.array(reads))
+        full = forward(params, config, batch)
+        read = forward(params, config, batch, reads=np.array(reads))
         assert read.shape == (len(reads), config.hidden_dim)
         np.testing.assert_allclose(read, full[tuple(np.array(reads).T)], rtol=1e-12, atol=0)
-        if seed is not None:  # the masks were drawn, and the rng left, as in the full pass
-            assert not np.allclose(full, forward(params, config, batch))
-            assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+
+    def test_reading_every_position_is_the_full_pass_in_train_mode(self):
+        # every row fills the query grid, so each mask has the full pass's shape
+        config, params, batch = self.model()
+        rngs = [np.random.default_rng(5) for _ in range(2)]
+        full = forward(params, config, batch, rngs[0])
+        read = forward(params, config, batch, rngs[1], reads=np.argwhere(np.ones(batch.shape)))
+        assert not np.allclose(full, forward(params, config, batch))  # the masks apply
+        assert np.array_equal(read, full.reshape(-1, config.hidden_dim))
+        assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
 
     # 2-d: a 2-d array, but three columns wide; flat: the bare flat indices
     @pytest.mark.parametrize("reads", [[[0, -1]], [[3, 0]], [[0, 0], [2, 7]], [[0, 1, 2]],
@@ -741,6 +763,32 @@ class TestReads:
         full = forward(params, config, batch)
         read = forward(params, config, batch, reads=reads)
         np.testing.assert_allclose(read, full[tuple(reads.T)], rtol=1e-12, atol=0)
+
+
+class CountingRng:
+    """A generator that counts the uniforms dropout draws from it."""
+
+    def __init__(self, seed):
+        self.rng, self.drawn = np.random.default_rng(seed), 0
+
+    def random(self, size):
+        self.drawn += math.prod(size)
+        return self.rng.random(size)
+
+
+def test_a_train_mode_loss_draws_one_uniform_per_entry_it_computes():
+    # 8 rows x 64 positions, hidden 32, 2 heads: the embeddings and layer 0
+    # draw 8*64*32 + (8*2*64*64 + 2 * 8*64*32), the top layer, reading each
+    # [CLS], 8*2*1*64 attention weights and 2 * 8*32 sublayer outputs; masks
+    # drawn at the full shape there would make 212,992
+    config = EncoderConfig(vocab_size=60, hidden_dim=32, n_layers=2, n_heads=2, ff_dim=64,
+                           max_positions=64, dropout=0.1)
+    params = init_head(init_params(config, 1), config, "head_pair", 3, seed=2)
+    batch = Batch(np.random.default_rng(0).integers(5, 60, size=(8, 64)))
+    rng = CountingRng(3)
+    pair_classify_loss(params, config, batch, [[i, 0] for i in range(8)], [0, 1, 2] * 2 + [0, 1],
+                       rng=rng)
+    assert rng.drawn == 116_224
 
 
 class TestForwardOnly:

@@ -1,12 +1,13 @@
 """Task encodings, concept markers, and the per-seed fine-tuning loop."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from clinlm import finetune, pretrain
+from clinlm import corpus, finetune, pretrain
 from clinlm.corpus import numbered_ner_sentences
 from clinlm.encoder import (
     EncoderConfig,
@@ -539,7 +540,7 @@ class TestFinetuneTask:
 
     def test_no_seeds_rejected(self, small_vocab):
         config, params, task, rows = toy_pair_setup(small_vocab)
-        with pytest.raises(ValueError, match="seed"):
+        with pytest.raises(SettingError, match=r"^seeds must hold at least one seed, got \[\]$"):
             finetune_task(config, params, task, rows, rows, [], FinetuneConfig())
 
     def test_repeated_seed_rejected(self, small_vocab):
@@ -549,25 +550,39 @@ class TestFinetuneTask:
 
     def test_both_training_loops_take_the_one_seed_rule(self, small_vocab, monkeypatch):
         # pretraining's seed and fine-tuning's seeds are refused by one rule,
-        # each message kept
+        # and so is the patient split's seed
         config, params, task, rows = toy_pair_setup(small_vocab)
-        corpus, vocab, lm_config = test_pretrain.TestRunPretraining.setup_run()
+        texts, vocab, lm_config = test_pretrain.TestRunPretraining.setup_run()
         seen = []
 
         def spy(name, seeds):
             seen.append((name, seeds))
             check_seeds(name, seeds)
 
-        for module in (pretrain, finetune):
+        for module in (pretrain, finetune, corpus):
             assert module.check_seeds is check_seeds
             monkeypatch.setattr(module, "check_seeds", spy)
-        with pytest.raises(SettingError, match=r"^seed must be non-negative, got -1$"):
-            pretrain.run_pretraining(corpus, vocab, lm_config, PhasePlan(((16, 1),)),
+        with pytest.raises(SettingError, match=r"^seed must be >= 0, got -1$"):
+            pretrain.run_pretraining(texts, vocab, lm_config, PhasePlan(((16, 1),)),
                                      MaskingPolicy(), AccumulationConfig(2, 1, 2), AdamConfig(),
                                      seed=-1)
-        with pytest.raises(SettingError, match=r"^seeds must be non-negative, got \[1, -1\]$"):
+        with pytest.raises(SettingError, match=r"^seeds must be >= 0, got -1$"):
             finetune_task(config, params, task, rows, rows, (1, -1), FinetuneConfig())
-        assert seen == [("seed", -1), ("seeds", [1, -1])]
+        with pytest.raises(SettingError, match=r"^seed must be an int, got 1.5$"):
+            corpus.split_by_patient(["p1"], (8, 1, 1), 1.5)
+        assert seen == [("seed", -1), ("seeds", [1, -1]), ("seed", 1.5)]
+
+    @pytest.mark.parametrize("seeds,refusal", [
+        (True, "seed must be an int, got True"), (1.5, "seed must be an int, got 1.5"),
+        (-1, "seed must be >= 0, got -1"), ([True], "seed must be an int, got True"),
+        ([], "seed must hold at least one seed, got []"),
+        ([0, 2, 0], "seed must be distinct, got [0, 2, 0]"),
+    ], ids=["bool", "float", "negative", "list-of-a-bool", "empty-list", "repeated"])
+    def test_the_seed_rule(self, seeds, refusal):
+        with pytest.raises(SettingError, match=f"^{re.escape(refusal)}$"):
+            check_seeds("seed", seeds)
+        check_seeds("seed", 0)
+        check_seeds("seed", [3, 0])
 
     def test_multilabel_task_runs(self, small_vocab):
         config = EncoderConfig(vocab_size=len(small_vocab), hidden_dim=8,
