@@ -259,14 +259,18 @@ def _cmd_evaluate(args) -> int:
     if args.aggregate:
         if args.gold or args.pred:
             raise SettingError("aggregate", "takes no --gold or --pred")
+        if args.metric:
+            raise SettingError("aggregate", "takes no --metric: it summarizes its own values")
         try:
             values = [float(v) for v in args.aggregate.split(",")]
         except ValueError:
             raise SettingError("aggregate", f"must be a comma list of numbers, "
                                             f"got {args.aggregate!r}") from None
-        report = metrics.aggregate_seeds(values, args.metric)
+        report = metrics.aggregate_seeds(values)
         print(f"median {report.median:.4f}\tstddev {report.stddev:.4f}\tn {len(values)}")
         return 0
+    if not args.metric:
+        raise SettingError("metric", "is required without --aggregate")
     if not args.gold or not args.pred:
         raise ValueError("evaluate needs --gold and --pred (or --aggregate)")
     if args.metric == "accuracy":  # one label a line
@@ -400,8 +404,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_cmd_finetune, config_keys={a.dest: a for a in settings})
 
     p = sub.add_parser("evaluate", help="score predictions against gold")
-    p.add_argument("--metric", required=True,
-                   choices=("entity-f1", "token-f1", "micro-f1", "accuracy"))
+    p.add_argument("--metric", choices=("entity-f1", "token-f1", "micro-f1", "accuracy"),
+                   help="required, unless --aggregate")
     p.add_argument("--gold")
     p.add_argument("--pred")
     p.add_argument("--aggregate", help="comma list of per-seed values to summarize")

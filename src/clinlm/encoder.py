@@ -11,8 +11,8 @@ A row is its token ids: frame makes it, unpadded, and stack_rows pads a
 batch of rows once with [PAD]; a Batch reads the mask and segments off the
 ids. Every objective, masked-LM and task heads alike, is a linear head read
 at some (row, position) pairs, trained through one routine, _head_loss.
-init_params draws the masked-LM head (mlm) for pretraining; fine-tuning
-drops every head (without_heads) and appends the one it trains.
+init_params draws the encoder alone, and init_head attaches every head:
+pretraining's masked-LM head (mlm) and each task's alike.
 
 The attention core, scores, softmax, dropout and context, is one function
 pair, _attention and _attention_backward, computed in place in one scores
@@ -43,7 +43,7 @@ mode, with no dropout.
 
 Parameters live in a ParamStore: a name -> array mapping whose arrays are
 views of one contiguous float64 vector, laid out in param_shapes order with
-task heads appended. Gradients and the Adam moments share the layout, so an
+its heads appended. Gradients and the Adam moments share the layout, so an
 optimizer step, accumulation, a finiteness check and a checkpoint body are
 each whole-vector operations. A head named h owns the parameters h_w and h_b.
 """
@@ -128,11 +128,10 @@ def stack_rows(rows) -> Batch:
 
 def param_shapes(config: EncoderConfig) -> dict[str, tuple[int, ...]]:
     """Name -> shape of every encoder parameter, in the order init_params
-    draws them. Task heads (init_head) are not included."""
+    draws them. Heads (init_head) are not included."""
     h, f, v = config.hidden_dim, config.ff_dim, config.vocab_size
     shapes = {"tok_emb": (v, h), "pos_emb": (config.max_positions, h),
-              "seg_emb": (N_SEGMENTS, h), "emb_ln_g": (h,), "emb_ln_b": (h,),
-              "mlm_w": (h, v), "mlm_b": (v,)}
+              "seg_emb": (N_SEGMENTS, h), "emb_ln_g": (h,), "emb_ln_b": (h,)}
     layer = {"attn_q_w": (h, h), "attn_q_b": (h,), "attn_k_w": (h, h), "attn_k_b": (h,),
              "attn_v_w": (h, h), "attn_v_b": (h,), "attn_out_w": (h, h), "attn_out_b": (h,),
              "attn_ln_g": (h,), "attn_ln_b": (h,), "ff_in_w": (h, f), "ff_in_b": (f,),
@@ -202,14 +201,9 @@ class ParamStore(Mapping):
             raise ValueError(message.replace("{name}", name))
 
 
-def without_heads(shapes) -> dict[str, tuple[int, ...]]:
-    """shapes (name -> shape, or a store's layout) less every HEADS pair."""
-    return {name: shape for name, shape in dict(shapes).items() if name[:-2] not in HEADS}
-
-
 def init_params(config: EncoderConfig, seed: int) -> ParamStore:
-    """Weights drawn from N(0, 0.02^2) in param_shapes order, biases zero,
-    layer-norm scales one."""
+    """The encoder, no head: weights drawn from N(0, 0.02^2) in param_shapes
+    order, biases zero, layer-norm scales one."""
     rng = np.random.default_rng(seed)
     params = ParamStore(param_shapes(config))
     for name, view in params.items():
@@ -663,7 +657,7 @@ def load_checkpoint(path) -> tuple[EncoderConfig, ParamStore]:
         layout = {e["name"]: tuple(e["shape"]) for e in tensors}
         if len(layout) != len(tensors):
             raise ValueError(f"{path}: a checkpoint tensor name repeats")
-        expected = without_heads(param_shapes(config))
+        expected = param_shapes(config)
         for head in HEADS:  # optional, each as a well-formed pair
             w = layout.get(head + "_w")
             if w is not None and len(w) == 2 and w[1] >= 1:

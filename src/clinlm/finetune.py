@@ -29,7 +29,7 @@ import numpy as np
 from . import corpus, metrics, wordpiece
 from .encoder import (
     Batch, ParamStore, _head_logits, _sigmoid, forward, frame, init_head, load_checkpoint,
-    multilabel_loss, pair_classify_loss, stack_rows, token_classify_loss, without_heads,
+    multilabel_loss, pair_classify_loss, param_shapes, stack_rows, token_classify_loss,
 )
 from .pretrain import adam_step, init_optimizer
 from .settings import (MIN_FRAME_LENGTH, TASKS, EncoderConfig, FinetuneConfig, SettingError,
@@ -114,16 +114,16 @@ def mark_concepts(words: Sequence[str],
 def extend_for_markers(vocab: Vocabulary, params, config: EncoderConfig,
                        concept_types: Iterable[str]):
     """Add reserved marker tokens to the vocabulary and, if the token embedding
-    table is short of them, grow it by rows drawn from seed 0, dropping every
-    head (without_heads). Existing rows are untouched; with no new markers
-    the inputs come back unchanged."""
+    table is short of them, grow it by rows drawn from seed 0, keeping the
+    encoder alone (param_shapes). Existing rows are untouched; with no new
+    markers the inputs come back unchanged."""
     markers = [m for m in marker_tokens(concept_types) if m not in vocab]
     if not markers:
         return vocab, params, config
     vocab, v, h = vocab.with_extra_tokens(markers), config.vocab_size, config.hidden_dim
     if v >= len(vocab):  # a model tuned on the markers holds their rows already
         return vocab, params, config
-    new_params = params.resized({**without_heads(params.layout), "tok_emb": (len(vocab), h)})
+    new_params = params.resized({**param_shapes(config), "tok_emb": (len(vocab), h)})
     new_params["tok_emb"][v:] = np.random.default_rng(0).normal(0.0, 0.02, (len(vocab) - v, h))
     return vocab, new_params, replace(config, vocab_size=len(vocab))
 
@@ -322,8 +322,8 @@ def _train_step(task, params, config, rows: Sequence, state, lr, rng):
 def finetune_task(config: EncoderConfig, params: ParamStore, task: TaskSpec,
                   train_rows: Sequence, dev_rows: Sequence, seeds: Sequence[int],
                   hyper: FinetuneConfig) -> list[SeedRun]:
-    """Fine-tune the full encoder plus a fresh task head once per seed, every
-    head params holds dropped first (without_heads), so a run holds only its own.
+    """Fine-tune the full encoder plus a fresh task head once per seed. params must
+    hold config's encoder (param_shapes), to which they are cut, dropping every head.
 
     train_rows and dev_rows must already be encoded for the task (see
     load_task_rows). A step stacks its rows with encoder.stack_rows, takes
@@ -338,7 +338,9 @@ def finetune_task(config: EncoderConfig, params: ParamStore, task: TaskSpec,
     if not train_rows or not dev_rows:
         raise ValueError("train and dev sets must be non-empty")
     check_dev_rows(task, dev_rows)
-    params = params.resized(without_heads(params.layout))
+    if wrong := [n for n, s in param_shapes(config).items() if np.shape(params.get(n)) != s]:
+        raise ValueError(f"params hold no {wrong[0]} of the shape the config gives it")
+    params = params.resized(param_shapes(config))
     runs: list[SeedRun] = []
     for seed in seeds:
         p = init_head(params, config, _KINDS[task.kind][0], len(task.outputs), seed)

@@ -11,13 +11,14 @@ quadratically with sequence length, so most steps run short.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, count, islice
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import wordpiece
 from .corpus import write_lines
-from .encoder import Batch, ParamStore, frame, init_params, mlm_forward_loss, stack_rows
+from .encoder import Batch, ParamStore, frame, init_head, init_params, mlm_forward_loss, stack_rows
 from .settings import (AccumulationConfig, AdamConfig, EncoderConfig, MaskingPolicy, PhasePlan,
                        SettingError, check_lr, check_seeds, content_room)
 from .wordpiece import CLS_ID, MASK_ID, SEP_ID, Vocabulary
@@ -245,7 +246,8 @@ def run_pretraining(corpus: Sequence[str], vocab: Vocabulary, config: EncoderCon
     if not encoded:
         raise ValueError("corpus has no encodable content")
 
-    params = init_params(config, seed)
+    # the head's seed is the run generator's: under seed, mlm_w would repeat tok_emb's draws
+    params = init_head(init_params(config, seed), config, "mlm", config.vocab_size, seed + 1)
     state = init_optimizer(params)
     rng = np.random.default_rng(seed + 1)
 
@@ -265,16 +267,13 @@ def run_pretraining(corpus: Sequence[str], vocab: Vocabulary, config: EncoderCon
                 f"corpus packs into {len(chunks)} examples at length {max_seq_len}, "
                 f"fewer than one micro-batch of {accum.micro_batch_size}"
             )
-        order: list[int] = []
+        # one stream of permutations, each drawn as the one before runs out
+        order = chain.from_iterable(rng.permutation(len(chunks)) for _ in count())
         for _ in range(n_steps):
             micro_batches = []
             for _ in range(accum.accumulation_steps):
-                if len(order) < accum.micro_batch_size:
-                    reshuffle = list(range(len(chunks)))
-                    rng.shuffle(reshuffle)
-                    order.extend(reshuffle)
-                take, order = order[:accum.micro_batch_size], order[accum.micro_batch_size:]
-                rows = [frame(chunks[i], None, max_seq_len) for i in take]  # only rows a step takes
+                rows = [frame(chunks[i], None, max_seq_len)  # only rows a step takes
+                        for i in islice(order, accum.micro_batch_size)]
                 micro_batches.append(
                     apply_masking(policy, stack_rows(rows), config.vocab_size, rng))
             params, state, loss = accumulate_and_step(

@@ -1,4 +1,5 @@
-"""Central finite-difference gradient checking shared across test files.
+"""Central finite-difference gradient checking, and mlm_params, the
+masked-LM model, shared across test files.
 
 The audits difference forward-only reference losses: the public forward
 plus the head weights, with cross-entropy and binary cross-entropy written
@@ -15,6 +16,8 @@ import numpy as np
 
 from clinlm.encoder import (
     forward,
+    init_head,
+    init_params,
     mlm_forward_loss,
     multilabel_loss,
     pair_classify_loss,
@@ -22,6 +25,12 @@ from clinlm.encoder import (
 )
 
 STEP = 1e-5
+
+
+def mlm_params(config, seed):
+    """init_params(config, seed) with the masked-LM head attached as
+    run_pretraining attaches it, from seed + 1."""
+    return init_head(init_params(config, seed), config, "mlm", config.vocab_size, seed + 1)
 
 
 def relative_error(analytic: float, numeric: float) -> float:

@@ -19,7 +19,6 @@ from clinlm.encoder import (
     Batch,
     EncoderConfig,
     init_head,
-    init_params,
     mlm_forward_loss,
     multilabel_loss,
     pair_classify_loss,
@@ -56,7 +55,7 @@ from clinlm.wordpiece import (
     train_wordpiece,
 )
 
-from gradcheck import audit_gradients
+from gradcheck import audit_gradients, mlm_params
 
 
 def report(number: int, detail: str) -> None:
@@ -215,7 +214,7 @@ def test_criterion_03_gradient_audit():
     assert batch.attention_mask[1].tolist() == [1, 1, 1, 1, 1, 0]
     assert batch.segment_ids.tolist() == [[0] * 6, [0, 0, 1, 1, 1, 0]]
 
-    params = init_params(config, seed=3)
+    params = mlm_params(config, seed=3)
     params = init_head(params, config, "head_token", 3, seed=4)
     params = init_head(params, config, "head_pair", 3, seed=5)
     params = init_head(params, config, "head_multi", 4, seed=6)
@@ -251,7 +250,7 @@ def test_criterion_04_accumulation_equivalence():
     start = time.perf_counter()
     config = EncoderConfig(vocab_size=40, hidden_dim=8, n_layers=1, n_heads=2,
                            ff_dim=16, max_positions=8)
-    params = init_params(config, seed=1)
+    params = mlm_params(config, seed=1)
     rng = np.random.default_rng(2)
     ids = rng.integers(5, 40, size=(32, 8))
     def targets_for(rows):

@@ -453,8 +453,7 @@ class TestFinetuneCommand:
                              "--out-prefix", str(tmp_path / prefix)]) == 0
         capsys.readouterr()
         config, tuned = load_checkpoint(tmp_path / "ner.seed0.ckpt")
-        encoder = [name for name in param_shapes(config) if not name.startswith("mlm_")]
-        assert list(tuned) == encoder + ["head_token_w", "head_token_b"]
+        assert list(tuned) == [*param_shapes(config), "head_token_w", "head_token_b"]
 
 
 @pytest.fixture(scope="module")
@@ -631,10 +630,10 @@ class TestMalformedInputs:
         ("probe-predictions-of-another-count", "preds.txt", "Neutral\n",
          ["probe", "--predictions", "{file}"], "{file}: 1 predictions for 129 instances"),
         ("nan-aggregate-value", "unused.txt", "",
-         ["evaluate", "--metric", "accuracy", "--aggregate", "0.5,nan,0.7"],
+         ["evaluate", "--aggregate", "0.5,nan,0.7"],
          "value 2 of 3 is nan, not a finite number"),
         ("inf-aggregate-value", "unused.txt", "",
-         ["evaluate", "--metric", "accuracy", "--aggregate", "inf"],
+         ["evaluate", "--aggregate", "inf"],
          "value 1 of 1 is inf, not a finite number"),
         ("repeated-seed", "nli.jsonl", _jsonl(_NLI_ROW), _finetune("mednli", "--seeds", "1,1"),
          "--seeds must be distinct, got [1, 1]"),
@@ -701,13 +700,19 @@ class TestMalformedInputs:
           "--out", "{out}"],
          "--mask-prob must be in (0, 1], got 0.0"),
         ("aggregate-value-not-a-number", "unused.txt", "",
-         ["evaluate", "--metric", "accuracy", "--aggregate", "1,x"],
+         ["evaluate", "--aggregate", "1,x"],
          "--aggregate must be a comma list of numbers, got '1,x'"),
         # neither file would be read, the missing one ({out}) included
         ("aggregate-with-gold-and-pred", "gold.txt", "yes\n",
-         ["evaluate", "--metric", "accuracy", "--aggregate", "0.5,0.7", "--gold", "{file}",
-          "--pred", "{out}"],
+         ["evaluate", "--aggregate", "0.5,0.7", "--gold", "{file}", "--pred", "{out}"],
          "--aggregate takes no --gold or --pred"),
+        # --aggregate summarizes its own values, so no metric applies to them
+        ("aggregate-with-metric", "unused.txt", "",
+         ["evaluate", "--metric", "accuracy", "--aggregate", "0.5,0.7"],
+         "error: --aggregate takes no --metric: it summarizes its own values"),
+        ("metric-missing-without-aggregate", "labels.txt", "yes\n",
+         ["evaluate", "--gold", "{file}", "--pred", "{file}"],
+         "error: --metric is required without --aggregate"),
         ("vocab-size-below-the-alphabet-floor", "corpus.txt", "no pain today\n",
          ["train-vocab", "--corpus", "{file}", "--size", "3", "--output", "{out}"],
          "--size 3 is below the alphabet floor 21"),
@@ -851,7 +856,8 @@ class TestTunedCheckpoint:
         header, body = (tmp_path / "tuned.seed0.ckpt").read_bytes().split(b"\n", 1)
         header, config = json.loads(header), load_checkpoint(tmp_path / "tuned.seed0.ckpt")[0]
         h, v, n = config.hidden_dim, config.vocab_size, len(builtin_task(task).outputs)
-        earlier = {**param_shapes(config), "head_pair_w": (h, n), "head_pair_b": (n,)}
+        earlier = {**param_shapes(config), "mlm_w": (h, v), "mlm_b": (v,),
+                   "head_pair_w": (h, n), "head_pair_b": (n,)}
         assert [e["name"] for e in header["tensors"]] == [
             name for name in earlier if name not in ("mlm_w", "mlm_b")]
         assert 8 * sum(math.prod(s) for s in earlier.values()) - len(body) == 8 * (h * v + v)
@@ -1138,8 +1144,7 @@ class TestEvaluateCommand:
 
     def test_aggregate_mode(self, capsys):
         code, out, _ = run_cli(
-            ["evaluate", "--metric", "accuracy",
-             "--aggregate", "88.1,88.3,88.2,88.0,88.4"], capsys)
+            ["evaluate", "--aggregate", "88.1,88.3,88.2,88.0,88.4"], capsys)
         assert code == 0
         assert "median 88.2000" in out and "n 5" in out
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gradcheck import audit_gradients
+from gradcheck import audit_gradients, mlm_params
 from clinlm import encoder
 from clinlm.encoder import (
     Batch,
@@ -37,7 +37,6 @@ from clinlm.encoder import (
     save_checkpoint,
     stack_rows,
     token_classify_loss,
-    without_heads,
 )
 from clinlm.finetune import FinetuneConfig, extend_for_markers, predict_label_sets
 from clinlm.pretrain import (
@@ -61,7 +60,7 @@ def attention_maps(params, config, batch):
 
 
 def zero_params(config):
-    params = init_params(config, seed=0)
+    params = mlm_params(config, seed=0)
     params.flat[:] = 0.0
     return params
 
@@ -156,13 +155,18 @@ class TestInitParams:
         assert params["tok_emb"].shape == (8, 4)
         assert params["pos_emb"].shape == (4, 4)
         assert params["seg_emb"].shape == (2, 4)
-        assert params["mlm_w"].shape == (4, 8)
         assert {name: arr.shape for name, arr in params.items()} == param_shapes(config)
         assert list(params) == list(param_shapes(config))
         assert "layer1.ff_in_w" in params and params["layer1.ff_in_w"].shape == (4, 6)
         assert np.all(params["emb_ln_g"] == 1.0)
         assert np.all(params["layer0.attn_q_b"] == 0.0)
-        assert np.all(params["mlm_b"] == 0.0)
+
+    def test_holds_the_encoder_alone(self):
+        # every head, pretraining's mlm too, is attached by init_head
+        config = tiny_config(n_layers=2)
+        names = list(init_params(config, seed=1))
+        assert names[0] == "tok_emb" and names[-1] == "layer1.ff_ln_b"
+        assert not [name for name in names if name.startswith(("mlm_", "head_"))]
 
     def test_seeded_determinism(self):
         config = tiny_config()
@@ -210,7 +214,6 @@ class TestForwardOracle:
         "layer0.ff_out_w": [[0.2, 0.1], [-0.1, 0.3]],
         "layer0.ff_out_b": [0.01, 0.0],
         "layer0.ff_ln_g": [1.2, 0.8], "layer0.ff_ln_b": [0.03, -0.02],
-        "mlm_w": [[0.0] * 6, [0.0] * 6], "mlm_b": [0.0] * 6,
     }
 
     CONFIG_3 = EncoderConfig(vocab_size=6, hidden_dim=3, n_layers=1, n_heads=1,
@@ -409,7 +412,7 @@ class TestMlmLoss:
 
     def test_duplicated_row_leaves_mean_unchanged(self):
         config = tiny_config()
-        params = init_params(config, 2)
+        params = mlm_params(config, 2)
         single = Batch([[5, 6, 7, 2]])
         double = Batch([[5, 6, 7, 2], [5, 6, 7, 2]])
         loss1, _ = mlm_forward_loss(params, config, single, [[0, 1]], [6])
@@ -421,7 +424,7 @@ class TestMlmLoss:
         # targets are read in row-major order, so listing them in another
         # order means stacking the rows in another order
         config = tiny_config()
-        params = init_params(config, 2)
+        params = mlm_params(config, 2)
         rows = [[5, 6, 7, 2], [2, 4, 1, 7]]
         loss_a, grads_a = mlm_forward_loss(batch=Batch(rows), params=params,
                                            config=config,
@@ -436,20 +439,20 @@ class TestMlmLoss:
 
     def test_zero_targets_rejected(self):
         config = tiny_config()
-        params = init_params(config, 0)
+        params = mlm_params(config, 0)
         with pytest.raises(ValueError, match="target"):
             mlm_forward_loss(params, config, Batch([[5, 6]]),
                              np.zeros((0, 2)), [])
 
     def test_out_of_batch_target_rejected(self):
         config = tiny_config()
-        params = init_params(config, 0)
+        params = mlm_params(config, 0)
         with pytest.raises(ValueError, match="outside"):
             mlm_forward_loss(params, config, Batch([[5, 6]]), [[0, 5]], [6])
 
     def test_gradients_match_finite_differences(self):
         config = tiny_config(n_layers=1)
-        params = init_params(config, 4)
+        params = mlm_params(config, 4)
         batch = Batch([[5, 6, 7, 2], [6, 4, 1, PAD_ID]])
         positions, targets = [[0, 1], [0, 3], [1, 0]], [6, 2, 3]
         assert audit_gradients(mlm_forward_loss, params, config, batch, positions, targets) < 1e-4
@@ -517,8 +520,9 @@ class TestHeads:
         with pytest.raises(ValueError, match=f"^{re.escape(refusal)}$"):
             init_head(params, config, head, n_out, seed=0)
         # the mlm head of the vocabulary's width is built, and reads back
-        save_checkpoint(tmp_path / "m.ckpt", config, init_head(params, config, "mlm", 8, seed=0))
-        assert load_checkpoint(tmp_path / "m.ckpt")[1].layout == params.layout
+        mlm = init_head(params, config, "mlm", 8, seed=0)
+        save_checkpoint(tmp_path / "m.ckpt", config, mlm)
+        assert load_checkpoint(tmp_path / "m.ckpt")[1].layout == mlm.layout
 
     def test_label_count_mismatch_rejected(self):
         config = tiny_config()
@@ -613,9 +617,8 @@ def test_every_head_loss_refuses_bad_reads_with_one_message(head, refusal):
     # _head_loss checks the read count and _forward the reads themselves, for
     # all four losses alike
     config = tiny_config()
-    params = init_params(config, 1)
-    if head != "mlm":
-        params = init_head(params, config, head, 3, seed=5)
+    n_out = config.vocab_size if head == "mlm" else 3
+    params = init_head(init_params(config, 1), config, head, n_out, seed=5)
     loss, target = _HEAD_LOSSES[head]
     positions, n_targets, message = _REFUSALS[refusal]
     targets = np.array([target] * n_targets).reshape(n_targets, *np.shape(target))
@@ -633,9 +636,8 @@ def test_every_head_loss_refuses_targets_of_the_wrong_shape_with_one_message(hea
     # 2-D class ids once went through the token and masked-LM losses as if
     # flat, and only the pair and multi-label losses checked their shape
     config = tiny_config()
-    params = init_params(config, 1)
-    if head != "mlm":
-        params = init_head(params, config, head, 3, seed=5)
+    n_out = config.vocab_size if head == "mlm" else 3
+    params = init_head(init_params(config, 1), config, head, n_out, seed=5)
     targets, shape = _WRONG_SHAPES[head]
     message = (rf"^{head} reads 2 position\(s\) but has targets of shape "
                rf"{re.escape(str(np.shape(targets)))}, not {re.escape(shape)}$")
@@ -647,9 +649,8 @@ def test_every_head_loss_refuses_targets_of_the_wrong_shape_with_one_message(hea
 def test_every_class_id_loss_refuses_float_targets_with_one_message(head):
     # class ids were once cast to int64, which truncates: [0.7, 1.9] trained as [0, 1]
     config = tiny_config()
-    params = init_params(config, 1)
-    if head != "mlm":
-        params = init_head(params, config, head, 3, seed=5)
+    n_out = config.vocab_size if head == "mlm" else 3
+    params = init_head(init_params(config, 1), config, head, n_out, seed=5)
     loss, batch, reads = _HEAD_LOSSES[head][0], Batch([[5, 6]]), [[0, 0], [0, 1]]
     for targets in ([0.7, 1.9], [0, 1.0], np.array([0.0, 1.0])):
         with pytest.raises(ValueError, match=rf"^{head} targets must be integer class ids, "
@@ -660,9 +661,9 @@ def test_every_class_id_loss_refuses_float_targets_with_one_message(head):
 
 
 # (head, loss, its arguments after the batch) of each loss the train-mode
-# gradient audit checks on its two-row batch; init_params already draws mlm
+# gradient audit checks on its two-row batch
 _TRAIN_MODE_LOSSES = [
-    pytest.param(None, mlm_forward_loss, ([[0, 1], [0, 3], [1, 0]], [6, 2, 3]), id="mlm"),
+    pytest.param("mlm", mlm_forward_loss, ([[0, 1], [0, 3], [1, 0]], [6, 2, 3]), id="mlm"),
     pytest.param("head_token", token_classify_loss,
                  ([[0, 1], [0, 2], [1, 0], [1, 1]], [2, 1, 1, 0]), id="token"),
     pytest.param("head_pair", pair_classify_loss, ([[0, 0], [1, 0]], [2, 0]), id="pair"),
@@ -675,9 +676,8 @@ class TestTrainModeGradients:
     @pytest.mark.parametrize("head,loss,args", _TRAIN_MODE_LOSSES)
     def test_gradients_match_finite_differences_under_dropout(self, head, loss, args):
         config = tiny_config(n_layers=2, dropout=0.3)
-        params = init_params(config, 6)
-        if head is not None:
-            params = init_head(params, config, head, 3, seed=7)
+        n_out = config.vocab_size if head == "mlm" else 3
+        params = init_head(init_params(config, 6), config, head, n_out, seed=7)
         batch = Batch([[5, 6, 7, 2], [6, 4, 1, PAD_ID]])
         train = loss(params, config, batch, *args, rng=np.random.default_rng(1))[0]
         assert train != loss(params, config, batch, *args)[0]  # the masks apply
@@ -844,7 +844,7 @@ class TestLossesRunTheTopLayerAtReadsOnly:
     # (loss, its arguments after the batch, positions it reads) on a 2 x 4
     # batch
     @pytest.mark.parametrize("head,loss,args,n_reads", [
-        (None, mlm_forward_loss, ([[0, 1], [1, 0], [1, 3]], [6, 3, 4]), 3),
+        ("mlm", mlm_forward_loss, ([[0, 1], [1, 0], [1, 3]], [6, 3, 4]), 3),
         ("head_token", token_classify_loss, ([[0, 1], [0, 2], [1, 0], [1, 1]], [2, 1, 1, 0]), 4),
         ("head_pair", pair_classify_loss, ([[0, 0], [1, 0]], [2, 0]), 2),
         ("head_multi", multilabel_loss, ([[0, 0], [1, 0]], [[1.0, 0.0, 1.0], [0.0, 0.0, 1.0]]),
@@ -853,9 +853,8 @@ class TestLossesRunTheTopLayerAtReadsOnly:
     def test_last_ff_in_sees_each_read_position_once(self, monkeypatch, head, loss, args,
                                                      n_reads):
         config = tiny_config(n_layers=2)
-        params = init_params(config, 6)
-        if head is not None:
-            params = init_head(params, config, head, 3, seed=7)
+        n_out = config.vocab_size if head == "mlm" else 3
+        params = init_head(init_params(config, 6), config, head, n_out, seed=7)
         batch = Batch([[5, 6, 7, 2], [6, 4, 1, PAD_ID]])
         rows = last_layer_rows(monkeypatch, config)
         loss(params, config, batch, *args)
@@ -953,7 +952,7 @@ class TestPaddingInvariance:
     def test_forward_losses_and_gradients_agree(self, dropout, seed):
         config = tiny_config(vocab_size=12, hidden_dim=8, n_layers=2, ff_dim=12,
                              max_positions=16, dropout=dropout)
-        params = init_params(config, 4)
+        params = mlm_params(config, 4)
         for head in ("head_token", "head_pair", "head_multi"):
             params = init_head(params, config, head, 3, seed=5)
         rows = [frame([5, 6], None, 16), frame([7, 8, 9], [10, 11], 16),
@@ -1139,7 +1138,7 @@ class TestCheckpoint:
     def test_malformed_header_is_a_value_error_naming_the_file(self, tmp_path, change):
         path = tmp_path / "model.ckpt"
         config = tiny_config()
-        params = init_head(init_head(init_params(config, 11), config, "head_pair", 3, 1),
+        params = init_head(init_head(mlm_params(config, 11), config, "head_pair", 3, 1),
                            config, "head_multi", 2, 2)
         save_checkpoint(path, config, params)
         self._rewrite_header(path, change)
@@ -1161,9 +1160,7 @@ class TestCheckpoint:
     def test_checkpoint_without_the_mlm_head_loads(self, tmp_path):
         # a fine-tuned model: the encoder and a task head, no masked-LM head
         config = tiny_config()
-        params = init_params(config, 11)
-        tuned = init_head(params.resized(without_heads(params.layout)), config,
-                          "head_pair", 3, 1)
+        tuned = init_head(init_params(config, 11), config, "head_pair", 3, 1)
         path = tmp_path / "tuned.ckpt"
         save_checkpoint(path, config, tuned)
         _, loaded = load_checkpoint(path)
@@ -1180,7 +1177,7 @@ class TestCheckpoint:
     def test_half_or_misshapen_mlm_head_refused_by_name(self, tmp_path, change, tensor):
         path = tmp_path / "model.ckpt"
         config = tiny_config()
-        save_checkpoint(path, config, init_params(config, 11))
+        save_checkpoint(path, config, mlm_params(config, 11))
         self._rewrite_header(path, change)
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: tensor {tensor} "):
             load_checkpoint(path)
@@ -1225,9 +1222,10 @@ def assert_tiles_flat(store):
 class TestParamStore:
     def test_every_producer_tiles_flat(self, tmp_path):
         config = tiny_config()
-        params = init_params(config, 0)
+        params = mlm_params(config, 0)
         headed = init_head(params, config, "head_pair", 3, seed=1)
-        assert list(headed) == list(param_shapes(config)) + ["head_pair_w", "head_pair_b"]
+        assert list(headed) == [*param_shapes(config), "mlm_w", "mlm_b", "head_pair_w",
+                                "head_pair_b"]
         vocab = train_wordpiece(["alpha beta gamma"], declared_size=40, min_frequency=1)
         grown_config = EncoderConfig(**{**vars(config), "vocab_size": len(vocab)})
         _, grown, _ = extend_for_markers(vocab, init_params(grown_config, 0), grown_config,

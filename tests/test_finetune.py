@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from gradcheck import mlm_params
 from clinlm import corpus, finetune, pretrain
 from clinlm.corpus import numbered_ner_sentences
 from clinlm.encoder import (
@@ -17,8 +18,10 @@ from clinlm.encoder import (
     forward,
     init_head,
     init_params,
+    load_checkpoint,
     mlm_forward_loss,
     param_shapes,
+    save_checkpoint,
     token_classify_loss,
 )
 from clinlm.finetune import (
@@ -466,7 +469,7 @@ class TestFinetuneConfig:
 def toy_pair_setup(small_vocab):
     config = EncoderConfig(vocab_size=len(small_vocab), hidden_dim=8,
                            n_layers=1, n_heads=2, ff_dim=16, max_positions=12)
-    params = init_params(config, 0)
+    params = mlm_params(config, 0)
     task = TaskSpec("toy-pair", "pair", ("match", "clash"), "accuracy")
     rows = []
     for text_a, text_b, label in [
@@ -607,7 +610,7 @@ def toy_task(kind, small_vocab, dropout=0.0):
     if kind == "pair":
         _, params, task, rows = toy_pair_setup(small_vocab)
     elif kind == "ner":
-        params = init_params(config, 0)
+        params = mlm_params(config, 0)
         task = TaskSpec("toy-ner", "ner", ("problem",), "entity_f1")
         index = {tag: i for i, tag in enumerate(task.outputs)}
         rows = [encode_ner_example(words.split(), tags.split(), small_vocab, index, 12)
@@ -616,7 +619,7 @@ def toy_task(kind, small_vocab, dropout=0.0):
                                     ("patient denies severe fever", "O O B-problem I-problem"),
                                     ("alpha beta", "O O")]]
     else:
-        params = init_params(config, 0)
+        params = mlm_params(config, 0)
         task = TaskSpec("toy-multi", "multilabel", ("x", "y", "z"), "micro_f1")
         rows = [(prepare_document(text, small_vocab, 12), labels)
                 for text, labels in [("alpha beta", {0, 2}), ("delta", {1}),
@@ -655,6 +658,36 @@ class TestTaskModelsHoldNoMlmHead:
         for run in finetune_task(config, params, task, rows, rows, [0, 1], hyper):
             assert list(run.params) == [name for name in params if not name.startswith("mlm_")]
 
+    def test_the_earlier_layout_tunes_to_the_same_bytes(self, small_vocab, tmp_path):
+        # earlier releases wrote mlm_w and mlm_b between emb_ln_b and layer0;
+        # the reader matches tensor names, so that file loads and tunes to the
+        # bytes the same tensors tune to in this release's layout
+        config, params, task, rows = toy_pair_setup(small_vocab)
+        config = replace(config, dropout=0.1)
+        names = list(param_shapes(config))
+        at = names.index("layer0.attn_q_w")
+        shapes = dict(params.layout)
+        earlier = params.resized({name: shapes[name] for name in
+                                  [*names[:at], "mlm_w", "mlm_b", *names[at:]]})
+        tuned = []
+        for store, name in ((earlier, "earlier"), (params, "now")):
+            save_checkpoint(tmp_path / f"{name}.ckpt", config, store)
+            loaded_config, loaded = load_checkpoint(tmp_path / f"{name}.ckpt")
+            assert list(loaded) == list(store)
+            run, = finetune_task(loaded_config, loaded, task, rows, rows, [3],
+                                 FinetuneConfig(epochs=2, batch_size=2))
+            save_checkpoint(tmp_path / f"{name}.tuned.ckpt", config, run.params)
+            tuned.append((tmp_path / f"{name}.tuned.ckpt").read_bytes())
+        assert tuned[0] == tuned[1]
+
+    def test_a_store_of_another_encoder_is_refused_by_name(self, small_vocab):
+        # resizing to the config's encoder would zero-fill the missing rows
+        config, params, task, rows = toy_pair_setup(small_vocab)
+        short = init_params(replace(config, vocab_size=config.vocab_size - 5), 0)
+        with pytest.raises(ValueError, match="^params hold no tok_emb of the shape the config "
+                                             "gives it$"):
+            finetune_task(config, short, task, rows, rows, [0], FinetuneConfig(epochs=1))
+
     def test_a_head_of_another_kind_is_dropped_too(self, small_vocab):
         # a store tuned on pairs, re-tuned on tagging: its head_pair was
         # trained for another encoder, and Adam would step it on zero gradients
@@ -663,9 +696,8 @@ class TestTaskModelsHoldNoMlmHead:
         hyper = FinetuneConfig(epochs=2, batch_size=2)
         runs = finetune_task(config, paired, task, rows, rows, [0, 1], hyper)
         bare = finetune_task(config, params, task, rows, rows, [0, 1], hyper)
-        encoder = [name for name in param_shapes(config) if not name.startswith("mlm_")]
         for run, plain in zip(runs, bare):
-            assert list(run.params) == encoder + ["head_token_w", "head_token_b"]
+            assert list(run.params) == [*param_shapes(config), "head_token_w", "head_token_b"]
             for name in run.params:
                 np.testing.assert_array_equal(run.params[name], plain.params[name])
 

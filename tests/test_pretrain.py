@@ -10,10 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gradcheck import mlm_params
 from clinlm import pretrain
 from clinlm.encoder import (
     Batch, EncoderConfig, ParamStore, init_head, init_params, mlm_forward_loss,
-    pair_classify_loss,
+    pair_classify_loss, param_shapes,
 )
 from clinlm.pretrain import (
     AccumulationConfig,
@@ -333,7 +334,7 @@ class TestAccumulateAndStep:
     def setup_model():
         config = EncoderConfig(vocab_size=12, hidden_dim=4, n_layers=1,
                                n_heads=2, ff_dim=6, max_positions=4)
-        params = init_params(config, 0)
+        params = mlm_params(config, 0)
         return config, params
 
     @staticmethod
@@ -438,7 +439,7 @@ class TestAccumulateAndStep:
         # starts, whose fresh outputs are its own
         config = EncoderConfig(vocab_size=20000, hidden_dim=16, n_layers=1, n_heads=2,
                                ff_dim=32, max_positions=8)
-        params = init_params(config, 0)
+        params = mlm_params(config, 0)
         state = init_optimizer(params)
         mb = self.micro(config, [[5, 6, 7, 8], [9, 10, 11, 5]])
         fn = self.loss_grad_fn(config)
@@ -606,6 +607,17 @@ class TestRunPretraining:
         )
         expected = math.log(config.vocab_size)
         assert abs(result.loss_log[0].loss - expected) / expected < 0.05
+
+    def test_the_store_is_the_encoder_then_the_mlm_head(self):
+        # init_head attaches the masked-LM head after the encoder, as it
+        # attaches every task head
+        corpus, vocab, config = self.setup_run()
+        result = run_pretraining(
+            corpus, vocab, config, PhasePlan(phases=((16, 1),)),
+            MaskingPolicy(), AccumulationConfig(2, 1, 2), AdamConfig(lr=1e-3),
+            seed=5,
+        )
+        assert list(result.params) == [*param_shapes(config), "mlm_w", "mlm_b"]
 
     def test_seeded_determinism_bitwise(self):
         corpus, vocab, config = self.setup_run()
