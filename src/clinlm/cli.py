@@ -234,7 +234,7 @@ def _cmd_finetune(args) -> int:
     finetune.check_dev_rows(task, dev_rows, args.dev)
     runs = finetune.finetune_task(config, params, task, train_rows, dev_rows,
                                   _parse_seeds(args.seeds), _settings(FinetuneConfig, args))
-    report = metrics.aggregate_seeds([r.dev_metric for r in runs], task.selection_metric)
+    report = metrics.aggregate_seeds([r.dev_metric for r in runs])
     if args.out_prefix:
         for run in runs:
             encoder.save_checkpoint(f"{args.out_prefix}.seed{run.seed}.ckpt", config, run.params)

@@ -161,13 +161,12 @@ def accuracy(gold: Sequence, pred: Sequence) -> float:
 class MetricReport:
     """Per-seed values for one metric, with their median and sample spread."""
 
-    metric: str
     values: tuple[float, ...]
     median: float
     stddev: float
 
 
-def aggregate_seeds(values: Sequence[float], metric: str = "") -> MetricReport:
+def aggregate_seeds(values: Sequence[float]) -> MetricReport:
     """Median and sample standard deviation (n - 1 denominator) over per-seed
     values. A single value reports zero spread; a NaN or infinite value is
     refused by its position (from 1)."""
@@ -178,4 +177,4 @@ def aggregate_seeds(values: Sequence[float], metric: str = "") -> MetricReport:
         if not math.isfinite(v):
             raise ValueError(f"value {i} of {len(values)} is {v}, not a finite number")
     spread = statistics.stdev(values) if len(values) > 1 else 0.0
-    return MetricReport(metric, values, float(statistics.median(values)), spread)
+    return MetricReport(values, float(statistics.median(values)), spread)

@@ -1,9 +1,9 @@
 """Cased wordpiece tokenization.
 
 Implements the full subword path: punctuation-separating text normalization,
-a likelihood-driven wordpiece trainer, greedy longest-match encoding with
-whole-word unknown fallback, decoding, and a compression report that compares
-how tightly different vocabularies encode the same datasets.
+a likelihood-driven wordpiece trainer, greedy longest-match encoding (one
+lookup for a word that is a token; whole-word unknown fallback), decoding,
+and a compression report comparing vocabularies on the same datasets.
 
 Token ids are dense: a token's id is its line number in the vocabulary file.
 The five special tokens always occupy ids 0 through 4.
@@ -240,33 +240,31 @@ def train_wordpiece(corpus: Iterable[str], declared_size: int,
     return Vocabulary(tokens)
 
 
-def encode_word(vocab: Vocabulary, word: str) -> list[str]:
-    """Greedy longest-match segmentation of one whitespace word.
-
-    Repeatedly takes the longest vocabulary token matching the remaining
-    prefix, trying only the lengths of the tokens that start with its first
-    character: a word-initial token first, so never one spelled ##..., then
-    continuation tokens, looked up by their body. If no token matches at
-    some point, the whole word collapses to a single [UNK].
-    """
-    if not word:
-        raise ValueError("cannot encode an empty word")
-    pieces = []
-    start, table, lengths = 0, vocab._initial, vocab._initial_lengths
-    while start < len(word):
-        for length in lengths.get(word[start], ()):
-            if start + length <= len(word) and (match := table.get(word[start:start + length])):
-                break
-        else:
-            return [UNK]
-        pieces.append(match)
-        start, table, lengths = start + length, vocab._bodies, vocab._body_lengths
-    return pieces
-
-
 def encode(vocab: Vocabulary, text: str) -> Encoding:
-    """Encode normalized text, word by word."""
-    tokens = [t for word in text.split() for t in encode_word(vocab, word)]
+    """Encode normalized text by greedy longest-match segmentation of each
+    whitespace word. A word that is a word-initial token is its own longest
+    match, so one lookup ends it. Any other word repeatedly takes the longest
+    token matching its remaining prefix, trying only the lengths of the tokens
+    that start with that prefix's first character: a word-initial token
+    first, so never one spelled ##..., then continuation tokens, looked up by
+    their body. If no token matches at some point, the word is one [UNK].
+    """
+    initial, bodies, body_lengths, tokens = vocab._initial, vocab._bodies, vocab._body_lengths, []
+    for word in text.split():
+        if word in initial:
+            tokens.append(word)
+            continue
+        pieces, start, table, lengths = [], 0, initial, vocab._initial_lengths
+        while start < len(word):
+            for length in lengths.get(word[start], ()):
+                if start + length <= len(word) and (match := table.get(word[start:start + length])):
+                    break
+            else:
+                pieces = [UNK]
+                break
+            pieces.append(match)
+            start, table, lengths = start + length, bodies, body_lengths
+        tokens += pieces
     return Encoding(ids=tuple([vocab.token_to_id[t] for t in tokens]), tokens=tuple(tokens))
 
 

@@ -380,7 +380,7 @@ def test_criterion_07_toy_finetuning(desk):
     assert len(runs) == 5
     for run in runs:
         assert run.dev_metric >= 0.95, f"seed {run.seed}: F1 {run.dev_metric:.3f}"
-    summary = aggregate_seeds([r.dev_metric for r in runs], "entity_f1")
+    summary = aggregate_seeds([r.dev_metric for r in runs])
     assert summary.median >= 0.95
     assert summary.stddev >= 0.0 and len(summary.values) == 5
     elapsed = time.perf_counter() - start
@@ -615,10 +615,9 @@ def test_criterion_11_length_variant_harness(desk):
             desk.config, desk.two_phase.params, task, rows[:160], rows[160:],
             seeds=[0, 1, 2],
             hyper=FinetuneConfig(epochs=5, batch_size=8, lr=1e-3))
-        reports.append(aggregate_seeds([r.dev_metric for r in runs], "micro_f1"))
+        reports.append(aggregate_seeds([r.dev_metric for r in runs]))
 
     short_report, long_report = reports
-    assert short_report.metric == long_report.metric == "micro_f1"
     assert len(short_report.values) == len(long_report.values) == 3
     assert short_report.median >= 0.9 and long_report.median >= 0.9
 

@@ -270,9 +270,8 @@ class TestAggregateSeeds:
         assert report.median == 3.0
 
     def test_published_style_five_seeds(self):
-        report = aggregate_seeds([88.1, 88.3, 88.2, 88.0, 88.4], metric="f1")
+        report = aggregate_seeds([88.1, 88.3, 88.2, 88.0, 88.4])
         assert report.median == 88.2
-        assert report.metric == "f1"
         assert report.stddev == pytest.approx(0.15811388, abs=1e-6)
 
     def test_identical_values_zero_spread(self):

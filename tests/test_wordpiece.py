@@ -27,7 +27,6 @@ from clinlm.wordpiece import (
     compression_report,
     decode,
     encode,
-    encode_word,
     format_length_table,
     load_length_reference,
     normalize,
@@ -349,24 +348,27 @@ class TestMatchesReferenceTrainer:
 class TestEncode:
     def test_whole_word_hit(self):
         v = make_vocab("h", "##e", "##l", "##o", "hello")
-        assert encode_word(v, "hello") == ["hello"]
+        assert encode(v, "hello").tokens == ("hello",)
 
     def test_longest_prefix_wins(self):
         v = make_vocab("h", "##e", "##l", "##o", "hell", "##lo")
-        assert encode_word(v, "hello") == ["hell", "##o"]
+        assert encode(v, "hello").tokens == ("hell", "##o")
 
     def test_unknown_character_collapses_word(self):
         v = make_vocab("h", "##e", "##l", "##o", "hell", "##lo")
-        assert encode_word(v, "heXlo") == [UNK]
+        assert encode(v, "heXlo").tokens == (UNK,)
 
     def test_dead_end_collapses_word(self):
         # "ab" matches, but nothing continues with ##c alone
         v = make_vocab("a", "##b", "ab")
-        assert encode_word(v, "abc") == [UNK]
+        assert encode(v, "abc").tokens == (UNK,)
 
-    def test_empty_word_rejected(self):
-        with pytest.raises(ValueError):
-            encode_word(make_vocab("a"), "")
+    def test_word_spelled_as_a_continuation_body_is_no_continuation(self):
+        v = make_vocab("a", "##ab")
+        assert encode(v, "ab").tokens == (UNK,)
+
+    def test_blank_text_encodes_no_word(self):
+        assert encode(make_vocab("a"), " \t  \t") == Encoding((), ())
 
     def test_encode_text_concatenates_words(self):
         v = make_vocab("h", "##e", "##l", "##o", "hell", "##lo", "hi")
@@ -380,24 +382,47 @@ class TestEncode:
 
     def test_word_starting_with_the_marker_keeps_its_first_piece_word_initial(self):
         vocab = make_vocab("1", "#", "##1", "###")
-        assert encode_word(vocab, "##1") == ["#", "###", "##1"]
+        assert encode(vocab, "##1").tokens == ("#", "###", "##1")
 
     @settings(deadline=None)
     @given(vocab=trained_vocabularies(),
            word=st.text(alphabet=TEXT_CHARS + "xyz", min_size=1, max_size=12))
     def test_pieces_rejoin_to_the_word(self, vocab, word):
-        pieces = encode_word(vocab, word)
-        if pieces != [UNK]:
+        pieces = encode(vocab, word).tokens
+        if pieces != (UNK,):
             assert pieces[0] + "".join(p[len("##"):] for p in pieces[1:]) == word
 
     @settings(deadline=None)
     @given(vocab=st.one_of(random_vocabularies(), trained_vocabularies()), data=st.data())
     def test_matches_the_every_length_reference(self, vocab, data):
-        # words glued from token spellings and loose characters, so both long
-        # matches and dead ends occur
+        # whole-token words, token bodies, words glued from token spellings and
+        # loose characters (long matches, dead ends), words with a character no
+        # token has, ##-initial words; runs of spaces and tabs between them
         parts = [t.removeprefix(CONTINUATION) for t in vocab.tokens] + list(VOCAB_CHARS + "x")
-        word = "".join(data.draw(st.lists(st.sampled_from(parts), min_size=1, max_size=5)))
-        assert encode_word(vocab, word) == wordpiece_reference.encode_word(vocab, word)
+        glued = st.lists(st.sampled_from(parts), min_size=1, max_size=4).map("".join)
+        word = st.one_of(st.sampled_from(vocab.tokens), st.sampled_from(parts), glued,
+                         glued.map("Q".__add__), glued.map(CONTINUATION.__add__))
+        gaps = st.text(alphabet=" \t", min_size=1, max_size=3)
+        drawn = data.draw(st.lists(st.tuples(gaps, word), max_size=8))
+        text = "".join(gap + w for gap, w in drawn) + data.draw(gaps)
+        enc = encode(vocab, text)
+        assert enc.tokens == tuple(t for w in text.split()
+                                   for t in wordpiece_reference.encode_word(vocab, w))
+        assert enc.ids == tuple(vocab.token_to_id[t] for t in enc.tokens)
+
+    def test_whole_token_words_skip_the_length_index(self, monkeypatch):
+        class Spy(dict):
+            def get(self, *args):
+                reads.append(args[0])
+                return super().get(*args)
+
+        v = make_vocab("h", "##e", "##l", "##o", "hell", "hello", "hi")
+        reads = []
+        monkeypatch.setattr(v, "_initial_lengths", Spy(v._initial_lengths))
+        assert encode(v, "hello hi\t[UNK] hello").tokens == ("hello", "hi", UNK, "hello")
+        assert reads == []
+        assert encode(v, "hi hell ho").tokens == ("hi", "hell", "h", "##o")
+        assert reads == ["h"]
 
     def test_monotone_against_alphabet_floor(self):
         corpus = ["severe chest pain", "chest pain resolved", "severe pain"]
@@ -411,7 +436,7 @@ class TestEncode:
                       if t.startswith("##") and len(t) == 3})
         )
         for word in "severe chest pain resolved".split():
-            assert len(encode_word(trained, word)) <= len(encode_word(floor_vocab, word))
+            assert len(encode(trained, word).ids) <= len(encode(floor_vocab, word).ids)
 
 
 class TestDecode:

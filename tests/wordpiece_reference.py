@@ -5,9 +5,11 @@ the current ones must match output for output:
   symbol of every word type on each merge;
 - normalize before its scan of only the characters that can be punctuation,
   which tests every character;
-- encode_word before its per-first-character length index, which tries
-  every prefix length up to the longest token (computed here from the
-  tokens, where the vocabulary used to store it).
+- the per-word segmentation of encode, from before encode looked a word up
+  whole and ran its greedy loop inline, and before the per-first-character
+  length index: encode_word tries every prefix length up to the longest
+  token (computed here from the tokens, where the vocabulary used to store
+  it), and encode of a text must equal its pieces over text.split().
 """
 
 from collections import Counter
