@@ -19,6 +19,7 @@ import string
 import unicodedata
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field, replace
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 from .corpus import numbered_lines, read_table, write_lines
@@ -137,15 +138,21 @@ def _merge_symbols(left: str, right: str) -> str:
     return left + right[len(CONTINUATION):]
 
 
-def _apply_merge(symbols: list[str], pair: tuple[str, str], merged: str) -> list[str]:
-    """Merge pair left to right (##a ##a ##a gives ##a##a ##a); merged is new."""
+def _apply_merge(symbols: list[str], pair: tuple[str, str],
+                 merged: str) -> tuple[list[str], list[tuple[int, int]]]:
+    """Merge pair left to right (##a ##a ##a gives ##a##a ##a); merged is new.
+    Returns the rewritten symbols and, per merge site in order, the index of
+    its left symbol in symbols and of the merged symbol in the result."""
+    left, right = pair
     out: list[str] = []
-    for sym in symbols:
-        if out and out[-1] == pair[0] and sym == pair[1]:
+    sites: list[tuple[int, int]] = []
+    for i, sym in enumerate(symbols):
+        if sym == right and out and out[-1] == left:
             out[-1] = merged
+            sites.append((i - 1, len(out) - 1))
         else:
             out.append(sym)
-    return out
+    return out, sites
 
 
 def train_wordpiece(corpus: Iterable[str], declared_size: int,
@@ -168,29 +175,34 @@ def train_wordpiece(corpus: Iterable[str], declared_size: int,
     pair (one entry per occurrence; new pairs add entries, none are removed)
     and of the pairs holding each symbol. Candidates wait in a heap keyed
     (-score, -count, pair) whose stale entries are skipped. A merge rewrites
-    the words listed under its pair, skipping those it leaves unchanged, adds
-    their (new pairs - old pairs) * freq as one delta, and re-pushes the pairs
-    of left, right and the merged symbol: every pair whose key changed holds one.
+    the words listed under its pair, skipping those it leaves unchanged. Only
+    the pairs beside its sites change: per word, it subtracts the old pairs
+    starting one before, at and one after each site's left symbol, and adds
+    the new pairs starting one before and at each merged symbol, each set of
+    indices deduplicated so that adjacent sites count a shared pair once.
+    Every other pair maps one to one between the old and the new word. It
+    then re-pushes the pairs of left, right and the merged symbol: every pair
+    whose key changed holds one.
     """
     check_setting("min_frequency", min_frequency, "int")
     check_setting("declared_size", declared_size, "int")
-    word_freq = Counter(word for line in corpus for word in line.split())
+    word_freq = Counter(chain.from_iterable(map(str.split, corpus)))
     if not word_freq:
         raise ValueError("training corpus contains no words")
 
-    alphabet = sorted({ch for word in word_freq for ch in word})
+    alphabet = sorted(set(chain.from_iterable(word_freq)))
     tokens = list(SPECIALS) + alphabet + [CONTINUATION + ch for ch in alphabet]
     if declared_size < len(tokens):
         raise SettingError("declared_size", f"{declared_size} is below the alphabet floor "
                                             f"{len(tokens)}")
 
     seen = set(tokens)
-    words, freqs = [_word_symbols(w) for w in word_freq], list(word_freq.values())
-    pair_count, symbol_count = Counter(), Counter()
+    words, freqs = list(map(_word_symbols, word_freq)), list(word_freq.values())
+    pair_count, symbol_count = {}, {}
     pair_words, symbol_pairs = defaultdict(list), defaultdict(set)
     for index, (symbols, freq) in enumerate(zip(words, freqs)):
         for sym in symbols:
-            symbol_count[sym] += freq
+            symbol_count[sym] = symbol_count.get(sym, 0) + freq
         for pair in zip(symbols, symbols[1:]):
             pair_words[pair].append(index)
     for pair, holders in pair_words.items():
@@ -215,27 +227,33 @@ def train_wordpiece(corpus: Iterable[str], declared_size: int,
             continue
         tokens.append(merged)
         seen.add(merged)
-        delta, merges = Counter(), 0
+        merges = 0
         for index in pair_words.pop(best):
             old, freq = words[index], freqs[index]
-            words[index] = new = _apply_merge(old, best, merged)
-            if len(new) == len(old):
+            new, sites = _apply_merge(old, best, merged)
+            if not sites:
                 continue
-            merges += (len(old) - len(new)) * freq
-            for pair in zip(old, old[1:]):
-                delta[pair] -= freq
-            for pair in zip(new, new[1:]):
-                delta[pair] += freq
-                if merged in pair:
-                    pair_words[pair].append(index)
-                    symbol_pairs[pair[0]].add(pair)
-                    symbol_pairs[pair[1]].add(pair)
-        pair_count.update(delta)
-        for sym, change in ((left, -merges), (right, -merges), (merged, merges)):
-            symbol_count[sym] += change
+            words[index] = new
+            merges += len(sites) * freq
+            last = len(old) - 1
+            for k in dict.fromkeys(n for i, _ in sites for n in (i - 1, i, i + 1)
+                                   if 0 <= n < last):
+                pair_count[old[k], old[k + 1]] -= freq
+            last = len(new) - 1
+            for k in dict.fromkeys(n for _, j in sites for n in (j - 1, j) if 0 <= n < last):
+                pair = new[k], new[k + 1]
+                pair_count[pair] = pair_count.get(pair, 0) + freq
+                pair_words[pair].append(index)
+                symbol_pairs[pair[0]].add(pair)
+                symbol_pairs[pair[1]].add(pair)
+        symbol_count[left] -= merges
+        symbol_count[right] -= merges
+        symbol_count[merged] = merges
         for pair in symbol_pairs[left] | symbol_pairs[right] | symbol_pairs[merged]:
-            if pair_count[pair]:
-                heapq.heappush(heap, key(pair))
+            count = pair_count[pair]
+            if count:
+                score = count / (symbol_count[pair[0]] * symbol_count[pair[1]])
+                heapq.heappush(heap, (-score, -count, pair))
 
     return Vocabulary(tokens)
 

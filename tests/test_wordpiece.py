@@ -285,6 +285,25 @@ class TestTrainWordpiece:
         with pytest.raises(ValueError, match=f"^{message}$"):
             train_wordpiece(corpus(), declared_size=size, min_frequency=min_frequency)
 
+    @pytest.mark.parametrize("symbols, pair, expected", [
+        # one site, then a ##a left over: sites do not overlap
+        ("##a ##a ##a", "##a ##a", ("##aa ##a", [(0, 0)])),
+        # the pair at a word's first position; at its last; at both, in two
+        # adjacent sites
+        ("a ##b ##c ##b", "a ##b", ("ab ##c ##b", [(0, 0)])),
+        ("x ##a ##b ##c ##a ##b", "##a ##b", ("x ##ab ##c ##ab", [(1, 1), (4, 3)])),
+        ("##a ##b ##a ##b", "##a ##b", ("##ab ##ab", [(0, 0), (2, 1)])),
+        # no site: the pair's symbols, but not side by side in this order
+        ("a ##b ##a", "##a ##b", ("a ##b ##a", [])),
+    ])
+    def test_apply_merge_reports_each_site(self, symbols, pair, expected):
+        """The rewritten symbols, and per site the index of its left symbol
+        in the old word and of the merged symbol in the new one."""
+        left, right = pair.split()
+        new, sites = wordpiece._apply_merge(symbols.split(), (left, right),
+                                            wordpiece._merge_symbols(left, right))
+        assert (" ".join(new), sites) == expected
+
     def test_no_first_piece_spelled_as_a_continuation(self):
         # "#" + "###" would spell the bare marker "##", and "#" + "###2"
         # the continuation token "##2"
@@ -313,6 +332,11 @@ REFERENCE_CORPORA = [
     ["aaaa"],
     ["ba bd bac"],
     ["[CLS] [SEP] [MASK] [CLS]"],
+    # words holding a pair three or four times between distinct neighbours,
+    # so that a merge changes the pairs on both sides of each of its sites
+    ["abcabcabcabc"],
+    ["xabyabzab"],
+    ["xabyabzabwab abcabcabcabc"],
 ]
 
 
@@ -334,6 +358,10 @@ class TestMatchesReferenceTrainer:
     @example(corpus=["ab ba ab ba abab baba"], min_frequency=2, extra=80)
     # a merge that spells a token already in the vocabulary must be skipped
     @example(corpus=["[PAD] [PAD] [PAD]"], min_frequency=1, extra=80)
+    # words of 12 to 20 letters, longer than small_corpora draws: long runs of
+    # one letter, and a pair many times in one word
+    @example(corpus=["aaaaaaaaaaaaaaaa abababababababababab", "abbabbabbabbabb aaaaaaaaaaaa"],
+             min_frequency=1, extra=80)
     def test_small_alphabets(self, corpus, min_frequency, extra):
         assert_matches_reference(corpus, alphabet_floor(corpus) + extra, min_frequency)
 
