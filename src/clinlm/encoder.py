@@ -153,9 +153,9 @@ def param_shapes(config: EncoderConfig) -> dict[str, tuple[int, ...]]:
 class ParamStore(Mapping):
     """Name -> float64 array, each a view of one contiguous float64 vector,
     flat (zeros unless given), laid end to end in the order of `shapes`
-    (name -> shape). Assigning to a name writes into its view; a name
-    outside the layout or a value of another shape is refused, so no entry
-    can come loose from flat."""
+    (name -> shape); every view is made with the store. Assigning to a name
+    writes into its view; a name outside the layout or a value of another
+    shape is refused, so no entry can come loose from flat."""
 
     def __init__(self, shapes, flat=None):
         self.layout = tuple((name, tuple(shape)) for name, shape in dict(shapes).items())
@@ -163,12 +163,13 @@ class ParamStore(Mapping):
         for name, shape in self.layout:
             self._slots[name] = (start, start + math.prod(shape), shape)
             start += math.prod(shape)
-        self.flat, self._views = np.zeros(start) if flat is None else flat, {}  # lazy views
+        self._lay_views(np.zeros(start) if flat is None else flat)
+
+    def _lay_views(self, flat):  # sets flat and every name's view over its slot
+        self.flat, self._views = flat, {name: flat[start:stop].reshape(shape)
+                                        for name, (start, stop, shape) in self._slots.items()}
 
     def __getitem__(self, name):
-        if name not in self._views:
-            start, stop, shape = self._slots[name]
-            self._views[name] = self.flat[start:stop].reshape(shape)
         return self._views[name]
 
     def __setitem__(self, name, value):
@@ -187,9 +188,9 @@ class ParamStore(Mapping):
 
     def like(self, flat=None) -> ParamStore:
         """A store of this layout over flat (zeros without it)."""
-        store = object.__new__(ParamStore)
-        store.__dict__.update(self.__dict__, _views={},
-                              flat=np.zeros_like(self.flat) if flat is None else flat)
+        store = object.__new__(ParamStore)  # shares this store's layout and slots
+        store.layout, store._slots = self.layout, self._slots
+        store._lay_views(np.zeros_like(self.flat) if flat is None else flat)
         return store
 
     def resized(self, shapes) -> ParamStore:
@@ -322,12 +323,11 @@ def _attention(qh, kh, vh, bias, rate, rng, lc):
     kh and values vh, all [b, heads, n, head_dim]: the attention weights
     softmax(qh kh^T / sqrt(head_dim) + bias), dropped out, times vh. The
     weights are computed in place in one scores buffer. bias [b, 1, 1, keys]
-    is _NEG_INF at padded keys and 0 elsewhere, or None when no key is
-    padded. What _attention_backward needs is kept in lc."""
+    is _NEG_INF at padded keys and 0 elsewhere; adding 0 changes no weight.
+    What _attention_backward needs is kept in lc."""
     s = qh @ kh.swapaxes(-1, -2)
     s *= 1.0 / math.sqrt(qh.shape[-1])
-    if bias is not None:
-        s += bias
+    s += bias
     s -= s.max(axis=-1, keepdims=True)
     np.exp(s, out=s)
     s /= s.sum(axis=-1, keepdims=True)
@@ -406,9 +406,8 @@ def _forward(params, config, batch, rng, reads=None, keep=False):
     x, cache["emb_ln"] = _layer_norm(params, "emb_ln", summed)
     x = _drop(x, rate, rng, cache, "emb_drop")
 
-    # masked keys get a large negative score; no bias when every key is real
-    mask = batch.attention_mask[:, None, None, :]
-    attn_bias = None if mask.all() else np.where(mask == 1, 0.0, _NEG_INF)
+    # masked keys get a large negative score
+    attn_bias = np.where(batch.attention_mask[:, None, None, :] == 1, 0.0, _NEG_INF)
 
     for i in range(config.n_layers):
         p = f"layer{i}."

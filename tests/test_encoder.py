@@ -948,15 +948,15 @@ def test_gelu_and_its_gradient_are_the_closed_forms_bit_for_bit():
 @pytest.mark.parametrize("padded", [False, True], ids=["no-padding", "padding"])
 def test_attention_and_its_backward_are_the_closed_forms_bit_for_bit(padded):
     # scores are scaled, biased, shifted, exponentiated and normalized in one
-    # buffer, in the closed form's order; with no padded key the zero bias is
-    # not added at all, which changes no weight
+    # buffer, in the closed form's order; with no padded key the bias is all
+    # zero and is added all the same, which changes no weight
     rng = np.random.default_rng(0)
     qh, kh, vh, d_ctx = (rng.normal(size=(2, 3, 9, 4)) for _ in range(4))
     mask = np.ones((2, 1, 1, 9))
     if padded:
         mask[1, ..., 6:] = 0
     bias, lc = np.where(mask == 1, 0.0, encoder._NEG_INF), {}
-    ctx = _attention(qh, kh, vh, bias if padded else None, 0.0, None, lc)
+    ctx = _attention(qh, kh, vh, bias, 0.0, None, lc)
     scores = qh @ kh.swapaxes(-1, -2) * (1.0 / math.sqrt(4)) + bias
     scores -= scores.max(axis=-1, keepdims=True)
     exp = np.exp(scores)
@@ -1300,6 +1300,25 @@ class TestParamStore:
         for store in (params, headed, grown, loaded, grads, stepped, state.m, state.v):
             assert_tiles_flat(store)
         assert list(loaded) == list(headed) and list(grads) == list(params)
+
+    def test_every_view_is_made_with_the_store(self, tmp_path):
+        # each producer's store holds every name's view over its slot of flat
+        # before any read, so no read makes or replaces one
+        config = tiny_config()
+        save_checkpoint(tmp_path / "m.ckpt", config, init_params(config, 0))
+        shapes = {"a_w": (3, 2), "a_b": (2,)}
+        for make in (lambda: ParamStore(shapes), lambda: ParamStore(shapes).like(),
+                     lambda: ParamStore(shapes).like(np.arange(8.0)),
+                     lambda: ParamStore(shapes).resized({"a_w": (2, 2), "b_w": (4, 1)}),
+                     lambda: load_checkpoint(tmp_path / "m.ckpt")[1]):
+            store = make()
+            assert len(store._views) == len(store)
+            base = store.flat.__array_interface__["data"][0]
+            for name, view in store._views.items():
+                start, stop, shape = store._slots[name]
+                assert view.shape == shape and view.size == stop - start, name
+                assert view.__array_interface__["data"][0] == base + 8 * start, name
+                assert np.shares_memory(view, store.flat), name
 
     def test_init_head_keeps_an_existing_head_in_place(self):
         config = tiny_config()
